@@ -15,10 +15,13 @@
 //! Handlers never run campaigns: submissions land in the engine's
 //! persistent queue, and a background **drive thread** pumps
 //! [`CampaignService::drive`] in small budget slices behind the shared
-//! mutex — status polls interleave with execution instead of waiting
-//! for a campaign to finish.
+//! mutex. `GET /api/campaigns/:id` never takes that mutex: it reads the
+//! engine's [`StatusBoard`], so a status request is answered in
+//! microseconds however long the running experiment takes. A client
+//! that reads `completed` there can fetch the report: the engine stores
+//! it before it publishes that state.
 
-use crate::engine::{EngineError, JobStatus};
+use crate::engine::{EngineError, JobStatus, StatusBoard};
 use crate::service::CampaignService;
 use crate::spec::CampaignSpec;
 use httpd::{Request, Response, Router, Server, ServerConfig};
@@ -70,6 +73,9 @@ pub type MetricsProvider = Box<dyn Fn(&mut Vec<(String, u64)>) + Send + Sync>;
 
 struct ApiState {
     service: Mutex<CampaignService>,
+    /// The engine's published job statuses — what status requests read
+    /// instead of locking `service`.
+    status: Arc<StatusBoard>,
     api_requests: AtomicU64,
     drive_errors: Mutex<Option<String>>,
     /// Drive slices executed so far — observable proof that an idle
@@ -135,9 +141,11 @@ impl SharedService {
         let trace = Arc::new(TraceStore::new());
         service.engine().metrics().register_into(&registry);
         service.engine().set_trace_store(trace.clone());
+        let status = service.engine().status_board();
         SharedService {
             state: Arc::new(ApiState {
                 service: Mutex::new(service),
+                status,
                 api_requests: AtomicU64::new(0),
                 drive_errors: Mutex::new(None),
                 drive_calls: AtomicU64::new(0),
@@ -451,7 +459,7 @@ fn submit_campaign(state: &ApiState, req: &Request) -> Response {
 
 fn job_status(state: &ApiState, req: &Request) -> Response {
     let id = req.param("id").unwrap_or_default();
-    match state.service().poll(id) {
+    match state.status.get(id) {
         Some(status) => Response::json(200, status_to_value(&status).pretty()),
         None => error_response(404, &format!("unknown job '{id}'")),
     }
@@ -459,11 +467,13 @@ fn job_status(state: &ApiState, req: &Request) -> Response {
 
 fn job_report(state: &ApiState, req: &Request) -> Response {
     let id = req.param("id").unwrap_or_default();
-    let mut service = state.service();
-    if let Some(report) = service.engine().report(id) {
+    // The guard lives for this one statement: the report is encoded
+    // with the service unlocked.
+    let report = state.service().engine().report(id);
+    if let Some(report) = report {
         return Response::json(200, report_to_value(&report).pretty());
     }
-    match service.poll(id) {
+    match state.status.get(id) {
         // Known job, not finished: tell the client to keep polling.
         Some(status) => Response::json(
             409,
@@ -530,11 +540,15 @@ fn upload_model(state: &ApiState, req: &Request) -> Response {
 
 fn session_reports(state: &ApiState, req: &Request) -> Response {
     let user = req.param("user").unwrap_or_default();
-    let service = state.service();
-    match service.sessions.get_session(user) {
-        Some(session) => {
-            let reports: Vec<Value> =
-                session.reports().iter().map(report_to_value).collect();
+    // Copy the history out and unlock before encoding it.
+    let reports = state
+        .service()
+        .sessions
+        .get_session(user)
+        .map(|session| session.reports().to_vec());
+    match reports {
+        Some(reports) => {
+            let reports: Vec<Value> = reports.iter().map(report_to_value).collect();
             Response::json(
                 200,
                 Value::obj(vec![
@@ -550,7 +564,7 @@ fn session_reports(state: &ApiState, req: &Request) -> Response {
 
 fn job_trace(state: &ApiState, req: &Request) -> Response {
     let id = req.param("id").unwrap_or_default();
-    if state.service().poll(id).is_none() {
+    if state.status.get(id).is_none() {
         return error_response(404, &format!("unknown job '{id}'"));
     }
     // A known job with no recorded spans yet renders as an empty

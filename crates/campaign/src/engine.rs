@@ -5,14 +5,21 @@
 //!  submit(spec) ─▶ JobQueue (persistent, fair)            poll(id)
 //!                      │ drive()                             ▲
 //!                      ▼                                     │
-//!               prepare: MutantCache (parse/scan/mutants) ───┤
+//!               prepare: MutantCache (parse/scan/mutants)    │
 //!                      │                                     │
-//!                      ▼                                     │
-//!               scheduler::interleave ─▶ ParallelExecutor    │
+//!                      ▼                               StatusBoard
+//!               scheduler::interleave ─▶ ParallelExecutor    ▲
 //!                      │         (one pool, all campaigns)   │
 //!                      ▼                                     │
 //!               CheckpointLog (per campaign, incremental) ───┘
 //! ```
+//!
+//! The engine keeps finished jobs forever, so nothing a drive slice or
+//! a status request does may cost more as that history grows: the queue
+//! indexes its waiting jobs, completions are handed on as events
+//! ([`CampaignEngine::take_completed`]), and every transition publishes
+//! the job's [`JobStatus`] to the [`StatusBoard`], which answers `poll`
+//! with one map lookup — also for readers that hold no engine at all.
 //!
 //! `drive` is re-entrant and budget-limited: killing the process (or
 //! exhausting the experiment budget) mid-campaign loses nothing — the
@@ -31,9 +38,9 @@ use profipy::workflow::HostFactory;
 use profipy::{ExperimentResult, InjectionPlan};
 use pysrc::Module;
 use sandbox::{ParallelExecutor, SourceFile};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use trace::TraceStore;
 
@@ -161,13 +168,50 @@ pub struct JobStatus {
     pub user: String,
     /// Campaign name.
     pub name: String,
-    /// Experiments recorded in the checkpoint so far.
+    /// Experiments recorded in the checkpoint, as of the job's last
+    /// transition (taken, requeued, completed, checked in).
     pub completed_experiments: usize,
     /// Planned experiment count, once known (set after the first
     /// `drive` touches the job).
     pub total_experiments: Option<usize>,
     /// Fatal error, if the job failed.
     pub error: Option<String>,
+}
+
+/// Every job's latest [`JobStatus`], published by the engine at each
+/// transition it makes (submit, take, fail, requeue, complete, cancel,
+/// checkin) and readable without it: an HTTP status request takes this
+/// lock for one map lookup, never the service mutex a drive slice holds
+/// while experiments run.
+///
+/// A job's report is stored before its `Completed` state is published,
+/// so a reader that sees `completed` here always finds the report.
+#[derive(Default)]
+pub struct StatusBoard {
+    jobs: Mutex<HashMap<String, JobStatus>>,
+}
+
+impl StatusBoard {
+    /// The status of a job, or `None` for an unknown id.
+    pub fn get(&self, id: &str) -> Option<JobStatus> {
+        self.lock().get(id).cloned()
+    }
+
+    /// Poison-recovering: every write below is a plain field store, so
+    /// a panicking writer cannot leave an entry half-made.
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<String, JobStatus>> {
+        self.jobs.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    fn insert(&self, status: JobStatus) {
+        self.lock().insert(status.id.clone(), status);
+    }
+
+    fn update(&self, id: &str, change: impl FnOnce(&mut JobStatus)) {
+        if let Some(status) = self.lock().get_mut(id) {
+            change(status);
+        }
+    }
 }
 
 /// A campaign checked out of the queue for external (distributed)
@@ -223,10 +267,15 @@ pub struct CampaignEngine {
     executor: ParallelExecutor,
     checkpoint_dir: Option<PathBuf>,
     /// In-memory checkpoint store (`data_dir == None`): job id →
-    /// (spec hash, results so far).
-    mem_logs: BTreeMap<String, (u64, Vec<ExperimentResult>)>,
+    /// results so far. A taken job's vector moves into its
+    /// [`CheckpointLog`] and back, so it is never copied.
+    mem_logs: BTreeMap<String, Vec<ExperimentResult>>,
     reports: BTreeMap<String, CampaignReport>,
-    totals: BTreeMap<String, usize>,
+    /// Published job statuses — also the engine's own record of each
+    /// job's planned and completed experiment counts.
+    status: Arc<StatusBoard>,
+    /// Jobs completed since the last [`CampaignEngine::take_completed`].
+    completions: Vec<String>,
     classifier: FailureClassifier,
     metrics: EngineMetrics,
     /// Span sink for fleet-wide tracing (attached by the service
@@ -258,6 +307,34 @@ impl CampaignEngine {
         let metrics = EngineMetrics::new();
         let mut cache = cache;
         cache.attach_write_failures(metrics.cache_write_failures.clone());
+        // Jobs recovered from a data dir: publish each one's status
+        // (its checkpoint is read once, here, for the count) and queue
+        // the already-completed ones for delivery, oldest first.
+        let status = Arc::new(StatusBoard::default());
+        let mut completions = Vec::new();
+        for job in queue.jobs() {
+            let completed_experiments = match &checkpoint_dir {
+                Some(dir) => {
+                    CheckpointLog::peek(&dir.join(format!("{}.jsonl", job.id)), job.spec_hash).len()
+                }
+                None => 0,
+            };
+            status.insert(JobStatus {
+                id: job.id.clone(),
+                state: job.state,
+                user: job.spec.user.clone(),
+                name: job.spec.name.clone(),
+                completed_experiments,
+                // A completed job recorded its whole plan; any other
+                // job's plan is known once a drive prepares it again.
+                total_experiments: (job.state == JobState::Completed)
+                    .then_some(completed_experiments),
+                error: job.error.clone(),
+            });
+            if job.state == JobState::Completed {
+                completions.push(job.id.clone());
+            }
+        }
         Ok(CampaignEngine {
             queue,
             cache,
@@ -266,7 +343,8 @@ impl CampaignEngine {
             checkpoint_dir,
             mem_logs: BTreeMap::new(),
             reports: BTreeMap::new(),
-            totals: BTreeMap::new(),
+            status,
+            completions,
             classifier: FailureClassifier::case_study(),
             metrics,
             trace: None,
@@ -313,32 +391,61 @@ impl CampaignEngine {
                 message: format!("unknown host environment '{}'", spec.host),
             });
         }
+        let (user, name) = (spec.user.clone(), spec.name.clone());
         let id = self.queue.submit(spec)?;
         self.waiting_since.insert(id.clone(), Instant::now());
+        self.status.insert(JobStatus {
+            id: id.clone(),
+            state: JobState::Queued,
+            user,
+            name,
+            completed_experiments: 0,
+            total_experiments: None,
+            error: None,
+        });
         Ok(id)
     }
 
-    /// Observes the queue-wait histogram for a job just taken off the
-    /// queue.
+    /// Bookkeeping for a job just taken off the queue: observes the
+    /// queue-wait histogram and publishes `Running`.
     fn note_taken(&mut self, id: &str) {
         if let Some(since) = self.waiting_since.remove(id) {
             self.metrics.queue_wait_seconds.observe_duration(since.elapsed());
         }
+        self.publish(id, None);
+    }
+
+    /// Publishes `id`'s queue state and error to the status board,
+    /// and its recorded-experiment count if that moved too.
+    fn publish(&self, id: &str, completed: Option<usize>) {
+        let Some(job) = self.queue.get(id) else {
+            return;
+        };
+        self.status.update(id, |status| {
+            status.state = job.state;
+            status.error.clone_from(&job.error);
+            if let Some(done) = completed {
+                status.completed_experiments = done;
+            }
+        });
+    }
+
+    /// Marks a taken job failed and publishes why.
+    fn fail(&mut self, id: &str, error: &str) -> Result<(), EngineError> {
+        self.queue.fail(id, error)?;
+        self.publish(id, None);
+        Ok(())
     }
 
     /// The status of a job, or `None` for an unknown id.
     pub fn poll(&self, id: &str) -> Option<JobStatus> {
-        let job = self.queue.get(id)?;
-        let completed = self.peek_results(id, &job.spec).len();
-        Some(JobStatus {
-            id: job.id.clone(),
-            state: job.state,
-            user: job.spec.user.clone(),
-            name: job.spec.name.clone(),
-            completed_experiments: completed,
-            total_experiments: self.totals.get(id).copied(),
-            error: job.error.clone(),
-        })
+        self.status.get(id)
+    }
+
+    /// The board `poll` reads — share it with whoever must answer
+    /// status requests without waiting for the engine.
+    pub fn status_board(&self) -> Arc<StatusBoard> {
+        self.status.clone()
     }
 
     /// All job statuses for one user, oldest first.
@@ -360,7 +467,12 @@ impl CampaignEngine {
     ///
     /// Queue I/O failure.
     pub fn cancel(&mut self, id: &str) -> Result<bool, EngineError> {
-        Ok(self.queue.cancel(id)?)
+        let cancelled = self.queue.cancel(id)?;
+        if cancelled {
+            self.waiting_since.remove(id);
+            self.publish(id, None);
+        }
+        Ok(cancelled)
     }
 
     /// Cache counters (scan/parse/mutant hits and misses).
@@ -370,27 +482,30 @@ impl CampaignEngine {
 
     /// Jobs currently waiting in the queue.
     pub fn queue_depth(&self) -> usize {
-        self.queue
-            .jobs()
-            .filter(|j| j.state == JobState::Queued)
-            .count()
+        self.queue.count(JobState::Queued)
     }
 
-    /// Job counts per lifecycle state (monitoring surface).
+    /// Job counts per lifecycle state that has any (monitoring
+    /// surface), from the queue's running tally.
     pub fn job_state_counts(&self) -> BTreeMap<&'static str, usize> {
-        let mut counts: BTreeMap<&'static str, usize> = BTreeMap::new();
-        for job in self.queue.jobs() {
-            *counts.entry(job.state.as_str()).or_insert(0) += 1;
-        }
-        counts
+        JobState::ALL
+            .into_iter()
+            .map(|state| (state.as_str(), self.queue.count(state)))
+            .filter(|(_, n)| *n > 0)
+            .collect()
     }
 
-    /// Ids of all completed jobs.
-    pub fn completed_ids(&self) -> Vec<String> {
-        self.queue
-            .jobs()
-            .filter(|j| j.state == JobState::Completed)
-            .map(|j| j.id.clone())
+    /// The campaigns completed since the last call — by `drive`,
+    /// `checkin`, or (once) found completed when the engine opened its
+    /// data dir — as `(owning user, report)`, oldest job first.
+    pub fn take_completed(&mut self) -> Vec<(String, CampaignReport)> {
+        let mut ids = std::mem::take(&mut self.completions);
+        ids.sort();
+        ids.iter()
+            .filter_map(|id| {
+                let user = self.queue.get(id)?.spec.user.clone();
+                Some((user, self.report(id)?))
+            })
             .collect()
     }
 
@@ -405,10 +520,13 @@ impl CampaignEngine {
         if job.state != JobState::Completed {
             return None;
         }
-        let spec = job.spec.clone();
-        let results = self.peek_results(id, &spec);
-        let planned = self.totals.get(id).copied().unwrap_or(results.len());
-        let report = Self::build_report(&spec, planned, None, results, &self.classifier);
+        let mut results = self.peek_results(id);
+        let planned = self
+            .status
+            .get(id)
+            .and_then(|s| s.total_experiments)
+            .unwrap_or(results.len());
+        let report = Self::build_report(&job.spec, planned, None, &mut results, &self.classifier);
         self.reports.insert(id.to_string(), report.clone());
         Some(report)
     }
@@ -426,6 +544,7 @@ impl CampaignEngine {
         let mut summary = DriveSummary::default();
         let mut prepared: Vec<ScheduledCampaign> = Vec::new();
         let mut prepared_ids: Vec<String> = Vec::new();
+        let mut totals: Vec<usize> = Vec::new();
         let mut pending_total = 0usize;
         // Take campaigns until the queue is drained — or, under a
         // budget, until we already hold enough pending experiments to
@@ -437,14 +556,13 @@ impl CampaignEngine {
             self.note_taken(&id);
             let spec = self.queue.get(&id).expect("taken job exists").spec.clone();
             match self.prepare(&id, &spec) {
-                Ok(campaign) => {
+                Ok((campaign, total)) => {
                     pending_total += campaign.pending.len();
                     prepared.push(campaign);
                     prepared_ids.push(id);
+                    totals.push(total);
                 }
-                Err(e) => {
-                    self.queue.fail(&id, &e.message)?;
-                }
+                Err(e) => self.fail(&id, &e.message)?,
             }
         }
         summary.campaigns = prepared.len();
@@ -461,29 +579,9 @@ impl CampaignEngine {
         // Bookkeeping runs even if recording failed mid-drive: every
         // taken job must leave the Running state, or it is stranded
         // until the engine is reopened.
-        for (id, campaign) in prepared_ids.iter().zip(prepared) {
-            let spec = self.queue.get(id).expect("job exists").spec.clone();
-            let total = self.totals.get(id).copied().unwrap_or(0);
-            let spec_hash = campaign.checkpoint.spec_hash();
-            let results = campaign.checkpoint.into_results();
-            let done = results.len();
-            if self.checkpoint_dir.is_none() {
-                // Carry in-memory checkpoints across drive calls.
-                self.mem_logs
-                    .insert(id.clone(), (spec_hash, results.clone()));
-            }
-            if done >= total && run_outcome.is_ok() {
-                let report =
-                    Self::build_report(&spec, total, None, results, &self.classifier);
-                self.reports.insert(id.clone(), report);
-                self.queue.complete(id)?;
+        for ((id, total), campaign) in prepared_ids.iter().zip(totals).zip(prepared) {
+            if self.settle(id, total, campaign.checkpoint, run_outcome.is_ok())? {
                 summary.completed += 1;
-            } else {
-                // Budget exhausted mid-campaign (or recording failed):
-                // back to the queue; the checkpoint keeps what was
-                // durably recorded.
-                self.queue.requeue(id)?;
-                self.waiting_since.insert(id.clone(), Instant::now());
             }
         }
         run_outcome?;
@@ -513,8 +611,7 @@ impl CampaignEngine {
             self.note_taken(&id);
             let spec = self.queue.get(&id).expect("taken job exists").spec.clone();
             match self.prepare(&id, &spec) {
-                Ok(campaign) => {
-                    let total = self.totals.get(&id).copied().unwrap_or(0);
+                Ok((campaign, total)) => {
                     return Ok(Some(CheckedOutCampaign {
                         id,
                         spec,
@@ -524,9 +621,7 @@ impl CampaignEngine {
                         checkpoint: campaign.checkpoint,
                     }));
                 }
-                Err(e) => {
-                    self.queue.fail(&id, &e.message)?;
-                }
+                Err(e) => self.fail(&id, &e.message)?,
             }
         }
     }
@@ -545,37 +640,59 @@ impl CampaignEngine {
     ///
     /// Queue I/O failures.
     pub fn checkin(&mut self, campaign: CheckedOutCampaign) -> Result<bool, EngineError> {
-        let CheckedOutCampaign {
-            id,
-            spec,
-            total,
-            checkpoint,
-            ..
-        } = campaign;
-        let spec_hash = checkpoint.spec_hash();
-        let results = checkpoint.into_results();
+        self.settle(&campaign.id, campaign.total, campaign.checkpoint, true)
+    }
+
+    /// Takes a taken job's checkpoint back. With every planned
+    /// experiment recorded (and `recorded_ok`) the job completes: the
+    /// report is built and stored, a completion event queued. Otherwise
+    /// — budget exhausted mid-campaign, or recording failed — the job
+    /// returns to the queue and the checkpoint keeps what was durably
+    /// recorded. Either way the new state and count are published.
+    /// Returns whether the campaign completed.
+    fn settle(
+        &mut self,
+        id: &str,
+        total: usize,
+        checkpoint: CheckpointLog,
+        recorded_ok: bool,
+    ) -> Result<bool, EngineError> {
+        let mut results = checkpoint.into_results();
         let done = results.len();
-        if self.checkpoint_dir.is_none() {
-            // Carry in-memory checkpoints across checkouts, exactly as
-            // `drive` does across drives.
-            self.mem_logs.insert(id.clone(), (spec_hash, results.clone()));
-        }
-        if done >= total {
-            let report = Self::build_report(&spec, total, None, results, &self.classifier);
-            self.reports.insert(id.clone(), report);
-            self.queue.complete(&id)?;
-            Ok(true)
+        let completed = done >= total && recorded_ok;
+        if completed {
+            let spec = &self.queue.get(id).expect("taken job exists").spec;
+            let report = Self::build_report(spec, total, None, &mut results, &self.classifier);
+            // Stored before `Completed` is published below: whoever
+            // sees that state can fetch the report.
+            self.reports.insert(id.to_string(), report);
+            self.queue.complete(id)?;
+            self.completions.push(id.to_string());
+            // Kept for as long as the engine lives and never appended
+            // to again: give back the growth slack.
+            results.shrink_to_fit();
         } else {
-            self.queue.requeue(&id)?;
-            self.waiting_since.insert(id, Instant::now());
-            Ok(false)
+            self.queue.requeue(id)?;
+            self.waiting_since.insert(id.to_string(), Instant::now());
         }
+        if self.checkpoint_dir.is_none() {
+            // Carry in-memory checkpoints across drives and checkouts.
+            self.mem_logs.insert(id.to_string(), results);
+        }
+        self.publish(id, Some(done));
+        Ok(completed)
     }
 
     /// Builds everything one campaign needs to be scheduled, reusing
     /// the cross-campaign cache for parses, scans, coverage, and
     /// mutants.
-    fn prepare(&mut self, id: &str, spec: &CampaignSpec) -> Result<ScheduledCampaign, EngineError> {
+    ///
+    /// Returns the campaign and its planned experiment count.
+    fn prepare(
+        &mut self,
+        id: &str,
+        spec: &CampaignSpec,
+    ) -> Result<(ScheduledCampaign, usize), EngineError> {
         let prepare_started = Instant::now();
         if let Some(store) = &self.trace {
             store.begin(id);
@@ -642,10 +759,9 @@ impl CampaignEngine {
             };
             plan = plan.prune_by_coverage(&covered);
         }
-        self.totals.insert(id.to_string(), plan.len());
 
         // Checkpoint: resume point for this exact spec.
-        let mut checkpoint = self.take_checkpoint(id, spec)?;
+        let mut checkpoint = self.take_checkpoint(id)?;
         let done = checkpoint.completed_ids();
 
         // Render (or reuse) the mutants for the pending experiments.
@@ -679,40 +795,46 @@ impl CampaignEngine {
         if let Some(store) = &self.trace {
             store.record_phase(id, "engine", "prepare", prepare_started, prepare_elapsed, false);
         }
-        Ok(ScheduledCampaign {
-            workflow,
-            pending,
-            checkpoint,
-        })
+        let total = plan.len();
+        let recorded = checkpoint.results().len();
+        self.status.update(id, |status| {
+            status.total_experiments = Some(total);
+            status.completed_experiments = recorded;
+        });
+        Ok((
+            ScheduledCampaign {
+                workflow,
+                pending,
+                checkpoint,
+            },
+            total,
+        ))
     }
 
     /// An appendable checkpoint for a campaign about to run.
-    fn take_checkpoint(&mut self, id: &str, spec: &CampaignSpec) -> Result<CheckpointLog, EngineError> {
-        let hash = spec.content_hash();
+    fn take_checkpoint(&mut self, id: &str) -> Result<CheckpointLog, EngineError> {
+        let hash = self.queue.get(id).expect("taken job exists").spec_hash;
         match &self.checkpoint_dir {
             Some(dir) => Ok(CheckpointLog::open(
                 &dir.join(format!("{id}.jsonl")),
                 hash,
             )?),
-            None => {
-                let seeded = match self.mem_logs.get(id) {
-                    Some((h, results)) if *h == hash => results.clone(),
-                    _ => Vec::new(),
-                };
-                Ok(CheckpointLog::in_memory_with(hash, seeded))
-            }
+            None => Ok(CheckpointLog::in_memory_with(
+                hash,
+                self.mem_logs.remove(id).unwrap_or_default(),
+            )),
         }
     }
 
-    /// Read-only view of a campaign's recorded results.
-    fn peek_results(&self, id: &str, spec: &CampaignSpec) -> Vec<ExperimentResult> {
-        let hash = spec.content_hash();
-        match &self.checkpoint_dir {
-            Some(dir) => CheckpointLog::peek(&dir.join(format!("{id}.jsonl")), hash),
-            None => match self.mem_logs.get(id) {
-                Some((h, results)) if *h == hash => results.clone(),
-                _ => Vec::new(),
-            },
+    /// A copy of a campaign's recorded results (empty for an unknown
+    /// id, and for an in-memory job while it is taken — its results are
+    /// then with its checkpoint).
+    fn peek_results(&self, id: &str) -> Vec<ExperimentResult> {
+        match (&self.checkpoint_dir, self.queue.get(id)) {
+            (Some(dir), Some(job)) => {
+                CheckpointLog::peek(&dir.join(format!("{id}.jsonl")), job.spec_hash)
+            }
+            _ => self.mem_logs.get(id).cloned().unwrap_or_default(),
         }
     }
 
@@ -742,22 +864,21 @@ impl CampaignEngine {
         spec: &CampaignSpec,
         planned: usize,
         covered: Option<usize>,
-        mut results: Vec<ExperimentResult>,
+        results: &mut [ExperimentResult],
         classifier: &FailureClassifier,
     ) -> CampaignReport {
         // Checkpoints are completion-ordered; reports are presented in
-        // plan order.
+        // plan order. Sorting in place (stable) spares a copy of the
+        // results; a completed campaign's log is never appended to
+        // again, so its order no longer matters.
         results.sort_by_key(|r| r.point_id);
-        CampaignReport::from_results(&spec.name, planned, covered, &results, classifier)
+        CampaignReport::from_results(&spec.name, planned, covered, results, classifier)
     }
 
     /// The results recorded so far for a job (plan order), e.g. for a
     /// partial-progress view.
     pub fn results(&self, id: &str) -> Vec<ExperimentResult> {
-        let Some(job) = self.queue.get(id) else {
-            return Vec::new();
-        };
-        let mut results = self.peek_results(id, &job.spec);
+        let mut results = self.peek_results(id);
         results.sort_by_key(|r| r.point_id);
         results
     }

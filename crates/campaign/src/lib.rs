@@ -67,7 +67,7 @@ pub use cache::{CacheStats, MutantCache};
 pub use checkpoint::CheckpointLog;
 pub use engine::{
     CampaignEngine, CheckedOutCampaign, DriveSummary, EngineConfig, EngineError, EngineMetrics,
-    HostRegistry, JobStatus,
+    HostRegistry, JobStatus, StatusBoard,
 };
 pub use persist::{result_from_value, result_to_value, results_equivalent};
 pub use queue::{JobQueue, JobState, QueuedJob};

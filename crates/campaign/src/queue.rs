@@ -15,7 +15,8 @@
 
 use crate::spec::CampaignSpec;
 use jsonlite::Value;
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -35,6 +36,20 @@ pub enum JobState {
 }
 
 impl JobState {
+    /// Every state, in [`JobState::index`] order.
+    pub const ALL: [JobState; 5] = [
+        JobState::Queued,
+        JobState::Running,
+        JobState::Completed,
+        JobState::Failed,
+        JobState::Cancelled,
+    ];
+
+    /// Position in [`JobState::ALL`] (the per-state counter slot).
+    fn index(self) -> usize {
+        self as usize
+    }
+
     /// Stable lower-case name (persisted format, API responses).
     pub fn as_str(self) -> &'static str {
         match self {
@@ -71,9 +86,22 @@ pub struct QueuedJob {
     pub seq: u64,
     /// Fatal error, if `state == Failed`.
     pub error: Option<String>,
+    /// [`CampaignSpec::content_hash`] of `spec`, computed once when the
+    /// job enters the queue (submit or reopen) — the spec never changes
+    /// afterwards, and the hash is a full canonical encode. Not
+    /// persisted.
+    pub spec_hash: u64,
 }
 
+/// A queued job's position within its user's backlog: priority desc,
+/// submission order asc; the id rides along so a peek needs no lookup.
+type BacklogKey = (Reverse<u8>, u64, String);
+
 impl QueuedJob {
+    fn backlog_key(&self) -> BacklogKey {
+        (Reverse(self.spec.priority), self.seq, self.id.clone())
+    }
+
     fn to_value(&self) -> Value {
         Value::obj(vec![
             ("id", Value::str(&self.id)),
@@ -91,7 +119,9 @@ impl QueuedJob {
     }
 
     fn from_value(v: &Value) -> Result<QueuedJob, String> {
+        let spec = CampaignSpec::from_value(v.req("spec")?)?;
         Ok(QueuedJob {
+            spec_hash: spec.content_hash(),
             id: v
                 .req("id")?
                 .as_str()
@@ -112,16 +142,27 @@ impl QueuedJob {
                         .to_string(),
                 ),
             },
-            spec: CampaignSpec::from_value(v.req("spec")?)?,
+            spec,
         })
     }
 }
 
 /// The queue. Persistent when opened on a directory, ephemeral when
 /// created in memory (tests, one-shot runs).
+///
+/// Finished jobs stay in `jobs` forever (status, reports and restart
+/// recovery need them), so nothing on the scheduling path may scan it:
+/// `queued` indexes the jobs waiting for a slot and `counts` tallies
+/// every state, both maintained by the one place a state changes
+/// ([`JobQueue::set_state`]).
 pub struct JobQueue {
     dir: Option<PathBuf>,
     jobs: BTreeMap<String, QueuedJob>,
+    /// user → that user's queued jobs, best first. Users with nothing
+    /// queued have no entry.
+    queued: BTreeMap<String, BTreeSet<BacklogKey>>,
+    /// Jobs per state, indexed by `JobState::index`.
+    counts: [usize; JobState::ALL.len()],
     next_seq: u64,
     /// user → queue tick at which the user last received a slot.
     last_slot: BTreeMap<String, u64>,
@@ -134,6 +175,8 @@ impl JobQueue {
         JobQueue {
             dir: None,
             jobs: BTreeMap::new(),
+            queued: BTreeMap::new(),
+            counts: [0; JobState::ALL.len()],
             next_seq: 1,
             last_slot: BTreeMap::new(),
             tick: 1,
@@ -178,12 +221,22 @@ impl JobQueue {
                 recovered.push(job.id.clone());
             }
             queue.next_seq = queue.next_seq.max(job.seq + 1);
-            queue.jobs.insert(job.id.clone(), job);
+            queue.insert(job);
         }
         for id in recovered {
             queue.persist(&id)?;
         }
         Ok(queue)
+    }
+
+    /// Adds a job to the map, the per-state tally and (if queued) the
+    /// scheduling index.
+    fn insert(&mut self, job: QueuedJob) {
+        self.counts[job.state.index()] += 1;
+        if job.state == JobState::Queued {
+            index(&mut self.queued, &job);
+        }
+        self.jobs.insert(job.id.clone(), job);
     }
 
     /// Submits a campaign; returns the assigned job id.
@@ -195,14 +248,14 @@ impl JobQueue {
         let seq = self.next_seq;
         self.next_seq += 1;
         let id = format!("job-{seq:06}");
-        let job = QueuedJob {
+        self.insert(QueuedJob {
             id: id.clone(),
+            spec_hash: spec.content_hash(),
             spec,
             state: JobState::Queued,
             seq,
             error: None,
-        };
-        self.jobs.insert(id.clone(), job);
+        });
         self.persist(&id)?;
         Ok(id)
     }
@@ -217,31 +270,16 @@ impl JobQueue {
         let Some(id) = self.peek_next() else {
             return Ok(None);
         };
-        let job = self.jobs.get_mut(&id).expect("peeked job exists");
-        job.state = JobState::Running;
-        self.last_slot.insert(job.spec.user.clone(), self.tick);
+        let user = self.jobs[&id].spec.user.clone();
+        self.last_slot.insert(user, self.tick);
         self.tick += 1;
-        self.persist(&id)?;
+        self.set_state(&id, JobState::Running, None)?;
         Ok(Some(id))
     }
 
     /// The id `take_next` would return, without side effects.
     pub fn peek_next(&self) -> Option<String> {
-        // Least-recently-served user first (never-served = 0), then by
-        // user name for determinism; within the user: priority desc,
-        // seq asc.
-        self.jobs
-            .values()
-            .filter(|j| j.state == JobState::Queued)
-            .min_by_key(|j| {
-                (
-                    self.last_slot.get(&j.spec.user).copied().unwrap_or(0),
-                    j.spec.user.clone(),
-                    std::cmp::Reverse(j.spec.priority),
-                    j.seq,
-                )
-            })
-            .map(|j| j.id.clone())
+        next_in_order(&self.queued, &self.last_slot).map(|(_, key)| key.2.clone())
     }
 
     /// Marks a running job finished.
@@ -287,18 +325,30 @@ impl JobQueue {
         }
     }
 
+    /// The one place a job changes state: keeps the scheduling index
+    /// and the per-state tally in step with `jobs`, then persists.
     fn set_state(
         &mut self,
         id: &str,
         state: JobState,
         error: Option<String>,
     ) -> io::Result<()> {
-        if let Some(job) = self.jobs.get_mut(id) {
+        let Some(job) = self.jobs.get_mut(id) else {
+            return Ok(());
+        };
+        if job.state != state {
+            if job.state == JobState::Queued {
+                unindex(&mut self.queued, &job.spec.user, &job.backlog_key());
+            }
+            if state == JobState::Queued {
+                index(&mut self.queued, job);
+            }
+            self.counts[job.state.index()] -= 1;
+            self.counts[state.index()] += 1;
             job.state = state;
-            job.error = error;
-            self.persist(id)?;
         }
-        Ok(())
+        job.error = error;
+        self.persist(id)
     }
 
     /// Looks up a job.
@@ -311,34 +361,24 @@ impl JobQueue {
         self.jobs.values()
     }
 
+    /// How many jobs are in `state` right now.
+    pub fn count(&self, state: JobState) -> usize {
+        self.counts[state.index()]
+    }
+
     /// Ids of all currently queued jobs, in fairness order.
     pub fn queued_ids(&self) -> Vec<String> {
         // Simulate repeated take_next without mutating real state.
         let mut order = Vec::new();
+        let mut queued = self.queued.clone();
         let mut last_slot = self.last_slot.clone();
         let mut tick = self.tick;
-        let mut remaining: Vec<&QueuedJob> = self
-            .jobs
-            .values()
-            .filter(|j| j.state == JobState::Queued)
-            .collect();
-        while !remaining.is_empty() {
-            let (idx, _) = remaining
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, j)| {
-                    (
-                        last_slot.get(&j.spec.user).copied().unwrap_or(0),
-                        j.spec.user.clone(),
-                        std::cmp::Reverse(j.spec.priority),
-                        j.seq,
-                    )
-                })
-                .expect("nonempty");
-            let job = remaining.swap_remove(idx);
-            last_slot.insert(job.spec.user.clone(), tick);
+        while let Some((user, key)) = next_in_order(&queued, &last_slot) {
+            let (user, key) = (user.clone(), key.clone());
+            unindex(&mut queued, &user, &key);
+            last_slot.insert(user, tick);
             tick += 1;
-            order.push(job.id.clone());
+            order.push(key.2);
         }
         order
     }
@@ -352,6 +392,39 @@ impl JobQueue {
         std::fs::write(&tmp_path, job.to_value().pretty())?;
         std::fs::rename(&tmp_path, &final_path)
     }
+}
+
+/// Enters a job into a queued-jobs index.
+fn index(queued: &mut BTreeMap<String, BTreeSet<BacklogKey>>, job: &QueuedJob) {
+    queued
+        .entry(job.spec.user.clone())
+        .or_default()
+        .insert(job.backlog_key());
+}
+
+/// Drops one entry from a queued-jobs index, and the user's backlog with
+/// it once empty.
+fn unindex(queued: &mut BTreeMap<String, BTreeSet<BacklogKey>>, user: &str, key: &BacklogKey) {
+    if let Some(backlog) = queued.get_mut(user) {
+        backlog.remove(key);
+        if backlog.is_empty() {
+            queued.remove(user);
+        }
+    }
+}
+
+/// The fairness rule over a queued-jobs index: the least-recently-served
+/// user goes first (never served = 0), ties by user name for
+/// determinism; within the user: priority desc, seq asc (the backlog
+/// set's own order).
+fn next_in_order<'a>(
+    queued: &'a BTreeMap<String, BTreeSet<BacklogKey>>,
+    last_slot: &BTreeMap<String, u64>,
+) -> Option<(&'a String, &'a BacklogKey)> {
+    let (user, backlog) = queued
+        .iter()
+        .min_by_key(|(user, _)| (last_slot.get(*user).copied().unwrap_or(0), *user))?;
+    Some((user, backlog.first()?))
 }
 
 #[cfg(test)]
@@ -465,6 +538,118 @@ mod tests {
             assert_eq!(q.get(&b).unwrap().error.as_deref(), Some("boom"));
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The scheduling rule as the queue implemented it before it kept
+    /// an index: a linear scan of every job. `peek_next` is the head of
+    /// this order.
+    fn reference_order(q: &JobQueue) -> Vec<String> {
+        let mut order = Vec::new();
+        let mut last_slot = q.last_slot.clone();
+        let mut tick = q.tick;
+        let mut remaining: Vec<&QueuedJob> =
+            q.jobs().filter(|j| j.state == JobState::Queued).collect();
+        while !remaining.is_empty() {
+            let (idx, _) = remaining
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, j)| {
+                    (
+                        last_slot.get(&j.spec.user).copied().unwrap_or(0),
+                        j.spec.user.clone(),
+                        std::cmp::Reverse(j.spec.priority),
+                        j.seq,
+                    )
+                })
+                .expect("nonempty");
+            let job = remaining.swap_remove(idx);
+            last_slot.insert(job.spec.user.clone(), tick);
+            tick += 1;
+            order.push(job.id.clone());
+        }
+        order
+    }
+
+    fn nth_in_state(q: &JobQueue, state: JobState, pick: usize) -> Option<String> {
+        let ids: Vec<&String> = q
+            .jobs()
+            .filter(|j| j.state == state)
+            .map(|j| &j.id)
+            .collect();
+        (!ids.is_empty()).then(|| ids[pick % ids.len()].clone())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn index_and_tally_match_a_linear_scan(
+            ops in proptest::collection::vec((0u8..10, 0usize..3, 0u8..3, 0usize..64), 1..48)
+        ) {
+            static CASE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+            let dir = std::env::temp_dir().join(format!(
+                "campaign-queue-oracle-{}-{}",
+                std::process::id(),
+                CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut q = JobQueue::open(&dir).unwrap();
+            for (op, user, priority, pick) in ops {
+                match op {
+                    0..=2 => {
+                        let user = ["alice", "bob", "carol"][user];
+                        q.submit(spec(user, "c", priority)).unwrap();
+                    }
+                    3 | 4 => {
+                        let expected = reference_order(&q).into_iter().next();
+                        proptest::prop_assert_eq!(q.take_next().unwrap(), expected);
+                    }
+                    5 => {
+                        if let Some(id) = nth_in_state(&q, JobState::Running, pick) {
+                            q.requeue(&id).unwrap();
+                        }
+                    }
+                    6 => {
+                        if let Some(id) = nth_in_state(&q, JobState::Running, pick) {
+                            q.complete(&id).unwrap();
+                        }
+                    }
+                    7 => {
+                        if let Some(id) = nth_in_state(&q, JobState::Running, pick) {
+                            q.fail(&id, "boom").unwrap();
+                        }
+                    }
+                    8 => {
+                        // Any job: only a queued one may actually cancel.
+                        let ids: Vec<String> = q.jobs().map(|j| j.id.clone()).collect();
+                        if !ids.is_empty() {
+                            let id = &ids[pick % ids.len()];
+                            let was_queued = q.get(id).unwrap().state == JobState::Queued;
+                            proptest::prop_assert_eq!(q.cancel(id).unwrap(), was_queued);
+                        }
+                    }
+                    _ => {
+                        // The process dies and restarts: index and tally
+                        // are rebuilt from the files, running jobs demoted.
+                        let running = q.count(JobState::Running);
+                        let queued = q.count(JobState::Queued);
+                        q = JobQueue::open(&dir).unwrap();
+                        proptest::prop_assert_eq!(q.count(JobState::Running), 0);
+                        proptest::prop_assert_eq!(q.count(JobState::Queued), queued + running);
+                    }
+                }
+                let order = reference_order(&q);
+                proptest::prop_assert_eq!(q.peek_next(), order.first().cloned());
+                proptest::prop_assert_eq!(q.queued_ids(), order);
+                for state in JobState::ALL {
+                    proptest::prop_assert_eq!(
+                        q.count(state),
+                        q.jobs().filter(|j| j.state == state).count()
+                    );
+                }
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

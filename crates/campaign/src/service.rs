@@ -9,15 +9,12 @@ use crate::engine::{
 };
 use crate::spec::CampaignSpec;
 use profipy::service::ProfipyService;
-use std::collections::BTreeSet;
 
 /// The combined service.
 pub struct CampaignService {
     /// Session store (saved fault models, report history).
     pub sessions: ProfipyService,
     engine: CampaignEngine,
-    /// Jobs whose reports were already pushed into their session.
-    delivered: BTreeSet<String>,
 }
 
 impl CampaignService {
@@ -30,7 +27,6 @@ impl CampaignService {
         Ok(CampaignService {
             sessions: ProfipyService::new(),
             engine: CampaignEngine::new(config, registry)?,
-            delivered: BTreeSet::new(),
         })
     }
 
@@ -105,22 +101,11 @@ impl CampaignService {
         &mut self.engine
     }
 
+    /// Each completion is handed over by the engine exactly once, so
+    /// no record of what was already delivered is needed.
     fn deliver_completed(&mut self) {
-        let completed: Vec<(String, String)> = self
-            .engine
-            .completed_ids()
-            .into_iter()
-            .filter(|id| !self.delivered.contains(id))
-            .filter_map(|id| {
-                let status = self.engine.poll(&id)?;
-                Some((id, status.user))
-            })
-            .collect();
-        for (id, user) in completed {
-            if let Some(report) = self.engine.report(&id) {
-                self.sessions.session(&user).add_report(report);
-                self.delivered.insert(id);
-            }
+        for (user, report) in self.engine.take_completed() {
+            self.sessions.session(&user).add_report(report);
         }
     }
 }

@@ -311,3 +311,52 @@ fn checkout_checkin_reports_match_drive_byte_for_byte() {
     let resumed = campaign::report_to_value(&partial.report(&pid).unwrap()).pretty();
     assert_eq!(resumed, expected, "resumed distributed run diverged");
 }
+
+#[test]
+fn reopened_engine_republishes_status_and_redelivers_reports() {
+    let dir = temp_dir("republish");
+    let open = || {
+        CampaignService::new(
+            EngineConfig {
+                data_dir: Some(dir.clone()),
+                executor: Default::default(),
+            },
+            etcd_registry(),
+        )
+        .unwrap()
+    };
+    let (id, expected) = {
+        let mut service = open();
+        let id = service.submit(etcd_spec("alice", "nightly", 3)).unwrap();
+        service.drive(None).unwrap();
+        let status = service.poll(&id).unwrap();
+        assert_eq!(status.state, JobState::Completed);
+        assert_eq!(status.completed_experiments, 3);
+        assert_eq!(status.total_experiments, Some(3));
+        let report = service.engine().report(&id).unwrap();
+        (id, campaign::report_to_value(&report).pretty())
+        // Service dropped here: the process "exits".
+    };
+
+    // A fresh process publishes what the data dir says, before any
+    // drive: the count comes from the checkpoint, read once at open.
+    let mut service = open();
+    let status = service.poll(&id).unwrap();
+    assert_eq!(status.state, JobState::Completed);
+    assert_eq!((status.user.as_str(), status.name.as_str()), ("alice", "nightly"));
+    assert_eq!(status.completed_experiments, 3);
+    assert_eq!(status.total_experiments, Some(3));
+    assert!(status.error.is_none());
+    assert!(service.poll("job-999999").is_none());
+
+    // The old report reaches its session on the first drive — once.
+    assert!(service.sessions.reports("alice").is_empty(), "not before a drive");
+    let summary = service.drive(None).unwrap();
+    assert_eq!(summary.experiments, 0, "nothing is run again");
+    assert_eq!(service.sessions.report_names("alice"), vec!["nightly"]);
+    let delivered = service.sessions.report("alice", "nightly").unwrap();
+    assert_eq!(campaign::report_to_value(delivered).pretty(), expected);
+    service.drive(None).unwrap();
+    assert_eq!(service.sessions.reports("alice").len(), 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}

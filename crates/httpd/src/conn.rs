@@ -16,6 +16,7 @@
 use crate::http::{self, ParseStatus, Response};
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
+use std::os::fd::{AsRawFd, RawFd};
 use std::time::Instant;
 
 /// Per-fill read chunk; also bounds how much one connection can pull
@@ -86,6 +87,11 @@ impl Conn {
             out_pos: 0,
             started_at: None,
         })
+    }
+
+    /// The socket's descriptor, for the event loop's readiness wait.
+    pub fn raw_fd(&self) -> RawFd {
+        self.stream.as_raw_fd()
     }
 
     /// Pulls whatever the socket has ready into the receive buffer

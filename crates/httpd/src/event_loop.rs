@@ -3,22 +3,24 @@
 //!
 //! ```text
 //!             ┌───────────────── event-loop thread ─────────────────┐
-//!   accept ──▶│ nonblocking poll cycle over all connections:        │
+//!   accept ──▶│ one cycle over all connections:                     │
 //!             │   drain worker completions → accept → read/parse/   │
-//!             │   dispatch → write → deadlines                      │
+//!             │   dispatch → write → deadlines → block in poll(2)   │
 //!             └──── try_send ──▶ bounded job queue ──▶ worker pool ─┘
 //!                    (full → 503)        │ router.dispatch (catch_unwind)
 //!                                        ▼
-//!                              completion channel back to the loop
+//!                       completion channel + wake byte back to the loop
 //! ```
 //!
-//! `std` has no `poll(2)` wrapper, so readiness is discovered by
-//! attempting nonblocking I/O on each registered connection per cycle
-//! (`WouldBlock` = not ready) — mio-style registration without the
-//! dependency. The loop spins while traffic flows and backs off to
-//! short sleeps when idle, trading a bounded sliver of idle latency
-//! (≤ ~1 ms) for zero busy-burn; per-cycle work is O(connections),
-//! which is the honest dependency-free ceiling.
+//! Between cycles the loop **blocks** in [`crate::poll::wait`] on the
+//! listener, every connection that is reading or writing, and the wake
+//! channel workers (and `Server::shutdown`) write to; the timeout is
+//! the nearest request/write deadline, or none. An idle server makes
+//! no system call at all, and a wake-up costs one. The wait is
+//! level-triggered and only its return matters: each cycle still
+//! attempts nonblocking I/O on every registered connection
+//! (`WouldBlock` = not ready), so a spurious wake-up is harmless and
+//! per-cycle work stays O(connections).
 //!
 //! The payoff: an idle keep-alive connection costs one buffer, not one
 //! thread — thousands of pollers can sit open against a handful of
@@ -29,9 +31,13 @@
 
 use crate::conn::{Conn, ConnState, Flush};
 use crate::http::{ParseStatus, Request, Response};
+use crate::poll::{self, PollFd, Waker};
 use crate::router::Router;
 use crate::server::ServerConfig;
+use std::io::Read;
 use std::net::{TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -48,7 +54,16 @@ pub(crate) struct Shared {
     pub rejected: Arc<AtomicU64>,
     /// Currently open connections (live gauge).
     pub open: Arc<AtomicU64>,
+    /// Ends the loop's wait: workers after a completion, the server
+    /// handle after setting `stop`.
+    pub waker: Waker,
 }
+
+/// How long the loop leaves the listener out of its wait after `accept`
+/// failed for a reason other than "nothing pending" (descriptor
+/// exhaustion, typically): the pending connection keeps the listener
+/// readable, and waiting on it would return at once, forever.
+const ACCEPT_RETRY: Duration = Duration::from_millis(50);
 
 /// A complete request handed to the worker pool.
 struct Job {
@@ -109,29 +124,33 @@ struct Done {
     wants_close: bool,
 }
 
-/// Progress-based backoff: spin while traffic flows, sleep when idle.
-/// The sleep cap bounds both idle CPU and worst-case wake latency.
-struct Backoff {
-    idle_cycles: u32,
+/// What the loop's waits look like from outside: how long it sat
+/// blocked, and what ended each wait.
+struct LoopTelemetry {
+    wait_seconds: obs::Histogram,
+    woke_io: obs::Counter,
+    woke_completion: obs::Counter,
+    woke_timeout: obs::Counter,
 }
 
-impl Backoff {
-    fn new() -> Backoff {
-        Backoff { idle_cycles: 0 }
-    }
-
-    fn reset(&mut self) {
-        self.idle_cycles = 0;
-    }
-
-    fn snooze(&mut self) {
-        self.idle_cycles = self.idle_cycles.saturating_add(1);
-        if self.idle_cycles < 256 {
-            std::thread::yield_now();
-        } else if self.idle_cycles < 512 {
-            std::thread::sleep(Duration::from_micros(50));
-        } else {
-            std::thread::sleep(Duration::from_millis(1));
+impl LoopTelemetry {
+    fn new(registry: &obs::Registry) -> LoopTelemetry {
+        let woke = |cause: &str| {
+            registry.counter_with(
+                "httpd_loop_wakeups_total",
+                "Event-loop waits ended, by cause: socket readiness, a worker completion (or shutdown) wake, or the nearest deadline.",
+                &[("cause", cause)],
+            )
+        };
+        LoopTelemetry {
+            wait_seconds: registry.histogram(
+                "httpd_loop_wait_seconds",
+                "Time the event loop spent blocked waiting for readiness, in seconds.",
+                obs::WAIT_BUCKETS,
+            ),
+            woke_io: woke("io"),
+            woke_completion: woke("completion"),
+            woke_timeout: woke("timeout"),
         }
     }
 }
@@ -182,6 +201,7 @@ pub(crate) fn run(
     router: Arc<Router>,
     config: ServerConfig,
     shared: Shared,
+    wake_rx: UnixStream,
 ) {
     listener
         .set_nonblocking(true)
@@ -195,35 +215,37 @@ pub(crate) fn run(
             let job_rx = job_rx.clone();
             let done_tx = done_tx.clone();
             let router = router.clone();
+            let waker = shared.waker.clone();
             let telemetry = config.metrics.clone().map(WorkerTelemetry::new);
             std::thread::Builder::new()
                 .name(format!("httpd-worker-{i}"))
-                .spawn(move || worker_loop(&job_rx, &done_tx, &router, telemetry))
+                .spawn(move || worker_loop(&job_rx, &done_tx, &waker, &router, telemetry))
                 .expect("spawn worker")
         })
         .collect();
     drop(done_tx);
 
+    let telemetry = config.metrics.as_deref().map(LoopTelemetry::new);
     let mut conns = Slab::new();
-    let mut backoff = Backoff::new();
+    let mut wait_set: Vec<PollFd> = Vec::new();
     loop {
+        // Read after the wait below drained the wake end: whoever set
+        // the flag or sent a completion did so before waking.
         let stopping = shared.stop.load(Ordering::SeqCst);
         let now = Instant::now();
-        let mut progress = false;
 
         // 1. Worker completions → queue responses (flushed below, same
         //    cycle, so the fast path pays no extra loop iteration).
         while let Ok(done) = done_rx.try_recv() {
-            progress = true;
             deliver_completion(&mut conns, &shared, done, stopping);
         }
 
         // 2. Accept — capped by max_connections, halted once stopping.
+        let mut accept_failed = false;
         if !stopping {
             loop {
                 match listener.accept() {
                     Ok((stream, _)) => {
-                        progress = true;
                         if conns.len >= config.max_connections {
                             shared.rejected.fetch_add(1, Ordering::Relaxed);
                             reject_saturated(stream);
@@ -236,7 +258,10 @@ pub(crate) fn run(
                     }
                     Err(e) if crate::http::is_timeout(&e) => break,
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => break,
+                    Err(_) => {
+                        accept_failed = true;
+                        break;
+                    }
                 }
             }
         }
@@ -248,27 +273,68 @@ pub(crate) fn run(
             };
             let gone = match conn.state {
                 ConnState::Reading => {
-                    step_reading(conn, i, &config, &shared, &job_tx, stopping, now, &mut progress)
+                    step_reading(conn, i, &config, &shared, &job_tx, stopping, now)
                 }
                 ConnState::Dispatched => false, // the worker owns this one
                 ConnState::Writing { .. } => {
-                    step_writing(conn, i, &config, &shared, &job_tx, stopping, now, &mut progress)
+                    step_writing(conn, i, &config, &shared, &job_tx, stopping, now)
                 }
             };
             if gone {
                 conns.remove(i);
                 shared.open.fetch_sub(1, Ordering::Relaxed);
-                progress = true;
             }
         }
 
         if stopping && conns.len == 0 {
             break;
         }
-        if progress {
-            backoff.reset();
-        } else {
-            backoff.snooze();
+
+        // 4. Block until a socket, a worker or a deadline can move
+        //    something. The wake end comes first in the set; a
+        //    dispatched connection is the worker's and is left out.
+        wait_set.clear();
+        wait_set.push(PollFd::new(wake_rx.as_raw_fd(), poll::READABLE));
+        let mut timeout = None;
+        if accept_failed {
+            timeout = Some(ACCEPT_RETRY);
+        } else if !stopping {
+            wait_set.push(PollFd::new(listener.as_raw_fd(), poll::READABLE));
+        }
+        for conn in conns.slots.iter().flatten() {
+            match conn.state {
+                ConnState::Reading => wait_set.push(PollFd::new(conn.raw_fd(), poll::READABLE)),
+                ConnState::Writing { .. } => {
+                    wait_set.push(PollFd::new(conn.raw_fd(), poll::WRITABLE));
+                }
+                ConnState::Dispatched => {}
+            }
+            if let Some(t0) = conn.started_at {
+                let left = (t0 + config.request_timeout).saturating_duration_since(now);
+                timeout = Some(timeout.map_or(left, |t: Duration| t.min(left)));
+            }
+        }
+        let blocked = Instant::now();
+        let outcome = poll::wait(&mut wait_set, timeout);
+        if let Some(t) = &telemetry {
+            t.wait_seconds.observe_duration(blocked.elapsed());
+            match outcome {
+                Ok(0) => t.woke_timeout.inc(),
+                Ok(_) if wait_set[0].fired() => t.woke_completion.inc(),
+                Ok(_) => t.woke_io.inc(),
+                Err(_) => {}
+            }
+        }
+        match outcome {
+            Ok(_) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            // A wait that cannot be made must not become a hot loop:
+            // fall back to trying every socket a thousand times a second.
+            Err(_) => std::thread::sleep(Duration::from_millis(1)),
+        }
+        if wait_set[0].fired() {
+            let mut wakes = [0u8; 64];
+            while matches!((&wake_rx).read(&mut wakes), Ok(n) if n > 0) {}
         }
     }
 
@@ -283,7 +349,6 @@ pub(crate) fn run(
 /// Advances a `Reading` connection: pull ready bytes, enforce the
 /// slowloris deadline, parse, dispatch. Returns `true` when the
 /// connection should be removed.
-#[allow(clippy::too_many_arguments)]
 fn step_reading(
     conn: &mut Conn,
     id: usize,
@@ -292,14 +357,12 @@ fn step_reading(
     job_tx: &SyncSender<Job>,
     stopping: bool,
     now: Instant,
-    progress: &mut bool,
 ) -> bool {
     let fill = conn.fill();
     if fill.err {
         return true;
     }
     if fill.bytes > 0 {
-        *progress = true;
         conn.note_request_started(now);
         if advance_parse(conn, id, config, shared, job_tx) {
             return true;
@@ -331,7 +394,6 @@ fn step_reading(
             Some(t0) => {
                 if now.duration_since(t0) > config.request_timeout {
                     conn.queue_response(&Response::text(408, "request timed out\n"), true);
-                    *progress = true;
                 }
             }
         }
@@ -342,7 +404,6 @@ fn step_reading(
 /// Flushes a `Writing` connection; on completion either closes or
 /// returns to `Reading` (immediately parsing any pipelined bytes).
 /// Returns `true` when the connection should be removed.
-#[allow(clippy::too_many_arguments)]
 fn step_writing(
     conn: &mut Conn,
     id: usize,
@@ -351,7 +412,6 @@ fn step_writing(
     job_tx: &SyncSender<Job>,
     stopping: bool,
     now: Instant,
-    progress: &mut bool,
 ) -> bool {
     match conn.flush() {
         Flush::Pending => {
@@ -362,7 +422,6 @@ fn step_writing(
         }
         Flush::Error => true,
         Flush::Done => {
-            *progress = true;
             let ConnState::Writing { close } = conn.state else {
                 unreachable!("step_writing only runs in Writing state");
             };
@@ -457,6 +516,7 @@ fn deliver_completion(conns: &mut Slab, shared: &Shared, done: Done, stopping: b
 fn worker_loop(
     job_rx: &Mutex<Receiver<Job>>,
     done_tx: &Sender<Done>,
+    waker: &Waker,
     router: &Router,
     mut telemetry: Option<WorkerTelemetry>,
 ) {
@@ -498,6 +558,7 @@ fn worker_loop(
         if done_tx.send(done).is_err() {
             return;
         }
+        waker.wake();
     }
 }
 

@@ -12,7 +12,8 @@
 //! * [`router`] — a path/method router with `:param` captures.
 //! * [`server`] — an event-loop server: one readiness thread owns
 //!   every connection as a cheap state machine (nonblocking sockets,
-//!   poll cycle — mio-style, dependency-free) and hands complete
+//!   one blocking `poll(2)` wait per cycle — declared directly against
+//!   the libc `std` already links, so Unix only) and hands complete
 //!   requests to a bounded worker pool. Idle keep-alive clients cost a
 //!   buffer, not a thread, so connections scale past the pool;
 //!   backpressure (**503** once saturated, never an unbounded queue),
@@ -42,6 +43,7 @@ pub mod client;
 mod conn;
 mod event_loop;
 pub mod http;
+mod poll;
 pub mod pool;
 pub mod router;
 pub mod server;

@@ -24,6 +24,7 @@
 
 use crate::event_loop::{self, Shared};
 use crate::http;
+use crate::poll::{self, Waker};
 use crate::router::Router;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -80,6 +81,8 @@ impl Default for ServerConfig {
 pub struct Server {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
+    /// Ends the event loop's wait so it sees `stop` at once.
+    waker: Waker,
     event_loop: Option<JoinHandle<()>>,
     requests: Arc<AtomicU64>,
     rejected: Arc<AtomicU64>,
@@ -103,7 +106,7 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates `local_addr` failures.
+    /// Propagates `local_addr` and wake-channel creation failures.
     pub fn from_listener(
         listener: TcpListener,
         router: Router,
@@ -114,20 +117,23 @@ impl Server {
         let requests = Arc::new(AtomicU64::new(0));
         let rejected = Arc::new(AtomicU64::new(0));
         let open = Arc::new(AtomicU64::new(0));
+        let (waker, wake_rx) = poll::wake_channel()?;
         let shared = Shared {
             stop: stop.clone(),
             requests: requests.clone(),
             rejected: rejected.clone(),
             open: open.clone(),
+            waker: waker.clone(),
         };
         let router = Arc::new(router);
         let event_loop = std::thread::Builder::new()
             .name("httpd-eventloop".into())
-            .spawn(move || event_loop::run(listener, router, config, shared))
+            .spawn(move || event_loop::run(listener, router, config, shared, wake_rx))
             .expect("spawn event loop");
         Ok(Server {
             addr,
             stop,
+            waker,
             event_loop: Some(event_loop),
             requests,
             rejected,
@@ -165,6 +171,7 @@ impl Server {
     /// connections, finish in-flight requests, join every thread.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        self.waker.wake();
         if let Some(handle) = self.event_loop.take() {
             let _ = handle.join();
         }
@@ -177,5 +184,6 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        self.waker.wake();
     }
 }

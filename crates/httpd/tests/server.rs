@@ -241,3 +241,54 @@ fn concurrent_clients_multiplex_across_the_pool() {
     assert_eq!(server.requests_served(), 200);
     server.shutdown();
 }
+
+#[test]
+fn loop_blocks_while_idle_and_counts_what_woke_it() {
+    use std::io::{Read, Write};
+    let registry = Arc::new(obs::Registry::new());
+    let config = ServerConfig {
+        request_timeout: Duration::from_millis(200),
+        metrics: Some(registry.clone()),
+        ..ServerConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0", echo_router(), config).unwrap();
+    let woke = |cause: &str| {
+        registry
+            .counter_with("httpd_loop_wakeups_total", "", &[("cause", cause)])
+            .value()
+    };
+
+    // Idle: the loop sits in one wait. Nothing wakes it — no polling
+    // interval, no spin.
+    std::thread::sleep(Duration::from_millis(300));
+    assert_eq!(woke("io") + woke("completion") + woke("timeout"), 0);
+
+    // Each request wakes it once for the bytes and once for the
+    // worker's completion.
+    let mut client = Client::new(server.addr().to_string());
+    for _ in 0..20 {
+        assert_eq!(client.get("/ping").unwrap().status, 200);
+    }
+    assert!(woke("io") >= 20, "io wake-ups: {}", woke("io"));
+    assert!(woke("completion") >= 20, "completion wake-ups: {}", woke("completion"));
+    assert_eq!(woke("timeout"), 0);
+
+    // A request that stops half way is answered 408 by the wait's
+    // timeout, which is the connection's own deadline.
+    let mut slow = std::net::TcpStream::connect(server.addr()).unwrap();
+    slow.write_all(b"GET /ping HTTP/1.1\r\nHost").unwrap();
+    let mut reply = String::new();
+    slow.read_to_string(&mut reply).unwrap();
+    assert!(reply.starts_with("HTTP/1.1 408 "), "{reply}");
+    assert!(woke("timeout") >= 1);
+
+    let text = registry.render();
+    let families = obs::validate_exposition(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+    assert!(families.iter().any(|f| f == "httpd_loop_wakeups_total"), "{families:?}");
+    assert!(families.iter().any(|f| f == "httpd_loop_wait_seconds"), "{families:?}");
+
+    // A wake, not a timeout, ends the wait at shutdown.
+    let t0 = std::time::Instant::now();
+    server.shutdown();
+    assert!(t0.elapsed() < Duration::from_secs(2), "shutdown waited for a timeout");
+}

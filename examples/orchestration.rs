@@ -54,7 +54,7 @@ fn main() {
                 registry(),
             )
             .expect("engine opens");
-            if engine.completed_ids().is_empty() && engine.poll("job-000001").is_none() {
+            if engine.poll("job-000001").is_none() {
                 let id = engine.submit(etcd_spec("alice", "resumable", 7, 8)).unwrap();
                 println!("submitted {id}");
             }

@@ -309,3 +309,131 @@ fn metrics_are_valid_prometheus_exposition() {
     assert!(metrics.contains("# TYPE profipy_queue_depth gauge"), "{metrics}");
     api.shutdown();
 }
+
+fn submit(client: &mut httpd::Client, spec: &CampaignSpec) -> String {
+    let resp = client.post_json("/api/campaigns", &spec.to_json()).unwrap();
+    assert_eq!(resp.status, 201, "{}", resp.text());
+    jsonlite::parse(&resp.text())
+        .unwrap()
+        .req("id")
+        .unwrap()
+        .as_str()
+        .unwrap()
+        .to_string()
+}
+
+#[test]
+fn status_never_waits_for_an_experiment() {
+    // The broker × off-by-one cell: one of its mutants spins until the
+    // round's 8 M fuel steps are gone, so a single drive slice holds
+    // the service mutex for at least a fifth of a second. Status is
+    // read from the engine's published board, so it must not notice.
+    let mut matrix =
+        scenarios::Matrix::new(scenarios::default_catalog(), scenarios::default_corpus());
+    matrix.sample_per_cell = 0;
+    let hang = matrix
+        .cells()
+        .into_iter()
+        .find(|c| c.target == "broker" && c.model == "off-by-one")
+        .expect("the catalog has the broker × off-by-one cell")
+        .spec;
+
+    let api = ApiServer::serve("127.0.0.1:0", service(), ApiConfig::default()).unwrap();
+    let mut client = httpd::Client::new(api.addr().to_string());
+    let id = submit(&mut client, &hang);
+
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let mut running_polls = 0u32;
+    let mut running_for = Duration::ZERO;
+    let mut slowest = Duration::ZERO;
+    loop {
+        let t0 = Instant::now();
+        let status = client.get(&format!("/api/campaigns/{id}")).unwrap();
+        let took = t0.elapsed();
+        assert_eq!(status.status, 200);
+        let v = jsonlite::parse(&status.text()).unwrap();
+        match v.req("state").unwrap().as_str().unwrap() {
+            "running" => {
+                running_polls += 1;
+                running_for += took + Duration::from_millis(1);
+                slowest = slowest.max(took);
+            }
+            "completed" => {
+                // Whoever sees `completed` gets the report: it is
+                // stored before that state is published.
+                let report = client.get(&format!("/api/campaigns/{id}/report")).unwrap();
+                assert_eq!(report.status, 200, "{}", report.text());
+                assert_eq!(
+                    v.req("completed_experiments").unwrap().as_u64(),
+                    v.req("total_experiments").unwrap().as_u64()
+                );
+                break;
+            }
+            "failed" => panic!("hang cell failed: {}", status.text()),
+            _ => {}
+        }
+        assert!(Instant::now() < deadline, "hang cell never completed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(
+        running_for >= Duration::from_millis(100),
+        "the cell was meant to keep a slice busy; it ran {running_for:?} over {running_polls} polls"
+    );
+    assert!(
+        slowest < Duration::from_millis(20),
+        "a status request waited {slowest:?} while an experiment ran"
+    );
+    // An id nobody submitted is still a 404, from the board as from
+    // the engine before it.
+    assert_eq!(client.get("/api/campaigns/job-999999").unwrap().status, 404);
+    api.shutdown();
+}
+
+#[test]
+fn failed_and_cancelled_jobs_publish_their_state() {
+    // No drive thread: the test makes every transition itself, through
+    // the shared service, and reads each one back over HTTP.
+    let shared = campaign::SharedService::new(service());
+    let config = ApiConfig {
+        local_drive: false,
+        ..ApiConfig::default()
+    };
+    let api = ApiServer::serve_with("127.0.0.1:0", shared.clone(), config, |router, _| router)
+        .unwrap();
+    let mut client = httpd::Client::new(api.addr().to_string());
+    let state_of = |client: &mut httpd::Client, id: &str| {
+        let resp = client.get(&format!("/api/campaigns/{id}")).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.text());
+        jsonlite::parse(&resp.text()).unwrap()
+    };
+
+    let mut broken = spec_for("eve", 1);
+    broken.sources[0].1 = "def broken(:\n".into();
+    let failed = submit(&mut client, &broken);
+    let cancelled = submit(&mut client, &spec_for("eve", 2));
+    let v = state_of(&mut client, &cancelled);
+    assert_eq!(v.req("state").unwrap().as_str(), Some("queued"));
+    assert!(matches!(v.req("total_experiments").unwrap(), jsonlite::Value::Null));
+
+    assert!(shared.lock().engine().cancel(&cancelled).unwrap());
+    let v = state_of(&mut client, &cancelled);
+    assert_eq!(v.req("state").unwrap().as_str(), Some("cancelled"));
+
+    shared.lock().drive(None).unwrap();
+    let v = state_of(&mut client, &failed);
+    assert_eq!(v.req("state").unwrap().as_str(), Some("failed"));
+    assert!(
+        v.req("error").unwrap().as_str().is_some_and(|e| !e.is_empty()),
+        "a failed job says why: {v:?}"
+    );
+    // The drive left the cancelled job alone.
+    let v = state_of(&mut client, &cancelled);
+    assert_eq!(v.req("state").unwrap().as_str(), Some("cancelled"));
+    assert_eq!(
+        client.get(&format!("/api/campaigns/{cancelled}/report")).unwrap().status,
+        409
+    );
+
+    drop(shared);
+    api.shutdown();
+}
