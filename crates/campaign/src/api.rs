@@ -140,6 +140,7 @@ impl SharedService {
         let registry = Arc::new(obs::Registry::new());
         let trace = Arc::new(TraceStore::new());
         service.engine().metrics().register_into(&registry);
+        sandbox::prepare_cache_metrics().register_into(&registry);
         service.engine().set_trace_store(trace.clone());
         let status = service.engine().status_board();
         SharedService {

@@ -25,6 +25,13 @@
 //! exhausting the experiment budget) mid-campaign loses nothing — the
 //! next `drive` on a reopened engine resumes from the checkpoints and
 //! produces the identical result set.
+//!
+//! A campaign is **prepared once per job**, not once per drive slice:
+//! what a spec determines (workflow, plan, cache key) is built the
+//! first time the job is taken and stays with it until it completes,
+//! fails or is cancelled. A later slice only takes the checkpoint and
+//! lists what is still pending, so nothing a slice does beyond that
+//! may grow with the size of the campaign.
 
 use crate::cache::{CacheStats, MutantCache};
 use crate::checkpoint::CheckpointLog;
@@ -35,7 +42,7 @@ use injector::InjectionPoint;
 use profipy::analysis::FailureClassifier;
 use profipy::report::CampaignReport;
 use profipy::workflow::HostFactory;
-use profipy::{ExperimentResult, InjectionPlan};
+use profipy::{ExperimentResult, InjectionPlan, Workflow};
 use pysrc::Module;
 use sandbox::{ParallelExecutor, SourceFile};
 use std::collections::{BTreeMap, HashMap};
@@ -239,6 +246,16 @@ pub struct CheckedOutCampaign {
     pub checkpoint: CheckpointLog,
 }
 
+/// What a job's spec determines, built by the first slice that takes
+/// the job and kept for its later ones.
+struct PreparedJob {
+    workflow: Arc<Workflow>,
+    /// The planned experiments, coverage pruning applied.
+    plan: InjectionPlan,
+    /// The spec's mutant-cache key.
+    key: u64,
+}
+
 /// What one `drive` call did.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DriveSummary {
@@ -276,6 +293,11 @@ pub struct CampaignEngine {
     status: Arc<StatusBoard>,
     /// Jobs completed since the last [`CampaignEngine::take_completed`].
     completions: Vec<String>,
+    /// Taken-but-unfinished jobs' prepared state, by job id. An entry
+    /// lives from the job's first slice to its completion, failure or
+    /// cancellation; a reopened engine starts without any and prepares
+    /// a resumed job once more.
+    prepared: HashMap<String, PreparedJob>,
     classifier: FailureClassifier,
     metrics: EngineMetrics,
     /// Span sink for fleet-wide tracing (attached by the service
@@ -345,6 +367,7 @@ impl CampaignEngine {
             reports: BTreeMap::new(),
             status,
             completions,
+            prepared: HashMap::new(),
             classifier: FailureClassifier::case_study(),
             metrics,
             trace: None,
@@ -432,6 +455,7 @@ impl CampaignEngine {
 
     /// Marks a taken job failed and publishes why.
     fn fail(&mut self, id: &str, error: &str) -> Result<(), EngineError> {
+        self.prepared.remove(id);
         self.queue.fail(id, error)?;
         self.publish(id, None);
         Ok(())
@@ -469,6 +493,8 @@ impl CampaignEngine {
     pub fn cancel(&mut self, id: &str) -> Result<bool, EngineError> {
         let cancelled = self.queue.cancel(id)?;
         if cancelled {
+            // Cancellable means queued — which a job is between slices.
+            self.prepared.remove(id);
             self.waiting_since.remove(id);
             self.publish(id, None);
         }
@@ -554,8 +580,7 @@ impl CampaignEngine {
                 break;
             };
             self.note_taken(&id);
-            let spec = self.queue.get(&id).expect("taken job exists").spec.clone();
-            match self.prepare(&id, &spec) {
+            match self.prepare(&id) {
                 Ok((campaign, total)) => {
                     pending_total += campaign.pending.len();
                     prepared.push(campaign);
@@ -609,9 +634,9 @@ impl CampaignEngine {
                 return Ok(None);
             };
             self.note_taken(&id);
-            let spec = self.queue.get(&id).expect("taken job exists").spec.clone();
-            match self.prepare(&id, &spec) {
+            match self.prepare(&id) {
                 Ok((campaign, total)) => {
+                    let spec = self.queue.get(&id).expect("taken job exists").spec.clone();
                     return Ok(Some(CheckedOutCampaign {
                         id,
                         spec,
@@ -668,6 +693,7 @@ impl CampaignEngine {
             self.reports.insert(id.to_string(), report);
             self.queue.complete(id)?;
             self.completions.push(id.to_string());
+            self.prepared.remove(id);
             // Kept for as long as the engine lives and never appended
             // to again: give back the growth slack.
             results.shrink_to_fit();
@@ -683,34 +709,105 @@ impl CampaignEngine {
         Ok(completed)
     }
 
-    /// Builds everything one campaign needs to be scheduled, reusing
-    /// the cross-campaign cache for parses, scans, coverage, and
-    /// mutants.
+    /// Builds what a taken job needs to be scheduled this slice: the
+    /// job's prepared state (built now if this is its first slice), its
+    /// checkpoint, and the experiments still pending with their
+    /// rendered mutants.
     ///
     /// Returns the campaign and its planned experiment count.
-    fn prepare(
-        &mut self,
-        id: &str,
-        spec: &CampaignSpec,
-    ) -> Result<(ScheduledCampaign, usize), EngineError> {
+    fn prepare(&mut self, id: &str) -> Result<(ScheduledCampaign, usize), EngineError> {
         let prepare_started = Instant::now();
         if let Some(store) = &self.trace {
             store.begin(id);
         }
+        if !self.prepared.contains_key(id) {
+            let job = self.prepare_job(id)?;
+            self.prepared.insert(id.to_string(), job);
+        }
+
+        // Checkpoint: resume point for this exact spec.
+        let mut checkpoint = self.take_checkpoint(id)?;
+        let done = checkpoint.completed_ids();
+
+        // Render (or reuse) the mutants for the pending experiments.
+        let job = &self.prepared[id];
+        let mut pending: Vec<(InjectionPoint, Arc<Vec<SourceFile>>)> = Vec::new();
+        for point in &job.plan.entries {
+            if done.contains(&point.id) {
+                continue;
+            }
+            let sources = match self.cache.mutant(job.key, point.id) {
+                Some(sources) => sources,
+                None => match job.workflow.mutant_sources(point) {
+                    Ok(rendered) => {
+                        let rendered = Arc::new(rendered);
+                        self.cache.store_mutant(job.key, point.id, rendered.clone());
+                        rendered
+                    }
+                    Err(e) => {
+                        // Unmutatable point: record the deploy failure
+                        // directly (no container needed) and move on.
+                        let result = Self::mutation_failure(point, &e.message);
+                        checkpoint.record(&result)?;
+                        continue;
+                    }
+                },
+            };
+            pending.push((point.clone(), sources));
+        }
+        let prepare_elapsed = prepare_started.elapsed();
+        self.metrics
+            .prepare_seconds
+            .observe_duration(prepare_elapsed);
+        if let Some(store) = &self.trace {
+            store.record_phase(
+                id,
+                "engine",
+                "prepare",
+                prepare_started,
+                prepare_elapsed,
+                false,
+            );
+        }
+        let total = job.plan.len();
+        let recorded = checkpoint.results().len();
+        self.status.update(id, |status| {
+            status.total_experiments = Some(total);
+            status.completed_experiments = recorded;
+        });
+        Ok((
+            ScheduledCampaign {
+                workflow: job.workflow.clone(),
+                pending,
+                checkpoint,
+            },
+            total,
+        ))
+    }
+
+    /// Derives a job's prepared state from its spec, reusing the
+    /// cross-campaign cache for parses, the prepared program, the scan
+    /// and coverage. Runs once per job for as long as the engine lives.
+    fn prepare_job(&mut self, id: &str) -> Result<PreparedJob, EngineError> {
+        let spec = &self.queue.get(id).expect("taken job exists").spec;
         let host = self.registry.get(&spec.host).ok_or_else(|| EngineError {
             message: format!("unknown host environment '{}'", spec.host),
         })?;
         let key = spec.cache_key();
 
         // Parse (or reuse) the target modules.
-        let mut workflow = match self.cache.modules(key) {
+        let cached_modules = self.cache.modules(key);
+        let parsed_here = cached_modules.is_none();
+        let mut workflow = match cached_modules {
             Some(modules) => spec
                 .build_workflow_with_modules(modules.as_ref().clone(), host, self.executor.clone()),
             None => spec.build_workflow(host, self.executor.clone()),
         }
         .map_err(|e| EngineError { message: e.message })?;
-        self.cache
-            .store_modules(key, Arc::new(workflow.modules().to_vec()));
+        if parsed_here {
+            self.cache
+                .store_modules(key, Arc::new(workflow.modules().to_vec()));
+        }
 
         // Reuse (or memoize) the prepared interpreter program, so the
         // unchanged workload and fault-free modules are name-resolved
@@ -759,56 +856,11 @@ impl CampaignEngine {
             };
             plan = plan.prune_by_coverage(&covered);
         }
-
-        // Checkpoint: resume point for this exact spec.
-        let mut checkpoint = self.take_checkpoint(id)?;
-        let done = checkpoint.completed_ids();
-
-        // Render (or reuse) the mutants for the pending experiments.
-        let workflow = Arc::new(workflow);
-        let mut pending: Vec<(InjectionPoint, Arc<Vec<SourceFile>>)> = Vec::new();
-        for point in &plan.entries {
-            if done.contains(&point.id) {
-                continue;
-            }
-            let sources = match self.cache.mutant(key, point.id) {
-                Some(sources) => sources,
-                None => match workflow.mutant_sources(point) {
-                    Ok(rendered) => {
-                        let rendered = Arc::new(rendered);
-                        self.cache.store_mutant(key, point.id, rendered.clone());
-                        rendered
-                    }
-                    Err(e) => {
-                        // Unmutatable point: record the deploy failure
-                        // directly (no container needed) and move on.
-                        let result = Self::mutation_failure(point, &e.message);
-                        checkpoint.record(&result)?;
-                        continue;
-                    }
-                },
-            };
-            pending.push((point.clone(), sources));
-        }
-        let prepare_elapsed = prepare_started.elapsed();
-        self.metrics.prepare_seconds.observe_duration(prepare_elapsed);
-        if let Some(store) = &self.trace {
-            store.record_phase(id, "engine", "prepare", prepare_started, prepare_elapsed, false);
-        }
-        let total = plan.len();
-        let recorded = checkpoint.results().len();
-        self.status.update(id, |status| {
-            status.total_experiments = Some(total);
-            status.completed_experiments = recorded;
-        });
-        Ok((
-            ScheduledCampaign {
-                workflow,
-                pending,
-                checkpoint,
-            },
-            total,
-        ))
+        Ok(PreparedJob {
+            workflow: Arc::new(workflow),
+            plan,
+            key,
+        })
     }
 
     /// An appendable checkpoint for a campaign about to run.
@@ -881,5 +933,147 @@ impl CampaignEngine {
         let mut results = self.peek_results(id);
         results.sort_by_key(|r| r.point_id);
         results
+    }
+}
+
+#[cfg(test)]
+impl CampaignEngine {
+    /// Jobs whose prepared state is resident.
+    fn resident_jobs(&self) -> usize {
+        self.prepared.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::report_to_value;
+
+    fn registry() -> HostRegistry {
+        HostRegistry::with_noop().with("etcd", profipy::case_study::etcd_host_factory())
+    }
+
+    /// Campaign A over the python-etcd client, sampled to 9 experiments.
+    fn spec(name: &str) -> CampaignSpec {
+        let mut spec = CampaignSpec::new(
+            "alice",
+            name,
+            "etcd",
+            vec![
+                ("etcd".into(), targets::CLIENT_SOURCE.into()),
+                ("workload".into(), targets::WORKLOAD_BASIC.into()),
+            ],
+            targets::WORKLOAD_BASIC.into(),
+            faultdsl::campaign_a_model(),
+        );
+        spec.setup = vec![vec!["etcd-start".into()]];
+        spec.seed = 7;
+        spec.filter.modules.push("etcd".into());
+        spec.filter.sample = 9;
+        spec
+    }
+
+    /// Drives `id` to completion in slices of `budget`; returns the
+    /// report's wire bytes and how many slices it took.
+    fn run_sliced(engine: &mut CampaignEngine, id: &str, budget: Option<usize>) -> (String, usize) {
+        for slices in 1.. {
+            assert!(slices <= 64, "campaign does not converge");
+            if engine.drive(budget).expect("drive").completed > 0 {
+                let report = engine.report(id).expect("completed job has a report");
+                return (report_to_value(&report).pretty(), slices);
+            }
+        }
+        unreachable!()
+    }
+
+    /// Parse, scan and prepared-program lookups made so far. A workflow
+    /// — and with it the one `FaultModel::compile` a job needs — is
+    /// built right after the parse lookup and nowhere else.
+    fn lookups(engine: &CampaignEngine) -> [u64; 3] {
+        let s = engine.cache_stats();
+        [
+            s.parse_hits + s.parse_misses,
+            s.scan_hits + s.scan_misses,
+            s.prepare_hits + s.prepare_misses,
+        ]
+    }
+
+    #[test]
+    fn a_job_is_prepared_once_however_it_is_sliced_and_reports_the_same_bytes() {
+        let mut engine = CampaignEngine::new(EngineConfig::default(), registry()).unwrap();
+        let id = engine.submit(spec("whole")).unwrap();
+        let (reference, slices) = run_sliced(&mut engine, &id, None);
+        assert_eq!(slices, 1);
+        assert_eq!(lookups(&engine), [1, 1, 1]);
+
+        for budget in [1, 3, 8] {
+            let mut engine = CampaignEngine::new(EngineConfig::default(), registry()).unwrap();
+            let id = engine.submit(spec("whole")).unwrap();
+            let (report, slices) = run_sliced(&mut engine, &id, Some(budget));
+            assert_eq!(slices, 9usize.div_ceil(budget), "budget {budget}");
+            assert_eq!(report, reference, "budget {budget}");
+            assert_eq!(
+                lookups(&engine),
+                [1, 1, 1],
+                "budget {budget}: prepared once"
+            );
+            assert_eq!(
+                engine.resident_jobs(),
+                0,
+                "completion drops the prepared state"
+            );
+        }
+
+        // Killed after two slices and resumed by a second engine on the
+        // same data dir: each engine prepares the job once.
+        let dir = std::env::temp_dir().join(format!("campaign-engine-once-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let id = {
+            let mut engine = CampaignEngine::open(&dir, registry()).unwrap();
+            let id = engine.submit(spec("whole")).unwrap();
+            for _ in 0..2 {
+                assert_eq!(engine.drive(Some(2)).unwrap().experiments, 2);
+            }
+            assert_eq!(lookups(&engine), [1, 1, 1]);
+            assert_eq!(engine.resident_jobs(), 1, "kept between slices");
+            id
+        };
+        let mut engine = CampaignEngine::open(&dir, registry()).unwrap();
+        assert_eq!(engine.resident_jobs(), 0);
+        let (report, slices) = run_sliced(&mut engine, &id, Some(2));
+        assert_eq!(slices, 3, "five experiments left, two a slice");
+        assert_eq!(report, reference, "killed and resumed");
+        assert_eq!(lookups(&engine), [1, 1, 1]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_and_cancelled_jobs_leave_nothing_resident() {
+        let mut engine = CampaignEngine::new(EngineConfig::default(), registry()).unwrap();
+
+        // Fails while being prepared: the target does not parse.
+        let mut broken = spec("broken");
+        broken.sources[0].1 = "def f(:\n".into();
+        let failed = engine.submit(broken).unwrap();
+        engine.drive(None).unwrap();
+        assert_eq!(engine.poll(&failed).unwrap().state, JobState::Failed);
+        assert_eq!(engine.resident_jobs(), 0);
+
+        // Cancelled between two slices.
+        let id = engine.submit(spec("cancelled")).unwrap();
+        assert_eq!(engine.drive(Some(1)).unwrap().experiments, 1);
+        assert_eq!(engine.poll(&id).unwrap().state, JobState::Queued);
+        assert_eq!(engine.resident_jobs(), 1);
+        assert!(engine.cancel(&id).unwrap());
+        assert_eq!(engine.resident_jobs(), 0);
+
+        // Fails on a later slice: its prepared state goes with it.
+        let id = engine.submit(spec("failed-late")).unwrap();
+        engine.drive(Some(1)).unwrap();
+        assert_eq!(engine.resident_jobs(), 1);
+        engine.queue.take_next().unwrap();
+        engine.fail(&id, "injected").unwrap();
+        assert_eq!(engine.poll(&id).unwrap().state, JobState::Failed);
+        assert_eq!(engine.resident_jobs(), 0);
     }
 }

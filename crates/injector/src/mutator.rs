@@ -20,7 +20,9 @@ use crate::scanner::InjectionPoint;
 use faultdsl::spec::ELLIPSIS;
 use faultdsl::{BugSpec, DirectiveKind};
 use pysrc::ast::*;
-use pysrc::visit::walk_blocks_mut;
+use pysrc::unparse::unparse_stmt;
+use pysrc::visit::{child_blocks, child_blocks_mut, walk_blocks_mut};
+use std::ops::Range;
 
 /// How the fault is spliced into the target.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -53,15 +55,160 @@ impl std::fmt::Display for MutateError {
 
 impl std::error::Error for MutateError {}
 
+/// A fault-free module's text, one piece per top-level statement
+/// (their concatenation is `unparse_module`): what every mutant of the
+/// module shares with it, rendered once.
+#[derive(Clone, Debug)]
+pub struct ModuleText {
+    /// The module's name.
+    name: String,
+    /// Each top-level statement's id and text, in order. Node ids are
+    /// unique in a process, so the ids tell this module's text from
+    /// that of any other parse — another module or another revision.
+    chunks: Vec<(NodeId, String)>,
+}
+
+impl ModuleText {
+    /// Renders `module`.
+    pub fn of(module: &Module) -> ModuleText {
+        ModuleText {
+            name: module.name.clone(),
+            chunks: module
+                .body
+                .iter()
+                .map(|s| (s.id, unparse_stmt(s)))
+                .collect(),
+        }
+    }
+
+    /// Whether this is the text of `module`, statement for statement.
+    fn is_of(&self, module: &Module) -> bool {
+        self.name == module.name
+            && self.chunks.len() == module.body.len()
+            && self
+                .chunks
+                .iter()
+                .zip(&module.body)
+                .all(|(c, s)| c.0 == s.id)
+    }
+}
+
+/// One mutation, as an edit of the module's top level: the statements
+/// `at` of the body give way to `stmts`. A window inside a function or
+/// class replaces that one top-level statement with a spliced copy of
+/// it; the rest of the module is never copied to find that out.
+struct Splice {
+    /// The top-level statements replaced.
+    at: Range<usize>,
+    /// What replaces them.
+    stmts: Vec<Stmt>,
+    /// Whether the mutant then lacks `import profipy_rt` and gets it
+    /// as its first statement.
+    add_import: bool,
+}
+
+/// The block at or under `body` that holds statement `id`, and the
+/// statement's index in it. Ids are unique, so the first hit is the
+/// only one and the search stops there.
+fn find_block(body: &[Stmt], id: NodeId) -> Option<(&[Stmt], usize)> {
+    if let Some(at) = body.iter().position(|s| s.id == id) {
+        return Some((body, at));
+    }
+    body.iter()
+        .flat_map(child_blocks)
+        .find_map(|block| find_block(block, id))
+}
+
+/// [`find_block`] on statements about to be edited.
+fn find_block_mut(body: &mut Vec<Stmt>, id: NodeId) -> Option<(&mut Vec<Stmt>, usize)> {
+    if let Some(at) = body.iter().position(|s| s.id == id) {
+        return Some((body, at));
+    }
+    body.iter_mut()
+        .flat_map(child_blocks_mut)
+        .find_map(|block| find_block_mut(block, id))
+}
+
 impl Mutator {
     /// Creates a mutator with the given mode.
     pub fn new(mode: MutationMode) -> Mutator {
         Mutator { mode }
     }
 
+    /// The one mutation path: locates the point's window on the
+    /// borrowed module, re-matches it, instantiates the replacement
+    /// and lands it — in the module body itself, or in a copy of the
+    /// one top-level statement the window lies under.
+    fn splice(
+        &self,
+        module: &Module,
+        spec: &BugSpec,
+        point: &InjectionPoint,
+    ) -> Result<Splice, MutateError> {
+        if module.name != point.module {
+            return Err(MutateError {
+                message: format!(
+                    "point {} targets module {}, got {}",
+                    point.id, point.module, module.name
+                ),
+            });
+        }
+        let body = &module.body;
+        let id = point.start_stmt_id;
+        // The top-level statement that is the window's first, or has
+        // it somewhere below.
+        let located = body.iter().enumerate().find_map(|(top, stmt)| {
+            if stmt.id == id {
+                return Some((top, body.as_slice(), top));
+            }
+            let (block, start) = child_blocks(stmt)
+                .into_iter()
+                .find_map(|block| find_block(block, id))?;
+            Some((top, block, start))
+        });
+        let matched = located.and_then(|(top, block, start)| {
+            Some((top, block, start, match_at(spec, block, start)?))
+        });
+        let Some((top, block, start, m)) = matched else {
+            return Err(MutateError {
+                message: format!(
+                    "could not re-locate window for point {} (spec {})",
+                    point.id, point.spec_name
+                ),
+            });
+        };
+        let window = start..start + m.len;
+        let replacement = instantiate(spec, &spec.replacement, &m.bindings);
+        let stmts = match self.mode {
+            MutationMode::Direct => replacement,
+            MutationMode::Triggered => {
+                vec![trigger_wrap(replacement, block[window.clone()].to_vec())]
+            }
+        };
+        let (at, stmts) = if body[top].id == id {
+            (window, stmts)
+        } else {
+            let mut holder = body[top].clone();
+            let (block, _) = child_blocks_mut(&mut holder)
+                .into_iter()
+                .find_map(|block| find_block_mut(block, id))
+                .expect("the copy holds the statement the original does");
+            block.splice(window, stmts);
+            (top..top + 1, vec![holder])
+        };
+        let add_import = !(imports_profipy_rt(&body[..at.start])
+            || imports_profipy_rt(&stmts)
+            || imports_profipy_rt(&body[at.end..]));
+        Ok(Splice {
+            at,
+            stmts,
+            add_import,
+        })
+    }
+
     /// Produces the mutated version of `module` for one injection
-    /// point. The input module is cloned; node identity of the window
-    /// start is used to re-locate the match.
+    /// point. Node identity of the window start is used to re-locate
+    /// the match; the statements the mutation leaves alone are copies.
     ///
     /// # Errors
     ///
@@ -73,48 +220,58 @@ impl Mutator {
         spec: &BugSpec,
         point: &InjectionPoint,
     ) -> Result<Module, MutateError> {
-        if module.name != point.module {
+        let splice = self.splice(module, spec, point)?;
+        let (before, after) = (
+            &module.body[..splice.at.start],
+            &module.body[splice.at.end..],
+        );
+        let mut body = Vec::with_capacity(1 + before.len() + splice.stmts.len() + after.len());
+        if splice.add_import {
+            body.push(profipy_rt_import());
+        }
+        body.extend_from_slice(before);
+        body.extend(splice.stmts);
+        body.extend_from_slice(after);
+        Ok(Module {
+            name: module.name.clone(),
+            body,
+        })
+    }
+
+    /// The text of the mutated module — `unparse_module` of
+    /// [`Mutator::apply`], byte for byte — from the pieces of `text`
+    /// (the fault-free module's, see [`ModuleText`]): only the
+    /// statements the mutation puts in are rendered.
+    ///
+    /// # Errors
+    ///
+    /// As [`Mutator::apply`]; also if `text` is not `module`'s.
+    pub fn render(
+        &self,
+        module: &Module,
+        text: &ModuleText,
+        spec: &BugSpec,
+        point: &InjectionPoint,
+    ) -> Result<String, MutateError> {
+        if !text.is_of(module) {
             return Err(MutateError {
-                message: format!(
-                    "point {} targets module {}, got {}",
-                    point.id, point.module, module.name
-                ),
+                message: format!("module text is not that of {}", module.name),
             });
         }
-        let mut mutated = module.clone();
-        let mut applied = false;
-        let mode = self.mode;
-        walk_blocks_mut(&mut mutated, &mut |block| {
-            if applied {
-                return;
-            }
-            let Some(start) = block.iter().position(|s| s.id == point.start_stmt_id) else {
-                return;
-            };
-            let Some(m) = match_at(spec, block, start) else {
-                return;
-            };
-            let replacement = instantiate(spec, &spec.replacement, &m.bindings);
-            let window: Vec<Stmt> = block.drain(start..start + m.len).collect();
-            let spliced = match mode {
-                MutationMode::Direct => replacement,
-                MutationMode::Triggered => vec![trigger_wrap(replacement, window)],
-            };
-            for (idx, s) in (start..).zip(spliced) {
-                block.insert(idx, s);
-            }
-            applied = true;
-        });
-        if !applied {
-            return Err(MutateError {
-                message: format!(
-                    "could not re-locate window for point {} (spec {})",
-                    point.id, point.spec_name
-                ),
-            });
+        let splice = self.splice(module, spec, point)?;
+        let (before, after) = (
+            &text.chunks[..splice.at.start],
+            &text.chunks[splice.at.end..],
+        );
+        let shared: usize = text.chunks.iter().map(|c| c.1.len()).sum();
+        let mut out = String::with_capacity(shared + 256);
+        if splice.add_import {
+            out.push_str(&unparse_stmt(&profipy_rt_import()));
         }
-        ensure_profipy_import(&mut mutated);
-        Ok(mutated)
+        out.extend(before.iter().map(|c| c.1.as_str()));
+        out.extend(splice.stmts.iter().map(unparse_stmt));
+        out.extend(after.iter().map(|c| c.1.as_str()));
+        Ok(out)
     }
 
     /// Builds the fault-free, coverage-instrumented copy of a module
@@ -139,7 +296,9 @@ impl Mutator {
                 block.insert(idx, cov_probe(id));
             }
         });
-        ensure_profipy_import(&mut instrumented);
+        if !imports_profipy_rt(&instrumented.body) {
+            instrumented.body.insert(0, profipy_rt_import());
+        }
         instrumented
     }
 }
@@ -171,20 +330,20 @@ fn trigger_wrap(mut faulty: Vec<Stmt>, original: Vec<Stmt>) -> Stmt {
     })
 }
 
-/// Adds `import profipy_rt` at the top of the module if missing.
-fn ensure_profipy_import(module: &mut Module) {
-    let has_import = module.body.iter().any(|s| {
+/// Whether one of these (top-level) statements is `import profipy_rt`.
+fn imports_profipy_rt(body: &[Stmt]) -> bool {
+    body.iter().any(|s| {
         matches!(&s.kind, StmtKind::Import(aliases) if aliases.iter().any(|a| a.name == "profipy_rt"))
-    });
-    if !has_import {
-        module.body.insert(
-            0,
-            Stmt::synth(StmtKind::Import(vec![ImportAlias {
-                name: "profipy_rt".to_string(),
-                alias: None,
-            }])),
-        );
-    }
+    })
+}
+
+/// `import profipy_rt`, which a mutated or instrumented module that
+/// lacks it gets as its first statement.
+fn profipy_rt_import() -> Stmt {
+    Stmt::synth(StmtKind::Import(vec![ImportAlias {
+        name: "profipy_rt".to_string(),
+        alias: None,
+    }]))
 }
 
 /// Instantiates replacement statements against bindings, producing
@@ -492,10 +651,14 @@ mod tests {
         let scanner = Scanner::new(vec![spec.clone()]);
         let points = scanner.scan(std::slice::from_ref(&module));
         assert!(!points.is_empty(), "no injection points found");
-        let mutated = Mutator::new(mode)
-            .apply(&module, &spec, &points[0])
+        let mutator = Mutator::new(mode);
+        let mutated = unparse_module(&mutator.apply(&module, &spec, &points[0]).unwrap());
+        // Every mutant below is also rendered without building it.
+        let rendered = mutator
+            .render(&module, &ModuleText::of(&module), &spec, &points[0])
             .unwrap();
-        unparse_module(&mutated)
+        assert_eq!(rendered, mutated, "render and apply + unparse disagree");
+        mutated
     }
 
     #[test]
@@ -588,6 +751,114 @@ mod tests {
         assert!(out.contains("if profipy_rt.trigger():\n        pass\n"));
         assert!(out.contains("skip(node)")); // original kept in else
         pysrc::parse_module(&out, "check.py").unwrap();
+    }
+
+    #[test]
+    fn a_block_mutated_empty_becomes_pass() {
+        let out = mutate_one(
+            "change {\n    if $EXPR{var=node}:\n        $BLOCK{stmts=1,4}\n        continue\n} into {\n}",
+            "for node in nodes:\n    if not node:\n        skip(node)\n        continue\nwork(nodes)\n",
+            MutationMode::Direct,
+        );
+        assert_eq!(
+            out,
+            "import profipy_rt\nfor node in nodes:\n    pass\nwork(nodes)\n"
+        );
+    }
+
+    /// The predefined MIFS spec: delete a small guarded block.
+    const MIFS: &str = "change {\n    if $EXPR:\n        $BLOCK{stmts=1,4}\n} into {\n}";
+
+    #[test]
+    fn an_optional_clause_mutated_empty_is_dropped() {
+        // The window is all of an `else` / loop-`else` / try-`else` /
+        // `finally`: the clause goes, it does not become `pass` — and
+        // the rendered text says the same as the applied tree does.
+        for (src, mutant) in [
+            (
+                "def f(c):\n    if c.a:\n        x = 1\n    else:\n        if c.b:\n            c.close()\n",
+                "def f(c):\n    if c.a:\n        x = 1\n",
+            ),
+            (
+                "def f(c):\n    for i in c:\n        x = i\n    else:\n        if c.b:\n            c.close()\n",
+                "def f(c):\n    for i in c:\n        x = i\n",
+            ),
+            (
+                "def f(c):\n    while c.more():\n        x = 1\n    else:\n        if c.b:\n            c.close()\n",
+                "def f(c):\n    while c.more():\n        x = 1\n",
+            ),
+            (
+                "def f(c):\n    try:\n        x = 1\n    except E:\n        x = 2\n    else:\n        if c.b:\n            c.close()\n",
+                "def f(c):\n    try:\n        x = 1\n    except E:\n        x = 2\n",
+            ),
+            (
+                "def f(c):\n    try:\n        x = 1\n    except E:\n        x = 2\n    finally:\n        if c.b:\n            c.close()\n",
+                "def f(c):\n    try:\n        x = 1\n    except E:\n        x = 2\n",
+            ),
+            // No `except` either: what is left is not Python, and is
+            // what the mutant has always been.
+            (
+                "def f(c):\n    try:\n        x = 1\n    finally:\n        if c.b:\n            c.close()\n",
+                "def f(c):\n    try:\n        x = 1\n",
+            ),
+            // At the top level, where nothing is copied to splice.
+            (
+                "try:\n    x = 1\nfinally:\n    if c.b:\n        c.close()\n",
+                "try:\n    x = 1\n",
+            ),
+        ] {
+            let out = mutate_one(MIFS, src, MutationMode::Direct);
+            assert_eq!(out, format!("import profipy_rt\n{mutant}"));
+            let out = mutate_one(MIFS, src, MutationMode::Triggered);
+            assert!(out.contains("else:\n"), "{out}");
+            pysrc::parse_module(&out, "check.py").unwrap();
+        }
+    }
+
+    #[test]
+    fn a_top_level_window_keeps_or_brings_the_import() {
+        // The window is the module's only import of profipy_rt …
+        let out = mutate_one(
+            "change {\n    $BLOCK{stmts=1,1}\n    $CALL{name=f}(...)\n} into {\n    pass\n}",
+            "import profipy_rt\nf(x)\ny = 2\n",
+            MutationMode::Direct,
+        );
+        assert_eq!(out, "import profipy_rt\npass\ny = 2\n");
+        // … or leaves one standing after it.
+        let out = mutate_one(
+            "change {\n    $CALL{name=f}(...)\n} into {\n    pass\n}",
+            "f(1)\nimport profipy_rt\n",
+            MutationMode::Direct,
+        );
+        assert_eq!(out, "pass\nimport profipy_rt\n");
+    }
+
+    #[test]
+    fn render_rejects_the_text_of_another_parse() {
+        let spec = parse_spec(
+            "change {\n    $CALL{name=f}(...)\n} into {\n    pass\n}",
+            "S",
+        )
+        .unwrap();
+        let module = pysrc::parse_module("x = 1\nf(1)\n", "a.py").unwrap();
+        let points = Scanner::new(vec![spec.clone()]).scan(std::slice::from_ref(&module));
+        // Another module, a revision with as many statements, and the
+        // same text parsed again: none is this module's text.
+        for (src, name) in [
+            ("f(1)\n", "a.py"),
+            ("x = 2\nf(1)\n", "a.py"),
+            ("x = 1\nf(1)\n", "b.py"),
+            ("x = 1\nf(1)\n", "a.py"),
+        ] {
+            let other = pysrc::parse_module(src, name).unwrap();
+            let text = ModuleText::of(&other);
+            assert!(Mutator::default()
+                .render(&module, &text, &spec, &points[0])
+                .is_err());
+        }
+        assert!(Mutator::default()
+            .render(&module, &ModuleText::of(&module), &spec, &points[0])
+            .is_ok());
     }
 
     #[test]

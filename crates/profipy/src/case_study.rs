@@ -130,4 +130,43 @@ mod tests {
             assert!(!plan.is_empty(), "{} planned no experiments", c.name);
         }
     }
+
+    #[test]
+    fn rendered_mutants_are_the_applied_and_unparsed_ones_in_both_modes() {
+        use injector::{MutationMode, Mutator};
+        for mode in [MutationMode::Direct, MutationMode::Triggered] {
+            for mut c in [campaign_a(), campaign_b(), campaign_c()] {
+                c.workflow.config.mode = mode;
+                let wf = &c.workflow;
+                let points = wf.scan();
+                assert!(!points.is_empty());
+                for point in &points {
+                    let spec = wf
+                        .specs()
+                        .iter()
+                        .find(|s| s.name == point.spec_name)
+                        .unwrap();
+                    let rendered = wf.mutant_sources(point).expect("renders");
+                    assert_eq!(rendered.len(), wf.modules().len());
+                    for ((module, (_, original)), source) in
+                        wf.modules().iter().zip(wf.sources()).zip(&rendered)
+                    {
+                        assert_eq!(source.import_name, module.name);
+                        if module.name == point.module {
+                            let applied = Mutator::new(mode).apply(module, spec, point).unwrap();
+                            assert_eq!(
+                                source.text,
+                                pysrc::unparse::unparse_module(&applied),
+                                "{} point {} ({mode:?})",
+                                c.name,
+                                point.id
+                            );
+                        } else {
+                            assert_eq!(&source.text, original);
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

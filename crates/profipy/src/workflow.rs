@@ -4,7 +4,7 @@
 use crate::plan::{InjectionPlan, PlanFilter};
 use crate::result::ExperimentResult;
 use faultdsl::{BugSpec, FaultModel};
-use injector::{InjectionPoint, MutationMode, Mutator, Scanner};
+use injector::{InjectionPoint, ModuleText, MutationMode, Mutator, Scanner};
 use pyrt::{HostApi, PreparedModule};
 use pysrc::Module;
 use sandbox::{Container, ContainerImage, ParallelExecutor, RoundOutcome, RoundStatus};
@@ -67,6 +67,10 @@ pub struct Workflow {
     /// never pays the resolution cost at all) and at most once per
     /// campaign otherwise.
     prepared: std::sync::OnceLock<PreparedProgram>,
+    /// Each fault-free module's text by top-level statement (same
+    /// order as `modules`), rendered when the first mutant is: all a
+    /// mutant's text differs in is the statement its window lies in.
+    module_texts: std::sync::OnceLock<Vec<ModuleText>>,
 }
 
 /// The prepared-program artifact of one campaign: every fault-free
@@ -129,6 +133,7 @@ impl Workflow {
             host_factory,
             config,
             prepared: std::sync::OnceLock::new(),
+            module_texts: std::sync::OnceLock::new(),
         })
     }
 
@@ -174,6 +179,7 @@ impl Workflow {
             host_factory,
             config,
             prepared: std::sync::OnceLock::new(),
+            module_texts: std::sync::OnceLock::new(),
         })
     }
 
@@ -360,15 +366,17 @@ impl Workflow {
                 message: format!("unknown spec {}", point.spec_name),
             })?;
         let mutator = Mutator::new(self.config.mode);
+        let texts = self
+            .module_texts
+            .get_or_init(|| self.modules.iter().map(ModuleText::of).collect());
         let mut out = Vec::with_capacity(self.modules.len());
-        for module in &self.modules {
+        for (module, fault_free) in self.modules.iter().zip(texts) {
             let text = if module.name == point.module {
-                let mutated = mutator.apply(module, spec, point).map_err(|e| {
-                    WorkflowError {
+                mutator
+                    .render(module, fault_free, spec, point)
+                    .map_err(|e| WorkflowError {
                         message: e.to_string(),
-                    }
-                })?;
-                pysrc::unparse::unparse_module(&mutated)
+                    })?
             } else {
                 self.sources
                     .iter()

@@ -6,24 +6,57 @@
 
 use crate::error::Span;
 use std::fmt;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Unique identity of an AST node within a process.
 ///
 /// Ids are allocated from a process-global counter so nodes created
-/// during mutation never collide with parsed nodes.
+/// during mutation never collide with parsed nodes. The id space is
+/// 32 bits and is never reused: a process that has used it up can no
+/// longer parse and has to be restarted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
-static NEXT_NODE_ID: AtomicU32 = AtomicU32::new(1);
+/// Hands out node ids in increasing order. The counter is 64 bits wide
+/// so that it can run past the 32-bit id space — after which every
+/// allocation fails — without ever wrapping back into it: ids reissued
+/// after a wrap could collide with a resident module's, and a parse
+/// straddling the wrap would make the interpreter's dense per-module
+/// tables span the whole id space.
+pub(crate) struct IdCounter(AtomicU64);
+
+impl IdCounter {
+    pub(crate) const fn starting_at(next: u64) -> IdCounter {
+        IdCounter(AtomicU64::new(next))
+    }
+
+    /// The next id, or `None` once all of them are allocated.
+    pub(crate) fn next(&self) -> Option<NodeId> {
+        u32::try_from(self.0.fetch_add(1, Ordering::Relaxed))
+            .ok()
+            .map(NodeId)
+    }
+}
+
+/// The process-wide counter every parse and every synthesized node
+/// draws from.
+pub(crate) static NODE_IDS: IdCounter = IdCounter::starting_at(1);
 
 impl NodeId {
     /// Placeholder id for synthesized nodes that never need identity.
     pub const DUMMY: NodeId = NodeId(0);
 
     /// Allocates a fresh, process-unique id.
+    ///
+    /// # Panics
+    ///
+    /// Panics once the process has allocated all 2³² − 1 ids; the
+    /// parser, which input can drive there, reports a
+    /// [`crate::ParseError`] instead.
     pub fn fresh() -> NodeId {
-        NodeId(NEXT_NODE_ID.fetch_add(1, Ordering::Relaxed))
+        NODE_IDS
+            .next()
+            .expect("AST node ids exhausted: restart the process")
     }
 }
 

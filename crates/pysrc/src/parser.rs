@@ -1,9 +1,12 @@
 //! Recursive-descent parser for the mini-Python subset.
 
-use crate::ast::*;
+use crate::ast::{IdCounter, NODE_IDS, *};
 use crate::error::{ParseError, Span};
 use crate::lexer::lex;
 use crate::token::{Keyword, Op, Token, TokenKind};
+
+#[cfg(test)]
+mod reference;
 
 /// Parses a source file into a [`Module`].
 ///
@@ -18,12 +21,13 @@ use crate::token::{Keyword, Op, Token, TokenKind};
 /// assert_eq!(m.body.len(), 1);
 /// ```
 pub fn parse_module(source: &str, file: &str) -> Result<Module, ParseError> {
-    let tokens = lex(source, file)?;
-    let mut parser = Parser {
-        tokens,
-        pos: 0,
-        file: file.to_string(),
-    };
+    parse_module_with(source, file, &NODE_IDS)
+}
+
+/// [`parse_module`] drawing node ids from `ids` — the process-wide
+/// counter, except in the test that starts one near its end.
+fn parse_module_with(source: &str, file: &str, ids: &IdCounter) -> Result<Module, ParseError> {
+    let mut parser = Parser::new(lex(source, file)?, file, ids);
     let body = parser.parse_block_until_eof()?;
     Ok(Module {
         name: file.to_string(),
@@ -38,39 +42,84 @@ pub fn parse_module(source: &str, file: &str) -> Result<Module, ParseError> {
 ///
 /// Returns [`ParseError`] if the input is not exactly one expression.
 pub fn parse_expr(source: &str, file: &str) -> Result<Expr, ParseError> {
-    let tokens = lex(source, file)?;
-    let mut parser = Parser {
-        tokens,
-        pos: 0,
-        file: file.to_string(),
-    };
+    let mut parser = Parser::new(lex(source, file)?, file, &NODE_IDS);
     let e = parser.expr()?;
     parser.eat_newlines();
     parser.expect_eof()?;
     Ok(e)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
-    file: String,
+/// Precedence of the infix operators, loosest first. `NOT` is the
+/// prefix `not`, listed because it sits between `and` and the
+/// comparisons; one above `TERM` are the unary operators and `**`,
+/// which [`Parser::factor`] parses.
+mod prec {
+    pub const OR: u8 = 0;
+    pub const AND: u8 = 1;
+    pub const NOT: u8 = 2;
+    pub const COMPARE: u8 = 3;
+    pub const BIT_OR: u8 = 4;
+    pub const BIT_XOR: u8 = 5;
+    pub const BIT_AND: u8 = 6;
+    pub const SHIFT: u8 = 7;
+    pub const ARITH: u8 = 8;
+    pub const TERM: u8 = 9;
 }
 
-impl Parser {
+/// The parser consumes its tokens by move: a token's payload (an
+/// identifier's or a string literal's text) is taken out of the stream
+/// into the AST node it becomes, and nothing looks at a token's kind
+/// again once the cursor is past it (only at its span).
+struct Parser<'f> {
+    /// Never empty, and ends in `Eof`: [`lex`] guarantees both.
+    tokens: Vec<Token>,
+    /// Index of the current token; stops at the final `Eof`.
+    pos: usize,
+    file: &'f str,
+    ids: &'f IdCounter,
+}
+
+impl<'f> Parser<'f> {
+    fn new(tokens: Vec<Token>, file: &'f str, ids: &'f IdCounter) -> Parser<'f> {
+        Parser {
+            tokens,
+            pos: 0,
+            file,
+            ids,
+        }
+    }
+
     fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)].kind
+        &self.tokens[self.pos].kind
     }
 
     fn peek_span(&self) -> Span {
-        self.tokens[self.pos.min(self.tokens.len() - 1)].span
+        self.tokens[self.pos].span
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
+    /// The kind of the token after the current one.
+    fn peek_next(&self) -> Option<&TokenKind> {
+        self.tokens.get(self.pos + 1).map(|t| &t.kind)
+    }
+
+    /// Steps past the current token and returns its span.
+    fn bump(&mut self) -> Span {
+        let span = self.tokens[self.pos].span;
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
         }
-        t
+        span
+    }
+
+    /// Moves the text out of the current `Ident` or `Str` token and
+    /// steps past it.
+    fn take_text(&mut self) -> String {
+        let text = match &mut self.tokens[self.pos].kind {
+            TokenKind::Ident(text) | TokenKind::Str(text) => std::mem::take(text),
+            other => unreachable!("caller peeked an identifier or string, found {other}"),
+        };
+        self.bump();
+        text
     }
 
     fn at_op(&self, op: Op) -> bool {
@@ -99,13 +148,25 @@ impl Parser {
         }
     }
 
+    /// A fresh node id — or, in a process that has used all of them
+    /// up, the error that ends this parse (logged: from here on the
+    /// process can parse nothing and has to be restarted).
+    fn fresh_id(&self) -> Result<NodeId, ParseError> {
+        self.ids.next().ok_or_else(|| {
+            obs::log!(obs::Level::Error, "node_ids_exhausted", "file" => self.file);
+            self.err(
+                "AST node ids exhausted: this process has allocated all 2^32 of them, restart it",
+            )
+        })
+    }
+
     fn err(&self, msg: impl Into<String>) -> ParseError {
-        ParseError::new(msg, self.peek_span(), &self.file)
+        ParseError::new(msg, self.peek_span(), self.file)
     }
 
     fn expect_op(&mut self, op: Op) -> Result<Span, ParseError> {
         if self.at_op(op) {
-            Ok(self.bump().span)
+            Ok(self.bump())
         } else {
             Err(self.err(format!("expected `{op}`, found {}", self.peek())))
         }
@@ -113,7 +174,7 @@ impl Parser {
 
     fn expect_kw(&mut self, kw: Keyword) -> Result<Span, ParseError> {
         if self.at_kw(kw) {
-            Ok(self.bump().span)
+            Ok(self.bump())
         } else {
             Err(self.err(format!("expected `{kw}`, found {}", self.peek())))
         }
@@ -139,11 +200,8 @@ impl Parser {
     }
 
     fn expect_ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().clone() {
-            TokenKind::Ident(name) => {
-                self.bump();
-                Ok(name)
-            }
+        match self.peek() {
+            TokenKind::Ident(_) => Ok(self.take_text()),
             other => Err(self.err(format!("expected identifier, found {other}"))),
         }
     }
@@ -224,8 +282,12 @@ impl Parser {
 
     fn simple_statement(&mut self) -> Result<Stmt, ParseError> {
         let lo = self.peek_span();
-        let kind = match self.peek().clone() {
-            TokenKind::Keyword(Keyword::Return) => {
+        let keyword = match self.peek() {
+            TokenKind::Keyword(kw) => Some(*kw),
+            _ => None,
+        };
+        let kind = match keyword {
+            Some(Keyword::Return) => {
                 self.bump();
                 if matches!(
                     self.peek(),
@@ -236,19 +298,19 @@ impl Parser {
                     StmtKind::Return(Some(self.expr_or_tuple()?))
                 }
             }
-            TokenKind::Keyword(Keyword::Pass) => {
+            Some(Keyword::Pass) => {
                 self.bump();
                 StmtKind::Pass
             }
-            TokenKind::Keyword(Keyword::Break) => {
+            Some(Keyword::Break) => {
                 self.bump();
                 StmtKind::Break
             }
-            TokenKind::Keyword(Keyword::Continue) => {
+            Some(Keyword::Continue) => {
                 self.bump();
                 StmtKind::Continue
             }
-            TokenKind::Keyword(Keyword::Del) => {
+            Some(Keyword::Del) => {
                 self.bump();
                 let mut targets = vec![self.expr()?];
                 while self.eat_op(Op::Comma) {
@@ -256,7 +318,7 @@ impl Parser {
                 }
                 StmtKind::Del(targets)
             }
-            TokenKind::Keyword(Keyword::Assert) => {
+            Some(Keyword::Assert) => {
                 self.bump();
                 let test = self.expr()?;
                 let msg = if self.eat_op(Op::Comma) {
@@ -266,7 +328,7 @@ impl Parser {
                 };
                 StmtKind::Assert { test, msg }
             }
-            TokenKind::Keyword(Keyword::Global) => {
+            Some(Keyword::Global) => {
                 self.bump();
                 let mut names = vec![self.expect_ident()?];
                 while self.eat_op(Op::Comma) {
@@ -274,7 +336,7 @@ impl Parser {
                 }
                 StmtKind::Global(names)
             }
-            TokenKind::Keyword(Keyword::Raise) => {
+            Some(Keyword::Raise) => {
                 self.bump();
                 if matches!(
                     self.peek(),
@@ -297,7 +359,7 @@ impl Parser {
                     }
                 }
             }
-            TokenKind::Keyword(Keyword::Import) => {
+            Some(Keyword::Import) => {
                 self.bump();
                 let mut modules = vec![self.import_alias()?];
                 while self.eat_op(Op::Comma) {
@@ -305,7 +367,7 @@ impl Parser {
                 }
                 StmtKind::Import(modules)
             }
-            TokenKind::Keyword(Keyword::From) => {
+            Some(Keyword::From) => {
                 self.bump();
                 let module = self.dotted_name()?;
                 self.expect_kw(Keyword::Import)?;
@@ -348,7 +410,7 @@ impl Parser {
         };
         let hi = self.tokens[self.pos.saturating_sub(1)].span;
         Ok(Stmt {
-            id: NodeId::fresh(),
+            id: self.fresh_id()?,
             span: lo.to(hi),
             kind,
         })
@@ -409,7 +471,7 @@ impl Parser {
             }
         }
         Ok(Stmt {
-            id: NodeId::fresh(),
+            id: self.fresh_id()?,
             span: lo,
             kind: StmtKind::If { branches, orelse },
         })
@@ -426,7 +488,7 @@ impl Parser {
             Vec::new()
         };
         Ok(Stmt {
-            id: NodeId::fresh(),
+            id: self.fresh_id()?,
             span: lo,
             kind: StmtKind::While { test, body, orelse },
         })
@@ -445,7 +507,7 @@ impl Parser {
             Vec::new()
         };
         Ok(Stmt {
-            id: NodeId::fresh(),
+            id: self.fresh_id()?,
             span: lo,
             kind: StmtKind::For {
                 target,
@@ -469,7 +531,7 @@ impl Parser {
                 items.push(self.postfix_expr()?);
             }
             Ok(Expr {
-                id: NodeId::fresh(),
+                id: self.fresh_id()?,
                 span: lo,
                 kind: ExprKind::Tuple(items),
             })
@@ -486,7 +548,7 @@ impl Parser {
         self.expect_op(Op::RParen)?;
         let body = self.suite()?;
         Ok(Stmt {
-            id: NodeId::fresh(),
+            id: self.fresh_id()?,
             span: lo,
             kind: StmtKind::FuncDef { name, params, body },
         })
@@ -535,7 +597,7 @@ impl Parser {
         }
         let body = self.suite()?;
         Ok(Stmt {
-            id: NodeId::fresh(),
+            id: self.fresh_id()?,
             span: lo,
             kind: StmtKind::ClassDef { name, bases, body },
         })
@@ -583,7 +645,7 @@ impl Parser {
             return Err(self.err("`try` requires at least one `except` or `finally`"));
         }
         Ok(Stmt {
-            id: NodeId::fresh(),
+            id: self.fresh_id()?,
             span: lo,
             kind: StmtKind::Try {
                 body,
@@ -611,7 +673,7 @@ impl Parser {
         }
         let body = self.suite()?;
         Ok(Stmt {
-            id: NodeId::fresh(),
+            id: self.fresh_id()?,
             span: lo,
             kind: StmtKind::With { items, body },
         })
@@ -640,7 +702,7 @@ impl Parser {
                 items.push(self.expr()?);
             }
             Ok(Expr {
-                id: NodeId::fresh(),
+                id: self.fresh_id()?,
                 span: lo,
                 kind: ExprKind::Tuple(items),
             })
@@ -652,7 +714,7 @@ impl Parser {
     /// Full expression (lambda / conditional level).
     pub(crate) fn expr(&mut self) -> Result<Expr, ParseError> {
         if self.at_kw(Keyword::Lambda) {
-            let lo = self.bump().span;
+            let lo = self.bump();
             let mut params = Vec::new();
             if !self.at_op(Op::Colon) {
                 loop {
@@ -675,7 +737,7 @@ impl Parser {
             self.expect_op(Op::Colon)?;
             let body = Box::new(self.expr()?);
             return Ok(Expr {
-                id: NodeId::fresh(),
+                id: self.fresh_id()?,
                 span: lo,
                 kind: ExprKind::Lambda { params, body },
             });
@@ -688,7 +750,7 @@ impl Parser {
             self.expect_kw(Keyword::Else)?;
             let orelse = Box::new(self.expr()?);
             Ok(Expr {
-                id: NodeId::fresh(),
+                id: self.fresh_id()?,
                 span: lo,
                 kind: ExprKind::IfExp {
                     test,
@@ -701,65 +763,111 @@ impl Parser {
         }
     }
 
+    /// `or_test` in CPython's grammar: everything below a conditional
+    /// expression.
     fn or_expr(&mut self) -> Result<Expr, ParseError> {
-        let lo = self.peek_span();
-        let first = self.and_expr()?;
-        if self.at_kw(Keyword::Or) {
-            let mut values = vec![first];
-            while self.eat_kw(Keyword::Or) {
-                values.push(self.and_expr()?);
+        self.operators(prec::OR)
+    }
+
+    /// The infix operator at the cursor, if any: its precedence, and
+    /// for an arithmetic or bitwise operator the AST operator.
+    fn infix(&self) -> Option<(u8, Option<BinOp>)> {
+        let binary = |level, op| Some((level, Some(op)));
+        match self.peek() {
+            TokenKind::Keyword(Keyword::Or) => Some((prec::OR, None)),
+            TokenKind::Keyword(Keyword::And) => Some((prec::AND, None)),
+            TokenKind::Op(Op::Eq | Op::Ne | Op::Lt | Op::Le | Op::Gt | Op::Ge)
+            | TokenKind::Keyword(Keyword::In | Keyword::Is) => Some((prec::COMPARE, None)),
+            // `not in`; a bare `not` here is not an operator.
+            TokenKind::Keyword(Keyword::Not)
+                if matches!(self.peek_next(), Some(TokenKind::Keyword(Keyword::In))) =>
+            {
+                Some((prec::COMPARE, None))
             }
-            Ok(Expr {
-                id: NodeId::fresh(),
-                span: lo,
-                kind: ExprKind::BoolOp {
-                    op: BoolOpKind::Or,
-                    values,
-                },
-            })
-        } else {
-            Ok(first)
+            TokenKind::Op(Op::Pipe) => binary(prec::BIT_OR, BinOp::BitOr),
+            TokenKind::Op(Op::Caret) => binary(prec::BIT_XOR, BinOp::BitXor),
+            TokenKind::Op(Op::Amp) => binary(prec::BIT_AND, BinOp::BitAnd),
+            TokenKind::Op(Op::Shl) => binary(prec::SHIFT, BinOp::Shl),
+            TokenKind::Op(Op::Shr) => binary(prec::SHIFT, BinOp::Shr),
+            TokenKind::Op(Op::Plus) => binary(prec::ARITH, BinOp::Add),
+            TokenKind::Op(Op::Minus) => binary(prec::ARITH, BinOp::Sub),
+            TokenKind::Op(Op::Star) => binary(prec::TERM, BinOp::Mul),
+            TokenKind::Op(Op::Slash) => binary(prec::TERM, BinOp::Div),
+            TokenKind::Op(Op::DoubleSlash) => binary(prec::TERM, BinOp::FloorDiv),
+            TokenKind::Op(Op::Percent) => binary(prec::TERM, BinOp::Mod),
+            _ => None,
         }
     }
 
-    fn and_expr(&mut self) -> Result<Expr, ParseError> {
+    /// Parses an operand and every infix operator after it that binds
+    /// at least as tightly as `min` (see [`prec`]) — precedence
+    /// climbing over the grammar's `or` … `term` levels, so an operand
+    /// with no operator after it costs one call, not one per level.
+    ///
+    /// Every node built here is spanned by the first token of its
+    /// leftmost operand, and gets its id after its operands got theirs.
+    fn operators(&mut self, min: u8) -> Result<Expr, ParseError> {
         let lo = self.peek_span();
-        let first = self.not_expr()?;
-        if self.at_kw(Keyword::And) {
-            let mut values = vec![first];
-            while self.eat_kw(Keyword::And) {
-                values.push(self.not_expr()?);
-            }
-            Ok(Expr {
-                id: NodeId::fresh(),
-                span: lo,
-                kind: ExprKind::BoolOp {
-                    op: BoolOpKind::And,
-                    values,
-                },
-            })
-        } else {
-            Ok(first)
-        }
-    }
-
-    fn not_expr(&mut self) -> Result<Expr, ParseError> {
-        if self.at_kw(Keyword::Not) {
-            let lo = self.bump().span;
-            let operand = Box::new(self.not_expr()?);
-            Ok(Expr {
-                id: NodeId::fresh(),
+        let mut left = if min <= prec::NOT && self.at_kw(Keyword::Not) {
+            let lo = self.bump();
+            let operand = Box::new(self.operators(prec::NOT)?);
+            Expr {
+                id: self.fresh_id()?,
                 span: lo,
                 kind: ExprKind::Unary {
                     op: UnaryOp::Not,
                     operand,
                 },
-            })
+            }
         } else {
-            self.comparison()
+            self.factor()?
+        };
+        while let Some((level, op)) = self.infix().filter(|(level, _)| *level >= min) {
+            let kind = if let Some(op) = op {
+                // Left-associative: the right operand binds tighter.
+                self.bump();
+                let right = self.operators(level + 1)?;
+                ExprKind::Binary {
+                    left: Box::new(left),
+                    op,
+                    right: Box::new(right),
+                }
+            } else if level == prec::COMPARE {
+                // A chain `a < b <= c` is one node.
+                let mut ops = Vec::new();
+                let mut comparators = Vec::new();
+                while let Some(op) = self.cmp_op() {
+                    ops.push(op);
+                    comparators.push(self.operators(prec::BIT_OR)?);
+                }
+                ExprKind::Compare {
+                    left: Box::new(left),
+                    ops,
+                    comparators,
+                }
+            } else {
+                // `a or b or c` is one node too.
+                let (keyword, op) = if level == prec::OR {
+                    (Keyword::Or, BoolOpKind::Or)
+                } else {
+                    (Keyword::And, BoolOpKind::And)
+                };
+                let mut values = vec![left];
+                while self.eat_kw(keyword) {
+                    values.push(self.operators(level + 1)?);
+                }
+                ExprKind::BoolOp { op, values }
+            };
+            left = Expr {
+                id: self.fresh_id()?,
+                span: lo,
+                kind,
+            };
         }
+        Ok(left)
     }
 
+    /// Consumes the comparison operator at the cursor, if any.
     fn cmp_op(&mut self) -> Option<CmpOp> {
         let op = match self.peek() {
             TokenKind::Op(Op::Eq) => CmpOp::Eq,
@@ -779,10 +887,7 @@ impl Parser {
             }
             TokenKind::Keyword(Keyword::Not) => {
                 // `not in`
-                if matches!(
-                    self.tokens.get(self.pos + 1).map(|t| &t.kind),
-                    Some(TokenKind::Keyword(Keyword::In))
-                ) {
+                if matches!(self.peek_next(), Some(TokenKind::Keyword(Keyword::In))) {
                     self.bump();
                     self.bump();
                     return Some(CmpOp::NotIn);
@@ -793,97 +898,6 @@ impl Parser {
         };
         self.bump();
         Some(op)
-    }
-
-    fn comparison(&mut self) -> Result<Expr, ParseError> {
-        let lo = self.peek_span();
-        let left = self.bitor()?;
-        let mut ops = Vec::new();
-        let mut comparators = Vec::new();
-        while let Some(op) = self.cmp_op() {
-            ops.push(op);
-            comparators.push(self.bitor()?);
-        }
-        if ops.is_empty() {
-            Ok(left)
-        } else {
-            Ok(Expr {
-                id: NodeId::fresh(),
-                span: lo,
-                kind: ExprKind::Compare {
-                    left: Box::new(left),
-                    ops,
-                    comparators,
-                },
-            })
-        }
-    }
-
-    fn binary_level(
-        &mut self,
-        next: fn(&mut Parser) -> Result<Expr, ParseError>,
-        table: &[(Op, BinOp)],
-    ) -> Result<Expr, ParseError> {
-        let lo = self.peek_span();
-        let mut left = next(self)?;
-        'outer: loop {
-            for (tok, op) in table {
-                if self.at_op(*tok) {
-                    self.bump();
-                    let right = next(self)?;
-                    left = Expr {
-                        id: NodeId::fresh(),
-                        span: lo,
-                        kind: ExprKind::Binary {
-                            left: Box::new(left),
-                            op: *op,
-                            right: Box::new(right),
-                        },
-                    };
-                    continue 'outer;
-                }
-            }
-            break;
-        }
-        Ok(left)
-    }
-
-    fn bitor(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(Parser::bitxor, &[(Op::Pipe, BinOp::BitOr)])
-    }
-
-    fn bitxor(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(Parser::bitand, &[(Op::Caret, BinOp::BitXor)])
-    }
-
-    fn bitand(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(Parser::shift, &[(Op::Amp, BinOp::BitAnd)])
-    }
-
-    fn shift(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(
-            Parser::arith,
-            &[(Op::Shl, BinOp::Shl), (Op::Shr, BinOp::Shr)],
-        )
-    }
-
-    fn arith(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(
-            Parser::term,
-            &[(Op::Plus, BinOp::Add), (Op::Minus, BinOp::Sub)],
-        )
-    }
-
-    fn term(&mut self) -> Result<Expr, ParseError> {
-        self.binary_level(
-            Parser::factor,
-            &[
-                (Op::Star, BinOp::Mul),
-                (Op::Slash, BinOp::Div),
-                (Op::DoubleSlash, BinOp::FloorDiv),
-                (Op::Percent, BinOp::Mod),
-            ],
-        )
     }
 
     fn factor(&mut self) -> Result<Expr, ParseError> {
@@ -898,7 +912,7 @@ impl Parser {
             self.bump();
             let operand = Box::new(self.factor()?);
             return Ok(Expr {
-                id: NodeId::fresh(),
+                id: self.fresh_id()?,
                 span: lo,
                 kind: ExprKind::Unary { op, operand },
             });
@@ -913,7 +927,7 @@ impl Parser {
             // Right-associative.
             let exp = self.factor()?;
             Ok(Expr {
-                id: NodeId::fresh(),
+                id: self.fresh_id()?,
                 span: lo,
                 kind: ExprKind::Binary {
                     left: Box::new(base),
@@ -934,7 +948,7 @@ impl Parser {
                 self.bump();
                 let attr = self.expect_ident()?;
                 e = Expr {
-                    id: NodeId::fresh(),
+                    id: self.fresh_id()?,
                     span: lo,
                     kind: ExprKind::Attribute {
                         value: Box::new(e),
@@ -946,7 +960,7 @@ impl Parser {
                 let args = self.call_args()?;
                 self.expect_op(Op::RParen)?;
                 e = Expr {
-                    id: NodeId::fresh(),
+                    id: self.fresh_id()?,
                     span: lo,
                     kind: ExprKind::Call {
                         func: Box::new(e),
@@ -958,7 +972,7 @@ impl Parser {
                 let index = self.subscript_index()?;
                 self.expect_op(Op::RBracket)?;
                 e = Expr {
-                    id: NodeId::fresh(),
+                    id: self.fresh_id()?,
                     span: lo,
                     kind: ExprKind::Subscript {
                         value: Box::new(e),
@@ -980,10 +994,7 @@ impl Parser {
             } else if self.eat_op(Op::Star) {
                 args.push(Arg::Star(self.expr()?));
             } else if matches!(self.peek(), TokenKind::Ident(_))
-                && matches!(
-                    self.tokens.get(self.pos + 1).map(|t| &t.kind),
-                    Some(TokenKind::Op(Op::Assign))
-                )
+                && matches!(self.peek_next(), Some(TokenKind::Op(Op::Assign)))
             {
                 let name = self.expect_ident()?;
                 self.bump(); // `=`
@@ -1022,7 +1033,7 @@ impl Parser {
                 None
             };
             Ok(Expr {
-                id: NodeId::fresh(),
+                id: self.fresh_id()?,
                 span: lo,
                 kind: ExprKind::Slice { lower, upper, step },
             })
@@ -1038,7 +1049,7 @@ impl Parser {
                     items.push(self.expr()?);
                 }
                 Ok(Expr {
-                    id: NodeId::fresh(),
+                    id: self.fresh_id()?,
                     span: lo,
                     kind: ExprKind::Tuple(items),
                 })
@@ -1050,21 +1061,20 @@ impl Parser {
 
     fn atom(&mut self) -> Result<Expr, ParseError> {
         let lo = self.peek_span();
-        let kind = match self.peek().clone() {
-            TokenKind::Int(v) => {
+        let kind = match self.peek() {
+            &TokenKind::Int(v) => {
                 self.bump();
                 ExprKind::Num(Number::Int(v))
             }
-            TokenKind::Float(v) => {
+            &TokenKind::Float(v) => {
                 self.bump();
                 ExprKind::Num(Number::Float(v))
             }
-            TokenKind::Str(s) => {
-                self.bump();
+            TokenKind::Str(_) => {
                 // Adjacent string literal concatenation.
-                let mut out = s;
-                while let TokenKind::Str(next) = self.peek().clone() {
-                    out.push_str(&next);
+                let mut out = self.take_text();
+                while let TokenKind::Str(next) = self.peek() {
+                    out.push_str(next);
                     self.bump();
                 }
                 ExprKind::Str(out)
@@ -1081,10 +1091,7 @@ impl Parser {
                 self.bump();
                 ExprKind::NoneLit
             }
-            TokenKind::Ident(name) => {
-                self.bump();
-                ExprKind::Name(name)
-            }
+            TokenKind::Ident(_) => ExprKind::Name(self.take_text()),
             TokenKind::Op(Op::Star) => {
                 self.bump();
                 let inner = self.postfix_expr()?;
@@ -1187,7 +1194,7 @@ impl Parser {
             other => return Err(self.err(format!("expected expression, found {other}"))),
         };
         Ok(Expr {
-            id: NodeId::fresh(),
+            id: self.fresh_id()?,
             span: lo,
             kind,
         })
@@ -1441,6 +1448,23 @@ mod tests {
     }
 
     #[test]
+    fn exhausted_node_ids_are_a_parse_error_not_a_wrap() {
+        // Five ids left: enough for `x = 1` (three nodes), not for the
+        // statement after it.
+        let ids = IdCounter::starting_at(u64::from(u32::MAX) - 4);
+        let err = parse_module_with("x = 1\ny = 2\n", "t.py", &ids).unwrap_err();
+        assert!(err.message.contains("node ids exhausted"), "{err}");
+        assert_eq!((err.span.lo.line, err.file.as_str()), (2, "t.py"));
+        // The counter does not wrap: nothing parses afterwards either,
+        // and no id below the last one is ever handed out again.
+        assert!(parse_module_with("z\n", "t.py", &ids).is_err());
+        assert_eq!(ids.next(), None);
+        let fits = IdCounter::starting_at(u64::from(u32::MAX) - 3);
+        let module = parse_module_with("x = 1\n", "t.py", &fits).expect("three ids are enough");
+        assert_eq!(module.body[0].id, NodeId(u32::MAX - 1));
+    }
+
+    #[test]
     fn error_on_bad_syntax() {
         assert!(parse_module("def f(:\n    pass\n", "t.py").is_err());
         assert!(parse_module("x = = 1\n", "t.py").is_err());
@@ -1452,5 +1476,173 @@ mod tests {
         let e = super::parse_expr("a.b(1, x=2)", "t.py").unwrap();
         assert!(matches!(e.kind, ExprKind::Call { .. }));
         assert!(super::parse_expr("a b", "t.py").is_err());
+    }
+
+    /// The tree of an operator expression, fully bracketed.
+    fn shape(e: &Expr) -> String {
+        let join = |items: &[Expr], sep: &str| {
+            let items: Vec<String> = items.iter().map(shape).collect();
+            format!("({})", items.join(sep))
+        };
+        match &e.kind {
+            ExprKind::Name(n) => n.clone(),
+            ExprKind::BoolOp { op, values } => match op {
+                BoolOpKind::Or => join(values, " or "),
+                BoolOpKind::And => join(values, " and "),
+            },
+            ExprKind::Unary { op, operand } => {
+                let op = match op {
+                    UnaryOp::Not => "not",
+                    UnaryOp::Neg => "-",
+                    UnaryOp::Pos => "+",
+                    UnaryOp::Invert => "~",
+                };
+                format!("({op} {})", shape(operand))
+            }
+            ExprKind::Binary { left, op, right } => {
+                format!("({} {} {})", shape(left), op.as_str(), shape(right))
+            }
+            ExprKind::Compare {
+                left,
+                ops,
+                comparators,
+            } => {
+                let mut out = format!("({}", shape(left));
+                for (op, c) in ops.iter().zip(comparators) {
+                    out += &format!(" {} {}", op.as_str(), shape(c));
+                }
+                out + ")"
+            }
+            other => panic!("not an operator expression: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn operators_bind_by_precedence_and_associate_to_the_left() {
+        for (src, tree) in [
+            ("a or b and c or d", "(a or (b and c) or d)"),
+            ("a and b or c and d", "((a and b) or (c and d))"),
+            ("not a and not not b", "((not a) and (not (not b)))"),
+            ("not a == b or c", "((not (a == b)) or c)"),
+            ("a < b <= c != d", "(a < b <= c != d)"),
+            ("a not in b is not c in d is e", "(a not in b is not c in d is e)"),
+            ("a | b ^ c & d << e + f * g", "(a | (b ^ (c & (d << (e + (f * g))))))"),
+            ("a * b + c << d & e ^ f | g", "((((((a * b) + c) << d) & e) ^ f) | g)"),
+            ("a - b - c", "((a - b) - c)"),
+            ("a / b // c % d * e", "((((a / b) // c) % d) * e)"),
+            ("a >> b << c", "((a >> b) << c)"),
+            ("a | b < c | d and e", "(((a | b) < (c | d)) and e)"),
+            ("a + b == c - d", "((a + b) == (c - d))"),
+            ("-a ** b * ~c", "((- (a ** b)) * (~ c))"),
+            ("a ** b ** c", "(a ** (b ** c))"),
+            ("a if b or c else d and e", "a"),
+        ] {
+            let mut parser = Parser::new(lex(src, "t.py").unwrap(), "t.py", &NODE_IDS);
+            assert_eq!(shape(&parser.or_expr().unwrap()), tree, "{src}");
+        }
+        // A `not` where an operand of a tighter operator must stand.
+        for src in ["a == not b", "a + not b", "a and", "a not b", "a is not"] {
+            assert!(super::parse_expr(src, "t.py").is_err(), "{src}");
+        }
+    }
+
+    #[test]
+    fn operator_nodes_span_their_leftmost_operand_and_take_their_id_last() {
+        let ids = IdCounter::starting_at(1);
+        let mut parser = Parser::new(lex("a + b * c < not_d or e", "t.py").unwrap(), "t.py", &ids);
+        let e = parser.or_expr().unwrap();
+        // (id, column) of every node, in the order of `shape`.
+        fn walk(e: &Expr, out: &mut Vec<(u32, u32)>) {
+            out.push((e.id.0, e.span.lo.col));
+            match &e.kind {
+                ExprKind::BoolOp { values, .. } => values.iter().for_each(|v| walk(v, out)),
+                ExprKind::Binary { left, right, .. } => {
+                    walk(left, out);
+                    walk(right, out);
+                }
+                ExprKind::Compare {
+                    left, comparators, ..
+                } => {
+                    walk(left, out);
+                    comparators.iter().for_each(|c| walk(c, out));
+                }
+                _ => {}
+            }
+        }
+        let mut nodes = Vec::new();
+        walk(&e, &mut nodes);
+        // or, <, +, a, *, b, c, not_d, e
+        assert_eq!(
+            nodes,
+            [(9, 0), (7, 0), (5, 0), (1, 0), (4, 4), (2, 4), (3, 8), (6, 12), (8, 21)]
+        );
+    }
+
+    /// What operator expressions are made of — and a few things they
+    /// are not, for the errors.
+    #[rustfmt::skip]
+    const OPERANDS: &[&str] = &[
+        "a", "b1", "self.x", "f(a, b)", "d[k]", "1", "2.5", "'s'", "None", "True",
+        "(a or b)", "(not a)", "[a < b]", "(a, b)", "lambda: a", "", ")", "=",
+    ];
+    const PREFIXES: &[&str] = &["", "", "", "not ", "not not ", "-", "+", "~", "- not ", "not -"];
+    #[rustfmt::skip]
+    const INFIXES: &[&str] = &[
+        "or", "and", "==", "!=", "<", "<=", ">", ">=", "in", "not in", "is", "is not", "not",
+        "|", "^", "&", "<<", ">>", "+", "-", "*", "/", "//", "%", "**", "if", "else", ",", "",
+    ];
+
+    /// `operators` and the level functions on one source: the same
+    /// tree — kinds, spans, ids — or the same error, and the cursor
+    /// left on the same token.
+    fn levels_agree(source: &str) -> Result<(), proptest::test_runner::TestCaseError> {
+        use proptest::prop_assert_eq;
+        let Ok(tokens) = lex(source, "p.py") else {
+            return Ok(());
+        };
+        let (ids, reference_ids) = (IdCounter::starting_at(1), IdCounter::starting_at(1));
+        let mut parser = Parser::new(tokens.clone(), "p.py", &ids);
+        let mut reference = Parser::new(tokens, "p.py", &reference_ids);
+        prop_assert_eq!(parser.or_expr(), reference.reference_or_expr(), "{}", source);
+        prop_assert_eq!(parser.pos, reference.pos, "{}", source);
+        Ok(())
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2048))]
+
+            #[test]
+            fn precedence_climbing_agrees_with_the_level_functions_on_operator_soup(
+                first in (0usize..PREFIXES.len(), 0usize..OPERANDS.len()),
+                rest in proptest::collection::vec(
+                    (0usize..INFIXES.len(), 0usize..PREFIXES.len(), 0usize..OPERANDS.len()),
+                    0..12,
+                ),
+            ) {
+                let mut source = format!("{}{}", PREFIXES[first.0], OPERANDS[first.1]);
+                for (infix, prefix, operand) in &rest {
+                    source += &format!(" {} {}{}", INFIXES[*infix], PREFIXES[*prefix], OPERANDS[*operand]);
+                }
+                levels_agree(&source)?;
+            }
+
+            #[test]
+            fn precedence_climbing_agrees_with_the_level_functions_on_any_order(
+                picks in proptest::collection::vec((0usize..3, 0usize..32), 0..16),
+            ) {
+                let source: Vec<&str> = picks
+                    .iter()
+                    .map(|(list, i)| {
+                        let list = [OPERANDS, PREFIXES, INFIXES][*list];
+                        list[i % list.len()]
+                    })
+                    .collect();
+                levels_agree(&source.join(" "))?;
+            }
+        }
     }
 }

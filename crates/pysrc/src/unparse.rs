@@ -4,7 +4,8 @@
 
 use crate::ast::*;
 
-/// Renders a whole module as source text.
+/// Renders a whole module as source text: the concatenation of
+/// [`unparse_stmt`] over its top-level statements.
 pub fn unparse_module(module: &Module) -> String {
     let mut out = String::new();
     for stmt in &module.body {

@@ -30,6 +30,65 @@ impl BlockContext {
     }
 }
 
+/// The statement blocks directly under `stmt`, in source order (an
+/// `if`'s branches then its `else`; a `try`'s body, handlers, `else`,
+/// `finally`); none for a simple statement.
+pub fn child_blocks(stmt: &Stmt) -> Vec<&[Stmt]> {
+    match &stmt.kind {
+        StmtKind::If { branches, orelse } => branches
+            .iter()
+            .map(|(_, body)| body.as_slice())
+            .chain([orelse.as_slice()])
+            .collect(),
+        StmtKind::While { body, orelse, .. } | StmtKind::For { body, orelse, .. } => {
+            vec![body, orelse]
+        }
+        StmtKind::FuncDef { body, .. }
+        | StmtKind::ClassDef { body, .. }
+        | StmtKind::With { body, .. } => vec![body],
+        StmtKind::Try {
+            body,
+            handlers,
+            orelse,
+            finalbody,
+        } => [body]
+            .into_iter()
+            .chain(handlers.iter().map(|h| &h.body))
+            .chain([orelse, finalbody])
+            .map(Vec::as_slice)
+            .collect(),
+        _ => Vec::new(),
+    }
+}
+
+/// [`child_blocks`], mutably: statements may be spliced in and out.
+pub fn child_blocks_mut(stmt: &mut Stmt) -> Vec<&mut Vec<Stmt>> {
+    match &mut stmt.kind {
+        StmtKind::If { branches, orelse } => branches
+            .iter_mut()
+            .map(|(_, body)| body)
+            .chain([orelse])
+            .collect(),
+        StmtKind::While { body, orelse, .. } | StmtKind::For { body, orelse, .. } => {
+            vec![body, orelse]
+        }
+        StmtKind::FuncDef { body, .. }
+        | StmtKind::ClassDef { body, .. }
+        | StmtKind::With { body, .. } => vec![body],
+        StmtKind::Try {
+            body,
+            handlers,
+            orelse,
+            finalbody,
+        } => [body]
+            .into_iter()
+            .chain(handlers.iter_mut().map(|h| &mut h.body))
+            .chain([orelse, finalbody])
+            .collect(),
+        _ => Vec::new(),
+    }
+}
+
 /// Calls `f` on every statement block in the module body (including the
 /// body itself), passing the enclosing scope path.
 pub fn walk_blocks<'a>(module: &'a Module, f: &mut dyn FnMut(&'a [Stmt], &BlockContext)) {
@@ -45,43 +104,19 @@ fn walk_stmt_blocks<'a>(
     ctx: &mut BlockContext,
     f: &mut dyn FnMut(&'a [Stmt], &BlockContext),
 ) {
-    let mut visit_block = |body: &'a [Stmt], ctx: &mut BlockContext| {
+    let scope = match &stmt.kind {
+        StmtKind::FuncDef { name, .. } | StmtKind::ClassDef { name, .. } => Some(name),
+        _ => None,
+    };
+    ctx.scope.extend(scope.cloned());
+    for body in child_blocks(stmt) {
         f(body, ctx);
         for s in body {
             walk_stmt_blocks(s, ctx, f);
         }
-    };
-    match &stmt.kind {
-        StmtKind::If { branches, orelse } => {
-            for (_, body) in branches {
-                visit_block(body, ctx);
-            }
-            visit_block(orelse, ctx);
-        }
-        StmtKind::While { body, orelse, .. } | StmtKind::For { body, orelse, .. } => {
-            visit_block(body, ctx);
-            visit_block(orelse, ctx);
-        }
-        StmtKind::FuncDef { name, body, .. } | StmtKind::ClassDef { name, body, .. } => {
-            ctx.scope.push(name.clone());
-            visit_block(body, ctx);
-            ctx.scope.pop();
-        }
-        StmtKind::Try {
-            body,
-            handlers,
-            orelse,
-            finalbody,
-        } => {
-            visit_block(body, ctx);
-            for h in handlers {
-                visit_block(&h.body, ctx);
-            }
-            visit_block(orelse, ctx);
-            visit_block(finalbody, ctx);
-        }
-        StmtKind::With { body, .. } => visit_block(body, ctx),
-        _ => {}
+    }
+    if scope.is_some() {
+        ctx.scope.pop();
     }
 }
 
@@ -96,39 +131,11 @@ pub fn walk_blocks_mut(module: &mut Module, f: &mut dyn FnMut(&mut Vec<Stmt>)) {
 }
 
 fn walk_stmt_blocks_mut(stmt: &mut Stmt, f: &mut dyn FnMut(&mut Vec<Stmt>)) {
-    let mut visit = |body: &mut Vec<Stmt>| {
+    for body in child_blocks_mut(stmt) {
         f(body);
         for s in body {
             walk_stmt_blocks_mut(s, f);
         }
-    };
-    match &mut stmt.kind {
-        StmtKind::If { branches, orelse } => {
-            for (_, body) in branches {
-                visit(body);
-            }
-            visit(orelse);
-        }
-        StmtKind::While { body, orelse, .. } | StmtKind::For { body, orelse, .. } => {
-            visit(body);
-            visit(orelse);
-        }
-        StmtKind::FuncDef { body, .. } | StmtKind::ClassDef { body, .. } => visit(body),
-        StmtKind::Try {
-            body,
-            handlers,
-            orelse,
-            finalbody,
-        } => {
-            visit(body);
-            for h in handlers {
-                visit(&mut h.body);
-            }
-            visit(orelse);
-            visit(finalbody);
-        }
-        StmtKind::With { body, .. } => visit(body),
-        _ => {}
     }
 }
 

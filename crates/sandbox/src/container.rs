@@ -27,12 +27,51 @@ fn prepare_cache() -> &'static PrepareCache {
 /// sound: entries rebuild on demand).
 const PREPARE_CACHE_CAP: usize = 512;
 
+/// Hit and miss counts of the process-wide prepare cache: whether the
+/// deploys of some stretch of time were cold (each source parsed,
+/// name-resolved and, on first call, compiled) or warm.
+pub struct PrepareCacheMetrics {
+    /// Sources served from the cache.
+    pub hits: obs::Counter,
+    /// Sources parsed and prepared (also those that failed to parse).
+    pub misses: obs::Counter,
+}
+
+impl PrepareCacheMetrics {
+    /// Registers both counters into `registry`. The cache is the
+    /// process's, so every registry of the process shows the same
+    /// counts.
+    pub fn register_into(&self, registry: &obs::Registry) {
+        registry.register_counter(
+            "sandbox_prepare_cache_hits_total",
+            "Container sources served from the process-wide prepared-module cache.",
+            &self.hits,
+        );
+        registry.register_counter(
+            "sandbox_prepare_cache_misses_total",
+            "Container sources parsed and prepared because the process-wide cache did not hold them.",
+            &self.misses,
+        );
+    }
+}
+
+/// The process-wide prepare cache's counters.
+pub fn prepare_cache_metrics() -> &'static PrepareCacheMetrics {
+    static METRICS: OnceLock<PrepareCacheMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| PrepareCacheMetrics {
+        hits: obs::Counter::detached(),
+        misses: obs::Counter::detached(),
+    })
+}
+
 /// Parses and prepares a source through the process-wide cache.
 fn prepare_source_cached(name: &str, text: &str) -> Result<Arc<PreparedModule>, pysrc::ParseError> {
     let key = (name.to_string(), source_hash64(text));
     if let Some(pm) = prepare_cache().lock().expect("prepare cache lock").get(&key) {
+        prepare_cache_metrics().hits.inc();
         return Ok(pm.clone());
     }
+    prepare_cache_metrics().misses.inc();
     let module = pysrc::parse_module(text, name)?;
     let pm = prepare_hashed(Arc::new(module), text);
     let mut cache = prepare_cache().lock().expect("prepare cache lock");

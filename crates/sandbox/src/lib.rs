@@ -22,6 +22,8 @@ pub mod container;
 pub mod executor;
 pub mod image;
 
-pub use container::{Container, DeployError, RoundOutcome, RoundStatus};
+pub use container::{
+    prepare_cache_metrics, Container, DeployError, PrepareCacheMetrics, RoundOutcome, RoundStatus,
+};
 pub use executor::ParallelExecutor;
 pub use image::{ContainerImage, SourceFile};

@@ -307,6 +307,56 @@ fn metrics_are_valid_prometheus_exposition() {
     );
     assert!(metrics.contains("httpd_request_seconds_bucket{"), "{metrics}");
     assert!(metrics.contains("# TYPE profipy_queue_depth gauge"), "{metrics}");
+
+    // "Were these deploys cold?" is read off the prepare cache's
+    // counters (process-wide, so other tests only ever add to them):
+    // the campaign above deployed mutants no one had deployed before,
+    // and the same campaign again deploys the same texts.
+    let counter = |metrics: &str, name: &str| -> u64 {
+        assert!(
+            metrics.contains(&format!("# TYPE {name} counter")),
+            "{metrics}"
+        );
+        let sample = metrics
+            .lines()
+            .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("no sample of {name}\n{metrics}"));
+        sample.parse().expect("counter value")
+    };
+    const HITS: &str = "sandbox_prepare_cache_hits_total";
+    const MISSES: &str = "sandbox_prepare_cache_misses_total";
+    let status = client.get(&format!("/api/campaigns/{id}")).unwrap().text();
+    let experiments = jsonlite::parse(&status)
+        .unwrap()
+        .req("total_experiments")
+        .unwrap()
+        .as_u64()
+        .expect("a completed campaign knows its plan");
+    assert!(experiments > 0);
+    assert!(
+        counter(&metrics, MISSES) >= experiments,
+        "every mutant was new: {metrics}"
+    );
+    let hits_before = counter(&metrics, HITS);
+    let again = submit(&mut client, &spec_for("conform-again", 3));
+    while client
+        .get(&format!("/api/campaigns/{again}/report"))
+        .unwrap()
+        .status
+        != 200
+    {
+        assert!(
+            Instant::now() < deadline,
+            "repeated campaign never completed"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let metrics = client.get("/metrics").unwrap().text();
+    obs::validate_exposition(&metrics).expect("still a valid exposition");
+    assert!(
+        counter(&metrics, HITS) >= hits_before + experiments,
+        "the repeated campaign's mutants were warm: {metrics}"
+    );
     api.shutdown();
 }
 
