@@ -141,6 +141,7 @@ impl SharedService {
         let trace = Arc::new(TraceStore::new());
         service.engine().metrics().register_into(&registry);
         sandbox::prepare_cache_metrics().register_into(&registry);
+        sandbox::heap_metrics().register_into(&registry);
         service.engine().set_trace_store(trace.clone());
         let status = service.engine().status_board();
         SharedService {

@@ -453,16 +453,20 @@ impl HostApi for EtcdHost {
     }
 
     fn trace_events(&self) -> Vec<pyrt::host::TraceEvent> {
-        self.events
-            .borrow()
-            .iter()
-            .map(|e| pyrt::host::TraceEvent {
-                time: e.time,
-                name: format!("{} {}", e.method, e.path),
-                failed: e.status == 0 || e.status >= 400,
-                duration: e.latency,
-            })
-            .collect()
+        self.events.borrow().iter().map(trace_event).collect()
+    }
+}
+
+fn trace_event(e: &ApiEvent) -> pyrt::host::TraceEvent {
+    let mut name = String::with_capacity(e.method.len() + 1 + e.path.len());
+    name.push_str(&e.method);
+    name.push(' ');
+    name.push_str(&e.path);
+    pyrt::host::TraceEvent {
+        time: e.time,
+        name,
+        failed: e.status == 0 || e.status >= 400,
+        duration: e.latency,
     }
 }
 

@@ -62,9 +62,15 @@ impl Counter {
     /// Creates a counter not yet attached to any registry (attach with
     /// [`Registry::register_counter`]).
     pub fn detached() -> Counter {
+        Counter::detached_with(&[])
+    }
+
+    /// [`Counter::detached`] with a label set, for a family whose
+    /// children are created before any registry exists.
+    pub fn detached_with(labels: &[(&str, &str)]) -> Counter {
         Counter {
             core: Arc::new(CounterCore {
-                labels: Vec::new(),
+                labels: to_labels(labels),
                 value: AtomicU64::new(0),
             }),
         }

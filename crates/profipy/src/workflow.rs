@@ -230,33 +230,19 @@ impl Workflow {
         true
     }
 
-    /// Prepared modules to attach to an experiment image: every module
-    /// whose source text the experiment did **not** change, plus the
-    /// workload (unless a source named `workload` overrides it).
-    fn prepared_for_sources(&self, sources: &[sandbox::SourceFile]) -> Vec<Arc<PreparedModule>> {
+    /// Prepared modules to attach to an experiment image: every
+    /// fault-free module plus the workload. The sandbox substitutes an
+    /// artifact only for a source whose text hashes to the artifact's
+    /// stamp, so the one for the module this experiment mutated is
+    /// simply not used — no text is compared here.
+    fn attached_prepared(&self) -> Vec<Arc<PreparedModule>> {
         let program = self.prepared_program();
-        let mut out = Vec::with_capacity(sources.len() + 1);
-        for src in sources {
-            let unchanged = self
-                .sources
-                .iter()
-                .any(|(n, t)| n == &src.import_name && t == &src.text);
-            if unchanged {
-                if let Some(pm) = program
-                    .modules
-                    .iter()
-                    .find(|p| p.module.name == src.import_name)
-                {
-                    out.push(pm.clone());
-                }
-            }
-        }
-        if !sources.iter().any(|s| s.import_name == "workload") {
-            if let Some(pm) = &program.workload {
-                out.push(pm.clone());
-            }
-        }
-        out
+        program
+            .modules
+            .iter()
+            .chain(&program.workload)
+            .cloned()
+            .collect()
     }
 
     /// The parsed target modules.
@@ -425,7 +411,7 @@ impl Workflow {
             .fuel(self.config.fuel_per_round);
         image.setup = self.config.setup.clone();
         image.sources = sources.to_vec();
-        image.prepared = self.prepared_for_sources(sources);
+        image.prepared = self.attached_prepared();
         let host = (self.host_factory)(seed);
         let mut container = match Container::deploy(&image, host, seed) {
             Ok(c) => c,
@@ -436,12 +422,12 @@ impl Workflow {
         };
         result.round1 = container.run_round(1, true);
         result.round2 = container.run_round(2, false);
-        result.logs = container.logs();
-        result.stdout = container.stdout();
-        result.stderr = container.stderr();
-        result.duration = container.now();
-        result.events = container.trace_events();
-        container.teardown();
+        let output = container.finish();
+        result.logs = output.logs;
+        result.stdout = output.stdout;
+        result.stderr = output.stderr;
+        result.duration = output.duration;
+        result.events = output.events;
         result
     }
 

@@ -12,15 +12,17 @@
 use crate::exc::{Flow, PyExc};
 use crate::interp::{self, Frame, FrameLocals};
 use crate::ir::{CodeObject, Insn, NO_LOOP};
-use crate::value::{values_eq, DictObj, FuncObj, Value};
+use crate::value::{values_eq, DictObj, FuncObj, KwName, Value};
 use crate::vm::Vm;
+use std::borrow::Cow;
 
 /// An in-flight call's argument builder (between `CallBegin` and
-/// `CallEnd`).
-struct CallBuilder {
+/// `CallEnd`); both vectors come from the VM's pools and go back
+/// through the callee.
+pub(crate) struct CallBuilder {
     callee: Value,
     pos: Vec<Value>,
-    kw: Vec<(String, Value)>,
+    kw: Vec<(KwName, Value)>,
 }
 
 /// Executes a compiled scope body in `frame`, returning the function's
@@ -35,7 +37,10 @@ pub fn run(vm: &mut Vm, frame: &mut Frame, code: &CodeObject) -> Result<Value, P
     // Value stacks are recycled through the VM so the (recursion-deep)
     // call path doesn't allocate one per frame.
     let mut stack = vm.bc_stacks.borrow_mut().pop().unwrap_or_default();
+    let open_calls = vm.calls.len();
     let result = run_on(vm, frame, code, &mut stack);
+    // A raise between `CallBegin` and `CallEnd` leaves builders open.
+    vm.calls.truncate(open_calls);
     stack.clear();
     vm.bc_stacks.borrow_mut().push(stack);
     result
@@ -48,7 +53,6 @@ fn run_on(
     stack: &mut Vec<Value>,
 ) -> Result<Value, PyExc> {
     let mut iters: Vec<(Vec<Value>, usize)> = Vec::new();
-    let mut calls: Vec<CallBuilder> = Vec::new();
     let insns = &code.insns;
     let mut pc = 0usize;
     while pc < insns.len() {
@@ -310,58 +314,71 @@ fn run_on(
             Insn::PopIter => {
                 iters.pop();
             }
+            Insn::LoadMethod(sym) => {
+                let obj = stack.pop().expect("stack discipline");
+                let (callee, recv) = interp::load_method(vm, obj, sym)?;
+                stack.push(callee);
+                // A receiver is an instance by `load_method`'s type, so
+                // `None` marks "call the value as it is".
+                stack.push(recv.map_or(Value::None, Value::Instance));
+            }
+            Insn::CallMethod { n, argc } => {
+                vm.tick_n(n)?;
+                let mut pos = vm.take_args();
+                // The receiver slot sits directly under the arguments:
+                // a method call drains it with them, in call order.
+                let first = stack.len() - argc as usize - 1;
+                let bound = matches!(stack[first], Value::Instance(_));
+                pos.extend(stack.drain(first + usize::from(!bound)..));
+                if !bound {
+                    stack.pop();
+                }
+                let callee = stack.pop().expect("stack discipline");
+                let r = match callee {
+                    Value::Func(f) => interp::call_function(vm, f, pos, Vec::new())?,
+                    other => interp::call_value(vm, other, pos, Vec::new())?,
+                };
+                stack.push(r);
+            }
             Insn::CallBegin => {
                 let callee = stack.pop().expect("stack discipline");
-                calls.push(CallBuilder {
-                    callee,
-                    pos: Vec::new(),
-                    kw: Vec::new(),
-                });
+                let (pos, kw) = (vm.take_args(), vm.take_kwargs());
+                vm.calls.push(CallBuilder { callee, pos, kw });
             }
             Insn::ArgPos => {
                 let v = stack.pop().expect("stack discipline");
-                calls.last_mut().expect("call discipline").pos.push(v);
+                vm.calls.last_mut().expect("call discipline").pos.push(v);
             }
             Insn::ArgKw(sym) => {
                 let v = stack.pop().expect("stack discipline");
-                calls
+                vm.calls
                     .last_mut()
                     .expect("call discipline")
                     .kw
-                    .push((sym.as_str().to_string(), v));
+                    .push((Cow::Borrowed(sym.as_str()), v));
             }
             Insn::ArgStar => {
                 let v = stack.pop().expect("stack discipline");
                 let splat = interp::iter_values(&vm.heap, v)?;
-                calls.last_mut().expect("call discipline").pos.extend(splat);
+                vm.calls
+                    .last_mut()
+                    .expect("call discipline")
+                    .pos
+                    .extend(splat);
             }
             Insn::ArgDoubleStar => {
                 let v = stack.pop().expect("stack discipline");
-                let builder = calls.last_mut().expect("call discipline");
-                match v {
-                    Value::Dict(d) => {
-                        let pairs: Vec<(Value, Value)> =
-                            vm.heap.dict(d).borrow().iter().copied().collect();
-                        for (k, val) in pairs {
-                            builder.kw.push((k.to_display(&vm.heap), val));
-                        }
-                    }
-                    other => {
-                        return Err(PyExc::type_error(format!(
-                            "argument after ** must be a mapping, not {}",
-                            other.type_name()
-                        )))
-                    }
-                }
+                let builder = vm.calls.last_mut().expect("call discipline");
+                interp::splat_mapping(&vm.heap, v, &mut builder.kw)?;
             }
             Insn::CallEnd => {
-                let b = calls.pop().expect("call discipline");
+                let b = vm.calls.pop().expect("call discipline");
                 stack.push(interp::call_value(vm, b.callee, b.pos, b.kw)?);
             }
             Insn::Call(argc) => {
                 // Recycled argument vector: drained into the callee's
-                // frame and returned to the pool by `call_function`.
-                let mut pos = vm.arg_pool.borrow_mut().pop().unwrap_or_default();
+                // frame and returned to the pool by the callee's path.
+                let mut pos = vm.take_args();
                 pos.extend(stack.drain(stack.len() - argc as usize..));
                 let callee = stack.pop().expect("stack discipline");
                 // Plain functions bypass the `call_value` dispatch layer
@@ -374,7 +391,7 @@ fn run_on(
             }
             Insn::TickCall { n, argc } => {
                 vm.tick_n(n)?;
-                let mut pos = vm.arg_pool.borrow_mut().pop().unwrap_or_default();
+                let mut pos = vm.take_args();
                 pos.extend(stack.drain(stack.len() - argc as usize..));
                 let callee = stack.pop().expect("stack discipline");
                 let r = match callee {
@@ -393,15 +410,11 @@ fn run_on(
                     .iter()
                     .map(|has| if *has { it.next() } else { None })
                     .collect();
-                let mut captured = frame.captured.clone();
-                if let FrameLocals::Dynamic(locals) = &frame.locals {
-                    captured.push(locals.clone());
-                }
                 stack.push(vm.heap.new_func(FuncObj {
                     proto: decl.proto.clone(),
                     defaults,
                     globals: frame.globals.clone(),
-                    captured,
+                    captured: frame.closure_scopes(),
                 }));
             }
             Insn::Raise { has_exc } => {

@@ -4,6 +4,7 @@ use crate::exc::PyExc;
 use crate::interp::{call_value, iter_values};
 use crate::value::*;
 use crate::vm::Vm;
+use std::borrow::Cow;
 use std::rc::Rc;
 
 /// Registers a native function into a scope.
@@ -11,7 +12,7 @@ pub fn native(
     heap: &Heap,
     scope: &ScopeRef,
     name: &str,
-    imp: impl Fn(&mut Vm, Vec<Value>, Vec<(String, Value)>) -> Result<Value, PyExc> + 'static,
+    imp: impl Fn(&mut Vm, &[Value], &[(KwName, Value)]) -> Result<Value, PyExc> + 'static,
 ) {
     let v = heap.new_native(name, Rc::new(imp));
     scope.borrow_mut().set(name, v);
@@ -21,7 +22,7 @@ pub fn native(
 pub fn native_value(
     heap: &Heap,
     name: &str,
-    imp: impl Fn(&mut Vm, Vec<Value>, Vec<(String, Value)>) -> Result<Value, PyExc> + 'static,
+    imp: impl Fn(&mut Vm, &[Value], &[(KwName, Value)]) -> Result<Value, PyExc> + 'static,
 ) -> Value {
     heap.new_native(name, Rc::new(imp))
 }
@@ -30,11 +31,11 @@ fn arity_error(name: &str, expected: &str, got: usize) -> PyExc {
     PyExc::type_error(format!("{name}() takes {expected} arguments ({got} given)"))
 }
 
-fn one_arg(name: &'static str, mut args: Vec<Value>) -> Result<Value, PyExc> {
-    if args.len() != 1 {
-        return Err(arity_error(name, "exactly 1", args.len()));
+fn one_arg(name: &'static str, args: &[Value]) -> Result<Value, PyExc> {
+    match args {
+        [v] => Ok(*v),
+        _ => Err(arity_error(name, "exactly 1", args.len())),
     }
-    Ok(args.remove(0))
 }
 
 /// Installs the builtin namespace into a freshly created VM.
@@ -43,18 +44,22 @@ pub fn install(vm: &Vm) {
     let heap = &vm.heap;
 
     native(heap, b, "print", |vm, args, kwargs| {
-        let sep = kwargs
-            .iter()
-            .find(|(n, _)| n == "sep")
-            .map(|(_, v)| v.to_display(&vm.heap))
-            .unwrap_or_else(|| " ".to_string());
-        let end = kwargs
-            .iter()
-            .find(|(n, _)| n == "end")
-            .map(|(_, v)| v.to_display(&vm.heap))
-            .unwrap_or_else(|| "\n".to_string());
-        let line: Vec<String> = args.iter().map(|v| v.to_display(&vm.heap)).collect();
-        vm.write_stdout(&(line.join(&sep) + &end));
+        let kw = |name: &str, default: &'static str| {
+            kwargs
+                .iter()
+                .find(|(n, _)| n == name)
+                .map_or(Cow::Borrowed(default), |(_, v)| v.display(&vm.heap))
+        };
+        let (sep, end) = (kw("sep", " "), kw("end", "\n"));
+        let mut line = String::new();
+        for (i, v) in args.iter().enumerate() {
+            if i > 0 {
+                line.push_str(&sep);
+            }
+            line.push_str(&v.display(&vm.heap));
+        }
+        line.push_str(&end);
+        vm.write_stdout(&line);
         Ok(Value::None)
     });
 
@@ -109,8 +114,8 @@ pub fn install(vm: &Vm) {
         if args.is_empty() {
             return Ok(vm.heap.new_str(""));
         }
-        let s = one_arg("str", args)?.to_display(&vm.heap);
-        Ok(vm.heap.new_string(s))
+        let text = one_arg("str", args)?.display(&vm.heap);
+        Ok(vm.heap.new_text(text))
     });
 
     native(heap, b, "repr", |vm, args, _| {
@@ -209,8 +214,8 @@ pub fn install(vm: &Vm) {
             }
         }
         for (k, v) in kwargs {
-            let key = vm.heap.new_string(k);
-            d.set(&vm.heap, key, v);
+            let key = vm.heap.new_str(k);
+            d.set(&vm.heap, key, *v);
         }
         Ok(vm.heap.new_dict(d))
     });
@@ -318,11 +323,11 @@ pub fn install(vm: &Vm) {
         Ok(acc)
     });
 
-    native(heap, b, "sorted", |vm, mut args, kwargs| {
-        if args.is_empty() {
+    native(heap, b, "sorted", |vm, args, kwargs| {
+        let Some(&iterable) = args.first() else {
             return Err(arity_error("sorted", "at least 1", 0));
-        }
-        let mut items = iter_values(&vm.heap, args.remove(0))?;
+        };
+        let mut items = iter_values(&vm.heap, iterable)?;
         let key = kwargs.iter().find(|(n, _)| n == "key").map(|&(_, v)| v);
         let reverse = kwargs
             .iter()
@@ -333,7 +338,11 @@ pub fn install(vm: &Vm) {
         let mut decorated: Vec<(Value, Value)> = Vec::with_capacity(items.len());
         for item in items.drain(..) {
             let k = match key {
-                Some(f) => call_value(vm, f, vec![item], vec![])?,
+                Some(f) => {
+                    let mut call_args = vm.take_args();
+                    call_args.push(item);
+                    call_value(vm, f, call_args, Vec::new())?
+                }
                 None => item,
             };
             decorated.push((k, item));
@@ -371,7 +380,7 @@ pub fn install(vm: &Vm) {
 
     native(heap, b, "zip", |vm, args, _| {
         let mut columns = Vec::new();
-        for &a in &args {
+        for &a in args {
             columns.push(iter_values(&vm.heap, a)?);
         }
         let n = columns.iter().map(Vec::len).min().unwrap_or(0);
@@ -386,12 +395,12 @@ pub fn install(vm: &Vm) {
     native(heap, b, "getattr", |vm, args, _| {
         match args.len() {
             2 => {
-                let name = string_of(&vm.heap, &args[1], "getattr")?;
-                crate::interp::get_attr(vm, args[0], &name)
+                let name = str_of(&vm.heap, &args[1], "getattr")?;
+                crate::interp::get_attr(vm, args[0], name)
             }
             3 => {
-                let name = string_of(&vm.heap, &args[1], "getattr")?;
-                Ok(crate::interp::get_attr(vm, args[0], &name).unwrap_or(args[2]))
+                let name = str_of(&vm.heap, &args[1], "getattr")?;
+                Ok(crate::interp::get_attr(vm, args[0], name).unwrap_or(args[2]))
             }
             n => Err(arity_error("getattr", "2 or 3", n)),
         }
@@ -401,8 +410,8 @@ pub fn install(vm: &Vm) {
         if args.len() != 2 {
             return Err(arity_error("hasattr", "exactly 2", args.len()));
         }
-        let name = string_of(&vm.heap, &args[1], "hasattr")?;
-        Ok(Value::Bool(crate::interp::get_attr(vm, args[0], &name).is_ok()))
+        let name = str_of(&vm.heap, &args[1], "hasattr")?;
+        Ok(Value::Bool(crate::interp::get_attr(vm, args[0], name).is_ok()))
     });
 
     native(heap, b, "setattr", |vm, args, _| {
@@ -411,8 +420,8 @@ pub fn install(vm: &Vm) {
         }
         match args[0] {
             Value::Instance(i) => {
-                let name = string_of(&vm.heap, &args[1], "setattr")?;
-                vm.heap.instance(i).set_attr(&name, args[2]);
+                let name = str_of(&vm.heap, &args[1], "setattr")?;
+                vm.heap.instance(i).set_attr(name, args[2]);
                 Ok(Value::None)
             }
             other => Err(PyExc::type_error(format!(
@@ -433,13 +442,13 @@ pub fn install(vm: &Vm) {
 fn minmax(
     heap: &Heap,
     name: &'static str,
-    args: Vec<Value>,
+    args: &[Value],
     want: std::cmp::Ordering,
 ) -> Result<Value, PyExc> {
     let items = if args.len() == 1 {
         iter_values(heap, args[0])?
     } else {
-        args
+        args.to_vec()
     };
     let mut best: Option<Value> = None;
     for item in items {
@@ -482,9 +491,11 @@ pub(crate) fn float_of(v: &Value, ctx: &str) -> Result<f64, PyExc> {
     }
 }
 
-pub(crate) fn string_of(heap: &Heap, v: &Value, ctx: &str) -> Result<String, PyExc> {
+/// A native's string argument, borrowed from the heap (no copy at the
+/// native boundary).
+pub(crate) fn str_of<'h>(heap: &'h Heap, v: &Value, ctx: &str) -> Result<&'h str, PyExc> {
     match v {
-        Value::Str(s) => Ok(heap.str(*s).to_string()),
+        Value::Str(s) => Ok(heap.str(*s)),
         other => Err(PyExc::type_error(format!(
             "{ctx}: expected str, got {}",
             other.type_name()

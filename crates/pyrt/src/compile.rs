@@ -502,7 +502,7 @@ impl Compiler<'_> {
                         self.emit(Insn::StoreGlobal(sym))
                     }
                     NameRes::Cell(sym) => self.emit(Insn::StoreSym(sym)),
-                    NameRes::Unprepared | NameRes::Attr(_) => {
+                    NameRes::Unprepared | NameRes::Attr(_) | NameRes::CallKw(_) => {
                         self.emit(Insn::StoreSym(intern(n)))
                     }
                 }
@@ -583,7 +583,7 @@ impl Compiler<'_> {
                         self.flush();
                         self.emit(Insn::LoadCell(sym));
                     }
-                    NameRes::Unprepared | NameRes::Attr(_) => {
+                    NameRes::Unprepared | NameRes::Attr(_) | NameRes::CallKw(_) => {
                         self.flush();
                         self.emit(Insn::LoadFallback(intern(n)));
                     }
@@ -625,16 +625,34 @@ impl Compiler<'_> {
                 // Positional-only calls — the overwhelmingly common
                 // shape — skip the argument builder entirely.
                 if args.iter().all(|a| matches!(a, Arg::Pos(_))) {
-                    self.expr(func);
+                    // `obj.m(a, b)`: the attribute node's own lowering
+                    // (same steps, same flush point, same lookup and
+                    // `AttributeError` ahead of the arguments) with
+                    // `LoadMethod` for `LoadAttr`, so a method found on
+                    // the class is called without a bound object.
+                    let method = match (&func.kind, self.proto.table.res(func.id)) {
+                        (ExprKind::Attribute { value, .. }, NameRes::Attr(sym)) => {
+                            self.tick();
+                            self.expr(value);
+                            self.flush();
+                            self.emit(Insn::LoadMethod(sym));
+                            true
+                        }
+                        _ => {
+                            self.expr(func);
+                            false
+                        }
+                    };
                     for a in args {
                         if let Arg::Pos(e) = a {
                             self.expr(e);
                         }
                     }
                     let argc = idx32(args.len(), "call argument");
-                    match self.take_pending() {
-                        0 => self.emit(Insn::Call(argc)),
-                        n => self.emit(Insn::TickCall { n, argc }),
+                    match (method, self.take_pending()) {
+                        (true, n) => self.emit(Insn::CallMethod { n, argc }),
+                        (false, 0) => self.emit(Insn::Call(argc)),
+                        (false, n) => self.emit(Insn::TickCall { n, argc }),
                     }
                     return;
                 }

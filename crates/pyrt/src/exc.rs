@@ -5,10 +5,18 @@ use std::fmt;
 
 /// A raised Python exception travelling up the interpreter stack.
 ///
+/// One pointer wide: every `Result<Value, PyExc>` the interpreter
+/// returns stays small, and the fields ([`ExcData`]) are read through
+/// `Deref`.
+#[derive(Clone, Debug)]
+pub struct PyExc(Box<ExcData>);
+
+/// The fields of a [`PyExc`].
+///
 /// `class_name` is kept denormalized so failure classifiers can match on
 /// it even when the exception value is a bare builtin.
 #[derive(Clone, Debug)]
-pub struct PyExc {
+pub struct ExcData {
     /// Exception class name (e.g. `"AttributeError"`).
     pub class_name: String,
     /// Human-readable message.
@@ -19,15 +27,28 @@ pub struct PyExc {
     pub traceback: Vec<String>,
 }
 
+impl std::ops::Deref for PyExc {
+    type Target = ExcData;
+    fn deref(&self) -> &ExcData {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for PyExc {
+    fn deref_mut(&mut self) -> &mut ExcData {
+        &mut self.0
+    }
+}
+
 impl PyExc {
     /// Creates a builtin-class exception.
     pub fn new(class_name: impl Into<String>, message: impl Into<String>) -> PyExc {
-        PyExc {
+        PyExc(Box::new(ExcData {
             class_name: class_name.into(),
             message: message.into(),
             value: None,
             traceback: Vec::new(),
-        }
+        }))
     }
 
     /// Creates an exception carrying an instantiated exception object.
@@ -36,12 +57,18 @@ impl PyExc {
         message: impl Into<String>,
         value: Value,
     ) -> PyExc {
-        PyExc {
+        PyExc(Box::new(ExcData {
             class_name: class_name.into(),
             message: message.into(),
             value: Some(value),
             traceback: Vec::new(),
-        }
+        }))
+    }
+
+    /// Takes the fields out (for callers that keep the class name and
+    /// message and drop the rest).
+    pub fn into_data(self) -> ExcData {
+        *self.0
     }
 
     /// `TypeError`.
@@ -183,6 +210,12 @@ mod tests {
     fn unbound_local_matches_paper_message() {
         let e = PyExc::unbound_local("response");
         assert!(e.one_line().contains("referenced before assignment"));
+    }
+
+    #[test]
+    fn an_exception_is_one_pointer_wide() {
+        assert_eq!(std::mem::size_of::<PyExc>(), std::mem::size_of::<usize>());
+        assert!(std::mem::size_of::<Result<Value, PyExc>>() <= 24);
     }
 
     #[test]

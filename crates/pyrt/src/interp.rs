@@ -9,6 +9,7 @@ use crate::prepare::{self, FuncProto, NameRes};
 use crate::value::*;
 use crate::vm::Vm;
 use pysrc::ast::*;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -40,8 +41,9 @@ pub struct Frame {
     /// The prepared prototype for this scope (resolution table, slot
     /// layout, `global` declarations, traceback name).
     pub proto: Arc<FuncProto>,
-    /// Captured enclosing scopes, innermost last.
-    pub captured: Vec<ScopeRef>,
+    /// Captured enclosing scopes, innermost last (shared with the
+    /// function object the frame was built from).
+    pub captured: Rc<[ScopeRef]>,
 }
 
 impl Frame {
@@ -57,7 +59,22 @@ impl Frame {
             globals,
             locals: FrameLocals::Module,
             proto,
-            captured: Vec::new(),
+            captured: Rc::new([]),
+        }
+    }
+
+    /// The scopes a `def`/`lambda` evaluated in this frame closes over:
+    /// the frame's own captures, plus its locals when they are a
+    /// dynamic scope. A slot frame's closures share its capture list.
+    pub(crate) fn closure_scopes(&self) -> Rc<[ScopeRef]> {
+        match &self.locals {
+            FrameLocals::Dynamic(locals) => self
+                .captured
+                .iter()
+                .chain(std::iter::once(locals))
+                .cloned()
+                .collect(),
+            _ => self.captured.clone(),
         }
     }
 }
@@ -469,7 +486,7 @@ pub(crate) fn exec_stmt(vm: &mut Vm, frame: &mut Frame, stmt: &Stmt) -> Result<F
             for (ctx_expr, target) in items {
                 let ctx = eval(vm, frame, ctx_expr)?;
                 let entered = match get_attr_sym(vm, ctx, well_known::sym_enter()) {
-                    Ok(enter) => call_value(vm, enter, vec![], vec![])?,
+                    Ok(enter) => call_value(vm, enter, Vec::new(), Vec::new())?,
                     Err(_) => ctx,
                 };
                 if let Ok(exit) = get_attr_sym(vm, ctx, well_known::sym_exit()) {
@@ -481,7 +498,7 @@ pub(crate) fn exec_stmt(vm: &mut Vm, frame: &mut Frame, stmt: &Stmt) -> Result<F
             }
             let result = exec_block(vm, frame, body);
             for exit in exits.into_iter().rev() {
-                call_value(vm, exit, vec![], vec![])?;
+                call_value(vm, exit, Vec::new(), Vec::new())?;
             }
             result
         }
@@ -602,11 +619,9 @@ pub fn instantiate_exception(vm: &mut Vm, class: u32, args: Vec<Value>) -> Resul
         attrs: RefCell::new(Vec::new()),
     });
     if let Some(Value::Func(init)) = vm.heap.class_lookup_sym(class, well_known::sym_init()) {
-        call_function(vm, init, {
-            let mut a = vec![inst];
-            a.extend(args);
-            a
-        }, vec![])?;
+        let mut all = args;
+        all.insert(0, inst);
+        call_function(vm, init, all, Vec::new())?;
     } else {
         let message = match args.len() {
             0 => vm.heap.new_str(""),
@@ -661,15 +676,11 @@ fn finish_function(
             None => None,
         });
     }
-    let mut captured = frame.captured.clone();
-    if let FrameLocals::Dynamic(locals) = &frame.locals {
-        captured.push(locals.clone());
-    }
     Ok(vm.heap.new_func(FuncObj {
         proto,
         defaults,
         globals: frame.globals.clone(),
-        captured,
+        captured: frame.closure_scopes(),
     }))
 }
 
@@ -724,7 +735,7 @@ fn read_name(vm: &Vm, frame: &Frame, id: NodeId, name: &str) -> Result<Value, Py
             read_global_sym(vm, frame, sym)
         }
         NameRes::Global(sym) | NameRes::GlobalDecl(sym) => read_global_sym(vm, frame, sym),
-        NameRes::Unprepared | NameRes::Attr(_) => read_name_fallback(vm, frame, name),
+        NameRes::Unprepared | NameRes::Attr(_) | NameRes::CallKw(_) => read_name_fallback(vm, frame, name),
     }
 }
 
@@ -801,7 +812,7 @@ fn assign_target(vm: &mut Vm, frame: &mut Frame, target: &Expr, value: Value) ->
                 // into the dynamic scope, like the old interpreter's
                 // unconditional locals write.
                 NameRes::Cell(sym) => write_sym(frame, sym, value),
-                NameRes::Unprepared | NameRes::Attr(_) => write_name_str(frame, n, value),
+                NameRes::Unprepared | NameRes::Attr(_) | NameRes::CallKw(_) => write_name_str(frame, n, value),
             }
             Ok(())
         }
@@ -920,33 +931,32 @@ pub fn eval(vm: &mut Vm, frame: &mut Frame, expr: &Expr) -> Result<Value, PyExc>
         }
         ExprKind::Call { func, args } => {
             let callee = eval(vm, frame, func)?;
-            let mut pos = Vec::new();
-            let mut kw = Vec::new();
+            let mut pos = vm.take_args();
+            let mut kw = vm.take_kwargs();
+            let mut nth_kw = 0;
             for a in args {
                 match a {
                     Arg::Pos(e) => pos.push(eval(vm, frame, e)?),
-                    Arg::Kw(n, e) => kw.push((n.clone(), eval(vm, frame, e)?)),
+                    Arg::Kw(n, e) => {
+                        let v = eval(vm, frame, e)?;
+                        // The name was interned when the module was
+                        // prepared; only an uncovered (synthesized)
+                        // call pays the interner's lock here.
+                        let sym = match frame.proto.table.kw_name(expr.id, nth_kw) {
+                            Some(sym) => sym,
+                            None => intern(n),
+                        };
+                        debug_assert_eq!(sym.as_str(), n);
+                        nth_kw += 1;
+                        kw.push((Cow::Borrowed(sym.as_str()), v));
+                    }
                     Arg::Star(e) => {
                         let v = eval(vm, frame, e)?;
                         pos.extend(iter_values(&vm.heap, v)?);
                     }
                     Arg::DoubleStar(e) => {
                         let v = eval(vm, frame, e)?;
-                        match v {
-                            Value::Dict(d) => {
-                                let pairs: Vec<(Value, Value)> =
-                                    vm.heap.dict(d).borrow().iter().copied().collect();
-                                for (k, val) in pairs {
-                                    kw.push((k.to_display(&vm.heap), val));
-                                }
-                            }
-                            other => {
-                                return Err(PyExc::type_error(format!(
-                                    "argument after ** must be a mapping, not {}",
-                                    other.type_name()
-                                )))
-                            }
-                        }
+                        splat_mapping(&vm.heap, v, &mut kw)?;
                     }
                 }
             }
@@ -1129,7 +1139,38 @@ fn opt_eval(vm: &mut Vm, frame: &mut Frame, e: &Option<Box<Expr>>) -> Result<Val
     }
 }
 
-/// Calls any callable value.
+/// Appends the entries of a `**mapping` argument to `kw` (shared by
+/// both engines). Keys stay owned: they are run-time strings and must
+/// not enter the process-wide interner.
+///
+/// # Errors
+///
+/// `TypeError` when the value is not a dict or a key is not a string.
+pub(crate) fn splat_mapping(
+    heap: &Heap,
+    mapping: Value,
+    kw: &mut Vec<(KwName, Value)>,
+) -> Result<(), PyExc> {
+    let Value::Dict(d) = mapping else {
+        return Err(PyExc::type_error(format!(
+            "argument after ** must be a mapping, not {}",
+            mapping.type_name()
+        )));
+    };
+    for &(k, v) in heap.dict(d).borrow().iter() {
+        match k {
+            Value::Str(s) => kw.push((Cow::Owned(heap.str(s).to_string()), v)),
+            _ => return Err(PyExc::type_error("keywords must be strings")),
+        }
+    }
+    Ok(())
+}
+
+/// Calls any callable value. The argument vectors are consumed: the
+/// paths that return normally hand them back to the VM's pools once the
+/// callee has its arguments (an error path, or an exception class
+/// being instantiated, just drops them — a pool miss later, nothing
+/// else).
 ///
 /// # Errors
 ///
@@ -1137,8 +1178,8 @@ fn opt_eval(vm: &mut Vm, frame: &mut Frame, e: &Option<Box<Expr>>) -> Result<Val
 pub fn call_value(
     vm: &mut Vm,
     callee: Value,
-    args: Vec<Value>,
-    kwargs: Vec<(String, Value)>,
+    mut args: Vec<Value>,
+    kwargs: Vec<(KwName, Value)>,
 ) -> Result<Value, PyExc> {
     match callee {
         Value::Native(n) => {
@@ -1152,19 +1193,21 @@ pub fn call_value(
                 NativeObj::Fn { imp, .. } => NativeCall::Fn(imp.clone()),
                 NativeObj::Method { kind, recv } => NativeCall::Method(*kind, *recv),
             };
-            match call {
-                NativeCall::Fn(imp) => imp(vm, args, kwargs),
+            let result = match call {
+                NativeCall::Fn(imp) => imp(vm, &args, &kwargs),
                 NativeCall::Method(kind, recv) => {
-                    methods::call_method(vm, kind, recv, args, kwargs)
+                    methods::call_method(vm, kind, recv, &args, &kwargs)
                 }
-            }
+            };
+            vm.recycle_args(args);
+            vm.recycle_kwargs(kwargs);
+            result
         }
         Value::Func(f) => call_function(vm, f, args, kwargs),
         Value::BoundMethod(b) => {
             let BoundObj { func, recv } = *vm.heap.bound(b);
-            let mut all = vec![recv];
-            all.extend(args);
-            call_value(vm, func, all, kwargs)
+            args.insert(0, recv);
+            call_value(vm, func, args, kwargs)
         }
         Value::Class(c) => {
             if vm.heap.class(c).is_exception {
@@ -1176,9 +1219,8 @@ pub fn call_value(
             });
             match vm.heap.class_lookup_sym(c, well_known::sym_init()) {
                 Some(init @ (Value::Func(_) | Value::Native(_))) => {
-                    let mut all = vec![inst];
-                    all.extend(args);
-                    call_value(vm, init, all, kwargs)?;
+                    args.insert(0, inst);
+                    call_value(vm, init, args, kwargs)?;
                 }
                 _ => {
                     if !args.is_empty() || !kwargs.is_empty() {
@@ -1187,6 +1229,8 @@ pub fn call_value(
                             vm.heap.class(c).name
                         )));
                     }
+                    vm.recycle_args(args);
+                    vm.recycle_kwargs(kwargs);
                 }
             }
             Ok(inst)
@@ -1203,8 +1247,8 @@ pub fn call_value(
 pub fn call_function(
     vm: &mut Vm,
     func: u32,
-    args: Vec<Value>,
-    kwargs: Vec<(String, Value)>,
+    mut args: Vec<Value>,
+    mut kwargs: Vec<(KwName, Value)>,
 ) -> Result<Value, PyExc> {
     if vm.depth.get() >= MAX_DEPTH {
         return Err(PyExc::new(
@@ -1216,7 +1260,6 @@ pub fn call_function(
     // address-stable, and `bind_params` only allocates, never runs user
     // code). Slot vectors are recycled through the VM so small calls
     // don't allocate.
-    let mut args = args;
     let mut frame = {
         let f = vm.heap.func(func);
         let locals = if f.proto.dynamic {
@@ -1232,11 +1275,11 @@ pub fn call_function(
             proto: f.proto.clone(),
             captured: f.captured.clone(),
         };
-        bind_params(&vm.heap, f, &mut args, kwargs, &mut frame.locals)?;
+        bind_params(&vm.heap, f, &mut args, &mut kwargs, &mut frame.locals)?;
         frame
     };
-    args.clear();
-    vm.arg_pool.borrow_mut().push(args);
+    vm.recycle_args(args);
+    vm.recycle_kwargs(kwargs);
     // Phase B: all heap borrows dropped; run the body with `&mut Vm`.
     vm.depth.set(vm.depth.get() + 1);
     let result = if vm.engine() == crate::vm::Engine::Bytecode {
@@ -1337,7 +1380,7 @@ fn bind_params(
     heap: &Heap,
     func: &FuncObj,
     args: &mut Vec<Value>,
-    mut kwargs: Vec<(String, Value)>,
+    kwargs: &mut Vec<(KwName, Value)>,
     locals: &mut FrameLocals,
 ) -> Result<(), PyExc> {
     fn bind(locals: &mut FrameLocals, p: &crate::prepare::ProtoParam, v: Value) {
@@ -1398,7 +1441,7 @@ fn bind_params(
             ParamKind::DoubleStar => {
                 let mut d = DictObj::new();
                 for (n, v) in kwargs.drain(..) {
-                    let key = heap.new_string(n);
+                    let key = heap.new_text(n);
                     d.set(heap, key, v);
                 }
                 bind(locals, p, heap.new_dict(d));
@@ -1457,26 +1500,48 @@ pub fn get_attr(vm: &Vm, obj: Value, attr: &str) -> Result<Value, PyExc> {
     }
 }
 
+/// The attribute lookup behind a method call, `obj.sym(…)`: the value
+/// to call and, when it is a class function (or class-level native)
+/// found through an instance, the handle of that instance, to pass
+/// first — the pair a bound method would hold, without allocating one.
+/// The receiver is an instance handle by type: `CallMethod` tells a
+/// receiver slot from an empty one by `Value::Instance`. Instance
+/// attributes shadow the class chain; everything else is
+/// [`get_attr_sym`]'s value with no receiver.
+///
+/// # Errors
+///
+/// `AttributeError` exactly as [`get_attr_sym`].
+pub(crate) fn load_method(
+    vm: &Vm,
+    obj: Value,
+    sym: Symbol,
+) -> Result<(Value, Option<u32>), PyExc> {
+    let Value::Instance(i) = obj else {
+        return Ok((get_attr_sym(vm, obj, sym)?, None));
+    };
+    let inst = vm.heap.instance(i);
+    if let Some(v) = inst.get_attr_sym(sym) {
+        return Ok((v, None));
+    }
+    match vm.heap.class_lookup_sym(inst.class, sym) {
+        Some(f @ (Value::Func(_) | Value::Native(_))) => Ok((f, Some(i))),
+        Some(other) => Ok((other, None)),
+        None => Err(PyExc::attribute_error(
+            &vm.heap.class(inst.class).name,
+            sym.as_str(),
+        )),
+    }
+}
+
 /// Symbol-keyed attribute lookup (the interpreter hot path; the symbol
 /// comes from the prepare-time resolution table).
 pub fn get_attr_sym(vm: &Vm, obj: Value, sym: Symbol) -> Result<Value, PyExc> {
     match obj {
-        Value::Instance(i) => {
-            let inst = vm.heap.instance(i);
-            if let Some(v) = inst.get_attr_sym(sym) {
-                return Ok(v);
-            }
-            if let Some(v) = vm.heap.class_lookup_sym(inst.class, sym) {
-                return Ok(match v {
-                    f @ (Value::Func(_) | Value::Native(_)) => vm.heap.new_bound(f, obj),
-                    other => other,
-                });
-            }
-            Err(PyExc::attribute_error(
-                &vm.heap.class(inst.class).name,
-                sym.as_str(),
-            ))
-        }
+        Value::Instance(_) => Ok(match load_method(vm, obj, sym)? {
+            (func, Some(recv)) => vm.heap.new_bound(func, Value::Instance(recv)),
+            (value, None) => value,
+        }),
         Value::Class(c) => vm
             .heap
             .class_lookup_sym(c, sym)
@@ -1714,7 +1779,10 @@ pub fn binary_op(heap: &Heap, op: BinOp, l: Value, r: Value) -> Result<Value, Py
         (Add, Value::Int(a), Value::Float(b)) => Ok(Value::Float(a as f64 + b)),
         (Add, Value::Float(a), Value::Int(b)) => Ok(Value::Float(a + b as f64)),
         (Add, Value::Str(a), Value::Str(b)) => {
-            let s = format!("{}{}", heap.str(a), heap.str(b));
+            let (a, b) = (heap.str(a), heap.str(b));
+            let mut s = String::with_capacity(a.len() + b.len());
+            s.push_str(a);
+            s.push_str(b);
             Ok(heap.new_string(s))
         }
         (Add, Value::List(a), Value::List(b)) => {

@@ -249,13 +249,30 @@ pub enum Insn {
     /// Positional-only call fast path: pop `argc` arguments (pushed in
     /// order) then the callee beneath them; push the result. Replaces
     /// the `CallBegin`/`ArgPos`×n/`CallEnd` sequence when every
-    /// argument is a plain positional.
+    /// argument is a plain positional and the callee is not an
+    /// attribute (those are [`Insn::LoadMethod`]/[`Insn::CallMethod`]).
     Call(u32),
     /// `Tick(n)` + [`Insn::Call`].
     TickCall {
         /// Pending interpreter steps to settle first.
         n: u32,
         /// Positional argument count.
+        argc: u32,
+    },
+    /// Method-call half of [`Insn::LoadAttr`]: pop an object, look the
+    /// attribute up (instance attribute first, then the class chain —
+    /// `AttributeError` here, before any argument is evaluated) and
+    /// push two slots: the value to call, then its receiver when the
+    /// value is a class function found through an instance, else
+    /// `None`. No bound-method object is allocated.
+    LoadMethod(Symbol),
+    /// `Tick(n)` + the call that closes an [`Insn::LoadMethod`]: pop
+    /// `argc` arguments, the receiver slot and the callee; call with
+    /// the receiver (if any) as first argument; push the result.
+    CallMethod {
+        /// Pending interpreter steps to settle first (may be 0).
+        n: u32,
+        /// Positional argument count (receiver not included).
         argc: u32,
     },
     /// Build a closure from `fn_decls[i]`, popping compiled defaults.

@@ -5,7 +5,7 @@
 //! like in Python (each fetch is a distinct object), but with no
 //! per-fetch closure allocation. Calls dispatch on the kind here.
 
-use crate::builtins::{int_of, string_of};
+use crate::builtins::{int_of, str_of};
 use crate::exc::PyExc;
 use crate::interp::{call_value, iter_values};
 use crate::value::*;
@@ -170,8 +170,8 @@ pub fn call_method(
     vm: &mut Vm,
     kind: MethodKind,
     recv: Value,
-    args: Vec<Value>,
-    kwargs: Vec<(String, Value)>,
+    args: &[Value],
+    kwargs: &[(KwName, Value)],
 ) -> Result<Value, PyExc> {
     use MethodKind::*;
     match (kind, recv) {
@@ -187,7 +187,7 @@ pub fn call_method(
                 .borrow()
                 .get("sorted")
                 .expect("sorted is always installed");
-            let out = call_value(vm, sorted_fn, vec![recv], kwargs)?;
+            let out = call_value(vm, sorted_fn, vec![recv], kwargs.to_vec())?;
             if let Value::List(new) = out {
                 let items = vm.heap.list(new).borrow().clone();
                 *vm.heap.list(l).borrow_mut() = items;
@@ -215,24 +215,24 @@ fn str_method(
     kind: MethodKind,
     sid: u32,
     recv: Value,
-    args: Vec<Value>,
+    args: &[Value],
 ) -> Result<Value, PyExc> {
     use MethodKind::*;
     let s = heap.str(sid);
     match kind {
         StrStartswith => {
-            let prefix = string_of(heap, args.first().ok_or_else(|| miss("startswith"))?, "startswith")?;
-            Ok(Value::Bool(s.starts_with(&prefix)))
+            let prefix = str_of(heap, args.first().ok_or_else(|| miss("startswith"))?, "startswith")?;
+            Ok(Value::Bool(s.starts_with(prefix)))
         }
         StrEndswith => {
-            let suffix = string_of(heap, args.first().ok_or_else(|| miss("endswith"))?, "endswith")?;
-            Ok(Value::Bool(s.ends_with(&suffix)))
+            let suffix = str_of(heap, args.first().ok_or_else(|| miss("endswith"))?, "endswith")?;
+            Ok(Value::Bool(s.ends_with(suffix)))
         }
         StrSplit => {
             let parts: Vec<Value> = match args.first() {
                 Some(sep) => {
-                    let sep = string_of(heap, sep, "split")?;
-                    s.split(sep.as_str()).map(|p| heap.new_str(p)).collect()
+                    let sep = str_of(heap, sep, "split")?;
+                    s.split(sep).map(|p| heap.new_str(p)).collect()
                 }
                 None => s.split_whitespace().map(|p| heap.new_str(p)).collect(),
             };
@@ -240,10 +240,15 @@ fn str_method(
         }
         StrJoin => {
             let items = iter_values(heap, *args.first().ok_or_else(|| miss("join"))?)?;
-            let mut parts = Vec::with_capacity(items.len());
-            for item in items {
+            let mut out = String::new();
+            for (i, item) in items.into_iter().enumerate() {
                 match item {
-                    Value::Str(p) => parts.push(heap.str(p).to_string()),
+                    Value::Str(p) => {
+                        if i > 0 {
+                            out.push_str(s);
+                        }
+                        out.push_str(heap.str(p));
+                    }
                     other => {
                         return Err(PyExc::type_error(format!(
                             "sequence item: expected str instance, {} found",
@@ -252,7 +257,7 @@ fn str_method(
                     }
                 }
             }
-            Ok(heap.new_string(parts.join(s)))
+            Ok(heap.new_string(out))
         }
         StrStrip => Ok(heap.new_str(s.trim())),
         StrLstrip => Ok(heap.new_str(s.trim_start())),
@@ -261,15 +266,15 @@ fn str_method(
             if args.len() != 2 {
                 return Err(miss("replace"));
             }
-            let from = string_of(heap, &args[0], "replace")?;
-            let to = string_of(heap, &args[1], "replace")?;
-            Ok(heap.new_string(s.replace(&from, &to)))
+            let from = str_of(heap, &args[0], "replace")?;
+            let to = str_of(heap, &args[1], "replace")?;
+            Ok(heap.new_string(s.replace(from, to)))
         }
         StrLower => Ok(heap.new_string(s.to_lowercase())),
         StrUpper => Ok(heap.new_string(s.to_uppercase())),
         StrFind => {
-            let sub = string_of(heap, args.first().ok_or_else(|| miss("find"))?, "find")?;
-            Ok(Value::Int(match s.find(&sub) {
+            let sub = str_of(heap, args.first().ok_or_else(|| miss("find"))?, "find")?;
+            Ok(Value::Int(match s.find(sub) {
                 Some(byte_idx) => s[..byte_idx].chars().count() as i64,
                 None => -1,
             }))
@@ -285,7 +290,7 @@ fn str_method(
                     let v = args
                         .get(idx)
                         .ok_or_else(|| PyExc::new("IndexError", "format index out of range"))?;
-                    out.push_str(&v.to_display(heap));
+                    out.push_str(&v.display(heap));
                     idx += 1;
                 } else {
                     out.push(c);
@@ -300,11 +305,11 @@ fn str_method(
         )),
         StrIsalpha => Ok(Value::Bool(!s.is_empty() && s.chars().all(char::is_alphabetic))),
         StrCount => {
-            let sub = string_of(heap, args.first().ok_or_else(|| miss("count"))?, "count")?;
+            let sub = str_of(heap, args.first().ok_or_else(|| miss("count"))?, "count")?;
             if sub.is_empty() {
                 return Ok(Value::Int(s.chars().count() as i64 + 1));
             }
-            Ok(Value::Int(s.matches(&sub).count() as i64))
+            Ok(Value::Int(s.matches(sub).count() as i64))
         }
         StrZfill => {
             // Negative widths clamp to 0 (a plain `as usize` would wrap
@@ -320,7 +325,7 @@ fn str_method(
     }
 }
 
-fn list_method(heap: &Heap, kind: MethodKind, lid: u32, mut args: Vec<Value>) -> Result<Value, PyExc> {
+fn list_method(heap: &Heap, kind: MethodKind, lid: u32, args: &[Value]) -> Result<Value, PyExc> {
     use MethodKind::*;
     let l = heap.list(lid);
     match kind {
@@ -328,7 +333,7 @@ fn list_method(heap: &Heap, kind: MethodKind, lid: u32, mut args: Vec<Value>) ->
             if args.len() != 1 {
                 return Err(miss("append"));
             }
-            l.borrow_mut().push(args.remove(0));
+            l.borrow_mut().push(args[0]);
             Ok(Value::None)
         }
         ListExtend => {
@@ -340,7 +345,7 @@ fn list_method(heap: &Heap, kind: MethodKind, lid: u32, mut args: Vec<Value>) ->
             if args.len() != 2 {
                 return Err(miss("insert"));
             }
-            let v = args.remove(1);
+            let v = args[1];
             let idx = int_of(&args[0], "insert")?;
             let mut list = l.borrow_mut();
             let len = list.len() as i64;
@@ -404,8 +409,8 @@ fn dict_method(
     heap: &Heap,
     kind: MethodKind,
     did: u32,
-    args: Vec<Value>,
-    kwargs: Vec<(String, Value)>,
+    args: &[Value],
+    kwargs: &[(KwName, Value)],
 ) -> Result<Value, PyExc> {
     use MethodKind::*;
     let d = heap.dict(did);
@@ -457,8 +462,8 @@ fn dict_method(
             }
             let mut dst = d.borrow_mut();
             for (k, v) in kwargs {
-                let key = heap.new_string(k);
-                dst.set(heap, key, v);
+                let key = heap.new_str(k);
+                dst.set(heap, key, *v);
             }
             Ok(Value::None)
         }
@@ -474,7 +479,7 @@ fn dict_method(
     }
 }
 
-fn set_method(heap: &Heap, kind: MethodKind, sid: u32, mut args: Vec<Value>) -> Result<Value, PyExc> {
+fn set_method(heap: &Heap, kind: MethodKind, sid: u32, args: &[Value]) -> Result<Value, PyExc> {
     use MethodKind::*;
     let s = heap.set(sid);
     match kind {
@@ -482,7 +487,7 @@ fn set_method(heap: &Heap, kind: MethodKind, sid: u32, mut args: Vec<Value>) -> 
             if args.len() != 1 {
                 return Err(miss("add"));
             }
-            let v = args.remove(0);
+            let v = args[0];
             let mut set = s.borrow_mut();
             if !set.iter().any(|&x| values_eq(heap, x, v)) {
                 set.push(v);
@@ -498,7 +503,7 @@ fn set_method(heap: &Heap, kind: MethodKind, sid: u32, mut args: Vec<Value>) -> 
     }
 }
 
-fn tuple_method(heap: &Heap, kind: MethodKind, tid: u32, args: Vec<Value>) -> Result<Value, PyExc> {
+fn tuple_method(heap: &Heap, kind: MethodKind, tid: u32, args: &[Value]) -> Result<Value, PyExc> {
     use MethodKind::*;
     let t = heap.tuple(tid);
     match kind {

@@ -7,14 +7,16 @@
 //! links injected code against (`$CORRUPT`, `$HOG`, `$TIMEOUT`,
 //! trigger, coverage probes).
 
-use crate::builtins::{float_of, int_of, native_value, string_of};
+use crate::builtins::{float_of, int_of, native_value, str_of};
 use crate::exc::PyExc;
 use crate::host::TransportError;
 use crate::interp::call_value;
 use crate::value::*;
 use crate::vm::{Severity, Vm};
 use rand::Rng;
+use std::borrow::Cow;
 use std::cell::RefCell;
+use std::fmt::Write as _;
 
 /// Instantiates a native module by import name, or `None` if the name
 /// is not a native module. Returns the module's heap handle.
@@ -40,12 +42,12 @@ fn os_module(vm: &Vm) -> u32 {
     mo.set(
         "getenv",
         native_value(heap, "getenv", |vm, args, _| {
-            let name = string_of(
+            let name = str_of(
                 &vm.heap,
                 args.first().ok_or_else(|| arg_err("getenv"))?,
                 "getenv",
             )?;
-            Ok(match vm.host.getenv(&name) {
+            Ok(match vm.host.getenv(name) {
                 Some(v) => vm.heap.new_string(v),
                 None => args.get(1).copied().unwrap_or(Value::None),
             })
@@ -54,23 +56,23 @@ fn os_module(vm: &Vm) -> u32 {
     mo.set(
         "path_exists",
         native_value(heap, "path_exists", |vm, args, _| {
-            let p = string_of(
+            let p = str_of(
                 &vm.heap,
                 args.first().ok_or_else(|| arg_err("path_exists"))?,
                 "path_exists",
             )?;
-            Ok(Value::Bool(vm.host.path_exists(&p)))
+            Ok(Value::Bool(vm.host.path_exists(p)))
         }),
     );
     mo.set(
         "read_file",
         native_value(heap, "read_file", |vm, args, _| {
-            let p = string_of(
+            let p = str_of(
                 &vm.heap,
                 args.first().ok_or_else(|| arg_err("read_file"))?,
                 "read_file",
             )?;
-            match vm.host.read_file(&p) {
+            match vm.host.read_file(p) {
                 Ok(contents) => Ok(vm.heap.new_string(contents)),
                 Err(msg) => Err(PyExc::new("IOError", msg)),
             }
@@ -82,10 +84,10 @@ fn os_module(vm: &Vm) -> u32 {
             if args.len() < 2 {
                 return Err(arg_err("write_file"));
             }
-            let p = string_of(&vm.heap, &args[0], "write_file")?;
-            let data = args[1].to_display(&vm.heap);
+            let p = str_of(&vm.heap, &args[0], "write_file")?;
+            let data = args[1].display(&vm.heap);
             vm.host
-                .write_file(&p, &data)
+                .write_file(p, &data)
                 .map_err(|msg| PyExc::new("IOError", msg))?;
             Ok(Value::None)
         }),
@@ -96,7 +98,7 @@ fn os_module(vm: &Vm) -> u32 {
             // `os.execute(cmd, arg1, arg2, ...)` — the paper's §III WPF
             // target (`utils.execute` invoking iptables/dnsmasq/e2fsck).
             let mut argv = Vec::new();
-            for a in &args {
+            for a in args {
                 argv.push(a.to_display(&vm.heap));
             }
             if argv.is_empty() {
@@ -144,12 +146,11 @@ fn urllib_module(vm: &mut Vm) -> u32 {
             if args.len() < 2 {
                 return Err(arg_err("request"));
             }
-            let method = string_of(&vm.heap, &args[0], "request")?;
-            let url = string_of(&vm.heap, &args[1], "request")?;
+            let method = str_of(&vm.heap, &args[0], "request")?;
+            let url = str_of(&vm.heap, &args[1], "request")?;
             let body = match args.get(2) {
-                Some(Value::Str(s)) => vm.heap.str(*s).to_string(),
-                Some(Value::None) | None => String::new(),
-                Some(other) => other.to_display(&vm.heap),
+                Some(Value::None) | None => Cow::Borrowed(""),
+                Some(other) => other.display(&vm.heap),
             };
             let timeout = kwargs
                 .iter()
@@ -157,24 +158,25 @@ fn urllib_module(vm: &mut Vm) -> u32 {
                 .map(|(_, v)| float_of(v, "timeout"))
                 .transpose()?
                 .unwrap_or(5.0);
-            http_request(vm, &method, &url, &body, timeout)
+            http_request(vm, method, url, &body, timeout)
         }),
     );
     mo.set(
         "quote",
         native_value(heap, "quote", |vm, args, _| {
-            let s = string_of(
+            let s = str_of(
                 &vm.heap,
                 args.first().ok_or_else(|| arg_err("quote"))?,
                 "quote",
             )?;
-            let mut out = String::new();
+            let mut out = String::with_capacity(s.len());
             for c in s.chars() {
                 if c.is_ascii_alphanumeric() || "-_.~/".contains(c) {
                     out.push(c);
                 } else {
-                    for b in c.to_string().as_bytes() {
-                        out.push_str(&format!("%{b:02X}"));
+                    let mut utf8 = [0u8; 4];
+                    for b in c.encode_utf8(&mut utf8).bytes() {
+                        let _ = write!(out, "%{b:02X}");
                     }
                 }
             }
@@ -188,13 +190,16 @@ fn urllib_module(vm: &mut Vm) -> u32 {
                 Some(Value::Dict(d)) => *d,
                 _ => return Err(arg_err("urlencode")),
             };
-            let pairs: Vec<(Value, Value)> =
-                vm.heap.dict(d).borrow().iter().copied().collect();
-            let parts: Vec<String> = pairs
-                .iter()
-                .map(|&(k, v)| format!("{}={}", k.to_display(&vm.heap), v.to_display(&vm.heap)))
-                .collect();
-            Ok(vm.heap.new_string(parts.join("&")))
+            let mut out = String::new();
+            for (i, &(k, v)) in vm.heap.dict(d).borrow().iter().enumerate() {
+                if i > 0 {
+                    out.push('&');
+                }
+                out.push_str(&k.display(&vm.heap));
+                out.push('=');
+                out.push_str(&v.display(&vm.heap));
+            }
+            Ok(vm.heap.new_string(out))
         }),
     );
     m
@@ -204,7 +209,7 @@ fn urllib_module(vm: &mut Vm) -> u32 {
 /// transport errors to the exception classes the paper's campaigns
 /// inject and observe.
 fn http_request(
-    vm: &mut Vm,
+    vm: &Vm,
     method: &str,
     url: &str,
     body: &str,
@@ -354,7 +359,7 @@ fn logging_module(vm: &Vm) -> u32 {
                 let f = native_value(
                     &vm.heap,
                     name,
-                    move |vm: &mut Vm, args: Vec<Value>, _| {
+                    move |vm: &mut Vm, args: &[Value], _: &[(KwName, Value)]| {
                         let msg = args
                             .first()
                             .map(|v| v.to_display(&vm.heap))
@@ -402,7 +407,7 @@ fn threading_module(vm: &Vm) -> u32 {
                         Some(Value::List(l)) => vm.heap.list(l).borrow().clone(),
                         _ => Vec::new(),
                     };
-                    call_value(vm, target, call_args, vec![])?;
+                    call_value(vm, target, call_args, Vec::new())?;
                 }
                 vm.heap.instance(i).set_attr("_started", Value::Bool(true));
             }
@@ -419,10 +424,10 @@ fn threading_module(vm: &Vm) -> u32 {
             let recv = args.first().copied().ok_or_else(|| arg_err("Thread"))?;
             if let Value::Instance(i) = recv {
                 for (n, v) in kwargs {
-                    match n.as_str() {
-                        "target" => vm.heap.instance(i).set_attr("_target", v),
-                        "args" => vm.heap.instance(i).set_attr("_args", v),
-                        "daemon" => vm.heap.instance(i).set_attr("daemon", v),
+                    match &**n {
+                        "target" => vm.heap.instance(i).set_attr("_target", *v),
+                        "args" => vm.heap.instance(i).set_attr("_args", *v),
+                        "daemon" => vm.heap.instance(i).set_attr("daemon", *v),
                         _ => {}
                     }
                 }

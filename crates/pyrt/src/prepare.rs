@@ -52,6 +52,9 @@ pub enum NameRes {
     GlobalDecl(Symbol),
     /// The attribute name of an `Attribute` node.
     Attr(Symbol),
+    /// A `Call` node with keyword arguments: where its keyword names
+    /// start in the table (see [`NameTable::kw_name`]).
+    CallKw(u32),
 }
 
 /// Dense `NodeId → NameRes` side table for one module (or one
@@ -60,10 +63,13 @@ pub enum NameRes {
 pub struct NameTable {
     base: u32,
     entries: Vec<NameRes>,
+    /// Keyword names of every call, in source order per call.
+    kw_names: Vec<Symbol>,
 }
 
 impl NameTable {
-    fn from_pairs(pairs: &[(u32, NameRes)]) -> NameTable {
+    fn from_cx(cx: &mut PrepareCx) -> NameTable {
+        let pairs = &cx.resolutions;
         let Some(base) = pairs.iter().map(|(id, _)| *id).min() else {
             return NameTable::default();
         };
@@ -72,7 +78,11 @@ impl NameTable {
         for (id, res) in pairs {
             entries[(id - base) as usize] = *res;
         }
-        NameTable { base, entries }
+        NameTable {
+            base,
+            entries,
+            kw_names: std::mem::take(&mut cx.kw_names),
+        }
     }
 
     /// Resolution for a node, or [`NameRes::Unprepared`] if unknown.
@@ -81,6 +91,16 @@ impl NameTable {
         match self.entries.get(id.0.wrapping_sub(self.base) as usize) {
             Some(r) => *r,
             None => NameRes::Unprepared,
+        }
+    }
+
+    /// The `i`-th keyword name of the call node `id`, interned when the
+    /// module was prepared; `None` for a call the table does not cover.
+    #[inline]
+    pub fn kw_name(&self, id: NodeId, i: usize) -> Option<Symbol> {
+        match self.res(id) {
+            NameRes::CallKw(start) => self.kw_names.get(start as usize + i).copied(),
+            _ => None,
         }
     }
 }
@@ -218,7 +238,7 @@ pub fn prepare_ast(module: &Module) -> (Arc<FuncProto>, HashMap<u32, Arc<FuncPro
     crate::intern::intern_all(idents);
     let mut cx = PrepareCx::default();
     cx.resolve_block(&module.body, &ScopeInfo::module());
-    let table = Arc::new(NameTable::from_pairs(&cx.resolutions));
+    let table = Arc::new(NameTable::from_cx(&mut cx));
     let module_proto = Arc::new(FuncProto {
         name: "<module>".to_string(),
         params: Vec::new(),
@@ -281,10 +301,10 @@ pub fn prepare_class(
 }
 
 fn finish_on_the_fly(
-    cx: PrepareCx,
+    mut cx: PrepareCx,
     raw: FuncProto,
 ) -> (Arc<FuncProto>, HashMap<u32, Arc<FuncProto>>) {
-    let table = Arc::new(NameTable::from_pairs(&cx.resolutions));
+    let table = Arc::new(NameTable::from_cx(&mut cx));
     let proto = Arc::new(FuncProto {
         table: table.clone(),
         ..raw
@@ -337,6 +357,7 @@ impl ScopeInfo {
 #[derive(Default)]
 struct PrepareCx {
     resolutions: Vec<(u32, NameRes)>,
+    kw_names: Vec<Symbol>,
     protos: HashMap<u32, FuncProto>,
 }
 
@@ -512,6 +533,17 @@ impl PrepareCx {
             }
             ExprKind::Call { func, args } => {
                 self.resolve_expr(func, scope);
+                // This call's names first, contiguously: a keyword
+                // value may itself be a call with keywords.
+                let start = self.kw_names.len() as u32;
+                for a in args {
+                    if let Arg::Kw(n, _) = a {
+                        self.kw_names.push(intern(n));
+                    }
+                }
+                if self.kw_names.len() as u32 > start {
+                    self.record(expr.id, NameRes::CallKw(start));
+                }
                 for a in args {
                     self.resolve_expr(a.value(), scope);
                 }

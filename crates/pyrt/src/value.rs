@@ -11,8 +11,11 @@
 
 use crate::intern::{intern, try_intern, Symbol};
 use crate::prepare::FuncProto;
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -158,6 +161,50 @@ pub struct BoundObj {
 /// scope lookups are id compares. Long strings allocate fresh slots.
 const MAX_INTERNED_STR: usize = 64;
 
+/// Hasher for tables whose keys already are hashes (the intern table is
+/// keyed by the FNV-1a hash `new_str` computes anyway): the key goes
+/// through unchanged instead of being SipHashed a second time. Only for
+/// keys the program derives itself, never for text from outside.
+#[derive(Default)]
+struct PassThroughHasher(u64);
+
+impl Hasher for PassThroughHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("pass-through tables are keyed by u64");
+    }
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
+/// Interned string ids sharing one FNV-1a hash: the first lives inline,
+/// so the (practically universal) collision-free case costs no `Vec`;
+/// `more` never allocates until two distinct short strings collide.
+struct InternSlot {
+    first: u32,
+    more: Vec<u32>,
+}
+
+/// The heap's slab kinds, in [`HeapStats::objects`] order.
+pub const SLAB_KINDS: [&str; 11] = [
+    "str", "list", "tuple", "dict", "set", "func", "bound", "class", "instance", "native", "module",
+];
+
+/// Objects ever allocated per slab kind plus the intern table's hit and
+/// miss counts, read off a [`Heap`] when its container is torn down.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct HeapStats {
+    /// Objects allocated per slab, parallel to [`SLAB_KINDS`].
+    pub objects: [u64; SLAB_KINDS.len()],
+    /// Short strings that found their handle in the intern table.
+    pub intern_hits: u64,
+    /// Short strings that were new to the table.
+    pub intern_misses: u64,
+}
+
 /// The per-`Vm` object heap: one append-only typed slab per aggregate
 /// kind, plus the short-string intern table. All allocation goes
 /// through `&self` (interior mutability), so both interpreter engines
@@ -176,8 +223,11 @@ pub struct Heap {
     natives: Slab<NativeObj>,
     modules: Slab<ModuleObj>,
     /// fnv1a(text) → candidate string ids (hash-consing for short
-    /// strings; collisions resolved by content compare).
-    interned: RefCell<HashMap<u64, Vec<u32>>>,
+    /// strings; collisions resolved by content compare). Probed with
+    /// the FNV hash itself.
+    interned: RefCell<HashMap<u64, InternSlot, BuildHasherDefault<PassThroughHasher>>>,
+    intern_hits: Cell<u64>,
+    intern_misses: Cell<u64>,
 }
 
 impl Default for Heap {
@@ -201,7 +251,32 @@ impl Heap {
             instances: Slab::new(),
             natives: Slab::new(),
             modules: Slab::new(),
-            interned: RefCell::new(HashMap::new()),
+            interned: RefCell::new(HashMap::default()),
+            intern_hits: Cell::new(0),
+            intern_misses: Cell::new(0),
+        }
+    }
+
+    /// Allocation and interning counts so far (plain reads of counters
+    /// the slabs keep anyway).
+    pub fn stats(&self) -> HeapStats {
+        HeapStats {
+            objects: [
+                self.strs.len.get(),
+                self.lists.len.get(),
+                self.tuples.len.get(),
+                self.dicts.len.get(),
+                self.sets.len.get(),
+                self.funcs.len.get(),
+                self.bounds.len.get(),
+                self.classes.len.get(),
+                self.instances.len.get(),
+                self.natives.len.get(),
+                self.modules.len.get(),
+            ]
+            .map(u64::from),
+            intern_hits: self.intern_hits.get(),
+            intern_misses: self.intern_misses.get(),
         }
     }
 
@@ -209,44 +284,62 @@ impl Heap {
 
     /// Creates a string value, interning short strings.
     pub fn new_str(&self, s: &str) -> Value {
-        if s.len() <= MAX_INTERNED_STR {
-            let h = fnv1a(s.as_bytes());
-            if let Some(id) = self.intern_lookup(s, h) {
-                return Value::Str(id);
-            }
-            let id = self.strs.alloc(StrObj {
-                text: s.into(),
-                hash: Cell::new(h),
-            });
-            self.interned.borrow_mut().entry(h).or_default().push(id);
-            Value::Str(id)
-        } else {
-            Value::Str(self.strs.alloc(StrObj {
+        self.new_text(Cow::Borrowed(s))
+    }
+
+    /// Creates a string value from an owned `String`: on an intern miss
+    /// and on the non-interned path the heap adopts the caller's buffer
+    /// instead of copying it.
+    pub fn new_string(&self, s: String) -> Value {
+        self.new_text(Cow::Owned(s))
+    }
+
+    /// Creates a string value from borrowed or owned text: one hash,
+    /// one table probe, and — only when the string is new — one buffer
+    /// (the caller's, if it was owned).
+    pub fn new_text(&self, s: Cow<'_, str>) -> Value {
+        if s.len() > MAX_INTERNED_STR {
+            return Value::Str(self.strs.alloc(StrObj {
                 text: s.into(),
                 hash: Cell::new(0),
-            }))
+            }));
         }
-    }
-
-    /// Creates a string value from an owned `String` (no copy on the
-    /// non-interned path).
-    pub fn new_string(&self, s: String) -> Value {
-        if s.len() <= MAX_INTERNED_STR {
-            return self.new_str(&s);
-        }
-        Value::Str(self.strs.alloc(StrObj {
-            text: s.into_boxed_str(),
-            hash: Cell::new(0),
-        }))
-    }
-
-    fn intern_lookup(&self, s: &str, hash: u64) -> Option<u32> {
-        self.interned
-            .borrow()
-            .get(&hash)?
-            .iter()
-            .copied()
-            .find(|&id| self.str(id) == s)
+        let h = fnv1a(s.as_bytes());
+        let fresh = |s: Cow<'_, str>| {
+            self.intern_misses.set(self.intern_misses.get() + 1);
+            self.strs.alloc(StrObj {
+                text: s.into(),
+                hash: Cell::new(h),
+            })
+        };
+        let id = match self.interned.borrow_mut().entry(h) {
+            Entry::Vacant(e) => {
+                let first = fresh(s);
+                e.insert(InternSlot {
+                    first,
+                    more: Vec::new(),
+                });
+                first
+            }
+            Entry::Occupied(e) => {
+                let slot = e.into_mut();
+                let known = std::iter::once(slot.first)
+                    .chain(slot.more.iter().copied())
+                    .find(|&id| self.str(id) == &*s);
+                match known {
+                    Some(id) => {
+                        self.intern_hits.set(self.intern_hits.get() + 1);
+                        id
+                    }
+                    None => {
+                        let id = fresh(s);
+                        slot.more.push(id);
+                        id
+                    }
+                }
+            }
+        };
+        Value::Str(id)
     }
 
     /// Creates a list value.
@@ -637,8 +730,10 @@ pub struct FuncObj {
     pub defaults: Vec<Option<Value>>,
     /// The module globals this function closes over.
     pub globals: ScopeRef,
-    /// Enclosing local scopes captured by closures (innermost last).
-    pub captured: Vec<ScopeRef>,
+    /// Enclosing local scopes captured by closures (innermost last),
+    /// shared with every frame of this function: a call bumps a
+    /// refcount instead of cloning a vector.
+    pub captured: Rc<[ScopeRef]>,
 }
 
 impl FuncObj {
@@ -739,9 +834,16 @@ impl ModuleObj {
     }
 }
 
-/// Signature of a native function: `(vm, positional args, keyword args)`.
+/// A keyword argument's name. A name written in the source is the
+/// interned [`Symbol`]'s `&'static str` (no allocation per call); a key
+/// of a run-time `**mapping` stays owned, so arbitrary program strings
+/// never enter the process-wide interner.
+pub type KwName = Cow<'static, str>;
+
+/// Signature of a native function: `(vm, positional args, keyword
+/// args)`. Both are borrowed: the dispatcher keeps the (pooled) vectors.
 pub type NativeImpl =
-    dyn Fn(&mut crate::vm::Vm, Vec<Value>, Vec<(String, Value)>) -> Result<Value, crate::exc::PyExc>;
+    dyn Fn(&mut crate::vm::Vm, &[Value], &[(KwName, Value)]) -> Result<Value, crate::exc::PyExc>;
 
 /// A native callable: either a named Rust function, or a built-in
 /// method kind bound to its receiver (the latter avoids allocating a
@@ -947,22 +1049,27 @@ impl Value {
         }
     }
 
-    /// `str()` rendering (strings print bare, exceptions show message).
-    pub fn to_display(self, heap: &Heap) -> String {
+    /// `str()` rendering (strings print bare, exceptions show message),
+    /// borrowed from the heap when the value already holds the text.
+    pub fn display(self, heap: &Heap) -> Cow<'_, str> {
         match self {
-            Value::Str(s) => heap.str(s).to_string(),
+            Value::Str(s) => Cow::Borrowed(heap.str(s)),
             Value::Instance(i) if heap.class(heap.instance(i).class).is_exception => {
                 match heap
                     .instance(i)
                     .get_attr_sym(crate::intern::well_known::sym_message())
                 {
-                    Some(Value::Str(m)) => heap.str(m).to_string(),
-                    Some(v) => v.to_display(heap),
-                    None => String::new(),
+                    Some(v) => v.display(heap),
+                    None => Cow::Borrowed(""),
                 }
             }
-            other => other.repr(heap),
+            other => Cow::Owned(other.repr(heap)),
         }
+    }
+
+    /// [`Value::display`] as an owned `String`.
+    pub fn to_display(self, heap: &Heap) -> String {
+        self.display(heap).into_owned()
     }
 }
 

@@ -8,7 +8,7 @@ use crate::host::{HostApi, NoopHost};
 use crate::interp::Frame;
 use crate::modules;
 use crate::prepare::{self, FuncProto, PreparedModule};
-use crate::value::{ClassObj, Heap, Scope, ScopeRef, Value};
+use crate::value::{ClassObj, Heap, KwName, Scope, ScopeRef, Value};
 use pysrc::ast::NodeId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -90,6 +90,24 @@ pub enum VmOutcome {
 /// floating-point boundaries (the clock itself accumulates bit-for-bit
 /// like per-step advances; only the trip-step *prediction* divides).
 const TICK_BATCH: u64 = 64;
+
+/// Bound on each recycled-vector pool: twice the recursion limit covers
+/// a positional and a builder vector per frame in flight.
+const ARG_POOL_CAP: usize = 128;
+
+/// Returns an argument vector to its pool. Vectors that never allocated
+/// are dropped (the common empty-kwargs case costs one compare), and a
+/// pool holds no more than the call depth can have in flight.
+fn recycle<T>(pool: &RefCell<Vec<Vec<T>>>, mut v: Vec<T>) {
+    if v.capacity() == 0 {
+        return;
+    }
+    let mut pool = pool.borrow_mut();
+    if pool.len() < ARG_POOL_CAP {
+        v.clear();
+        pool.push(v);
+    }
+}
 
 /// Which execution engine runs scope bodies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -207,8 +225,16 @@ pub struct Vm {
     pub(crate) bc_stacks: RefCell<Vec<Vec<Value>>>,
     /// Recycled frame slot vectors (bounded by the recursion limit).
     pub(crate) slot_pool: RefCell<Vec<Vec<Option<Value>>>>,
-    /// Recycled positional-argument vectors for the call fast path.
-    pub(crate) arg_pool: RefCell<Vec<Vec<Value>>>,
+    /// Recycled positional-argument vectors: every call path takes its
+    /// vector here and whoever consumes the arguments hands it back.
+    arg_pool: RefCell<Vec<Vec<Value>>>,
+    /// Recycled keyword-argument vectors (same discipline).
+    kw_pool: RefCell<Vec<Vec<(KwName, Value)>>>,
+    /// The bytecode tier's open argument builders (`CallBegin` …
+    /// `CallEnd`), one stack for all frames: builders nest like the
+    /// calls they belong to, and a frame that unwinds truncates back to
+    /// its entry height.
+    pub(crate) calls: Vec<crate::bcvm::CallBuilder>,
     /// Execution engine for scope bodies.
     engine: Cell<Engine>,
     /// Language-semantics version.
@@ -256,6 +282,8 @@ impl Vm {
             bc_stacks: RefCell::new(Vec::new()),
             slot_pool: RefCell::new(Vec::new()),
             arg_pool: RefCell::new(Vec::new()),
+            kw_pool: RefCell::new(Vec::new()),
+            calls: Vec::new(),
             engine: Cell::new(default_engine()),
             spec: Cell::new(default_spec_version()),
         };
@@ -492,6 +520,26 @@ impl Vm {
         }
     }
 
+    /// An empty positional-argument vector, recycled when one is free.
+    pub(crate) fn take_args(&self) -> Vec<Value> {
+        self.arg_pool.borrow_mut().pop().unwrap_or_default()
+    }
+
+    /// Hands a positional-argument vector back.
+    pub(crate) fn recycle_args(&self, args: Vec<Value>) {
+        recycle(&self.arg_pool, args);
+    }
+
+    /// An empty keyword-argument vector, recycled when one is free.
+    pub(crate) fn take_kwargs(&self) -> Vec<(KwName, Value)> {
+        self.kw_pool.borrow_mut().pop().unwrap_or_default()
+    }
+
+    /// Hands a keyword-argument vector back.
+    pub(crate) fn recycle_kwargs(&self, kwargs: Vec<(KwName, Value)>) {
+        recycle(&self.kw_pool, kwargs);
+    }
+
     /// Captured standard output.
     pub fn stdout(&self) -> String {
         self.stdout.borrow().clone()
@@ -500,6 +548,21 @@ impl Vm {
     /// Captured standard error.
     pub fn stderr(&self) -> String {
         self.stderr.borrow().clone()
+    }
+
+    /// Moves the captured stdout out (the VM is about to be dropped).
+    pub fn take_stdout(&self) -> String {
+        self.stdout.take()
+    }
+
+    /// Moves the captured stderr out.
+    pub fn take_stderr(&self) -> String {
+        self.stderr.take()
+    }
+
+    /// Moves the captured log records out.
+    pub fn take_logs(&self) -> Vec<LogRecord> {
+        self.logs.take()
     }
 
     /// Appends to captured stdout.

@@ -33,7 +33,10 @@ fn run_engine(src: &str, engine: Engine, fuel: Option<u64>) -> Outcome {
     let error = vm
         .run_module(&module)
         .err()
-        .map(|e| (e.class_name, e.message));
+        .map(|e| {
+            let e = e.into_data();
+            (e.class_name, e.message)
+        });
     Outcome {
         error,
         stdout: vm.stdout(),
@@ -165,6 +168,31 @@ fn block() -> BoxedStrategy<String> {
                  push{i}(v)\nprint(ml{i})\n"
             )
         }),
+        // Method calls on instances (`LoadMethod`/`CallMethod` against
+        // the tree walk's bound methods): class methods, a method
+        // calling methods, an instance attribute shadowing one, a
+        // missing one (its argument must not run), and the same inside
+        // `try`.
+        (small_expr(), small_expr(), 0u32..3).prop_map(|(e1, e2, i)| {
+            format!(
+                "class K{i}:\n    def __init__(self, v):\n        self.v = v\n    \
+                 def add(self, d):\n        self.v = self.v + d\n        return self.v\n    \
+                 def twice(self, d):\n        return self.add(d) + self.add(d)\n\
+                 k{i} = K{i}({e1})\nprint(k{i}.add({e2}), k{i}.twice(1), k{i}.v)\n\
+                 try:\n    k{i}.missing(k{i}.add(5))\nexcept AttributeError:\n    \
+                 print('no method', k{i}.twice({e2}))\n\
+                 k{i}.add = lambda d: d * 100\nprint(k{i}.add(2), k{i}.twice(3), k{i}.v)\n"
+            )
+        }),
+        // Keyword, `*` and `**` calls, bound and rejected.
+        (small_expr(), small_expr(), 0u32..3, 0usize..4).prop_map(|(e1, e2, i, bad)| {
+            let call = ["x=1, x=2", "1, 2, x=3", "w=0", "**{1: 2}"][bad];
+            format!(
+                "def kw{i}(x, y=1, *r, **o):\n    return [x, y, r, sorted(o.items())]\n\
+                 print(kw{i}({e1}, y={e2}), kw{i}(*[{e1}, 2, 3], **{{'p': {e2}}}))\n\
+                 try:\n    print(kw{i}({call}))\nexcept TypeError as err:\n    print(err)\n"
+            )
+        }),
     ]
     .boxed()
 }
@@ -217,6 +245,51 @@ print('total', total, squares)
     }
 }
 
+/// The same sweep over a fixture that is nearly all method calls: every
+/// budget from one step to past completion must trip (or finish) on the
+/// same step, with the same clock bits, output and error, whether the
+/// call goes through `LoadMethod`/`CallMethod` or a bound method.
+#[test]
+fn method_call_fuel_sweep_identical_across_engines() {
+    let src = "\
+class Queue:
+    def __init__(self):
+        self.items = []
+        self.taken = 0
+    def put(self, x):
+        self.items.append(x)
+        return len(self.items)
+    def take(self):
+        if len(self.items) == 0:
+            return None
+        self.taken = self.taken + 1
+        return self.items.pop(0)
+    def drain(self):
+        out = []
+        while self.size() > 0:
+            out.append(self.take())
+        return out
+    def size(self):
+        return len(self.items)
+q = Queue()
+for k in range(4):
+    q.put(k * k)
+q.size = q.size
+try:
+    q.nothing(q.put(99))
+except AttributeError:
+    pass
+print(q.drain(), q.taken, q.take())
+";
+    let full = run_engine(src, Engine::TreeWalk, Some(100_000));
+    assert_eq!(full.error, None);
+    let steps = 100_000 - full.fuel_remaining;
+    assert!(steps > 200, "fixture is long enough to sweep: {steps}");
+    for fuel in 1..steps + 3 {
+        assert_engines_agree(src, Some(fuel));
+    }
+}
+
 #[test]
 fn deadline_trip_identical_across_engines() {
     let src = "\
@@ -236,7 +309,10 @@ print('end', i)
         let error = vm
             .run_module(&module)
             .err()
-            .map(|e| (e.class_name, e.message));
+            .map(|e| {
+            let e = e.into_data();
+            (e.class_name, e.message)
+        });
         (error, vm.stdout(), vm.now().to_bits())
     };
     assert_eq!(run(Engine::Bytecode), run(Engine::TreeWalk));

@@ -18,7 +18,8 @@ fn run_err(src: &str) -> (String, String) {
     let mut vm = Vm::new();
     let err = vm
         .run_module(&m)
-        .expect_err("expected an uncaught exception");
+        .expect_err("expected an uncaught exception")
+        .into_data();
     (err.class_name, err.message)
 }
 

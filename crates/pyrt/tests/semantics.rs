@@ -21,7 +21,7 @@ fn run(src: &str) -> String {
 fn run_err(src: &str) -> (String, String) {
     let m = pysrc::parse_module(src, "test.py").expect("source parses");
     let mut vm = Vm::new();
-    let e = vm.run_module(&m).expect_err("raises");
+    let e = vm.run_module(&m).expect_err("raises").into_data();
     (e.class_name, e.message)
 }
 
@@ -1086,4 +1086,314 @@ fn prepared_module_is_reusable_across_vms() {
         vm.run_prepared(&prepared).unwrap();
         assert_eq!(vm.stdout(), "1 2\n", "state never leaks across VMs");
     }
+}
+
+// ---------- method calls and keyword calls, each engine forced ----------
+//
+// The bytecode tier calls `obj.m(a, b)` through `LoadMethod`/
+// `CallMethod` (no bound-method object); the tree walk still builds the
+// bound method and is the oracle. Every program here runs under both,
+// and the two runs must agree on output, error, clock and fuel.
+
+/// Runs `src` with each engine forced; asserts the complete outcomes
+/// are equal and returns it: stdout, or the error's class and message.
+fn on_both_engines(src: &str) -> Result<String, (String, String)> {
+    use pyrt::vm::Engine;
+    let m = pysrc::parse_module(src, "test.py").expect("source parses");
+    let run = |engine: Engine| {
+        let mut vm = Vm::new();
+        vm.set_engine(engine);
+        vm.fuel.refill(100_000);
+        let error = vm.run_module(&m).err().map(|e| {
+            let e = e.into_data();
+            (e.class_name, e.message)
+        });
+        (error, vm.stdout(), vm.now().to_bits(), vm.fuel.remaining())
+    };
+    let (bytecode, treewalk) = (run(Engine::Bytecode), run(Engine::TreeWalk));
+    assert_eq!(bytecode, treewalk, "engines diverge on:\n{src}");
+    match bytecode.0 {
+        Some(error) => Err(error),
+        None => Ok(bytecode.1),
+    }
+}
+
+const COUNTER_CLASS: &str = concat!(
+    "class Counter:\n",
+    "    def __init__(self, n):\n",
+    "        self.n = n\n",
+    "    def bump(self, by):\n",
+    "        self.n = self.n + by\n",
+    "        return self.n\n",
+);
+
+#[test]
+fn instance_attribute_shadowing_a_method_is_the_one_called() {
+    let src = format!(
+        "{COUNTER_CLASS}{}",
+        concat!(
+            "c = Counter(1)\n",
+            "print(c.bump(2))\n",
+            "c.bump = lambda by: 'shadow ' + str(by)\n",
+            "print(c.bump(2), c.n)\n",
+            "d = Counter(10)\n",
+            "print(d.bump(2))\n",
+        )
+    );
+    assert_eq!(on_both_engines(&src).unwrap(), "3\nshadow 2 3\n12\n");
+}
+
+#[test]
+fn missing_method_raises_before_its_arguments_run() {
+    let src = format!(
+        "{COUNTER_CLASS}{}",
+        concat!(
+            "c = Counter(0)\n",
+            "def effect():\n",
+            "    print('argument evaluated')\n",
+            "    return 1\n",
+            "try:\n",
+            "    c.nothing(effect())\n",
+            "except AttributeError as e:\n",
+            "    print('caught', e)\n",
+            "c.nothing(effect())\n",
+        )
+    );
+    let m = pysrc::parse_module(&src, "test.py").unwrap();
+    for engine in [pyrt::vm::Engine::Bytecode, pyrt::vm::Engine::TreeWalk] {
+        let mut vm = Vm::new();
+        vm.set_engine(engine);
+        let e = vm.run_module(&m).expect_err("raises");
+        assert_eq!(e.class_name, "AttributeError");
+        assert_eq!(e.message, "'Counter' object has no attribute 'nothing'");
+        assert_eq!(
+            vm.stdout(),
+            "caught 'Counter' object has no attribute 'nothing'\n",
+            "no argument side effect under {engine:?}"
+        );
+    }
+    assert!(on_both_engines(&src).is_err());
+}
+
+#[test]
+fn class_attributes_that_are_not_plain_methods() {
+    // A native found on the class binds the receiver like a function
+    // does; a lambda is a function; an instance without `__call__` and
+    // a plain value are not callable.
+    let prologue = concat!(
+        "class Other:\n",
+        "    pass\n",
+        "class Box:\n",
+        "    size = len\n",
+        "    twice = lambda self, x: x * 2\n",
+        "    other = Other()\n",
+        "    limit = 3\n",
+        "    def __init__(self):\n",
+        "        self.items = [1, 2]\n",
+        "b = Box()\n",
+    );
+    assert_eq!(
+        on_both_engines(&format!("{prologue}print(b.twice(21), Box.size([1, 2, 3]))\n")).unwrap(),
+        "42 3\n"
+    );
+    assert_eq!(
+        on_both_engines(&format!("{prologue}b.size()\n")).unwrap_err(),
+        (
+            "TypeError".to_string(),
+            "object of type 'instance' has no len()".to_string()
+        )
+    );
+    assert_eq!(
+        on_both_engines(&format!("{prologue}b.other()\n")).unwrap_err(),
+        (
+            "TypeError".to_string(),
+            "'instance' object is not callable".to_string()
+        )
+    );
+    assert_eq!(
+        on_both_engines(&format!("{prologue}b.limit(1)\n")).unwrap_err(),
+        (
+            "TypeError".to_string(),
+            "'int' object is not callable".to_string()
+        )
+    );
+    // Methods of primitives and module functions take the same path.
+    assert_eq!(
+        on_both_engines(&format!(
+            "{prologue}import time\nb.items.append(3)\nprint(b.items, 'a-b'.split('-'), time.time() >= 0)\n"
+        ))
+        .unwrap(),
+        "[1, 2, 3] ['a', 'b'] True\n"
+    );
+}
+
+#[test]
+fn bound_method_values_keep_their_answers() {
+    // Where the attribute is a *value* the bound object still exists:
+    // it calls with its receiver, prints as before, and (like any two
+    // bound-method fetches here) is not identical to a second fetch.
+    let src = format!(
+        "{COUNTER_CLASS}{}",
+        concat!(
+            "c = Counter(5)\n",
+            "m = c.bump\n",
+            "print(m(1), m(1), c.n)\n",
+            "print(m is c.bump, m == c.bump, m)\n",
+            "fs = [c.bump, Counter(100).bump]\n",
+            "print([f(1) for f in fs])\n",
+        )
+    );
+    assert_eq!(
+        on_both_engines(&src).unwrap(),
+        "6 7 7\nFalse False <bound method bump>\n[8, 101]\n"
+    );
+}
+
+#[test]
+fn method_calls_inside_and_outside_try_agree() {
+    // Inside `try` the bytecode tier trampolines into the tree walk.
+    let src = format!(
+        "{COUNTER_CLASS}{}",
+        concat!(
+            "a = Counter(0)\n",
+            "b = Counter(0)\n",
+            "for i in range(4):\n",
+            "    a.bump(i)\n",
+            "    try:\n",
+            "        b.bump(i)\n",
+            "    finally:\n",
+            "        pass\n",
+            "print(a.n, b.n, a.n == b.n)\n",
+            "try:\n",
+            "    b.bump()\n",
+            "except TypeError as e:\n",
+            "    print(e)\n",
+            "a.bump()\n",
+        )
+    );
+    let m = pysrc::parse_module(&src, "test.py").unwrap();
+    let mut vm = Vm::new();
+    let e = vm.run_module(&m).expect_err("raises");
+    assert_eq!(
+        vm.stdout(),
+        "6 6 True\nbump() missing required argument: 'by'\n"
+    );
+    assert_eq!(e.message, "bump() missing required argument: 'by'");
+    assert!(on_both_engines(&src).is_err());
+}
+
+const KW_PROLOGUE: &str = concat!(
+    "def f(a, b=2, *rest, **extra):\n",
+    "    return [a, b, rest, sorted(extra.items())]\n",
+    "def g(a, b):\n",
+    "    return a - b\n",
+);
+
+#[test]
+fn keyword_calls_bind_like_python() {
+    let src = format!(
+        "{KW_PROLOGUE}{}",
+        concat!(
+            "print(f(1))\n",
+            "print(f(1, b=5))\n",
+            "print(f(b=5, a=1))\n",
+            "print(f(1, 2, 3, 4, z=9))\n",
+            "print(f(*[1, 2, 3], **{'k': 1, 'j': 2}))\n",
+            "print(f(1, *[7], x=1, **{'y': 2}))\n",
+            "print(g(b=1, a=10), g(*[10], **{'b': 1}))\n",
+            // A keyword value that is itself a keyword call: each call
+            // keeps its own names (the tree walk reads them from the
+            // prepare-time table, by position within the call).
+            "print(g(a=g(b=1, a=10), b=g(a=3, b=1)))\n",
+            "try:\n",
+            "    print(f(a=g(b=1, a=10), z=g(a=3, b=1), b=f(0, k=1)))\n",
+            "finally:\n",
+            "    pass\n",
+        )
+    );
+    assert_eq!(
+        on_both_engines(&src).unwrap(),
+        concat!(
+            "[1, 2, (), []]\n",
+            "[1, 5, (), []]\n",
+            "[1, 5, (), []]\n",
+            "[1, 2, (3, 4), [('z', 9)]]\n",
+            "[1, 2, (3,), [('j', 2), ('k', 1)]]\n",
+            "[1, 7, (), [('x', 1), ('y', 2)]]\n",
+            "9 9\n",
+            "7\n",
+            "[9, [0, 2, (), [('k', 1)]], (), [('z', 2)]]\n",
+        )
+    );
+}
+
+#[test]
+fn keyword_call_errors_are_the_same_in_both_engines() {
+    let err = |call: &str| on_both_engines(&format!("{KW_PROLOGUE}{call}\n")).unwrap_err();
+    let type_error = |msg: &str| ("TypeError".to_string(), msg.to_string());
+    assert_eq!(
+        err("g(1, a=2)"),
+        type_error("g() got multiple values for argument 'a'")
+    );
+    assert_eq!(
+        err("g(1, **{'a': 2})"),
+        type_error("g() got multiple values for argument 'a'")
+    );
+    assert_eq!(
+        err("g(1, 2, c=3)"),
+        type_error("g() got an unexpected keyword argument 'c'")
+    );
+    assert_eq!(
+        err("g(a=1)"),
+        type_error("g() missing required argument: 'b'")
+    );
+    assert_eq!(
+        err("g(1, **[2])"),
+        type_error("argument after ** must be a mapping, not list")
+    );
+    // Also inside `try`, where the bytecode tier runs the tree walk.
+    assert_eq!(
+        on_both_engines(&format!(
+            "{KW_PROLOGUE}try:\n    g(1, 2, c=3)\nexcept TypeError as e:\n    print(e)\n"
+        ))
+        .unwrap(),
+        "g() got an unexpected keyword argument 'c'\n"
+    );
+}
+
+#[test]
+fn double_star_keys_must_be_strings() {
+    // Python: `TypeError: keywords must be strings`. Both engines used
+    // to bind the keyword "1".
+    let err = |call: &str| on_both_engines(&format!("{KW_PROLOGUE}{call}\n")).unwrap_err();
+    let expected = ("TypeError".to_string(), "keywords must be strings".to_string());
+    assert_eq!(err("f(0, **{1: 2})"), expected);
+    assert_eq!(err("f(0, **{'ok': 1, None: 2})"), expected);
+    assert_eq!(err("print(**{1: 2})"), expected);
+    assert_eq!(
+        err("try:\n    f(0, **{(1, 2): 3})\nfinally:\n    pass"),
+        expected
+    );
+}
+
+#[test]
+fn run_time_double_star_keys_bind_without_entering_the_interner() {
+    // Keys built at run time bind to named parameters and to `**extra`
+    // alike, and stay out of the process-wide (leaking) interner: only
+    // names written in source are symbols.
+    let src = format!(
+        "{KW_PROLOGUE}{}",
+        concat!(
+            "n = 41\n",
+            "key = 'rt_' + str(n) + '_zqx'\n",
+            "print(f(**{'a' + '': 1, 'b' * 1: 7, key: n}))\n",
+            "print(g(**{'ab'[0]: 5, 'ab'[1]: 3}))\n",
+        )
+    );
+    assert_eq!(
+        on_both_engines(&src).unwrap(),
+        "[1, 7, (), [('rt_41_zqx', 41)]]\n2\n"
+    );
+    assert!(pyrt::intern::try_intern("rt_41_zqx").is_none());
+    assert!(pyrt::intern::try_intern("extra").is_some(), "source names are symbols");
 }

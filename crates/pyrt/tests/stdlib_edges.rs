@@ -14,7 +14,7 @@ fn run(src: &str) -> String {
 fn run_err(src: &str) -> String {
     let m = pysrc::parse_module(src, "t.py").unwrap();
     let mut vm = Vm::new();
-    vm.run_module(&m).expect_err("should raise").class_name
+    vm.run_module(&m).expect_err("should raise").into_data().class_name
 }
 
 #[test]

@@ -64,9 +64,74 @@ pub fn prepare_cache_metrics() -> &'static PrepareCacheMetrics {
     })
 }
 
-/// Parses and prepares a source through the process-wide cache.
-fn prepare_source_cached(name: &str, text: &str) -> Result<Arc<PreparedModule>, pysrc::ParseError> {
-    let key = (name.to_string(), source_hash64(text));
+/// Process-wide totals of what the containers' interpreter heaps held
+/// when they were torn down: objects allocated per slab kind, and how
+/// often a short string found its handle in the per-VM intern table.
+/// The per-VM counts are plain `Cell`s on the interpreter's hot path;
+/// they are folded in here once per container.
+pub struct HeapMetrics {
+    /// Objects allocated per slab kind, parallel to
+    /// [`pyrt::value::SLAB_KINDS`].
+    pub objects: Vec<obs::Counter>,
+    /// Short strings served from a VM's intern table.
+    pub intern_hits: obs::Counter,
+    /// Short strings new to a VM's intern table.
+    pub intern_misses: obs::Counter,
+}
+
+impl HeapMetrics {
+    /// Registers the counters into `registry` (process-wide counts, so
+    /// every registry of the process shows the same ones).
+    pub fn register_into(&self, registry: &obs::Registry) {
+        for counter in &self.objects {
+            registry.register_counter(
+                "pyrt_heap_objects_total",
+                "Interpreter heap objects allocated by torn-down containers, per slab kind.",
+                counter,
+            );
+        }
+        registry.register_counter(
+            "pyrt_intern_hits_total",
+            "Short strings that found their handle in a container VM's intern table.",
+            &self.intern_hits,
+        );
+        registry.register_counter(
+            "pyrt_intern_misses_total",
+            "Short strings that were new to a container VM's intern table.",
+            &self.intern_misses,
+        );
+    }
+
+    fn fold(&self, stats: &pyrt::value::HeapStats) {
+        for (counter, n) in self.objects.iter().zip(stats.objects) {
+            counter.add(n);
+        }
+        self.intern_hits.add(stats.intern_hits);
+        self.intern_misses.add(stats.intern_misses);
+    }
+}
+
+/// The process-wide interpreter-heap counters.
+pub fn heap_metrics() -> &'static HeapMetrics {
+    static METRICS: OnceLock<HeapMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| HeapMetrics {
+        objects: pyrt::value::SLAB_KINDS
+            .iter()
+            .map(|kind| obs::Counter::detached_with(&[("kind", kind)]))
+            .collect(),
+        intern_hits: obs::Counter::detached(),
+        intern_misses: obs::Counter::detached(),
+    })
+}
+
+/// Parses and prepares a source through the process-wide cache; `hash`
+/// is the text's [`source_hash64`], computed once per deploy.
+fn prepare_source_cached(
+    name: &str,
+    text: &str,
+    hash: u64,
+) -> Result<Arc<PreparedModule>, pysrc::ParseError> {
+    let key = (name.to_string(), hash);
     if let Some(pm) = prepare_cache().lock().expect("prepare cache lock").get(&key) {
         prepare_cache_metrics().hits.inc();
         return Ok(pm.clone());
@@ -167,45 +232,36 @@ impl Container {
         // its stamped source hash matches the shipped text — an
         // unstamped or stale artifact (e.g. attached for a module that
         // was mutated) falls back to parsing, never silently executing
-        // the wrong AST.
-        let prepared_for = |name: &str, text: &str| {
-            image
-                .prepared
-                .iter()
-                .find(|p| {
-                    p.module.name == name
-                        && p.source_hash == Some(pyrt::prepare::source_hash64(text))
-                })
-                .cloned()
-        };
-        for src in &image.sources {
+        // the wrong AST. Each text is hashed once; the attached
+        // artifacts and the process-wide cache are both matched on
+        // `(name, hash)`.
+        let register = |name: &str, text: &str| -> Result<(), pysrc::ParseError> {
+            let hash = source_hash64(text);
             // Prepared fast path: the unchanged modules of a campaign
             // (everything but the mutant) skip parse + name resolution.
-            if let Some(pm) = prepared_for(&src.import_name, &src.text) {
-                vm.register_prepared_source(&src.import_name, pm);
-                continue;
-            }
-            let pm = prepare_source_cached(&src.import_name, &src.text).map_err(|e| {
-                DeployError {
-                    message: format!("source {}: {e}", src.import_name),
-                }
+            let attached = image
+                .prepared
+                .iter()
+                .find(|p| p.source_hash == Some(hash) && p.module.name == name);
+            let pm = match attached {
+                Some(pm) => pm.clone(),
+                None => prepare_source_cached(name, text, hash)?,
+            };
+            vm.register_prepared_source(name, pm);
+            Ok(())
+        };
+        for src in &image.sources {
+            register(&src.import_name, &src.text).map_err(|e| DeployError {
+                message: format!("source {}: {e}", src.import_name),
             })?;
-            vm.register_prepared_source(&src.import_name, pm);
         }
         // A target source named `workload` (e.g. when faults are
         // injected into the workload's API call sites, §V-B) takes
         // precedence over the image-level workload text.
         if !image.sources.iter().any(|s| s.import_name == "workload") {
-            if let Some(pm) = prepared_for("workload", &image.workload) {
-                vm.register_prepared_source("workload", pm);
-            } else {
-                let pm = prepare_source_cached("workload", &image.workload).map_err(|e| {
-                    DeployError {
-                        message: format!("workload: {e}"),
-                    }
-                })?;
-                vm.register_prepared_source("workload", pm);
-            }
+            register("workload", &image.workload).map_err(|e| DeployError {
+                message: format!("workload: {e}"),
+            })?;
         }
         for cmd in &image.setup {
             let (code, out) = host.execute(cmd);
@@ -245,10 +301,13 @@ impl Container {
         let status = match result {
             Ok(()) => RoundStatus::Ok,
             Err(e) if e.class_name == "ProfipyFuelExhausted" => RoundStatus::Timeout,
-            Err(e) => RoundStatus::Failed {
-                exc_class: e.class_name,
-                message: e.message,
-            },
+            Err(e) => {
+                let e = e.into_data();
+                RoundStatus::Failed {
+                    exc_class: e.class_name,
+                    message: e.message,
+                }
+            }
         };
         RoundOutcome { status, duration }
     }
@@ -271,7 +330,7 @@ impl Container {
         let run = self.vm.heap.module(ns).get("run").ok_or_else(|| {
             PyExc::new("AttributeError", "workload module must define run(round)")
         })?;
-        call_value(&mut self.vm, run, vec![Value::Int(round)], vec![]).map(|_| ())
+        call_value(&mut self.vm, run, vec![Value::Int(round)], Vec::new()).map(|_| ())
     }
 
     /// Coverage ids observed so far (`profipy_rt.cov` probes).
@@ -309,10 +368,48 @@ impl Container {
     /// tool can also clean-up any resource leaked or corrupted because
     /// of the injected fault".
     pub fn teardown(mut self) {
+        self.release();
+    }
+
+    /// Ends the experiment: moves logs, stdout and stderr *out of* the
+    /// container, reads the final virtual time and the host's traced
+    /// invocations (built from the host's record either way, so there
+    /// is nothing to move), then tears it down. The `&self` accessors
+    /// copy; this is for the caller that is done with the container.
+    pub fn finish(mut self) -> ContainerOutput {
+        let output = ContainerOutput {
+            duration: self.vm.now(),
+            logs: self.vm.take_logs(),
+            stdout: self.vm.take_stdout(),
+            stderr: self.vm.take_stderr(),
+            events: self.vm.host.trace_events(),
+        };
+        self.release();
+        output
+    }
+
+    fn release(&mut self) {
         self.vm.clear_hogs();
         let _ = self.vm.host.execute(&["etcd-cleanup".to_string()]);
         self.state = ContainerState::TornDown;
+        heap_metrics().fold(&self.vm.heap.stats());
     }
+}
+
+/// What a finished container hands to the workflow
+/// ([`Container::finish`]).
+#[derive(Clone, Debug)]
+pub struct ContainerOutput {
+    /// Virtual time at the end of the experiment.
+    pub duration: f64,
+    /// Captured log records.
+    pub logs: Vec<pyrt::LogRecord>,
+    /// Captured stdout.
+    pub stdout: String,
+    /// Captured stderr (tracebacks).
+    pub stderr: String,
+    /// Traced host API invocations.
+    pub events: Vec<pyrt::host::TraceEvent>,
 }
 
 #[cfg(test)]

@@ -23,7 +23,8 @@ pub mod executor;
 pub mod image;
 
 pub use container::{
-    prepare_cache_metrics, Container, DeployError, PrepareCacheMetrics, RoundOutcome, RoundStatus,
+    heap_metrics, prepare_cache_metrics, Container, ContainerOutput, DeployError, HeapMetrics,
+    PrepareCacheMetrics, RoundOutcome, RoundStatus,
 };
 pub use executor::ParallelExecutor;
 pub use image::{ContainerImage, SourceFile};

@@ -338,6 +338,34 @@ fn metrics_are_valid_prometheus_exposition() {
         "every mutant was new: {metrics}"
     );
     let hits_before = counter(&metrics, HITS);
+    // Interpreter-heap totals, folded in when a container is torn down
+    // (process-wide as well): every container's VM installs its
+    // builtins as natives and the builtin exception hierarchy as
+    // classes, so a campaign moves both by at least its experiments;
+    // what it interns depends on the target (this one barely uses
+    // strings), so those two only have to be there and never fall.
+    const HEAP: [&str; 2] = [
+        "pyrt_heap_objects_total{kind=\"native\"}",
+        "pyrt_heap_objects_total{kind=\"class\"}",
+    ];
+    const INTERN: [&str; 2] = ["pyrt_intern_hits_total", "pyrt_intern_misses_total"];
+    let sample = |metrics: &str, series: &str| -> u64 {
+        metrics
+            .lines()
+            .find_map(|line| line.strip_prefix(series)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("no sample of {series}\n{metrics}"))
+            .parse()
+            .expect("counter value")
+    };
+    for family in ["pyrt_heap_objects_total", "pyrt_intern_hits_total", "pyrt_intern_misses_total"] {
+        assert!(families.iter().any(|f| f == family), "{family} missing: {families:?}");
+    }
+    for kind in pyrt::value::SLAB_KINDS {
+        sample(&metrics, &format!("pyrt_heap_objects_total{{kind=\"{kind}\"}}"));
+    }
+    let heap_before = HEAP.map(|series| sample(&metrics, series));
+    assert!(heap_before.iter().all(|&n| n >= experiments), "{metrics}");
+    let intern_before = INTERN.map(|series| sample(&metrics, series));
     let again = submit(&mut client, &spec_for("conform-again", 3));
     while client
         .get(&format!("/api/campaigns/{again}/report"))
@@ -357,6 +385,15 @@ fn metrics_are_valid_prometheus_exposition() {
         counter(&metrics, HITS) >= hits_before + experiments,
         "the repeated campaign's mutants were warm: {metrics}"
     );
+    for (series, before) in HEAP.iter().zip(heap_before) {
+        assert!(
+            sample(&metrics, series) >= before + experiments,
+            "{series} did not grow by a campaign's worth: {metrics}"
+        );
+    }
+    for (series, before) in INTERN.iter().zip(intern_before) {
+        assert!(sample(&metrics, series) >= before, "{series} fell: {metrics}");
+    }
     api.shutdown();
 }
 
