@@ -494,14 +494,8 @@ fn upload_model(state: &ApiState, req: &Request) -> Response {
         Ok(v) => v,
         Err(resp) => return *resp,
     };
-    let field = |key: &str| -> Result<String, String> {
-        body.req(key)?
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| format!("'{key}' must be a string"))
-    };
-    let (user, name) = match (field("user"), field("name")) {
-        (Ok(u), Ok(n)) => (u, n),
+    let (user, name) = match (body.req_str("user"), body.req_str("name")) {
+        (Ok(u), Ok(n)) => (u.to_string(), n.to_string()),
         (Err(e), _) | (_, Err(e)) => return error_response(422, &e),
     };
     // Either a full fault-model document or bare DSL source.
@@ -549,17 +543,14 @@ fn session_reports(state: &ApiState, req: &Request) -> Response {
         .get_session(user)
         .map(|session| session.reports().to_vec());
     match reports {
-        Some(reports) => {
-            let reports: Vec<Value> = reports.iter().map(report_to_value).collect();
-            Response::json(
-                200,
-                Value::obj(vec![
-                    ("user", Value::str(user)),
-                    ("reports", Value::Arr(reports)),
-                ])
-                .pretty(),
-            )
-        }
+        Some(reports) => Response::json(
+            200,
+            Value::obj(vec![
+                ("user", Value::str(user)),
+                ("reports", Value::arr(reports.iter().map(report_to_value))),
+            ])
+            .pretty(),
+        ),
         None => error_response(404, &format!("unknown user '{user}'")),
     }
 }
@@ -683,13 +674,7 @@ fn healthz(state: &ApiState, _req: &Request) -> Response {
             Value::UInt(state.started.elapsed().as_secs()),
         ),
         ("version", Value::str(env!("CARGO_PKG_VERSION"))),
-        (
-            "error",
-            match &error {
-                Some(e) => Value::str(e),
-                None => Value::Null,
-            },
-        ),
+        ("error", Value::or_null(error.as_ref())),
     ])
     .pretty();
     Response::json(if error.is_some() { 500 } else { 200 }, body)
@@ -725,24 +710,12 @@ pub fn status_to_value(status: &JobStatus) -> Value {
         ("state", Value::str(status.state.as_str())),
         ("user", Value::str(&status.user)),
         ("name", Value::str(&status.name)),
-        (
-            "completed_experiments",
-            Value::UInt(status.completed_experiments as u64),
-        ),
+        ("completed_experiments", status.completed_experiments.into()),
         (
             "total_experiments",
-            match status.total_experiments {
-                Some(n) => Value::UInt(n as u64),
-                None => Value::Null,
-            },
+            Value::or_null(status.total_experiments),
         ),
-        (
-            "error",
-            match &status.error {
-                Some(e) => Value::str(e),
-                None => Value::Null,
-            },
-        ),
+        ("error", Value::or_null(status.error.as_ref())),
     ])
 }
 
@@ -753,13 +726,7 @@ pub fn report_to_value(report: &CampaignReport) -> Value {
     Value::obj(vec![
         ("name", Value::str(&report.name)),
         ("planned_points", Value::UInt(report.planned_points as u64)),
-        (
-            "covered_points",
-            match report.covered_points {
-                Some(n) => Value::UInt(n as u64),
-                None => Value::Null,
-            },
-        ),
+        ("covered_points", Value::or_null(report.covered_points)),
         ("executed", Value::UInt(report.executed as u64)),
         ("failures", Value::UInt(report.failures as u64)),
         ("availability", Value::Float(report.availability)),
@@ -787,13 +754,7 @@ pub fn report_to_value(report: &CampaignReport) -> Value {
                     .per_spec
                     .iter()
                     .map(|(spec, (executed, failed))| {
-                        (
-                            spec.clone(),
-                            Value::Arr(vec![
-                                Value::UInt(*executed as u64),
-                                Value::UInt(*failed as u64),
-                            ]),
-                        )
+                        (spec.clone(), Value::arr([*executed, *failed]))
                     })
                     .collect(),
             ),

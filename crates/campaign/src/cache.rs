@@ -189,7 +189,7 @@ impl MutantCache {
             // mount until someone wonders why every restart re-scans.
             if let Ok(value) = injector::persist::points_to_portable_value(&points, modules) {
                 let path = dir.join(Self::points_file(key));
-                if let Err(e) = std::fs::write(&path, value.pretty()) {
+                if let Err(e) = jsonlite::durable::replace(&path, value.pretty().as_bytes()) {
                     self.write_failures.inc();
                     obs::log!(
                         obs::Level::Warn,
@@ -271,11 +271,6 @@ impl MutantCache {
             .entry(key)
             .or_insert_with(CacheEntry::empty)
             .prepared = Some(prepared);
-    }
-
-    /// Number of distinct cache keys resident in memory.
-    pub fn resident_keys(&self) -> usize {
-        self.entries.len()
     }
 }
 

@@ -11,20 +11,40 @@
 //! complete record before it still counts.
 
 use crate::persist::{result_from_value, result_to_value};
+use jsonlite::durable::Log;
 use jsonlite::Value;
 use profipy::ExperimentResult;
 use std::collections::BTreeSet;
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// The checkpoint log of one campaign.
 pub struct CheckpointLog {
-    path: Option<PathBuf>,
-    file: Option<File>,
+    /// The file behind the log; `None` in memory.
+    log: Option<Log>,
     spec_hash: u64,
     results: Vec<ExperimentResult>,
+}
+
+fn header(spec_hash: u64) -> Value {
+    Value::obj(vec![("spec_hash", Value::UInt(spec_hash))])
+}
+
+/// Reads the log at `path` into `results`: the header line must carry
+/// `spec_hash`, every line after it must decode as a result. Returns
+/// whether the header matched and whether the file needs its rewrite
+/// (torn tail, or a header that is missing or someone else's).
+fn load(
+    path: &Path,
+    spec_hash: u64,
+    results: &mut Vec<ExperimentResult>,
+) -> io::Result<(bool, bool)> {
+    let mut header_ok = None;
+    let torn = Log::load(path, |value| match header_ok {
+        None => *header_ok.insert(value.req_u64("spec_hash") == Ok(spec_hash)),
+        Some(_) => result_from_value(&value).map(|r| results.push(r)).is_ok(),
+    })?;
+    Ok((header_ok == Some(true), torn))
 }
 
 impl CheckpointLog {
@@ -37,8 +57,7 @@ impl CheckpointLog {
     /// in-memory engine carries checkpoints across `drive` calls).
     pub fn in_memory_with(spec_hash: u64, results: Vec<ExperimentResult>) -> CheckpointLog {
         CheckpointLog {
-            path: None,
-            file: None,
+            log: None,
             spec_hash,
             results,
         }
@@ -46,38 +65,12 @@ impl CheckpointLog {
 
     /// Reads the results recorded at `path` for `spec_hash` **without
     /// modifying the file** — for status polling. Returns empty on a
-    /// missing file, hash mismatch, or torn content past the valid
-    /// prefix.
+    /// missing file or hash mismatch, and what was read before a torn
+    /// tail or a read error.
     pub fn peek(path: &Path, spec_hash: u64) -> Vec<ExperimentResult> {
-        let Ok(file) = File::open(path) else {
-            return Vec::new();
-        };
         let mut results = Vec::new();
-        let mut first = true;
-        for line in BufReader::new(file).lines() {
-            let Ok(line) = line else { break };
-            if line.trim().is_empty() {
-                continue;
-            }
-            let Ok(value) = jsonlite::parse(&line) else {
-                break;
-            };
-            if first {
-                first = false;
-                let ok = value
-                    .get("spec_hash")
-                    .and_then(Value::as_u64)
-                    .is_some_and(|h| h == spec_hash);
-                if !ok {
-                    return Vec::new();
-                }
-                continue;
-            }
-            match result_from_value(&value) {
-                Ok(r) => results.push(r),
-                Err(_) => break,
-            }
-        }
+        // The error case keeps what `load` delivered before it.
+        let _ = load(path, spec_hash, &mut results);
         results
     }
 
@@ -94,68 +87,18 @@ impl CheckpointLog {
             std::fs::create_dir_all(parent)?;
         }
         let mut results = Vec::new();
-        let mut header_ok = false;
-        let mut torn = false;
-        if path.exists() {
-            let reader = BufReader::new(File::open(path)?);
-            let mut first = true;
-            for line in reader.lines() {
-                let line = line?;
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let Ok(value) = jsonlite::parse(&line) else {
-                    // Torn tail from a crash mid-write: stop here,
-                    // everything before it is intact.
-                    torn = true;
-                    break;
-                };
-                if first {
-                    first = false;
-                    header_ok = value
-                        .get("spec_hash")
-                        .and_then(Value::as_u64)
-                        .is_some_and(|h| h == spec_hash);
-                    if !header_ok {
-                        break;
-                    }
-                    continue;
-                }
-                match result_from_value(&value) {
-                    Ok(r) => results.push(r),
-                    Err(_) => {
-                        torn = true;
-                        break;
-                    }
-                }
-            }
-        }
-        let header = Value::obj(vec![("spec_hash", Value::UInt(spec_hash))]).compact();
-        let file = if !header_ok || torn {
+        let (header_ok, torn) = load(path, spec_hash, &mut results)?;
+        let mut log = Log::at(path);
+        if !header_ok || torn {
             // Fresh, invalidated, or torn log: rewrite the valid prefix
-            // (empty on invalidation) so the file is clean again. The
-            // rewrite goes to a temp file and renames over the original
-            // — a crash during repair must not lose the durable prefix.
-            if !header_ok {
-                results.clear();
-            }
-            let tmp = path.with_extension("jsonl.tmp");
-            {
-                let mut file = File::create(&tmp)?;
-                writeln!(file, "{header}")?;
-                for r in &results {
-                    writeln!(file, "{}", result_to_value(r).compact())?;
-                }
-                file.sync_data()?;
-            }
-            std::fs::rename(&tmp, path)?;
-            OpenOptions::new().append(true).open(path)?
-        } else {
-            OpenOptions::new().append(true).open(path)?
-        };
+            // (empty on invalidation) so the file is clean again — a
+            // crash during repair must not lose the durable prefix.
+            log.rewrite(
+                std::iter::once(header(spec_hash)).chain(results.iter().map(result_to_value)),
+            )?;
+        }
         Ok(CheckpointLog {
-            path: Some(path.to_path_buf()),
-            file: Some(file),
+            log: Some(log),
             spec_hash,
             results,
         })
@@ -189,16 +132,15 @@ impl CheckpointLog {
     /// the running campaign coherent).
     pub fn record(&mut self, result: &ExperimentResult) -> io::Result<()> {
         self.results.push(result.clone());
-        if let Some(file) = &mut self.file {
-            writeln!(file, "{}", result_to_value(result).compact())?;
-            file.sync_data()?;
+        match &mut self.log {
+            Some(log) => log.append(&result_to_value(result)),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// The log's path, if persistent.
     pub fn path(&self) -> Option<&Path> {
-        self.path.as_deref()
+        self.log.as_ref().map(Log::path)
     }
 }
 
@@ -206,6 +148,9 @@ impl CheckpointLog {
 mod tests {
     use super::*;
     use sandbox::{RoundOutcome, RoundStatus};
+    use std::fs::OpenOptions;
+    use std::io::Write;
+    use std::path::PathBuf;
 
     fn result(point_id: u64) -> ExperimentResult {
         ExperimentResult {

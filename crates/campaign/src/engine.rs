@@ -472,19 +472,6 @@ impl CampaignEngine {
         self.status.clone()
     }
 
-    /// All job statuses for one user, oldest first.
-    pub fn user_jobs(&self, user: &str) -> Vec<JobStatus> {
-        let mut ids: Vec<&crate::queue::QueuedJob> = self
-            .queue
-            .jobs()
-            .filter(|j| j.spec.user == user)
-            .collect();
-        ids.sort_by_key(|j| j.seq);
-        ids.iter()
-            .filter_map(|j| self.poll(&j.id))
-            .collect()
-    }
-
     /// Cancels a queued job.
     ///
     /// # Errors

@@ -72,4 +72,4 @@ pub use engine::{
 pub use persist::{result_from_value, result_to_value, results_equivalent};
 pub use queue::{JobQueue, JobState, QueuedJob};
 pub use service::CampaignService;
-pub use spec::{CampaignSpec, ExecutorSpec, FilterSpec};
+pub use spec::{text_pairs_from_value, CampaignSpec, FilterSpec};

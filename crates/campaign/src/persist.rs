@@ -31,16 +31,8 @@ fn status_from_value(v: &Value) -> Result<RoundStatus, String> {
         };
     }
     Ok(RoundStatus::Failed {
-        exc_class: v
-            .req("exc")?
-            .as_str()
-            .ok_or("status 'exc' must be a string")?
-            .to_string(),
-        message: v
-            .req("msg")?
-            .as_str()
-            .ok_or("status 'msg' must be a string")?
-            .to_string(),
+        exc_class: v.req_str("exc")?.into(),
+        message: v.req_str("msg")?.into(),
     })
 }
 
@@ -54,10 +46,7 @@ fn round_to_value(round: &RoundOutcome) -> Value {
 fn round_from_value(v: &Value) -> Result<RoundOutcome, String> {
     Ok(RoundOutcome {
         status: status_from_value(v.req("status")?)?,
-        duration: v
-            .req("duration")?
-            .as_f64()
-            .ok_or("round 'duration' must be a number")?,
+        duration: v.req_f64("duration")?,
     })
 }
 
@@ -93,25 +82,10 @@ fn log_to_value(log: &LogRecord) -> Value {
 
 fn log_from_value(v: &Value) -> Result<LogRecord, String> {
     Ok(LogRecord {
-        time: v
-            .req("time")?
-            .as_f64()
-            .ok_or("log 'time' must be a number")?,
-        severity: severity_from_name(
-            v.req("severity")?
-                .as_str()
-                .ok_or("log 'severity' must be a string")?,
-        )?,
-        component: v
-            .req("component")?
-            .as_str()
-            .ok_or("log 'component' must be a string")?
-            .to_string(),
-        message: v
-            .req("message")?
-            .as_str()
-            .ok_or("log 'message' must be a string")?
-            .to_string(),
+        time: v.req_f64("time")?,
+        severity: severity_from_name(v.req_str("severity")?)?,
+        component: v.req_str("component")?.into(),
+        message: v.req_str("message")?.into(),
     })
 }
 
@@ -126,23 +100,10 @@ fn event_to_value(event: &TraceEvent) -> Value {
 
 fn event_from_value(v: &Value) -> Result<TraceEvent, String> {
     Ok(TraceEvent {
-        time: v
-            .req("time")?
-            .as_f64()
-            .ok_or("event 'time' must be a number")?,
-        name: v
-            .req("name")?
-            .as_str()
-            .ok_or("event 'name' must be a string")?
-            .to_string(),
-        failed: v
-            .req("failed")?
-            .as_bool()
-            .ok_or("event 'failed' must be a bool")?,
-        duration: v
-            .req("duration")?
-            .as_f64()
-            .ok_or("event 'duration' must be a number")?,
+        time: v.req_f64("time")?,
+        name: v.req_str("name")?.into(),
+        failed: v.req_bool("failed")?,
+        duration: v.req_f64("duration")?,
     })
 }
 
@@ -155,21 +116,12 @@ pub fn result_to_value(r: &ExperimentResult) -> Value {
         ("scope", Value::str(&r.scope)),
         ("round1", round_to_value(&r.round1)),
         ("round2", round_to_value(&r.round2)),
-        ("logs", Value::Arr(r.logs.iter().map(log_to_value).collect())),
+        ("logs", Value::arr(r.logs.iter().map(log_to_value))),
         ("stdout", Value::str(&r.stdout)),
         ("stderr", Value::str(&r.stderr)),
         ("duration", Value::Float(r.duration)),
-        (
-            "deploy_error",
-            match &r.deploy_error {
-                Some(e) => Value::str(e),
-                None => Value::Null,
-            },
-        ),
-        (
-            "events",
-            Value::Arr(r.events.iter().map(event_to_value).collect()),
-        ),
+        ("deploy_error", Value::or_null(r.deploy_error.as_ref())),
+        ("events", Value::arr(r.events.iter().map(event_to_value))),
     ])
 }
 
@@ -179,51 +131,23 @@ pub fn result_to_value(r: &ExperimentResult) -> Value {
 ///
 /// Describes the malformed field.
 pub fn result_from_value(v: &Value) -> Result<ExperimentResult, String> {
-    let text = |key: &str| -> Result<String, String> {
-        v.req(key)?
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| format!("result field '{key}' must be a string"))
-    };
     Ok(ExperimentResult {
-        point_id: v
-            .req("point_id")?
-            .as_u64()
-            .ok_or("result 'point_id' must be a u64")?,
-        spec_name: text("spec")?,
-        module: text("module")?,
-        scope: text("scope")?,
+        point_id: v.req_u64("point_id")?,
+        spec_name: v.req_str("spec")?.into(),
+        module: v.req_str("module")?.into(),
+        scope: v.req_str("scope")?.into(),
         round1: round_from_value(v.req("round1")?)?,
         round2: round_from_value(v.req("round2")?)?,
-        logs: v
-            .req("logs")?
-            .as_arr()
-            .ok_or("result 'logs' must be an array")?
-            .iter()
-            .map(log_from_value)
-            .collect::<Result<Vec<_>, _>>()?,
-        stdout: text("stdout")?,
-        stderr: text("stderr")?,
-        duration: v
-            .req("duration")?
-            .as_f64()
-            .ok_or("result 'duration' must be a number")?,
+        logs: v.req_list("logs", log_from_value)?,
+        stdout: v.req_str("stdout")?.into(),
+        stderr: v.req_str("stderr")?.into(),
+        duration: v.req_f64("duration")?,
+        // Always written, `null` when the deploy succeeded.
         deploy_error: match v.req("deploy_error")? {
             Value::Null => None,
-            other => Some(
-                other
-                    .as_str()
-                    .ok_or("result 'deploy_error' must be a string or null")?
-                    .to_string(),
-            ),
+            _ => Some(v.req_str("deploy_error")?.into()),
         },
-        events: v
-            .req("events")?
-            .as_arr()
-            .ok_or("result 'events' must be an array")?
-            .iter()
-            .map(event_from_value)
-            .collect::<Result<Vec<_>, _>>()?,
+        events: v.req_list("events", event_from_value)?,
     })
 }
 

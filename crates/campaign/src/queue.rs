@@ -107,13 +107,7 @@ impl QueuedJob {
             ("id", Value::str(&self.id)),
             ("seq", Value::UInt(self.seq)),
             ("state", Value::str(self.state.as_str())),
-            (
-                "error",
-                match &self.error {
-                    Some(e) => Value::str(e),
-                    None => Value::Null,
-                },
-            ),
+            ("error", Value::or_null(self.error.as_ref())),
             ("spec", self.spec.to_value()),
         ])
     }
@@ -122,25 +116,13 @@ impl QueuedJob {
         let spec = CampaignSpec::from_value(v.req("spec")?)?;
         Ok(QueuedJob {
             spec_hash: spec.content_hash(),
-            id: v
-                .req("id")?
-                .as_str()
-                .ok_or("job 'id' must be a string")?
-                .to_string(),
-            seq: v.req("seq")?.as_u64().ok_or("job 'seq' must be a u64")?,
-            state: JobState::from_str(
-                v.req("state")?
-                    .as_str()
-                    .ok_or("job 'state' must be a string")?,
-            )?,
+            id: v.req_str("id")?.into(),
+            seq: v.req_u64("seq")?,
+            state: JobState::from_str(v.req_str("state")?)?,
+            // Always written, `null` unless the job failed.
             error: match v.req("error")? {
                 Value::Null => None,
-                other => Some(
-                    other
-                        .as_str()
-                        .ok_or("job 'error' must be a string or null")?
-                        .to_string(),
-                ),
+                _ => Some(v.req_str("error")?.into()),
             },
             spec,
         })
@@ -387,10 +369,12 @@ impl JobQueue {
         let (Some(dir), Some(job)) = (&self.dir, self.jobs.get(id)) else {
             return Ok(());
         };
-        let final_path = dir.join(format!("{id}.json"));
-        let tmp_path = dir.join(format!("{id}.json.tmp"));
-        std::fs::write(&tmp_path, job.to_value().pretty())?;
-        std::fs::rename(&tmp_path, &final_path)
+        // A crash mid-write may leave `{id}.json.tmp` behind; `open`
+        // only reads `job-*.json`.
+        jsonlite::durable::replace(
+            &dir.join(format!("{id}.json")),
+            job.to_value().pretty().as_bytes(),
+        )
     }
 }
 

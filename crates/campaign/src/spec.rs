@@ -50,125 +50,39 @@ impl FilterSpec {
     }
 
     fn to_value(&self) -> Value {
-        let strs = |items: &[String]| Value::Arr(items.iter().map(Value::str).collect());
         Value::obj(vec![
-            ("modules", strs(&self.modules)),
-            ("scopes", strs(&self.scopes)),
-            ("specs", strs(&self.specs)),
-            ("sample", Value::UInt(self.sample as u64)),
+            ("modules", Value::arr(&self.modules)),
+            ("scopes", Value::arr(&self.scopes)),
+            ("specs", Value::arr(&self.specs)),
+            ("sample", self.sample.into()),
         ])
     }
 
     fn from_value(v: &Value) -> Result<FilterSpec, String> {
-        let strs = |key: &str| -> Result<Vec<String>, String> {
-            v.req(key)?
-                .as_arr()
-                .ok_or_else(|| format!("filter '{key}' must be an array"))?
-                .iter()
-                .map(|s| {
-                    s.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("filter '{key}' entries must be strings"))
-                })
-                .collect()
-        };
         Ok(FilterSpec {
-            modules: strs("modules")?,
-            scopes: strs("scopes")?,
-            specs: strs("specs")?,
-            sample: v
-                .req("sample")?
-                .as_u64()
-                .ok_or("filter 'sample' must be a u64")? as usize,
+            modules: v.req_strs("modules")?,
+            scopes: v.req_strs("scopes")?,
+            specs: v.req_strs("specs")?,
+            sample: v.req_u64("sample")? as usize,
         })
     }
 }
 
-/// Serializable mirror of the executor knobs. The I/O cap uses
-/// `None` = unlimited, keeping the in-memory `usize::MAX` sentinel out
-/// of stored configs (see `ParallelExecutor::io_limit`).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ExecutorSpec {
-    /// CPU cores of the execution host.
-    pub cpu_cores: usize,
-    /// Total container memory budget (MB).
-    pub mem_mb_total: u64,
-    /// Per-container memory footprint (MB).
-    pub mem_mb_per_container: u64,
-    /// I/O cap (`None` = unlimited).
-    pub io_limit: Option<usize>,
-}
-
-impl ExecutorSpec {
-    /// Captures an executor's configuration.
-    pub fn from_executor(ex: &ParallelExecutor) -> ExecutorSpec {
-        ExecutorSpec {
-            cpu_cores: ex.cpu_cores,
-            mem_mb_total: ex.mem_mb_total,
-            mem_mb_per_container: ex.mem_mb_per_container,
-            io_limit: ex.io_limit(),
-        }
-    }
-
-    /// Rebuilds the executor.
-    pub fn to_executor(&self) -> ParallelExecutor {
-        let mut ex = ParallelExecutor::new(self.cpu_cores);
-        ex.mem_mb_total = self.mem_mb_total;
-        ex.mem_mb_per_container = self.mem_mb_per_container;
-        ex.set_io_limit(self.io_limit);
-        ex
-    }
-
-    /// The executor spec as a JSON value.
-    pub fn to_value(&self) -> Value {
-        Value::obj(vec![
-            ("cpu_cores", Value::UInt(self.cpu_cores as u64)),
-            ("mem_mb_total", Value::UInt(self.mem_mb_total)),
-            (
-                "mem_mb_per_container",
-                Value::UInt(self.mem_mb_per_container),
-            ),
-            (
-                "io_limit",
-                match self.io_limit {
-                    Some(n) => Value::UInt(n as u64),
-                    None => Value::Null,
-                },
-            ),
-        ])
-    }
-
-    /// Reads an executor spec back from a JSON value.
-    ///
-    /// # Errors
-    ///
-    /// Describes the malformed field.
-    pub fn from_value(v: &Value) -> Result<ExecutorSpec, String> {
-        let io_limit = match v.req("io_limit")? {
-            Value::Null => None,
-            other => Some(
-                other
-                    .as_u64()
-                    .ok_or("executor 'io_limit' must be a u64 or null")?
-                    as usize,
-            ),
-        };
-        Ok(ExecutorSpec {
-            cpu_cores: v
-                .req("cpu_cores")?
-                .as_u64()
-                .ok_or("executor 'cpu_cores' must be a u64")? as usize,
-            mem_mb_total: v
-                .req("mem_mb_total")?
-                .as_u64()
-                .ok_or("executor 'mem_mb_total' must be a u64")?,
-            mem_mb_per_container: v
-                .req("mem_mb_per_container")?
-                .as_u64()
-                .ok_or("executor 'mem_mb_per_container' must be a u64")?,
-            io_limit,
-        })
-    }
+/// Reads the array of `[name, text]` string pairs at `key` — the shape
+/// of a spec's `sources` and of a leased job's container sources.
+///
+/// # Errors
+///
+/// Describes the malformed field.
+pub fn text_pairs_from_value<T>(
+    v: &Value,
+    key: &str,
+    pair: impl Fn(String, String) -> T,
+) -> Result<Vec<T>, String> {
+    v.req_list(key, |entry| match entry.as_arr() {
+        Some([Value::Str(name), Value::Str(text)]) => Ok(pair(name.clone(), text.clone())),
+        _ => Err("expected [name, text] string pairs".to_string()),
+    })
 }
 
 /// A complete, serializable campaign description.
@@ -350,23 +264,10 @@ impl CampaignSpec {
             ("host", Value::str(&self.host)),
             (
                 "sources",
-                Value::Arr(
-                    self.sources
-                        .iter()
-                        .map(|(n, t)| Value::Arr(vec![Value::str(n), Value::str(t)]))
-                        .collect(),
-                ),
+                Value::arr(self.sources.iter().map(|(n, t)| Value::arr([n, t]))),
             ),
             ("workload", Value::str(&self.workload)),
-            (
-                "setup",
-                Value::Arr(
-                    self.setup
-                        .iter()
-                        .map(|cmd| Value::Arr(cmd.iter().map(Value::str).collect()))
-                        .collect(),
-                ),
-            ),
+            ("setup", Value::arr(self.setup.iter().map(Value::arr))),
             ("seed", Value::UInt(self.seed)),
             (
                 "mode",
@@ -389,76 +290,28 @@ impl CampaignSpec {
     ///
     /// Describes the malformed field.
     pub fn from_value(v: &Value) -> Result<CampaignSpec, String> {
-        let text = |key: &str| -> Result<String, String> {
-            v.req(key)?
-                .as_str()
-                .map(str::to_string)
-                .ok_or_else(|| format!("spec field '{key}' must be a string"))
-        };
-        let sources = v
-            .req("sources")?
-            .as_arr()
-            .ok_or("'sources' must be an array")?
-            .iter()
-            .map(|pair| {
-                let pair = pair.as_arr().filter(|p| p.len() == 2).ok_or(
-                    "'sources' entries must be [name, text] pairs",
-                )?;
-                match (pair[0].as_str(), pair[1].as_str()) {
-                    (Some(n), Some(t)) => Ok((n.to_string(), t.to_string())),
-                    _ => Err("'sources' entries must be string pairs".to_string()),
-                }
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let setup = v
-            .req("setup")?
-            .as_arr()
-            .ok_or("'setup' must be an array")?
-            .iter()
-            .map(|cmd| {
-                cmd.as_arr()
-                    .ok_or("'setup' entries must be arrays")?
-                    .iter()
-                    .map(|word| {
-                        word.as_str()
-                            .map(str::to_string)
-                            .ok_or_else(|| "'setup' words must be strings".to_string())
-                    })
-                    .collect::<Result<Vec<_>, String>>()
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let mode = match text("mode")?.as_str() {
-            "direct" => MutationMode::Direct,
-            "triggered" => MutationMode::Triggered,
-            other => return Err(format!("unknown mutation mode '{other}'")),
-        };
         Ok(CampaignSpec {
-            user: text("user")?,
-            name: text("name")?,
-            priority: v
-                .req("priority")?
-                .as_u64()
-                .ok_or("'priority' must be a u64")? as u8,
-            host: text("host")?,
-            sources,
-            workload: text("workload")?,
-            setup,
-            seed: v.req("seed")?.as_u64().ok_or("'seed' must be a u64")?,
-            mode,
-            round_timeout: v
-                .req("round_timeout")?
-                .as_f64()
-                .ok_or("'round_timeout' must be a number")?,
-            fuel_per_round: v
-                .req("fuel_per_round")?
-                .as_u64()
-                .ok_or("'fuel_per_round' must be a u64")?,
+            user: v.req_str("user")?.into(),
+            name: v.req_str("name")?.into(),
+            priority: v.req_u64("priority")? as u8,
+            host: v.req_str("host")?.into(),
+            sources: text_pairs_from_value(v, "sources", |name, text| (name, text))?,
+            workload: v.req_str("workload")?.into(),
+            setup: v.req_list("setup", |cmd| {
+                cmd.as_strs()
+                    .ok_or_else(|| "expected an array of strings".to_string())
+            })?,
+            seed: v.req_u64("seed")?,
+            mode: match v.req_str("mode")? {
+                "direct" => MutationMode::Direct,
+                "triggered" => MutationMode::Triggered,
+                other => return Err(format!("unknown mutation mode '{other}'")),
+            },
+            round_timeout: v.req_f64("round_timeout")?,
+            fuel_per_round: v.req_u64("fuel_per_round")?,
             model: FaultModel::from_value(v.req("model")?)?,
             filter: FilterSpec::from_value(v.req("filter")?)?,
-            prune_by_coverage: v
-                .req("prune_by_coverage")?
-                .as_bool()
-                .ok_or("'prune_by_coverage' must be a bool")?,
+            prune_by_coverage: v.req_bool("prune_by_coverage")?,
         })
     }
 
@@ -557,26 +410,6 @@ mod tests {
         // Identical specs agree, including across JSON round-trips.
         let back = CampaignSpec::from_json(&spec.to_json()).unwrap();
         assert_eq!(spec.coverage_key(), back.coverage_key());
-    }
-
-    #[test]
-    fn executor_spec_roundtrips_with_unlimited_io() {
-        let ex = ParallelExecutor::new(8);
-        let spec = ExecutorSpec::from_executor(&ex);
-        assert_eq!(spec.io_limit, None);
-        let parsed =
-            ExecutorSpec::from_value(&jsonlite::parse(&spec.to_value().pretty()).unwrap())
-                .unwrap();
-        assert_eq!(spec, parsed);
-        let rebuilt = parsed.to_executor();
-        assert_eq!(rebuilt.io_limit(), None);
-        assert_eq!(rebuilt.effective_workers(100), 7);
-
-        let mut capped = ParallelExecutor::new(8);
-        capped.set_io_limit(Some(2));
-        let spec = ExecutorSpec::from_executor(&capped);
-        assert_eq!(spec.io_limit, Some(2));
-        assert_eq!(spec.to_executor().effective_workers(100), 2);
     }
 
     #[test]

@@ -33,13 +33,15 @@ use crate::walog::LeaseLog;
 use crate::wire::WireSpan;
 use campaign::{CampaignSpec, CheckedOutCampaign, EngineError, SharedService};
 use injector::InjectionPoint;
+use jsonlite::durable::Log;
+use jsonlite::Value;
 use obs::Level;
 use profipy::ExperimentResult;
 use pysrc::Module;
 use sandbox::SourceFile;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::io::{self, Write};
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use trace::TraceStore;
@@ -225,7 +227,10 @@ pub struct Coordinator {
     service: SharedService,
     config: FleetConfig,
     state: Mutex<FleetState>,
-    registry_path: Option<PathBuf>,
+    /// The worker registry log (`fleet-workers.jsonl`), behind its own
+    /// lock: registrations and tombstones are appended outside the
+    /// fleet lock.
+    registry: Option<Mutex<Log>>,
     /// This coordinator's monotonic epoch: the WAL's recorded epoch
     /// plus one, so every restart or standby takeover is a new epoch.
     epoch: u64,
@@ -255,6 +260,80 @@ pub struct Coordinator {
     trace: Arc<TraceStore>,
 }
 
+/// A registry line that (re)registers a worker.
+fn registration(id: &str, parallelism: usize) -> Value {
+    Value::obj(vec![
+        ("id", Value::str(id)),
+        ("parallelism", parallelism.into()),
+    ])
+}
+
+/// A registry line that prunes a worker.
+fn tombstone(id: &str) -> Value {
+    Value::obj(vec![("id", Value::str(id)), ("pruned", Value::Bool(true))])
+}
+
+/// Replays the registry log at `path` into `workers` and the highest
+/// worker sequence number it names, then compacts it if it holds more
+/// than the live set: the file is rewritten as exactly the live workers
+/// (dead ones pruned, duplicates folded, any torn tail gone) plus, when
+/// the newest id was pruned, one watermark tombstone carrying the id
+/// sequence, so a later reload can never reissue a pruned worker's id.
+fn load_registry(
+    path: &Path,
+    workers: &mut BTreeMap<String, WorkerInfo>,
+    next_worker_seq: &mut u64,
+) -> io::Result<Log> {
+    let mut lines = 0usize;
+    let loaded = Log::load(path, |v| {
+        let Ok(id) = v.req_str("id") else {
+            return false;
+        };
+        // A tombstone prunes the worker; a plain entry (re)registers it.
+        if matches!(v.get("pruned"), Some(Value::Bool(true))) {
+            workers.remove(id);
+        } else if let Ok(parallelism) = v.req_u64("parallelism") {
+            let info = WorkerInfo {
+                parallelism: parallelism as usize,
+                last_contact: None,
+            };
+            workers.insert(id.to_string(), info);
+        } else {
+            return false;
+        }
+        let seq = id
+            .strip_prefix("worker-")
+            .and_then(|s| s.parse::<u64>().ok());
+        *next_worker_seq = (*next_worker_seq).max(seq.unwrap_or(0));
+        lines += 1;
+        true
+    });
+    let mut log = Log::at(path);
+    match loaded {
+        Ok(torn) => {
+            if torn || lines != workers.len() {
+                let live = workers
+                    .iter()
+                    .map(|(id, info)| registration(id, info.parallelism));
+                // A live newest worker carries the sequence itself, and
+                // a tombstone in its name would prune it on the next
+                // load.
+                let newest = format!("worker-{:06}", *next_worker_seq);
+                let watermark = (!workers.contains_key(&newest)).then(|| tombstone(&newest));
+                log.rewrite(live.chain(watermark))?;
+            }
+        }
+        // An unreadable registry starts the fleet empty: workers that
+        // are still alive re-register on their first 404.
+        Err(e) => {
+            obs::log!(Level::Error, "registry_unreadable", "err" => format!("{e}").as_str());
+            workers.clear();
+            *next_worker_seq = 0;
+        }
+    }
+    Ok(log)
+}
+
 impl Coordinator {
     /// Creates a coordinator over a shared service, reloading the
     /// worker registry and the lease WAL from `config.data_dir` if set.
@@ -266,85 +345,20 @@ impl Coordinator {
     ///
     /// I/O errors reading or creating the registry log or lease WAL.
     pub fn new(service: SharedService, config: FleetConfig) -> io::Result<Coordinator> {
-        let registry_path = match &config.data_dir {
+        let mut workers = BTreeMap::new();
+        let mut next_worker_seq = 0u64;
+        let registry = match &config.data_dir {
             Some(dir) => {
                 std::fs::create_dir_all(dir)?;
-                Some(dir.join("fleet-workers.jsonl"))
+                let path = dir.join("fleet-workers.jsonl");
+                Some(Mutex::new(load_registry(
+                    &path,
+                    &mut workers,
+                    &mut next_worker_seq,
+                )?))
             }
             None => None,
         };
-        let mut workers = BTreeMap::new();
-        let mut next_worker_seq = 0u64;
-        let mut registry_lines = 0usize;
-        if let Some(path) = &registry_path {
-            if let Ok(text) = std::fs::read_to_string(path) {
-                for line in text.lines() {
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    // Torn tail from a crash mid-append: keep the valid
-                    // prefix, drop the rest (the checkpoint idiom).
-                    let Ok(v) = jsonlite::parse(line) else { break };
-                    let Some(id) = v.get("id").and_then(jsonlite::Value::as_str) else {
-                        break;
-                    };
-                    if let Some(seq) = id
-                        .strip_prefix("worker-")
-                        .and_then(|s| s.parse::<u64>().ok())
-                    {
-                        next_worker_seq = next_worker_seq.max(seq);
-                    }
-                    registry_lines += 1;
-                    // A tombstone prunes the worker; a plain entry
-                    // (re)registers it.
-                    if matches!(v.get("pruned"), Some(jsonlite::Value::Bool(true))) {
-                        workers.remove(id);
-                        continue;
-                    }
-                    let Some(parallelism) = v.get("parallelism").and_then(jsonlite::Value::as_u64)
-                    else {
-                        registry_lines -= 1;
-                        break;
-                    };
-                    workers.insert(
-                        id.to_string(),
-                        WorkerInfo {
-                            parallelism: parallelism as usize,
-                            last_contact: None,
-                        },
-                    );
-                }
-            }
-            // Compaction on load: rewrite the registry as exactly the
-            // live set (dead workers pruned, duplicates folded), plus
-            // one watermark tombstone carrying the id sequence so a
-            // later reload can never reissue a pruned worker's id.
-            if registry_lines != workers.len() {
-                let tmp = path.with_extension("jsonl.tmp");
-                {
-                    let mut file = std::fs::File::create(&tmp)?;
-                    for (id, info) in &workers {
-                        let line = jsonlite::Value::obj(vec![
-                            ("id", jsonlite::Value::str(id)),
-                            ("parallelism", jsonlite::Value::UInt(info.parallelism as u64)),
-                        ])
-                        .compact();
-                        writeln!(file, "{line}")?;
-                    }
-                    let watermark = jsonlite::Value::obj(vec![
-                        (
-                            "id",
-                            jsonlite::Value::str(format!("worker-{next_worker_seq:06}")),
-                        ),
-                        ("pruned", jsonlite::Value::Bool(true)),
-                    ])
-                    .compact();
-                    writeln!(file, "{watermark}")?;
-                    file.sync_data()?;
-                }
-                std::fs::rename(&tmp, path)?;
-            }
-        }
         // The lease WAL: replay what the previous epoch left in flight,
         // then claim the next epoch.
         let mut wal = match &config.data_dir {
@@ -390,7 +404,7 @@ impl Coordinator {
                 counters: Counters::default(),
                 wal,
             }),
-            registry_path,
+            registry,
             epoch,
             recovered: Mutex::new(recovered),
             boot: Instant::now(),
@@ -419,6 +433,14 @@ impl Coordinator {
         self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 
+    /// Appends one line to the registry log, if there is one.
+    fn append_to_registry(&self, line: &Value) -> io::Result<()> {
+        match &self.registry {
+            Some(log) => log.lock().unwrap_or_else(|p| p.into_inner()).append(line),
+            None => Ok(()),
+        }
+    }
+
     /// Registers a worker; returns its assigned id. Durable when the
     /// coordinator has a data dir: the id survives a coordinator
     /// restart.
@@ -438,19 +460,7 @@ impl Coordinator {
             },
         );
         drop(state);
-        if let Some(path) = &self.registry_path {
-            let line = jsonlite::Value::obj(vec![
-                ("id", jsonlite::Value::str(&id)),
-                ("parallelism", jsonlite::Value::UInt(parallelism.max(1) as u64)),
-            ])
-            .compact();
-            let mut file = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)?;
-            writeln!(file, "{line}")?;
-            file.sync_data()?;
-        }
+        self.append_to_registry(&registration(&id, parallelism.max(1)))?;
         Ok(id)
     }
 
@@ -1098,23 +1108,8 @@ impl Coordinator {
             obs::log!(Level::Warn, "worker_pruned", "worker" => id.as_str());
             // Tombstone the registry so a restart does not resurrect
             // the pruned worker. Best-effort, outside the fleet lock.
-            if let Some(path) = &self.registry_path {
-                let line = jsonlite::Value::obj(vec![
-                    ("id", jsonlite::Value::str(id)),
-                    ("pruned", jsonlite::Value::Bool(true)),
-                ])
-                .compact();
-                let appended = std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)
-                    .and_then(|mut f| {
-                        writeln!(f, "{line}")?;
-                        f.sync_data()
-                    });
-                if let Err(e) = appended {
-                    obs::log!(Level::Error, "registry_append_failed", "err" => format!("{e}").as_str());
-                }
+            if let Err(e) = self.append_to_registry(&tombstone(id)) {
+                obs::log!(Level::Error, "registry_append_failed", "err" => format!("{e}").as_str());
             }
         }
         for (worker, per_campaign) in noted {

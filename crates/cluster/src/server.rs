@@ -273,10 +273,7 @@ fn register_worker(coordinator: &Coordinator, req: &Request) -> Response {
                         "heartbeat_ms",
                         Value::UInt(config.heartbeat_interval.as_millis() as u64),
                     ),
-                    (
-                        "lease_batch_max",
-                        Value::UInt(config.lease_batch_max as u64),
-                    ),
+                    ("lease_batch_max", config.lease_batch_max.into()),
                 ])
                 .pretty(),
             )
@@ -335,7 +332,7 @@ fn upload_results(coordinator: &Coordinator, req: &Request) -> Response {
     // Worker phase spans ride the upload; merge them into the campaign
     // timelines before recording the results (telemetry-tolerant: a
     // missing or malformed spans array never fails the upload).
-    if let Some(spans) = body.get("spans") {
+    if let Some(spans) = body.opt("spans") {
         let spans = wire::spans_from_value(spans);
         if !spans.is_empty() {
             coordinator.record_wire_spans(&worker, &spans);
@@ -343,7 +340,7 @@ fn upload_results(coordinator: &Coordinator, req: &Request) -> Response {
     }
     // The epoch the worker's lease was granted under (absent from
     // pre-epoch workers). Old-epoch uploads are absorbed, not rejected.
-    let epoch = body.get("epoch").and_then(Value::as_u64);
+    let epoch = body.opt("epoch").and_then(Value::as_u64);
     match coordinator.report_results_stamped_at(&worker, epoch, results, std::time::Instant::now())
     {
         Ok(summary) => Response::json(
@@ -351,10 +348,7 @@ fn upload_results(coordinator: &Coordinator, req: &Request) -> Response {
             Value::obj(vec![
                 ("accepted", Value::UInt(summary.accepted)),
                 ("duplicates", Value::UInt(summary.duplicates)),
-                (
-                    "completed",
-                    Value::Arr(summary.completed.iter().map(Value::str).collect()),
-                ),
+                ("completed", Value::arr(&summary.completed)),
             ])
             .pretty(),
         ),
@@ -389,7 +383,7 @@ fn fleet_manifest(coordinator: &Coordinator, dir: Option<&Path>) -> Response {
                 files.push(Value::obj(vec![
                     ("name", Value::str(&name)),
                     ("size", Value::UInt(bytes.len() as u64)),
-                    ("hash", Value::UInt(fnv1a64(&bytes))),
+                    ("hash", Value::UInt(jsonlite::stable_hash64(&bytes))),
                 ]));
             }
         };
@@ -469,18 +463,6 @@ fn replicable_name(file: &str) -> bool {
         && file
             .chars()
             .all(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-'))
-}
-
-/// FNV-1a, the repo's dependency-free content hash: good enough to
-/// detect a rewritten (compacted) log, not a cryptographic integrity
-/// check.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 // ---------- helpers ----------

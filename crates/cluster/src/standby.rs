@@ -25,9 +25,9 @@
 //! the promoted engine simply re-prepares.
 
 use crate::coordinator::FleetConfig;
-use crate::server::{fnv1a64, FleetServer};
+use crate::server::FleetServer;
 use campaign::{ApiConfig, CampaignService, EngineConfig, HostRegistry};
-use jsonlite::Value;
+use jsonlite::{stable_hash64, Value};
 use obs::Level;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -286,7 +286,8 @@ fn replicate_once(primary: &str, dir: &Path, probe_interval: Duration) -> Result
 /// Brings one replica file up to date. Append-only logs (`.jsonl`) are
 /// tailed from the local length; anything else — and any log the
 /// primary rewrote (compaction shrank it, or same-size content drift) —
-/// is refetched whole via temp file + rename.
+/// is refetched whole; either way the replica file is replaced
+/// atomically (`jsonlite::durable::replace`).
 fn sync_file(
     client: &mut httpd::Client,
     dir: &Path,
@@ -296,7 +297,7 @@ fn sync_file(
 ) -> Result<(), String> {
     let path = dir.join(name);
     let local = std::fs::read(&path).unwrap_or_default();
-    if local.len() as u64 == size && fnv1a64(&local) == hash {
+    if local.len() as u64 == size && stable_hash64(&local) == hash {
         return Ok(()); // already current
     }
     let appendable = name.ends_with(".jsonl") && (local.len() as u64) < size;
@@ -307,7 +308,7 @@ fn sync_file(
         // The tail only helps if the prefix still matches (the primary
         // may have compacted between cycles) — verify, else fall back
         // to a full refetch.
-        if merged.len() as u64 == size && fnv1a64(&merged) == hash {
+        if merged.len() as u64 == size && stable_hash64(&merged) == hash {
             return write_atomic(&path, &merged);
         }
     }
@@ -329,8 +330,5 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), String> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent).map_err(|e| format!("mkdir: {e}"))?;
     }
-    let tmp = path.with_extension("sync.tmp");
-    std::fs::write(&tmp, bytes).map_err(|e| format!("write: {e}"))?;
-    std::fs::rename(&tmp, path).map_err(|e| format!("rename: {e}"))?;
-    Ok(())
+    jsonlite::durable::replace(path, bytes).map_err(|e| format!("write: {e}"))
 }

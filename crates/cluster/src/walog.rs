@@ -32,11 +32,11 @@
 //! dead worker's lease expires exactly once, requeueing exactly its
 //! unresulted jobs.
 
+use jsonlite::durable::Log;
 use jsonlite::Value;
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 
 /// Events between compaction snapshots before the log is rewritten.
 const SNAPSHOT_EVERY: usize = 512;
@@ -62,92 +62,61 @@ impl WalState {
             .any(|jobs| jobs.iter().any(|(c, p)| c == campaign && *p == point))
     }
 
-    /// Applies one parsed event. Returns `false` for a malformed or
-    /// unknown event — the load loop treats that as a torn tail.
-    fn apply(&mut self, v: &Value) -> bool {
-        let Some(ev) = v.get("ev").and_then(Value::as_str) else {
-            return false;
-        };
-        match ev {
-            "epoch" => match v.get("n").and_then(Value::as_u64) {
-                Some(n) => {
-                    self.epoch = n;
-                    true
-                }
-                None => false,
-            },
-            "grant" => match (v.get("worker").and_then(Value::as_str), v.get("jobs")) {
-                (Some(worker), Some(jobs)) => match parse_jobs(jobs) {
-                    Some(jobs) => {
-                        self.leases.insert(worker.to_string(), jobs);
-                        true
-                    }
-                    None => false,
-                },
-                _ => false,
-            },
-            "extend" => v.get("worker").and_then(Value::as_str).is_some(),
-            "expire" | "supersede" => match v.get("worker").and_then(Value::as_str) {
-                Some(worker) => {
-                    self.leases.remove(worker);
-                    true
-                }
-                None => false,
-            },
-            "result" => match (
-                v.get("campaign").and_then(Value::as_str),
-                v.get("point").and_then(Value::as_u64),
-            ) {
-                (Some(campaign), Some(point)) => {
-                    for jobs in self.leases.values_mut() {
-                        jobs.retain(|(c, p)| !(c == campaign && *p == point));
-                    }
-                    self.leases.retain(|_, jobs| !jobs.is_empty());
-                    true
-                }
-                _ => false,
-            },
-            "snapshot" => {
-                let Some(epoch) = v.get("epoch").and_then(Value::as_u64) else {
-                    return false;
-                };
-                let Some(entries) = v.get("leases").and_then(Value::as_arr) else {
-                    return false;
-                };
-                let mut leases = BTreeMap::new();
-                for entry in entries {
-                    let (Some(worker), Some(jobs)) = (
-                        entry.get("worker").and_then(Value::as_str),
-                        entry.get("jobs").and_then(parse_jobs),
-                    ) else {
-                        return false;
-                    };
-                    leases.insert(worker.to_string(), jobs);
-                }
-                self.epoch = epoch;
-                self.leases = leases;
-                true
-            }
-            _ => false,
+    /// Takes `(campaign, point)` off every lease; a lease left empty is
+    /// gone.
+    fn retire(&mut self, campaign: &str, point: u64) {
+        for jobs in self.leases.values_mut() {
+            jobs.retain(|(c, p)| !(c == campaign && *p == point));
         }
+        self.leases.retain(|_, jobs| !jobs.is_empty());
+    }
+
+    /// Applies one parsed event, all of it or none of it.
+    ///
+    /// # Errors
+    ///
+    /// A malformed or unknown event — the load treats that line as the
+    /// torn tail.
+    fn apply(&mut self, v: &Value) -> Result<(), String> {
+        match v.req_str("ev")? {
+            "epoch" => self.epoch = v.req_u64("n")?,
+            "grant" => {
+                let jobs = v.req_list("jobs", job_from_value)?;
+                self.leases.insert(v.req_str("worker")?.to_string(), jobs);
+            }
+            "extend" => {
+                v.req_str("worker")?;
+            }
+            "expire" | "supersede" => {
+                self.leases.remove(v.req_str("worker")?);
+            }
+            "result" => self.retire(v.req_str("campaign")?, v.req_u64("point")?),
+            "snapshot" => {
+                let leases = v.req_list("leases", |entry| {
+                    let jobs = entry.req_list("jobs", job_from_value)?;
+                    Ok((entry.req_str("worker")?.to_string(), jobs))
+                })?;
+                self.epoch = v.req_u64("epoch")?;
+                self.leases = leases.into_iter().collect();
+            }
+            other => return Err(format!("unknown event '{other}'")),
+        }
+        Ok(())
     }
 }
 
-fn parse_jobs(v: &Value) -> Option<Vec<(String, u64)>> {
-    v.as_arr()?
-        .iter()
-        .map(|pair| {
-            let pair = pair.as_arr().filter(|p| p.len() == 2)?;
-            Some((pair[0].as_str()?.to_string(), pair[1].as_u64()?))
-        })
-        .collect()
+fn job_from_value(pair: &Value) -> Result<(String, u64), String> {
+    match pair.as_arr() {
+        Some([Value::Str(campaign), point]) => point.as_u64().map(|p| (campaign.clone(), p)),
+        _ => None,
+    }
+    .ok_or_else(|| "expected [campaign, point] pairs".to_string())
 }
 
 fn jobs_to_value(jobs: &[(String, u64)]) -> Value {
-    Value::Arr(
+    Value::arr(
         jobs.iter()
-            .map(|(c, p)| Value::Arr(vec![Value::str(c), Value::UInt(*p)]))
-            .collect(),
+            .map(|(c, p)| Value::Arr(vec![Value::str(c), Value::UInt(*p)])),
     )
 }
 
@@ -155,8 +124,8 @@ fn jobs_to_value(jobs: &[(String, u64)]) -> Value {
 /// (coordinators without a data dir still keep the mirror, so epoch
 /// semantics work uniformly).
 pub struct LeaseLog {
-    path: Option<PathBuf>,
-    file: Option<File>,
+    /// The file behind the mirror; `None` in memory.
+    log: Option<Log>,
     state: WalState,
     events_since_snapshot: usize,
 }
@@ -165,8 +134,7 @@ impl LeaseLog {
     /// An ephemeral, in-memory log.
     pub fn in_memory() -> LeaseLog {
         LeaseLog {
-            path: None,
-            file: None,
+            log: None,
             state: WalState::default(),
             events_since_snapshot: 0,
         }
@@ -186,22 +154,13 @@ impl LeaseLog {
             std::fs::create_dir_all(parent)?;
         }
         let mut state = WalState::default();
-        if let Ok(text) = std::fs::read_to_string(path) {
-            for line in text.lines() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let Ok(value) = jsonlite::parse(line) else {
-                    break; // torn tail: the valid prefix is the truth
-                };
-                if !state.apply(&value) {
-                    break;
-                }
-            }
+        if Log::load(path, |event| state.apply(&event).is_ok()).is_err() {
+            // A file that cannot be read as text replays to the empty
+            // state, as it always has (`walog_props.rs` pins it).
+            state = WalState::default();
         }
         let mut log = LeaseLog {
-            path: Some(path.to_path_buf()),
-            file: None,
+            log: Some(Log::at(path)),
             state,
             events_since_snapshot: 0,
         };
@@ -224,10 +183,7 @@ impl LeaseLog {
     /// I/O errors appending.
     pub fn record_epoch(&mut self, n: u64) -> io::Result<()> {
         self.state.epoch = n;
-        self.append(Value::obj(vec![
-            ("ev", Value::str("epoch")),
-            ("n", Value::UInt(n)),
-        ]))
+        self.append("epoch", vec![("n", Value::UInt(n))])
     }
 
     /// Records a lease grant: `worker` now holds exactly `jobs` (a
@@ -242,11 +198,11 @@ impl LeaseLog {
             return Ok(());
         }
         self.state.leases.insert(worker.to_string(), jobs.to_vec());
-        self.append(Value::obj(vec![
-            ("ev", Value::str("grant")),
+        let grant = vec![
             ("worker", Value::str(worker)),
             ("jobs", jobs_to_value(jobs)),
-        ]))
+        ];
+        self.append("grant", grant)
     }
 
     /// Records a heartbeat lease extension. A no-op unless the worker
@@ -259,10 +215,7 @@ impl LeaseLog {
         if !self.state.leases.contains_key(worker) {
             return Ok(());
         }
-        self.append(Value::obj(vec![
-            ("ev", Value::str("extend")),
-            ("worker", Value::str(worker)),
-        ]))
+        self.append("extend", vec![("worker", Value::str(worker))])
     }
 
     /// Records a lease expiry (jobs requeued). No-op without a lease.
@@ -288,10 +241,7 @@ impl LeaseLog {
         if self.state.leases.remove(worker).is_none() {
             return Ok(());
         }
-        self.append(Value::obj(vec![
-            ("ev", Value::str(ev)),
-            ("worker", Value::str(worker)),
-        ]))
+        self.append(ev, vec![("worker", Value::str(worker))])
     }
 
     /// Records a result: the job leaves every lease. A no-op if no
@@ -304,69 +254,45 @@ impl LeaseLog {
         if !self.state.holds(campaign, point) {
             return Ok(());
         }
-        for jobs in self.state.leases.values_mut() {
-            jobs.retain(|(c, p)| !(c == campaign && *p == point));
-        }
-        self.state.leases.retain(|_, jobs| !jobs.is_empty());
-        self.append(Value::obj(vec![
-            ("ev", Value::str("result")),
+        self.state.retire(campaign, point);
+        let job = vec![
             ("campaign", Value::str(campaign)),
             ("point", Value::UInt(point)),
-        ]))
+        ];
+        self.append("result", job)
     }
 
-    fn append(&mut self, event: Value) -> io::Result<()> {
-        let Some(path) = &self.path else {
-            return Ok(()); // in-memory: the mirror is the log
-        };
+    /// Appends the event `{"ev": ev, ..fields}`.
+    fn append(&mut self, ev: &str, mut fields: Vec<(&str, Value)>) -> io::Result<()> {
         if self.events_since_snapshot >= SNAPSHOT_EVERY {
             return self.compact();
         }
-        if self.file.is_none() {
-            self.file = Some(OpenOptions::new().create(true).append(true).open(path)?);
-        }
-        let file = self.file.as_mut().expect("opened above");
-        writeln!(file, "{}", event.compact())?;
-        file.sync_data()?;
+        let Some(log) = &mut self.log else {
+            return Ok(()); // in-memory: the mirror is the log
+        };
+        fields.insert(0, ("ev", Value::str(ev)));
+        log.append(&Value::obj(fields))?;
         self.events_since_snapshot += 1;
         Ok(())
     }
 
-    /// Rewrites the log as a single snapshot of the mirror state, via
-    /// temp file + rename — a crash during compaction must not lose the
-    /// durable state.
+    /// Rewrites the log as a single snapshot of the mirror state — a
+    /// crash during compaction must not lose the durable state.
     fn compact(&mut self) -> io::Result<()> {
-        let Some(path) = self.path.clone() else {
+        let Some(log) = &mut self.log else {
             return Ok(());
         };
-        let snapshot = Value::obj(vec![
+        let leases = self.state.leases.iter().map(|(worker, jobs)| {
+            Value::obj(vec![
+                ("worker", Value::str(worker)),
+                ("jobs", jobs_to_value(jobs)),
+            ])
+        });
+        log.rewrite([Value::obj(vec![
             ("ev", Value::str("snapshot")),
             ("epoch", Value::UInt(self.state.epoch)),
-            (
-                "leases",
-                Value::Arr(
-                    self.state
-                        .leases
-                        .iter()
-                        .map(|(worker, jobs)| {
-                            Value::obj(vec![
-                                ("worker", Value::str(worker)),
-                                ("jobs", jobs_to_value(jobs)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]);
-        self.file = None; // close the append handle before the rename
-        let tmp = path.with_extension("jsonl.tmp");
-        {
-            let mut file = File::create(&tmp)?;
-            writeln!(file, "{}", snapshot.compact())?;
-            file.sync_data()?;
-        }
-        std::fs::rename(&tmp, &path)?;
-        self.file = Some(OpenOptions::new().append(true).open(&path)?);
+            ("leases", Value::arr(leases)),
+        ])])?;
         self.events_since_snapshot = 0;
         Ok(())
     }
@@ -375,6 +301,9 @@ impl LeaseLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
+    use std::io::Write;
+    use std::path::PathBuf;
 
     fn temp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!(

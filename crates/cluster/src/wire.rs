@@ -7,12 +7,14 @@
 //! checkpoint codec (`campaign::persist`) so a remotely executed result
 //! is recorded exactly as a local one would be.
 
-use campaign::{result_from_value, result_to_value, CampaignSpec};
+use campaign::{result_from_value, result_to_value, text_pairs_from_value, CampaignSpec};
+use injector::persist::SpanIndex;
 use injector::InjectionPoint;
 use jsonlite::Value;
 use profipy::ExperimentResult;
 use pysrc::Module;
 use sandbox::SourceFile;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 use crate::coordinator::LeaseGrant;
 
@@ -68,46 +70,35 @@ pub struct WireSpan {
 /// Point portability failures (a span that cannot be resolved — should
 /// not happen for points scanned from the shipped sources).
 pub fn lease_grant_to_value(grant: &LeaseGrant) -> Result<Value, String> {
+    // One span index per campaign in the grant, not one per job: a
+    // campaign's jobs share its modules.
+    let mut indices: BTreeMap<&str, SpanIndex<'_>> = BTreeMap::new();
     let mut jobs = Vec::with_capacity(grant.jobs.len());
     for job in &grant.jobs {
-        let portable = injector::persist::points_to_portable_value(
-            std::slice::from_ref(&job.point),
-            &job.modules,
-        )?;
-        let point = portable
-            .as_arr()
-            .and_then(|a| a.first().cloned())
-            .ok_or("portable point serialization produced no entry")?;
+        let index = match indices.entry(&job.campaign) {
+            Entry::Occupied(entry) => entry.into_mut(),
+            Entry::Vacant(entry) => entry.insert(SpanIndex::new(&job.modules)?),
+        };
         jobs.push(Value::obj(vec![
             ("campaign", Value::str(&job.campaign)),
-            ("point", point),
+            ("point", index.point_to_value(&job.point)?),
             (
                 "sources",
-                Value::Arr(
+                Value::arr(
                     job.sources
                         .iter()
-                        .map(|s| {
-                            Value::Arr(vec![Value::str(&s.import_name), Value::str(&s.text)])
-                        })
-                        .collect(),
+                        .map(|s| Value::arr([&s.import_name, &s.text])),
                 ),
             ),
         ]));
     }
+    let campaigns = grant
+        .new_campaigns
+        .iter()
+        .map(|(id, spec)| Value::obj(vec![("id", Value::str(id)), ("spec", spec.to_value())]));
     Ok(Value::obj(vec![
         ("jobs", Value::Arr(jobs)),
-        (
-            "campaigns",
-            Value::Arr(
-                grant
-                    .new_campaigns
-                    .iter()
-                    .map(|(id, spec)| {
-                        Value::obj(vec![("id", Value::str(id)), ("spec", spec.to_value())])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("campaigns", Value::arr(campaigns)),
         ("trace", Value::str(&grant.trace_id)),
         ("epoch", Value::UInt(grant.epoch)),
     ]))
@@ -119,107 +110,54 @@ pub fn lease_grant_to_value(grant: &LeaseGrant) -> Result<Value, String> {
 ///
 /// Describes the malformed field.
 pub fn lease_from_value(v: &Value) -> Result<WireLease, String> {
-    let jobs = v
-        .req("jobs")?
-        .as_arr()
-        .ok_or("'jobs' must be an array")?
-        .iter()
-        .map(|job| {
-            let campaign = job
-                .req("campaign")?
-                .as_str()
-                .ok_or("job 'campaign' must be a string")?
-                .to_string();
-            let sources = job
-                .req("sources")?
-                .as_arr()
-                .ok_or("job 'sources' must be an array")?
-                .iter()
-                .map(|pair| {
-                    let pair = pair
-                        .as_arr()
-                        .filter(|p| p.len() == 2)
-                        .ok_or("'sources' entries must be [name, text] pairs")?;
-                    match (pair[0].as_str(), pair[1].as_str()) {
-                        (Some(n), Some(t)) => Ok(SourceFile {
-                            import_name: n.to_string(),
-                            text: t.to_string(),
-                        }),
-                        _ => Err("'sources' entries must be string pairs".to_string()),
-                    }
-                })
-                .collect::<Result<Vec<_>, String>>()?;
+    Ok(WireLease {
+        jobs: v.req_list("jobs", |job| {
             Ok(WireJob {
-                campaign,
+                campaign: job.req_str("campaign")?.into(),
                 point: job.req("point")?.clone(),
-                sources,
+                sources: text_pairs_from_value(job, "sources", |import_name, text| SourceFile {
+                    import_name,
+                    text,
+                })?,
             })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let new_campaigns = v
-        .req("campaigns")?
-        .as_arr()
-        .ok_or("'campaigns' must be an array")?
-        .iter()
-        .map(|c| {
+        })?,
+        new_campaigns: v.req_list("campaigns", |c| {
             Ok((
-                c.req("id")?
-                    .as_str()
-                    .ok_or("campaign 'id' must be a string")?
-                    .to_string(),
+                c.req_str("id")?.into(),
                 CampaignSpec::from_value(c.req("spec")?)?,
             ))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    // Tolerant: absent on the wire means an older coordinator.
-    let trace_id = v
-        .get("trace")
-        .and_then(Value::as_str)
-        .unwrap_or_default()
-        .to_string();
-    let epoch = v.get("epoch").and_then(Value::as_u64).unwrap_or(0);
-    Ok(WireLease {
-        jobs,
-        new_campaigns,
-        trace_id,
-        epoch,
+        })?,
+        // Tolerant: absent on the wire means an older coordinator.
+        trace_id: v
+            .opt("trace")
+            .and_then(Value::as_str)
+            .unwrap_or_default()
+            .to_string(),
+        epoch: v.opt("epoch").and_then(Value::as_u64).unwrap_or(0),
     })
 }
 
 /// Re-binds a wire job's portable point against the worker's parsed
-/// modules.
+/// modules. Indexes `modules` on every call: a caller with a batch of
+/// points for one campaign builds one [`SpanIndex`] and asks it.
 ///
 /// # Errors
 ///
 /// A span that no longer resolves (the worker's sources diverged from
 /// the coordinator's — impossible when the spec came over the wire).
 pub fn rebind_point(point: &Value, modules: &[Module]) -> Result<InjectionPoint, String> {
-    let points = injector::persist::points_from_portable_value(
-        &Value::Arr(vec![point.clone()]),
-        modules,
-    )?;
-    points
-        .into_iter()
-        .next()
-        .ok_or_else(|| "portable point array was empty".to_string())
+    SpanIndex::new(modules)?.point_from_value(point)
 }
 
 /// Serializes a result batch for upload.
 pub fn results_to_value(results: &[(String, ExperimentResult)]) -> Value {
-    Value::obj(vec![(
-        "results",
-        Value::Arr(
-            results
-                .iter()
-                .map(|(campaign, result)| {
-                    Value::obj(vec![
-                        ("campaign", Value::str(campaign)),
-                        ("result", result_to_value(result)),
-                    ])
-                })
-                .collect(),
-        ),
-    )])
+    let entries = results.iter().map(|(campaign, result)| {
+        Value::obj(vec![
+            ("campaign", Value::str(campaign)),
+            ("result", result_to_value(result)),
+        ])
+    });
+    Value::obj(vec![("results", Value::arr(entries))])
 }
 
 /// Decodes a result batch on the coordinator.
@@ -228,39 +166,25 @@ pub fn results_to_value(results: &[(String, ExperimentResult)]) -> Value {
 ///
 /// Describes the malformed field.
 pub fn results_from_value(v: &Value) -> Result<Vec<(String, ExperimentResult)>, String> {
-    v.req("results")?
-        .as_arr()
-        .ok_or("'results' must be an array")?
-        .iter()
-        .map(|entry| {
-            Ok((
-                entry
-                    .req("campaign")?
-                    .as_str()
-                    .ok_or("result 'campaign' must be a string")?
-                    .to_string(),
-                result_from_value(entry.req("result")?)?,
-            ))
-        })
-        .collect()
+    v.req_list("results", |entry| {
+        Ok((
+            entry.req_str("campaign")?.into(),
+            result_from_value(entry.req("result")?)?,
+        ))
+    })
 }
 
 /// Serializes worker phase spans for the upload payload.
 pub fn spans_to_value(spans: &[WireSpan]) -> Value {
-    Value::Arr(
-        spans
-            .iter()
-            .map(|s| {
-                Value::obj(vec![
-                    ("campaign", Value::str(&s.campaign)),
-                    ("name", Value::str(&s.name)),
-                    ("age", Value::Float(s.age)),
-                    ("duration", Value::Float(s.duration)),
-                    ("failed", Value::Bool(s.failed)),
-                ])
-            })
-            .collect(),
-    )
+    Value::arr(spans.iter().map(|s| {
+        Value::obj(vec![
+            ("campaign", Value::str(&s.campaign)),
+            ("name", Value::str(&s.name)),
+            ("age", Value::Float(s.age)),
+            ("duration", Value::Float(s.duration)),
+            ("failed", Value::Bool(s.failed)),
+        ])
+    }))
 }
 
 /// Decodes worker phase spans on the coordinator. Tolerant: spans are

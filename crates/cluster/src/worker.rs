@@ -32,6 +32,7 @@
 use crate::wire;
 use campaign::{CampaignSpec, HostRegistry};
 use httpd::ClientPool;
+use injector::persist::SpanIndex;
 use jsonlite::Value;
 use obs::Level;
 use profipy::workflow::Workflow;
@@ -434,10 +435,7 @@ fn run_loop(
         let known: BTreeSet<String> = workflows.keys().cloned().collect();
         let request = Value::obj(vec![
             ("max_jobs", Value::UInt(config.batch() as u64)),
-            (
-                "known",
-                Value::Arr(known.iter().map(Value::str).collect()),
-            ),
+            ("known", Value::arr(&known)),
         ])
         .compact();
         let (addr, id) = fo.current();
@@ -489,11 +487,13 @@ fn run_loop(
                 workflows.insert(campaign_id, Arc::new(workflow));
             }
         }
-        // Join jobs with their workflows and rebind the portable points.
+        // Join jobs with their workflows and rebind the portable points,
+        // through one span index per campaign in the lease.
         let rebind_started = Instant::now();
+        let mut indices: BTreeMap<&str, Result<SpanIndex<'_>, String>> = BTreeMap::new();
         let mut ready: Vec<ReadyJob> = Vec::new();
         for job in lease.jobs {
-            let Some(workflow) = workflows.get(&job.campaign) else {
+            let Some((campaign, workflow)) = workflows.get_key_value(&job.campaign) else {
                 stats.skipped += 1;
                 obs::log!(
                     Level::Warn,
@@ -504,7 +504,13 @@ fn run_loop(
                 );
                 continue;
             };
-            match wire::rebind_point(&job.point, workflow.modules()) {
+            let rebound = indices
+                .entry(campaign.as_str())
+                .or_insert_with(|| SpanIndex::new(workflow.modules()))
+                .as_ref()
+                .map_err(String::clone)
+                .and_then(|index| index.point_from_value(&job.point));
+            match rebound {
                 Ok(point) => ready.push(ReadyJob {
                     campaign: job.campaign,
                     workflow: workflow.clone(),

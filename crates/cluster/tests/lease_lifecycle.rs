@@ -269,6 +269,42 @@ fn registration_survives_coordinator_restart() {
 }
 
 #[test]
+fn a_torn_registration_costs_only_itself() {
+    let dir = std::env::temp_dir().join(format!(
+        "cluster-registry-torn-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = FleetConfig {
+        data_dir: Some(dir.clone()),
+        ..fleet_config(500)
+    };
+    let open = || Coordinator::new(SharedService::new(service()), config.clone()).unwrap();
+    let (w1, w2) = {
+        let coordinator = open();
+        (
+            coordinator.register(2).unwrap(),
+            coordinator.register(4).unwrap(),
+        )
+    };
+    // The coordinator dies half way through appending a third worker.
+    let path = dir.join("fleet-workers.jsonl");
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes.extend_from_slice(b"{\"id\":\"worker-0000");
+    std::fs::write(&path, bytes).unwrap();
+    // The restart drops the torn line and repairs the file, so the next
+    // registration starts on a line of its own...
+    let w3 = open().register(1).unwrap();
+    // ...and is still there, with the two before it, after another restart.
+    let coordinator = open();
+    for worker in [&w1, &w2, &w3] {
+        assert!(coordinator.heartbeat(worker).is_ok(), "{worker} lost");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn new_lease_supersedes_a_live_workers_dropped_jobs() {
     // A worker that stays alive (heartbeating, re-leasing) but never
     // uploads its batch — upload retries exhausted, or jobs skipped

@@ -41,16 +41,10 @@ impl SpecSource {
     }
 
     fn from_value(v: &Value) -> Result<SpecSource, String> {
-        let field = |key: &str| -> Result<String, String> {
-            v.req(key)?
-                .as_str()
-                .map(str::to_string)
-                .ok_or_else(|| format!("spec field '{key}' must be a string"))
-        };
         Ok(SpecSource {
-            name: field("name")?,
-            description: field("description")?,
-            dsl: field("dsl")?,
+            name: v.req_str("name")?.into(),
+            description: v.req_str("description")?.into(),
+            dsl: v.req_str("dsl")?.into(),
         })
     }
 }
@@ -63,7 +57,7 @@ impl FaultModel {
             ("description", Value::str(&self.description)),
             (
                 "specs",
-                Value::Arr(self.specs.iter().map(SpecSource::to_value).collect()),
+                Value::arr(self.specs.iter().map(SpecSource::to_value)),
             ),
         ])
     }
@@ -79,27 +73,10 @@ impl FaultModel {
     ///
     /// Describes the malformed field.
     pub fn from_value(v: &Value) -> Result<FaultModel, String> {
-        let name = v
-            .req("name")?
-            .as_str()
-            .ok_or("model 'name' must be a string")?
-            .to_string();
-        let description = v
-            .req("description")?
-            .as_str()
-            .ok_or("model 'description' must be a string")?
-            .to_string();
-        let specs = v
-            .req("specs")?
-            .as_arr()
-            .ok_or("model 'specs' must be an array")?
-            .iter()
-            .map(SpecSource::from_value)
-            .collect::<Result<Vec<_>, _>>()?;
         Ok(FaultModel {
-            name,
-            description,
-            specs,
+            name: v.req_str("name")?.into(),
+            description: v.req_str("description")?.into(),
+            specs: v.req_list("specs", SpecSource::from_value)?,
         })
     }
 

@@ -383,8 +383,7 @@ fn step_reading(
     }
     if conn.state == ConnState::Reading {
         // Idle keep-alive connections end at shutdown; started requests
-        // keep their full timeout budget (identical to the blocking
-        // server's `should_stop`-only-when-idle rule).
+        // keep their full timeout budget.
         match conn.started_at {
             None => {
                 if stopping {

@@ -5,20 +5,14 @@
 //! body larger than the configured cap is rejected before it is read —
 //! an untrusted peer cannot balloon server memory.
 //!
-//! Two entry points share one grammar:
-//!
-//! * [`try_parse`] — pure and incremental: given the bytes received so
-//!   far, either yields a complete request (and how many bytes it
-//!   consumed), asks for more, or rejects. The event-loop server calls
-//!   it each time a connection's buffer grows, so a request split
-//!   across arbitrarily many reads parses exactly like a one-shot one.
-//! * [`read_request`] — the blocking wrapper over a `BufRead` stream,
-//!   used by unit tests and anything that owns a blocking socket. Both
-//!   paths go through the same head scanner and header parser;
-//!   `tests/parser_proptests.rs` pins their equivalence.
+//! The one entry point is [`try_parse`] — pure and incremental: given
+//! the bytes received so far, it either yields a complete request (and
+//! how many bytes it consumed), asks for more, or rejects. The
+//! event-loop server calls it each time a connection's buffer grows, so
+//! a request split across arbitrarily many reads parses exactly like a
+//! one-shot one (`tests/parser_proptests.rs` pins that).
 
-use std::io::{self, BufRead, Write};
-use std::time::{Duration, Instant};
+use std::io::{self, Write};
 
 /// Maximum size of the request line + headers.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -183,42 +177,6 @@ pub fn status_text(status: u16) -> &'static str {
     }
 }
 
-/// What reading one request off a connection produced.
-#[derive(Debug)]
-pub enum ReadOutcome {
-    /// A complete request.
-    Request(Request),
-    /// Clean end of stream before any request bytes (keep-alive close,
-    /// or the idle-poll noticed a server shutdown).
-    Closed,
-    /// The peer sent bytes that are not HTTP — answer 400 and close.
-    Malformed(String),
-    /// Declared body above the configured cap — answer 413 and close.
-    BodyTooLarge,
-    /// The request did not complete within the per-request deadline —
-    /// answer 408 and close (slowloris guard).
-    TimedOut,
-}
-
-/// Limits applied while reading one request.
-#[derive(Clone, Copy, Debug)]
-pub struct ReadLimits {
-    /// Body-size cap.
-    pub max_body_bytes: usize,
-    /// Wall-clock budget for one complete request once its first byte
-    /// arrived.
-    pub request_timeout: Duration,
-}
-
-impl Default for ReadLimits {
-    fn default() -> ReadLimits {
-        ReadLimits {
-            max_body_bytes: DEFAULT_MAX_BODY_BYTES,
-            request_timeout: Duration::from_secs(30),
-        }
-    }
-}
-
 /// Progress of parsing one request out of a contiguous byte buffer
 /// (what the peer has sent so far). See [`try_parse`].
 #[derive(Debug)]
@@ -250,13 +208,11 @@ enum HeadScan {
 }
 
 /// Finds the end of the request head: the first newline at which the
-/// bytes so far end with `\r\n\r\n` or `\n\n` — exactly the blocking
-/// reader's per-line termination check, so both paths accept the same
-/// (possibly mixed) line-ending dialects.
+/// bytes so far end with `\r\n\r\n` or `\n\n`, so (possibly mixed)
+/// line-ending dialects are accepted.
 fn find_head_end(buf: &[u8]) -> HeadScan {
-    // The blocking reader admits a head of at most MAX_HEAD_BYTES + 1
-    // bytes (its final capped read may land the terminator exactly on
-    // the boundary); mirror that bound bit-for-bit.
+    // A head of at most MAX_HEAD_BYTES + 1 bytes is admitted: the
+    // terminator may land exactly on the boundary.
     let window = &buf[..buf.len().min(MAX_HEAD_BYTES + 1)];
     for (i, byte) in window.iter().enumerate() {
         if *byte != b'\n' {
@@ -275,8 +231,7 @@ fn find_head_end(buf: &[u8]) -> HeadScan {
 }
 
 /// Parses a complete head (request line + headers + terminator) into a
-/// body-less [`Request`]. Shared verbatim by the blocking and
-/// incremental paths so they cannot drift.
+/// body-less [`Request`].
 fn parse_head(head: &[u8]) -> Result<Request, String> {
     let head = match std::str::from_utf8(head) {
         Ok(h) => h,
@@ -377,91 +332,6 @@ pub fn try_parse(buf: &[u8], max_body_bytes: usize) -> ParseStatus {
     }
 }
 
-/// Reads one request. The underlying stream should have a short read
-/// timeout; `should_stop` is polled on every timeout so an idle
-/// keep-alive connection notices server shutdown promptly, while a
-/// request that already started keeps its full `request_timeout`.
-pub fn read_request(
-    reader: &mut impl BufRead,
-    limits: ReadLimits,
-    mut should_stop: impl FnMut() -> bool,
-) -> ReadOutcome {
-    let mut head: Vec<u8> = Vec::new();
-    let mut started_at: Option<Instant> = None;
-    // --- head: read until the blank line, resumable across timeouts ---
-    loop {
-        if head.len() > MAX_HEAD_BYTES {
-            return ReadOutcome::Malformed("request head too large".into());
-        }
-        // Cap each read at the remaining head budget: `read_until`
-        // itself is unbounded until a newline, and a fast peer
-        // streaming newline-free bytes must not balloon memory.
-        let budget = (MAX_HEAD_BYTES + 1 - head.len()) as u64;
-        // (Fully-qualified call: method syntax would auto-deref and try
-        // to move the reader into `Take` instead of reborrowing it.)
-        match io::Read::take(&mut *reader, budget).read_until(b'\n', &mut head) {
-            Ok(0) => {
-                return if head.is_empty() {
-                    ReadOutcome::Closed
-                } else {
-                    ReadOutcome::Malformed("truncated request head".into())
-                };
-            }
-            Ok(_) => {
-                if head.ends_with(b"\r\n\r\n") || head.ends_with(b"\n\n") {
-                    break;
-                }
-                started_at.get_or_insert_with(Instant::now);
-            }
-            Err(e) if is_timeout(&e) => {
-                // `read_until` appends whatever it consumed before the
-                // timeout, so the request has *started* as soon as head
-                // is non-empty — even without a complete line yet
-                // (slowloris sends byte-at-a-time with no newline).
-                if !head.is_empty() {
-                    let t0 = *started_at.get_or_insert_with(Instant::now);
-                    if t0.elapsed() > limits.request_timeout {
-                        return ReadOutcome::TimedOut;
-                    }
-                } else if should_stop() {
-                    // Idle between requests: only shutdown ends it.
-                    return ReadOutcome::Closed;
-                }
-            }
-            Err(_) => return ReadOutcome::Closed,
-        }
-    }
-    let t0 = started_at.unwrap_or_else(Instant::now);
-    let mut request = match parse_head(&head) {
-        Ok(request) => request,
-        Err(reason) => return ReadOutcome::Malformed(reason),
-    };
-    // --- body: Content-Length bytes, resumable across timeouts ---
-    let content_length = match declared_content_length(&request) {
-        Ok(n) => n,
-        Err(reason) => return ReadOutcome::Malformed(reason),
-    };
-    if content_length > limits.max_body_bytes {
-        return ReadOutcome::BodyTooLarge;
-    }
-    let mut body = vec![0u8; content_length];
-    let mut filled = 0;
-    while filled < content_length {
-        match reader.read(&mut body[filled..]) {
-            Ok(0) => return ReadOutcome::Malformed("truncated body".into()),
-            Ok(n) => filled += n,
-            Err(e) if is_timeout(&e) => {
-                if t0.elapsed() > limits.request_timeout {
-                    return ReadOutcome::TimedOut;
-                }
-            }
-            Err(_) => return ReadOutcome::Malformed("body read failed".into()),
-        }
-    }
-    request.body = body;
-    ReadOutcome::Request(request)
-}
-
 /// Whether an I/O error is a read-timeout (platform-dependent kind).
 pub fn is_timeout(e: &io::Error) -> bool {
     matches!(
@@ -473,19 +343,25 @@ pub fn is_timeout(e: &io::Error) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
-    fn parse(bytes: &[u8]) -> ReadOutcome {
-        let mut reader = BufReader::new(bytes);
-        read_request(&mut reader, ReadLimits::default(), || false)
+    fn parse(bytes: &[u8]) -> ParseStatus {
+        try_parse(bytes, DEFAULT_MAX_BODY_BYTES)
+    }
+
+    fn parsed(bytes: &[u8]) -> Request {
+        match parse(bytes) {
+            ParseStatus::Complete { request, used } => {
+                assert_eq!(used, bytes.len());
+                request
+            }
+            other => panic!("expected a complete request, got {other:?}"),
+        }
     }
 
     #[test]
     fn parses_request_with_body() {
         let raw = b"POST /api/x?q=1 HTTP/1.1\r\nHost: h\r\nContent-Length: 5\r\n\r\nhello";
-        let ReadOutcome::Request(req) = parse(raw) else {
-            panic!("expected request");
-        };
+        let req = parsed(raw);
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/api/x");
         assert_eq!(req.query, "q=1");
@@ -498,10 +374,7 @@ mod tests {
     fn bare_lf_requests_keep_their_headers() {
         // A picky-but-legal peer may delimit with bare LF; headers
         // must not silently vanish.
-        let raw = b"POST /x HTTP/1.1\nContent-Length: 5\nX-Token: t\n\nhello";
-        let ReadOutcome::Request(req) = parse(raw) else {
-            panic!("expected request");
-        };
+        let req = parsed(b"POST /x HTTP/1.1\nContent-Length: 5\nX-Token: t\n\nhello");
         assert_eq!(req.header("content-length"), Some("5"));
         assert_eq!(req.header("x-token"), Some("t"));
         assert_eq!(req.body, b"hello");
@@ -509,62 +382,27 @@ mod tests {
 
     #[test]
     fn http10_defaults_to_close() {
-        let ReadOutcome::Request(req) = parse(b"GET / HTTP/1.0\r\n\r\n") else {
-            panic!("expected request");
-        };
+        let req = parsed(b"GET / HTTP/1.0\r\n\r\n");
         assert!(req.http1_0);
         assert!(req.wants_close(), "1.0 without keep-alive must close");
-        let ReadOutcome::Request(req) =
-            parse(b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n")
-        else {
-            panic!("expected request");
-        };
+        let req = parsed(b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n");
         assert!(!req.wants_close(), "explicit keep-alive is honored");
-        let ReadOutcome::Request(req) = parse(b"GET / HTTP/1.1\r\n\r\n") else {
-            panic!("expected request");
-        };
+        let req = parsed(b"GET / HTTP/1.1\r\n\r\n");
         assert!(!req.wants_close(), "1.1 defaults to keep-alive");
     }
 
     #[test]
-    fn slowloris_partial_head_times_out() {
-        use std::io::Read;
-        // A peer that dribbles a few bytes (no newline) and then goes
-        // silent must hit the request timeout, not pin the worker.
-        struct Stall {
-            first: Option<&'static [u8]>,
-        }
-        impl Read for Stall {
-            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-                match self.first.take() {
-                    Some(bytes) => {
-                        buf[..bytes.len()].copy_from_slice(bytes);
-                        Ok(bytes.len())
-                    }
-                    None => Err(io::Error::from(io::ErrorKind::WouldBlock)),
-                }
-            }
-        }
-        let limits = ReadLimits {
-            request_timeout: std::time::Duration::from_millis(40),
-            ..ReadLimits::default()
-        };
-        let mut reader = BufReader::new(Stall { first: Some(b"GET /slo") });
-        let t0 = std::time::Instant::now();
-        let outcome = read_request(&mut reader, limits, || false);
-        assert!(matches!(outcome, ReadOutcome::TimedOut), "{outcome:?}");
-        assert!(t0.elapsed() < std::time::Duration::from_secs(5));
-    }
-
-    #[test]
     fn rejects_garbage_and_oversize() {
-        assert!(matches!(parse(b"not http at all\r\n\r\n"), ReadOutcome::Malformed(_)));
+        assert!(matches!(
+            parse(b"not http at all\r\n\r\n"),
+            ParseStatus::Malformed(_)
+        ));
         let huge = format!(
             "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
             DEFAULT_MAX_BODY_BYTES + 1
         );
-        assert!(matches!(parse(huge.as_bytes()), ReadOutcome::BodyTooLarge));
-        assert!(matches!(parse(b""), ReadOutcome::Closed));
+        assert!(matches!(parse(huge.as_bytes()), ParseStatus::BodyTooLarge));
+        assert!(matches!(parse(b""), ParseStatus::Incomplete));
     }
 
     #[test]
@@ -572,7 +410,7 @@ mod tests {
         // A fast peer streaming bytes with no '\n' must hit the head
         // cap, not grow memory until its timeout.
         let flood = vec![b'A'; MAX_HEAD_BYTES * 4];
-        let ReadOutcome::Malformed(reason) = parse(&flood) else {
+        let ParseStatus::Malformed(reason) = parse(&flood) else {
             panic!("expected rejection");
         };
         assert!(reason.contains("too large"), "{reason}");
@@ -584,34 +422,21 @@ mod tests {
         // the chunk bytes would parse as the next pipelined request.
         let raw =
             b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n";
-        assert!(matches!(parse(raw), ReadOutcome::Malformed(_)));
+        assert!(matches!(parse(raw), ParseStatus::Malformed(_)));
     }
 
     #[test]
     fn incremental_parse_matches_one_shot_at_every_split() {
         let raw: &[u8] = b"POST /api/x?q=1 HTTP/1.1\r\nHost: h\r\nContent-Length: 5\r\n\r\nhello";
-        // Every proper prefix is Incomplete; the full buffer parses to
-        // the same request the blocking reader produces.
+        // Every proper prefix is Incomplete; the full buffer is one
+        // request (`parses_request_with_body` reads its fields).
         for i in 0..raw.len() {
             assert!(
-                matches!(try_parse(&raw[..i], DEFAULT_MAX_BODY_BYTES), ParseStatus::Incomplete),
+                matches!(parse(&raw[..i]), ParseStatus::Incomplete),
                 "prefix of {i} bytes must be Incomplete"
             );
         }
-        let ParseStatus::Complete { request, used } = try_parse(raw, DEFAULT_MAX_BODY_BYTES)
-        else {
-            panic!("expected complete request");
-        };
-        assert_eq!(used, raw.len());
-        let ReadOutcome::Request(blocking) = parse(raw) else {
-            panic!("expected request");
-        };
-        assert_eq!(request.method, blocking.method);
-        assert_eq!(request.path, blocking.path);
-        assert_eq!(request.query, blocking.query);
-        assert_eq!(request.headers, blocking.headers);
-        assert_eq!(request.body, blocking.body);
-        assert_eq!(request.http1_0, blocking.http1_0);
+        parsed(raw);
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //!
 //! * [`http`] — request/response types, strict HTTP/1.1 parsing with
 //!   `Content-Length` bodies, bounded head/body sizes. One grammar,
-//!   two entry points: a pure incremental parser ([`http::try_parse`])
-//!   and a blocking reader ([`http::read_request`]).
+//!   one entry point: the pure incremental parser [`http::try_parse`].
 //! * [`router`] — a path/method router with `:param` captures.
 //! * [`server`] — an event-loop server: one readiness thread owns
 //!   every connection as a cheap state machine (nonblocking sockets,

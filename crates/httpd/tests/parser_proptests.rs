@@ -1,62 +1,23 @@
-//! Property tests pinning the HTTP/1.1 parser before (and after) the
-//! event loop reuses it incrementally:
+//! Property tests pinning the HTTP/1.1 parser the event loop calls
+//! incrementally:
 //!
 //! * a request chopped across arbitrary read boundaries parses
-//!   identically to the same bytes arriving in one piece, and
-//!   identically through the blocking `read_request` path;
-//! * arbitrary bytes never panic either path;
+//!   identically to the same bytes arriving in one piece;
+//! * arbitrary bytes never panic it;
 //! * a malformed head with its terminator present is rejected
 //!   immediately — never `Incomplete`, so a connection feeding garbage
 //!   can never hang waiting for "more".
 
-use httpd::http::{
-    read_request, try_parse, ParseStatus, ReadLimits, ReadOutcome, Request,
-    DEFAULT_MAX_BODY_BYTES,
-};
+use httpd::http::{try_parse, ParseStatus, Request, DEFAULT_MAX_BODY_BYTES};
 use proptest::prelude::*;
-use std::io::{BufReader, Read};
 
-/// A reader that hands out its bytes in fixed-size dribbles, modelling
-/// a peer whose writes land at arbitrary boundaries.
-struct Dribble {
-    bytes: Vec<u8>,
-    pos: usize,
-    chunk: usize,
-}
-
-impl Read for Dribble {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self
-            .chunk
-            .min(buf.len())
-            .min(self.bytes.len() - self.pos);
-        buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
-        self.pos += n;
-        Ok(n)
-    }
-}
-
-fn blocking_parse(bytes: &[u8], chunk: usize) -> ReadOutcome {
-    // Tiny BufReader capacity so the dribble boundaries actually reach
-    // the parser instead of being smoothed over by a large buffer.
-    let mut reader = BufReader::with_capacity(
-        16,
-        Dribble {
-            bytes: bytes.to_vec(),
-            pos: 0,
-            chunk: chunk.max(1),
-        },
-    );
-    read_request(&mut reader, ReadLimits::default(), || false)
-}
-
-fn assert_same_request(incremental: &Request, blocking: &Request) {
-    assert_eq!(incremental.method, blocking.method);
-    assert_eq!(incremental.path, blocking.path);
-    assert_eq!(incremental.query, blocking.query);
-    assert_eq!(incremental.headers, blocking.headers);
-    assert_eq!(incremental.body, blocking.body);
-    assert_eq!(incremental.http1_0, blocking.http1_0);
+fn assert_same_request(a: &Request, b: &Request) {
+    assert_eq!(a.method, b.method);
+    assert_eq!(a.path, b.path);
+    assert_eq!(a.query, b.query);
+    assert_eq!(a.headers, b.headers);
+    assert_eq!(a.body, b.body);
+    assert_eq!(a.http1_0, b.http1_0);
 }
 
 /// Wire bytes for a syntactically valid request plus the pieces needed
@@ -112,31 +73,10 @@ proptest! {
                 "prefix of {} bytes was not Incomplete", i
             );
         }
-        let ParseStatus::Complete { request, used } =
-            try_parse(&raw, DEFAULT_MAX_BODY_BYTES)
-        else {
+        let ParseStatus::Complete { used, .. } = try_parse(&raw, DEFAULT_MAX_BODY_BYTES) else {
             return Err(TestCaseError::fail("full buffer did not parse"));
         };
         prop_assert_eq!(used, raw.len());
-        // Blocking one-shot agrees.
-        let ReadOutcome::Request(blocking) = blocking_parse(&raw, raw.len().max(1)) else {
-            return Err(TestCaseError::fail("blocking one-shot did not parse"));
-        };
-        assert_same_request(&request, &blocking);
-    }
-
-    #[test]
-    fn dribbled_blocking_reads_parse_identically(
-        raw in arb_valid_request(),
-        chunk in 1usize..13,
-    ) {
-        let ReadOutcome::Request(whole) = blocking_parse(&raw, raw.len().max(1)) else {
-            return Err(TestCaseError::fail("one-shot did not parse"));
-        };
-        let ReadOutcome::Request(dribbled) = blocking_parse(&raw, chunk) else {
-            return Err(TestCaseError::fail("dribbled read did not parse"));
-        };
-        assert_same_request(&dribbled, &whole);
     }
 
     #[test]
@@ -173,17 +113,14 @@ proptest! {
     }
 
     #[test]
-    fn arbitrary_bytes_never_panic_either_path(
+    fn arbitrary_bytes_never_panic(
         bytes in proptest::collection::vec(any::<u8>(), 0..512),
-        chunk in 1usize..9,
     ) {
-        // No verdict is asserted — only that both paths terminate
-        // without panicking on every prefix and every dribble size.
+        // No verdict is asserted — only that the parser terminates
+        // without panicking on every prefix.
         for i in 0..=bytes.len() {
             let _ = try_parse(&bytes[..i], DEFAULT_MAX_BODY_BYTES);
         }
-        let _ = blocking_parse(&bytes, chunk);
-        let _ = blocking_parse(&bytes, bytes.len().max(1));
     }
 
     #[test]
@@ -203,13 +140,6 @@ proptest! {
                 ParseStatus::Malformed(_)
             ),
             "garbage head {:?} was not rejected", wire
-        );
-        prop_assert!(
-            matches!(
-                blocking_parse(wire.as_bytes(), 3),
-                ReadOutcome::Malformed(_)
-            ),
-            "blocking path accepted garbage head {:?}", wire
         );
     }
 }

@@ -1,15 +1,21 @@
-//! Serialization and stable hashing for scan results.
+//! Serialization of scan results.
 //!
 //! The campaign layer's cross-campaign cache persists scan results on
-//! disk keyed by (source hash, fault-model hash); that requires
-//! [`InjectionPoint`]s to round-trip through JSON and to have a
-//! process-independent fingerprint (`DefaultHasher` is randomized per
-//! process, so it cannot key an on-disk cache).
+//! disk keyed by (source hash, fault-model hash), and the fleet ships
+//! points to workers: both need [`InjectionPoint`]s to round-trip
+//! through JSON **portably**. `NodeId`s are process-local (a global
+//! counter), so a point written by one process cannot be resolved
+//! against modules parsed by another. Statement *spans* are stable for
+//! identical source text, though: the portable form stores the window's
+//! statement spans next to the ids and re-binds them against freshly
+//! parsed modules at load time ([`SpanIndex`]).
 
 use crate::scanner::InjectionPoint;
 use jsonlite::Value;
-use pysrc::ast::NodeId;
+use pysrc::ast::{Module, NodeId};
 use pysrc::error::{Pos, Span};
+use pysrc::visit::walk_blocks;
+use std::collections::HashMap;
 
 fn span_to_value(span: &Span) -> Value {
     Value::Arr(vec![
@@ -20,21 +26,27 @@ fn span_to_value(span: &Span) -> Value {
     ])
 }
 
+fn as_u32(v: &Value) -> Option<u32> {
+    v.as_u64().and_then(|n| u32::try_from(n).ok())
+}
+
 fn span_from_value(v: &Value) -> Result<Span, String> {
-    let parts = v.as_arr().ok_or("span must be an array")?;
-    if parts.len() != 4 {
-        return Err("span must have 4 elements".to_string());
+    match v.as_arr() {
+        Some([a, b, c, d]) => match (as_u32(a), as_u32(b), as_u32(c), as_u32(d)) {
+            (Some(a), Some(b), Some(c), Some(d)) => Ok(Span {
+                lo: Pos::new(a, b),
+                hi: Pos::new(c, d),
+            }),
+            _ => Err("span element out of range".to_string()),
+        },
+        _ => Err("expected a span of 4 numbers".to_string()),
     }
-    let num = |i: usize| -> Result<u32, String> {
-        parts[i]
-            .as_u64()
-            .and_then(|n| u32::try_from(n).ok())
-            .ok_or_else(|| format!("span element {i} out of range"))
-    };
-    Ok(Span {
-        lo: Pos::new(num(0)?, num(1)?),
-        hi: Pos::new(num(2)?, num(3)?),
-    })
+}
+
+fn node_id(v: &Value) -> Result<NodeId, String> {
+    as_u32(v)
+        .map(NodeId)
+        .ok_or_else(|| "node id out of range".to_string())
 }
 
 impl InjectionPoint {
@@ -47,15 +59,10 @@ impl InjectionPoint {
             ("scope", Value::str(&self.scope)),
             ("span", span_to_value(&self.span)),
             ("start_stmt", Value::UInt(self.start_stmt_id.0 as u64)),
-            ("window_len", Value::UInt(self.window_len as u64)),
+            ("window_len", self.window_len.into()),
             (
                 "core_ids",
-                Value::Arr(
-                    self.core_ids
-                        .iter()
-                        .map(|id| Value::UInt(id.0 as u64))
-                        .collect(),
-                ),
+                Value::arr(self.core_ids.iter().map(|id| id.0 as u64)),
             ),
         ])
     }
@@ -66,113 +73,113 @@ impl InjectionPoint {
     ///
     /// Describes the malformed field.
     pub fn from_value(v: &Value) -> Result<InjectionPoint, String> {
-        let text = |key: &str| -> Result<String, String> {
-            v.req(key)?
-                .as_str()
-                .map(str::to_string)
-                .ok_or_else(|| format!("point field '{key}' must be a string"))
-        };
-        let node_id = |val: &Value, what: &str| -> Result<NodeId, String> {
-            val.as_u64()
-                .and_then(|n| u32::try_from(n).ok())
-                .map(NodeId)
-                .ok_or_else(|| format!("{what} out of range"))
-        };
         Ok(InjectionPoint {
-            id: v.req("id")?.as_u64().ok_or("point 'id' must be a u64")?,
-            spec_name: text("spec")?,
-            module: text("module")?,
-            scope: text("scope")?,
-            span: span_from_value(v.req("span")?)?,
-            start_stmt_id: node_id(v.req("start_stmt")?, "start_stmt")?,
-            window_len: v
-                .req("window_len")?
-                .as_u64()
-                .ok_or("point 'window_len' must be a u64")? as usize,
-            core_ids: v
-                .req("core_ids")?
-                .as_arr()
-                .ok_or("point 'core_ids' must be an array")?
-                .iter()
-                .map(|id| node_id(id, "core id"))
-                .collect::<Result<Vec<_>, _>>()?,
+            id: v.req_u64("id")?,
+            spec_name: v.req_str("spec")?.into(),
+            module: v.req_str("module")?.into(),
+            scope: v.req_str("scope")?.into(),
+            span: span_from_value(v.req("span")?).map_err(|e| format!("field 'span': {e}"))?,
+            start_stmt_id: node_id(v.req("start_stmt")?)
+                .map_err(|e| format!("field 'start_stmt': {e}"))?,
+            window_len: v.req_u64("window_len")? as usize,
+            core_ids: v.req_list("core_ids", node_id)?,
         })
     }
-
-    /// A stable, process-independent content fingerprint of the point.
-    pub fn fingerprint(&self) -> u64 {
-        jsonlite::stable_hash64(self.to_value().compact().as_bytes())
-    }
 }
 
-/// Serializes a whole scan result.
-pub fn points_to_value(points: &[InjectionPoint]) -> Value {
-    Value::Arr(points.iter().map(InjectionPoint::to_value).collect())
+/// Statement spans ↔ node ids over one parse of a campaign's modules:
+/// what turns a point into its portable form and back. Building it
+/// walks every statement, so build it once per batch of points, not
+/// once per point.
+pub struct SpanIndex<'m> {
+    by_span: HashMap<(&'m str, Span), NodeId>,
+    by_id: HashMap<(&'m str, NodeId), Span>,
 }
 
-/// Reads a whole scan result back.
-///
-/// # Errors
-///
-/// Describes the malformed entry.
-pub fn points_from_value(v: &Value) -> Result<Vec<InjectionPoint>, String> {
-    v.as_arr()
-        .ok_or("scan result must be an array")?
-        .iter()
-        .map(InjectionPoint::from_value)
-        .collect()
-}
-
-/// Order-sensitive fingerprint of a whole scan result — two scans agree
-/// iff they found the same points in the same order.
-pub fn points_fingerprint(points: &[InjectionPoint]) -> u64 {
-    jsonlite::combine_hash64(
-        &points
-            .iter()
-            .map(InjectionPoint::fingerprint)
-            .collect::<Vec<_>>(),
-    )
-}
-
-// ---------------------------------------------------------------------
-// Portable (cross-process) scan serialization.
-//
-// `NodeId`s are process-local (a global counter), so a scan written by
-// one process cannot be resolved against modules parsed by another.
-// Statement *spans* are stable for identical source text, though: the
-// portable form stores the window's statement spans next to the ids and
-// re-binds them against freshly parsed modules at load time.
-// ---------------------------------------------------------------------
-
-use pysrc::ast::Module;
-use pysrc::visit::walk_blocks;
-use std::collections::HashMap;
-
-type SpanToId = HashMap<(String, Span), NodeId>;
-type IdToSpan = HashMap<(String, NodeId), Span>;
-
-fn span_indices(modules: &[Module]) -> Result<(SpanToId, IdToSpan), String> {
-    let mut by_span = HashMap::new();
-    let mut by_id = HashMap::new();
-    let mut ambiguous: Option<(String, Span)> = None;
-    for module in modules {
-        walk_blocks(module, &mut |block, _ctx| {
-            for stmt in block {
-                if by_span
-                    .insert((module.name.clone(), stmt.span), stmt.id)
-                    .is_some()
-                {
-                    ambiguous = Some((module.name.clone(), stmt.span));
+impl<'m> SpanIndex<'m> {
+    /// Indexes every statement of `modules`.
+    ///
+    /// # Errors
+    ///
+    /// If a span is ambiguous (two statements at the same location).
+    pub fn new(modules: &'m [Module]) -> Result<SpanIndex<'m>, String> {
+        let mut by_span = HashMap::new();
+        let mut by_id = HashMap::new();
+        let mut ambiguous: Option<(&str, Span)> = None;
+        for module in modules {
+            let name = module.name.as_str();
+            walk_blocks(module, &mut |block, _ctx| {
+                for stmt in block {
+                    if by_span.insert((name, stmt.span), stmt.id).is_some() {
+                        ambiguous = Some((name, stmt.span));
+                    }
+                    by_id.insert((name, stmt.id), stmt.span);
                 }
-                by_id.insert((module.name.clone(), stmt.id), stmt.span);
-            }
-        });
+            });
+        }
+        match ambiguous {
+            Some((module, span)) => Err(format!(
+                "module {module} has two statements at span {span}; scan not portable"
+            )),
+            None => Ok(SpanIndex { by_span, by_id }),
+        }
     }
-    match ambiguous {
-        Some((module, span)) => Err(format!(
-            "module {module} has two statements at span {span}; scan not portable"
-        )),
-        None => Ok((by_span, by_id)),
+
+    fn span_of(&self, module: &str, id: NodeId) -> Result<Value, String> {
+        match self.by_id.get(&(module, id)) {
+            Some(span) => Ok(span_to_value(span)),
+            None => Err(format!("statement {id} not found in module {module}")),
+        }
+    }
+
+    fn id_at(&self, module: &str, span: &Value) -> Result<NodeId, String> {
+        let span = span_from_value(span)?;
+        self.by_span
+            .get(&(module, span))
+            .copied()
+            .ok_or_else(|| format!("no statement at span {span} in module {module}"))
+    }
+
+    /// One point in portable form: [`InjectionPoint::to_value`] plus the
+    /// source spans of its window statements.
+    ///
+    /// # Errors
+    ///
+    /// If the point references a statement id that is not in the
+    /// indexed modules.
+    pub fn point_to_value(&self, p: &InjectionPoint) -> Result<Value, String> {
+        let mut value = p.to_value();
+        let Value::Obj(pairs) = &mut value else {
+            unreachable!("to_value builds an object")
+        };
+        pairs.push((
+            "start_span".to_string(),
+            self.span_of(&p.module, p.start_stmt_id)?,
+        ));
+        let core_spans: Result<Vec<Value>, String> = p
+            .core_ids
+            .iter()
+            .map(|id| self.span_of(&p.module, *id))
+            .collect();
+        pairs.push(("core_spans".to_string(), Value::Arr(core_spans?)));
+        Ok(value)
+    }
+
+    /// Reads one portable point, re-binding its statement ids against
+    /// the indexed modules (which must be parsed from the identical
+    /// source — the cache key, or the shipped spec, guarantees that).
+    ///
+    /// # Errors
+    ///
+    /// If a recorded span no longer resolves (source text changed, or
+    /// the value was not written by [`SpanIndex::point_to_value`]).
+    pub fn point_from_value(&self, v: &Value) -> Result<InjectionPoint, String> {
+        let mut point = InjectionPoint::from_value(v)?;
+        point.start_stmt_id = self
+            .id_at(&point.module, v.req("start_span")?)
+            .map_err(|e| format!("field 'start_span': {e}"))?;
+        point.core_ids = v.req_list("core_spans", |span| self.id_at(&point.module, span))?;
+        Ok(point)
     }
 }
 
@@ -187,35 +194,10 @@ pub fn points_to_portable_value(
     points: &[InjectionPoint],
     modules: &[Module],
 ) -> Result<Value, String> {
-    let (_, by_id) = span_indices(modules)?;
-    let span_of = |module: &str, id: NodeId| -> Result<Span, String> {
-        by_id
-            .get(&(module.to_string(), id))
-            .copied()
-            .ok_or_else(|| format!("statement {id} not found in module {module}"))
-    };
-    let mut out = Vec::with_capacity(points.len());
-    for p in points {
-        let mut value = p.to_value();
-        let Value::Obj(pairs) = &mut value else {
-            unreachable!("to_value builds an object")
-        };
-        pairs.push((
-            "start_span".to_string(),
-            span_to_value(&span_of(&p.module, p.start_stmt_id)?),
-        ));
-        pairs.push((
-            "core_spans".to_string(),
-            Value::Arr(
-                p.core_ids
-                    .iter()
-                    .map(|id| span_of(&p.module, *id).map(|s| span_to_value(&s)))
-                    .collect::<Result<Vec<_>, _>>()?,
-            ),
-        ));
-        out.push(value);
-    }
-    Ok(Value::Arr(out))
+    let index = SpanIndex::new(modules)?;
+    let entries: Result<Vec<Value>, String> =
+        points.iter().map(|p| index.point_to_value(p)).collect();
+    Ok(Value::Arr(entries?))
 }
 
 /// Loads a portable scan, re-binding every point's statement ids
@@ -230,29 +212,11 @@ pub fn points_from_portable_value(
     v: &Value,
     modules: &[Module],
 ) -> Result<Vec<InjectionPoint>, String> {
-    let (by_span, _) = span_indices(modules)?;
-    let id_at = |module: &str, span: Span| -> Result<NodeId, String> {
-        by_span
-            .get(&(module.to_string(), span))
-            .copied()
-            .ok_or_else(|| format!("no statement at span {span} in module {module}"))
-    };
+    let index = SpanIndex::new(modules)?;
     v.as_arr()
-        .ok_or("portable scan must be an array")?
+        .ok_or("expected an array of portable points")?
         .iter()
-        .map(|entry| {
-            let mut point = InjectionPoint::from_value(entry)?;
-            let start_span = span_from_value(entry.req("start_span")?)?;
-            point.start_stmt_id = id_at(&point.module, start_span)?;
-            point.core_ids = entry
-                .req("core_spans")?
-                .as_arr()
-                .ok_or("'core_spans' must be an array")?
-                .iter()
-                .map(|s| span_from_value(s).and_then(|s| id_at(&point.module, s)))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(point)
-        })
+        .map(|entry| index.point_from_value(entry))
         .collect()
 }
 
@@ -280,10 +244,9 @@ mod tests {
     fn points_roundtrip_through_json() {
         let points = scan_points();
         assert!(!points.is_empty());
-        let json = points_to_value(&points).pretty();
-        let back = points_from_value(&jsonlite::parse(&json).unwrap()).unwrap();
-        assert_eq!(points.len(), back.len());
-        for (a, b) in points.iter().zip(&back) {
+        for a in &points {
+            let json = a.to_value().pretty();
+            let b = InjectionPoint::from_value(&jsonlite::parse(&json).unwrap()).unwrap();
             assert_eq!(a.id, b.id);
             assert_eq!(a.spec_name, b.spec_name);
             assert_eq!(a.module, b.module);
@@ -292,26 +255,7 @@ mod tests {
             assert_eq!(a.start_stmt_id, b.start_stmt_id);
             assert_eq!(a.window_len, b.window_len);
             assert_eq!(a.core_ids, b.core_ids);
-            assert_eq!(a.fingerprint(), b.fingerprint());
         }
-    }
-
-    #[test]
-    fn fingerprints_differ_between_points() {
-        let points = scan_points();
-        let mut prints: Vec<u64> = points.iter().map(InjectionPoint::fingerprint).collect();
-        prints.sort_unstable();
-        prints.dedup();
-        assert_eq!(prints.len(), points.len());
-    }
-
-    #[test]
-    fn scan_fingerprint_is_order_sensitive_and_repeatable() {
-        let points = scan_points();
-        assert_eq!(points_fingerprint(&points), points_fingerprint(&points));
-        let mut reversed = points.clone();
-        reversed.reverse();
-        assert_ne!(points_fingerprint(&points), points_fingerprint(&reversed));
     }
 
     #[test]

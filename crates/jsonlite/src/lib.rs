@@ -10,6 +10,28 @@
 //! * [`Value::pretty`] / [`Value::compact`] — serializers.
 //! * [`stable_hash64`] — a seed-independent FNV-1a content hash used for
 //!   cross-campaign cache keys.
+//!
+//! Every codec in the workspace is written in one **field vocabulary**,
+//! so a malformed document is described the same way whichever decoder
+//! met it:
+//!
+//! * readers — [`Value::req`] (`missing field 'k'`), then
+//!   [`Value::req_str`] / [`Value::req_u64`] / [`Value::req_f64`] /
+//!   [`Value::req_bool`] (`field 'k' must be a <type>`),
+//!   [`Value::req_list`] / [`Value::req_strs`] for arrays decoded
+//!   element by element, and [`Value::opt`] for the tolerant wire fields
+//!   where absent and `null` both mean "not sent";
+//! * builders — [`Value::or_null`] for an `Option` and [`Value::arr`]
+//!   for an iterator, over `From<&String | u64 | usize>` (the element
+//!   types the codecs hold), next to [`Value::obj`] and [`Value::str`].
+//!
+//! And every state file is written through one module, [`durable`]:
+//! [`durable::replace`] (temp file → sync → rename) and
+//! [`durable::Log`], the JSON-lines log (append = line + sync, load =
+//! valid prefix, rewrite = `replace`). No other crate opens a state file
+//! for writing.
+
+pub mod durable;
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -124,6 +146,102 @@ impl Value {
             .ok_or_else(|| format!("missing field '{key}'"))
     }
 
+    /// Required field read through `read`; a value `read` turns down is
+    /// the one error shape every typed reader shares.
+    fn req_as<'a, T>(
+        &'a self,
+        key: &str,
+        read: impl FnOnce(&'a Value) -> Option<T>,
+        a_type: &str,
+    ) -> Result<T, String> {
+        read(self.req(key)?).ok_or_else(|| format!("field '{key}' must be {a_type}"))
+    }
+
+    /// Required string field.
+    ///
+    /// # Errors
+    ///
+    /// `missing field 'k'` or `field 'k' must be a string`.
+    pub fn req_str(&self, key: &str) -> Result<&str, String> {
+        self.req_as(key, Value::as_str, "a string")
+    }
+
+    /// Required non-negative integer field.
+    ///
+    /// # Errors
+    ///
+    /// `missing field 'k'` or `field 'k' must be a u64`.
+    pub fn req_u64(&self, key: &str) -> Result<u64, String> {
+        self.req_as(key, Value::as_u64, "a u64")
+    }
+
+    /// Required numeric field (any JSON number).
+    ///
+    /// # Errors
+    ///
+    /// `missing field 'k'` or `field 'k' must be a number`.
+    pub fn req_f64(&self, key: &str) -> Result<f64, String> {
+        self.req_as(key, Value::as_f64, "a number")
+    }
+
+    /// Required boolean field.
+    ///
+    /// # Errors
+    ///
+    /// `missing field 'k'` or `field 'k' must be a bool`.
+    pub fn req_bool(&self, key: &str) -> Result<bool, String> {
+        self.req_as(key, Value::as_bool, "a bool")
+    }
+
+    /// Required array field, each element decoded by `item`.
+    ///
+    /// # Errors
+    ///
+    /// `missing field 'k'` or `field 'k' must be an array`; an element's
+    /// own error is prefixed with the field it sits in.
+    pub fn req_list<T>(
+        &self,
+        key: &str,
+        item: impl FnMut(&Value) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let items = self.req_as(key, Value::as_arr, "an array")?;
+        let items: Result<Vec<T>, String> = items.iter().map(item).collect();
+        items.map_err(|e| format!("field '{key}': {e}"))
+    }
+
+    /// Required field holding an array of strings.
+    ///
+    /// # Errors
+    ///
+    /// `missing field 'k'` or `field 'k' must be an array of strings`.
+    pub fn req_strs(&self, key: &str) -> Result<Vec<String>, String> {
+        self.req_as(key, Value::as_strs, "an array of strings")
+    }
+
+    /// The elements as owned strings, if this is an array of strings.
+    pub fn as_strs(&self) -> Option<Vec<String>> {
+        self.as_arr()?
+            .iter()
+            .map(|s| s.as_str().map(str::to_string))
+            .collect()
+    }
+
+    /// A field that may be left out: absent and `null` both read as
+    /// `None`.
+    pub fn opt(&self, key: &str) -> Option<&Value> {
+        self.get(key).filter(|v| !matches!(v, Value::Null))
+    }
+
+    /// `Some(x)` as `x`'s value, `None` as `null`.
+    pub fn or_null<T: Into<Value>>(value: Option<T>) -> Value {
+        value.map_or(Value::Null, Into::into)
+    }
+
+    /// Builds an array from anything that iterates over values.
+    pub fn arr<T: Into<Value>>(items: impl IntoIterator<Item = T>) -> Value {
+        Value::Arr(items.into_iter().map(Into::into).collect())
+    }
+
     /// Serializes with 2-space indentation.
     pub fn pretty(&self) -> String {
         let mut out = String::new();
@@ -179,6 +297,24 @@ impl Value {
                 pairs[i].1.write(out, ind);
             }),
         }
+    }
+}
+
+impl From<&String> for Value {
+    fn from(s: &String) -> Value {
+        Value::Str(s.clone())
+    }
+}
+
+impl From<u64> for Value {
+    fn from(n: u64) -> Value {
+        Value::UInt(n)
+    }
+}
+
+impl From<usize> for Value {
+    fn from(n: usize) -> Value {
+        Value::UInt(n as u64)
     }
 }
 

@@ -452,38 +452,6 @@ impl Workflow {
         }
     }
 
-    /// **Incremental execution** (crash-tolerant campaigns): runs only
-    /// the plan entries whose ids are *not* in `done`, invoking
-    /// `on_result` on the calling thread as each experiment completes
-    /// (checkpoint hook), and returns the new results in completion
-    /// order. Entries already in `done` are skipped entirely.
-    pub fn execute_incremental(
-        &self,
-        plan: &InjectionPlan,
-        done: &BTreeSet<u64>,
-        mut on_result: impl FnMut(&ExperimentResult),
-    ) -> Vec<ExperimentResult> {
-        let pending: Vec<&InjectionPoint> = plan
-            .entries
-            .iter()
-            .filter(|p| !done.contains(&p.id))
-            .collect();
-        let stream = std::sync::Mutex::new(
-            pending.into_iter().collect::<std::collections::VecDeque<_>>(),
-        );
-        let mut results = Vec::new();
-        self.config.executor.run_stream(
-            plan.len(),
-            &stream,
-            |point| self.run_experiment(point),
-            |result| {
-                on_result(&result);
-                results.push(result);
-            },
-        );
-        results
-    }
-
     /// Convenience: scan → (optional coverage pruning) → execute.
     ///
     /// # Errors
@@ -578,28 +546,6 @@ mod tests {
         let one_shot = wf.run_experiment(&points[0]);
         assert_eq!(via_sources.round1.status, one_shot.round1.status);
         assert_eq!(via_sources.duration, one_shot.duration);
-    }
-
-    #[test]
-    fn execute_incremental_skips_done_and_reports_each() {
-        let wf = tiny_workflow();
-        let points = wf.scan();
-        let plan = wf.plan(&points, &PlanFilter::all());
-        assert_eq!(plan.len(), 3);
-        let done: BTreeSet<u64> = [plan.entries[1].id].into_iter().collect();
-        let mut seen = Vec::new();
-        let results = wf.execute_incremental(&plan, &done, |r| seen.push(r.point_id));
-        assert_eq!(results.len(), 2, "the done experiment is skipped");
-        assert!(results.iter().all(|r| !done.contains(&r.point_id)));
-        let mut reported = seen.clone();
-        reported.sort_unstable();
-        let mut executed: Vec<u64> = results.iter().map(|r| r.point_id).collect();
-        executed.sort_unstable();
-        assert_eq!(reported, executed, "callback saw every result");
-        // Nothing done: everything runs. Everything done: nothing runs.
-        assert_eq!(wf.execute_incremental(&plan, &BTreeSet::new(), |_| {}).len(), 3);
-        let all: BTreeSet<u64> = plan.entries.iter().map(|p| p.id).collect();
-        assert!(wf.execute_incremental(&plan, &all, |_| {}).is_empty());
     }
 
     #[test]

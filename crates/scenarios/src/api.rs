@@ -15,30 +15,17 @@ pub fn catalog_value() -> Value {
     let targets = default_catalog();
     let models = default_corpus();
     let cells = Matrix::new(targets.clone(), models.clone()).cells();
+    let cells = cells.iter().map(|c| {
+        Value::obj(vec![
+            ("target", Value::str(&c.target)),
+            ("model", Value::str(&c.model)),
+            ("campaign", Value::str(&c.spec.name)),
+        ])
+    });
     Value::obj(vec![
-        (
-            "targets",
-            Value::Arr(targets.iter().map(|t| t.to_value()).collect()),
-        ),
-        (
-            "models",
-            Value::Arr(models.iter().map(|m| m.to_value()).collect()),
-        ),
-        (
-            "cells",
-            Value::Arr(
-                cells
-                    .iter()
-                    .map(|c| {
-                        Value::obj(vec![
-                            ("target", Value::str(&c.target)),
-                            ("model", Value::str(&c.model)),
-                            ("campaign", Value::str(&c.spec.name)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("targets", Value::arr(targets.iter().map(|t| t.to_value()))),
+        ("models", Value::arr(models.iter().map(|m| m.to_value()))),
+        ("cells", Value::arr(cells)),
     ])
 }
 

@@ -57,15 +57,9 @@ impl CatalogTarget {
         Value::obj(vec![
             ("name", Value::str(&self.name)),
             ("description", Value::str(&self.description)),
-            (
-                "tags",
-                Value::Arr(self.tags.iter().map(Value::str).collect()),
-            ),
+            ("tags", Value::arr(&self.tags)),
             ("host", Value::str(&self.host)),
-            (
-                "modules",
-                Value::Arr(self.sources.iter().map(|(n, _)| Value::str(n)).collect()),
-            ),
+            ("modules", Value::arr(self.sources.iter().map(|(n, _)| n))),
         ])
     }
 }

@@ -35,11 +35,8 @@ impl CorpusModel {
             ("name", Value::str(&self.model.name)),
             ("description", Value::str(&self.model.description)),
             ("failure_class", Value::str(&self.failure_class)),
-            (
-                "applies_to",
-                Value::Arr(self.applies_to.iter().map(Value::str).collect()),
-            ),
-            ("specs", Value::UInt(self.model.specs.len() as u64)),
+            ("applies_to", Value::arr(&self.applies_to)),
+            ("specs", self.model.specs.len().into()),
         ])
     }
 }

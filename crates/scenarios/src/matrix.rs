@@ -192,11 +192,7 @@ impl Matrix {
                         resp.text()
                     ));
                 }
-                let id = jsonlite::parse(&resp.text())?
-                    .req("id")?
-                    .as_str()
-                    .ok_or("campaign id must be a string")?
-                    .to_string();
+                let id = jsonlite::parse(&resp.text())?.req_str("id")?.to_string();
                 Ok((cell, id))
             })
             .collect::<Result<_, String>>()?;
@@ -254,21 +250,16 @@ impl CellReport {
     pub fn from_wire(cell: &MatrixCell, report_json: &str) -> Result<CellReport, String> {
         let v = jsonlite::parse(report_json)?;
         let mut classes = BTreeMap::new();
-        if let Value::Obj(pairs) = v.req("mode_distribution")? {
-            for (class, n) in pairs {
-                classes.insert(
-                    class.clone(),
-                    n.as_u64()
-                        .ok_or_else(|| format!("mode count for '{class}' must be a u64"))?,
-                );
-            }
+        let modes = v.req("mode_distribution")?;
+        for (class, _) in modes.as_obj().unwrap_or_default() {
+            classes.insert(class.clone(), modes.req_u64(class)?);
         }
         Ok(CellReport {
             target: cell.target.clone(),
             model: cell.model.clone(),
             expected_class: cell.failure_class.clone(),
-            executed: v.req("executed")?.as_u64().ok_or("'executed' must be a u64")?,
-            failures: v.req("failures")?.as_u64().ok_or("'failures' must be a u64")?,
+            executed: v.req_u64("executed")?,
+            failures: v.req_u64("failures")?,
             classes,
             report_json: report_json.to_string(),
         })
@@ -312,32 +303,21 @@ impl MatrixReport {
 
     /// The matrix report as a JSON value.
     pub fn to_value(&self) -> Value {
-        Value::obj(vec![(
-            "cells",
-            Value::Arr(
-                self.cells
-                    .iter()
-                    .map(|cell| {
-                        Value::obj(vec![
-                            ("target", Value::str(&cell.target)),
-                            ("model", Value::str(&cell.model)),
-                            ("expected_class", Value::str(&cell.expected_class)),
-                            ("executed", Value::UInt(cell.executed)),
-                            ("failures", Value::UInt(cell.failures)),
-                            (
-                                "classes",
-                                Value::Obj(
-                                    cell.classes
-                                        .iter()
-                                        .map(|(c, n)| (c.clone(), Value::UInt(*n)))
-                                        .collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        )])
+        let cells = self.cells.iter().map(|cell| {
+            let classes = cell
+                .classes
+                .iter()
+                .map(|(c, n)| (c.clone(), Value::UInt(*n)));
+            Value::obj(vec![
+                ("target", Value::str(&cell.target)),
+                ("model", Value::str(&cell.model)),
+                ("expected_class", Value::str(&cell.expected_class)),
+                ("executed", Value::UInt(cell.executed)),
+                ("failures", Value::UInt(cell.failures)),
+                ("classes", Value::Obj(classes.collect())),
+            ])
+        });
+        Value::obj(vec![("cells", Value::arr(cells))])
     }
 
     /// A fixed-width text table of the matrix (CLI output).

@@ -26,12 +26,7 @@ pub fn span_from_value(v: &Value) -> Option<Span> {
 }
 
 pub fn timeline_to_value(timeline: &Timeline) -> Value {
-    Value::Arr(timeline.spans().iter().map(span_to_value).collect())
-}
-
-pub fn timeline_from_value(v: &Value) -> Option<Timeline> {
-    let spans = v.as_arr()?;
-    spans.iter().map(span_from_value).collect()
+    Value::arr(timeline.spans().iter().map(span_to_value))
 }
 
 #[cfg(test)]
@@ -44,8 +39,14 @@ mod tests {
         t.push(Span::new("worker-01", "execute #4", 0.25, 0.125).err());
         t.push(Span::new("engine", "prepare", 0.0, 0.5));
         let text = timeline_to_value(&t).compact();
-        let back = timeline_from_value(&jsonlite::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.spans(), t.spans());
+        let parsed = jsonlite::parse(&text).unwrap();
+        let back: Option<Vec<Span>> = parsed
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(span_from_value)
+            .collect();
+        assert_eq!(back.unwrap(), t.spans());
     }
 
     #[test]
