@@ -36,6 +36,6 @@ pub mod persist;
 pub mod scanner;
 
 pub use matcher::{match_at, Bindings};
-pub use mutator::{ModuleText, MutationMode, Mutator};
+pub use mutator::{ChangedDef, ModuleText, MutationMode, Mutator, Rendered};
 pub use persist::{points_from_portable_value, points_to_portable_value};
 pub use scanner::{InjectionPoint, Scanner};

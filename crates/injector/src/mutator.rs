@@ -20,7 +20,7 @@ use crate::scanner::InjectionPoint;
 use faultdsl::spec::ELLIPSIS;
 use faultdsl::{BugSpec, DirectiveKind};
 use pysrc::ast::*;
-use pysrc::unparse::unparse_stmt;
+use pysrc::unparse::{unparse_stmt, unparse_stmt_at};
 use pysrc::visit::{child_blocks, child_blocks_mut, walk_blocks_mut};
 use std::ops::Range;
 
@@ -62,10 +62,67 @@ impl std::error::Error for MutateError {}
 pub struct ModuleText {
     /// The module's name.
     name: String,
-    /// Each top-level statement's id and text, in order. Node ids are
-    /// unique in a process, so the ids tell this module's text from
-    /// that of any other parse — another module or another revision.
-    chunks: Vec<(NodeId, String)>,
+    /// Each top-level statement's text, in order.
+    chunks: Vec<Chunk>,
+}
+
+/// One top-level statement's text.
+#[derive(Clone, Debug)]
+struct Chunk {
+    /// The statement's id. Node ids are unique in a process, so the ids
+    /// tell this module's text from that of any other parse — another
+    /// module or another revision.
+    id: NodeId,
+    /// The statement's text.
+    text: String,
+    /// For a class: where in `text` its header line ends, then where
+    /// each member's text does — a mutant under the class re-renders
+    /// one member and takes the rest from here. Empty for any other
+    /// statement.
+    cuts: Vec<usize>,
+}
+
+impl Chunk {
+    fn of(stmt: &Stmt) -> Chunk {
+        let mut chunk = Chunk {
+            id: stmt.id,
+            text: String::new(),
+            cuts: Vec::new(),
+        };
+        match &stmt.kind {
+            StmtKind::ClassDef { body, .. } if !body.is_empty() => {
+                // The header is the first line of the class, which with
+                // no members is cheap to have the writer write.
+                chunk.text = unparse_stmt(&class_spliced(stmt, 0..body.len(), Vec::new()));
+                let header = chunk.text.find('\n').map_or(0, |end| end + 1);
+                chunk.text.truncate(header);
+                chunk.cuts.push(chunk.text.len());
+                for member in body {
+                    chunk.text.push_str(&unparse_stmt_at(member, 1));
+                    chunk.cuts.push(chunk.text.len());
+                }
+            }
+            _ => chunk.text = unparse_stmt(stmt),
+        }
+        chunk
+    }
+}
+
+/// The class statement `class` — same id, span, name and bases — with
+/// the members `at` of its body replaced by `stmts`.
+fn class_spliced(class: &Stmt, at: Range<usize>, stmts: Vec<Stmt>) -> Stmt {
+    let StmtKind::ClassDef { name, bases, body } = &class.kind else {
+        unreachable!("a landing block other than the top level is a class's body");
+    };
+    Stmt {
+        id: class.id,
+        span: class.span,
+        kind: StmtKind::ClassDef {
+            name: name.clone(),
+            bases: bases.clone(),
+            body: spliced(body, at, stmts),
+        },
+    }
 }
 
 impl ModuleText {
@@ -73,11 +130,7 @@ impl ModuleText {
     pub fn of(module: &Module) -> ModuleText {
         ModuleText {
             name: module.name.clone(),
-            chunks: module
-                .body
-                .iter()
-                .map(|s| (s.id, unparse_stmt(s)))
-                .collect(),
+            chunks: module.body.iter().map(Chunk::of).collect(),
         }
     }
 
@@ -89,44 +142,152 @@ impl ModuleText {
                 .chunks
                 .iter()
                 .zip(&module.body)
-                .all(|(c, s)| c.0 == s.id)
+                .all(|(c, s)| c.id == s.id)
     }
 }
 
-/// One mutation, as an edit of the module's top level: the statements
-/// `at` of the body give way to `stmts`. A window inside a function or
-/// class replaces that one top-level statement with a spliced copy of
-/// it; the rest of the module is never copied to find that out.
+/// A mutant as text ([`Mutator::render`]).
+#[derive(Clone, Debug)]
+pub struct Rendered {
+    /// The mutated module's text.
+    pub text: String,
+    /// The one `def` the mutant differs from the fault-free module in,
+    /// when its window lies under a `def`.
+    pub def: Option<ChangedDef>,
+}
+
+/// The function a mutant changed, cut from the splice that rendered the
+/// mutant's text.
+#[derive(Clone, Debug)]
+pub struct ChangedDef {
+    /// The `def` statement's id in the fault-free module: the
+    /// outermost `def` the window lies under.
+    pub id: NodeId,
+    /// The mutated `def` on its own at indent level 0 — the lines it
+    /// has in [`Rendered::text`], dedented.
+    pub text: String,
+    /// The statement [`Rendered::text`] has in front of the fault-free
+    /// module's top level, as text: `import profipy_rt`, or none.
+    pub lead: Option<String>,
+}
+
+/// One mutation, as an edit of its landing block — the module's top
+/// level, or the body of the top-level class the window lies in or
+/// under: the statements `at` of that block give way to `stmts`. A
+/// window deeper than the landing block replaces the one statement of
+/// it that the window lies under with a spliced copy; the rest of the
+/// module is never copied to find that out.
 struct Splice {
-    /// The top-level statements replaced.
+    /// The top-level statement whose body the landing block is, if it
+    /// is a class's and not the module's top level.
+    class: Option<usize>,
+    /// The statements of the landing block replaced.
     at: Range<usize>,
     /// What replaces them.
     stmts: Vec<Stmt>,
     /// Whether the mutant then lacks `import profipy_rt` and gets it
     /// as its first statement.
     add_import: bool,
+    /// The outermost `def` on the way from the landing block down to
+    /// the window: its copy, same id, is in or under `stmts`, and
+    /// nothing outside it differs from the fault-free module.
+    def: Option<NodeId>,
 }
 
-/// The block at or under `body` that holds statement `id`, and the
-/// statement's index in it. Ids are unique, so the first hit is the
-/// only one and the search stops there.
-fn find_block(body: &[Stmt], id: NodeId) -> Option<(&[Stmt], usize)> {
-    if let Some(at) = body.iter().position(|s| s.id == id) {
-        return Some((body, at));
-    }
-    body.iter()
-        .flat_map(child_blocks)
-        .find_map(|block| find_block(block, id))
+/// Where a window's first statement is, seen from its landing block.
+struct Located<'a> {
+    class: Option<usize>,
+    landing: &'a [Stmt],
+    /// The landing-block statement that is, or has below it, the
+    /// window's first.
+    slot: usize,
+    /// The block that holds the window, and where in it the window
+    /// starts.
+    block: &'a [Stmt],
+    start: usize,
+    def: Option<NodeId>,
 }
 
-/// [`find_block`] on statements about to be edited.
-fn find_block_mut(body: &mut Vec<Stmt>, id: NodeId) -> Option<(&mut Vec<Stmt>, usize)> {
-    if let Some(at) = body.iter().position(|s| s.id == id) {
-        return Some((body, at));
-    }
-    body.iter_mut()
-        .flat_map(child_blocks_mut)
-        .find_map(|block| find_block_mut(block, id))
+/// Finds statement `id` from `landing` (the body of top-level statement
+/// `class`, or with `None` the module's top level). A top-level class
+/// met on the way is not searched as one statement: its body becomes
+/// the landing block.
+fn locate(landing: &[Stmt], class: Option<usize>, id: NodeId) -> Option<Located<'_>> {
+    landing.iter().enumerate().find_map(|(slot, stmt)| {
+        if stmt.id == id {
+            return Some(Located {
+                class,
+                landing,
+                slot,
+                block: landing,
+                start: slot,
+                def: None,
+            });
+        }
+        if let (None, StmtKind::ClassDef { body, .. }) = (class, &stmt.kind) {
+            return locate(body, Some(slot), id);
+        }
+        let (block, start, def) = find_under(stmt, id, None)?;
+        Some(Located {
+            class,
+            landing,
+            slot,
+            block,
+            start,
+            def,
+        })
+    })
+}
+
+/// The block under `stmt` that holds statement `id`, the statement's
+/// index in it, and the outermost `def` passed on the way down from
+/// (and including) `stmt`, unless `def` already names one further out.
+/// Ids are unique, so the first hit is the only one and the search
+/// stops there.
+fn find_under(
+    stmt: &Stmt,
+    id: NodeId,
+    def: Option<NodeId>,
+) -> Option<(&[Stmt], usize, Option<NodeId>)> {
+    let def = def.or(matches!(stmt.kind, StmtKind::FuncDef { .. }).then_some(stmt.id));
+    child_blocks(stmt).into_iter().find_map(|block| {
+        if let Some(at) = block.iter().position(|s| s.id == id) {
+            return Some((block, at, def));
+        }
+        block.iter().find_map(|s| find_under(s, id, def))
+    })
+}
+
+/// The statement `id` at or under `body`.
+fn find_stmt(body: &[Stmt], id: NodeId) -> Option<&Stmt> {
+    body.iter().find_map(|s| {
+        if s.id == id {
+            return Some(s);
+        }
+        let (block, at, _) = find_under(s, id, None)?;
+        Some(&block[at])
+    })
+}
+
+/// The block under `stmt`, about to be edited, that holds statement
+/// `id`, and the statement's index in it.
+fn find_under_mut(stmt: &mut Stmt, id: NodeId) -> Option<(&mut Vec<Stmt>, usize)> {
+    child_blocks_mut(stmt).into_iter().find_map(|block| {
+        if let Some(at) = block.iter().position(|s| s.id == id) {
+            return Some((block, at));
+        }
+        block.iter_mut().find_map(|s| find_under_mut(s, id))
+    })
+}
+
+/// `block` with the statements `at` replaced by `stmts`, the rest
+/// copied.
+fn spliced(block: &[Stmt], at: Range<usize>, stmts: Vec<Stmt>) -> Vec<Stmt> {
+    let mut out = Vec::with_capacity(block.len() - at.len() + stmts.len());
+    out.extend_from_slice(&block[..at.start]);
+    out.extend(stmts);
+    out.extend_from_slice(&block[at.end..]);
+    out
 }
 
 impl Mutator {
@@ -137,8 +298,8 @@ impl Mutator {
 
     /// The one mutation path: locates the point's window on the
     /// borrowed module, re-matches it, instantiates the replacement
-    /// and lands it — in the module body itself, or in a copy of the
-    /// one top-level statement the window lies under.
+    /// and lands it — in the landing block itself, or in a copy of the
+    /// one statement of it the window lies under.
     fn splice(
         &self,
         module: &Module,
@@ -155,21 +316,9 @@ impl Mutator {
         }
         let body = &module.body;
         let id = point.start_stmt_id;
-        // The top-level statement that is the window's first, or has
-        // it somewhere below.
-        let located = body.iter().enumerate().find_map(|(top, stmt)| {
-            if stmt.id == id {
-                return Some((top, body.as_slice(), top));
-            }
-            let (block, start) = child_blocks(stmt)
-                .into_iter()
-                .find_map(|block| find_block(block, id))?;
-            Some((top, block, start))
-        });
-        let matched = located.and_then(|(top, block, start)| {
-            Some((top, block, start, match_at(spec, block, start)?))
-        });
-        let Some((top, block, start, m)) = matched else {
+        let matched = locate(body, None, id)
+            .and_then(|found| Some((match_at(spec, found.block, found.start)?, found)));
+        let Some((m, found)) = matched else {
             return Err(MutateError {
                 message: format!(
                     "could not re-locate window for point {} (spec {})",
@@ -177,6 +326,14 @@ impl Mutator {
                 ),
             });
         };
+        let Located {
+            class,
+            landing,
+            slot,
+            block,
+            start,
+            def,
+        } = found;
         let window = start..start + m.len;
         let replacement = instantiate(spec, &spec.replacement, &m.bindings);
         let stmts = match self.mode {
@@ -185,24 +342,30 @@ impl Mutator {
                 vec![trigger_wrap(replacement, block[window.clone()].to_vec())]
             }
         };
-        let (at, stmts) = if body[top].id == id {
+        let (at, stmts) = if landing[slot].id == id {
             (window, stmts)
         } else {
-            let mut holder = body[top].clone();
-            let (block, _) = child_blocks_mut(&mut holder)
-                .into_iter()
-                .find_map(|block| find_block_mut(block, id))
+            let mut holder = landing[slot].clone();
+            let (block, _) = find_under_mut(&mut holder, id)
                 .expect("the copy holds the statement the original does");
             block.splice(window, stmts);
-            (top..top + 1, vec![holder])
+            (slot..slot + 1, vec![holder])
         };
-        let add_import = !(imports_profipy_rt(&body[..at.start])
-            || imports_profipy_rt(&stmts)
-            || imports_profipy_rt(&body[at.end..]));
+        // A class statement is no import, whatever lands in its body.
+        let add_import = !match class {
+            Some(_) => imports_profipy_rt(body),
+            None => {
+                imports_profipy_rt(&body[..at.start])
+                    || imports_profipy_rt(&stmts)
+                    || imports_profipy_rt(&body[at.end..])
+            }
+        };
         Ok(Splice {
+            class,
             at,
             stmts,
             add_import,
+            def,
         })
     }
 
@@ -221,17 +384,17 @@ impl Mutator {
         point: &InjectionPoint,
     ) -> Result<Module, MutateError> {
         let splice = self.splice(module, spec, point)?;
-        let (before, after) = (
-            &module.body[..splice.at.start],
-            &module.body[splice.at.end..],
-        );
-        let mut body = Vec::with_capacity(1 + before.len() + splice.stmts.len() + after.len());
+        let (at, stmts) = match splice.class {
+            None => (splice.at, splice.stmts),
+            Some(top) => (
+                top..top + 1,
+                vec![class_spliced(&module.body[top], splice.at, splice.stmts)],
+            ),
+        };
+        let mut body = spliced(&module.body, at, stmts);
         if splice.add_import {
-            body.push(profipy_rt_import());
+            body.insert(0, profipy_rt_import());
         }
-        body.extend_from_slice(before);
-        body.extend(splice.stmts);
-        body.extend_from_slice(after);
         Ok(Module {
             name: module.name.clone(),
             body,
@@ -241,7 +404,9 @@ impl Mutator {
     /// The text of the mutated module — `unparse_module` of
     /// [`Mutator::apply`], byte for byte — from the pieces of `text`
     /// (the fault-free module's, see [`ModuleText`]): only the
-    /// statements the mutation puts in are rendered.
+    /// statements the mutation puts in are rendered. With it, read off
+    /// the same splice, the `def` that holds everything the mutation
+    /// changed, if there is one.
     ///
     /// # Errors
     ///
@@ -252,26 +417,53 @@ impl Mutator {
         text: &ModuleText,
         spec: &BugSpec,
         point: &InjectionPoint,
-    ) -> Result<String, MutateError> {
+    ) -> Result<Rendered, MutateError> {
         if !text.is_of(module) {
             return Err(MutateError {
                 message: format!("module text is not that of {}", module.name),
             });
         }
         let splice = self.splice(module, spec, point)?;
-        let (before, after) = (
-            &text.chunks[..splice.at.start],
-            &text.chunks[splice.at.end..],
-        );
-        let shared: usize = text.chunks.iter().map(|c| c.1.len()).sum();
+        let chunks = &text.chunks;
+        let shared: usize = chunks.iter().map(|c| c.text.len()).sum();
         let mut out = String::with_capacity(shared + 256);
-        if splice.add_import {
-            out.push_str(&unparse_stmt(&profipy_rt_import()));
+        let lead = splice
+            .add_import
+            .then(|| unparse_stmt(&profipy_rt_import()));
+        out.extend(lead.as_deref());
+        let put = |out: &mut String, level: usize| {
+            out.extend(splice.stmts.iter().map(|s| unparse_stmt_at(s, level)));
+        };
+        match splice.class {
+            None => {
+                out.extend(chunks[..splice.at.start].iter().map(|c| c.text.as_str()));
+                put(&mut out, 0);
+                out.extend(chunks[splice.at.end..].iter().map(|c| c.text.as_str()));
+            }
+            Some(top) => {
+                out.extend(chunks[..top].iter().map(|c| c.text.as_str()));
+                let Chunk { text, cuts, .. } = &chunks[top];
+                if splice.stmts.is_empty() && splice.at.len() + 1 == cuts.len() {
+                    // Every member went and nothing came: the writer
+                    // says what a class of no members reads like.
+                    let class = class_spliced(&module.body[top], splice.at.clone(), Vec::new());
+                    out.push_str(&unparse_stmt(&class));
+                } else {
+                    out.push_str(&text[..cuts[splice.at.start]]);
+                    put(&mut out, 1);
+                    out.push_str(&text[cuts[splice.at.end]..]);
+                }
+                out.extend(chunks[top + 1..].iter().map(|c| c.text.as_str()));
+            }
         }
-        out.extend(before.iter().map(|c| c.1.as_str()));
-        out.extend(splice.stmts.iter().map(unparse_stmt));
-        out.extend(after.iter().map(|c| c.1.as_str()));
-        Ok(out)
+        let def = splice.def.map(|id| ChangedDef {
+            id,
+            text: unparse_stmt(
+                find_stmt(&splice.stmts, id).expect("the spliced copy keeps the def's id"),
+            ),
+            lead,
+        });
+        Ok(Rendered { text: out, def })
     }
 
     /// Builds the fault-free, coverage-instrumented copy of a module
@@ -646,6 +838,12 @@ mod tests {
     use pysrc::unparse::unparse_module;
 
     fn mutate_one(dsl: &str, src: &str, mode: MutationMode) -> String {
+        mutate_first(dsl, src, mode).1.text
+    }
+
+    /// The mutant of the first point `dsl` finds in `src`, with the
+    /// module it was made from.
+    fn mutate_first(dsl: &str, src: &str, mode: MutationMode) -> (Module, Rendered) {
         let spec = parse_spec(dsl, "S").unwrap();
         let module = pysrc::parse_module(src, "m.py").unwrap();
         let scanner = Scanner::new(vec![spec.clone()]);
@@ -657,8 +855,191 @@ mod tests {
         let rendered = mutator
             .render(&module, &ModuleText::of(&module), &spec, &points[0])
             .unwrap();
-        assert_eq!(rendered, mutated, "render and apply + unparse disagree");
-        mutated
+        assert_eq!(
+            rendered.text, mutated,
+            "render and apply + unparse disagree"
+        );
+        (module, rendered)
+    }
+
+    /// [`mutate_first`] on a mutant that must still be Python.
+    fn mutate_to_python(dsl: &str, src: &str, mode: MutationMode) -> (Module, Rendered) {
+        let (module, rendered) = mutate_first(dsl, src, mode);
+        let text = &rendered.text;
+        pysrc::parse_module(text, "check.py").unwrap_or_else(|e| panic!("{e}:\n{text}"));
+        (module, rendered)
+    }
+
+    /// The members of the top-level class `module.body[top]`.
+    fn members(module: &Module, top: usize) -> &[Stmt] {
+        let StmtKind::ClassDef { body, .. } = &module.body[top].kind else {
+            panic!("statement {top} is no class");
+        };
+        body
+    }
+
+    /// Replaces a call of `f`.
+    const OMIT_F: &str = "change {\n    $CALL{name=f}(...)\n} into {\n    pass\n}";
+
+    #[test]
+    fn a_window_in_a_method_lands_in_the_class_body_and_names_the_method() {
+        let src = "class A(B):\n    x = 1\n    def m(self):\n        f(self)\n        return 2\n    def n(self):\n        return 3\ny = A()\n";
+        let (module, rendered) = mutate_to_python(OMIT_F, src, MutationMode::Direct);
+        assert_eq!(
+            rendered.text,
+            "import profipy_rt\nclass A(B):\n    x = 1\n    def m(self):\n        pass\n        return 2\n    def n(self):\n        return 3\ny = A()\n"
+        );
+        let def = rendered.def.expect("the window lies under m");
+        assert_eq!(def.id, members(&module, 0)[1].id);
+        assert_eq!(def.text, "def m(self):\n    pass\n    return 2\n");
+        assert_eq!(def.lead.as_deref(), Some("import profipy_rt\n"));
+
+        let (module, rendered) = mutate_to_python(OMIT_F, src, MutationMode::Triggered);
+        let def = rendered.def.expect("the window lies under m");
+        assert_eq!(def.id, members(&module, 0)[1].id);
+        assert_eq!(
+            def.text,
+            "def m(self):\n    if profipy_rt.trigger():\n        pass\n    else:\n        f(self)\n    return 2\n"
+        );
+        // The def's lines are the mutant's, four columns in.
+        let indented: String = def.text.lines().map(|l| format!("    {l}\n")).collect();
+        assert!(rendered.text.contains(&indented), "{}", rendered.text);
+    }
+
+    #[test]
+    fn the_def_named_is_the_outermost_on_the_way_down() {
+        // A nested def, a def under a module-level `if`, and a method
+        // of a class nested in a function: one override covers each.
+        for (src, def_text) in [
+            (
+                "def outer(c):\n    def inner():\n        f(c)\n    return inner\n",
+                "def outer(c):\n    def inner():\n        pass\n    return inner\n",
+            ),
+            (
+                "if flag:\n    def g(c):\n        f(c)\nelse:\n    g = None\n",
+                "def g(c):\n    pass\n",
+            ),
+            (
+                "def make():\n    class K:\n        def m(self):\n            f(self)\n    return K\n",
+                "def make():\n    class K:\n        def m(self):\n            pass\n    return K\n",
+            ),
+        ] {
+            let (_, rendered) = mutate_to_python(OMIT_F, src, MutationMode::Direct);
+            assert_eq!(rendered.def.expect("under a def").text, def_text);
+        }
+    }
+
+    #[test]
+    fn a_window_that_is_a_class_member_names_no_def() {
+        // The window starts at the `def` itself: a class-level window,
+        // landed in the class body with nothing copied.
+        let dsl = "change {\n    $BLOCK{tag=b; stmts=1,1}\n    $CALL{name=f}(...)\n} into {\n    $BLOCK{tag=b}\n}";
+        let src = "class A:\n    def m(self):\n        return 1\n    f(m)\n    z = 2\n";
+        for mode in [MutationMode::Direct, MutationMode::Triggered] {
+            let (_, rendered) = mutate_to_python(dsl, src, mode);
+            assert!(rendered.def.is_none(), "{:?}", rendered.def);
+            assert!(rendered.text.ends_with("    z = 2\n"));
+        }
+        let (_, rendered) = mutate_to_python(dsl, src, MutationMode::Direct);
+        assert_eq!(
+            rendered.text,
+            "import profipy_rt\nclass A:\n    def m(self):\n        return 1\n    z = 2\n"
+        );
+        // A class-level window, triggered: the wrapper is a member.
+        let (_, rendered) =
+            mutate_to_python(OMIT_F, "class A:\n    f(1)\n", MutationMode::Triggered);
+        assert_eq!(
+            rendered.text,
+            "import profipy_rt\nclass A:\n    if profipy_rt.trigger():\n        pass\n    else:\n        f(1)\n"
+        );
+        assert!(rendered.def.is_none());
+    }
+
+    #[test]
+    fn a_class_mutated_empty_becomes_pass() {
+        let src = "x = 0\nclass A(Base):\n    if x:\n        y = 1\nz = A()\n";
+        let (_, rendered) = mutate_to_python(MIFS, src, MutationMode::Direct);
+        assert_eq!(
+            rendered.text,
+            "import profipy_rt\nx = 0\nclass A(Base):\n    pass\nz = A()\n"
+        );
+        let (_, rendered) = mutate_to_python(MIFS, src, MutationMode::Triggered);
+        assert!(rendered.text.contains("class A(Base):\n    if profipy_rt.trigger():\n        pass\n    else:\n        if x:\n"));
+    }
+
+    #[test]
+    fn only_a_top_level_class_is_a_landing_block() {
+        // Under a module-level `if` the class is part of the one
+        // top-level statement that is copied, as before; the method is
+        // still the def named.
+        let src = "if flag:\n    class A:\n        def m(self):\n            f(self)\nelse:\n    A = None\n";
+        let (module, rendered) = mutate_to_python(OMIT_F, src, MutationMode::Direct);
+        assert_eq!(
+            rendered.text,
+            "import profipy_rt\nif flag:\n    class A:\n        def m(self):\n            pass\nelse:\n    A = None\n"
+        );
+        let StmtKind::If { branches, .. } = &module.body[0].kind else {
+            panic!("an if");
+        };
+        let StmtKind::ClassDef { body, .. } = &branches[0].1[0].kind else {
+            panic!("a class");
+        };
+        let def = rendered.def.expect("under m");
+        assert_eq!(def.id, body[0].id);
+        assert_eq!(def.text, "def m(self):\n    pass\n");
+    }
+
+    #[test]
+    fn the_second_of_two_classes_is_landed_in() {
+        let src = "class A:\n    def m(self):\n        return 1\nclass B(A):\n    def m(self):\n        return 2\n    def n(self):\n        f(self)\nprint(B().n())\n";
+        let (module, rendered) = mutate_to_python(OMIT_F, src, MutationMode::Direct);
+        assert_eq!(
+            rendered.text,
+            "import profipy_rt\nclass A:\n    def m(self):\n        return 1\nclass B(A):\n    def m(self):\n        return 2\n    def n(self):\n        pass\nprint(B().n())\n"
+        );
+        assert_eq!(rendered.def.expect("under n").id, members(&module, 1)[1].id);
+        // The module's own import is kept, not doubled.
+        let (_, rendered) = mutate_to_python(
+            OMIT_F,
+            "import profipy_rt\nclass A:\n    def m(self):\n        f(self)\n",
+            MutationMode::Direct,
+        );
+        assert_eq!(
+            rendered.text,
+            "import profipy_rt\nclass A:\n    def m(self):\n        pass\n"
+        );
+        assert_eq!(rendered.def.expect("under m").lead, None);
+    }
+
+    #[test]
+    fn module_text_cuts_every_catalog_class_into_header_and_members() {
+        let mut classes = 0;
+        for target in scenarios::default_catalog() {
+            let texts = target.sources.iter().map(|(n, t)| (n.as_str(), t));
+            for (name, text) in texts.chain([("workload", &target.workload)]) {
+                let module = pysrc::parse_module(text, name).unwrap();
+                let pieces = ModuleText::of(&module);
+                assert!(pieces.is_of(&module));
+                for (chunk, stmt) in pieces.chunks.iter().zip(&module.body) {
+                    assert_eq!(chunk.text, unparse_stmt(stmt), "{}/{name}", target.name);
+                    let StmtKind::ClassDef { body, .. } = &stmt.kind else {
+                        assert!(chunk.cuts.is_empty());
+                        continue;
+                    };
+                    classes += 1;
+                    assert_eq!(chunk.cuts.len(), body.len() + 1);
+                    assert!(chunk.text[..chunk.cuts[0]].starts_with("class "));
+                    assert_eq!(chunk.text[..chunk.cuts[0]].matches('\n').count(), 1);
+                    for (member, cut) in body.iter().zip(chunk.cuts.windows(2)) {
+                        assert_eq!(chunk.text[cut[0]..cut[1]], unparse_stmt_at(member, 1));
+                    }
+                }
+            }
+        }
+        assert!(
+            classes >= 4,
+            "the catalog's sources define classes: {classes}"
+        );
     }
 
     #[test]

@@ -71,6 +71,15 @@ pub struct Workflow {
     /// order as `modules`), rendered when the first mutant is: all a
     /// mutant's text differs in is the statement its window lies in.
     module_texts: std::sync::OnceLock<Vec<ModuleText>>,
+    /// Per module (same order as `modules`), its fault-free prepared
+    /// module with the `import profipy_rt` its mutants bring in front:
+    /// what those mutants are overrides of. Built with the first.
+    import_bases: Vec<std::sync::OnceLock<Arc<PreparedModule>>>,
+    /// The mutants rendered here and not yet run, by point id, each
+    /// prepared as its base plus the one `def` it changed and stamped
+    /// with the hash of the text rendered with it. Running a point
+    /// takes its entry out; what is never run goes with the workflow.
+    overrides: std::sync::Mutex<std::collections::HashMap<u64, Arc<PreparedModule>>>,
 }
 
 /// The prepared-program artifact of one campaign: every fault-free
@@ -125,6 +134,7 @@ impl Workflow {
             message: e.message,
         })?;
         Ok(Workflow {
+            import_bases: modules.iter().map(|_| Default::default()).collect(),
             sources,
             modules,
             workload,
@@ -134,6 +144,7 @@ impl Workflow {
             config,
             prepared: std::sync::OnceLock::new(),
             module_texts: std::sync::OnceLock::new(),
+            overrides: Default::default(),
         })
     }
 
@@ -171,6 +182,7 @@ impl Workflow {
             message: e.message,
         })?;
         Ok(Workflow {
+            import_bases: modules.iter().map(|_| Default::default()).collect(),
             sources,
             modules,
             workload,
@@ -180,6 +192,7 @@ impl Workflow {
             config,
             prepared: std::sync::OnceLock::new(),
             module_texts: std::sync::OnceLock::new(),
+            overrides: Default::default(),
         })
     }
 
@@ -356,13 +369,23 @@ impl Workflow {
             .module_texts
             .get_or_init(|| self.modules.iter().map(ModuleText::of).collect());
         let mut out = Vec::with_capacity(self.modules.len());
-        for (module, fault_free) in self.modules.iter().zip(texts) {
+        for (at, (module, fault_free)) in self.modules.iter().zip(texts).enumerate() {
             let text = if module.name == point.module {
-                mutator
+                let rendered = mutator
                     .render(module, fault_free, spec, point)
                     .map_err(|e| WorkflowError {
                         message: e.to_string(),
-                    })?
+                    })?;
+                if let Some(pm) = rendered
+                    .def
+                    .and_then(|def| self.override_of(at, &def, &rendered.text))
+                {
+                    self.overrides
+                        .lock()
+                        .expect("overrides lock")
+                        .insert(point.id, pm);
+                }
+                rendered.text
             } else {
                 self.sources
                     .iter()
@@ -376,6 +399,40 @@ impl Workflow {
             });
         }
         Ok(out)
+    }
+
+    /// Module `at`'s mutant `text` prepared as an override: `def`, which
+    /// the splice that rendered `text` cut from it, parsed on its own —
+    /// exactly the tree, on ids of its own, that parsing `text` builds
+    /// for those lines — over the fault-free prepared module, or over
+    /// that with `def.lead` in front. `None` (the deploy then parses
+    /// `text`, as it does text from anywhere else) if the `def` does not
+    /// parse: neither does the mutant, and the deploy is to say so.
+    fn override_of(
+        &self,
+        at: usize,
+        def: &injector::ChangedDef,
+        text: &str,
+    ) -> Option<Arc<PreparedModule>> {
+        let name = &self.modules[at].name;
+        let only_stmt = |src: &str| {
+            let mut body = pysrc::parse_module(src, name).ok()?.body;
+            (body.len() == 1).then(|| body.remove(0))
+        };
+        let fault_free = &self.prepared_program().modules[at];
+        let base = match &def.lead {
+            None => fault_free,
+            Some(lead) => self.import_bases[at].get_or_init(|| {
+                let lead = only_stmt(lead).expect("the mutator's import line is a statement");
+                pyrt::prepare::with_leading_stmt(fault_free, lead)
+            }),
+        };
+        pyrt::prepare::override_def(
+            base,
+            def.id,
+            &only_stmt(&def.text)?,
+            pyrt::prepare::source_hash64(text),
+        )
     }
 
     /// Runs a single experiment: mutate → deploy → round 1 (fault on) →
@@ -412,6 +469,19 @@ impl Workflow {
         image.setup = self.config.setup.clone();
         image.sources = sources.to_vec();
         image.prepared = self.attached_prepared();
+        // A mutant rendered by this workflow was prepared then; entered
+        // now, not then, because a campaign renders more mutants before
+        // it runs the first than the cache holds. The deploy looks the
+        // text it is given up by hash, so other text than was rendered
+        // with the override does not find it.
+        let rendered_here = self
+            .overrides
+            .lock()
+            .expect("overrides lock")
+            .remove(&point.id);
+        if let Some(pm) = rendered_here {
+            sandbox::seed_prepare_cache(pm);
+        }
         let host = (self.host_factory)(seed);
         let mut container = match Container::deploy(&image, host, seed) {
             Ok(c) => c,
@@ -546,6 +616,34 @@ mod tests {
         let one_shot = wf.run_experiment(&points[0]);
         assert_eq!(via_sources.round1.status, one_shot.round1.status);
         assert_eq!(via_sources.duration, one_shot.duration);
+    }
+
+    #[test]
+    fn a_rendered_mutant_never_run_goes_with_its_workflow() {
+        // A coordinator renders every mutant and runs none. Each
+        // override shares the AST of the module it overrides — here the
+        // one with the mutants' import in front — so that AST's owners
+        // count the overrides alive.
+        let wf = tiny_workflow();
+        let points = wf.scan();
+        let sources = wf.mutant_sources(&points[0]).expect("mutates");
+        let with_import = wf.import_bases[0].get().expect("built with the first");
+        let ast = with_import.module.clone();
+        let owners = Arc::strong_count(&ast);
+        for point in &points[1..] {
+            wf.mutant_sources(point).expect("mutates");
+        }
+        assert_eq!(Arc::strong_count(&ast), owners + 2, "one override a point");
+        // Running a point takes its override out of the workflow (and
+        // into the sandbox's cache, which this test does not own).
+        wf.run_experiment_with_sources(&points[0], &sources);
+        assert_eq!(wf.overrides.lock().unwrap().len(), 2);
+        let weak = Arc::downgrade(&wf.overrides.lock().unwrap()[&points[1].id]);
+        drop(wf);
+        assert!(
+            weak.upgrade().is_none(),
+            "nothing else held the unrun override"
+        );
     }
 
     #[test]

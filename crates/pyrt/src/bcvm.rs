@@ -410,8 +410,12 @@ fn run_on(
                     .iter()
                     .map(|has| if *has { it.next() } else { None })
                     .collect();
+                // The registry first, as `interp::make_function` does:
+                // this code may be shared with a module that overrides
+                // the `def`.
+                let proto = vm.proto(decl.def_id).unwrap_or_else(|| decl.proto.clone());
                 stack.push(vm.heap.new_func(FuncObj {
-                    proto: decl.proto.clone(),
+                    proto,
                     defaults,
                     globals: frame.globals.clone(),
                     captured: frame.closure_scopes(),

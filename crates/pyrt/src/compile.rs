@@ -457,6 +457,7 @@ impl Compiler<'_> {
             }
         };
         self.code.fn_decls.push(FnDecl {
+            def_id: id,
             proto,
             has_default: params.iter().map(|p| p.default.is_some()).collect(),
         });
@@ -806,6 +807,7 @@ impl Compiler<'_> {
             }
         };
         self.code.fn_decls.push(FnDecl {
+            def_id: expr.id,
             proto,
             has_default: params.iter().map(|p| p.default.is_some()).collect(),
         });

@@ -25,7 +25,7 @@
 use crate::intern::Symbol;
 use crate::prepare::FuncProto;
 use crate::value::Value;
-use pysrc::ast::{BinOp, CmpOp, Expr, Stmt, UnaryOp};
+use pysrc::ast::{BinOp, CmpOp, Expr, NodeId, Stmt, UnaryOp};
 use std::sync::Arc;
 
 /// A pooled constant. `Str` holds an `Arc<str>` (not a `Value`) so the
@@ -65,8 +65,13 @@ impl Const {
 /// the stack (in declaration order).
 #[derive(Debug)]
 pub struct FnDecl {
-    /// Prototype of the nested scope (embedded at compile time, so the
-    /// cached code object is VM-independent).
+    /// The defining node (`FuncDef` statement or `Lambda` expression):
+    /// the executing VM's registry is asked for its prototype first,
+    /// because this code may be shared with a module that overrides the
+    /// `def` (see [`crate::prepare::override_def`]).
+    pub def_id: NodeId,
+    /// Prototype of the nested scope as the compiling VM knew it: what
+    /// a VM whose registry has none under `def_id` builds.
     pub proto: Arc<FuncProto>,
     /// `true` per parameter that has a default expression compiled
     /// before the `MakeFunction`.

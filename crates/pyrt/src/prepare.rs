@@ -163,19 +163,7 @@ impl FuncProto {
         use std::sync::OnceLock;
         static EMPTY: OnceLock<Arc<FuncProto>> = OnceLock::new();
         EMPTY
-            .get_or_init(|| {
-                Arc::new(FuncProto {
-                    name: "<module>".to_string(),
-                    params: Vec::new(),
-                    body: Arc::new(Vec::new()),
-                    slots: Vec::new(),
-                    local_syms: Vec::new(),
-                    global_decls: Vec::new(),
-                    table: Arc::new(NameTable::default()),
-                    dynamic: true,
-                    compiled: std::sync::OnceLock::new(),
-                })
-            })
+            .get_or_init(|| module_level_proto(Arc::new(NameTable::default())))
             .clone()
     }
 }
@@ -239,17 +227,7 @@ pub fn prepare_ast(module: &Module) -> (Arc<FuncProto>, HashMap<u32, Arc<FuncPro
     let mut cx = PrepareCx::default();
     cx.resolve_block(&module.body, &ScopeInfo::module());
     let table = Arc::new(NameTable::from_cx(&mut cx));
-    let module_proto = Arc::new(FuncProto {
-        name: "<module>".to_string(),
-        params: Vec::new(),
-        body: Arc::new(Vec::new()),
-        slots: Vec::new(),
-        local_syms: Vec::new(),
-        global_decls: Vec::new(),
-        table: table.clone(),
-        dynamic: true,
-        compiled: std::sync::OnceLock::new(),
-    });
+    let module_proto = module_level_proto(table.clone());
     let protos = cx
         .protos
         .into_iter()
@@ -264,6 +242,79 @@ pub fn prepare_ast(module: &Module) -> (Arc<FuncProto>, HashMap<u32, Arc<FuncPro
         })
         .collect();
     (module_proto, protos)
+}
+
+/// A module top level's prototype over `table` (nothing compiled yet).
+fn module_level_proto(table: Arc<NameTable>) -> Arc<FuncProto> {
+    Arc::new(FuncProto {
+        name: "<module>".to_string(),
+        params: Vec::new(),
+        body: Arc::new(Vec::new()),
+        slots: Vec::new(),
+        local_syms: Vec::new(),
+        global_decls: Vec::new(),
+        table,
+        dynamic: true,
+        compiled: std::sync::OnceLock::new(),
+    })
+}
+
+/// `base` with the one `def` it registers under `def_id` replaced by
+/// `def` — a mutant as its fault-free module plus the function it
+/// changed. Only `def` is prepared (its own dense [`NameTable`], its
+/// nested prototypes); the module, its top-level prototype and every
+/// other scope's prototype — hence their compiled bytecode — are
+/// `base`'s own, shared. The base's AST still executes the `def`
+/// statement (its header, so its defaults, in the enclosing scope);
+/// both engines then find the replacement through the VM's registry.
+///
+/// `def` must be that statement with another body: nothing here can
+/// check that, so the caller vouches for it — and for `source_hash`
+/// being the hash of the text the whole of it stands for. `None` when
+/// `def` is no `def`, or `base` has none of that name under `def_id`.
+pub fn override_def(
+    base: &PreparedModule,
+    def_id: NodeId,
+    def: &Stmt,
+    source_hash: u64,
+) -> Option<Arc<PreparedModule>> {
+    let StmtKind::FuncDef { name, params, body } = &def.kind else {
+        return None;
+    };
+    if base.protos.get(&def_id.0)?.name != *name {
+        return None;
+    }
+    let (proto, nested) = prepare_function(name, params, body);
+    let mut protos = base.protos.clone();
+    protos.extend(nested);
+    protos.insert(def_id.0, proto);
+    Some(Arc::new(PreparedModule {
+        module: base.module.clone(),
+        module_proto: base.module_proto.clone(),
+        protos,
+        source_hash: Some(source_hash),
+    }))
+}
+
+/// `base` with `stmt` in front of its top level (the `import
+/// profipy_rt` a mutant brings): a fresh module-level prototype over
+/// the base's table — names in `stmt` resolve dynamically, and an
+/// import has none to resolve — and the base's prototypes, shared.
+/// Stands for no source text of its own, so it carries no stamp; it is
+/// what [`override_def`] is applied to.
+pub fn with_leading_stmt(base: &PreparedModule, stmt: Stmt) -> Arc<PreparedModule> {
+    let mut body = Vec::with_capacity(1 + base.module.body.len());
+    body.push(stmt);
+    body.extend_from_slice(&base.module.body);
+    Arc::new(PreparedModule {
+        module: Arc::new(Module {
+            name: base.module.name.clone(),
+            body,
+        }),
+        module_proto: module_level_proto(base.module_proto.table.clone()),
+        protos: base.protos.clone(),
+        source_hash: None,
+    })
 }
 
 /// Prepares a single function on the fly (safety net for code executed

@@ -17,8 +17,14 @@ pub fn unparse_module(module: &Module) -> String {
 /// Renders a single statement (including its trailing newline and any
 /// nested blocks) at indent level 0.
 pub fn unparse_stmt(stmt: &Stmt) -> String {
+    unparse_stmt_at(stmt, 0)
+}
+
+/// [`unparse_stmt`] at indent level `level`: the statement's text where
+/// it stands `level` blocks deep.
+pub fn unparse_stmt_at(stmt: &Stmt, level: usize) -> String {
     let mut out = String::new();
-    write_stmt(&mut out, stmt, 0);
+    write_stmt(&mut out, stmt, level);
     out
 }
 

@@ -15,6 +15,14 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// cache hit skips parse + name resolution — and keeps the scopes'
 /// cached bytecode, so the compile tier is paid once per distinct
 /// source text, not once per deploy.
+///
+/// A source finds a prepared module at deploy in one of three ways:
+/// *attached* to the image ([`ContainerImage::prepared`], never enters
+/// this cache), *parsed* by a deploy that missed (entered here under
+/// the hash of the text it parsed), or *seeded* by whoever rendered the
+/// text and prepared it some cheaper way ([`seed_prepare_cache`],
+/// entered here under the artifact's own stamp). Whichever way, a
+/// deploy registers it only for a text that hashes to that key.
 type PrepareCache = Mutex<HashMap<(String, u64), Arc<PreparedModule>>>;
 
 fn prepare_cache() -> &'static PrepareCache {
@@ -27,18 +35,41 @@ fn prepare_cache() -> &'static PrepareCache {
 /// sound: entries rebuild on demand).
 const PREPARE_CACHE_CAP: usize = 512;
 
-/// Hit and miss counts of the process-wide prepare cache: whether the
-/// deploys of some stretch of time were cold (each source parsed,
+/// Enters `pm` under `key`, clearing a full cache first.
+fn cache_insert(key: (String, u64), pm: Arc<PreparedModule>) {
+    let mut cache = prepare_cache().lock().expect("prepare cache lock");
+    if cache.len() >= PREPARE_CACHE_CAP {
+        cache.clear();
+    }
+    cache.insert(key, pm);
+}
+
+/// Enters a prepared module its maker stamped with the hash of the
+/// source text it stands for, so the next deploy of that text under the
+/// module's name finds it instead of parsing. An unstamped artifact
+/// stands for no text and is dropped. The cache forgets everything when
+/// full, so seed just before the deploy that is to hit.
+pub fn seed_prepare_cache(pm: Arc<PreparedModule>) {
+    if let Some(hash) = pm.source_hash {
+        prepare_cache_metrics().seeded.inc();
+        cache_insert((pm.module.name.clone(), hash), pm);
+    }
+}
+
+/// Hit, miss and seed counts of the process-wide prepare cache: whether
+/// the deploys of some stretch of time were cold (each source parsed,
 /// name-resolved and, on first call, compiled) or warm.
 pub struct PrepareCacheMetrics {
     /// Sources served from the cache.
     pub hits: obs::Counter,
     /// Sources parsed and prepared (also those that failed to parse).
     pub misses: obs::Counter,
+    /// Prepared modules entered by [`seed_prepare_cache`].
+    pub seeded: obs::Counter,
 }
 
 impl PrepareCacheMetrics {
-    /// Registers both counters into `registry`. The cache is the
+    /// Registers the counters into `registry`. The cache is the
     /// process's, so every registry of the process shows the same
     /// counts.
     pub fn register_into(&self, registry: &obs::Registry) {
@@ -52,6 +83,11 @@ impl PrepareCacheMetrics {
             "Container sources parsed and prepared because the process-wide cache did not hold them.",
             &self.misses,
         );
+        registry.register_counter(
+            "sandbox_prepare_cache_seeded_total",
+            "Prepared modules entered into the process-wide cache by the renderer of their source, ahead of its deploy.",
+            &self.seeded,
+        );
     }
 }
 
@@ -61,6 +97,7 @@ pub fn prepare_cache_metrics() -> &'static PrepareCacheMetrics {
     METRICS.get_or_init(|| PrepareCacheMetrics {
         hits: obs::Counter::detached(),
         misses: obs::Counter::detached(),
+        seeded: obs::Counter::detached(),
     })
 }
 
@@ -139,11 +176,7 @@ fn prepare_source_cached(
     prepare_cache_metrics().misses.inc();
     let module = pysrc::parse_module(text, name)?;
     let pm = prepare_hashed(Arc::new(module), text);
-    let mut cache = prepare_cache().lock().expect("prepare cache lock");
-    if cache.len() >= PREPARE_CACHE_CAP {
-        cache.clear();
-    }
-    cache.insert(key, pm.clone());
+    cache_insert(key, pm.clone());
     Ok(pm)
 }
 

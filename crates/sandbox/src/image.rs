@@ -18,11 +18,13 @@ pub struct ContainerImage {
     pub name: String,
     /// Target software sources (possibly mutated).
     pub sources: Vec<SourceFile>,
-    /// Pre-parsed, pre-resolved modules shared across experiments
-    /// (keyed by module name). A source whose name appears here is
-    /// registered without re-parsing or re-resolving; the campaign
-    /// layer attaches these for every module the experiment did *not*
-    /// mutate — including the workload (`"workload"`).
+    /// Pre-parsed, pre-resolved modules shared across experiments,
+    /// matched on `(module name, source hash)`: a source is registered
+    /// from here, without re-parsing or re-resolving, only when one of
+    /// these carries its name and is stamped with the hash of its text.
+    /// The campaign layer attaches the fault-free modules and the
+    /// workload (`"workload"`); the one whose module an experiment
+    /// mutated matches no text and goes unused.
     pub prepared: Vec<std::sync::Arc<pyrt::PreparedModule>>,
     /// The workload module. Its top level initializes the client; it
     /// must define `run(round)` which exercises the target and raises

@@ -309,9 +309,13 @@ fn metrics_are_valid_prometheus_exposition() {
     assert!(metrics.contains("# TYPE profipy_queue_depth gauge"), "{metrics}");
 
     // "Were these deploys cold?" is read off the prepare cache's
-    // counters (process-wide, so other tests only ever add to them):
-    // the campaign above deployed mutants no one had deployed before,
-    // and the same campaign again deploys the same texts.
+    // counters (process-wide, so other tests only ever add to them).
+    // Each mutant the campaign above deployed was found in the cache:
+    // entered by the workflow that rendered it (seeded: prepared as the
+    // fault-free module plus the `def` it changed) or, had its window
+    // lain under no `def`, parsed by an earlier deploy of the same text
+    // (a miss, this campaign's or not). The same campaign again renders
+    // nothing and deploys the same texts.
     let counter = |metrics: &str, name: &str| -> u64 {
         assert!(
             metrics.contains(&format!("# TYPE {name} counter")),
@@ -325,6 +329,7 @@ fn metrics_are_valid_prometheus_exposition() {
     };
     const HITS: &str = "sandbox_prepare_cache_hits_total";
     const MISSES: &str = "sandbox_prepare_cache_misses_total";
+    const SEEDED: &str = "sandbox_prepare_cache_seeded_total";
     let status = client.get(&format!("/api/campaigns/{id}")).unwrap().text();
     let experiments = jsonlite::parse(&status)
         .unwrap()
@@ -334,10 +339,14 @@ fn metrics_are_valid_prometheus_exposition() {
         .expect("a completed campaign knows its plan");
     assert!(experiments > 0);
     assert!(
-        counter(&metrics, MISSES) >= experiments,
+        counter(&metrics, SEEDED) + counter(&metrics, MISSES) >= experiments,
         "every mutant was new: {metrics}"
     );
     let hits_before = counter(&metrics, HITS);
+    assert!(
+        hits_before >= experiments,
+        "and was prepared before its deploy: {metrics}"
+    );
     // Interpreter-heap totals, folded in when a container is torn down
     // (process-wide as well): every container's VM installs its
     // builtins as natives and the builtin exception hierarchy as
