@@ -14,6 +14,14 @@
 //! Hit/miss counters are exposed so callers (and the acceptance tests)
 //! can prove "second campaign on an unchanged target performs zero
 //! re-scans".
+//!
+//! The memory tier is **bounded**: an LRU over cache keys under
+//! [`CACHE_BUDGET_BYTES`]. A store that takes the total past the budget
+//! evicts whole entries, least recently used first, never the one
+//! being stored into — so a campaign larger than the budget stays
+//! whole while it is the one running. An evicted revision that returns
+//! misses and is rebuilt (its scan from the disk tier, when there is
+//! one); jobs already prepared hold their own `Arc`s and lose nothing.
 
 use injector::InjectionPoint;
 use profipy::workflow::PreparedProgram;
@@ -50,6 +58,20 @@ pub struct CacheStats {
     pub coverage_misses: u64,
 }
 
+/// What the memory tier may weigh before a store evicts. Weight is an
+/// estimate (see [`ENTRY_CHARGE_BYTES`]): a python-etcd-sized key
+/// weighs ≈ 0.5 MiB, so the budget keeps the ≈ 60 most recent ones.
+const CACHE_BUDGET_BYTES: usize = 32 << 20;
+
+/// The flat part of an entry's weight, standing for what the cache is
+/// not handed a length for: parsed modules, prepared program, points,
+/// coverage set. The rest is exact — the rendered mutants' text bytes
+/// — and is the part that grows with the target. Measured against
+/// resident bytes (README "What the service keeps resident"): weight
+/// is 0.64 of them for python-etcd-sized keys and 1.45 for the
+/// scenario matrix's ten-line targets.
+const ENTRY_CHARGE_BYTES: usize = 256 << 10;
+
 struct CacheEntry {
     modules: Option<Arc<Vec<Module>>>,
     points: Option<Arc<Vec<InjectionPoint>>>,
@@ -63,6 +85,11 @@ struct CacheEntry {
     /// restarted engine re-prepares once from the disk-tier modules and
     /// caches from then on.
     prepared: Option<Arc<PreparedProgram>>,
+    /// The cache's tick when this entry was last looked up or stored
+    /// into.
+    stamp: u64,
+    /// [`ENTRY_CHARGE_BYTES`] plus the mutants' text bytes.
+    weight: usize,
 }
 
 impl CacheEntry {
@@ -73,8 +100,31 @@ impl CacheEntry {
             mutants: HashMap::new(),
             covered: None,
             prepared: None,
+            stamp: 0,
+            weight: ENTRY_CHARGE_BYTES,
         }
     }
+}
+
+fn text_bytes(sources: &[SourceFile]) -> usize {
+    sources.iter().map(|f| f.import_name.len() + f.text.len()).sum()
+}
+
+/// The cache's instruments. Created detached; the engine registers
+/// clones of them (handles are `Arc`-backed, so both sides see one
+/// cell).
+#[derive(Clone)]
+pub struct CacheMetrics {
+    /// Disk-tier cache writes that failed (best-effort writes, but a
+    /// silent failure hides a full disk behind "why does every restart
+    /// re-scan?").
+    pub write_failures: obs::Counter,
+    /// Entries dropped to stay under the byte budget.
+    pub evictions: obs::Counter,
+    /// Total weight of the memory tier.
+    pub resident_bytes: obs::Gauge,
+    /// Keys in the memory tier.
+    pub entries: obs::Gauge,
 }
 
 /// The cache. One per engine; cheap to share behind `&mut`.
@@ -82,21 +132,38 @@ pub struct MutantCache {
     dir: Option<PathBuf>,
     entries: HashMap<u64, CacheEntry>,
     stats: CacheStats,
-    /// Disk-tier write failures. Detached by default; the engine
-    /// attaches its registered `campaign_cache_write_failures_total`
-    /// handle so failures surface on `/metrics`.
-    write_failures: obs::Counter,
+    metrics: CacheMetrics,
+    budget: usize,
+    /// Counts lookups and stores; an entry's `stamp` is its last one.
+    tick: u64,
+    /// Σ `weight` over `entries`.
+    resident: usize,
 }
 
 impl MutantCache {
-    /// An in-memory cache (no disk persistence of scan results).
-    pub fn in_memory() -> MutantCache {
+    /// A cache holding at most `budget` bytes of weight in memory,
+    /// with its scan results also under `dir` if there is one. Only
+    /// tests pick a budget of their own.
+    pub(crate) fn new(dir: Option<PathBuf>, budget: usize) -> MutantCache {
         MutantCache {
-            dir: None,
+            dir,
             entries: HashMap::new(),
             stats: CacheStats::default(),
-            write_failures: obs::Counter::detached(),
+            metrics: CacheMetrics {
+                write_failures: obs::Counter::detached(),
+                evictions: obs::Counter::detached(),
+                resident_bytes: obs::Gauge::detached(),
+                entries: obs::Gauge::detached(),
+            },
+            budget,
+            tick: 0,
+            resident: 0,
         }
+    }
+
+    /// An in-memory cache (no disk persistence of scan results).
+    pub fn in_memory() -> MutantCache {
+        MutantCache::new(None, CACHE_BUDGET_BYTES)
     }
 
     /// A cache persisting scan results under `dir`.
@@ -106,12 +173,7 @@ impl MutantCache {
     /// I/O errors creating the directory.
     pub fn open(dir: &Path) -> io::Result<MutantCache> {
         std::fs::create_dir_all(dir)?;
-        Ok(MutantCache {
-            dir: Some(dir.to_path_buf()),
-            entries: HashMap::new(),
-            stats: CacheStats::default(),
-            write_failures: obs::Counter::detached(),
-        })
+        Ok(MutantCache::new(Some(dir.to_path_buf()), CACHE_BUDGET_BYTES))
     }
 
     /// Counters so far.
@@ -119,24 +181,49 @@ impl MutantCache {
         self.stats
     }
 
-    /// Replaces the write-failure counter with a registered handle
-    /// (counters are `Arc`-backed clones, so the engine's metrics and
-    /// the cache increment the same cell).
-    pub fn attach_write_failures(&mut self, counter: obs::Counter) {
-        self.write_failures = counter;
+    /// The cache's instruments.
+    pub fn metrics(&self) -> &CacheMetrics {
+        &self.metrics
     }
 
-    /// Disk-tier write failures so far.
-    pub fn write_failures(&self) -> u64 {
-        self.write_failures.value()
+    /// `key`'s entry, stamped as just used.
+    fn lookup(&mut self, key: u64) -> Option<&CacheEntry> {
+        self.tick += 1;
+        let entry = self.entries.get_mut(&key)?;
+        entry.stamp = self.tick;
+        Some(entry)
+    }
+
+    /// Lets `fill` store into `key`'s entry (made if absent), stamps
+    /// it, and evicts the least recently used *other* entries while
+    /// the total is over budget.
+    fn store(&mut self, key: u64, fill: impl FnOnce(&mut CacheEntry)) {
+        self.tick += 1;
+        let before = self.entries.get(&key).map_or(0, |e| e.weight);
+        let entry = self.entries.entry(key).or_insert_with(CacheEntry::empty);
+        fill(entry);
+        entry.stamp = self.tick;
+        self.resident = self.resident - before + entry.weight;
+        while self.resident > self.budget {
+            let lru = self
+                .entries
+                .iter()
+                .filter(|(k, _)| **k != key)
+                .min_by_key(|(_, e)| e.stamp)
+                .map(|(k, _)| *k);
+            let Some(victim) = lru.and_then(|k| self.entries.remove(&k)) else {
+                break;
+            };
+            self.resident -= victim.weight;
+            self.metrics.evictions.inc();
+        }
+        self.metrics.resident_bytes.set(self.resident as u64);
+        self.metrics.entries.set(self.entries.len() as u64);
     }
 
     /// Cached parsed modules for `key`, if any.
     pub fn modules(&mut self, key: u64) -> Option<Arc<Vec<Module>>> {
-        let hit = self
-            .entries
-            .get(&key)
-            .and_then(|e| e.modules.clone());
+        let hit = self.lookup(key).and_then(|e| e.modules.clone());
         if hit.is_some() {
             self.stats.parse_hits += 1;
         } else {
@@ -147,7 +234,7 @@ impl MutantCache {
 
     /// Stores parsed modules for `key`.
     pub fn store_modules(&mut self, key: u64, modules: Arc<Vec<Module>>) {
-        self.entries.entry(key).or_insert_with(CacheEntry::empty).modules = Some(modules);
+        self.store(key, |e| e.modules = Some(modules));
     }
 
     /// Cached scan results for `key` — memory first, then disk.
@@ -158,17 +245,14 @@ impl MutantCache {
     /// re-bind them. A disk entry that fails to re-bind is treated as
     /// a miss.
     pub fn points(&mut self, key: u64, modules: &[Module]) -> Option<Arc<Vec<InjectionPoint>>> {
-        if let Some(points) = self.entries.get(&key).and_then(|e| e.points.clone()) {
+        if let Some(points) = self.lookup(key).and_then(|e| e.points.clone()) {
             self.stats.scan_hits += 1;
             return Some(points);
         }
         // Disk tier: survives process restarts.
         if let Some(points) = self.load_points_from_disk(key, modules) {
             let points = Arc::new(points);
-            self.entries
-                .entry(key)
-                .or_insert_with(CacheEntry::empty)
-                .points = Some(points.clone());
+            self.store(key, |e| e.points = Some(points.clone()));
             self.stats.scan_hits += 1;
             return Some(points);
         }
@@ -190,7 +274,7 @@ impl MutantCache {
             if let Ok(value) = injector::persist::points_to_portable_value(&points, modules) {
                 let path = dir.join(Self::points_file(key));
                 if let Err(e) = jsonlite::durable::replace(&path, value.pretty().as_bytes()) {
-                    self.write_failures.inc();
+                    self.metrics.write_failures.inc();
                     obs::log!(
                         obs::Level::Warn,
                         "cache_write_failed",
@@ -200,7 +284,7 @@ impl MutantCache {
                 }
             }
         }
-        self.entries.entry(key).or_insert_with(CacheEntry::empty).points = Some(points);
+        self.store(key, |e| e.points = Some(points));
     }
 
     fn load_points_from_disk(&self, key: u64, modules: &[Module]) -> Option<Vec<InjectionPoint>> {
@@ -217,7 +301,7 @@ impl MutantCache {
 
     /// Cached coverage set for `key`.
     pub fn covered(&mut self, key: u64) -> Option<Arc<std::collections::BTreeSet<u64>>> {
-        let hit = self.entries.get(&key).and_then(|e| e.covered.clone());
+        let hit = self.lookup(key).and_then(|e| e.covered.clone());
         if hit.is_some() {
             self.stats.coverage_hits += 1;
         } else {
@@ -228,14 +312,13 @@ impl MutantCache {
 
     /// Stores the coverage set for `key`.
     pub fn store_covered(&mut self, key: u64, covered: Arc<std::collections::BTreeSet<u64>>) {
-        self.entries.entry(key).or_insert_with(CacheEntry::empty).covered = Some(covered);
+        self.store(key, |e| e.covered = Some(covered));
     }
 
     /// Cached mutant sources for one point.
     pub fn mutant(&mut self, key: u64, point_id: u64) -> Option<Arc<Vec<SourceFile>>> {
         let hit = self
-            .entries
-            .get(&key)
+            .lookup(key)
             .and_then(|e| e.mutants.get(&point_id).cloned());
         if hit.is_some() {
             self.stats.mutant_hits += 1;
@@ -247,16 +330,17 @@ impl MutantCache {
 
     /// Stores mutant sources for one point.
     pub fn store_mutant(&mut self, key: u64, point_id: u64, sources: Arc<Vec<SourceFile>>) {
-        self.entries
-            .entry(key)
-            .or_insert_with(CacheEntry::empty)
-            .mutants
-            .insert(point_id, sources);
+        self.store(key, |e| {
+            e.weight += text_bytes(&sources);
+            if let Some(old) = e.mutants.insert(point_id, sources) {
+                e.weight -= text_bytes(&old);
+            }
+        });
     }
 
     /// Cached prepared program for `key`, if any.
     pub fn prepared_program(&mut self, key: u64) -> Option<Arc<PreparedProgram>> {
-        let hit = self.entries.get(&key).and_then(|e| e.prepared.clone());
+        let hit = self.lookup(key).and_then(|e| e.prepared.clone());
         if hit.is_some() {
             self.stats.prepare_hits += 1;
         } else {
@@ -267,10 +351,7 @@ impl MutantCache {
 
     /// Stores the prepared program for `key`.
     pub fn store_prepared_program(&mut self, key: u64, prepared: Arc<PreparedProgram>) {
-        self.entries
-            .entry(key)
-            .or_insert_with(CacheEntry::empty)
-            .prepared = Some(prepared);
+        self.store(key, |e| e.prepared = Some(prepared));
     }
 }
 
@@ -353,16 +434,14 @@ mod tests {
         // serves the points.
         std::fs::remove_dir_all(&dir).unwrap();
         cache.store_points(3, Arc::new(points), &modules);
-        assert_eq!(cache.write_failures(), 1);
+        assert_eq!(cache.metrics().write_failures.value(), 1);
         assert!(cache.points(3, &modules).is_some(), "memory tier unaffected");
-        // An attached counter observes the same cell.
-        let counter = obs::Counter::detached();
-        cache.attach_write_failures(counter.clone());
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
+        // A cloned handle (what the engine registers) observes the
+        // same cell.
+        let counter = cache.metrics().write_failures.clone();
         let (modules2, points2) = scanned();
         cache.store_points(4, Arc::new(points2), &modules2);
-        assert_eq!(counter.value(), 1);
+        assert_eq!(counter.value(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -382,6 +461,112 @@ mod tests {
         assert_eq!(got.modules[0].module.name, "m.py");
         assert_eq!(cache.stats().prepare_hits, 1);
         assert!(cache.prepared_program(2).is_none(), "other keys miss");
+    }
+
+    /// What the oracle knows of one resident key: when it was last
+    /// used, the text bytes of each mutant stored under it, and
+    /// whether a coverage set was.
+    #[derive(Default)]
+    struct ModelEntry {
+        used: u64,
+        mutants: HashMap<u64, usize>,
+        covered: bool,
+    }
+
+    impl ModelEntry {
+        fn weight(&self) -> usize {
+            ENTRY_CHARGE_BYTES + self.mutants.values().sum::<usize>()
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Lookups and stores over five keys, budget three flat charges
+        /// and a bit, against a model that recomputes every weight and
+        /// finds each victim by scanning for the oldest use.
+        #[test]
+        fn eviction_matches_a_recomputing_oracle(
+            ops in proptest::collection::vec((0u8..7, 0u64..5, 0u64..4, 0usize..3), 1..80)
+        ) {
+            const SIZES: [usize; 3] = [10, 40_000, 5 * ENTRY_CHARGE_BYTES];
+            let budget = 3 * ENTRY_CHARGE_BYTES + 50_000;
+            let mut cache = MutantCache::new(None, budget);
+            let mut model: HashMap<u64, ModelEntry> = HashMap::new();
+            let mut evicted = 0u64;
+            let (mut hits, mut misses) = (0u64, 0u64);
+            proptest::prop_assert_eq!(cache.metrics().resident_bytes.value(), 0);
+            for (step, (op, key, point, size)) in ops.into_iter().enumerate() {
+                let now = step as u64 + 1;
+                match op {
+                    // Lookups: a hit refreshes the key, a miss makes
+                    // nothing.
+                    0..=2 => {
+                        let got = cache.mutant(key, point);
+                        let expected = model.get(&key).and_then(|e| e.mutants.get(&point));
+                        proptest::prop_assert_eq!(got.map(|s| s[0].text.len()), expected.copied());
+                        if expected.is_some() { hits += 1 } else { misses += 1 }
+                        if let Some(e) = model.get_mut(&key) {
+                            e.used = now;
+                        }
+                    }
+                    3 => {
+                        // Another tier of the same entry: a miss
+                        // there refreshes the key all the same.
+                        let got = cache.covered(key).is_some();
+                        proptest::prop_assert_eq!(got, model.get(&key).is_some_and(|e| e.covered));
+                        if let Some(e) = model.get_mut(&key) {
+                            e.used = now;
+                        }
+                    }
+                    // Stores, the last size alone over the budget.
+                    _ => {
+                        if op == 4 {
+                            cache.store_covered(key, Arc::new(Default::default()));
+                        } else {
+                            cache.store_mutant(key, point, Arc::new(vec![SourceFile {
+                                import_name: String::new(),
+                                text: "x".repeat(SIZES[size]),
+                            }]));
+                        }
+                        let entry = model.entry(key).or_default();
+                        entry.used = now;
+                        if op == 4 {
+                            entry.covered = true;
+                        } else {
+                            entry.mutants.insert(point, SIZES[size]);
+                        }
+                        while model.values().map(ModelEntry::weight).sum::<usize>() > budget {
+                            let victim = model
+                                .iter()
+                                .filter(|(k, _)| **k != key)
+                                .min_by_key(|(_, e)| e.used)
+                                .map(|(k, _)| *k);
+                            let Some(victim) = victim else { break };
+                            model.remove(&victim);
+                            evicted += 1;
+                        }
+                        proptest::prop_assert!(model.contains_key(&key), "stored-into key evicted");
+                    }
+                }
+                let total: usize = model.values().map(ModelEntry::weight).sum();
+                proptest::prop_assert_eq!(cache.resident, total);
+                proptest::prop_assert_eq!(cache.metrics().resident_bytes.value(), total as u64);
+                proptest::prop_assert_eq!(cache.metrics().entries.value(), model.len() as u64);
+                proptest::prop_assert_eq!(cache.metrics().evictions.value(), evicted);
+                let mut resident: Vec<u64> = cache.entries.keys().copied().collect();
+                let mut expected: Vec<u64> = model.keys().copied().collect();
+                resident.sort_unstable();
+                expected.sort_unstable();
+                proptest::prop_assert_eq!(resident, expected);
+                proptest::prop_assert_eq!(
+                    cache.entries.values().map(|e| e.weight).sum::<usize>(),
+                    total
+                );
+            }
+            proptest::prop_assert_eq!(cache.stats().mutant_hits, hits);
+            proptest::prop_assert_eq!(cache.stats().mutant_misses, misses);
+        }
     }
 
     #[test]

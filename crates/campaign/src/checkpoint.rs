@@ -124,18 +124,31 @@ impl CheckpointLog {
         self.results.iter().map(|r| r.point_id).collect()
     }
 
-    /// Appends one result and flushes it to disk before returning.
+    /// Appends one result and flushes it to disk before returning. The
+    /// log keeps the value it is handed: a caller that owns its result
+    /// pays for no copy of it.
     ///
     /// # Errors
     ///
     /// I/O errors (the in-memory copy is updated regardless, keeping
     /// the running campaign coherent).
-    pub fn record(&mut self, result: &ExperimentResult) -> io::Result<()> {
-        self.results.push(result.clone());
-        match &mut self.log {
-            Some(log) => log.append(&result_to_value(result)),
+    pub fn record_owned(&mut self, result: ExperimentResult) -> io::Result<()> {
+        let appended = match &mut self.log {
+            Some(log) => log.append(&result_to_value(&result)),
             None => Ok(()),
-        }
+        };
+        self.results.push(result);
+        appended
+    }
+
+    /// [`CheckpointLog::record_owned`] for a caller that keeps its
+    /// result.
+    ///
+    /// # Errors
+    ///
+    /// As `record_owned`.
+    pub fn record(&mut self, result: &ExperimentResult) -> io::Result<()> {
+        self.record_owned(result.clone())
     }
 
     /// The log's path, if persistent.

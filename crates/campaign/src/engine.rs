@@ -20,6 +20,9 @@
 //! ([`CampaignEngine::take_completed`]), and every transition publishes
 //! the job's [`JobStatus`] to the [`StatusBoard`], which answers `poll`
 //! with one map lookup — also for readers that hold no engine at all.
+//! What a finished job keeps *resident* is its spec, status and report:
+//! raw results stay only with unfinished jobs, and the cross-campaign
+//! cache is bounded ([`crate::cache`]).
 //!
 //! `drive` is re-entrant and budget-limited: killing the process (or
 //! exhausting the experiment budget) mid-campaign loses nothing — the
@@ -33,7 +36,7 @@
 //! lists what is still pending, so nothing a slice does beyond that
 //! may grow with the size of the campaign.
 
-use crate::cache::{CacheStats, MutantCache};
+use crate::cache::{CacheMetrics, CacheStats, MutantCache};
 use crate::checkpoint::CheckpointLog;
 use crate::queue::{JobQueue, JobState};
 use crate::scheduler::{self, RunTelemetry, ScheduledCampaign};
@@ -62,19 +65,21 @@ pub struct EngineMetrics {
     pub prepare_seconds: obs::Histogram,
     /// Per-experiment execution wall time.
     pub experiment_seconds: obs::Histogram,
-    /// Disk-tier cache writes that failed (best-effort writes, but a
-    /// silent failure hides a full disk behind "why does every restart
-    /// re-scan?").
-    pub cache_write_failures: obs::Counter,
+    /// The cross-campaign cache's instruments (shared with the cache).
+    pub cache: CacheMetrics,
+    /// Raw results an in-memory engine holds for unfinished jobs
+    /// between their slices.
+    pub results_resident: obs::Gauge,
 }
 
 impl EngineMetrics {
-    fn new() -> EngineMetrics {
+    fn new(cache: CacheMetrics) -> EngineMetrics {
         EngineMetrics {
             queue_wait_seconds: obs::Histogram::detached(obs::WAIT_BUCKETS),
             prepare_seconds: obs::Histogram::detached(obs::LATENCY_BUCKETS),
             experiment_seconds: obs::Histogram::detached(obs::LATENCY_BUCKETS),
-            cache_write_failures: obs::Counter::detached(),
+            cache,
+            results_resident: obs::Gauge::detached(),
         }
     }
 
@@ -98,7 +103,27 @@ impl EngineMetrics {
         registry.register_counter(
             "campaign_cache_write_failures_total",
             "Disk-tier cache writes that failed (cache stays correct; the write is retried on the next scan).",
-            &self.cache_write_failures,
+            &self.cache.write_failures,
+        );
+        registry.register_counter(
+            "campaign_cache_evictions_total",
+            "Cache entries (one per revision and model) dropped, least recently used first, to stay under the byte budget.",
+            &self.cache.evictions,
+        );
+        registry.register_gauge(
+            "campaign_cache_resident_bytes",
+            "Estimated weight of the cross-campaign cache's memory tier, in bytes.",
+            &self.cache.resident_bytes,
+        );
+        registry.register_gauge(
+            "campaign_cache_entries",
+            "Keys in the cross-campaign cache's memory tier.",
+            &self.cache.entries,
+        );
+        registry.register_gauge(
+            "campaign_results_resident",
+            "Raw experiment results held between slices for unfinished in-memory jobs.",
+            &self.results_resident,
         );
     }
 }
@@ -283,9 +308,10 @@ pub struct CampaignEngine {
     registry: HostRegistry,
     executor: ParallelExecutor,
     checkpoint_dir: Option<PathBuf>,
-    /// In-memory checkpoint store (`data_dir == None`): job id →
-    /// results so far. A taken job's vector moves into its
-    /// [`CheckpointLog`] and back, so it is never copied.
+    /// In-memory checkpoint store (`data_dir == None`): unfinished
+    /// job id → results so far. A taken job's vector moves into its
+    /// [`CheckpointLog`] and back, so it is never copied; a job that
+    /// completes, fails or is cancelled leaves no entry.
     mem_logs: BTreeMap<String, Vec<ExperimentResult>>,
     reports: BTreeMap<String, CampaignReport>,
     /// Published job statuses — also the engine's own record of each
@@ -326,9 +352,7 @@ impl CampaignEngine {
             ),
             None => (JobQueue::in_memory(), MutantCache::in_memory(), None),
         };
-        let metrics = EngineMetrics::new();
-        let mut cache = cache;
-        cache.attach_write_failures(metrics.cache_write_failures.clone());
+        let metrics = EngineMetrics::new(cache.metrics().clone());
         // Jobs recovered from a data dir: publish each one's status
         // (its checkpoint is read once, here, for the count) and queue
         // the already-completed ones for delivery, oldest first.
@@ -456,6 +480,7 @@ impl CampaignEngine {
     /// Marks a taken job failed and publishes why.
     fn fail(&mut self, id: &str, error: &str) -> Result<(), EngineError> {
         self.prepared.remove(id);
+        self.take_mem_log(id);
         self.queue.fail(id, error)?;
         self.publish(id, None);
         Ok(())
@@ -482,6 +507,7 @@ impl CampaignEngine {
         if cancelled {
             // Cancellable means queued — which a job is between slices.
             self.prepared.remove(id);
+            self.take_mem_log(id);
             self.waiting_since.remove(id);
             self.publish(id, None);
         }
@@ -681,16 +707,16 @@ impl CampaignEngine {
             self.queue.complete(id)?;
             self.completions.push(id.to_string());
             self.prepared.remove(id);
-            // Kept for as long as the engine lives and never appended
-            // to again: give back the growth slack.
-            results.shrink_to_fit();
         } else {
             self.queue.requeue(id)?;
             self.waiting_since.insert(id.to_string(), Instant::now());
-        }
-        if self.checkpoint_dir.is_none() {
-            // Carry in-memory checkpoints across drives and checkouts.
-            self.mem_logs.insert(id.to_string(), results);
+            if self.checkpoint_dir.is_none() {
+                // Carry in-memory checkpoints across drives and
+                // checkouts. Only here: a completed job's report is
+                // what remains of it.
+                self.metrics.results_resident.add(done as u64);
+                self.mem_logs.insert(id.to_string(), results);
+            }
         }
         self.publish(id, Some(done));
         Ok(completed)
@@ -734,8 +760,7 @@ impl CampaignEngine {
                     Err(e) => {
                         // Unmutatable point: record the deploy failure
                         // directly (no container needed) and move on.
-                        let result = Self::mutation_failure(point, &e.message);
-                        checkpoint.record(&result)?;
+                        checkpoint.record_owned(Self::mutation_failure(point, &e.message))?;
                         continue;
                     }
                 },
@@ -858,16 +883,20 @@ impl CampaignEngine {
                 &dir.join(format!("{id}.jsonl")),
                 hash,
             )?),
-            None => Ok(CheckpointLog::in_memory_with(
-                hash,
-                self.mem_logs.remove(id).unwrap_or_default(),
-            )),
+            None => Ok(CheckpointLog::in_memory_with(hash, self.take_mem_log(id))),
         }
+    }
+
+    /// Removes and returns what `mem_logs` holds for `id`.
+    fn take_mem_log(&mut self, id: &str) -> Vec<ExperimentResult> {
+        let results = self.mem_logs.remove(id).unwrap_or_default();
+        self.metrics.results_resident.sub(results.len() as u64);
+        results
     }
 
     /// A copy of a campaign's recorded results (empty for an unknown
     /// id, and for an in-memory job while it is taken — its results are
-    /// then with its checkpoint).
+    /// then with its checkpoint — or once it is finished).
     fn peek_results(&self, id: &str) -> Vec<ExperimentResult> {
         match (&self.checkpoint_dir, self.queue.get(id)) {
             (Some(dir), Some(job)) => {
@@ -915,7 +944,11 @@ impl CampaignEngine {
     }
 
     /// The results recorded so far for a job (plan order), e.g. for a
-    /// partial-progress view.
+    /// partial-progress view. A persistent engine reads them from the
+    /// job's checkpoint file, whatever the job's state. An in-memory
+    /// engine holds raw results only for an unfinished job between its
+    /// slices: for a finished job it answers nothing — the report is
+    /// what remains.
     pub fn results(&self, id: &str) -> Vec<ExperimentResult> {
         let mut results = self.peek_results(id);
         results.sort_by_key(|r| r.point_id);
@@ -928,6 +961,14 @@ impl CampaignEngine {
     /// Jobs whose prepared state is resident.
     fn resident_jobs(&self) -> usize {
         self.prepared.len()
+    }
+
+    /// Jobs whose raw results are resident, and how many results the
+    /// gauge says that is.
+    fn resident_logs(&self) -> (usize, u64) {
+        let held: usize = self.mem_logs.values().map(Vec::len).sum();
+        assert_eq!(self.metrics.results_resident.value(), held as u64);
+        (self.mem_logs.len(), held as u64)
     }
 }
 
@@ -992,11 +1033,20 @@ mod tests {
         let (reference, slices) = run_sliced(&mut engine, &id, None);
         assert_eq!(slices, 1);
         assert_eq!(lookups(&engine), [1, 1, 1]);
+        assert_eq!(engine.resident_logs(), (0, 0), "the report is what remains");
+        assert!(engine.results(&id).is_empty());
 
         for budget in [1, 3, 8] {
             let mut engine = CampaignEngine::new(EngineConfig::default(), registry()).unwrap();
             let id = engine.submit(spec("whole")).unwrap();
+            assert_eq!(engine.drive(Some(budget)).unwrap().experiments, budget);
+            assert_eq!(
+                engine.resident_logs(),
+                (1, budget as u64),
+                "a requeued job carries its results to its next slice"
+            );
             let (report, slices) = run_sliced(&mut engine, &id, Some(budget));
+            let slices = slices + 1;
             assert_eq!(slices, 9usize.div_ceil(budget), "budget {budget}");
             assert_eq!(report, reference, "budget {budget}");
             assert_eq!(
@@ -1009,6 +1059,7 @@ mod tests {
                 0,
                 "completion drops the prepared state"
             );
+            assert_eq!(engine.resident_logs(), (0, 0), "and the raw results");
         }
 
         // Killed after two slices and resumed by a second engine on the
@@ -1045,22 +1096,103 @@ mod tests {
         engine.drive(None).unwrap();
         assert_eq!(engine.poll(&failed).unwrap().state, JobState::Failed);
         assert_eq!(engine.resident_jobs(), 0);
+        assert_eq!(engine.resident_logs(), (0, 0));
 
         // Cancelled between two slices.
         let id = engine.submit(spec("cancelled")).unwrap();
-        assert_eq!(engine.drive(Some(1)).unwrap().experiments, 1);
+        assert_eq!(engine.drive(Some(2)).unwrap().experiments, 2);
         assert_eq!(engine.poll(&id).unwrap().state, JobState::Queued);
         assert_eq!(engine.resident_jobs(), 1);
+        assert_eq!(engine.resident_logs(), (1, 2));
         assert!(engine.cancel(&id).unwrap());
         assert_eq!(engine.resident_jobs(), 0);
+        assert_eq!(engine.resident_logs(), (0, 0), "partial results go with the job");
 
-        // Fails on a later slice: its prepared state goes with it.
+        // Fails on a later slice: its prepared state and its partial
+        // results go with it.
         let id = engine.submit(spec("failed-late")).unwrap();
         engine.drive(Some(1)).unwrap();
         assert_eq!(engine.resident_jobs(), 1);
+        assert_eq!(engine.resident_logs(), (1, 1));
         engine.queue.take_next().unwrap();
         engine.fail(&id, "injected").unwrap();
         assert_eq!(engine.poll(&id).unwrap().state, JobState::Failed);
         assert_eq!(engine.resident_jobs(), 0);
+        assert_eq!(engine.resident_logs(), (0, 0));
+    }
+
+    /// `spec(name)` on a revision of the client no other spec shares.
+    fn revision(name: &str, n: usize) -> CampaignSpec {
+        let mut spec = spec(name);
+        spec.sources[0].1.push_str(&format!("\n# revision {n}\n"));
+        spec
+    }
+
+    /// An in-memory engine whose cache holds `budget` bytes.
+    fn engine_with_cache_budget(budget: usize) -> CampaignEngine {
+        let mut engine = CampaignEngine::new(EngineConfig::default(), registry()).unwrap();
+        engine.cache = MutantCache::new(None, budget);
+        engine
+    }
+
+    #[test]
+    fn an_evicted_revision_is_rebuilt_when_it_returns_and_reports_the_same_bytes() {
+        // Room for one key of nine mutants (≈ 350 KB by weight), not
+        // for two.
+        let mut engine = engine_with_cache_budget(512 << 10);
+        let id = engine.submit(revision("first", 0)).unwrap();
+        let (reference, _) = run_sliced(&mut engine, &id, None);
+        let id = engine.submit(revision("later", 1)).unwrap();
+        run_sliced(&mut engine, &id, None);
+        assert_eq!(engine.cache.metrics().evictions.value(), 1, "pushed the first out");
+        let before = engine.cache_stats();
+
+        let id = engine.submit(revision("first", 0)).unwrap();
+        let (report, _) = run_sliced(&mut engine, &id, None);
+        assert_eq!(report, reference);
+        let after = engine.cache_stats();
+        assert_eq!(after.parse_misses, before.parse_misses + 1, "parsed again");
+        assert_eq!(after.scan_misses, before.scan_misses + 1, "scanned again");
+        assert_eq!(after.mutant_misses, before.mutant_misses + 9, "rendered again");
+        assert_eq!(after.mutant_hits, before.mutant_hits);
+
+        // While it is resident it is a cache like before.
+        let id = engine.submit(revision("first", 0)).unwrap();
+        let (report, _) = run_sliced(&mut engine, &id, None);
+        assert_eq!(report, reference);
+        let warm = engine.cache_stats();
+        assert_eq!(warm.parse_misses, after.parse_misses);
+        assert_eq!(warm.mutant_hits, after.mutant_hits + 9);
+    }
+
+    #[test]
+    fn a_job_whose_key_is_evicted_between_its_slices_reports_the_same_bytes() {
+        let mut whole = CampaignEngine::new(EngineConfig::default(), registry()).unwrap();
+        let id = whole.submit(revision("sliced", 0)).unwrap();
+        let (reference, _) = run_sliced(&mut whole, &id, None);
+
+        // A budget no entry fits: every store evicts every other key,
+        // so the two jobs, one experiment a slice in turn, push each
+        // other out between any two of their slices.
+        let mut engine = engine_with_cache_budget(1);
+        let id = engine.submit(revision("sliced", 0)).unwrap();
+        let mut other = revision("other", 1);
+        other.user = "bob".into();
+        let other = engine.submit(other).unwrap();
+        while engine.poll(&id).unwrap().state != JobState::Completed
+            || engine.poll(&other).unwrap().state != JobState::Completed
+        {
+            assert_eq!(engine.drive(Some(1)).unwrap().experiments, 1);
+        }
+        let report = engine.report(&id).expect("completed job has a report");
+        assert_eq!(report_to_value(&report).pretty(), reference);
+        assert!(engine.cache.metrics().evictions.value() >= 16);
+        let stats = engine.cache_stats();
+        assert!(
+            stats.mutant_misses > 18,
+            "pending mutants were rendered again after an eviction: {stats:?}"
+        );
+        assert_eq!(lookups(&engine), [2, 2, 2], "each job still prepared once");
+        assert_eq!(engine.resident_logs(), (0, 0));
     }
 }

@@ -137,7 +137,7 @@ pub fn run_interleaved(
         |(campaign, result): (usize, ExperimentResult)| {
             executed += 1;
             if io_error.is_none() {
-                if let Err(e) = campaigns[campaign].checkpoint.record(&result) {
+                if let Err(e) = campaigns[campaign].checkpoint.record_owned(result) {
                     io_error = Some(e);
                 }
             }

@@ -52,11 +52,15 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn killed_and_resumed_campaign_matches_uninterrupted_run() {
-    // Reference: one uninterrupted run (in-memory engine).
-    let mut reference = CampaignEngine::new(EngineConfig::default(), etcd_registry()).unwrap();
+    // Reference: one uninterrupted run, on a data dir of its own — the
+    // checkpoint file is the durable record of raw results (an
+    // in-memory engine keeps only a finished job's report).
+    let ref_dir = temp_dir("resume-ref");
+    let mut reference = CampaignEngine::open(&ref_dir, etcd_registry()).unwrap();
     let ref_id = reference.submit(etcd_spec("alice", "ref", 6)).unwrap();
     reference.drive(None).unwrap();
     let expected = reference.results(&ref_id);
+    let _ = std::fs::remove_dir_all(&ref_dir);
     assert!(
         expected.len() >= 4,
         "reference campaign too small to be interesting: {}",

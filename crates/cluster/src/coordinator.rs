@@ -970,22 +970,23 @@ impl Coordinator {
                 summary.duplicates += 1;
                 continue;
             };
-            if c.done.contains(&result.point_id) {
+            let point_id = result.point_id;
+            if c.done.contains(&point_id) {
                 summary.duplicates += 1;
             } else {
                 c.checkout
                     .checkpoint
-                    .record(&result)
+                    .record_owned(result)
                     .map_err(FleetError::Io)?;
-                c.done.insert(result.point_id);
+                c.done.insert(point_id);
                 summary.accepted += 1;
             }
             // Retire the job wherever it currently lives: in flight
             // (normal case) or back in pending (its original lease
             // expired but the slow upload still arrived first).
-            c.in_flight.remove(&result.point_id);
-            c.pending.retain(|(p, _)| p.id != result.point_id);
-            retired.push((campaign_id.clone(), result.point_id));
+            c.in_flight.remove(&point_id);
+            c.pending.retain(|(p, _)| p.id != point_id);
+            retired.push((campaign_id.clone(), point_id));
             touched.insert(campaign_id);
         }
         // Drop retired jobs from every lease so a later expiry cannot

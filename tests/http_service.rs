@@ -308,6 +308,34 @@ fn metrics_are_valid_prometheus_exposition() {
     assert!(metrics.contains("httpd_request_seconds_bucket{"), "{metrics}");
     assert!(metrics.contains("# TYPE profipy_queue_depth gauge"), "{metrics}");
 
+    let typed = |metrics: &str, kind: &str, name: &str| -> u64 {
+        assert!(
+            metrics.contains(&format!("# TYPE {name} {kind}")),
+            "{metrics}"
+        );
+        let sample = metrics
+            .lines()
+            .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("no sample of {name}\n{metrics}"));
+        sample.parse().expect("sample value")
+    };
+    let counter = |metrics: &str, name: &str| typed(metrics, "counter", name);
+
+    // What the finished campaign left resident: its key in the bounded
+    // cache, none of its raw results — and the report, which still
+    // answers with the bytes of an in-process run.
+    let gauge = |name: &str| typed(&metrics, "gauge", name);
+    assert_eq!(gauge("campaign_results_resident"), 0);
+    assert_eq!(gauge("campaign_cache_entries"), 1);
+    assert!(gauge("campaign_cache_resident_bytes") > 0);
+    assert_eq!(counter(&metrics, "campaign_cache_evictions_total"), 0);
+    let report = client.get(&format!("/api/campaigns/{id}/report")).unwrap();
+    assert_eq!(report.status, 200);
+    assert_eq!(
+        report.text(),
+        in_process_report(&mut service(), spec_for("conform", 3))
+    );
+
     // "Were these deploys cold?" is read off the prepare cache's
     // counters (process-wide, so other tests only ever add to them).
     // Each mutant the campaign above deployed was found in the cache:
@@ -316,17 +344,6 @@ fn metrics_are_valid_prometheus_exposition() {
     // lain under no `def`, parsed by an earlier deploy of the same text
     // (a miss, this campaign's or not). The same campaign again renders
     // nothing and deploys the same texts.
-    let counter = |metrics: &str, name: &str| -> u64 {
-        assert!(
-            metrics.contains(&format!("# TYPE {name} counter")),
-            "{metrics}"
-        );
-        let sample = metrics
-            .lines()
-            .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
-            .unwrap_or_else(|| panic!("no sample of {name}\n{metrics}"));
-        sample.parse().expect("counter value")
-    };
     const HITS: &str = "sandbox_prepare_cache_hits_total";
     const MISSES: &str = "sandbox_prepare_cache_misses_total";
     const SEEDED: &str = "sandbox_prepare_cache_seeded_total";
