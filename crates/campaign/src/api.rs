@@ -17,9 +17,10 @@
 //! [`CampaignService::drive`] in small budget slices behind the shared
 //! mutex. `GET /api/campaigns/:id` never takes that mutex: it reads the
 //! engine's [`StatusBoard`], so a status request is answered in
-//! microseconds however long the running experiment takes. A client
-//! that reads `completed` there can fetch the report: the engine stores
-//! it before it publishes that state.
+//! microseconds however long the running experiment takes. Neither does
+//! `GET /api/campaigns/:id/report`: a completed job's report is on the
+//! board, published in the same write as the `completed` state, so a
+//! client that reads that state can fetch it.
 
 use crate::engine::{EngineError, JobStatus, StatusBoard};
 use crate::service::CampaignService;
@@ -73,8 +74,8 @@ pub type MetricsProvider = Box<dyn Fn(&mut Vec<(String, u64)>) + Send + Sync>;
 
 struct ApiState {
     service: Mutex<CampaignService>,
-    /// The engine's published job statuses — what status requests read
-    /// instead of locking `service`.
+    /// The engine's published job statuses and reports — what status
+    /// and report requests read instead of locking `service`.
     status: Arc<StatusBoard>,
     api_requests: AtomicU64,
     drive_errors: Mutex<Option<String>>,
@@ -469,13 +470,11 @@ fn job_status(state: &ApiState, req: &Request) -> Response {
 
 fn job_report(state: &ApiState, req: &Request) -> Response {
     let id = req.param("id").unwrap_or_default();
-    // The guard lives for this one statement: the report is encoded
-    // with the service unlocked.
-    let report = state.service().engine().report(id);
-    if let Some(report) = report {
-        return Response::json(200, report_to_value(&report).pretty());
-    }
     match state.status.get(id) {
+        Some(JobStatus {
+            report: Some(report),
+            ..
+        }) => Response::json(200, report_to_value(&report).pretty()),
         // Known job, not finished: tell the client to keep polling.
         Some(status) => Response::json(
             409,
@@ -547,7 +546,7 @@ fn session_reports(state: &ApiState, req: &Request) -> Response {
             200,
             Value::obj(vec![
                 ("user", Value::str(user)),
-                ("reports", Value::arr(reports.iter().map(report_to_value))),
+                ("reports", Value::arr(reports.iter().map(|r| report_to_value(r)))),
             ])
             .pretty(),
         ),

@@ -19,10 +19,12 @@
 //! indexes its waiting jobs, completions are handed on as events
 //! ([`CampaignEngine::take_completed`]), and every transition publishes
 //! the job's [`JobStatus`] to the [`StatusBoard`], which answers `poll`
-//! with one map lookup — also for readers that hold no engine at all.
-//! What a finished job keeps *resident* is its spec, status and report:
-//! raw results stay only with unfinished jobs, and the cross-campaign
-//! cache is bounded ([`crate::cache`]).
+//! and `report` with one map lookup — also for readers that hold no
+//! engine at all. What a finished job keeps *resident* is its status,
+//! with the report of a completed one, and the queue's
+//! [`crate::queue::FinishedJob`] record: its spec and raw results stay
+//! only with unfinished jobs, and the cross-campaign cache is bounded
+//! ([`crate::cache`]).
 //!
 //! `drive` is re-entrant and budget-limited: killing the process (or
 //! exhausting the experiment budget) mid-campaign loses nothing — the
@@ -170,11 +172,6 @@ impl HostRegistry {
         self
     }
 
-    /// Registers a host environment under a name.
-    pub fn register(&mut self, name: &str, factory: HostFactory) {
-        self.factories.insert(name.to_string(), factory);
-    }
-
     /// Looks a host up.
     pub fn get(&self, name: &str) -> Option<HostFactory> {
         self.factories.get(name).cloned()
@@ -208,16 +205,20 @@ pub struct JobStatus {
     pub total_experiments: Option<usize>,
     /// Fatal error, if the job failed.
     pub error: Option<String>,
+    /// The report, once the job has completed: the one copy the
+    /// process keeps (sessions hold the same `Arc`).
+    pub report: Option<Arc<CampaignReport>>,
 }
 
 /// Every job's latest [`JobStatus`], published by the engine at each
 /// transition it makes (submit, take, fail, requeue, complete, cancel,
-/// checkin) and readable without it: an HTTP status request takes this
-/// lock for one map lookup, never the service mutex a drive slice holds
-/// while experiments run.
+/// checkin) and readable without it: an HTTP status or report request
+/// takes this lock for one map lookup, never the service mutex a drive
+/// slice holds while experiments run.
 ///
-/// A job's report is stored before its `Completed` state is published,
-/// so a reader that sees `completed` here always finds the report.
+/// A job's report is published in the same locked write as its
+/// `Completed` state, so a reader that sees `completed` here always
+/// finds the report.
 #[derive(Default)]
 pub struct StatusBoard {
     jobs: Mutex<HashMap<String, JobStatus>>,
@@ -227,6 +228,11 @@ impl StatusBoard {
     /// The status of a job, or `None` for an unknown id.
     pub fn get(&self, id: &str) -> Option<JobStatus> {
         self.lock().get(id).cloned()
+    }
+
+    /// A completed job's report, or `None` for any other id.
+    pub fn report(&self, id: &str) -> Option<Arc<CampaignReport>> {
+        self.lock().get(id)?.report.clone()
     }
 
     /// Poison-recovering: every write below is a plain field store, so
@@ -313,9 +319,9 @@ pub struct CampaignEngine {
     /// [`CheckpointLog`] and back, so it is never copied; a job that
     /// completes, fails or is cancelled leaves no entry.
     mem_logs: BTreeMap<String, Vec<ExperimentResult>>,
-    reports: BTreeMap<String, CampaignReport>,
     /// Published job statuses — also the engine's own record of each
-    /// job's planned and completed experiment counts.
+    /// job's planned and completed experiment counts, and its one store
+    /// of reports.
     status: Arc<StatusBoard>,
     /// Jobs completed since the last [`CampaignEngine::take_completed`].
     completions: Vec<String>,
@@ -344,43 +350,45 @@ impl CampaignEngine {
     ///
     /// I/O errors opening the persistent state.
     pub fn new(config: EngineConfig, registry: HostRegistry) -> Result<CampaignEngine, EngineError> {
+        let status = Arc::new(StatusBoard::default());
+        let classifier = FailureClassifier::case_study();
+        let mut completions = Vec::new();
         let (queue, cache, checkpoint_dir) = match &config.data_dir {
-            Some(dir) => (
-                JobQueue::open(&dir.join("queue"))?,
-                MutantCache::open(&dir.join("cache"))?,
-                Some(dir.join("checkpoints")),
-            ),
+            Some(dir) => {
+                // Jobs recovered from a data dir: publish each one's
+                // status while its spec is loaded (its checkpoint is
+                // read once, here, for the count and a completed job's
+                // report) and queue the completed ones for delivery.
+                let checkpoints = dir.join("checkpoints");
+                let queue = JobQueue::open_with(&dir.join("queue"), |job| {
+                    let path = checkpoints.join(format!("{}.jsonl", job.id));
+                    let mut results = CheckpointLog::peek(&path, job.spec_hash);
+                    let done = results.len();
+                    let completed = job.state == JobState::Completed;
+                    status.insert(JobStatus {
+                        id: job.id.clone(),
+                        state: job.state,
+                        user: job.spec.user.clone(),
+                        name: job.spec.name.clone(),
+                        completed_experiments: done,
+                        // A completed job recorded its whole plan; any
+                        // other job's plan is known once a drive
+                        // prepares it again.
+                        total_experiments: completed.then_some(done),
+                        error: job.error.clone(),
+                        report: completed.then(|| {
+                            Self::build_report(&job.spec.name, done, &mut results, &classifier)
+                        }),
+                    });
+                    if completed {
+                        completions.push(job.id.clone());
+                    }
+                })?;
+                (queue, MutantCache::open(&dir.join("cache"))?, Some(checkpoints))
+            }
             None => (JobQueue::in_memory(), MutantCache::in_memory(), None),
         };
         let metrics = EngineMetrics::new(cache.metrics().clone());
-        // Jobs recovered from a data dir: publish each one's status
-        // (its checkpoint is read once, here, for the count) and queue
-        // the already-completed ones for delivery, oldest first.
-        let status = Arc::new(StatusBoard::default());
-        let mut completions = Vec::new();
-        for job in queue.jobs() {
-            let completed_experiments = match &checkpoint_dir {
-                Some(dir) => {
-                    CheckpointLog::peek(&dir.join(format!("{}.jsonl", job.id)), job.spec_hash).len()
-                }
-                None => 0,
-            };
-            status.insert(JobStatus {
-                id: job.id.clone(),
-                state: job.state,
-                user: job.spec.user.clone(),
-                name: job.spec.name.clone(),
-                completed_experiments,
-                // A completed job recorded its whole plan; any other
-                // job's plan is known once a drive prepares it again.
-                total_experiments: (job.state == JobState::Completed)
-                    .then_some(completed_experiments),
-                error: job.error.clone(),
-            });
-            if job.state == JobState::Completed {
-                completions.push(job.id.clone());
-            }
-        }
         Ok(CampaignEngine {
             queue,
             cache,
@@ -388,11 +396,10 @@ impl CampaignEngine {
             executor: config.executor,
             checkpoint_dir,
             mem_logs: BTreeMap::new(),
-            reports: BTreeMap::new(),
             status,
             completions,
             prepared: HashMap::new(),
-            classifier: FailureClassifier::case_study(),
+            classifier,
             metrics,
             trace: None,
             waiting_since: BTreeMap::new(),
@@ -449,6 +456,7 @@ impl CampaignEngine {
             completed_experiments: 0,
             total_experiments: None,
             error: None,
+            report: None,
         });
         Ok(id)
     }
@@ -459,21 +467,14 @@ impl CampaignEngine {
         if let Some(since) = self.waiting_since.remove(id) {
             self.metrics.queue_wait_seconds.observe_duration(since.elapsed());
         }
-        self.publish(id, None);
+        self.publish(id, JobState::Running, None);
     }
 
-    /// Publishes `id`'s queue state and error to the status board,
-    /// and its recorded-experiment count if that moved too.
-    fn publish(&self, id: &str, completed: Option<usize>) {
-        let Some(job) = self.queue.get(id) else {
-            return;
-        };
+    /// Publishes the state (and error) the queue just gave `id`.
+    fn publish(&self, id: &str, state: JobState, error: Option<&str>) {
         self.status.update(id, |status| {
-            status.state = job.state;
-            status.error.clone_from(&job.error);
-            if let Some(done) = completed {
-                status.completed_experiments = done;
-            }
+            status.state = state;
+            status.error = error.map(str::to_string);
         });
     }
 
@@ -482,7 +483,7 @@ impl CampaignEngine {
         self.prepared.remove(id);
         self.take_mem_log(id);
         self.queue.fail(id, error)?;
-        self.publish(id, None);
+        self.publish(id, JobState::Failed, Some(error));
         Ok(())
     }
 
@@ -509,7 +510,7 @@ impl CampaignEngine {
             self.prepared.remove(id);
             self.take_mem_log(id);
             self.waiting_since.remove(id);
-            self.publish(id, None);
+            self.publish(id, JobState::Cancelled, None);
         }
         Ok(cancelled)
     }
@@ -536,38 +537,23 @@ impl CampaignEngine {
 
     /// The campaigns completed since the last call — by `drive`,
     /// `checkin`, or (once) found completed when the engine opened its
-    /// data dir — as `(owning user, report)`, oldest job first.
-    pub fn take_completed(&mut self) -> Vec<(String, CampaignReport)> {
+    /// data dir — as `(owning user, report)`, oldest job first. The
+    /// report is the board's own `Arc`, not a copy.
+    pub fn take_completed(&mut self) -> Vec<(String, Arc<CampaignReport>)> {
         let mut ids = std::mem::take(&mut self.completions);
         ids.sort();
         ids.iter()
             .filter_map(|id| {
-                let user = self.queue.get(id)?.spec.user.clone();
-                Some((user, self.report(id)?))
+                let status = self.status.get(id)?;
+                Some((status.user, status.report?))
             })
             .collect()
     }
 
-    /// The completed campaign's report, rebuilding it from the
-    /// checkpoint if this engine instance never saw the campaign run
-    /// (e.g. after a restart).
-    pub fn report(&mut self, id: &str) -> Option<CampaignReport> {
-        if let Some(report) = self.reports.get(id) {
-            return Some(report.clone());
-        }
-        let job = self.queue.get(id)?;
-        if job.state != JobState::Completed {
-            return None;
-        }
-        let mut results = self.peek_results(id);
-        let planned = self
-            .status
-            .get(id)
-            .and_then(|s| s.total_experiments)
-            .unwrap_or(results.len());
-        let report = Self::build_report(&job.spec, planned, None, &mut results, &self.classifier);
-        self.reports.insert(id.to_string(), report.clone());
-        Some(report)
+    /// The completed campaign's report (an engine opened on a data dir
+    /// rebuilt those of the jobs it found completed there).
+    pub fn report(&self, id: &str) -> Option<Arc<CampaignReport>> {
+        self.status.report(id)
     }
 
     /// Runs queued campaigns. `budget` caps the number of experiments
@@ -683,11 +669,11 @@ impl CampaignEngine {
 
     /// Takes a taken job's checkpoint back. With every planned
     /// experiment recorded (and `recorded_ok`) the job completes: the
-    /// report is built and stored, a completion event queued. Otherwise
-    /// — budget exhausted mid-campaign, or recording failed — the job
-    /// returns to the queue and the checkpoint keeps what was durably
-    /// recorded. Either way the new state and count are published.
-    /// Returns whether the campaign completed.
+    /// report is built, a completion event queued. Otherwise — budget
+    /// exhausted mid-campaign, or recording failed — the job returns to
+    /// the queue and the checkpoint keeps what was durably recorded.
+    /// Either way the new state and count — and the report — are
+    /// published in one write. Returns whether the campaign completed.
     fn settle(
         &mut self,
         id: &str,
@@ -698,12 +684,10 @@ impl CampaignEngine {
         let mut results = checkpoint.into_results();
         let done = results.len();
         let completed = done >= total && recorded_ok;
+        let mut report = None;
         if completed {
-            let spec = &self.queue.get(id).expect("taken job exists").spec;
-            let report = Self::build_report(spec, total, None, &mut results, &self.classifier);
-            // Stored before `Completed` is published below: whoever
-            // sees that state can fetch the report.
-            self.reports.insert(id.to_string(), report);
+            let name = &self.queue.get(id).expect("taken job exists").spec.name;
+            report = Some(Self::build_report(name, total, &mut results, &self.classifier));
             self.queue.complete(id)?;
             self.completions.push(id.to_string());
             self.prepared.remove(id);
@@ -718,7 +702,16 @@ impl CampaignEngine {
                 self.mem_logs.insert(id.to_string(), results);
             }
         }
-        self.publish(id, Some(done));
+        self.status.update(id, |status| {
+            status.state = if completed {
+                JobState::Completed
+            } else {
+                JobState::Queued
+            };
+            status.error = None;
+            status.completed_experiments = done;
+            status.report = report;
+        });
         Ok(completed)
     }
 
@@ -898,10 +891,8 @@ impl CampaignEngine {
     /// id, and for an in-memory job while it is taken — its results are
     /// then with its checkpoint — or once it is finished).
     fn peek_results(&self, id: &str) -> Vec<ExperimentResult> {
-        match (&self.checkpoint_dir, self.queue.get(id)) {
-            (Some(dir), Some(job)) => {
-                CheckpointLog::peek(&dir.join(format!("{id}.jsonl")), job.spec_hash)
-            }
+        match (&self.checkpoint_dir, self.queue.spec_hash(id)) {
+            (Some(dir), Some(hash)) => CheckpointLog::peek(&dir.join(format!("{id}.jsonl")), hash),
             _ => self.mem_logs.get(id).cloned().unwrap_or_default(),
         }
     }
@@ -929,18 +920,17 @@ impl CampaignEngine {
     }
 
     fn build_report(
-        spec: &CampaignSpec,
+        name: &str,
         planned: usize,
-        covered: Option<usize>,
         results: &mut [ExperimentResult],
         classifier: &FailureClassifier,
-    ) -> CampaignReport {
+    ) -> Arc<CampaignReport> {
         // Checkpoints are completion-ordered; reports are presented in
         // plan order. Sorting in place (stable) spares a copy of the
         // results; a completed campaign's log is never appended to
         // again, so its order no longer matters.
         results.sort_by_key(|r| r.point_id);
-        CampaignReport::from_results(&spec.name, planned, covered, results, classifier)
+        Arc::new(CampaignReport::from_results(name, planned, None, results, classifier))
     }
 
     /// The results recorded so far for a job (plan order), e.g. for a
@@ -976,6 +966,7 @@ impl CampaignEngine {
 mod tests {
     use super::*;
     use crate::report_to_value;
+    use crate::service::CampaignService;
 
     fn registry() -> HostRegistry {
         HostRegistry::with_noop().with("etcd", profipy::case_study::etcd_host_factory())
@@ -1001,17 +992,54 @@ mod tests {
         spec
     }
 
+    fn in_memory() -> CampaignService {
+        CampaignService::new(EngineConfig::default(), registry()).unwrap()
+    }
+
+    fn persistent(dir: &Path) -> CampaignService {
+        let config = EngineConfig {
+            data_dir: Some(dir.to_path_buf()),
+            ..EngineConfig::default()
+        };
+        CampaignService::new(config, registry()).unwrap()
+    }
+
     /// Drives `id` to completion in slices of `budget`; returns the
     /// report's wire bytes and how many slices it took.
-    fn run_sliced(engine: &mut CampaignEngine, id: &str, budget: Option<usize>) -> (String, usize) {
+    fn run_sliced(
+        service: &mut CampaignService,
+        id: &str,
+        budget: Option<usize>,
+    ) -> (String, usize) {
         for slices in 1.. {
             assert!(slices <= 64, "campaign does not converge");
-            if engine.drive(budget).expect("drive").completed > 0 {
-                let report = engine.report(id).expect("completed job has a report");
+            if service.drive(budget).expect("drive").completed > 0 {
+                let report = service.engine().report(id).expect("completed job has a report");
+                assert_only_status_and_report(service, id);
                 return (report_to_value(&report).pretty(), slices);
             }
         }
         unreachable!()
+    }
+
+    /// Jobs that still hold their spec (the queue indexes only those).
+    fn live_jobs(queue: &JobQueue) -> usize {
+        queue.count(JobState::Queued) + queue.count(JobState::Running)
+    }
+
+    /// What a finished job leaves: its status, which holds a completed
+    /// job's report — the same allocation its owner's session holds —
+    /// and a queue record without the spec.
+    fn assert_only_status_and_report(service: &mut CampaignService, id: &str) {
+        let status = service.poll(id).expect("known job");
+        let queue = &service.engine().queue;
+        assert!(queue.get(id).is_none(), "{id} keeps its spec");
+        assert_eq!(queue.finished(id).map(|f| f.state), Some(status.state));
+        let shared = status.report.as_ref().is_some_and(|board| {
+            let session = service.sessions.reports(&status.user);
+            session.iter().filter(|r| Arc::ptr_eq(r, board)).count() == 1
+        });
+        assert_eq!(shared, status.state == JobState::Completed, "{id}");
     }
 
     /// Parse, scan and prepared-program lookups made so far. A workflow
@@ -1028,29 +1056,31 @@ mod tests {
 
     #[test]
     fn a_job_is_prepared_once_however_it_is_sliced_and_reports_the_same_bytes() {
-        let mut engine = CampaignEngine::new(EngineConfig::default(), registry()).unwrap();
-        let id = engine.submit(spec("whole")).unwrap();
-        let (reference, slices) = run_sliced(&mut engine, &id, None);
+        let mut service = in_memory();
+        let id = service.submit(spec("whole")).unwrap();
+        let (reference, slices) = run_sliced(&mut service, &id, None);
         assert_eq!(slices, 1);
-        assert_eq!(lookups(&engine), [1, 1, 1]);
+        let engine = service.engine();
+        assert_eq!(lookups(engine), [1, 1, 1]);
         assert_eq!(engine.resident_logs(), (0, 0), "the report is what remains");
         assert!(engine.results(&id).is_empty());
 
         for budget in [1, 3, 8] {
-            let mut engine = CampaignEngine::new(EngineConfig::default(), registry()).unwrap();
-            let id = engine.submit(spec("whole")).unwrap();
-            assert_eq!(engine.drive(Some(budget)).unwrap().experiments, budget);
+            let mut service = in_memory();
+            let id = service.submit(spec("whole")).unwrap();
+            assert_eq!(service.drive(Some(budget)).unwrap().experiments, budget);
             assert_eq!(
-                engine.resident_logs(),
+                service.engine().resident_logs(),
                 (1, budget as u64),
                 "a requeued job carries its results to its next slice"
             );
-            let (report, slices) = run_sliced(&mut engine, &id, Some(budget));
+            let (report, slices) = run_sliced(&mut service, &id, Some(budget));
             let slices = slices + 1;
             assert_eq!(slices, 9usize.div_ceil(budget), "budget {budget}");
             assert_eq!(report, reference, "budget {budget}");
+            let engine = service.engine();
             assert_eq!(
-                lookups(&engine),
+                lookups(engine),
                 [1, 1, 1],
                 "budget {budget}: prepared once"
             );
@@ -1060,6 +1090,7 @@ mod tests {
                 "completion drops the prepared state"
             );
             assert_eq!(engine.resident_logs(), (0, 0), "and the raw results");
+            assert_eq!(live_jobs(&engine.queue), 0, "and every spec");
         }
 
         // Killed after two slices and resumed by a second engine on the
@@ -1067,51 +1098,77 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("campaign-engine-once-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let id = {
-            let mut engine = CampaignEngine::open(&dir, registry()).unwrap();
-            let id = engine.submit(spec("whole")).unwrap();
+            let mut service = persistent(&dir);
+            let id = service.submit(spec("whole")).unwrap();
             for _ in 0..2 {
-                assert_eq!(engine.drive(Some(2)).unwrap().experiments, 2);
+                assert_eq!(service.drive(Some(2)).unwrap().experiments, 2);
             }
-            assert_eq!(lookups(&engine), [1, 1, 1]);
-            assert_eq!(engine.resident_jobs(), 1, "kept between slices");
+            assert_eq!(lookups(service.engine()), [1, 1, 1]);
+            assert_eq!(service.engine().resident_jobs(), 1, "kept between slices");
             id
         };
-        let mut engine = CampaignEngine::open(&dir, registry()).unwrap();
-        assert_eq!(engine.resident_jobs(), 0);
-        let (report, slices) = run_sliced(&mut engine, &id, Some(2));
+        let mut service = persistent(&dir);
+        assert_eq!(service.engine().resident_jobs(), 0);
+        let (report, slices) = run_sliced(&mut service, &id, Some(2));
         assert_eq!(slices, 3, "five experiments left, two a slice");
         assert_eq!(report, reference, "killed and resumed");
-        assert_eq!(lookups(&engine), [1, 1, 1]);
+        assert_eq!(lookups(service.engine()), [1, 1, 1]);
+
+        // Closed and reopened: the finished job answers with the same
+        // bytes, rebuilt from its job file and checkpoint.
+        let answers = |service: &mut CampaignService| {
+            let engine = service.engine();
+            let status = crate::status_to_value(&engine.poll(&id).unwrap()).pretty();
+            let report = report_to_value(&engine.report(&id).unwrap()).pretty();
+            let results: Vec<String> = engine
+                .results(&id)
+                .iter()
+                .map(|r| crate::result_to_value(r).compact())
+                .collect();
+            (status, report, results)
+        };
+        let before = answers(&mut service);
+        assert_eq!(before.2.len(), 9);
+        drop(service);
+        let mut service = persistent(&dir);
+        assert_eq!(answers(&mut service), before, "reopened");
+        assert_eq!(service.drive(None).unwrap(), DriveSummary::default());
+        assert_only_status_and_report(&mut service, &id);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn failed_and_cancelled_jobs_leave_nothing_resident() {
-        let mut engine = CampaignEngine::new(EngineConfig::default(), registry()).unwrap();
+        let mut service = in_memory();
 
         // Fails while being prepared: the target does not parse.
         let mut broken = spec("broken");
         broken.sources[0].1 = "def f(:\n".into();
-        let failed = engine.submit(broken).unwrap();
-        engine.drive(None).unwrap();
+        let failed = service.submit(broken).unwrap();
+        service.drive(None).unwrap();
+        let engine = service.engine();
         assert_eq!(engine.poll(&failed).unwrap().state, JobState::Failed);
         assert_eq!(engine.resident_jobs(), 0);
         assert_eq!(engine.resident_logs(), (0, 0));
+        assert_only_status_and_report(&mut service, &failed);
 
         // Cancelled between two slices.
-        let id = engine.submit(spec("cancelled")).unwrap();
-        assert_eq!(engine.drive(Some(2)).unwrap().experiments, 2);
+        let id = service.submit(spec("cancelled")).unwrap();
+        assert_eq!(service.drive(Some(2)).unwrap().experiments, 2);
+        let engine = service.engine();
         assert_eq!(engine.poll(&id).unwrap().state, JobState::Queued);
         assert_eq!(engine.resident_jobs(), 1);
         assert_eq!(engine.resident_logs(), (1, 2));
         assert!(engine.cancel(&id).unwrap());
         assert_eq!(engine.resident_jobs(), 0);
         assert_eq!(engine.resident_logs(), (0, 0), "partial results go with the job");
+        assert_only_status_and_report(&mut service, &id);
 
         // Fails on a later slice: its prepared state and its partial
         // results go with it.
-        let id = engine.submit(spec("failed-late")).unwrap();
-        engine.drive(Some(1)).unwrap();
+        let id = service.submit(spec("failed-late")).unwrap();
+        service.drive(Some(1)).unwrap();
+        let engine = service.engine();
         assert_eq!(engine.resident_jobs(), 1);
         assert_eq!(engine.resident_logs(), (1, 1));
         engine.queue.take_next().unwrap();
@@ -1119,6 +1176,16 @@ mod tests {
         assert_eq!(engine.poll(&id).unwrap().state, JobState::Failed);
         assert_eq!(engine.resident_jobs(), 0);
         assert_eq!(engine.resident_logs(), (0, 0));
+        assert!(engine.fail(&id, "again").is_err(), "a final state is final");
+        assert_only_status_and_report(&mut service, &id);
+
+        // Beside them, one that completes: every job is final now, and
+        // the queue holds no spec.
+        let id = service.submit(spec("completed")).unwrap();
+        run_sliced(&mut service, &id, None);
+        assert_eq!(live_jobs(&service.engine().queue), 0);
+        assert_eq!(service.engine().queue.count(JobState::Failed), 2);
+        assert_eq!(service.sessions.reports("alice").len(), 1);
     }
 
     /// `spec(name)` on a revision of the client no other spec shares.
@@ -1128,62 +1195,66 @@ mod tests {
         spec
     }
 
-    /// An in-memory engine whose cache holds `budget` bytes.
-    fn engine_with_cache_budget(budget: usize) -> CampaignEngine {
-        let mut engine = CampaignEngine::new(EngineConfig::default(), registry()).unwrap();
-        engine.cache = MutantCache::new(None, budget);
-        engine
+    /// An in-memory service whose engine's cache holds `budget` bytes.
+    fn with_cache_budget(budget: usize) -> CampaignService {
+        let mut service = in_memory();
+        service.engine().cache = MutantCache::new(None, budget);
+        service
     }
 
     #[test]
     fn an_evicted_revision_is_rebuilt_when_it_returns_and_reports_the_same_bytes() {
         // Room for one key of nine mutants (≈ 350 KB by weight), not
         // for two.
-        let mut engine = engine_with_cache_budget(512 << 10);
-        let id = engine.submit(revision("first", 0)).unwrap();
-        let (reference, _) = run_sliced(&mut engine, &id, None);
-        let id = engine.submit(revision("later", 1)).unwrap();
-        run_sliced(&mut engine, &id, None);
+        let mut service = with_cache_budget(512 << 10);
+        let id = service.submit(revision("first", 0)).unwrap();
+        let (reference, _) = run_sliced(&mut service, &id, None);
+        let id = service.submit(revision("later", 1)).unwrap();
+        run_sliced(&mut service, &id, None);
+        let engine = service.engine();
         assert_eq!(engine.cache.metrics().evictions.value(), 1, "pushed the first out");
         let before = engine.cache_stats();
 
-        let id = engine.submit(revision("first", 0)).unwrap();
-        let (report, _) = run_sliced(&mut engine, &id, None);
+        let id = service.submit(revision("first", 0)).unwrap();
+        let (report, _) = run_sliced(&mut service, &id, None);
         assert_eq!(report, reference);
-        let after = engine.cache_stats();
+        let after = service.engine().cache_stats();
         assert_eq!(after.parse_misses, before.parse_misses + 1, "parsed again");
         assert_eq!(after.scan_misses, before.scan_misses + 1, "scanned again");
         assert_eq!(after.mutant_misses, before.mutant_misses + 9, "rendered again");
         assert_eq!(after.mutant_hits, before.mutant_hits);
 
         // While it is resident it is a cache like before.
-        let id = engine.submit(revision("first", 0)).unwrap();
-        let (report, _) = run_sliced(&mut engine, &id, None);
+        let id = service.submit(revision("first", 0)).unwrap();
+        let (report, _) = run_sliced(&mut service, &id, None);
         assert_eq!(report, reference);
-        let warm = engine.cache_stats();
+        let warm = service.engine().cache_stats();
         assert_eq!(warm.parse_misses, after.parse_misses);
         assert_eq!(warm.mutant_hits, after.mutant_hits + 9);
     }
 
     #[test]
     fn a_job_whose_key_is_evicted_between_its_slices_reports_the_same_bytes() {
-        let mut whole = CampaignEngine::new(EngineConfig::default(), registry()).unwrap();
+        let mut whole = in_memory();
         let id = whole.submit(revision("sliced", 0)).unwrap();
         let (reference, _) = run_sliced(&mut whole, &id, None);
 
         // A budget no entry fits: every store evicts every other key,
         // so the two jobs, one experiment a slice in turn, push each
         // other out between any two of their slices.
-        let mut engine = engine_with_cache_budget(1);
-        let id = engine.submit(revision("sliced", 0)).unwrap();
+        let mut service = with_cache_budget(1);
+        let id = service.submit(revision("sliced", 0)).unwrap();
         let mut other = revision("other", 1);
         other.user = "bob".into();
-        let other = engine.submit(other).unwrap();
-        while engine.poll(&id).unwrap().state != JobState::Completed
-            || engine.poll(&other).unwrap().state != JobState::Completed
+        let other = service.submit(other).unwrap();
+        while service.poll(&id).unwrap().state != JobState::Completed
+            || service.poll(&other).unwrap().state != JobState::Completed
         {
-            assert_eq!(engine.drive(Some(1)).unwrap().experiments, 1);
+            assert_eq!(service.drive(Some(1)).unwrap().experiments, 1);
         }
+        assert_only_status_and_report(&mut service, &id);
+        assert_only_status_and_report(&mut service, &other);
+        let engine = service.engine();
         let report = engine.report(&id).expect("completed job has a report");
         assert_eq!(report_to_value(&report).pretty(), reference);
         assert!(engine.cache.metrics().evictions.value() >= 16);
@@ -1192,7 +1263,7 @@ mod tests {
             stats.mutant_misses > 18,
             "pending mutants were rendered again after an eviction: {stats:?}"
         );
-        assert_eq!(lookups(&engine), [2, 2, 2], "each job still prepared once");
+        assert_eq!(lookups(engine), [2, 2, 2], "each job still prepared once");
         assert_eq!(engine.resident_logs(), (0, 0));
     }
 }

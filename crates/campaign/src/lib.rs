@@ -70,6 +70,6 @@ pub use engine::{
     HostRegistry, JobStatus, StatusBoard,
 };
 pub use persist::{result_from_value, result_to_value, results_equivalent};
-pub use queue::{JobQueue, JobState, QueuedJob};
+pub use queue::{FinishedJob, JobQueue, JobState, QueuedJob};
 pub use service::CampaignService;
 pub use spec::{text_pairs_from_value, CampaignSpec, FilterSpec};

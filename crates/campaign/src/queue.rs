@@ -61,6 +61,11 @@ impl JobState {
         }
     }
 
+    /// `Completed`, `Failed` and `Cancelled`: no transition leaves them.
+    pub fn is_final(self) -> bool {
+        !matches!(self, JobState::Queued | JobState::Running)
+    }
+
     fn from_str(s: &str) -> Result<JobState, String> {
         Ok(match s {
             "queued" => JobState::Queued,
@@ -73,7 +78,7 @@ impl JobState {
     }
 }
 
-/// One queue entry.
+/// A queued or running job.
 #[derive(Clone, Debug)]
 pub struct QueuedJob {
     /// Queue-assigned id (`job-000001`, …).
@@ -100,6 +105,16 @@ type BacklogKey = (Reverse<u8>, u64, String);
 impl QueuedJob {
     fn backlog_key(&self) -> BacklogKey {
         (Reverse(self.spec.priority), self.seq, self.id.clone())
+    }
+
+    /// The job's id and what the queue keeps of it once it is final.
+    fn finish(self) -> (String, FinishedJob) {
+        let done = FinishedJob {
+            state: self.state,
+            error: self.error,
+            spec_hash: self.spec_hash,
+        };
+        (self.id, done)
     }
 
     fn to_value(&self) -> Value {
@@ -129,17 +144,32 @@ impl QueuedJob {
     }
 }
 
+/// What the queue keeps of a job in a final state: not its spec (the job
+/// file has it), nor user and name (the engine's status board has them).
+#[derive(Clone, Debug)]
+pub struct FinishedJob {
+    /// `Completed`, `Failed` or `Cancelled`.
+    pub state: JobState,
+    /// Fatal error, if `state == Failed`.
+    pub error: Option<String>,
+    /// The spec's [`CampaignSpec::content_hash`]: the job's checkpoint
+    /// is read back under it.
+    pub spec_hash: u64,
+}
+
 /// The queue. Persistent when opened on a directory, ephemeral when
 /// created in memory (tests, one-shot runs).
 ///
-/// Finished jobs stay in `jobs` forever (status, reports and restart
-/// recovery need them), so nothing on the scheduling path may scan it:
-/// `queued` indexes the jobs waiting for a slot and `counts` tallies
-/// every state, both maintained by the one place a state changes
-/// ([`JobQueue::set_state`]).
+/// A job that reaches a final state leaves `jobs` for `finished`, where
+/// it stays forever as a [`FinishedJob`]. Nothing on the scheduling
+/// path may scan either map: `queued` indexes the jobs waiting for a
+/// slot and `counts` tallies every state, both maintained by the one
+/// place a state changes ([`JobQueue::set_state`]).
 pub struct JobQueue {
     dir: Option<PathBuf>,
+    /// Queued and running jobs.
     jobs: BTreeMap<String, QueuedJob>,
+    finished: BTreeMap<String, FinishedJob>,
     /// user → that user's queued jobs, best first. Users with nothing
     /// queued have no entry.
     queued: BTreeMap<String, BTreeSet<BacklogKey>>,
@@ -157,6 +187,7 @@ impl JobQueue {
         JobQueue {
             dir: None,
             jobs: BTreeMap::new(),
+            finished: BTreeMap::new(),
             queued: BTreeMap::new(),
             counts: [0; JobState::ALL.len()],
             next_seq: 1,
@@ -174,6 +205,17 @@ impl JobQueue {
     /// I/O errors; corrupt job files are reported, not silently
     /// dropped.
     pub fn open(dir: &Path) -> io::Result<JobQueue> {
+        JobQueue::open_with(dir, |_| {})
+    }
+
+    /// [`JobQueue::open`], showing `each` every job as loaded (a running
+    /// one already demoted). For a finished job this is the only time
+    /// its spec is in memory.
+    ///
+    /// # Errors
+    ///
+    /// As [`JobQueue::open`].
+    pub fn open_with(dir: &Path, mut each: impl FnMut(&QueuedJob)) -> io::Result<JobQueue> {
         std::fs::create_dir_all(dir)?;
         let mut queue = JobQueue {
             dir: Some(dir.to_path_buf()),
@@ -203,6 +245,7 @@ impl JobQueue {
                 recovered.push(job.id.clone());
             }
             queue.next_seq = queue.next_seq.max(job.seq + 1);
+            each(&job);
             queue.insert(job);
         }
         for id in recovered {
@@ -211,10 +254,15 @@ impl JobQueue {
         Ok(queue)
     }
 
-    /// Adds a job to the map, the per-state tally and (if queued) the
-    /// scheduling index.
+    /// Adds a job to the per-state tally and to `finished` (spec dropped)
+    /// if final, else to `jobs` and (if queued) the scheduling index.
     fn insert(&mut self, job: QueuedJob) {
         self.counts[job.state.index()] += 1;
+        if job.state.is_final() {
+            let (id, done) = job.finish();
+            self.finished.insert(id, done);
+            return;
+        }
         if job.state == JobState::Queued {
             index(&mut self.queued, &job);
         }
@@ -308,13 +356,21 @@ impl JobQueue {
     }
 
     /// The one place a job changes state: keeps the scheduling index
-    /// and the per-state tally in step with `jobs`, then persists.
+    /// and the per-state tally in step with `jobs`, then persists; a job
+    /// entering a final state is persisted with its spec one last time
+    /// and moves to `finished` without it. A job already final refuses
+    /// with `InvalidInput` and is left as it is.
     fn set_state(
         &mut self,
         id: &str,
         state: JobState,
         error: Option<String>,
     ) -> io::Result<()> {
+        if let Some(done) = self.finished.get(id) {
+            let (from, to) = (done.state.as_str(), state.as_str());
+            let message = format!("job {id} is {from}, a final state: it cannot become {to}");
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, message));
+        }
         let Some(job) = self.jobs.get_mut(id) else {
             return Ok(());
         };
@@ -330,17 +386,28 @@ impl JobQueue {
             job.state = state;
         }
         job.error = error;
-        self.persist(id)
+        let persisted = self.persist(id);
+        if state.is_final() {
+            let (id, done) = self.jobs.remove(id).expect("looked up above").finish();
+            self.finished.insert(id, done);
+        }
+        persisted
     }
 
-    /// Looks up a job.
+    /// A queued or running job; a finished one is [`JobQueue::finished`].
     pub fn get(&self, id: &str) -> Option<&QueuedJob> {
         self.jobs.get(id)
     }
 
-    /// All jobs, by id.
-    pub fn jobs(&self) -> impl Iterator<Item = &QueuedJob> {
-        self.jobs.values()
+    /// What is left of a job in a final state.
+    pub fn finished(&self, id: &str) -> Option<&FinishedJob> {
+        self.finished.get(id)
+    }
+
+    /// The spec hash of a job, live or finished.
+    pub fn spec_hash(&self, id: &str) -> Option<u64> {
+        let live = self.jobs.get(id).map(|job| job.spec_hash);
+        live.or_else(|| Some(self.finished.get(id)?.spec_hash))
     }
 
     /// How many jobs are in `state` right now.
@@ -504,7 +571,7 @@ mod tests {
             assert_eq!(q.get(&a).unwrap().state, JobState::Queued, "demoted");
             assert_eq!(q.get(&b).unwrap().state, JobState::Queued);
             assert_eq!(q.get(&a).unwrap().spec.user, "alice");
-            assert_eq!(q.jobs().count(), 2);
+            assert_eq!(q.jobs.values().count(), 2);
         }
         {
             let mut q = JobQueue::open(&dir).unwrap();
@@ -516,11 +583,56 @@ mod tests {
             q.fail(&b, "boom").unwrap();
         }
         {
-            let q = JobQueue::open(&dir).unwrap();
-            assert_eq!(q.get(&a).unwrap().state, JobState::Completed);
-            assert_eq!(q.get(&b).unwrap().state, JobState::Failed);
-            assert_eq!(q.get(&b).unwrap().error.as_deref(), Some("boom"));
+            let mut names = Vec::new();
+            let q = JobQueue::open_with(&dir, |job| names.push(job.spec.name.clone())).unwrap();
+            names.sort();
+            assert_eq!(names, ["one", "three", "two"], "every spec was shown once");
+            assert!(q.get(&a).is_none() && q.get(&b).is_none(), "finished: spec dropped");
+            assert_eq!(q.finished(&a).unwrap().state, JobState::Completed);
+            assert_eq!(q.finished(&b).unwrap().state, JobState::Failed);
+            assert_eq!(q.finished(&b).unwrap().error.as_deref(), Some("boom"));
+            assert_eq!(q.spec_hash(&a), Some(spec("alice", "one", 0).content_hash()));
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_final_state_is_final() {
+        let dir = std::env::temp_dir().join(format!(
+            "campaign-queue-final-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut q = JobQueue::open(&dir).unwrap();
+        let done = q.submit(spec("alice", "done", 0)).unwrap();
+        let failed = q.submit(spec("alice", "failed", 0)).unwrap();
+        let cancelled = q.submit(spec("alice", "cancelled", 0)).unwrap();
+        q.take_next().unwrap();
+        q.take_next().unwrap();
+        q.complete(&done).unwrap();
+        q.fail(&failed, "boom").unwrap();
+        assert!(q.cancel(&cancelled).unwrap());
+        let files = |ids: &[&String]| -> Vec<String> {
+            ids.iter()
+                .map(|id| std::fs::read_to_string(dir.join(format!("{id}.json"))).unwrap())
+                .collect()
+        };
+        let before = files(&[&done, &failed, &cancelled]);
+        for id in [&done, &failed, &cancelled] {
+            let state = q.finished(id).unwrap().state;
+            for result in [q.complete(id), q.fail(id, "again"), q.requeue(id)] {
+                assert_eq!(result.unwrap_err().kind(), io::ErrorKind::InvalidInput, "{id}");
+            }
+            assert!(!q.cancel(id).unwrap());
+            assert_eq!(q.finished(id).unwrap().state, state, "{id} unchanged");
+        }
+        assert_eq!(q.finished(&failed).unwrap().error.as_deref(), Some("boom"));
+        assert_eq!(files(&[&done, &failed, &cancelled]), before, "and not rewritten");
+        assert_eq!(
+            [JobState::Completed, JobState::Failed, JobState::Cancelled].map(|s| q.count(s)),
+            [1, 1, 1]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -532,7 +644,7 @@ mod tests {
         let mut last_slot = q.last_slot.clone();
         let mut tick = q.tick;
         let mut remaining: Vec<&QueuedJob> =
-            q.jobs().filter(|j| j.state == JobState::Queued).collect();
+            q.jobs.values().filter(|j| j.state == JobState::Queued).collect();
         while !remaining.is_empty() {
             let (idx, _) = remaining
                 .iter()
@@ -556,7 +668,8 @@ mod tests {
 
     fn nth_in_state(q: &JobQueue, state: JobState, pick: usize) -> Option<String> {
         let ids: Vec<&String> = q
-            .jobs()
+            .jobs
+            .values()
             .filter(|j| j.state == state)
             .map(|j| &j.id)
             .collect();
@@ -568,7 +681,7 @@ mod tests {
 
         #[test]
         fn index_and_tally_match_a_linear_scan(
-            ops in proptest::collection::vec((0u8..10, 0usize..3, 0u8..3, 0usize..64), 1..48)
+            ops in proptest::collection::vec((0u8..11, 0usize..3, 0u8..3, 0usize..64), 1..48)
         ) {
             static CASE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
             let dir = std::env::temp_dir().join(format!(
@@ -578,48 +691,64 @@ mod tests {
             ));
             let _ = std::fs::remove_dir_all(&dir);
             let mut q = JobQueue::open(&dir).unwrap();
+            // Every job's state, tracked by the test alone.
+            let mut model: BTreeMap<String, JobState> = BTreeMap::new();
             for (op, user, priority, pick) in ops {
                 match op {
                     0..=2 => {
                         let user = ["alice", "bob", "carol"][user];
-                        q.submit(spec(user, "c", priority)).unwrap();
+                        let id = q.submit(spec(user, "c", priority)).unwrap();
+                        model.insert(id, JobState::Queued);
                     }
                     3 | 4 => {
                         let expected = reference_order(&q).into_iter().next();
-                        proptest::prop_assert_eq!(q.take_next().unwrap(), expected);
-                    }
-                    5 => {
-                        if let Some(id) = nth_in_state(&q, JobState::Running, pick) {
-                            q.requeue(&id).unwrap();
+                        proptest::prop_assert_eq!(q.take_next().unwrap(), expected.clone());
+                        if let Some(id) = expected {
+                            model.insert(id, JobState::Running);
                         }
                     }
-                    6 => {
+                    5..=7 => {
                         if let Some(id) = nth_in_state(&q, JobState::Running, pick) {
-                            q.complete(&id).unwrap();
-                        }
-                    }
-                    7 => {
-                        if let Some(id) = nth_in_state(&q, JobState::Running, pick) {
-                            q.fail(&id, "boom").unwrap();
+                            let state = match op {
+                                5 => q.requeue(&id).map(|_| JobState::Queued),
+                                6 => q.complete(&id).map(|_| JobState::Completed),
+                                _ => q.fail(&id, "boom").map(|_| JobState::Failed),
+                            };
+                            model.insert(id, state.unwrap());
                         }
                     }
                     8 => {
                         // Any job: only a queued one may actually cancel.
-                        let ids: Vec<String> = q.jobs().map(|j| j.id.clone()).collect();
+                        let ids: Vec<&String> = model.keys().collect();
                         if !ids.is_empty() {
-                            let id = &ids[pick % ids.len()];
-                            let was_queued = q.get(id).unwrap().state == JobState::Queued;
-                            proptest::prop_assert_eq!(q.cancel(id).unwrap(), was_queued);
+                            let id = ids[pick % ids.len()].clone();
+                            let was_queued = model[&id] == JobState::Queued;
+                            proptest::prop_assert_eq!(q.cancel(&id).unwrap(), was_queued);
+                            if was_queued {
+                                model.insert(id, JobState::Cancelled);
+                            }
+                        }
+                    }
+                    9 => {
+                        // A finished job refuses every transition.
+                        let done: Vec<&String> =
+                            model.iter().filter(|(_, s)| s.is_final()).map(|(id, _)| id).collect();
+                        if !done.is_empty() {
+                            let id = done[pick % done.len()];
+                            proptest::prop_assert!(q.complete(id).is_err());
+                            proptest::prop_assert!(q.fail(id, "again").is_err());
+                            proptest::prop_assert!(q.requeue(id).is_err());
                         }
                     }
                     _ => {
                         // The process dies and restarts: index and tally
                         // are rebuilt from the files, running jobs demoted.
-                        let running = q.count(JobState::Running);
-                        let queued = q.count(JobState::Queued);
                         q = JobQueue::open(&dir).unwrap();
-                        proptest::prop_assert_eq!(q.count(JobState::Running), 0);
-                        proptest::prop_assert_eq!(q.count(JobState::Queued), queued + running);
+                        for state in model.values_mut() {
+                            if *state == JobState::Running {
+                                *state = JobState::Queued;
+                            }
+                        }
                     }
                 }
                 let order = reference_order(&q);
@@ -628,9 +757,19 @@ mod tests {
                 for state in JobState::ALL {
                     proptest::prop_assert_eq!(
                         q.count(state),
-                        q.jobs().filter(|j| j.state == state).count()
+                        model.values().filter(|s| **s == state).count()
                     );
                 }
+                // A live job keeps its spec; a finished one only its
+                // record.
+                for (id, state) in &model {
+                    let live = q.get(id).map(|j| j.state);
+                    let finished = q.finished(id).map(|f| f.state);
+                    proptest::prop_assert_eq!(live.or(finished), Some(*state));
+                    proptest::prop_assert_eq!(live.is_some(), !state.is_final());
+                    proptest::prop_assert_eq!(finished.is_some(), state.is_final());
+                }
+                proptest::prop_assert_eq!(q.jobs.values().count() + q.finished.len(), model.len());
             }
             let _ = std::fs::remove_dir_all(&dir);
         }
@@ -644,7 +783,7 @@ mod tests {
         assert_eq!(q.take_next().unwrap(), Some(a.clone()));
         assert!(!q.cancel(&a).unwrap(), "running job not cancellable");
         assert!(q.cancel(&b).unwrap());
-        assert_eq!(q.get(&b).unwrap().state, JobState::Cancelled);
+        assert_eq!(q.finished(&b).unwrap().state, JobState::Cancelled);
         assert_eq!(q.take_next().unwrap(), None);
     }
 }

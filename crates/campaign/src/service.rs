@@ -2,6 +2,14 @@
 //! models, report history) + the [`CampaignEngine`] (queue, checkpoints,
 //! cache) behind one submit/poll/resume surface — the paper's
 //! "as-a-Service" story made asynchronous and crash-tolerant.
+//!
+//! Why two service types: `profipy::service` is the session store of
+//! the library layer. It runs a `Workflow` synchronously
+//! (`Session::run_campaign`) and needs no queue, no disk and no engine.
+//! `campaign` depends on `profipy`, not the other way round, so the
+//! store cannot own the engine; this type composes the two. They share
+//! the reports rather than copying them: a session holds the same
+//! `Arc<CampaignReport>` the engine's status board does.
 
 use crate::engine::{
     CampaignEngine, CheckedOutCampaign, DriveSummary, EngineConfig, EngineError, HostRegistry,
@@ -58,17 +66,6 @@ impl CampaignService {
         let summary = self.engine.drive(budget)?;
         self.deliver_completed();
         Ok(summary)
-    }
-
-    /// Resumes after a restart: identical to [`CampaignService::drive`]
-    /// with no budget — recovery comes from the persistent queue and
-    /// checkpoints, not from a special code path.
-    ///
-    /// # Errors
-    ///
-    /// Checkpoint persistence failures.
-    pub fn resume(&mut self) -> Result<DriveSummary, EngineError> {
-        self.drive(None)
     }
 
     /// Checks the next queued campaign out for distributed execution

@@ -155,8 +155,9 @@ impl LeaseLog {
         }
         let mut state = WalState::default();
         if Log::load(path, |event| state.apply(&event).is_ok()).is_err() {
-            // A file that cannot be read as text replays to the empty
-            // state, as it always has (`walog_props.rs` pins it).
+            // A file that cannot be read — a line that is not UTF-8
+            // with more lines after it — replays to the empty state, as
+            // it always has (`walog_props.rs` pins it).
             state = WalState::default();
         }
         let mut log = LeaseLog {

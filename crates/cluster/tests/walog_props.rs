@@ -31,12 +31,22 @@ fn temp_path(tag: &str) -> PathBuf {
 fn replay(bytes: &[u8]) -> (u64, Leases) {
     let mut epoch = 0u64;
     let mut leases: Leases = BTreeMap::new();
-    let Ok(text) = std::str::from_utf8(bytes) else {
-        // The real loader reads the file as a string; invalid UTF-8
-        // fails the read and recovers to the empty state.
-        return (0, BTreeMap::new());
-    };
-    for line in text.lines() {
+    let mut rest = bytes;
+    while !rest.is_empty() {
+        let (line, after) = match rest.iter().position(|b| *b == b'\n') {
+            Some(end) => (&rest[..end], &rest[end + 1..]),
+            None => (rest, &[][..]),
+        };
+        rest = after;
+        let Ok(line) = std::str::from_utf8(line) else {
+            // Invalid UTF-8 in the last line is a torn tail; with a
+            // line after it the read fails and recovers to the empty
+            // state.
+            if rest.is_empty() {
+                break;
+            }
+            return (0, BTreeMap::new());
+        };
         if line.trim().is_empty() {
             continue;
         }

@@ -14,7 +14,8 @@
 //!   not parse, or that the caller turns down, are the log; whatever
 //!   follows is the torn tail of a crash mid-append and is reported, so
 //!   the owner can [`Log::rewrite`] the file clean before appending
-//!   again.
+//!   again. Lines are read as bytes: a last line cut inside a
+//!   multi-byte character is torn too.
 
 use crate::Value;
 use std::fs::{File, OpenOptions};
@@ -58,31 +59,38 @@ impl Log {
     /// Streams the valid prefix of the log at `path` through `accept`,
     /// one line's value alive at a time. Blank lines are skipped. The
     /// first line that is not JSON, or for which `accept` returns
-    /// `false`, ends the prefix: nothing after it is read. Returns
-    /// whether the file needs a [`Log::rewrite`] before it is appended
-    /// to — a line ended the prefix, or the last line lacks its newline.
-    /// A missing file is an empty log.
+    /// `false`, ends the prefix: nothing after it is read. So does a
+    /// last line that is not UTF-8 — an append cut inside a multi-byte
+    /// character. Returns whether the file needs a [`Log::rewrite`]
+    /// before it is appended to — a line ended the prefix, or the last
+    /// line lacks its newline. A missing file is an empty log.
     ///
     /// # Errors
     ///
-    /// A failed read — bytes that are not UTF-8 included — is an error,
-    /// not a torn tail; `accept` has seen every line before it.
+    /// A failed read, and a line that is not UTF-8 with more lines
+    /// after it, are errors, not a torn tail; `accept` has seen every
+    /// line before them.
     pub fn load(path: &Path, mut accept: impl FnMut(Value) -> bool) -> io::Result<bool> {
         let mut reader = match File::open(path) {
             Ok(file) => BufReader::new(file),
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(false),
             Err(e) => return Err(e),
         };
-        let mut line = String::new();
+        let mut bytes = Vec::new();
         loop {
-            line.clear();
-            if reader.read_line(&mut line)? == 0 {
+            bytes.clear();
+            if reader.read_until(b'\n', &mut bytes)? == 0 {
                 return Ok(false);
             }
+            let line = match std::str::from_utf8(&bytes) {
+                Ok(line) => line,
+                Err(_) if reader.fill_buf()?.is_empty() => return Ok(true),
+                Err(e) => return Err(io::Error::new(io::ErrorKind::InvalidData, e)),
+            };
             if line.trim().is_empty() {
                 continue;
             }
-            let accepted = crate::parse(&line).is_ok_and(&mut accept);
+            let accepted = crate::parse(line).is_ok_and(&mut accept);
             if !accepted || !line.ends_with('\n') {
                 return Ok(true);
             }
@@ -228,7 +236,8 @@ mod tests {
     #[test]
     fn a_read_error_is_not_a_torn_tail() {
         let path = temp_path("utf8");
-        std::fs::write(&path, b"{\"n\":1}\n\xff\xfe\n").unwrap();
+        // Not UTF-8 with a line after it: the file is damaged, not torn.
+        std::fs::write(&path, b"{\"n\":1}\n\xff\xfe\n{\"n\":2}\n").unwrap();
         let mut seen = 0;
         let result = Log::load(&path, |_| {
             seen += 1;
@@ -236,6 +245,16 @@ mod tests {
         });
         assert_eq!(result.unwrap_err().kind(), io::ErrorKind::InvalidData);
         assert_eq!(seen, 1, "the lines before the error were delivered");
+
+        // Not UTF-8 as the last line — with or without its newline, and
+        // an append cut inside "é" — is a torn tail.
+        for tail in [&b"\xff\xfe\n"[..], b"\xff\xfe", b"{\"s\":\"\xc3"] {
+            let mut bytes = b"{\"n\":1}\n".to_vec();
+            bytes.extend_from_slice(tail);
+            std::fs::write(&path, &bytes).unwrap();
+            let (lines, torn) = load_all(&path);
+            assert_eq!((lines.len(), torn), (1, true), "{tail:?}");
+        }
         let _ = std::fs::remove_file(&path);
     }
 

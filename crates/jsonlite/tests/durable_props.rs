@@ -3,8 +3,9 @@
 //! format fixtures (`tests/fixtures/format_pins/`, written by the code
 //! as it was before the logs shared a loader):
 //!
-//! * every truncation of every fixture loads to a prefix of the full
-//!   load, and the file the owner repairs it to is exactly that prefix;
+//! * every truncation of every fixture, at any byte (inside a
+//!   multi-byte character too), loads to a prefix of the full load, and
+//!   the file the owner repairs it to is exactly that prefix;
 //! * a line the owner turns down ends the prefix just like a torn one;
 //! * arbitrary bytes never panic, and never load more than they hold.
 
@@ -83,11 +84,9 @@ fn every_truncation_loads_a_prefix_and_repairs_to_it() {
             "{name}: and is left alone"
         );
 
+        // Every byte: a cut inside a multi-byte character is torn too.
         for cut in 0..fixture.len() {
-            if !fixture.is_char_boundary(cut) {
-                continue; // half a character is a read error, not a torn tail (`durable.rs` pins it)
-            }
-            std::fs::write(&path, &fixture[..cut]).unwrap();
+            std::fs::write(&path, &fixture.as_bytes()[..cut]).unwrap();
             let loaded = load_and_repair(&path);
             // Exactly the lines whose last byte survived: a line cut
             // only of its newline is complete.

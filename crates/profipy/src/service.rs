@@ -12,12 +12,15 @@ use crate::report::CampaignReport;
 use crate::workflow::{Workflow, WorkflowError};
 use faultdsl::FaultModel;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A user session: uploaded target, saved models, past reports.
 #[derive(Default)]
 pub struct Session {
     saved_models: BTreeMap<String, String>,
-    reports: Vec<CampaignReport>,
+    /// Shared, not copied: a report delivered by the campaign engine is
+    /// the same allocation its status board holds.
+    reports: Vec<Arc<CampaignReport>>,
 }
 
 /// The service façade.
@@ -63,7 +66,7 @@ impl ProfipyService {
     }
 
     /// A user's past reports, oldest first (empty for unknown users).
-    pub fn reports(&self, user: &str) -> &[CampaignReport] {
+    pub fn reports(&self, user: &str) -> &[Arc<CampaignReport>] {
         self.sessions
             .get(user)
             .map(|s| s.reports())
@@ -78,7 +81,7 @@ impl ProfipyService {
     /// Fetches a user's **latest** report with the given campaign name
     /// (campaigns may be re-run under the same name; the newest is the
     /// interesting one).
-    pub fn report(&self, user: &str, name: &str) -> Option<&CampaignReport> {
+    pub fn report(&self, user: &str, name: &str) -> Option<&Arc<CampaignReport>> {
         self.reports(user).iter().rev().find(|r| r.name == name)
     }
 }
@@ -122,19 +125,19 @@ impl Session {
     ) -> Result<CampaignReport, WorkflowError> {
         let outcome = workflow.run_campaign(filter, prune_by_coverage)?;
         let report = CampaignReport::from_outcome(name, &outcome, classifier);
-        self.reports.push(report.clone());
+        self.reports.push(Arc::new(report.clone()));
         Ok(report)
     }
 
     /// Past reports, oldest first.
-    pub fn reports(&self) -> &[CampaignReport] {
+    pub fn reports(&self) -> &[Arc<CampaignReport>] {
         &self.reports
     }
 
     /// Records a report produced outside `run_campaign` — e.g. by the
     /// campaign orchestration engine, which executes asynchronously and
     /// pushes the report here on completion.
-    pub fn add_report(&mut self, report: CampaignReport) {
+    pub fn add_report(&mut self, report: Arc<CampaignReport>) {
         self.reports.push(report);
     }
 }
@@ -164,14 +167,14 @@ mod tests {
         assert_eq!(svc.users(), vec!["alice".to_string(), "bob".to_string()]);
     }
 
-    fn dummy_report(name: &str, executed: usize) -> CampaignReport {
-        CampaignReport::from_results(
+    fn dummy_report(name: &str, executed: usize) -> Arc<CampaignReport> {
+        Arc::new(CampaignReport::from_results(
             name,
             executed,
             None,
             &[],
             &FailureClassifier::case_study(),
-        )
+        ))
     }
 
     #[test]

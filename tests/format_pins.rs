@@ -124,11 +124,12 @@ fn queue_job_files() {
     std::fs::write(dir.join("job-000002.json"), JOB_FAILED).unwrap();
     // What a crash between temp-file write and rename leaves behind.
     std::fs::write(dir.join("job-000003.json.tmp"), "{\"id\": \"job-0000").unwrap();
-    let mut queue = JobQueue::open(&dir).unwrap();
+    let mut specs = Vec::new();
+    let mut queue = JobQueue::open_with(&dir, |job| specs.push(job.spec.clone())).unwrap();
     assert_eq!(
-        queue.jobs().count(),
-        2,
-        "the leftover temp file is not a job"
+        specs,
+        [spec(), spec()],
+        "both specs decode; the leftover temp file is not a job"
     );
     // The running job was demoted, which rewrote its file.
     let demoted = queue.get("job-000001").unwrap();
@@ -139,14 +140,30 @@ fn queue_job_files() {
         read(&dir.join("job-000001.json")),
         JOB_RUNNING.replace("\"state\": \"running\"", "\"state\": \"queued\"")
     );
-    let failed = queue.get("job-000002").unwrap();
+    // The failed job is a record without its spec, and final.
+    assert!(queue.get("job-000002").is_none());
+    let failed = queue.finished("job-000002").unwrap();
     assert_eq!(failed.state, JobState::Failed);
     assert_eq!(failed.error.as_deref(), Some("boom: \"quoted\""));
-    std::fs::remove_file(dir.join("job-000002.json")).unwrap();
-    queue.fail("job-000002", "boom: \"quoted\"").unwrap();
-    assert_eq!(read(&dir.join("job-000002.json")), JOB_FAILED);
+    assert_eq!(failed.spec_hash, CONTENT_HASH);
+    assert!(queue.fail("job-000002", "boom: \"quoted\"").is_err());
     // Sequence numbers continue after the recovered jobs.
     assert_eq!(queue.submit(spec()).unwrap(), "job-000003");
+    drop(queue);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // The writer of a failure: the failed fixture as it stood while it
+    // ran, opened, taken and failed, is written back byte for byte.
+    let dir = temp_dir("queue-fail");
+    let running = JOB_FAILED
+        .replace("\"state\": \"failed\"", "\"state\": \"running\"")
+        .replace("\"error\": \"boom: \\\"quoted\\\"\"", "\"error\": null");
+    assert_ne!(running, JOB_FAILED);
+    std::fs::write(dir.join("job-000002.json"), running).unwrap();
+    let mut queue = JobQueue::open(&dir).unwrap();
+    assert_eq!(queue.take_next().unwrap().as_deref(), Some("job-000002"));
+    queue.fail("job-000002", "boom: \"quoted\"").unwrap();
+    assert_eq!(read(&dir.join("job-000002.json")), JOB_FAILED);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -194,6 +211,14 @@ fn checkpoint_file() {
     }
     let second_record = CHECKPOINT.lines().nth(2).unwrap();
     assert_eq!(read(&path), format!("{CHECKPOINT}{second_record}\n"));
+
+    // Torn inside a multi-byte character of program output ("…"): the
+    // log still opens, on the records before it, and repairs to them.
+    let cut = CHECKPOINT.rfind('…').unwrap() + 1;
+    std::fs::write(&path, &CHECKPOINT.as_bytes()[..cut]).unwrap();
+    assert_eq!(CheckpointLog::open(&path, CONTENT_HASH).unwrap().results().len(), 2);
+    let kept: String = CHECKPOINT.lines().take(3).map(|l| format!("{l}\n")).collect();
+    assert_eq!(read(&path), kept);
 
     // Another spec hash discards the log, durably.
     assert!(CheckpointLog::open(&path, 7).unwrap().results().is_empty());

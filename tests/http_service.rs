@@ -503,6 +503,69 @@ fn status_never_waits_for_an_experiment() {
 }
 
 #[test]
+fn reports_never_wait_for_an_experiment() {
+    // A completed campaign's report is read from the engine's board,
+    // like its status: while the broker × off-by-one cell holds a drive
+    // slice (and the service mutex) for a fifth of a second or more,
+    // fetching it must not notice.
+    let mut matrix =
+        scenarios::Matrix::new(scenarios::default_catalog(), scenarios::default_corpus());
+    matrix.sample_per_cell = 0;
+    let hang = matrix
+        .cells()
+        .into_iter()
+        .find(|c| c.target == "broker" && c.model == "off-by-one")
+        .expect("the catalog has the broker × off-by-one cell")
+        .spec;
+    let expected = in_process_report(&mut service(), spec_for("early", 5));
+
+    let api = ApiServer::serve("127.0.0.1:0", service(), ApiConfig::default()).unwrap();
+    let mut client = httpd::Client::new(api.addr().to_string());
+    let early = submit(&mut client, &spec_for("early", 5));
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while client.get(&format!("/api/campaigns/{early}/report")).unwrap().status != 200 {
+        assert!(Instant::now() < deadline, "first campaign never completed");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let id = submit(&mut client, &hang);
+    let mut running_polls = 0u32;
+    let mut running_for = Duration::ZERO;
+    let mut slowest = Duration::ZERO;
+    loop {
+        let status = client.get(&format!("/api/campaigns/{id}")).unwrap();
+        assert_eq!(status.status, 200);
+        let v = jsonlite::parse(&status.text()).unwrap();
+        match v.req("state").unwrap().as_str().unwrap() {
+            "running" => {
+                let t0 = Instant::now();
+                let report = client.get(&format!("/api/campaigns/{early}/report")).unwrap();
+                let took = t0.elapsed();
+                assert_eq!(report.status, 200);
+                assert_eq!(report.text(), expected, "the bytes of an in-process run");
+                running_polls += 1;
+                running_for += took + Duration::from_millis(1);
+                slowest = slowest.max(took);
+            }
+            "completed" => break,
+            "failed" => panic!("hang cell failed: {}", status.text()),
+            _ => {}
+        }
+        assert!(Instant::now() < deadline, "hang cell never completed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(
+        running_for >= Duration::from_millis(100),
+        "the cell was meant to keep a slice busy; it ran {running_for:?} over {running_polls} fetches"
+    );
+    assert!(
+        slowest < Duration::from_millis(20),
+        "a report request waited {slowest:?} while an experiment ran"
+    );
+    api.shutdown();
+}
+
+#[test]
 fn failed_and_cancelled_jobs_publish_their_state() {
     // No drive thread: the test makes every transition itself, through
     // the shared service, and reads each one back over HTTP.
