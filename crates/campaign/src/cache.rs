@@ -8,8 +8,9 @@
 //! * **scan results** — skip the Scan phase entirely (in memory *and*
 //!   on disk as JSON, so even a restarted service never re-scans an
 //!   unchanged target),
-//! * **mutants** — the per-point container source sets, rendered once
-//!   and shared by every campaign and resume that needs them.
+//! * **mutants** — the per-point container source sets, each with its
+//!   prepared override, rendered once and shared by every campaign and
+//!   resume that needs them.
 //!
 //! Hit/miss counters are exposed so callers (and the acceptance tests)
 //! can prove "second campaign on an unchanged target performs zero
@@ -24,9 +25,8 @@
 //! one); jobs already prepared hold their own `Arc`s and lose nothing.
 
 use injector::InjectionPoint;
-use profipy::workflow::PreparedProgram;
+use profipy::workflow::{Mutant, PreparedProgram};
 use pysrc::Module;
-use sandbox::SourceFile;
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -59,24 +59,38 @@ pub struct CacheStats {
 }
 
 /// What the memory tier may weigh before a store evicts. Weight is an
-/// estimate (see [`ENTRY_CHARGE_BYTES`]): a python-etcd-sized key
-/// weighs ≈ 0.5 MiB, so the budget keeps the ≈ 60 most recent ones.
+/// estimate (see [`ENTRY_CHARGE_BYTES`]): a python-etcd key weighs
+/// 0.5 to 4.2 MB with its overrides (campaign A's 12 mutants, B's 53),
+/// so the budget keeps the ≈ 20 most recent ones.
 const CACHE_BUDGET_BYTES: usize = 32 << 20;
 
 /// The flat part of an entry's weight, standing for what the cache is
 /// not handed a length for: parsed modules, prepared program, points,
-/// coverage set. The rest is exact — the rendered mutants' text bytes
-/// — and is the part that grows with the target. Measured against
-/// resident bytes (README "What the service keeps resident"): weight
-/// is 0.64 of them for python-etcd-sized keys and 1.45 for the
-/// scenario matrix's ten-line targets.
+/// coverage set. The rest grows with the target: the rendered mutants'
+/// text bytes (exact) and their overrides (estimated, see
+/// [`OVERRIDE_BYTES_PER_DEF_BYTE`]). Measured against resident bytes
+/// while only text was charged (README "What the service keeps
+/// resident"): weight was 0.64 of them for python-etcd-sized keys and
+/// 1.45 for the scenario matrix's ten-line targets.
 const ENTRY_CHARGE_BYTES: usize = 256 << 10;
+
+/// What a mutant's prepared override is charged per byte of the text of
+/// the `def` it changed: the `def`'s tree and prototypes, its compiled
+/// bytecode once it has run, and a copy of its module's prototype map.
+/// Counted on the heap (the bytes freed by dropping an override that
+/// has run once; seed 17): python-etcd campaigns A / B / C, mean `def`
+/// 364 / 2 182 / 357 B, hold 28.6 / 29.0 / 30.6 bytes per byte (19.4 /
+/// 19.0 / 22.0 before the first call compiles the `def`); the scenario
+/// matrix's broker / kvstore / microsvc, 29.0 / 27.4 / 25.6. A whole
+/// python-etcd key of text and overrides weighs 0.83 of its live heap
+/// bytes.
+const OVERRIDE_BYTES_PER_DEF_BYTE: usize = 30;
 
 struct CacheEntry {
     modules: Option<Arc<Vec<Module>>>,
     points: Option<Arc<Vec<InjectionPoint>>>,
-    /// point id → rendered container sources.
-    mutants: HashMap<u64, Arc<Vec<SourceFile>>>,
+    /// point id → rendered mutant.
+    mutants: HashMap<u64, Mutant>,
     /// Covered point ids from a fault-free coverage run (in-memory
     /// only; coverage is cheap relative to scanning but not free).
     covered: Option<Arc<std::collections::BTreeSet<u64>>>,
@@ -88,7 +102,7 @@ struct CacheEntry {
     /// The cache's tick when this entry was last looked up or stored
     /// into.
     stamp: u64,
-    /// [`ENTRY_CHARGE_BYTES`] plus the mutants' text bytes.
+    /// [`ENTRY_CHARGE_BYTES`] plus each mutant's [`mutant_bytes`].
     weight: usize,
 }
 
@@ -106,8 +120,14 @@ impl CacheEntry {
     }
 }
 
-fn text_bytes(sources: &[SourceFile]) -> usize {
-    sources.iter().map(|f| f.import_name.len() + f.text.len()).sum()
+/// A mutant's weight: its text bytes, and its override's estimate.
+fn mutant_bytes(mutant: &Mutant) -> usize {
+    let text: usize = mutant
+        .sources
+        .iter()
+        .map(|f| f.import_name.len() + f.text.len())
+        .sum();
+    text + mutant.def_bytes * OVERRIDE_BYTES_PER_DEF_BYTE
 }
 
 /// The cache's instruments. Created detached; the engine registers
@@ -315,8 +335,8 @@ impl MutantCache {
         self.store(key, |e| e.covered = Some(covered));
     }
 
-    /// Cached mutant sources for one point.
-    pub fn mutant(&mut self, key: u64, point_id: u64) -> Option<Arc<Vec<SourceFile>>> {
+    /// Cached rendered mutant for one point.
+    pub fn mutant(&mut self, key: u64, point_id: u64) -> Option<Mutant> {
         let hit = self
             .lookup(key)
             .and_then(|e| e.mutants.get(&point_id).cloned());
@@ -328,12 +348,12 @@ impl MutantCache {
         hit
     }
 
-    /// Stores mutant sources for one point.
-    pub fn store_mutant(&mut self, key: u64, point_id: u64, sources: Arc<Vec<SourceFile>>) {
+    /// Stores the rendered mutant for one point.
+    pub fn store_mutant(&mut self, key: u64, point_id: u64, mutant: Mutant) {
         self.store(key, |e| {
-            e.weight += text_bytes(&sources);
-            if let Some(old) = e.mutants.insert(point_id, sources) {
-                e.weight -= text_bytes(&old);
+            e.weight += mutant_bytes(&mutant);
+            if let Some(old) = e.mutants.insert(point_id, mutant) {
+                e.weight -= mutant_bytes(&old);
             }
         });
     }
@@ -464,18 +484,41 @@ mod tests {
     }
 
     /// What the oracle knows of one resident key: when it was last
-    /// used, the text bytes of each mutant stored under it, and
-    /// whether a coverage set was.
+    /// used, the text bytes and the changed `def`'s bytes (0: no
+    /// override) of each mutant stored under it, and whether a
+    /// coverage set was.
     #[derive(Default)]
     struct ModelEntry {
         used: u64,
-        mutants: HashMap<u64, usize>,
+        mutants: HashMap<u64, (usize, usize)>,
         covered: bool,
     }
 
     impl ModelEntry {
         fn weight(&self) -> usize {
-            ENTRY_CHARGE_BYTES + self.mutants.values().sum::<usize>()
+            let mutants: usize = self
+                .mutants
+                .values()
+                .map(|(text, def)| text + def * OVERRIDE_BYTES_PER_DEF_BYTE)
+                .sum();
+            ENTRY_CHARGE_BYTES + mutants
+        }
+    }
+
+    /// A mutant of `text` bytes whose override, if `def` is not 0,
+    /// stands for a `def` of `def` bytes.
+    fn mutant(text: &str, def: usize) -> Mutant {
+        let sources = vec![sandbox::SourceFile {
+            import_name: String::new(),
+            text: text.into(),
+        }];
+        let prepared = (def > 0).then(|| {
+            pyrt::prepare::prepare(Arc::new(pysrc::parse_module(SRC, "m.py").unwrap()))
+        });
+        Mutant {
+            sources: Arc::new(sources),
+            prepared,
+            def_bytes: def,
         }
     }
 
@@ -483,28 +526,37 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
 
         /// Lookups and stores over five keys, budget three flat charges
-        /// and a bit, against a model that recomputes every weight and
-        /// finds each victim by scanning for the oldest use.
+        /// and a bit, of mutants with and without an override, against a
+        /// model that recomputes every weight and finds each victim by
+        /// scanning for the oldest use.
         #[test]
         fn eviction_matches_a_recomputing_oracle(
-            ops in proptest::collection::vec((0u8..7, 0u64..5, 0u64..4, 0usize..3), 1..80)
+            ops in proptest::collection::vec(
+                (0u8..7, 0u64..5, 0u64..4, 0usize..3, 0usize..3),
+                1..80,
+            )
         ) {
             const SIZES: [usize; 3] = [10, 40_000, 5 * ENTRY_CHARGE_BYTES];
+            const DEFS: [usize; 3] = [0, 300, 2_000];
             let budget = 3 * ENTRY_CHARGE_BYTES + 50_000;
             let mut cache = MutantCache::new(None, budget);
             let mut model: HashMap<u64, ModelEntry> = HashMap::new();
             let mut evicted = 0u64;
             let (mut hits, mut misses) = (0u64, 0u64);
             proptest::prop_assert_eq!(cache.metrics().resident_bytes.value(), 0);
-            for (step, (op, key, point, size)) in ops.into_iter().enumerate() {
+            for (step, (op, key, point, size, def)) in ops.into_iter().enumerate() {
                 let now = step as u64 + 1;
                 match op {
                     // Lookups: a hit refreshes the key, a miss makes
                     // nothing.
                     0..=2 => {
                         let got = cache.mutant(key, point);
+                        if let Some(m) = &got {
+                            proptest::prop_assert_eq!(m.prepared.is_some(), m.def_bytes > 0);
+                        }
+                        let got = got.map(|m| (m.sources[0].text.len(), m.def_bytes));
                         let expected = model.get(&key).and_then(|e| e.mutants.get(&point));
-                        proptest::prop_assert_eq!(got.map(|s| s[0].text.len()), expected.copied());
+                        proptest::prop_assert_eq!(got, expected.copied());
                         if expected.is_some() { hits += 1 } else { misses += 1 }
                         if let Some(e) = model.get_mut(&key) {
                             e.used = now;
@@ -524,17 +576,14 @@ mod tests {
                         if op == 4 {
                             cache.store_covered(key, Arc::new(Default::default()));
                         } else {
-                            cache.store_mutant(key, point, Arc::new(vec![SourceFile {
-                                import_name: String::new(),
-                                text: "x".repeat(SIZES[size]),
-                            }]));
+                            cache.store_mutant(key, point, mutant(&"x".repeat(SIZES[size]), DEFS[def]));
                         }
                         let entry = model.entry(key).or_default();
                         entry.used = now;
                         if op == 4 {
                             entry.covered = true;
                         } else {
-                            entry.mutants.insert(point, SIZES[size]);
+                            entry.mutants.insert(point, (SIZES[size], DEFS[def]));
                         }
                         while model.values().map(ModelEntry::weight).sum::<usize>() > budget {
                             let victim = model
@@ -572,16 +621,10 @@ mod tests {
     #[test]
     fn mutants_are_per_point() {
         let mut cache = MutantCache::in_memory();
-        let src = |t: &str| {
-            Arc::new(vec![SourceFile {
-                import_name: "m".into(),
-                text: t.into(),
-            }])
-        };
-        cache.store_mutant(1, 10, src("a"));
-        cache.store_mutant(1, 11, src("b"));
-        assert_eq!(cache.mutant(1, 10).unwrap()[0].text, "a");
-        assert_eq!(cache.mutant(1, 11).unwrap()[0].text, "b");
+        cache.store_mutant(1, 10, mutant("a", 0));
+        cache.store_mutant(1, 11, mutant("b", 0));
+        assert_eq!(cache.mutant(1, 10).unwrap().sources[0].text, "a");
+        assert_eq!(cache.mutant(1, 11).unwrap().sources[0].text, "b");
         assert!(cache.mutant(1, 12).is_none());
         assert!(cache.mutant(2, 10).is_none());
         assert_eq!(cache.stats().mutant_hits, 2);

@@ -47,9 +47,9 @@ use injector::InjectionPoint;
 use profipy::analysis::FailureClassifier;
 use profipy::report::CampaignReport;
 use profipy::workflow::HostFactory;
-use profipy::{ExperimentResult, InjectionPlan, Workflow};
+use profipy::{ExperimentResult, InjectionPlan, Mutant, Workflow};
 use pysrc::Module;
-use sandbox::{ParallelExecutor, SourceFile};
+use sandbox::ParallelExecutor;
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -270,8 +270,9 @@ pub struct CheckedOutCampaign {
     /// The parsed fault-free target modules — required to serialize
     /// injection points portably for the wire.
     pub modules: Arc<Vec<Module>>,
-    /// Experiments still to run: `(point, rendered container sources)`.
-    pub pending: Vec<(InjectionPoint, Arc<Vec<SourceFile>>)>,
+    /// Experiments still to run: `(point, rendered mutant)`. A worker
+    /// is sent the mutant's text only.
+    pub pending: Vec<(InjectionPoint, Mutant)>,
     /// The campaign's checkpoint log; the caller records every remote
     /// result here (durably, completion order).
     pub checkpoint: CheckpointLog,
@@ -737,16 +738,15 @@ impl CampaignEngine {
 
         // Render (or reuse) the mutants for the pending experiments.
         let job = &self.prepared[id];
-        let mut pending: Vec<(InjectionPoint, Arc<Vec<SourceFile>>)> = Vec::new();
+        let mut pending: Vec<(InjectionPoint, Mutant)> = Vec::new();
         for point in &job.plan.entries {
             if done.contains(&point.id) {
                 continue;
             }
-            let sources = match self.cache.mutant(job.key, point.id) {
-                Some(sources) => sources,
-                None => match job.workflow.mutant_sources(point) {
+            let mutant = match self.cache.mutant(job.key, point.id) {
+                Some(mutant) => mutant,
+                None => match job.workflow.render_mutant(point) {
                     Ok(rendered) => {
-                        let rendered = Arc::new(rendered);
                         self.cache.store_mutant(job.key, point.id, rendered.clone());
                         rendered
                     }
@@ -758,7 +758,7 @@ impl CampaignEngine {
                     }
                 },
             };
-            pending.push((point.clone(), sources));
+            pending.push((point.clone(), mutant));
         }
         let prepare_elapsed = prepare_started.elapsed();
         self.metrics
@@ -1204,8 +1204,8 @@ mod tests {
 
     #[test]
     fn an_evicted_revision_is_rebuilt_when_it_returns_and_reports_the_same_bytes() {
-        // Room for one key of nine mutants (≈ 350 KB by weight), not
-        // for two.
+        // Room for one key of nine mutants (≈ 450 KB by weight, their
+        // overrides included), not for two.
         let mut service = with_cache_budget(512 << 10);
         let id = service.submit(revision("first", 0)).unwrap();
         let (reference, _) = run_sliced(&mut service, &id, None);

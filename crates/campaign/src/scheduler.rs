@@ -13,9 +13,9 @@
 
 use crate::checkpoint::CheckpointLog;
 use injector::InjectionPoint;
-use profipy::workflow::Workflow;
+use profipy::workflow::{Mutant, Workflow};
 use profipy::ExperimentResult;
-use sandbox::{ParallelExecutor, SourceFile};
+use sandbox::ParallelExecutor;
 use std::collections::VecDeque;
 use std::io;
 use std::sync::{Arc, Mutex};
@@ -40,8 +40,8 @@ pub struct ExperimentJob {
     pub campaign: usize,
     /// The injection point to exercise.
     pub point: InjectionPoint,
-    /// Pre-rendered container sources (from the mutant cache).
-    pub sources: Arc<Vec<SourceFile>>,
+    /// The rendered mutant (from the mutant cache).
+    pub mutant: Mutant,
     /// The owning campaign's workflow.
     pub workflow: Arc<Workflow>,
 }
@@ -50,8 +50,8 @@ pub struct ExperimentJob {
 pub struct ScheduledCampaign {
     /// The workflow (shared with every job of this campaign).
     pub workflow: Arc<Workflow>,
-    /// Pending experiments: `(point, rendered sources)`.
-    pub pending: Vec<(InjectionPoint, Arc<Vec<SourceFile>>)>,
+    /// Pending experiments: `(point, rendered mutant)`.
+    pub pending: Vec<(InjectionPoint, Mutant)>,
     /// Where completed results are recorded.
     pub checkpoint: CheckpointLog,
 }
@@ -70,14 +70,14 @@ pub fn interleave(campaigns: &mut [ScheduledCampaign], budget: Option<usize>) ->
     'outer: loop {
         let mut emitted_any = false;
         for (campaign, workflow, iter) in &mut iters {
-            if let Some((point, sources)) = iter.next() {
+            if let Some((point, mutant)) = iter.next() {
                 if jobs.len() >= budget {
                     break 'outer;
                 }
                 jobs.push_back(ExperimentJob {
                     campaign: *campaign,
                     point,
-                    sources,
+                    mutant,
                     workflow: workflow.clone(),
                 });
                 emitted_any = true;
@@ -113,9 +113,7 @@ pub fn run_interleaved(
         &stream,
         |job: ExperimentJob| {
             let started = Instant::now();
-            let result = job
-                .workflow
-                .run_experiment_with_sources(&job.point, &job.sources);
+            let result = job.workflow.run_mutant(&job.point, &job.mutant);
             if let Some(t) = telemetry {
                 let elapsed = started.elapsed();
                 t.experiment_seconds.observe_duration(elapsed);
@@ -182,7 +180,14 @@ mod tests {
             workflow: Arc::new(workflow),
             pending: points
                 .iter()
-                .map(|&id| (point(id), Arc::new(Vec::new())))
+                .map(|&id| {
+                    let mutant = Mutant {
+                        sources: Arc::new(Vec::new()),
+                        prepared: None,
+                        def_bytes: 0,
+                    };
+                    (point(id), mutant)
+                })
                 .collect(),
             checkpoint: CheckpointLog::in_memory(0),
         }

@@ -274,8 +274,8 @@ fn checkout_checkin_reports_match_drive_byte_for_byte() {
         .unwrap();
     let mut jobs = std::mem::take(&mut checkout.pending);
     jobs.reverse(); // completion order must not matter
-    for (point, sources) in &jobs {
-        let result = workflow.run_experiment_with_sources(point, sources);
+    for (point, mutant) in &jobs {
+        let result = workflow.run_experiment_with_sources(point, &mutant.sources);
         checkout.checkpoint.record(&result).unwrap();
     }
     let completed = engine.checkin(checkout).unwrap();
@@ -291,10 +291,10 @@ fn checkout_checkin_reports_match_drive_byte_for_byte() {
     let mut first = partial.checkout_next().unwrap().unwrap();
     let pending = std::mem::take(&mut first.pending);
     let (head, tail) = pending.split_at(2);
-    for (point, sources) in head {
+    for (point, mutant) in head {
         first
             .checkpoint
-            .record(&workflow.run_experiment_with_sources(point, sources))
+            .record(&workflow.run_experiment_with_sources(point, &mutant.sources))
             .unwrap();
     }
     assert!(!partial.checkin(first).unwrap(), "incomplete → requeued");
@@ -305,10 +305,10 @@ fn checkout_checkin_reports_match_drive_byte_for_byte() {
         tail.len(),
         "resume skips checkpointed experiments"
     );
-    for (point, sources) in std::mem::take(&mut second.pending) {
+    for (point, mutant) in std::mem::take(&mut second.pending) {
         second
             .checkpoint
-            .record(&workflow.run_experiment_with_sources(&point, &sources))
+            .record(&workflow.run_experiment_with_sources(&point, &mutant.sources))
             .unwrap();
     }
     assert!(partial.checkin(second).unwrap());

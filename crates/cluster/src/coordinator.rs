@@ -708,8 +708,12 @@ impl Coordinator {
                 return Ok(false); // queue drained
             };
             let id = checkout.id.clone();
-            let pending: VecDeque<_> =
-                std::mem::take(&mut checkout.pending).into_iter().collect();
+            // Workers are sent text: the mutants' overrides stay in the
+            // engine's cache.
+            let pending: VecDeque<_> = std::mem::take(&mut checkout.pending)
+                .into_iter()
+                .map(|(point, mutant)| (point, mutant.sources))
+                .collect();
             let done = checkout.checkpoint.completed_ids();
             self.lock().active.insert(
                 id,

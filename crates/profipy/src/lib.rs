@@ -45,4 +45,4 @@ pub mod workflow;
 pub use plan::{InjectionPlan, PlanFilter};
 pub use report::CampaignReport;
 pub use result::ExperimentResult;
-pub use workflow::{HostFactory, Workflow, WorkflowConfig};
+pub use workflow::{HostFactory, Mutant, Workflow, WorkflowConfig};

@@ -75,11 +75,23 @@ pub struct Workflow {
     /// module with the `import profipy_rt` its mutants bring in front:
     /// what those mutants are overrides of. Built with the first.
     import_bases: Vec<std::sync::OnceLock<Arc<PreparedModule>>>,
-    /// The mutants rendered here and not yet run, by point id, each
-    /// prepared as its base plus the one `def` it changed and stamped
-    /// with the hash of the text rendered with it. Running a point
-    /// takes its entry out; what is never run goes with the workflow.
-    overrides: std::sync::Mutex<std::collections::HashMap<u64, Arc<PreparedModule>>>,
+}
+
+/// One rendered mutant: what an experiment deploys, from render to
+/// deploy in one value ([`Workflow::render_mutant`],
+/// [`Workflow::run_mutant`]).
+#[derive(Clone, Debug)]
+pub struct Mutant {
+    /// Every target module's text, the mutated one included.
+    pub sources: Arc<Vec<sandbox::SourceFile>>,
+    /// The mutated module prepared as its fault-free base plus the one
+    /// `def` the mutant changed, stamped with the hash of the text
+    /// rendered with it. `None` for a window under no `def`: the deploy
+    /// parses that text.
+    pub prepared: Option<Arc<PreparedModule>>,
+    /// Bytes of the changed `def`'s text (0 without an override) — what
+    /// the override's size is estimated from.
+    pub def_bytes: usize,
 }
 
 /// The prepared-program artifact of one campaign: every fault-free
@@ -123,29 +135,15 @@ impl Workflow {
         host_factory: HostFactory,
         config: WorkflowConfig,
     ) -> Result<Workflow, WorkflowError> {
-        let mut modules = Vec::with_capacity(sources.len());
-        for (name, text) in &sources {
-            let module = pysrc::parse_module(text, name).map_err(|e| WorkflowError {
-                message: format!("target source {name}: {e}"),
-            })?;
-            modules.push(module);
-        }
-        let specs = model.compile().map_err(|e| WorkflowError {
-            message: e.message,
-        })?;
-        Ok(Workflow {
-            import_bases: modules.iter().map(|_| Default::default()).collect(),
-            sources,
-            modules,
-            workload,
-            specs,
-            model,
-            host_factory,
-            config,
-            prepared: std::sync::OnceLock::new(),
-            module_texts: std::sync::OnceLock::new(),
-            overrides: Default::default(),
-        })
+        let modules = sources
+            .iter()
+            .map(|(name, text)| {
+                pysrc::parse_module(text, name).map_err(|e| WorkflowError {
+                    message: format!("target source {name}: {e}"),
+                })
+            })
+            .collect::<Result<_, _>>()?;
+        Workflow::from_modules(sources, modules, workload, model, host_factory, config)
     }
 
     /// Builds a workflow from **already-parsed** modules, skipping the
@@ -192,7 +190,6 @@ impl Workflow {
             config,
             prepared: std::sync::OnceLock::new(),
             module_texts: std::sync::OnceLock::new(),
-            overrides: Default::default(),
         })
     }
 
@@ -203,21 +200,11 @@ impl Workflow {
     /// preempts this entirely.
     pub fn prepared_program(&self) -> &PreparedProgram {
         self.prepared.get_or_init(|| PreparedProgram {
-            modules: self
-                .modules
-                .iter()
-                .map(|m| {
-                    // Stamp with the source text's hash so the sandbox
-                    // can verify the artifact matches the file it is
-                    // substituted for. Both constructors guarantee the
-                    // module list lines up with `sources` 1:1.
-                    let (_, text) = self
-                        .sources
-                        .iter()
-                        .find(|(n, _)| n == &m.name)
-                        .expect("constructors align modules with sources");
-                    pyrt::prepare::prepare_hashed(Arc::new(m.clone()), text)
-                })
+            // Stamped with the source text's hash so the sandbox can
+            // verify the artifact matches the file it is substituted
+            // for (the constructors line `modules` up with `sources`).
+            modules: (self.modules.iter().zip(&self.sources))
+                .map(|(m, (_, text))| pyrt::prepare::prepare_hashed(Arc::new(m.clone()), text))
                 .collect(),
             workload: pysrc::parse_module(&self.workload, "workload")
                 .ok()
@@ -244,16 +231,18 @@ impl Workflow {
     }
 
     /// Prepared modules to attach to an experiment image: every
-    /// fault-free module plus the workload. The sandbox substitutes an
-    /// artifact only for a source whose text hashes to the artifact's
-    /// stamp, so the one for the module this experiment mutated is
-    /// simply not used — no text is compared here.
-    fn attached_prepared(&self) -> Vec<Arc<PreparedModule>> {
+    /// fault-free module, the workload and the mutant's override, if it
+    /// has one. The sandbox substitutes an artifact only for a source
+    /// whose text hashes to the artifact's stamp, so the one for the
+    /// module this experiment mutated is simply not used — no text is
+    /// compared here.
+    fn attached_prepared(&self, mutant: Option<&Arc<PreparedModule>>) -> Vec<Arc<PreparedModule>> {
         let program = self.prepared_program();
         program
             .modules
             .iter()
             .chain(&program.workload)
+            .chain(mutant)
             .cloned()
             .collect()
     }
@@ -299,21 +288,27 @@ impl Workflow {
             .round_timeout(self.config.round_timeout)
             .fuel(self.config.fuel_per_round);
         image.setup = self.config.setup.clone();
-        for module in &self.modules {
-            let instrumented = mutator.instrument_coverage(module, points);
-            image.sources.push(sandbox::SourceFile {
-                import_name: module.name.clone(),
-                text: pysrc::unparse::unparse_module(&instrumented),
-            });
-        }
         // Instrumented sources differ from the originals, but the
         // workload is still the campaign's shared prepared module —
-        // unless the workload itself is a target source (then its
-        // instrumented text must execute, probes and all).
-        if !image.sources.iter().any(|s| s.import_name == "workload") {
-            if let Some(pm) = &self.prepared_program().workload {
-                image.prepared.push(pm.clone());
+        // unless the workload itself is a target source, whose
+        // instrumented text is attached below.
+        image.prepared = self.attached_prepared(None);
+        for module in &self.modules {
+            let instrumented = mutator.instrument_coverage(module, points);
+            let text = pysrc::unparse::unparse_module(&instrumented);
+            // Parsed here and attached, not left to the deploy: each
+            // instrumented text runs once (the covered set is cached),
+            // so the process-wide cache would only keep it resident. A
+            // text that does not parse is left for the deploy to report.
+            if let Ok(parsed) = pysrc::parse_module(&text, &module.name) {
+                image
+                    .prepared
+                    .push(pyrt::prepare::prepare_hashed(Arc::new(parsed), &text));
             }
+            image.sources.push(sandbox::SourceFile {
+                import_name: module.name.clone(),
+                text,
+            });
         }
         let host = (self.host_factory)(self.config.seed);
         let mut container = Container::deploy(&image, host, self.config.seed).map_err(|e| {
@@ -345,10 +340,9 @@ impl Workflow {
             .run(entries.len(), |i| self.run_experiment(&entries[i]))
     }
 
-    /// **Mutation step** of one experiment: the complete per-container
-    /// source set (the mutated module plus fault-free originals). This
-    /// is pure with respect to the point, so the cross-campaign cache
-    /// memoizes it — a resumed or repeated campaign skips re-mutation.
+    /// The container sources of [`Workflow::render_mutant`], without
+    /// the override: text, as a fleet worker or a library caller gets
+    /// it.
     ///
     /// # Errors
     ///
@@ -357,6 +351,20 @@ impl Workflow {
         &self,
         point: &InjectionPoint,
     ) -> Result<Vec<sandbox::SourceFile>, WorkflowError> {
+        self.render_mutant(point).map(|mutant| Arc::unwrap_or_clone(mutant.sources))
+    }
+
+    /// **Mutation step** of one experiment: the complete per-container
+    /// source set (the mutated module plus fault-free originals) and,
+    /// when the window lies under a `def`, the mutated module prepared
+    /// as an override. This is pure with respect to the point, so the
+    /// cross-campaign cache memoizes it — a resumed or repeated campaign
+    /// skips re-mutation, and re-parses nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`WorkflowError`] for an unknown spec or a mutation failure.
+    pub fn render_mutant(&self, point: &InjectionPoint) -> Result<Mutant, WorkflowError> {
         let spec = self
             .specs
             .iter()
@@ -369,36 +377,33 @@ impl Workflow {
             .module_texts
             .get_or_init(|| self.modules.iter().map(ModuleText::of).collect());
         let mut out = Vec::with_capacity(self.modules.len());
-        for (at, (module, fault_free)) in self.modules.iter().zip(texts).enumerate() {
+        let (mut prepared, mut def_bytes) = (None, 0);
+        let modules = self.modules.iter().zip(texts).zip(&self.sources);
+        for (at, ((module, fault_free), (_, source))) in modules.enumerate() {
             let text = if module.name == point.module {
                 let rendered = mutator
                     .render(module, fault_free, spec, point)
                     .map_err(|e| WorkflowError {
                         message: e.to_string(),
                     })?;
-                if let Some(pm) = rendered
-                    .def
-                    .and_then(|def| self.override_of(at, &def, &rendered.text))
-                {
-                    self.overrides
-                        .lock()
-                        .expect("overrides lock")
-                        .insert(point.id, pm);
+                if let Some(def) = &rendered.def {
+                    prepared = self.override_of(at, def, &rendered.text);
+                    def_bytes = prepared.as_ref().map_or(0, |_| def.text.len());
                 }
                 rendered.text
             } else {
-                self.sources
-                    .iter()
-                    .find(|(n, _)| n == &module.name)
-                    .map(|(_, t)| t.clone())
-                    .unwrap_or_default()
+                source.clone()
             };
             out.push(sandbox::SourceFile {
                 import_name: module.name.clone(),
                 text,
             });
         }
-        Ok(out)
+        Ok(Mutant {
+            sources: Arc::new(out),
+            prepared,
+            def_bytes,
+        })
     }
 
     /// Module `at`'s mutant `text` prepared as an override: `def`, which
@@ -438,8 +443,8 @@ impl Workflow {
     /// Runs a single experiment: mutate → deploy → round 1 (fault on) →
     /// round 2 (fault off) → teardown.
     pub fn run_experiment(&self, point: &InjectionPoint) -> ExperimentResult {
-        match self.mutant_sources(point) {
-            Ok(sources) => self.run_experiment_with_sources(point, &sources),
+        match self.render_mutant(point) {
+            Ok(mutant) => self.run_mutant(point, &mutant),
             Err(e) => {
                 let mut result = Self::empty_result(point);
                 result.deploy_error = Some(e.message);
@@ -448,13 +453,33 @@ impl Workflow {
         }
     }
 
-    /// **Execution step** of one experiment on pre-rendered container
-    /// sources (from [`Workflow::mutant_sources`] or the mutant cache):
-    /// deploy → round 1 (fault on) → round 2 (fault off) → teardown.
+    /// **Execution step** of one experiment on a rendered mutant (from
+    /// [`Workflow::render_mutant`] or the mutant cache): its override,
+    /// if it has one, is attached to the image beside the fault-free
+    /// modules, so its deploy parses nothing.
+    pub fn run_mutant(&self, point: &InjectionPoint, mutant: &Mutant) -> ExperimentResult {
+        self.run_on(point, &mutant.sources, mutant.prepared.as_ref())
+    }
+
+    /// **Execution step** of one experiment on container sources from
+    /// anywhere (a fleet lease, a library caller): the mutated module's
+    /// text is parsed by its deploy, or found in `sandbox`'s
+    /// process-wide cache.
     pub fn run_experiment_with_sources(
         &self,
         point: &InjectionPoint,
         sources: &[sandbox::SourceFile],
+    ) -> ExperimentResult {
+        self.run_on(point, sources, None)
+    }
+
+    /// Deploy → round 1 (fault on) → round 2 (fault off) → teardown,
+    /// with `mutant` attached to the image.
+    fn run_on(
+        &self,
+        point: &InjectionPoint,
+        sources: &[sandbox::SourceFile],
+        mutant: Option<&Arc<PreparedModule>>,
     ) -> ExperimentResult {
         let seed = self
             .config
@@ -468,20 +493,7 @@ impl Workflow {
             .fuel(self.config.fuel_per_round);
         image.setup = self.config.setup.clone();
         image.sources = sources.to_vec();
-        image.prepared = self.attached_prepared();
-        // A mutant rendered by this workflow was prepared then; entered
-        // now, not then, because a campaign renders more mutants before
-        // it runs the first than the cache holds. The deploy looks the
-        // text it is given up by hash, so other text than was rendered
-        // with the override does not find it.
-        let rendered_here = self
-            .overrides
-            .lock()
-            .expect("overrides lock")
-            .remove(&point.id);
-        if let Some(pm) = rendered_here {
-            sandbox::seed_prepare_cache(pm);
-        }
+        image.prepared = self.attached_prepared(mutant);
         let host = (self.host_factory)(seed);
         let mut container = match Container::deploy(&image, host, seed) {
             Ok(c) => c,
@@ -619,31 +631,29 @@ mod tests {
     }
 
     #[test]
-    fn a_rendered_mutant_never_run_goes_with_its_workflow() {
-        // A coordinator renders every mutant and runs none. Each
-        // override shares the AST of the module it overrides — here the
-        // one with the mutants' import in front — so that AST's owners
-        // count the overrides alive.
+    fn a_rendered_mutant_is_the_one_owner_of_its_override() {
+        // Each override shares the AST of the module it overrides — here
+        // the one with the mutants' import in front — so that AST's
+        // owners count the overrides alive.
         let wf = tiny_workflow();
         let points = wf.scan();
-        let sources = wf.mutant_sources(&points[0]).expect("mutates");
-        let with_import = wf.import_bases[0].get().expect("built with the first");
-        let ast = with_import.module.clone();
+        let mutants: Vec<Mutant> = points
+            .iter()
+            .map(|point| wf.render_mutant(point).expect("mutates"))
+            .collect();
+        let ast = wf.import_bases[0].get().expect("built with the first").module.clone();
         let owners = Arc::strong_count(&ast);
-        for point in &points[1..] {
-            wf.mutant_sources(point).expect("mutates");
+        for (point, mutant) in points.iter().zip(&mutants) {
+            let text = &mutant.sources[0].text;
+            assert_eq!(&wf.mutant_sources(point).expect("mutates")[0].text, text);
+            let pm = mutant.prepared.as_ref().expect("every window lies under a def");
+            assert_eq!(pm.source_hash, Some(pyrt::prepare::source_hash64(text)));
+            assert!(mutant.def_bytes > 0 && mutant.def_bytes < text.len());
+            assert!(wf.run_mutant(point, mutant).round1.status.is_ok());
         }
-        assert_eq!(Arc::strong_count(&ast), owners + 2, "one override a point");
-        // Running a point takes its override out of the workflow (and
-        // into the sandbox's cache, which this test does not own).
-        wf.run_experiment_with_sources(&points[0], &sources);
-        assert_eq!(wf.overrides.lock().unwrap().len(), 2);
-        let weak = Arc::downgrade(&wf.overrides.lock().unwrap()[&points[1].id]);
-        drop(wf);
-        assert!(
-            weak.upgrade().is_none(),
-            "nothing else held the unrun override"
-        );
+        assert_eq!(Arc::strong_count(&ast), owners, "a run keeps no override");
+        drop(mutants);
+        assert_eq!(Arc::strong_count(&ast), owners - 3, "one override a mutant");
     }
 
     #[test]

@@ -22,9 +22,10 @@ pub struct ContainerImage {
     /// matched on `(module name, source hash)`: a source is registered
     /// from here, without re-parsing or re-resolving, only when one of
     /// these carries its name and is stamped with the hash of its text.
-    /// The campaign layer attaches the fault-free modules and the
-    /// workload (`"workload"`); the one whose module an experiment
-    /// mutated matches no text and goes unused.
+    /// The workflow attaches the fault-free modules, the workload
+    /// (`"workload"`) and a rendered mutant's override; the fault-free
+    /// one of the module an experiment mutated matches no text and goes
+    /// unused.
     pub prepared: Vec<std::sync::Arc<pyrt::PreparedModule>>,
     /// The workload module. Its top level initializes the client; it
     /// must define `run(round)` which exercises the target and raises

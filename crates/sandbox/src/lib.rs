@@ -23,8 +23,8 @@ pub mod executor;
 pub mod image;
 
 pub use container::{
-    heap_metrics, prepare_cache_metrics, seed_prepare_cache, Container, ContainerOutput,
-    DeployError, HeapMetrics, PrepareCacheMetrics, RoundOutcome, RoundStatus,
+    heap_metrics, prepare_cache_metrics, Container, ContainerOutput, DeployError, HeapMetrics,
+    PrepareCacheMetrics, RoundOutcome, RoundStatus,
 };
 pub use executor::ParallelExecutor;
 pub use image::{ContainerImage, SourceFile};

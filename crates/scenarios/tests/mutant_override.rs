@@ -1,22 +1,25 @@
 //! A mutant prepared as its fault-free module plus the one `def` it
 //! changed runs exactly as the same mutant parsed from its text.
 //!
-//! `Workflow::mutant_sources` prepares the override while it renders
-//! the text; `run_experiment_with_sources` enters it into `sandbox`'s
-//! prepare cache so the deploy of that text hits. Append a comment to
-//! the text and its hash finds nothing: the deploy parses, which is the
-//! path text from anywhere else takes, and the reference here. Over
-//! every scanned point of every matrix cell in both mutation modes, and
-//! every planned point of the paper's three campaigns, under both
-//! engines, the two results must agree down to the bits of the virtual
-//! clock — and the cache's counters must say each run took the path it
-//! was meant to.
+//! `Workflow::render_mutant` prepares the override while it renders the
+//! text, and `run_mutant` attaches it to the image, where the deploy of
+//! that text finds it beside the fault-free modules. Append a comment to
+//! the text and hand it to `run_experiment_with_sources`: no artifact
+//! matches, so the deploy parses it through `sandbox`'s process-wide
+//! prepare cache, which is the path text from anywhere else takes, and
+//! the reference here. Over every scanned point of every matrix cell in
+//! both mutation modes, and every planned point of the paper's three
+//! campaigns, under both engines, the two results must agree down to the
+//! bits of the virtual clock — and the process-wide cache's counters
+//! must say each run took the path it was meant to.
 
 mod common;
 
-use campaign::results_equivalent;
+use campaign::{
+    report_to_value, results_equivalent, CampaignService, CampaignSpec, EngineConfig, HostRegistry,
+};
 use injector::{InjectionPoint, ModuleText, MutationMode, Mutator};
-use profipy::workflow::{HostFactory, Workflow, WorkflowConfig};
+use profipy::workflow::{HostFactory, Workflow};
 use pyrt::Engine;
 use scenarios::{default_catalog, default_corpus, Matrix};
 use std::rc::Rc;
@@ -38,27 +41,27 @@ fn host(name: &str) -> HostFactory {
     }
 }
 
-/// `(seeded, hits, misses)` of the process-wide prepare cache.
-fn cache_counts() -> [u64; 3] {
+/// `(hits, misses)` of the process-wide prepare cache.
+fn cache_counts() -> [u64; 2] {
     let m = sandbox::prepare_cache_metrics();
-    [m.seeded.value(), m.hits.value(), m.misses.value()]
+    [m.hits.value(), m.misses.value()]
 }
 
-fn grown(before: [u64; 3], after: [u64; 3]) -> [u64; 3] {
-    [0, 1, 2].map(|i| after[i] - before[i])
+fn grown(before: [u64; 2], after: [u64; 2]) -> [u64; 2] {
+    [0, 1].map(|i| after[i] - before[i])
 }
 
-/// Runs `point` on the sources rendered for it, then on the same
-/// sources with a comment after the mutated module, and holds the two
-/// results equal. Returns whether the first run was an override's.
-/// `what` has to be unique among the calls of a process, or the
-/// commented text is found in the cache.
+/// Runs `point` as the mutant rendered for it, then on the same sources
+/// with a comment after the mutated module, and holds the two results
+/// equal. Returns whether the first run was an override's. `what` has
+/// to be unique among the calls of a process, or the commented text is
+/// found in the cache.
 fn both_paths_agree(workflow: &Workflow, point: &InjectionPoint, what: &str) -> bool {
-    let sources = workflow.mutant_sources(point).expect("renders");
+    let mutant = workflow.render_mutant(point).expect("renders");
     let start = cache_counts();
-    let rendered_here = workflow.run_experiment_with_sources(point, &sources);
+    let rendered_here = workflow.run_mutant(point, &mutant);
     let between = cache_counts();
-    let mut commented = sources.clone();
+    let mut commented = mutant.sources.to_vec();
     commented
         .iter_mut()
         .find(|s| s.import_name == point.module)
@@ -75,21 +78,23 @@ fn both_paths_agree(workflow: &Workflow, point: &InjectionPoint, what: &str) -> 
         "{what} point {}: the override and the text disagree\n{rendered_here:?}\n{from_text:?}",
         point.id
     );
-    // Every other source is attached to the image: one probe a run.
-    let [seeded, hits, misses] = grown(start, between);
-    assert_eq!(hits + misses, 1, "{what} point {}", point.id);
-    assert!(
-        seeded <= hits,
-        "{what} point {}: a seeded deploy hits",
+    // Every other source is attached to the image, and so is an
+    // override: only a window under no `def` has its text looked up.
+    let overridden = mutant.prepared.is_some();
+    let [hits, misses] = grown(start, between);
+    assert_eq!(
+        hits + misses,
+        u64::from(!overridden),
+        "{what} point {}",
         point.id
     );
     assert_eq!(
         grown(between, end),
-        [0, 0, 1],
+        [0, 1],
         "{what} point {}: handed other text, the deploy parses it",
         point.id
     );
-    seeded == 1
+    overridden
 }
 
 #[test]
@@ -145,6 +150,24 @@ fn every_case_study_experiment_runs_the_same_overridden_as_parsed() {
                     point.id
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn a_coverage_run_leaves_the_process_wide_cache_alone() {
+    use profipy::case_study::{campaign_a, campaign_b, campaign_c};
+    let _turn = my_turn();
+    for campaign in [campaign_a(), campaign_b(), campaign_c()] {
+        let workflow = &campaign.workflow;
+        let points = workflow.scan();
+        // Twice: each instrumented module is parsed by the run that
+        // instruments it, attached to its image, and gone with it.
+        for _ in 0..2 {
+            let start = cache_counts();
+            let covered = workflow.coverage_run(&points).expect("covers");
+            assert!(!covered.is_empty(), "{}", campaign.name);
+            assert_eq!(grown(start, cache_counts()), [0, 0], "{}", campaign.name);
         }
     }
 }
@@ -258,8 +281,8 @@ fn the_def_handed_over_is_the_one_in_the_mutants_text() {
 fn a_campaign_larger_than_the_prepare_cache_keeps_its_overrides() {
     let _turn = my_turn();
     pyrt::set_default_engine(Engine::Bytecode);
-    // More injection points than the cache has entries (512), each in
-    // a def of its own.
+    // More injection points than the process-wide cache has entries
+    // (512), each in a def of its own.
     let source: String = std::iter::once("def ping(c, i):\n    return c\n".to_string())
         .chain((0..600).map(|i| format!("def f{i}(c):\n    ping(c, {i})\n    return {i}\n")))
         .collect();
@@ -272,38 +295,32 @@ fn a_campaign_larger_than_the_prepare_cache_keeps_its_overrides() {
             dsl: "change {\n    $CALL{name=ping}(...)\n} into {\n    pass\n}".into(),
         }],
     };
-    let workflow = Workflow::new(
+    let spec = CampaignSpec::new(
+        "alice",
+        "wide",
+        "noop",
         vec![("lib".into(), source)],
         "import lib\ndef run(round):\n    assert lib.f7(round) == 7\n".into(),
         model,
-        host("noop"),
-        WorkflowConfig::default(),
-    )
-    .expect("builds");
-    let points = workflow.scan();
-    assert_eq!(points.len(), 600);
-    // As `CampaignEngine::prepare` does: every mutant rendered before
-    // the first one runs.
-    let rendered: Vec<_> = points
-        .iter()
-        .map(|p| workflow.mutant_sources(p).expect("renders"))
-        .collect();
-    let start = cache_counts();
-    for (point, sources) in points.iter().zip(&rendered) {
-        let result = workflow.run_experiment_with_sources(point, sources);
-        assert!(result.round1.status.is_ok(), "{:?}", result.round1.status);
-    }
-    assert_eq!(
-        grown(start, cache_counts()),
-        [600, 600, 0],
-        "each mutant is entered when it runs, so the cache emptying itself on the way loses none"
     );
-    // Run again they are text like any other: what the cache still
-    // holds hits, the rest is parsed.
-    let start = cache_counts();
-    for (point, sources) in points.iter().zip(&rendered).take(8) {
-        workflow.run_experiment_with_sources(point, sources);
-    }
-    let [seeded, hits, misses] = grown(start, cache_counts());
-    assert_eq!((seeded, hits + misses), (0, 8));
+    let mut service =
+        CampaignService::new(EngineConfig::default(), HostRegistry::with_noop()).expect("engine");
+    let mut run = || {
+        let start = cache_counts();
+        let id = service.submit(spec.clone()).expect("submits");
+        service.drive(None).expect("drives");
+        let report = service.engine().report(&id).expect("completed");
+        assert_eq!((report.executed, report.failures), (600, 0));
+        (report_to_value(&report).pretty(), grown(start, cache_counts()))
+    };
+    // Every mutant is rendered with its override and runs as it.
+    let (first, moved) = run();
+    assert_eq!(moved, [0, 0], "a never-seen campaign parses nothing");
+    // The repeat renders nothing: it attaches the overrides the mutant
+    // cache kept, all 600 of them.
+    let (again, moved) = run();
+    assert_eq!(moved, [0, 0], "the repeat parses nothing and looks nothing up");
+    assert_eq!(again, first);
+    let stats = service.engine().cache_stats();
+    assert_eq!((stats.mutant_misses, stats.mutant_hits), (600, 600));
 }

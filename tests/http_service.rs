@@ -228,6 +228,7 @@ fn metrics_are_valid_prometheus_exposition() {
     let api = ApiServer::serve("127.0.0.1:0", service(), ApiConfig::default()).unwrap();
     let addr = api.addr().to_string();
     let mut client = httpd::Client::new(&addr);
+    let before = client.get("/metrics").unwrap().text();
     let resp = client
         .post_json("/api/campaigns", &spec_for("conform", 3).to_json())
         .unwrap();
@@ -336,17 +337,19 @@ fn metrics_are_valid_prometheus_exposition() {
         in_process_report(&mut service(), spec_for("conform", 3))
     );
 
-    // "Were these deploys cold?" is read off the prepare cache's
-    // counters (process-wide, so other tests only ever add to them).
-    // Each mutant the campaign above deployed was found in the cache:
-    // entered by the workflow that rendered it (seeded: prepared as the
-    // fault-free module plus the `def` it changed) or, had its window
-    // lain under no `def`, parsed by an earlier deploy of the same text
-    // (a miss, this campaign's or not). The same campaign again renders
-    // nothing and deploys the same texts.
-    const HITS: &str = "sandbox_prepare_cache_hits_total";
-    const MISSES: &str = "sandbox_prepare_cache_misses_total";
-    const SEEDED: &str = "sandbox_prepare_cache_seeded_total";
+    // "Did these deploys parse anything?" is read off the process-wide
+    // prepare cache's counters, which only text from elsewhere moves.
+    // Every window of this target lies under a `def`: each mutant ran
+    // as the override rendered with it, attached to its image, and the
+    // same campaign again runs the same overrides from the mutant
+    // cache. No other test here deploys text it did not render, so the
+    // two campaigns move neither counter.
+    let lookups = |metrics: &str| {
+        [
+            counter(metrics, "sandbox_prepare_cache_hits_total"),
+            counter(metrics, "sandbox_prepare_cache_misses_total"),
+        ]
+    };
     let status = client.get(&format!("/api/campaigns/{id}")).unwrap().text();
     let experiments = jsonlite::parse(&status)
         .unwrap()
@@ -355,15 +358,8 @@ fn metrics_are_valid_prometheus_exposition() {
         .as_u64()
         .expect("a completed campaign knows its plan");
     assert!(experiments > 0);
-    assert!(
-        counter(&metrics, SEEDED) + counter(&metrics, MISSES) >= experiments,
-        "every mutant was new: {metrics}"
-    );
-    let hits_before = counter(&metrics, HITS);
-    assert!(
-        hits_before >= experiments,
-        "and was prepared before its deploy: {metrics}"
-    );
+    let lookups_before = lookups(&before);
+    assert_eq!(lookups(&metrics), lookups_before, "a new campaign: {metrics}");
     // Interpreter-heap totals, folded in when a container is torn down
     // (process-wide as well): every container's VM installs its
     // builtins as natives and the builtin exception hierarchy as
@@ -407,10 +403,7 @@ fn metrics_are_valid_prometheus_exposition() {
     }
     let metrics = client.get("/metrics").unwrap().text();
     obs::validate_exposition(&metrics).expect("still a valid exposition");
-    assert!(
-        counter(&metrics, HITS) >= hits_before + experiments,
-        "the repeated campaign's mutants were warm: {metrics}"
-    );
+    assert_eq!(lookups(&metrics), lookups_before, "the same again: {metrics}");
     for (series, before) in HEAP.iter().zip(heap_before) {
         assert!(
             sample(&metrics, series) >= before + experiments,

@@ -1,10 +1,13 @@
-//! "Were these deploys cold?" answered exactly, from `/metrics` alone.
+//! "Did these deploys parse anything?" answered exactly, from
+//! `/metrics` alone.
 //!
-//! The prepare cache's counters are the process's, so
-//! `http_service.rs`, whose tests share one, can only bound them from
-//! below. This binary is one test and one server: a never-seen campaign
-//! seeds and hits once per experiment and parses nothing, the same
-//! campaign again only hits.
+//! `sandbox`'s process-wide prepare cache serves only text that came
+//! from elsewhere (a fleet lease, a library caller, a window under no
+//! `def`); a campaign the service renders itself carries each mutant's
+//! override from render to deploy, and its coverage run attaches the
+//! modules it instruments. This binary is one test and one server: a
+//! never-seen campaign moves neither of the cache's counters, and
+//! neither does the same campaign again.
 
 use campaign::{ApiConfig, ApiServer, CampaignService, CampaignSpec, EngineConfig, HostRegistry};
 use std::time::{Duration, Instant};
@@ -61,11 +64,11 @@ fn run_campaign(client: &mut httpd::Client, user: &str) -> u64 {
         .unwrap()
 }
 
-/// `[seeded, hits, misses]` as `/metrics` shows them.
-fn counters(client: &mut httpd::Client) -> [u64; 3] {
+/// `[hits, misses]` as `/metrics` shows them.
+fn counters(client: &mut httpd::Client) -> [u64; 2] {
     let metrics = client.get("/metrics").unwrap().text();
     obs::validate_exposition(&metrics).expect("a valid exposition");
-    ["seeded", "hits", "misses"].map(|which| {
+    ["hits", "misses"].map(|which| {
         let name = format!("sandbox_prepare_cache_{which}_total");
         assert!(
             metrics.contains(&format!("# TYPE {name} counter")),
@@ -81,23 +84,23 @@ fn counters(client: &mut httpd::Client) -> [u64; 3] {
 }
 
 #[test]
-fn a_new_campaign_seeds_and_hits_and_the_same_again_only_hits() {
+fn a_new_campaign_parses_nothing_and_neither_does_the_same_again() {
     let service = CampaignService::new(EngineConfig::default(), HostRegistry::with_noop()).unwrap();
     let api = ApiServer::serve("127.0.0.1:0", service, ApiConfig::default()).unwrap();
     let mut client = httpd::Client::new(api.addr().to_string());
-    assert_eq!(counters(&mut client), [0, 0, 0]);
+    assert_eq!(counters(&mut client), [0, 0]);
 
     // Every window of this target lies under a `def`: each mutant is
-    // prepared as an override when it is rendered, entered when it
-    // runs, and found by its deploy.
+    // prepared as an override when it is rendered and attached to the
+    // image it runs in, so no deploy looks its text up.
     let experiments = run_campaign(&mut client, "first");
     assert!(experiments > 0);
-    assert_eq!(counters(&mut client), [experiments, experiments, 0]);
+    assert_eq!(counters(&mut client), [0, 0]);
 
-    // The same sources and model from another user: the rendered
-    // mutants are reused, so nothing is rendered, nothing seeded, and
-    // every deploy finds what the first campaign's left.
+    // The same sources and model from another user: the mutant cache
+    // hands back each mutant with its override, so nothing is rendered
+    // and still nothing is looked up.
     assert_eq!(run_campaign(&mut client, "second"), experiments);
-    assert_eq!(counters(&mut client), [experiments, 2 * experiments, 0]);
+    assert_eq!(counters(&mut client), [0, 0]);
     api.shutdown();
 }
