@@ -20,7 +20,9 @@
 //! microseconds however long the running experiment takes. Neither does
 //! `GET /api/campaigns/:id/report`: a completed job's report is on the
 //! board, published in the same write as the `completed` state, so a
-//! client that reads that state can fetch it.
+//! client that reads that state can fetch it. Nor does `GET /metrics`:
+//! every series is an instrument in the service's [`obs::Registry`],
+//! updated where its value changes, so a scrape is one render.
 
 use crate::engine::{EngineError, JobStatus, StatusBoard};
 use crate::service::CampaignService;
@@ -28,7 +30,7 @@ use crate::spec::CampaignSpec;
 use httpd::{Request, Response, Router, Server, ServerConfig};
 use jsonlite::Value;
 use profipy::report::CampaignReport;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -68,34 +70,26 @@ impl Default for ApiConfig {
     }
 }
 
-/// One pluggable metrics source: appends `(name, value)` gauges to the
-/// `/metrics` output (names are emitted with the `profipy_` prefix).
-pub type MetricsProvider = Box<dyn Fn(&mut Vec<(String, u64)>) + Send + Sync>;
-
 struct ApiState {
     service: Mutex<CampaignService>,
     /// The engine's published job statuses and reports — what status
     /// and report requests read instead of locking `service`.
     status: Arc<StatusBoard>,
-    api_requests: AtomicU64,
+    /// `profipy_http_requests_total`: requests the API handlers served.
+    api_requests: obs::Counter,
     drive_errors: Mutex<Option<String>>,
-    /// Drive slices executed so far — observable proof that an idle
-    /// server is *not* burning a core behind the service mutex.
-    drive_calls: AtomicU64,
+    /// `profipy_drive_calls_total`: drive slices executed so far —
+    /// observable proof that an idle server is *not* burning a core
+    /// behind the service mutex.
+    drive_calls: obs::Counter,
     /// Wake sequence for the drive thread: bumped (and notified) on
     /// every submission so an idle, parked drive loop reacts
     /// immediately instead of polling.
     wake_seq: Mutex<u64>,
     wake: Condvar,
-    /// Extra metrics sources mounted by extensions (the fleet surface).
-    metrics_ext: Mutex<Vec<MetricsProvider>>,
-    /// The HTTP layer's live open-connections gauge; installed right
-    /// after the server binds (the router is built first).
-    http_open_connections: OnceLock<Arc<AtomicU64>>,
-    /// Typed metrics (counters/gauges/histograms) rendered at the head
-    /// of `/metrics` in Prometheus exposition format. Every layer —
-    /// httpd, the engine, the fleet coordinator — registers into this
-    /// one registry.
+    /// Every series `/metrics` renders, in Prometheus exposition format.
+    /// Every layer — httpd, the engine, the fleet coordinator —
+    /// registers into this one registry.
     registry: Arc<obs::Registry>,
     /// Per-campaign execution timelines (spans from the engine and,
     /// under a fleet coordinator, from remote workers).
@@ -145,17 +139,23 @@ impl SharedService {
         sandbox::heap_metrics().register_into(&registry);
         service.engine().set_trace_store(trace.clone());
         let status = service.engine().status_board();
+        let api_requests = registry.counter(
+            "profipy_http_requests_total",
+            "Requests served by the API handlers, fleet routes included.",
+        );
+        let drive_calls = registry.counter(
+            "profipy_drive_calls_total",
+            "Drive slices the background drive thread has run.",
+        );
         SharedService {
             state: Arc::new(ApiState {
                 service: Mutex::new(service),
                 status,
-                api_requests: AtomicU64::new(0),
+                api_requests,
                 drive_errors: Mutex::new(None),
-                drive_calls: AtomicU64::new(0),
+                drive_calls,
                 wake_seq: Mutex::new(0),
                 wake: Condvar::new(),
-                metrics_ext: Mutex::new(Vec::new()),
-                http_open_connections: OnceLock::new(),
                 registry,
                 trace,
                 started: Instant::now(),
@@ -176,27 +176,15 @@ impl SharedService {
         self.state.notify_drive();
     }
 
-    /// Counts a request against the API's `http_requests_total` gauge —
-    /// for externally mounted routes.
+    /// Counts a request against the API's `http_requests_total` counter
+    /// — for externally mounted routes.
     pub fn count_request(&self) {
-        self.state.api_requests.fetch_add(1, Ordering::Relaxed);
+        self.state.api_requests.inc();
     }
 
-    /// Registers an extra metrics source appended to `/metrics`. Keep
-    /// captured state weak: providers live as long as the server state,
-    /// and a provider that strongly owns the state would leak it.
-    pub fn add_metrics(&self, provider: MetricsProvider) {
-        self.state
-            .metrics_ext
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push(provider);
-    }
-
-    /// The typed metrics registry rendered at the head of `/metrics`.
-    /// Extensions (the fleet surface) register their counters and
-    /// histograms here; the HTTP layer records request latencies into
-    /// it too.
+    /// The metrics registry `/metrics` renders. Extensions (the fleet
+    /// surface) register their instruments here; the HTTP layer records
+    /// request latencies into it too.
     pub fn metrics_registry(&self) -> Arc<obs::Registry> {
         self.state.registry.clone()
     }
@@ -283,11 +271,11 @@ impl ApiServer {
             http.metrics = Some(state.registry.clone());
         }
         let server = Server::from_listener(listener, router, http)?;
-        // Benign when already set: the gauge is installed once per
-        // `OnceLock` and every server restart reuses the same state.
-        let _ = state
-            .http_open_connections
-            .set(server.connections_open_gauge());
+        state.registry.register_gauge(
+            "profipy_http_open_connections",
+            "Connections the HTTP server holds open, idle keep-alive clients included.",
+            &server.connections_open_gauge(),
+        );
         let stop = Arc::new(AtomicBool::new(false));
         let drive = if config.local_drive {
             let drive_state = state.clone();
@@ -317,14 +305,14 @@ impl ApiServer {
 
     /// Requests served by the API handlers so far.
     pub fn requests_served(&self) -> u64 {
-        self.state.api_requests.load(Ordering::Relaxed)
+        self.state.api_requests.value()
     }
 
     /// Drive slices executed by the background thread so far. An idle
     /// server performs no drive work: the loop parks on a condvar until
     /// a submission wakes it (plus a coarse safety-net timeout).
     pub fn drive_calls(&self) -> u64 {
-        self.state.drive_calls.load(Ordering::Relaxed)
+        self.state.drive_calls.value()
     }
 
     /// Graceful stop: drain in-flight HTTP requests, then let the
@@ -380,7 +368,7 @@ fn drive_loop(state: &ApiState, stop: &AtomicBool, batch: usize) {
                 }
             }
         };
-        state.drive_calls.fetch_add(1, Ordering::Relaxed);
+        state.drive_calls.inc();
         if !worked {
             // Idle (or wedged): park until a submission (or shutdown)
             // notifies the condvar — an idle server performs no drive
@@ -426,7 +414,7 @@ fn counted(
 ) -> impl Fn(&Request) -> Response + Send + Sync + 'static {
     let state = state.clone();
     move |req| {
-        state.api_requests.fetch_add(1, Ordering::Relaxed);
+        state.api_requests.inc();
         handler(&state, req)
     }
 }
@@ -577,80 +565,10 @@ fn job_trace(state: &ApiState, req: &Request) -> Response {
     )
 }
 
+/// Every series is a registry instrument kept current where its value
+/// changes: a scrape takes no lock but the registry's own.
 fn metrics(state: &ApiState, _req: &Request) -> Response {
-    let mut service = state.service();
-    let stats = service.engine().cache_stats();
-    let depth = service.engine().queue_depth();
-    let counts = service.engine().job_state_counts();
-    drop(service);
-    // Typed families (HELP/TYPE/histogram buckets) render first; the
-    // legacy `profipy_*` gauges follow, grouped per family under one
-    // `# TYPE … gauge` header each so the whole body is one valid
-    // Prometheus exposition. The sample lines themselves keep the
-    // exact `profipy_{name} {value}` shape scrapers already parse.
-    let out = state.registry.render();
-    let mut legacy: Vec<(String, u64)> = Vec::new();
-    let mut gauge = |name: &str, value: u64| {
-        legacy.push((name.to_string(), value));
-    };
-    gauge("http_requests_total", state.api_requests.load(Ordering::Relaxed));
-    gauge("drive_calls_total", state.drive_calls.load(Ordering::Relaxed));
-    gauge(
-        "http_open_connections",
-        state
-            .http_open_connections
-            .get()
-            .map_or(0, |g| g.load(Ordering::Relaxed)),
-    );
-    gauge("queue_depth", depth as u64);
-    for (st, n) in counts {
-        gauge(&format!("jobs_{st}"), n as u64);
-    }
-    gauge("cache_scan_hits", stats.scan_hits);
-    gauge("cache_scan_misses", stats.scan_misses);
-    gauge("cache_parse_hits", stats.parse_hits);
-    gauge("cache_parse_misses", stats.parse_misses);
-    gauge("cache_mutant_hits", stats.mutant_hits);
-    gauge("cache_mutant_misses", stats.mutant_misses);
-    gauge("cache_prepare_hits", stats.prepare_hits);
-    gauge("cache_prepare_misses", stats.prepare_misses);
-    gauge("cache_coverage_hits", stats.coverage_hits);
-    gauge("cache_coverage_misses", stats.coverage_misses);
-    // Extension gauges (e.g. the fleet surface) — collected without the
-    // service lock held, so providers may take their own locks freely.
-    for provider in state
-        .metrics_ext
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .iter()
-    {
-        provider(&mut legacy);
-    }
-    Response::text(200, render_legacy_gauges(out, &legacy))
-}
-
-/// Appends the legacy `(name, value)` gauges to `out` grouped by metric
-/// family (the name up to any `{label}` block), in first-occurrence
-/// order, with one `# TYPE profipy_<family> gauge` header per family —
-/// exposition-format conformance without changing a byte of the sample
-/// lines themselves.
-fn render_legacy_gauges(mut out: String, legacy: &[(String, u64)]) -> String {
-    let mut families: Vec<(&str, Vec<usize>)> = Vec::new();
-    for (i, (name, _)) in legacy.iter().enumerate() {
-        let family = name.split('{').next().unwrap_or(name);
-        match families.iter_mut().find(|(f, _)| *f == family) {
-            Some((_, members)) => members.push(i),
-            None => families.push((family, vec![i])),
-        }
-    }
-    for (family, members) in families {
-        out.push_str(&format!("# TYPE profipy_{family} gauge\n"));
-        for i in members {
-            let (name, value) = &legacy[i];
-            out.push_str(&format!("profipy_{name} {value}\n"));
-        }
-    }
-    out
+    Response::text(200, state.registry.render())
 }
 
 fn healthz(state: &ApiState, _req: &Request) -> Response {

@@ -32,7 +32,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Cache observability counters.
+/// A snapshot of the cache's hit and miss counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Scan results served from memory or disk.
@@ -130,11 +130,48 @@ fn mutant_bytes(mutant: &Mutant) -> usize {
     text + mutant.def_bytes * OVERRIDE_BYTES_PER_DEF_BYTE
 }
 
+/// One tier's lookups: served from the cache, or not.
+#[derive(Clone)]
+pub struct HitMiss {
+    /// Lookups the tier answered.
+    pub hits: obs::Counter,
+    /// Lookups it did not: the artifact was built (or is about to be).
+    pub misses: obs::Counter,
+}
+
+impl HitMiss {
+    fn new() -> HitMiss {
+        HitMiss {
+            hits: obs::Counter::detached(),
+            misses: obs::Counter::detached(),
+        }
+    }
+
+    /// Counts one lookup by its outcome and hands the outcome back.
+    fn count<T>(&self, found: Option<T>) -> Option<T> {
+        match found {
+            Some(_) => self.hits.inc(),
+            None => self.misses.inc(),
+        }
+        found
+    }
+}
+
 /// The cache's instruments. Created detached; the engine registers
 /// clones of them (handles are `Arc`-backed, so both sides see one
 /// cell).
 #[derive(Clone)]
 pub struct CacheMetrics {
+    /// Scan results (memory or disk tier).
+    pub scan: HitMiss,
+    /// Parsed modules.
+    pub parse: HitMiss,
+    /// Rendered mutants, one lookup per point.
+    pub mutant: HitMiss,
+    /// Prepared programs.
+    pub prepare: HitMiss,
+    /// Coverage sets.
+    pub coverage: HitMiss,
     /// Disk-tier cache writes that failed (best-effort writes, but a
     /// silent failure hides a full disk behind "why does every restart
     /// re-scan?").
@@ -151,7 +188,6 @@ pub struct CacheMetrics {
 pub struct MutantCache {
     dir: Option<PathBuf>,
     entries: HashMap<u64, CacheEntry>,
-    stats: CacheStats,
     metrics: CacheMetrics,
     budget: usize,
     /// Counts lookups and stores; an entry's `stamp` is its last one.
@@ -168,8 +204,12 @@ impl MutantCache {
         MutantCache {
             dir,
             entries: HashMap::new(),
-            stats: CacheStats::default(),
             metrics: CacheMetrics {
+                scan: HitMiss::new(),
+                parse: HitMiss::new(),
+                mutant: HitMiss::new(),
+                prepare: HitMiss::new(),
+                coverage: HitMiss::new(),
                 write_failures: obs::Counter::detached(),
                 evictions: obs::Counter::detached(),
                 resident_bytes: obs::Gauge::detached(),
@@ -196,9 +236,21 @@ impl MutantCache {
         Ok(MutantCache::new(Some(dir.to_path_buf()), CACHE_BUDGET_BYTES))
     }
 
-    /// Counters so far.
+    /// The hit and miss counters as they read now.
     pub fn stats(&self) -> CacheStats {
-        self.stats
+        let m = &self.metrics;
+        CacheStats {
+            scan_hits: m.scan.hits.value(),
+            scan_misses: m.scan.misses.value(),
+            parse_hits: m.parse.hits.value(),
+            parse_misses: m.parse.misses.value(),
+            mutant_hits: m.mutant.hits.value(),
+            mutant_misses: m.mutant.misses.value(),
+            prepare_hits: m.prepare.hits.value(),
+            prepare_misses: m.prepare.misses.value(),
+            coverage_hits: m.coverage.hits.value(),
+            coverage_misses: m.coverage.misses.value(),
+        }
     }
 
     /// The cache's instruments.
@@ -244,12 +296,7 @@ impl MutantCache {
     /// Cached parsed modules for `key`, if any.
     pub fn modules(&mut self, key: u64) -> Option<Arc<Vec<Module>>> {
         let hit = self.lookup(key).and_then(|e| e.modules.clone());
-        if hit.is_some() {
-            self.stats.parse_hits += 1;
-        } else {
-            self.stats.parse_misses += 1;
-        }
-        hit
+        self.metrics.parse.count(hit)
     }
 
     /// Stores parsed modules for `key`.
@@ -265,19 +312,15 @@ impl MutantCache {
     /// re-bind them. A disk entry that fails to re-bind is treated as
     /// a miss.
     pub fn points(&mut self, key: u64, modules: &[Module]) -> Option<Arc<Vec<InjectionPoint>>> {
-        if let Some(points) = self.lookup(key).and_then(|e| e.points.clone()) {
-            self.stats.scan_hits += 1;
-            return Some(points);
-        }
+        let mut hit = self.lookup(key).and_then(|e| e.points.clone());
         // Disk tier: survives process restarts.
-        if let Some(points) = self.load_points_from_disk(key, modules) {
-            let points = Arc::new(points);
-            self.store(key, |e| e.points = Some(points.clone()));
-            self.stats.scan_hits += 1;
-            return Some(points);
+        if hit.is_none() {
+            hit = self.load_points_from_disk(key, modules).map(Arc::new);
+            if let Some(points) = &hit {
+                self.store(key, |e| e.points = Some(points.clone()));
+            }
         }
-        self.stats.scan_misses += 1;
-        None
+        self.metrics.scan.count(hit)
     }
 
     /// Stores scan results for `key` (and writes the disk tier).
@@ -322,12 +365,7 @@ impl MutantCache {
     /// Cached coverage set for `key`.
     pub fn covered(&mut self, key: u64) -> Option<Arc<std::collections::BTreeSet<u64>>> {
         let hit = self.lookup(key).and_then(|e| e.covered.clone());
-        if hit.is_some() {
-            self.stats.coverage_hits += 1;
-        } else {
-            self.stats.coverage_misses += 1;
-        }
-        hit
+        self.metrics.coverage.count(hit)
     }
 
     /// Stores the coverage set for `key`.
@@ -340,12 +378,7 @@ impl MutantCache {
         let hit = self
             .lookup(key)
             .and_then(|e| e.mutants.get(&point_id).cloned());
-        if hit.is_some() {
-            self.stats.mutant_hits += 1;
-        } else {
-            self.stats.mutant_misses += 1;
-        }
-        hit
+        self.metrics.mutant.count(hit)
     }
 
     /// Stores the rendered mutant for one point.
@@ -361,12 +394,7 @@ impl MutantCache {
     /// Cached prepared program for `key`, if any.
     pub fn prepared_program(&mut self, key: u64) -> Option<Arc<PreparedProgram>> {
         let hit = self.lookup(key).and_then(|e| e.prepared.clone());
-        if hit.is_some() {
-            self.stats.prepare_hits += 1;
-        } else {
-            self.stats.prepare_misses += 1;
-        }
-        hit
+        self.metrics.prepare.count(hit)
     }
 
     /// Stores the prepared program for `key`.

@@ -56,10 +56,10 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use trace::TraceStore;
 
-/// The engine's latency histograms. Instruments are created detached
-/// (an engine works without any registry) and attached to a server's
-/// [`obs::Registry`] via [`EngineMetrics::register_into`] — typically
-/// by `SharedService::new`.
+/// The engine's instruments: latency histograms, the cache's and the
+/// queue's. Instruments are created detached (an engine works without
+/// any registry) and attached to a server's [`obs::Registry`] via
+/// [`EngineMetrics::register_into`] — typically by `SharedService::new`.
 pub struct EngineMetrics {
     /// Queue wait: submit/requeue → taken by `drive`/`checkout_next`.
     pub queue_wait_seconds: obs::Histogram,
@@ -72,20 +72,24 @@ pub struct EngineMetrics {
     /// Raw results an in-memory engine holds for unfinished jobs
     /// between their slices.
     pub results_resident: obs::Gauge,
+    /// Jobs per state, in [`JobState::ALL`] order (shared with the
+    /// queue, which keeps the tally).
+    pub jobs: [obs::Gauge; JobState::ALL.len()],
 }
 
 impl EngineMetrics {
-    fn new(cache: CacheMetrics) -> EngineMetrics {
+    fn new(cache: CacheMetrics, jobs: [obs::Gauge; JobState::ALL.len()]) -> EngineMetrics {
         EngineMetrics {
             queue_wait_seconds: obs::Histogram::detached(obs::WAIT_BUCKETS),
             prepare_seconds: obs::Histogram::detached(obs::LATENCY_BUCKETS),
             experiment_seconds: obs::Histogram::detached(obs::LATENCY_BUCKETS),
             cache,
             results_resident: obs::Gauge::detached(),
+            jobs,
         }
     }
 
-    /// Registers the engine's histograms into `registry`.
+    /// Registers the engine's instruments into `registry`.
     pub fn register_into(&self, registry: &obs::Registry) {
         registry.register_histogram(
             "campaign_queue_wait_seconds",
@@ -126,6 +130,35 @@ impl EngineMetrics {
             "campaign_results_resident",
             "Raw experiment results held between slices for unfinished in-memory jobs.",
             &self.results_resident,
+        );
+        let c = &self.cache;
+        for (tier, lookups) in [
+            ("scan", &c.scan),
+            ("parse", &c.parse),
+            ("mutant", &c.mutant),
+            ("prepare", &c.prepare),
+            ("coverage", &c.coverage),
+        ] {
+            registry.register_counter(
+                &format!("profipy_cache_{tier}_hits"),
+                &format!("Cross-campaign cache lookups ({tier}) answered from the cache."),
+                &lookups.hits,
+            );
+            registry.register_counter(
+                &format!("profipy_cache_{tier}_misses"),
+                &format!("Cross-campaign cache lookups ({tier}) that found nothing."),
+                &lookups.misses,
+            );
+        }
+        for (state, jobs) in JobState::ALL.iter().zip(&self.jobs) {
+            let state = state.as_str();
+            let help = format!("Jobs in the {state} state.");
+            registry.register_gauge(&format!("profipy_jobs_{state}"), &help, jobs);
+        }
+        registry.register_gauge(
+            "profipy_queue_depth",
+            "Jobs waiting in the queue for a slot (the same count as profipy_jobs_queued).",
+            &self.jobs[JobState::Queued as usize],
         );
     }
 }
@@ -389,7 +422,7 @@ impl CampaignEngine {
             }
             None => (JobQueue::in_memory(), MutantCache::in_memory(), None),
         };
-        let metrics = EngineMetrics::new(cache.metrics().clone());
+        let metrics = EngineMetrics::new(cache.metrics().clone(), queue.state_gauges().clone());
         Ok(CampaignEngine {
             queue,
             cache,
@@ -519,21 +552,6 @@ impl CampaignEngine {
     /// Cache counters (scan/parse/mutant hits and misses).
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
-    }
-
-    /// Jobs currently waiting in the queue.
-    pub fn queue_depth(&self) -> usize {
-        self.queue.count(JobState::Queued)
-    }
-
-    /// Job counts per lifecycle state that has any (monitoring
-    /// surface), from the queue's running tally.
-    pub fn job_state_counts(&self) -> BTreeMap<&'static str, usize> {
-        JobState::ALL
-            .into_iter()
-            .map(|state| (state.as_str(), self.queue.count(state)))
-            .filter(|(_, n)| *n > 0)
-            .collect()
     }
 
     /// The campaigns completed since the last call — by `drive`,

@@ -45,7 +45,7 @@ impl JobState {
         JobState::Cancelled,
     ];
 
-    /// Position in [`JobState::ALL`] (the per-state counter slot).
+    /// Position in [`JobState::ALL`] (the per-state gauge slot).
     fn index(self) -> usize {
         self as usize
     }
@@ -164,7 +164,8 @@ pub struct FinishedJob {
 /// it stays forever as a [`FinishedJob`]. Nothing on the scheduling
 /// path may scan either map: `queued` indexes the jobs waiting for a
 /// slot and `counts` tallies every state, both maintained by the one
-/// place a state changes ([`JobQueue::set_state`]).
+/// place a state changes ([`JobQueue::set_state`]). The tally is a gauge
+/// per state, so a metrics scrape reads it without the queue.
 pub struct JobQueue {
     dir: Option<PathBuf>,
     /// Queued and running jobs.
@@ -174,7 +175,7 @@ pub struct JobQueue {
     /// queued have no entry.
     queued: BTreeMap<String, BTreeSet<BacklogKey>>,
     /// Jobs per state, indexed by `JobState::index`.
-    counts: [usize; JobState::ALL.len()],
+    counts: [obs::Gauge; JobState::ALL.len()],
     next_seq: u64,
     /// user → queue tick at which the user last received a slot.
     last_slot: BTreeMap<String, u64>,
@@ -189,7 +190,7 @@ impl JobQueue {
             jobs: BTreeMap::new(),
             finished: BTreeMap::new(),
             queued: BTreeMap::new(),
-            counts: [0; JobState::ALL.len()],
+            counts: std::array::from_fn(|_| obs::Gauge::detached()),
             next_seq: 1,
             last_slot: BTreeMap::new(),
             tick: 1,
@@ -257,7 +258,7 @@ impl JobQueue {
     /// Adds a job to the per-state tally and to `finished` (spec dropped)
     /// if final, else to `jobs` and (if queued) the scheduling index.
     fn insert(&mut self, job: QueuedJob) {
-        self.counts[job.state.index()] += 1;
+        self.counts[job.state.index()].add(1);
         if job.state.is_final() {
             let (id, done) = job.finish();
             self.finished.insert(id, done);
@@ -381,8 +382,8 @@ impl JobQueue {
             if state == JobState::Queued {
                 index(&mut self.queued, job);
             }
-            self.counts[job.state.index()] -= 1;
-            self.counts[state.index()] += 1;
+            self.counts[job.state.index()].sub(1);
+            self.counts[state.index()].add(1);
             job.state = state;
         }
         job.error = error;
@@ -412,7 +413,12 @@ impl JobQueue {
 
     /// How many jobs are in `state` right now.
     pub fn count(&self, state: JobState) -> usize {
-        self.counts[state.index()]
+        self.counts[state.index()].value() as usize
+    }
+
+    /// The per-state tally's gauges, in [`JobState::ALL`] order.
+    pub fn state_gauges(&self) -> &[obs::Gauge; JobState::ALL.len()] {
+        &self.counts
     }
 
     /// Ids of all currently queued jobs, in fairness order.

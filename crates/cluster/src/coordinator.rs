@@ -168,6 +168,9 @@ struct WorkerInfo {
     /// worker restored from the registry log that has not phoned in
     /// since the coordinator (re)started.
     last_contact: Option<Instant>,
+    /// Its labelled series, made by the first [`Coordinator::publish`]
+    /// that sees it.
+    gauges: Option<WorkerGauges>,
 }
 
 struct InFlight {
@@ -192,19 +195,97 @@ struct Lease {
     deadline: Instant,
 }
 
-#[derive(Default)]
-struct Counters {
-    leases_granted: u64,
-    leases_expired: u64,
-    jobs_leased: u64,
-    jobs_requeued: u64,
-    results_accepted: u64,
-    results_duplicate: u64,
-    results_old_epoch: u64,
-    campaigns_completed: u64,
-    leases_recovered: u64,
-    jobs_recovered: u64,
-    workers_pruned: u64,
+/// A worker's labelled gauges; `heartbeat_age` appears at its first
+/// contact since the coordinator started.
+struct WorkerGauges {
+    parallelism: obs::Gauge,
+    heartbeat_age: Option<obs::Gauge>,
+}
+
+const WORKER_PARALLELISM: &str = "profipy_fleet_worker_parallelism";
+const WORKER_HEARTBEAT_AGE: &str = "profipy_fleet_worker_heartbeat_age_ms";
+
+/// The coordinator's instruments, registered into the service's
+/// registry by [`Coordinator::new`]. Each counter is bumped where its
+/// event happens; the gauges are point-in-time readings that
+/// [`Coordinator::publish`] sets under the fleet lock.
+struct FleetMetrics {
+    registry: Arc<obs::Registry>,
+    /// `fleet_lease_seconds` — lease handling time, queue checkout
+    /// included.
+    lease_seconds: obs::Histogram,
+    /// `fleet_checkin_seconds` — result-upload handling time,
+    /// checkpoint writes and campaign completion included.
+    checkin_seconds: obs::Histogram,
+    /// `fleet_recovery_seconds` — time [`Coordinator::recover`] spent
+    /// re-arming WAL leases (campaign re-checkout included).
+    recovery_seconds: obs::Histogram,
+    /// `fleet_takeovers_total` — recoveries that found in-flight leases
+    /// to re-arm (standby takeovers and crash restarts alike).
+    takeovers: obs::Counter,
+    leases_granted: obs::Counter,
+    leases_expired: obs::Counter,
+    jobs_leased_total: obs::Counter,
+    jobs_requeued: obs::Counter,
+    results_accepted: obs::Counter,
+    results_duplicate: obs::Counter,
+    results_old_epoch: obs::Counter,
+    campaigns_completed: obs::Counter,
+    leases_recovered: obs::Counter,
+    jobs_recovered: obs::Counter,
+    workers_pruned: obs::Counter,
+    workers_registered: obs::Gauge,
+    workers_live: obs::Gauge,
+    campaigns_active: obs::Gauge,
+    jobs_pending: obs::Gauge,
+    jobs_leased: obs::Gauge,
+    epoch: obs::Gauge,
+}
+
+impl FleetMetrics {
+    fn new(registry: Arc<obs::Registry>) -> FleetMetrics {
+        let histogram =
+            |name: &str, help: &str| registry.histogram(name, help, obs::LATENCY_BUCKETS);
+        let counter =
+            |name: &str, help: &str| registry.counter(&format!("profipy_fleet_{name}_total"), help);
+        let gauge = |name: &str, help: &str| registry.gauge(&format!("profipy_fleet_{name}"), help);
+        FleetMetrics {
+            lease_seconds: histogram(
+                "fleet_lease_seconds",
+                "Coordinator lease handling time in seconds (queue checkout included).",
+            ),
+            checkin_seconds: histogram(
+                "fleet_checkin_seconds",
+                "Result-upload handling time in seconds (checkpoint writes included).",
+            ),
+            recovery_seconds: histogram(
+                "fleet_recovery_seconds",
+                "Time spent re-arming WAL leases after a restart or takeover, in seconds.",
+            ),
+            takeovers: registry.counter(
+                "fleet_takeovers_total",
+                "Coordinator recoveries (restart or standby takeover) that re-armed in-flight leases.",
+            ),
+            leases_granted: counter("leases_granted", "Leases granted, empty ones included."),
+            leases_expired: counter("leases_expired", "Leases that missed their deadline."),
+            jobs_leased_total: counter("jobs_leased", "Experiments handed out in leases."),
+            jobs_requeued: counter("jobs_requeued", "Leased experiments requeued."),
+            results_accepted: counter("results_accepted", "Uploaded results recorded."),
+            results_duplicate: counter("results_duplicate", "Uploaded results already recorded."),
+            results_old_epoch: counter("results_old_epoch", "Uploads from an earlier epoch."),
+            campaigns_completed: counter("campaigns_completed", "Campaigns an upload completed."),
+            leases_recovered: counter("leases_recovered", "Leases re-armed from the lease WAL."),
+            jobs_recovered: counter("jobs_recovered", "Jobs re-armed from the lease WAL."),
+            workers_pruned: counter("workers_pruned", "Workers silent past retention."),
+            workers_registered: gauge("workers_registered", "Workers in the registry."),
+            workers_live: gauge("workers_live", "Workers heard from within one lease TTL."),
+            campaigns_active: gauge("campaigns_active", "Campaigns checked out for distribution."),
+            jobs_pending: gauge("jobs_pending", "Jobs waiting for a lease."),
+            jobs_leased: gauge("jobs_leased", "Experiments in flight on a worker."),
+            epoch: gauge("epoch", "This coordinator's epoch."),
+            registry,
+        }
+    }
 }
 
 struct FleetState {
@@ -212,7 +293,6 @@ struct FleetState {
     next_worker_seq: u64,
     active: BTreeMap<String, ActiveCampaign>,
     leases: BTreeMap<String, Lease>,
-    counters: Counters,
     /// The durable lease WAL: every grant/extend/expire/supersede/
     /// result appends here under the fleet lock, so the on-disk state
     /// never races the in-memory one.
@@ -220,9 +300,9 @@ struct FleetState {
 }
 
 /// The coordinator. Thread-safe behind its own mutex; lock order is
-/// always fleet state **then** the shared service (the `/metrics`
-/// handler drops the service lock before reading fleet gauges, so the
-/// orders never cross).
+/// always fleet state **then** the shared service. The `/metrics`
+/// handler takes neither: the fleet's series are registry instruments
+/// set under the fleet lock.
 pub struct Coordinator {
     service: SharedService,
     config: FleetConfig,
@@ -243,18 +323,7 @@ pub struct Coordinator {
     /// Set during shutdown: leases stop checking campaigns out, so a
     /// request racing the drain cannot strand a job in `Running`.
     draining: std::sync::atomic::AtomicBool,
-    /// `fleet_lease_seconds` — lease handling time, queue checkout
-    /// included.
-    lease_seconds: obs::Histogram,
-    /// `fleet_checkin_seconds` — result-upload handling time,
-    /// checkpoint writes and campaign completion included.
-    checkin_seconds: obs::Histogram,
-    /// `fleet_recovery_seconds` — time [`Coordinator::recover`] spent
-    /// re-arming WAL leases (campaign re-checkout included).
-    recovery_seconds: obs::Histogram,
-    /// `fleet_takeovers_total` — recoveries that found in-flight leases
-    /// to re-arm (standby takeovers and crash restarts alike).
-    takeovers: obs::Counter,
+    metrics: FleetMetrics,
     /// The service's per-campaign trace store: lease/requeue/upload
     /// spans land here next to the engine's prepare spans.
     trace: Arc<TraceStore>,
@@ -296,6 +365,7 @@ fn load_registry(
             let info = WorkerInfo {
                 parallelism: parallelism as usize,
                 last_contact: None,
+                gauges: None,
             };
             workers.insert(id.to_string(), info);
         } else {
@@ -372,28 +442,9 @@ impl Coordinator {
             Some(wal.state().leases.clone())
         };
         wal.record_epoch(epoch)?;
-        let metrics = service.metrics_registry();
-        let lease_seconds = metrics.histogram(
-            "fleet_lease_seconds",
-            "Coordinator lease handling time in seconds (queue checkout included).",
-            obs::LATENCY_BUCKETS,
-        );
-        let checkin_seconds = metrics.histogram(
-            "fleet_checkin_seconds",
-            "Result-upload handling time in seconds (checkpoint writes included).",
-            obs::LATENCY_BUCKETS,
-        );
-        let recovery_seconds = metrics.histogram(
-            "fleet_recovery_seconds",
-            "Time spent re-arming WAL leases after a restart or takeover, in seconds.",
-            obs::LATENCY_BUCKETS,
-        );
-        let takeovers = metrics.counter(
-            "fleet_takeovers_total",
-            "Coordinator recoveries (restart or standby takeover) that re-armed in-flight leases.",
-        );
+        let metrics = FleetMetrics::new(service.metrics_registry());
         let trace = service.trace_store();
-        Ok(Coordinator {
+        let coordinator = Coordinator {
             service,
             config,
             state: Mutex::new(FleetState {
@@ -401,7 +452,6 @@ impl Coordinator {
                 next_worker_seq,
                 active: BTreeMap::new(),
                 leases: BTreeMap::new(),
-                counters: Counters::default(),
                 wal,
             }),
             registry,
@@ -409,12 +459,11 @@ impl Coordinator {
             recovered: Mutex::new(recovered),
             boot: Instant::now(),
             draining: std::sync::atomic::AtomicBool::new(false),
-            lease_seconds,
-            checkin_seconds,
-            recovery_seconds,
-            takeovers,
+            metrics,
             trace,
-        })
+        };
+        coordinator.publish(&mut coordinator.lock(), Instant::now());
+        Ok(coordinator)
     }
 
     /// This coordinator's epoch: the previous instance's epoch plus
@@ -452,13 +501,16 @@ impl Coordinator {
         let mut state = self.lock();
         state.next_worker_seq += 1;
         let id = format!("worker-{:06}", state.next_worker_seq);
+        let now = Instant::now();
         state.workers.insert(
             id.clone(),
             WorkerInfo {
                 parallelism: parallelism.max(1),
-                last_contact: Some(Instant::now()),
+                last_contact: Some(now),
+                gauges: None,
             },
         );
+        self.publish(&mut state, now);
         drop(state);
         self.append_to_registry(&registration(&id, parallelism.max(1)))?;
         Ok(id)
@@ -486,6 +538,7 @@ impl Coordinator {
             .get_mut(worker)
             .ok_or_else(|| FleetError::UnknownWorker(worker.to_string()))?;
         info.last_contact = Some(now);
+        self.publish(&mut state, now);
         let state = &mut *state;
         match state.leases.get_mut(worker) {
             Some(lease) => {
@@ -548,7 +601,7 @@ impl Coordinator {
             // since the live worker's contacts keep extending the
             // deadline.
             if let Some(prev) = state.leases.remove(worker) {
-                let requeued = Self::requeue_lease_jobs(&mut state, &prev, worker);
+                let requeued = self.requeue_lease_jobs(&mut state, &prev, worker);
                 state
                     .wal
                     .record_supersede(worker)
@@ -608,6 +661,7 @@ impl Coordinator {
                     c.pending.push_front((job.point, job.sources));
                 }
             }
+            self.publish(&mut state, now);
             return Err(e);
         }
         // Finalize: mark the jobs in-flight and record the lease (the
@@ -639,9 +693,9 @@ impl Coordinator {
         st.wal
             .record_grant(worker, &granted)
             .map_err(FleetError::Io)?;
-        st.counters.leases_granted += 1;
-        st.counters.jobs_leased += jobs.len() as u64;
-        let trace_id = format!("t-{:06}", st.counters.leases_granted);
+        self.metrics.leases_granted.inc();
+        self.metrics.jobs_leased_total.add(jobs.len() as u64);
+        let trace_id = format!("t-{:06}", self.metrics.leases_granted.value());
         // Ship specs the worker lacks.
         let mut new_campaigns: Vec<(String, CampaignSpec)> = Vec::new();
         for job in &jobs {
@@ -653,6 +707,7 @@ impl Coordinator {
             let spec = st.active[&job.campaign].checkout.spec.clone();
             new_campaigns.push((job.campaign.clone(), spec));
         }
+        self.publish(&mut state, now);
         drop(state);
         // One lease span per campaign that got jobs (empty leases are
         // routine polling, not timeline events).
@@ -671,7 +726,7 @@ impl Coordinator {
                 false,
             );
         }
-        self.lease_seconds.observe_duration(elapsed);
+        self.metrics.lease_seconds.observe_duration(elapsed);
         Ok(LeaseGrant {
             jobs,
             new_campaigns,
@@ -783,6 +838,7 @@ impl Coordinator {
             st.workers.entry(worker.clone()).or_insert(WorkerInfo {
                 parallelism: 1,
                 last_contact: None,
+                gauges: None,
             });
             let mut kept: Vec<(String, u64)> = Vec::new();
             for (campaign_id, point_id) in jobs {
@@ -821,13 +877,16 @@ impl Coordinator {
                 },
             );
         }
-        st.counters.leases_recovered += summary.leases as u64;
-        st.counters.jobs_recovered += summary.jobs as u64;
+        self.metrics.leases_recovered.add(summary.leases as u64);
+        self.metrics.jobs_recovered.add(summary.jobs as u64);
+        self.publish(&mut state, now);
         drop(state);
         if summary.leases > 0 {
-            self.takeovers.inc();
+            self.metrics.takeovers.inc();
         }
-        self.recovery_seconds.observe_duration(wall.elapsed());
+        self.metrics
+            .recovery_seconds
+            .observe_duration(wall.elapsed());
         obs::log!(
             Level::Info,
             "fleet_recovered",
@@ -844,6 +903,7 @@ impl Coordinator {
     /// left alone. Returns how many jobs went back per campaign, so
     /// callers can log and trace the event with its cause attached.
     fn requeue_lease_jobs(
+        &self,
         state: &mut FleetState,
         lease: &Lease,
         worker: &str,
@@ -863,7 +923,7 @@ impl Coordinator {
             let flight = c.in_flight.remove(point_id).expect("checked above");
             c.pending.push_back((flight.point, flight.sources));
             *c.requeues.entry(*point_id).or_insert(0) += 1;
-            state.counters.jobs_requeued += 1;
+            self.metrics.jobs_requeued.inc();
             *requeued.entry(campaign_id.clone()).or_insert(0) += 1;
         }
         requeued
@@ -951,7 +1011,7 @@ impl Coordinator {
         info.last_contact = Some(now);
         if let Some(e) = epoch {
             if e < self.epoch {
-                state.counters.results_old_epoch += results.len() as u64;
+                self.metrics.results_old_epoch.add(results.len() as u64);
                 obs::log!(
                     Level::Info,
                     "results_old_epoch",
@@ -1023,7 +1083,7 @@ impl Coordinator {
                 .checkin(c.checkout)
                 .map_err(FleetError::Engine)?;
             if completed {
-                state.counters.campaigns_completed += 1;
+                self.metrics.campaigns_completed.inc();
                 obs::log!(
                     Level::Info,
                     "campaign_completed",
@@ -1041,8 +1101,9 @@ impl Coordinator {
                 summary.completed.push(id);
             }
         }
-        state.counters.results_accepted += summary.accepted;
-        state.counters.results_duplicate += summary.duplicates;
+        self.metrics.results_accepted.add(summary.accepted);
+        self.metrics.results_duplicate.add(summary.duplicates);
+        self.publish(&mut state, now);
         drop(state);
         let elapsed = wall.elapsed();
         for (campaign, n) in &uploaded {
@@ -1055,7 +1116,7 @@ impl Coordinator {
                 false,
             );
         }
-        self.checkin_seconds.observe_duration(elapsed);
+        self.metrics.checkin_seconds.observe_duration(elapsed);
         Ok(summary)
     }
 
@@ -1080,20 +1141,19 @@ impl Coordinator {
         let mut noted: Vec<(String, BTreeMap<String, usize>)> = Vec::new();
         for worker in expired {
             let lease = state.leases.remove(&worker).expect("expired lease exists");
-            state.counters.leases_expired += 1;
+            self.metrics.leases_expired.inc();
             // Best-effort: the in-memory requeue is the truth, a WAL
             // append failure must not abort the sweep.
             if let Err(e) = state.wal.record_expire(&worker) {
                 obs::log!(Level::Error, "wal_append_failed", "err" => format!("{e}").as_str());
             }
-            let per_campaign = Self::requeue_lease_jobs(&mut state, &lease, &worker);
+            let per_campaign = self.requeue_lease_jobs(&mut state, &lease, &worker);
             requeued += per_campaign.values().sum::<usize>();
             noted.push((worker, per_campaign));
         }
         // Prune workers silent past the retention window (and without a
-        // live lease — expiry above handles those first). Removing the
-        // registry entry stops its per-worker gauge labels from being
-        // emitted forever.
+        // live lease — expiry above handles those first). Their labelled
+        // series go with them, so they are not rendered forever.
         let stale: Vec<String> = state
             .workers
             .iter()
@@ -1106,8 +1166,12 @@ impl Coordinator {
             .collect();
         for id in &stale {
             state.workers.remove(id);
-            state.counters.workers_pruned += 1;
+            let labels = [("worker", id.as_str())];
+            self.metrics.registry.remove(WORKER_PARALLELISM, &labels);
+            self.metrics.registry.remove(WORKER_HEARTBEAT_AGE, &labels);
+            self.metrics.workers_pruned.inc();
         }
+        self.publish(&mut state, now);
         drop(state);
         for id in &stale {
             obs::log!(Level::Warn, "worker_pruned", "worker" => id.as_str());
@@ -1156,6 +1220,7 @@ impl Coordinator {
             }
         }
         state.leases.clear();
+        self.publish(&mut state, Instant::now());
         Ok(())
     }
 
@@ -1171,56 +1236,52 @@ impl Coordinator {
 
     /// Total jobs requeued by lease expiry so far.
     pub fn jobs_requeued_total(&self) -> u64 {
-        self.lock().counters.jobs_requeued
+        self.metrics.jobs_requeued.value()
     }
 
-    /// Appends the fleet gauges (`fleet_*`) to a metrics collection.
-    pub fn append_metrics(&self, out: &mut Vec<(String, u64)>) {
-        self.append_metrics_at(out, Instant::now());
-    }
-
-    /// [`Coordinator::append_metrics`] at an explicit instant.
-    pub fn append_metrics_at(&self, out: &mut Vec<(String, u64)>, now: Instant) {
-        let state = self.lock();
+    /// Sets the fleet's point-in-time gauges from `state` as of `now`.
+    /// Every method that changes the fleet calls it under the fleet
+    /// lock, and so does the [`Coordinator::tick_at`] sweep, so a scrape
+    /// reads them without that lock: heartbeat age and liveness are as
+    /// of the last contact or sweep.
+    fn publish(&self, state: &mut FleetState, now: Instant) {
+        let m = &self.metrics;
+        let ttl = self.config.lease_ttl;
+        let since = |t: Instant| now.saturating_duration_since(t);
         let live = state
             .workers
             .values()
-            .filter(|w| {
-                w.last_contact
-                    .is_some_and(|t| now.saturating_duration_since(t) <= self.config.lease_ttl)
-            })
-            .count();
-        let pending: usize = state.active.values().map(|c| c.pending.len()).sum();
-        let in_flight: usize = state.active.values().map(|c| c.in_flight.len()).sum();
-        let c = &state.counters;
-        out.push(("fleet_workers_registered".into(), state.workers.len() as u64));
-        out.push(("fleet_workers_live".into(), live as u64));
-        out.push(("fleet_campaigns_active".into(), state.active.len() as u64));
-        out.push(("fleet_jobs_pending".into(), pending as u64));
-        out.push(("fleet_jobs_leased".into(), in_flight as u64));
-        out.push(("fleet_leases_granted_total".into(), c.leases_granted));
-        out.push(("fleet_leases_expired_total".into(), c.leases_expired));
-        out.push(("fleet_jobs_leased_total".into(), c.jobs_leased));
-        out.push(("fleet_jobs_requeued_total".into(), c.jobs_requeued));
-        out.push(("fleet_results_accepted_total".into(), c.results_accepted));
-        out.push(("fleet_results_duplicate_total".into(), c.results_duplicate));
-        out.push(("fleet_results_old_epoch_total".into(), c.results_old_epoch));
-        out.push(("fleet_campaigns_completed_total".into(), c.campaigns_completed));
-        out.push(("fleet_epoch".into(), self.epoch));
-        out.push(("fleet_leases_recovered_total".into(), c.leases_recovered));
-        out.push(("fleet_jobs_recovered_total".into(), c.jobs_recovered));
-        out.push(("fleet_workers_pruned_total".into(), c.workers_pruned));
-        for (id, info) in &state.workers {
+            .filter(|w| w.last_contact.is_some_and(|t| since(t) <= ttl));
+        m.workers_live.set(live.count() as u64);
+        m.workers_registered.set(state.workers.len() as u64);
+        m.campaigns_active.set(state.active.len() as u64);
+        let active = state.active.values();
+        m.jobs_pending
+            .set(active.clone().map(|c| c.pending.len() as u64).sum());
+        m.jobs_leased
+            .set(active.map(|c| c.in_flight.len() as u64).sum());
+        m.epoch.set(self.epoch);
+        for (id, info) in &mut state.workers {
+            let labels = [("worker", id.as_str())];
+            let gauges = info.gauges.get_or_insert_with(|| WorkerGauges {
+                parallelism: m.registry.gauge_with(
+                    WORKER_PARALLELISM,
+                    "Execution slots a worker registered with.",
+                    &labels,
+                ),
+                heartbeat_age: None,
+            });
+            gauges.parallelism.set(info.parallelism as u64);
             if let Some(t) = info.last_contact {
-                out.push((
-                    format!("fleet_worker_heartbeat_age_ms{{worker=\"{id}\"}}"),
-                    now.saturating_duration_since(t).as_millis() as u64,
-                ));
+                let age = gauges.heartbeat_age.get_or_insert_with(|| {
+                    m.registry.gauge_with(
+                        WORKER_HEARTBEAT_AGE,
+                        "Milliseconds since a worker's last contact, as of the last update.",
+                        &labels,
+                    )
+                });
+                age.set(since(t).as_millis() as u64);
             }
-            out.push((
-                format!("fleet_worker_parallelism{{worker=\"{id}\"}}"),
-                info.parallelism as u64,
-            ));
         }
     }
 

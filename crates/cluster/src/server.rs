@@ -90,15 +90,6 @@ impl FleetServer {
         let data_dir = fleet_config.data_dir.clone();
         let mount_coord = coordinator.clone();
         let api = ApiServer::serve_with_listener(listener, shared, api_config, move |router, shared| {
-            // Metrics provider holds the coordinator weakly: the strong
-            // references live in the route handlers and the FleetServer,
-            // so shutdown can actually tear the state down.
-            let weak = Arc::downgrade(&mount_coord);
-            shared.add_metrics(Box::new(move |out| {
-                if let Some(c) = weak.upgrade() {
-                    c.append_metrics(out);
-                }
-            }));
             mount_fleet_routes(router, mount_coord, shared.clone(), data_dir)
         })?;
         let tick_stop = Arc::new(AtomicBool::new(false));

@@ -344,6 +344,41 @@ fn unregistered_worker_gets_404_and_connection_stays_reusable() {
         metrics.contains("fleet_worker_parallelism{worker=\"worker-000001\"} 3"),
         "{metrics}"
     );
+    // Every fleet series is there under its name, typed before its
+    // first sample: seventeen fleet-wide and two per worker.
+    obs::validate_exposition(&metrics).unwrap_or_else(|e| panic!("{e}\n{metrics}"));
+    let fleet_wide = [
+        "workers_registered",
+        "workers_live",
+        "campaigns_active",
+        "jobs_pending",
+        "jobs_leased",
+        "leases_granted_total",
+        "leases_expired_total",
+        "jobs_leased_total",
+        "jobs_requeued_total",
+        "results_accepted_total",
+        "results_duplicate_total",
+        "results_old_epoch_total",
+        "campaigns_completed_total",
+        "epoch",
+        "leases_recovered_total",
+        "jobs_recovered_total",
+        "workers_pruned_total",
+    ];
+    let per_worker = ["worker_heartbeat_age_ms", "worker_parallelism"];
+    for name in fleet_wide.iter().chain(&per_worker) {
+        let name = format!("profipy_fleet_{name}");
+        let typed = metrics.find(&format!("# TYPE {name} "));
+        let sampled = [' ', '{']
+            .iter()
+            .find_map(|c| metrics.find(&format!("\n{name}{c}")));
+        assert!(
+            matches!((typed, sampled), (Some(t), Some(s)) if t < s),
+            "{name} must be typed before its first sample\n{metrics}"
+        );
+    }
+    assert!(metrics.contains("profipy_fleet_epoch 1"), "{metrics}");
     fleet.shutdown();
 }
 

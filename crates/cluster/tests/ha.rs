@@ -470,18 +470,14 @@ fn restart_recovery_requeues_exactly_the_unresulted_jobs() {
         .unwrap();
     assert_eq!(summary.accepted, 0);
     assert_eq!(summary.duplicates, 1);
-    let mut metrics = Vec::new();
-    coordinator.append_metrics_at(&mut metrics, t1 + Duration::from_millis(900));
-    let find = |name: &str| {
-        metrics
-            .iter()
-            .find(|(n, _)| n == name)
-            .unwrap_or_else(|| panic!("{name} missing"))
-            .1
-    };
-    assert_eq!(find("fleet_results_old_epoch_total"), 2);
-    assert_eq!(find("fleet_epoch"), 2);
-    assert_eq!(find("fleet_jobs_recovered_total"), (leased.len() - done_results) as u64);
+    assert_eq!(coordinator.tick_at(t1 + Duration::from_millis(900)), 0);
+    let metrics = shared.metrics_registry().render();
+    assert_eq!(gauge(&metrics, "profipy_fleet_results_old_epoch_total"), 2);
+    assert_eq!(gauge(&metrics, "profipy_fleet_epoch"), 2);
+    assert_eq!(
+        gauge(&metrics, "profipy_fleet_jobs_recovered_total"),
+        (leased.len() - done_results) as u64
+    );
 
     // Finish the campaign; the report is byte-identical to the
     // single-node run despite the crash, recovery, and duplicates.
@@ -520,26 +516,20 @@ fn stale_workers_are_pruned_from_registry_and_gauges() {
     coordinator.heartbeat_at(&ghost, t0).unwrap();
 
     // Inside the retention window both workers are tracked.
-    let mut metrics = Vec::new();
-    coordinator.append_metrics_at(&mut metrics, t0 + Duration::from_secs(4));
-    assert!(metrics
-        .iter()
-        .any(|(n, _)| n.contains(&format!("worker=\"{ghost}\""))));
+    let ghost_label = format!("worker=\"{ghost}\"");
     coordinator.tick_at(t0 + Duration::from_secs(4));
+    let metrics = shared.metrics_registry().render();
+    assert!(metrics.contains(&ghost_label), "{metrics}");
     assert!(coordinator.heartbeat_at(&keeper, t0 + Duration::from_secs(4)).is_ok());
 
     // Past it, the silent worker is pruned; the live one stays.
     coordinator.tick_at(t0 + Duration::from_secs(6));
-    let mut metrics = Vec::new();
-    coordinator.append_metrics_at(&mut metrics, t0 + Duration::from_secs(6));
-    let find = |name: &str| metrics.iter().find(|(n, _)| n == name).unwrap().1;
-    assert_eq!(find("fleet_workers_registered"), 1);
-    assert_eq!(find("fleet_workers_pruned_total"), 1);
+    let metrics = shared.metrics_registry().render();
+    assert_eq!(gauge(&metrics, "profipy_fleet_workers_registered"), 1);
+    assert_eq!(gauge(&metrics, "profipy_fleet_workers_pruned_total"), 1);
     assert!(
-        !metrics
-            .iter()
-            .any(|(n, _)| n.contains(&format!("worker=\"{ghost}\""))),
-        "pruned worker's gauge labels dropped: {metrics:?}"
+        !metrics.contains(&ghost_label),
+        "pruned worker's gauge labels dropped: {metrics}"
     );
     assert!(matches!(
         coordinator.heartbeat(&ghost),

@@ -53,7 +53,7 @@ pub(crate) struct Shared {
     /// Connections/requests answered 503 for saturation.
     pub rejected: Arc<AtomicU64>,
     /// Currently open connections (live gauge).
-    pub open: Arc<AtomicU64>,
+    pub open: obs::Gauge,
     /// Ends the loop's wait: workers after a completion, the server
     /// handle after setting `stop`.
     pub waker: Waker,
@@ -253,7 +253,7 @@ pub(crate) fn run(
                         }
                         if let Ok(conn) = Conn::new(stream) {
                             conns.insert(conn);
-                            shared.open.fetch_add(1, Ordering::Relaxed);
+                            shared.open.add(1);
                         }
                     }
                     Err(e) if crate::http::is_timeout(&e) => break,
@@ -282,7 +282,7 @@ pub(crate) fn run(
             };
             if gone {
                 conns.remove(i);
-                shared.open.fetch_sub(1, Ordering::Relaxed);
+                shared.open.sub(1);
             }
         }
 
@@ -507,7 +507,7 @@ fn deliver_completion(conns: &mut Slab, shared: &Shared, done: Done, stopping: b
         None => {
             eprintln!("httpd: handler panicked; connection dropped");
             conns.remove(done.conn);
-            shared.open.fetch_sub(1, Ordering::Relaxed);
+            shared.open.sub(1);
         }
     }
 }

@@ -86,7 +86,7 @@ pub struct Server {
     event_loop: Option<JoinHandle<()>>,
     requests: Arc<AtomicU64>,
     rejected: Arc<AtomicU64>,
-    open: Arc<AtomicU64>,
+    open: obs::Gauge,
 }
 
 impl Server {
@@ -116,7 +116,7 @@ impl Server {
         let stop = Arc::new(AtomicBool::new(false));
         let requests = Arc::new(AtomicU64::new(0));
         let rejected = Arc::new(AtomicU64::new(0));
-        let open = Arc::new(AtomicU64::new(0));
+        let open = obs::Gauge::detached();
         let (waker, wake_rx) = poll::wake_channel()?;
         let shared = Shared {
             stop: stop.clone(),
@@ -158,12 +158,12 @@ impl Server {
 
     /// Connections currently open (idle keep-alive clients included).
     pub fn connections_open(&self) -> u64 {
-        self.open.load(Ordering::Relaxed)
+        self.open.value()
     }
 
-    /// Live handle to the open-connections gauge, for embedding into a
-    /// metrics endpoint that outlives this borrow.
-    pub fn connections_open_gauge(&self) -> Arc<AtomicU64> {
+    /// Live handle to the open-connections gauge, for registering into
+    /// a metrics registry that outlives this borrow.
+    pub fn connections_open_gauge(&self) -> obs::Gauge {
         self.open.clone()
     }
 

@@ -369,6 +369,17 @@ impl Registry {
         );
     }
 
+    /// Drops the child of family `name` with exactly `labels`, for a
+    /// series whose subject is gone (a pruned worker). Handles to it
+    /// keep working; it just no longer renders.
+    pub fn remove(&self, name: &str, labels: &[(&str, &str)]) {
+        let labels = to_labels(labels);
+        let mut families = self.families.lock().unwrap();
+        if let Some(family) = families.iter_mut().find(|f| f.name == name) {
+            family.children.retain(|c| *c.labels() != labels);
+        }
+    }
+
     fn attach(
         family: &mut Family,
         name: &str,
@@ -765,6 +776,24 @@ mod tests {
         let out = registry.render();
         assert!(out.contains("pre_seconds_count 2"), "{out}");
         validate_exposition(&out).unwrap();
+    }
+
+    #[test]
+    fn removed_children_stop_rendering() {
+        let registry = Registry::new();
+        let gone = registry.gauge_with("age", "a", &[("worker", "w1")]);
+        registry.gauge_with("age", "a", &[("worker", "w2")]).set(2);
+        registry.remove("age", &[("worker", "w1")]);
+        gone.set(9);
+        let out = registry.render();
+        assert!(!out.contains("w1"), "{out}");
+        assert!(out.contains("age{worker=\"w2\"} 2"), "{out}");
+        registry.remove("age", &[("worker", "w2")]);
+        assert_eq!(
+            registry.render(),
+            "",
+            "a family without children renders nothing"
+        );
     }
 
     #[test]

@@ -1062,32 +1062,19 @@ pub fn eval(vm: &mut Vm, frame: &mut Frame, expr: &Expr) -> Result<Value, PyExc>
             ifs,
         } => {
             let iterable = eval(vm, frame, iter)?;
-            // Under the `Scoped` spec version the comprehension target
-            // does not leak: snapshot its prior binding and restore it
-            // afterwards. `Legacy` (the default) keeps the historical
-            // leaking behavior so existing campaign reports are stable.
-            let snapshot = if vm.spec_version() == crate::vm::SpecVersion::Scoped {
-                comp_target_snapshot(frame, target)
-            } else {
-                None
-            };
-            let result = (|vm: &mut Vm, frame: &mut Frame| -> Result<Value, PyExc> {
-                let mut out = Vec::new();
-                'outer: for item in iter_values(&vm.heap, iterable)? {
-                    assign_target(vm, frame, target, item)?;
-                    for cond in ifs {
-                        if !eval(vm, frame, cond)?.truthy(&vm.heap) {
-                            continue 'outer;
-                        }
+            // The target leaks into the enclosing scope (Python 2
+            // semantics), as every campaign report so far was run with.
+            let mut out = Vec::new();
+            'outer: for item in iter_values(&vm.heap, iterable)? {
+                assign_target(vm, frame, target, item)?;
+                for cond in ifs {
+                    if !eval(vm, frame, cond)?.truthy(&vm.heap) {
+                        continue 'outer;
                     }
-                    out.push(eval(vm, frame, elt)?);
                 }
-                Ok(vm.heap.new_list(out))
-            })(vm, frame);
-            if let Some((sym, prev)) = snapshot {
-                comp_target_restore(frame, sym, prev);
+                out.push(eval(vm, frame, elt)?);
             }
-            result
+            Ok(vm.heap.new_list(out))
         }
         ExprKind::Starred(_) => Err(PyExc::new(
             "SyntaxError",
@@ -1325,55 +1312,6 @@ pub(crate) fn exec_entry(vm: &mut Vm, frame: &mut Frame, body: &[Stmt]) -> Resul
         return crate::bcvm::run(vm, frame, code).map(Flow::Return);
     }
     exec_block(vm, frame, body)
-}
-
-/// Snapshot of a simple-`Name` comprehension target's binding (for the
-/// `Scoped` spec version). Returns `None` for non-name targets, which
-/// keep legacy semantics.
-fn comp_target_snapshot(frame: &Frame, target: &Expr) -> Option<(Symbol, Option<Value>)> {
-    let ExprKind::Name(n) = &target.kind else {
-        return None;
-    };
-    let sym = intern(n);
-    let prev = if frame.proto.global_decls.contains(&sym) {
-        frame.globals.borrow().get_sym(sym)
-    } else {
-        match &frame.locals {
-            FrameLocals::Module => frame.globals.borrow().get_sym(sym),
-            FrameLocals::Slots(slots) => {
-                frame.proto.slot_of(sym).and_then(|i| slots[i as usize])
-            }
-            FrameLocals::Dynamic(locals) => locals.borrow().get_sym(sym),
-        }
-    };
-    Some((sym, prev))
-}
-
-/// Restores (or unsets) a comprehension target binding captured by
-/// [`comp_target_snapshot`].
-fn comp_target_restore(frame: &mut Frame, sym: Symbol, prev: Option<Value>) {
-    match prev {
-        Some(v) => write_sym(frame, sym, v),
-        None => {
-            if frame.proto.global_decls.contains(&sym) {
-                frame.globals.borrow_mut().unset_sym(sym);
-                return;
-            }
-            match &mut frame.locals {
-                FrameLocals::Module => {
-                    frame.globals.borrow_mut().unset_sym(sym);
-                }
-                FrameLocals::Slots(slots) => {
-                    if let Some(i) = frame.proto.slot_of(sym) {
-                        slots[i as usize] = None;
-                    }
-                }
-                FrameLocals::Dynamic(locals) => {
-                    locals.borrow_mut().unset_sym(sym);
-                }
-            }
-        }
-    }
 }
 
 fn bind_params(

@@ -59,4 +59,4 @@ pub use host::{HostApi, HttpResponse, NoopHost};
 pub use intern::{intern, Symbol};
 pub use prepare::{FuncProto, PreparedModule};
 pub use value::Value;
-pub use vm::{set_default_engine, Engine, LogRecord, Severity, SpecVersion, Vm, VmOutcome};
+pub use vm::{set_default_engine, Engine, LogRecord, Severity, Vm, VmOutcome};

@@ -120,17 +120,6 @@ pub enum Engine {
     TreeWalk,
 }
 
-/// Versioned language-semantics switch. Each variant pins an observable
-/// behavior set so campaign reports stay reproducible across upgrades.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpecVersion {
-    /// Historical semantics: comprehension targets leak into the
-    /// enclosing scope (the default).
-    Legacy,
-    /// CPython-correct comprehension scoping: the target does not leak.
-    Scoped,
-}
-
 /// Process-wide engine default override: 0 = unset (consult
 /// `PROFIPY_ENGINE`, then fall back to bytecode), 1 = bytecode,
 /// 2 = tree walk. Set through [`set_default_engine`]; individual VMs
@@ -159,14 +148,6 @@ fn default_engine() -> Engine {
     *FROM_ENV.get_or_init(|| match std::env::var("PROFIPY_ENGINE").as_deref() {
         Ok("treewalk") | Ok("tree-walk") | Ok("oracle") => Engine::TreeWalk,
         _ => Engine::Bytecode,
-    })
-}
-
-fn default_spec_version() -> SpecVersion {
-    static FROM_ENV: std::sync::OnceLock<SpecVersion> = std::sync::OnceLock::new();
-    *FROM_ENV.get_or_init(|| match std::env::var("PROFIPY_SPEC").as_deref() {
-        Ok("scoped") => SpecVersion::Scoped,
-        _ => SpecVersion::Legacy,
     })
 }
 
@@ -237,8 +218,6 @@ pub struct Vm {
     pub(crate) calls: Vec<crate::bcvm::CallBuilder>,
     /// Execution engine for scope bodies.
     engine: Cell<Engine>,
-    /// Language-semantics version.
-    spec: Cell<SpecVersion>,
 }
 
 impl Default for Vm {
@@ -285,7 +264,6 @@ impl Vm {
             kw_pool: RefCell::new(Vec::new()),
             calls: Vec::new(),
             engine: Cell::new(default_engine()),
-            spec: Cell::new(default_spec_version()),
         };
         vm.install_exception_classes();
         builtins::install(&vm);
@@ -301,16 +279,6 @@ impl Vm {
     /// oracle for differential testing).
     pub fn set_engine(&self, engine: Engine) {
         self.engine.set(engine);
-    }
-
-    /// The language-semantics version this VM executes under.
-    pub fn spec_version(&self) -> SpecVersion {
-        self.spec.get()
-    }
-
-    /// Switches this VM's language-semantics version.
-    pub fn set_spec_version(&self, spec: SpecVersion) {
-        self.spec.set(spec);
     }
 
     fn install_exception_classes(&self) {

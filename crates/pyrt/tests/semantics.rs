@@ -936,42 +936,6 @@ fn comprehension_body_reads_enclosing_scope_not_target() {
     );
 }
 
-// ---------- spec-versioned comprehension scoping
-
-#[test]
-fn scoped_spec_restores_prior_comprehension_target_binding() {
-    let m = pysrc::parse_module(
-        "z = 'kept'\nsquares = [z * z for z in range(3)]\nprint(squares)\nprint(z)\n",
-        "m.py",
-    )
-    .expect("parse");
-    let mut vm = Vm::new();
-    vm.set_spec_version(pyrt::vm::SpecVersion::Scoped);
-    vm.run_module(&m).expect("run");
-    assert_eq!(vm.stdout(), "[0, 1, 4]\nkept\n");
-}
-
-#[test]
-fn scoped_spec_unbinds_fresh_comprehension_target() {
-    let m = pysrc::parse_module(
-        "squares = [z for z in range(3)]\nprint(z)\n",
-        "m.py",
-    )
-    .expect("parse");
-    let mut vm = Vm::new();
-    vm.set_spec_version(pyrt::vm::SpecVersion::Scoped);
-    let e = vm.run_module(&m).expect_err("z must not leak under Scoped");
-    assert_eq!(e.class_name, "NameError");
-}
-
-#[test]
-fn default_spec_version_is_legacy() {
-    // The leaking behavior pinned above is the default; campaigns see
-    // no change until a report opts into `SpecVersion::Scoped`.
-    let vm = Vm::new();
-    assert_eq!(vm.spec_version(), pyrt::vm::SpecVersion::Legacy);
-}
-
 // ---------- evaluation-order pins for the lowering ----------
 
 #[test]

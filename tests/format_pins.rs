@@ -261,23 +261,27 @@ fn portable_scan_file() {
     let _ = std::fs::remove_dir_all(&out);
 }
 
-fn coordinator(dir: &Path) -> Coordinator {
+/// A coordinator over `dir`, and the service whose registry it
+/// publishes its gauges into.
+fn coordinator(dir: &Path) -> (Coordinator, SharedService) {
     let service = CampaignService::new(EngineConfig::default(), HostRegistry::with_noop()).unwrap();
     let config = FleetConfig {
         data_dir: Some(dir.to_path_buf()),
         ..FleetConfig::default()
     };
-    Coordinator::new(SharedService::new(service), config).unwrap()
+    let shared = SharedService::new(service);
+    (Coordinator::new(shared.clone(), config).unwrap(), shared)
 }
 
-fn registered(coordinator: &Coordinator) -> u64 {
-    let mut metrics = Vec::new();
-    coordinator.append_metrics(&mut metrics);
+fn registered(coordinator: &Coordinator, shared: &SharedService) -> u64 {
+    coordinator.tick_at(std::time::Instant::now());
+    let metrics = shared.metrics_registry().render();
     metrics
-        .iter()
-        .find(|(name, _)| name == "fleet_workers_registered")
+        .lines()
+        .find_map(|line| line.strip_prefix("profipy_fleet_workers_registered "))
         .unwrap()
-        .1
+        .parse()
+        .unwrap()
 }
 
 #[test]
@@ -287,18 +291,22 @@ fn worker_registry_log() {
     // Three registrations and a tombstone: loading compacts to the live
     // set plus the watermark.
     std::fs::write(&path, REGISTRY).unwrap();
-    assert_eq!(registered(&coordinator(&dir)), 2);
+    let (first, shared) = coordinator(&dir);
+    assert_eq!(registered(&first, &shared), 2);
+    drop(first);
     assert_eq!(read(&path), REGISTRY_COMPACTED);
     // The compacted form loads to the same set and rewrites to itself;
     // the watermark keeps the pruned worker's id from being reissued.
-    let reopened = coordinator(&dir);
-    assert_eq!(registered(&reopened), 2);
+    let (reopened, shared) = coordinator(&dir);
+    assert_eq!(registered(&reopened, &shared), 2);
     assert_eq!(read(&path), REGISTRY_COMPACTED);
     assert_eq!(reopened.register(8).unwrap(), "worker-000004");
     assert_eq!(read(&path), REGISTRY_APPENDED);
     // A torn registration costs only itself.
     std::fs::write(&path, format!("{REGISTRY_APPENDED}{{\"id\":\"worker-0000")).unwrap();
-    assert_eq!(registered(&coordinator(&dir)), 3);
+    drop(reopened);
+    let (torn, shared) = coordinator(&dir);
+    assert_eq!(registered(&torn, &shared), 3);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

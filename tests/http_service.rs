@@ -296,15 +296,15 @@ fn metrics_are_valid_prometheus_exposition() {
         }
     }
 
-    // Both worlds are present: typed histograms from the registry and
-    // the legacy profipy_* gauges, each with a TYPE header.
+    // Latency histograms and the operational profipy_* series come from
+    // the one registry, each with a TYPE header.
     assert!(
         families.iter().any(|f| f == "httpd_request_seconds"),
         "request histogram missing: {families:?}"
     );
     assert!(
         families.iter().any(|f| f == "profipy_queue_depth"),
-        "legacy gauge family missing: {families:?}"
+        "profipy_queue_depth family missing: {families:?}"
     );
     assert!(metrics.contains("httpd_request_seconds_bucket{"), "{metrics}");
     assert!(metrics.contains("# TYPE profipy_queue_depth gauge"), "{metrics}");
@@ -321,6 +321,45 @@ fn metrics_are_valid_prometheus_exposition() {
         sample.parse().expect("sample value")
     };
     let counter = |metrics: &str, name: &str| typed(metrics, "counter", name);
+
+    // Every series the API renders, typed before its sample (checked for
+    // every family above): its own three, the queue's six and the
+    // cross-campaign cache's ten. A state no job is in reads 0.
+    let mut api_series = vec![
+        ("profipy_http_requests_total".to_string(), "counter"),
+        ("profipy_drive_calls_total".to_string(), "counter"),
+        ("profipy_http_open_connections".to_string(), "gauge"),
+        ("profipy_queue_depth".to_string(), "gauge"),
+    ];
+    for state in ["queued", "running", "completed", "failed", "cancelled"] {
+        api_series.push((format!("profipy_jobs_{state}"), "gauge"));
+    }
+    for tier in ["scan", "parse", "mutant", "prepare", "coverage"] {
+        api_series.push((format!("profipy_cache_{tier}_hits"), "counter"));
+        api_series.push((format!("profipy_cache_{tier}_misses"), "counter"));
+    }
+    let read: std::collections::HashMap<&str, u64> = api_series
+        .iter()
+        .map(|(name, kind)| (name.as_str(), typed(&metrics, kind, name)))
+        .collect();
+    assert_eq!(read.len(), 19);
+    assert_eq!(read["profipy_jobs_completed"], 1);
+    for idle in [
+        "queue_depth",
+        "jobs_queued",
+        "jobs_running",
+        "jobs_failed",
+        "jobs_cancelled",
+    ] {
+        assert_eq!(read[format!("profipy_{idle}").as_str()], 0, "{idle}");
+    }
+    for live in [
+        "http_requests_total",
+        "drive_calls_total",
+        "http_open_connections",
+    ] {
+        assert!(read[format!("profipy_{live}").as_str()] > 0, "{live}");
+    }
 
     // What the finished campaign left resident: its key in the bounded
     // cache, none of its raw results — and the report, which still
@@ -433,7 +472,8 @@ fn status_never_waits_for_an_experiment() {
     // The broker × off-by-one cell: one of its mutants spins until the
     // round's 8 M fuel steps are gone, so a single drive slice holds
     // the service mutex for at least a fifth of a second. Status is
-    // read from the engine's published board, so it must not notice.
+    // read from the engine's published board and `/metrics` is one
+    // registry render, so neither may notice.
     let mut matrix =
         scenarios::Matrix::new(scenarios::default_catalog(), scenarios::default_corpus());
     matrix.sample_per_cell = 0;
@@ -452,6 +492,7 @@ fn status_never_waits_for_an_experiment() {
     let mut running_polls = 0u32;
     let mut running_for = Duration::ZERO;
     let mut slowest = Duration::ZERO;
+    let mut slowest_scrape = Duration::ZERO;
     loop {
         let t0 = Instant::now();
         let status = client.get(&format!("/api/campaigns/{id}")).unwrap();
@@ -460,9 +501,15 @@ fn status_never_waits_for_an_experiment() {
         let v = jsonlite::parse(&status.text()).unwrap();
         match v.req("state").unwrap().as_str().unwrap() {
             "running" => {
+                let t1 = Instant::now();
+                let scrape = client.get("/metrics").unwrap();
+                let scraped = t1.elapsed();
+                assert_eq!(scrape.status, 200);
+                obs::validate_exposition(&scrape.text()).expect("a valid exposition");
                 running_polls += 1;
-                running_for += took + Duration::from_millis(1);
+                running_for += took + scraped + Duration::from_millis(1);
                 slowest = slowest.max(took);
+                slowest_scrape = slowest_scrape.max(scraped);
             }
             "completed" => {
                 // Whoever sees `completed` gets the report: it is
@@ -488,6 +535,10 @@ fn status_never_waits_for_an_experiment() {
     assert!(
         slowest < Duration::from_millis(20),
         "a status request waited {slowest:?} while an experiment ran"
+    );
+    assert!(
+        slowest_scrape < Duration::from_millis(20),
+        "a /metrics scrape waited {slowest_scrape:?} while an experiment ran"
     );
     // An id nobody submitted is still a 404, from the board as from
     // the engine before it.
