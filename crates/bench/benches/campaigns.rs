@@ -2,12 +2,12 @@
 //!
 //! On first run each campaign executes once and prints its report —
 //! the reproduction of the paper's §V-A/§V-B/§V-C statistics — then
-//! Criterion benchmarks single-experiment execution per campaign.
+//! times single-experiment execution per campaign.
+//!
+//! Run: `cargo bench -p bench --bench campaigns`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use profipy::case_study::{campaign_a, campaign_b, campaign_c, Campaign};
 use profipy::report::CampaignReport;
-use std::hint::black_box;
 
 fn print_campaign_table(campaign: &Campaign) {
     let outcome = campaign
@@ -18,7 +18,7 @@ fn print_campaign_table(campaign: &Campaign) {
     eprintln!("{}", report.render_text());
 }
 
-fn bench_campaigns(c: &mut Criterion) {
+fn main() {
     eprintln!("\n################ Table I / §V campaign reproduction ################");
     eprintln!("paper: A: 26 points / 13 covered / 12 failures");
     eprintln!("       B: 66 points / all covered / 29 failures");
@@ -42,18 +42,14 @@ fn bench_campaigns(c: &mut Criterion) {
         );
     }
 
-    let mut group = c.benchmark_group("campaign_experiment");
-    group.sample_size(10);
     for campaign in [campaign_a(), campaign_b(), campaign_c()] {
         let points = campaign.workflow.scan();
         let plan = campaign.workflow.plan(&points, &campaign.filter);
-        let point = plan.entries[plan.len() / 2].clone();
-        group.bench_function(campaign.name.clone(), |b| {
-            b.iter(|| black_box(campaign.workflow.run_experiment(&point)));
-        });
+        let point = &plan.entries[plan.len() / 2];
+        bench::time(
+            &format!("campaign_experiment/{}", campaign.name),
+            10,
+            || campaign.workflow.run_experiment(point),
+        );
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_campaigns);
-criterion_main!(benches);

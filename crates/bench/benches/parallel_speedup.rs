@@ -7,13 +7,13 @@
 //! The bench measures campaign throughput at several worker counts —
 //! the shape to reproduce is near-linear speedup up to the N−1 cap —
 //! plus the DESIGN.md §8 ablation of the memory back-off threshold.
+//!
+//! Run: `cargo bench -p bench --bench parallel_speedup`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use profipy::case_study::campaign_c;
 use sandbox::ParallelExecutor;
-use std::hint::black_box;
 
-fn bench_parallel_speedup(c: &mut Criterion) {
+fn main() {
     let campaign = campaign_c();
     let points = campaign.workflow.scan();
     let plan = campaign
@@ -22,24 +22,17 @@ fn bench_parallel_speedup(c: &mut Criterion) {
     let entries = plan.entries.clone();
     eprintln!("P-4: {} experiments per batch", entries.len());
 
-    let mut group = c.benchmark_group("campaign_batch");
-    group.sample_size(10);
+    let batch = |executor: &ParallelExecutor| {
+        executor.run(entries.len(), |i| {
+            campaign.workflow.run_experiment(&entries[i])
+        })
+    };
     for cores in [2usize, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::new("cores", cores),
-            &cores,
-            |b, &cores| {
-                let executor = ParallelExecutor::new(cores);
-                b.iter(|| {
-                    let results = executor.run(entries.len(), |i| {
-                        campaign.workflow.run_experiment(&entries[i])
-                    });
-                    black_box(results.len())
-                });
-            },
-        );
+        let executor = ParallelExecutor::new(cores);
+        bench::time(&format!("campaign_batch/cores/{cores}"), 10, || {
+            batch(&executor)
+        });
     }
-    group.finish();
 
     // Ablation: memory back-off reduces effective workers.
     let mut constrained = ParallelExecutor::new(16);
@@ -50,23 +43,12 @@ fn bench_parallel_speedup(c: &mut Criterion) {
         ParallelExecutor::new(16).effective_workers(64),
         constrained.effective_workers(64)
     );
-    let mut group = c.benchmark_group("memory_backoff_ablation");
-    group.sample_size(10);
     for (label, executor) in [
         ("unconstrained", ParallelExecutor::new(16)),
         ("memory_capped", constrained),
     ] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let results = executor.run(entries.len(), |i| {
-                    campaign.workflow.run_experiment(&entries[i])
-                });
-                black_box(results.len())
-            });
+        bench::time(&format!("memory_backoff_ablation/{label}"), 10, || {
+            batch(&executor)
         });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_parallel_speedup);
-criterion_main!(benches);

@@ -8,13 +8,13 @@
 //! scaling in LoC × patterns ("embarrassingly parallel" per §V-D).
 //!
 //! Output to compare with the paper: the one-shot table printed before
-//! the Criterion groups (points found and wall time per corpus size,
-//! plus the projected 400 kLoC time).
+//! the timed scans (points found and wall time per corpus size, plus the
+//! projected 400 kLoC time).
+//!
+//! Run: `cargo bench -p bench --bench scan_scaling`.
 
 use bench::{corpus_loc, large_pattern_model};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use injector::Scanner;
-use std::hint::black_box;
 use std::time::Instant;
 
 fn one_shot_table(scanner: &Scanner) {
@@ -53,15 +53,13 @@ fn one_shot_table(scanner: &Scanner) {
     }
 }
 
-fn bench_scan_scaling(c: &mut Criterion) {
+fn main() {
     let model = large_pattern_model();
     let specs = model.compile().expect("model compiles");
     eprintln!("P-2: {} DSL patterns (paper: 120)", specs.len());
     let scanner = Scanner::new(specs.clone());
     one_shot_table(&scanner);
 
-    let mut group = c.benchmark_group("scan_scaling");
-    group.sample_size(10);
     for target_loc in [2_000usize, 6_000] {
         let corpus = targets::generate_corpus(42, target_loc);
         let loc = corpus_loc(&corpus);
@@ -69,28 +67,17 @@ fn bench_scan_scaling(c: &mut Criterion) {
             .iter()
             .map(|(name, text)| pysrc::parse_module(text, name).expect("synth parses"))
             .collect();
-        group.throughput(Throughput::Elements(loc as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(loc), &modules, |b, modules| {
-            b.iter(|| black_box(scanner.scan(black_box(modules))));
+        bench::time(&format!("scan_scaling/{loc}"), 10, || {
+            scanner.scan(&modules)
         });
     }
-    group.finish();
 
-    // Parse throughput feeds the same pipeline (the AST box of Fig. 2).
+    // Parse time feeds the same pipeline (the AST box of Fig. 2).
     let corpus = targets::generate_corpus(7, 20_000);
-    let loc = corpus_loc(&corpus);
-    let mut parse_group = c.benchmark_group("parse_corpus");
-    parse_group.sample_size(10);
-    parse_group.throughput(Throughput::Elements(loc as u64));
-    parse_group.bench_function("20k_loc", |b| {
-        b.iter(|| {
-            for (name, text) in &corpus {
-                black_box(pysrc::parse_module(text, name).expect("parses"));
-            }
-        });
+    bench::time("parse_corpus/20k_loc", 10, || {
+        corpus
+            .iter()
+            .map(|(name, text)| pysrc::parse_module(text, name).expect("parses"))
+            .collect::<Vec<_>>()
     });
-    parse_group.finish();
 }
-
-criterion_group!(benches, bench_scan_scaling);
-criterion_main!(benches);

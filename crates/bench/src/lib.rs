@@ -1,6 +1,28 @@
 //! Shared helpers for the benchmark harness (paper §V evaluation).
+//!
+//! The three programs under `benches/` reproduce the paper's tables;
+//! every performance claim about the service itself is measured with
+//! the `profibench` ledger instead.
 
 use faultdsl::{FaultModel, SpecSource};
+use std::hint::black_box;
+use std::time::{Duration, Instant};
+
+/// Calls `routine` once to warm up, then times `runs` more calls and
+/// prints the minimum and median wall time under `label` to stderr.
+pub fn time<T>(label: &str, runs: usize, mut routine: impl FnMut() -> T) {
+    black_box(routine());
+    let mut samples: Vec<Duration> = (0..runs.max(1))
+        .map(|_| {
+            let start = Instant::now();
+            black_box(routine());
+            start.elapsed()
+        })
+        .collect();
+    samples.sort_unstable();
+    let (min, median) = (samples[0], samples[samples.len() / 2]);
+    eprintln!("bench {label:40} min {min:>12?}  median {median:>12?}");
+}
 
 /// Builds a ~120-pattern fault model for the §V-D large-project scan
 /// (the paper uses "120 different DSL patterns" on OpenStack).
@@ -53,6 +75,13 @@ pub fn corpus_loc(corpus: &[(String, String)]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn time_warms_up_then_runs_the_routine_n_times() {
+        let mut calls = 0u32;
+        time("smoke", 5, || calls += 1);
+        assert_eq!(calls, 1 + 5);
+    }
 
     #[test]
     fn large_model_has_about_120_patterns() {

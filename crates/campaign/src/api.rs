@@ -46,14 +46,15 @@ const REQUEST_JSON_DEPTH: usize = 64;
 /// cost is zero drive calls, not one per park.
 const DRIVE_IDLE_PARK: Duration = Duration::from_secs(5);
 
+/// Experiments per drive slice: small keeps poll latency low, large
+/// amortizes scheduling overhead.
+const DRIVE_BATCH: usize = 8;
+
 /// API server options.
 #[derive(Clone, Debug)]
 pub struct ApiConfig {
     /// The HTTP layer (worker pool, queue depth, body cap).
     pub http: ServerConfig,
-    /// Experiments per drive slice: small keeps poll latency low,
-    /// large amortizes scheduling overhead.
-    pub drive_batch: usize,
     /// Whether to run the background drive thread that executes queued
     /// campaigns in-process. Fleet coordinators disable it: their
     /// campaigns are executed by remote workers, not the local pool.
@@ -64,7 +65,6 @@ impl Default for ApiConfig {
     fn default() -> ApiConfig {
         ApiConfig {
             http: ServerConfig::default(),
-            drive_batch: 8,
             local_drive: true,
         }
     }
@@ -280,11 +280,10 @@ impl ApiServer {
         let drive = if config.local_drive {
             let drive_state = state.clone();
             let drive_stop = stop.clone();
-            let batch = config.drive_batch.max(1);
             Some(
                 std::thread::Builder::new()
                     .name("campaign-drive".into())
-                    .spawn(move || drive_loop(&drive_state, &drive_stop, batch))
+                    .spawn(move || drive_loop(&drive_state, &drive_stop))
                     .expect("spawn drive thread"),
             )
         } else {
@@ -325,17 +324,9 @@ impl ApiServer {
         self.stop.store(true, Ordering::SeqCst);
         self.state.notify_drive(); // unpark an idle drive thread
         if let Some(drive) = self.drive.take() {
-            if let Err(panic) = drive.join() {
-                // The thread is gone either way, but a panicked drive
-                // loop means campaigns silently stopped progressing —
-                // say so instead of swallowing it.
-                let msg = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                obs::log!(obs::Level::Error, "drive_thread_panicked", "error" => msg);
-            }
+            // A panicked drive loop means campaigns silently stopped
+            // progressing.
+            obs::log::join_logged(drive, "drive_thread_panicked");
         }
         // The Arc is ours alone now: handlers are drained and the
         // drive thread is joined.
@@ -349,7 +340,7 @@ impl ApiServer {
     }
 }
 
-fn drive_loop(state: &ApiState, stop: &AtomicBool, batch: usize) {
+fn drive_loop(state: &ApiState, stop: &AtomicBool) {
     while !stop.load(Ordering::SeqCst) {
         // Snapshot the wake sequence *before* driving: a submission
         // that lands mid-drive bumps it, so the park below falls
@@ -357,7 +348,7 @@ fn drive_loop(state: &ApiState, stop: &AtomicBool, batch: usize) {
         let seq_before = *state.wake_seq.lock().unwrap_or_else(|p| p.into_inner());
         let worked = {
             let mut service = state.service();
-            match service.drive(Some(batch)) {
+            match service.drive(Some(DRIVE_BATCH)) {
                 Ok(summary) => summary.experiments > 0 || summary.campaigns > 0,
                 Err(e) => {
                     *state
@@ -912,7 +903,6 @@ mod tests {
                 max_body_bytes: 1024,
                 ..httpd::ServerConfig::default()
             },
-            drive_batch: 8,
             local_drive: true,
         };
         let api = ApiServer::serve("127.0.0.1:0", service(), config).unwrap();

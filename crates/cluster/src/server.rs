@@ -128,12 +128,17 @@ impl FleetServer {
     /// campaign to the queue (completing finished ones), drain HTTP,
     /// and hand the service back.
     pub fn shutdown(mut self) -> CampaignService {
-        self.tick_stop.store(true, Ordering::SeqCst);
-        if let Some(tick) = self.tick.take() {
-            let _ = tick.join();
-        }
+        self.stop_tick();
         if let Some(coordinator) = self.coordinator.take() {
-            let _ = coordinator.drain();
+            if let Err(e) = coordinator.drain() {
+                // Campaigns it could not return may stay `Running` on
+                // disk until the next start recovers them.
+                obs::log!(
+                    obs::Level::Error,
+                    "fleet_drain_failed",
+                    "error" => format!("{e}"),
+                );
+            }
             // The remaining strong references live in the router's
             // handlers; ApiServer::shutdown joins the server, dropping
             // them (and with them the coordinator's SharedService).
@@ -147,14 +152,19 @@ impl FleetServer {
     /// the registry keeps its workers. Exactly the disk state a killed
     /// process leaves behind for a standby to recover from.
     pub fn kill(mut self) {
-        self.tick_stop.store(true, Ordering::SeqCst);
-        if let Some(tick) = self.tick.take() {
-            let _ = tick.join();
-        }
+        self.stop_tick();
         // No drain: dropping the coordinator leaves leases and checked-
         // out campaigns exactly as they were.
         self.coordinator.take();
         drop(self.api.take().expect("server running").shutdown());
+    }
+
+    /// Stops and joins the lease-expiry tick thread.
+    fn stop_tick(&mut self) {
+        self.tick_stop.store(true, Ordering::SeqCst);
+        if let Some(tick) = self.tick.take() {
+            obs::log::join_logged(tick, "fleet_tick_thread_panicked");
+        }
     }
 }
 

@@ -165,7 +165,7 @@ impl StandbyServer {
     pub fn shutdown(mut self) -> Option<CampaignService> {
         self.shared.stop.store(true, Ordering::SeqCst);
         if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
+            obs::log::join_logged(thread, "standby_thread_panicked");
         }
         let fleet = self
             .shared

@@ -45,6 +45,20 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Upload attempts per result batch, beyond the first, before the batch
+/// is abandoned to lease expiry.
+const UPLOAD_RETRIES: u32 = 5;
+/// Initial backoff after a lost connection (jittered, doubles up to
+/// [`RECONNECT_BACKOFF_MAX`]).
+const RECONNECT_BACKOFF: Duration = Duration::from_millis(50);
+/// Reconnect backoff ceiling.
+const RECONNECT_BACKOFF_MAX: Duration = Duration::from_secs(2);
+/// Initial idle backoff when a lease comes back empty; doubles up to
+/// [`IDLE_BACKOFF_MAX`].
+const IDLE_BACKOFF: Duration = Duration::from_millis(25);
+/// Idle backoff ceiling.
+const IDLE_BACKOFF_MAX: Duration = Duration::from_millis(500);
+
 /// Worker agent options.
 #[derive(Clone, Debug)]
 pub struct WorkerConfig {
@@ -52,23 +66,9 @@ pub struct WorkerConfig {
     /// then any warm standbys. The agent registers with the first that
     /// answers and rotates through the list on connection loss.
     pub coordinators: Vec<String>,
-    /// Experiments executed concurrently.
+    /// Experiments executed concurrently; a lease asks for twice as
+    /// many jobs.
     pub parallelism: usize,
-    /// Jobs requested per lease (0 = `2 × parallelism`).
-    pub max_batch: usize,
-    /// Initial idle backoff when a lease comes back empty; doubles up
-    /// to [`WorkerConfig::idle_backoff_max`].
-    pub idle_backoff: Duration,
-    /// Idle backoff ceiling.
-    pub idle_backoff_max: Duration,
-    /// Upload attempts per result batch before the batch is abandoned
-    /// to lease expiry.
-    pub upload_retries: u32,
-    /// Initial backoff after a lost connection (jittered, doubles up to
-    /// [`WorkerConfig::reconnect_backoff_max`]).
-    pub reconnect_backoff: Duration,
-    /// Reconnect backoff ceiling.
-    pub reconnect_backoff_max: Duration,
 }
 
 impl WorkerConfig {
@@ -77,12 +77,6 @@ impl WorkerConfig {
         WorkerConfig {
             coordinators: vec![coordinator.into()],
             parallelism: 2,
-            max_batch: 0,
-            idle_backoff: Duration::from_millis(25),
-            idle_backoff_max: Duration::from_millis(500),
-            upload_retries: 5,
-            reconnect_backoff: Duration::from_millis(50),
-            reconnect_backoff_max: Duration::from_secs(2),
         }
     }
 
@@ -91,14 +85,6 @@ impl WorkerConfig {
     pub fn with_standby(mut self, addr: impl Into<String>) -> WorkerConfig {
         self.coordinators.push(addr.into());
         self
-    }
-
-    fn batch(&self) -> usize {
-        if self.max_batch == 0 {
-            (self.parallelism * 2).max(1)
-        } else {
-            self.max_batch
-        }
     }
 }
 
@@ -152,12 +138,12 @@ impl WorkerHandle {
     pub fn stop(mut self) -> WorkerStats {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(heartbeat) = self.heartbeat.take() {
-            let _ = heartbeat.join();
+            obs::log::join_logged(heartbeat, "worker_heartbeat_panicked");
         }
-        match self.main.take() {
-            Some(main) => main.join().unwrap_or_default(),
-            None => WorkerStats::default(),
-        }
+        self.main
+            .take()
+            .and_then(|main| obs::log::join_logged(main, "worker_thread_panicked"))
+            .unwrap_or_default()
     }
 }
 
@@ -198,10 +184,9 @@ impl WorkerAgent {
                     }
                 }
             }
-            let delay = config
-                .reconnect_backoff
+            let delay = RECONNECT_BACKOFF
                 .saturating_mul(1 << round.min(8))
-                .min(config.reconnect_backoff_max);
+                .min(RECONNECT_BACKOFF_MAX);
             std::thread::sleep(jittered(&mut rng, delay));
         }
         let Some((addr, (id, heartbeat_every))) = registered else {
@@ -322,7 +307,7 @@ impl Failover<'_> {
 
     /// A successful exchange: the connection is healthy again.
     fn reset(&mut self) {
-        self.delay = self.config.reconnect_backoff;
+        self.delay = RECONNECT_BACKOFF;
     }
 
     /// Connection lost: advance to the next coordinator in the ring
@@ -346,7 +331,7 @@ impl Failover<'_> {
             "error" => error,
         );
         self.session.lock().unwrap_or_else(|p| p.into_inner()).addr = to;
-        self.delay = (self.delay * 2).min(self.config.reconnect_backoff_max);
+        self.delay = (self.delay * 2).min(RECONNECT_BACKOFF_MAX);
         sleep_stoppable(backoff, stop);
     }
 
@@ -412,7 +397,7 @@ fn run_loop(
     // shared by every experiment of the campaign on this worker).
     let mut workflows: BTreeMap<String, Arc<Workflow>> = BTreeMap::new();
     let executor = ParallelExecutor::new(config.parallelism.max(1) + 1);
-    let mut backoff = config.idle_backoff;
+    let mut backoff = IDLE_BACKOFF;
     let upload_failures = obs::global().counter(
         "fleet_upload_failures_total",
         "Result batches abandoned after exhausting every upload retry.",
@@ -425,7 +410,7 @@ fn run_loop(
             "fleet_worker_reconnects_total",
             "Worker coordinator reconnects (failovers and re-registrations).",
         ),
-        delay: config.reconnect_backoff,
+        delay: RECONNECT_BACKOFF,
         rng: seed_rng(&session.lock().unwrap_or_else(|p| p.into_inner()).id),
     };
     // Phase spans not yet shipped: rebind/execute spans of the current
@@ -434,7 +419,7 @@ fn run_loop(
     while !stop.load(Ordering::SeqCst) {
         let known: BTreeSet<String> = workflows.keys().cloned().collect();
         let request = Value::obj(vec![
-            ("max_jobs", Value::UInt(config.batch() as u64)),
+            ("max_jobs", Value::UInt((config.parallelism * 2).max(1) as u64)),
             ("known", Value::arr(&known)),
         ])
         .compact();
@@ -454,7 +439,7 @@ fn run_loop(
                         "worker" => id.as_str(),
                         "error" => e.as_str(),
                     );
-                    idle(&mut backoff, config, stop);
+                    idle(&mut backoff, stop);
                     continue;
                 }
             },
@@ -471,7 +456,7 @@ fn run_loop(
             // back off and retry — leases we held expire server-side
             // on their own.
             Ok(_) => {
-                idle(&mut backoff, config, stop);
+                idle(&mut backoff, stop);
                 continue;
             }
             // Connection lost: fail over to the next coordinator.
@@ -531,10 +516,10 @@ fn run_loop(
         }
         if ready.is_empty() {
             stats.empty_leases += 1;
-            idle(&mut backoff, config, stop);
+            idle(&mut backoff, stop);
             continue;
         }
-        backoff = config.idle_backoff;
+        backoff = IDLE_BACKOFF;
         let rebind_elapsed = rebind_started.elapsed().as_secs_f64();
         for (campaign, n) in count_per_campaign(ready.iter().map(|j| j.campaign.as_str())) {
             pending_spans.push(PendingSpan {
@@ -596,7 +581,7 @@ fn run_loop(
         match upload_with_retry(
             &mut fo,
             &body.compact(),
-            config.upload_retries,
+            UPLOAD_RETRIES,
             &mut stats,
             &upload_failures,
             stop,
@@ -734,9 +719,9 @@ fn build_workflow(
 }
 
 /// Bounded exponential idle wait, stop-aware.
-fn idle(backoff: &mut Duration, config: &WorkerConfig, stop: &AtomicBool) {
+fn idle(backoff: &mut Duration, stop: &AtomicBool) {
     sleep_stoppable(*backoff, stop);
-    *backoff = (*backoff * 2).min(config.idle_backoff_max);
+    *backoff = (*backoff * 2).min(IDLE_BACKOFF_MAX);
 }
 
 /// Sleeps `total` in small slices, returning early on stop.
@@ -805,7 +790,7 @@ mod tests {
                 "fleet_worker_reconnects_total",
                 "Worker coordinator reconnects (failovers and re-registrations).",
             ),
-            delay: config.reconnect_backoff,
+            delay: RECONNECT_BACKOFF,
             rng: seed_rng("w-test"),
         };
         let before = failures.value();
@@ -846,10 +831,7 @@ mod tests {
         let server = Server::bind("127.0.0.1:0", router, ServerConfig::default()).unwrap();
         let live = server.addr().to_string();
         let pool = ClientPool::new();
-        let config = WorkerConfig {
-            reconnect_backoff: Duration::from_millis(5),
-            ..WorkerConfig::new(dead.clone()).with_standby(live.clone())
-        };
+        let config = WorkerConfig::new(dead.clone()).with_standby(live.clone());
         let session = Arc::new(Mutex::new(Session {
             addr: dead,
             id: "w-rotate".to_string(),
@@ -869,7 +851,7 @@ mod tests {
             config: &config,
             session: &session,
             reconnects,
-            delay: config.reconnect_backoff,
+            delay: Duration::from_millis(5),
             rng: seed_rng("w-rotate"),
         };
         let stop = AtomicBool::new(false);

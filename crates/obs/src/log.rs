@@ -18,6 +18,7 @@ use std::io::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, Once, OnceLock};
+use std::thread::JoinHandle;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Event severity. Events below the configured level are dropped.
@@ -251,6 +252,25 @@ fn push_escaped(buf: &mut String, s: &str) {
     }
 }
 
+/// Joins `thread` and returns what it returned. If it panicked, logs
+/// `event` at error level with the thread's name and the panic payload,
+/// and returns `None`: a background thread that died took its work
+/// with it, and that must not pass in silence.
+pub fn join_logged<T>(thread: JoinHandle<T>, event: &str) -> Option<T> {
+    let name = thread.thread().name().unwrap_or("unnamed").to_string();
+    thread
+        .join()
+        .map_err(|panic| {
+            let payload = panic
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_string());
+            crate::log!(Level::Error, event, "thread" => name, "error" => payload);
+        })
+        .ok()
+}
+
 /// Emits a structured event if `level` is enabled:
 ///
 /// ```
@@ -292,6 +312,17 @@ mod tests {
         assert!(line.contains("\"fatal\":false"));
         assert!(line.ends_with('}'));
         assert!(!line.contains('\n'), "newlines must be escaped");
+    }
+
+    #[test]
+    fn join_logged_hands_back_a_result_and_survives_a_panic() {
+        let finished = std::thread::spawn(|| 7);
+        assert_eq!(join_logged(finished, "unused"), Some(7));
+        let panicked = std::thread::Builder::new()
+            .name("doomed".into())
+            .spawn(|| -> u32 { panic!("boom") })
+            .unwrap();
+        assert_eq!(join_logged(panicked, "doomed_thread_panicked"), None);
     }
 
     #[test]

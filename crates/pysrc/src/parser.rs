@@ -49,6 +49,16 @@ pub fn parse_expr(source: &str, file: &str) -> Result<Expr, ParseError> {
     Ok(e)
 }
 
+/// How deep a source may nest, counted in levels: a statement's
+/// expression is one, and inside it every bracketed item, call argument,
+/// subscript, unary operator, `not`, `**` operand, starred item, `lambda`
+/// and conditional `else` branch is one more; every indented block is one
+/// more for the statements in it. The parser recurses per level and a
+/// stack overflow aborts the process instead of unwinding, so the parser,
+/// and every pass that walks a tree it admitted, stays within a 2 MB
+/// thread. CPython's tokenizer allows brackets 200 deep, too.
+pub const MAX_NESTING: usize = 200;
+
 /// Precedence of the infix operators, loosest first. `NOT` is the
 /// prefix `not`, listed because it sits between `and` and the
 /// comparisons; one above `TERM` are the unary operators and `**`,
@@ -77,6 +87,8 @@ struct Parser<'f> {
     pos: usize,
     file: &'f str,
     ids: &'f IdCounter,
+    /// Levels open at the cursor, up to [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl<'f> Parser<'f> {
@@ -86,6 +98,7 @@ impl<'f> Parser<'f> {
             pos: 0,
             file,
             ids,
+            depth: 0,
         }
     }
 
@@ -158,6 +171,21 @@ impl<'f> Parser<'f> {
                 "AST node ids exhausted: this process has allocated all 2^32 of them, restart it",
             )
         })
+    }
+
+    /// Runs `parse` one level deeper (see [`MAX_NESTING`]), or fails at
+    /// the cursor if that level is one too many.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("nested more than {MAX_NESTING} levels deep")));
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
     }
 
     fn err(&self, msg: impl Into<String>) -> ParseError {
@@ -240,16 +268,7 @@ impl<'f> Parser<'f> {
                 return Err(self.err("expected an indented block"));
             }
             self.bump();
-            let mut body = Vec::new();
-            self.eat_newlines();
-            while !matches!(self.peek(), TokenKind::Dedent | TokenKind::Eof) {
-                body.push(self.statement()?);
-                self.eat_newlines();
-            }
-            if matches!(self.peek(), TokenKind::Dedent) {
-                self.bump();
-            }
-            Ok(body)
+            self.nested(Self::indented_block)
         } else {
             // Inline suite: one or more simple statements separated by `;`.
             let mut body = vec![self.simple_statement()?];
@@ -261,6 +280,20 @@ impl<'f> Parser<'f> {
             }
             Ok(body)
         }
+    }
+
+    /// The statements of an indented block, after its `Indent`.
+    fn indented_block(&mut self) -> Result<Vec<Stmt>, ParseError> {
+        let mut body = Vec::new();
+        self.eat_newlines();
+        while !matches!(self.peek(), TokenKind::Dedent | TokenKind::Eof) {
+            body.push(self.statement()?);
+            self.eat_newlines();
+        }
+        if matches!(self.peek(), TokenKind::Dedent) {
+            self.bump();
+        }
+        Ok(body)
     }
 
     fn statement(&mut self) -> Result<Stmt, ParseError> {
@@ -711,8 +744,12 @@ impl<'f> Parser<'f> {
         }
     }
 
-    /// Full expression (lambda / conditional level).
+    /// Full expression, one level deeper than its context.
     pub(crate) fn expr(&mut self) -> Result<Expr, ParseError> {
+        self.nested(Self::lambda_or_conditional)
+    }
+
+    fn lambda_or_conditional(&mut self) -> Result<Expr, ParseError> {
         if self.at_kw(Keyword::Lambda) {
             let lo = self.bump();
             let mut params = Vec::new();
@@ -810,7 +847,7 @@ impl<'f> Parser<'f> {
         let lo = self.peek_span();
         let mut left = if min <= prec::NOT && self.at_kw(Keyword::Not) {
             let lo = self.bump();
-            let operand = Box::new(self.operators(prec::NOT)?);
+            let operand = Box::new(self.nested(|p| p.operators(prec::NOT))?);
             Expr {
                 id: self.fresh_id()?,
                 span: lo,
@@ -910,7 +947,7 @@ impl<'f> Parser<'f> {
         };
         if let Some(op) = op {
             self.bump();
-            let operand = Box::new(self.factor()?);
+            let operand = Box::new(self.nested(Self::factor)?);
             return Ok(Expr {
                 id: self.fresh_id()?,
                 span: lo,
@@ -925,7 +962,7 @@ impl<'f> Parser<'f> {
         let base = self.postfix_expr()?;
         if self.eat_op(Op::DoubleStar) {
             // Right-associative.
-            let exp = self.factor()?;
+            let exp = self.nested(Self::factor)?;
             Ok(Expr {
                 id: self.fresh_id()?,
                 span: lo,
@@ -1094,7 +1131,7 @@ impl<'f> Parser<'f> {
             TokenKind::Ident(_) => ExprKind::Name(self.take_text()),
             TokenKind::Op(Op::Star) => {
                 self.bump();
-                let inner = self.postfix_expr()?;
+                let inner = self.nested(Self::postfix_expr)?;
                 ExprKind::Starred(Box::new(inner))
             }
             TokenKind::Op(Op::LParen) => {
@@ -1462,6 +1499,71 @@ mod tests {
         let fits = IdCounter::starting_at(u64::from(u32::MAX) - 3);
         let module = parse_module_with("x = 1\n", "t.py", &fits).expect("three ids are enough");
         assert_eq!(module.body[0].id, NodeId(u32::MAX - 1));
+    }
+
+    /// Runs `f` on a thread with the 2 MB stack that the HTTP workers
+    /// and the campaign drive thread have.
+    fn on_2mb_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .unwrap()
+    }
+
+    /// `x = ` and `n` openers around `1`, each closed again.
+    fn wrapped(open: &str, close: &str, n: usize) -> String {
+        format!("x = {}1{}\n", open.repeat(n), close.repeat(n))
+    }
+
+    /// `n` nested `if` blocks around a `pass`.
+    fn indented(n: usize) -> String {
+        let source: String = (0..n).map(|i| format!("{}if x:\n", " ".repeat(i))).collect();
+        source + &" ".repeat(n) + "pass\n"
+    }
+
+    #[test]
+    fn hostile_nesting_is_a_parse_error_not_a_stack_overflow() {
+        let deep = 10_000;
+        for source in [
+            wrapped("(", ")", deep),
+            wrapped("[", "]", deep),
+            wrapped("{1: ", "}", deep),
+            wrapped("f(", ")", deep),
+            wrapped("a[", "]", deep),
+            wrapped("-", "", deep),
+            wrapped("not ", "", deep),
+            wrapped("2 ** ", "", deep),
+            wrapped("lambda: ", "", deep),
+            wrapped("1 if 1 else ", "", deep),
+            wrapped("[* ", "]", deep),
+            indented(deep),
+        ] {
+            let head: String = source.chars().take(24).collect();
+            let err = on_2mb_stack(move || parse_module(&source, "deep.py").unwrap_err());
+            assert!(
+                err.message.contains("nested more than 200 levels deep"),
+                "{head}…: {err}"
+            );
+        }
+        // The error points at the opener one level too many: the
+        // statement's expression is level 1, the 199th bracket opens
+        // level 200 and the 200th is refused.
+        let err = parse_module(&wrapped("(", ")", deep), "deep.py").unwrap_err();
+        assert_eq!((err.span.lo.line, err.span.lo.col), (1, 4 + 200));
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses_on_a_2mb_stack() {
+        let levels = MAX_NESTING - 1;
+        for (open, close) in [("(", ")"), ("[", "]"), ("-", ""), ("not ", "")] {
+            let fits = wrapped(open, close, levels);
+            assert!(on_2mb_stack(move || parse_module(&fits, "t.py").is_ok()), "{open}");
+            assert!(parse_module(&wrapped(open, close, levels + 1), "t.py").is_err(), "{open}");
+        }
+        assert!(on_2mb_stack(|| parse_module(&indented(MAX_NESTING), "t.py").is_ok()));
+        assert!(parse_module(&indented(MAX_NESTING + 1), "t.py").is_err());
     }
 
     #[test]

@@ -381,7 +381,6 @@ fn worker(args: &[String]) -> ExitCode {
     let config = WorkerConfig {
         coordinators,
         parallelism,
-        ..WorkerConfig::new(String::new())
     };
     let agent = match WorkerAgent::start(config, registry) {
         Ok(agent) => agent,

@@ -144,7 +144,6 @@ fn many_keepalive_pollers_share_a_tiny_worker_pool() {
             max_connections: 512,
             ..httpd::ServerConfig::default()
         },
-        drive_batch: 8,
         local_drive: true,
     };
     let api = ApiServer::serve("127.0.0.1:0", service(), config).unwrap();
@@ -655,5 +654,45 @@ fn failed_and_cancelled_jobs_publish_their_state() {
     );
 
     drop(shared);
+    api.shutdown();
+}
+
+#[test]
+fn a_deeply_nested_source_fails_its_request_not_the_server() {
+    // 700 brackets is a 1.4 KB request; parsed recursively without a
+    // nesting limit it overflows the 2 MB stack of the thread that
+    // parses it — the drive thread for a campaign, an HTTP worker for a
+    // model — and a stack overflow aborts the process.
+    let deep = format!("x = {}1{}\n", "(".repeat(700), ")".repeat(700));
+    let api = ApiServer::serve("127.0.0.1:0", service(), ApiConfig::default()).unwrap();
+    let mut client = httpd::Client::new(api.addr().to_string()).timeout(Duration::from_secs(10));
+
+    let mut spec = spec_for("mallory", 1);
+    spec.sources[0].1 = deep.clone();
+    let id = submit(&mut client, &spec);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        let resp = client.get(&format!("/api/campaigns/{id}")).unwrap();
+        let v = jsonlite::parse(&resp.text()).unwrap();
+        if v.req("state").unwrap().as_str() == Some("failed") {
+            break v;
+        }
+        assert!(Instant::now() < deadline, "job never failed: {v:?}");
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let error = status.req("error").unwrap().as_str().unwrap_or_default();
+    assert!(error.contains("nested more than 200 levels deep"), "{error}");
+    assert_eq!(client.get("/healthz").unwrap().status, 200);
+
+    let dsl = format!("change {{\n    {deep}}} into {{\n    pass\n}}");
+    let upload = jsonlite::Value::obj(vec![
+        ("user", jsonlite::Value::str("mallory")),
+        ("name", jsonlite::Value::str("deep")),
+        ("dsl", jsonlite::Value::str(&dsl)),
+    ]);
+    let resp = client.post_json("/api/models", &upload.compact()).unwrap();
+    assert_eq!(resp.status, 422, "{}", resp.text());
+    assert!(resp.text().contains("nested more than 200 levels deep"), "{}", resp.text());
+    assert_eq!(client.get("/healthz").unwrap().status, 200);
     api.shutdown();
 }
