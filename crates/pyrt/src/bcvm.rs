@@ -8,12 +8,24 @@
 //! the caller's job, exactly as with the tree walk). `break`/`continue`
 //! escaping a trampolined statement re-enter the bytecode at the
 //! enclosing loop's patched targets.
+//!
+//! Fast paths: a few instructions answer the hottest operand shapes
+//! inline — exact-arity positional calls of slot-frame functions bind
+//! straight from the operand stack and natives read their arguments as
+//! a slice of it ([`call_from_stack`]), an instance's
+//! own attribute and an instance's class-chain method are read in
+//! place, `int` `+`/`-` and comparisons and `bool` jumps skip the
+//! generic operators. Each is chosen by what the instruction finds on
+//! the stack, returns exactly what the general `interp` call returns,
+//! allocates nothing, and falls through to that call for every other
+//! shape.
 
 use crate::exc::{Flow, PyExc};
 use crate::interp::{self, Frame, FrameLocals};
 use crate::ir::{CodeObject, Insn, NO_LOOP};
 use crate::value::{values_eq, DictObj, FuncObj, KwName, Value};
 use crate::vm::Vm;
+use pysrc::ast::{BinOp, CmpOp};
 use std::borrow::Cow;
 
 /// An in-flight call's argument builder (between `CallBegin` and
@@ -134,7 +146,15 @@ fn run_on(
             }
             Insn::LoadAttr(sym) => {
                 let obj = stack.pop().expect("stack discipline");
-                stack.push(interp::get_attr_sym(vm, obj, sym)?);
+                // An instance's own attribute is `get_attr_sym`'s answer.
+                let own = match obj {
+                    Value::Instance(i) => vm.heap.instance(i).get_attr_sym(sym),
+                    _ => None,
+                };
+                stack.push(match own {
+                    Some(v) => v,
+                    None => interp::get_attr_sym(vm, obj, sym)?,
+                });
             }
             Insn::StoreAttr(sym) => {
                 let obj = stack.pop().expect("stack discipline");
@@ -205,17 +225,17 @@ fn run_on(
             Insn::Binary(op) => {
                 let r = stack.pop().expect("stack discipline");
                 let l = stack.pop().expect("stack discipline");
-                stack.push(interp::binary_op(&vm.heap, op, l, r)?);
+                stack.push(binary(vm, op, l, r)?);
             }
             Insn::Cmp(op) => {
                 let r = stack.pop().expect("stack discipline");
                 let l = stack.pop().expect("stack discipline");
-                stack.push(Value::Bool(interp::compare(&vm.heap, op, l, r)?));
+                stack.push(Value::Bool(compare(vm, op, l, r)?));
             }
             Insn::CmpJump { op, target } => {
                 let r = stack.pop().expect("stack discipline");
                 let l = stack.pop().expect("stack discipline");
-                if interp::compare(&vm.heap, op, l, r)? {
+                if compare(vm, op, l, r)? {
                     stack.push(r);
                 } else {
                     stack.push(Value::Bool(false));
@@ -245,19 +265,19 @@ fn run_on(
                 vm.tick_n(n)?;
                 let r = stack.pop().expect("stack discipline");
                 let l = stack.pop().expect("stack discipline");
-                stack.push(interp::binary_op(&vm.heap, op, l, r)?);
+                stack.push(binary(vm, op, l, r)?);
             }
             Insn::TickCmp { n, op } => {
                 vm.tick_n(n)?;
                 let r = stack.pop().expect("stack discipline");
                 let l = stack.pop().expect("stack discipline");
-                stack.push(Value::Bool(interp::compare(&vm.heap, op, l, r)?));
+                stack.push(Value::Bool(compare(vm, op, l, r)?));
             }
             Insn::TickBinaryStoreSlot { n, op, slot, sym } => {
                 vm.tick_n(n)?;
                 let r = stack.pop().expect("stack discipline");
                 let l = stack.pop().expect("stack discipline");
-                let v = interp::binary_op(&vm.heap, op, l, r)?;
+                let v = binary(vm, op, l, r)?;
                 if let FrameLocals::Slots(slots) = &mut frame.locals {
                     slots[slot as usize] = Some(v);
                 } else {
@@ -268,17 +288,17 @@ fn run_on(
                 vm.tick_n(n)?;
                 let r = stack.pop().expect("stack discipline");
                 let l = stack.pop().expect("stack discipline");
-                let v = interp::binary_op(&vm.heap, op, l, r)?;
+                let v = binary(vm, op, l, r)?;
                 frame.globals.borrow_mut().set_sym(sym, v);
             }
             Insn::Jump(t) => pc = t as usize,
             Insn::JumpIfFalse(t) => {
-                if !stack.pop().expect("stack discipline").truthy(&vm.heap) {
+                if !truthy(vm, stack.pop().expect("stack discipline")) {
                     pc = t as usize;
                 }
             }
             Insn::JumpIfTrue(t) => {
-                if stack.pop().expect("stack discipline").truthy(&vm.heap) {
+                if truthy(vm, stack.pop().expect("stack discipline")) {
                     pc = t as usize;
                 }
             }
@@ -316,7 +336,10 @@ fn run_on(
             }
             Insn::LoadMethod(sym) => {
                 let obj = stack.pop().expect("stack discipline");
-                let (callee, recv) = interp::load_method(vm, obj, sym)?;
+                let (callee, recv) = match class_method(vm, obj, sym) {
+                    Some((callee, i)) => (callee, Some(i)),
+                    None => interp::load_method(vm, obj, sym)?,
+                };
                 stack.push(callee);
                 // A receiver is an instance by `load_method`'s type, so
                 // `None` marks "call the value as it is".
@@ -324,20 +347,11 @@ fn run_on(
             }
             Insn::CallMethod { n, argc } => {
                 vm.tick_n(n)?;
-                let mut pos = vm.take_args();
                 // The receiver slot sits directly under the arguments:
-                // a method call drains it with them, in call order.
-                let first = stack.len() - argc as usize - 1;
-                let bound = matches!(stack[first], Value::Instance(_));
-                pos.extend(stack.drain(first + usize::from(!bound)..));
-                if !bound {
-                    stack.pop();
-                }
-                let callee = stack.pop().expect("stack discipline");
-                let r = match callee {
-                    Value::Func(f) => interp::call_function(vm, f, pos, Vec::new())?,
-                    other => interp::call_value(vm, other, pos, Vec::new())?,
-                };
+                // a method call passes it with them, in call order.
+                let slot = stack.len() - argc as usize - 1;
+                let bound = matches!(stack[slot], Value::Instance(_));
+                let r = call_from_stack(vm, stack, slot - 1, slot + usize::from(!bound))?;
                 stack.push(r);
             }
             Insn::CallBegin => {
@@ -376,28 +390,14 @@ fn run_on(
                 stack.push(interp::call_value(vm, b.callee, b.pos, b.kw)?);
             }
             Insn::Call(argc) => {
-                // Recycled argument vector: drained into the callee's
-                // frame and returned to the pool by the callee's path.
-                let mut pos = vm.take_args();
-                pos.extend(stack.drain(stack.len() - argc as usize..));
-                let callee = stack.pop().expect("stack discipline");
-                // Plain functions bypass the `call_value` dispatch layer
-                // — by far the hottest callee kind in compiled code.
-                let r = match callee {
-                    Value::Func(f) => interp::call_function(vm, f, pos, Vec::new())?,
-                    other => interp::call_value(vm, other, pos, Vec::new())?,
-                };
+                let first = stack.len() - argc as usize;
+                let r = call_from_stack(vm, stack, first - 1, first)?;
                 stack.push(r);
             }
             Insn::TickCall { n, argc } => {
                 vm.tick_n(n)?;
-                let mut pos = vm.take_args();
-                pos.extend(stack.drain(stack.len() - argc as usize..));
-                let callee = stack.pop().expect("stack discipline");
-                let r = match callee {
-                    Value::Func(f) => interp::call_function(vm, f, pos, Vec::new())?,
-                    other => interp::call_value(vm, other, pos, Vec::new())?,
-                };
+                let first = stack.len() - argc as usize;
+                let r = call_from_stack(vm, stack, first - 1, first)?;
                 stack.push(r);
             }
             Insn::MakeFunction(i) => {
@@ -445,6 +445,8 @@ fn run_on(
             Insn::Return => return Ok(stack.pop().expect("stack discipline")),
             Insn::ReturnNone => return Ok(Value::None),
             Insn::ExecStmt { stmt, brk, cont } => {
+                // `TRAMPOLINE_KINDS` order: `stmt`, then `expr`.
+                vm.trampolines[0].set(vm.trampolines[0].get() + 1);
                 match interp::exec_stmt(vm, frame, &code.stmts[stmt as usize])? {
                     Flow::Normal => {}
                     Flow::Return(v) => return Ok(v),
@@ -463,9 +465,113 @@ fn run_on(
                 }
             }
             Insn::EvalExpr(i) => {
+                vm.trampolines[1].set(vm.trampolines[1].get() + 1);
                 stack.push(interp::eval(vm, frame, &code.exprs[i as usize])?)
             }
         }
     }
     Ok(Value::None)
+}
+
+/// Calls `stack[callee]` with `stack[first..]` as its positional
+/// arguments and pops both, along with an empty receiver slot between
+/// them. A user-defined function whose parameters take the arguments
+/// one to one binds them straight from the stack, and a native reads
+/// them as a slice of it; every other callee and shape drains them into
+/// a pooled vector for [`interp::call_function`] /
+/// [`interp::call_value`].
+///
+/// # Errors
+///
+/// Whatever the callee raises, or the call's own `TypeError` /
+/// `RuntimeError`, exactly as the general path.
+#[inline]
+fn call_from_stack(
+    vm: &mut Vm,
+    stack: &mut Vec<Value>,
+    callee: usize,
+    first: usize,
+) -> Result<Value, PyExc> {
+    let callee_value = stack[callee];
+    match callee_value {
+        Value::Func(f) => {
+            // The general path's first check too, whatever the shape.
+            interp::check_depth(vm)?;
+            if let Some(frame) = interp::positional_frame(vm, f, &stack[first..]) {
+                stack.truncate(callee);
+                return interp::run_frame(vm, frame);
+            }
+        }
+        Value::Native(n) => {
+            let r = interp::call_native(vm, n, &stack[first..], &[]);
+            stack.truncate(callee);
+            return r;
+        }
+        _ => {}
+    }
+    // Recycled argument vector: drained into the callee's frame and
+    // returned to the pool by the callee's path.
+    let mut pos = vm.take_args();
+    pos.extend(stack.drain(first..));
+    stack.truncate(callee);
+    // Plain functions bypass the `call_value` dispatch layer.
+    match callee_value {
+        Value::Func(f) => interp::call_function(vm, f, pos, Vec::new()),
+        other => interp::call_value(vm, other, pos, Vec::new()),
+    }
+}
+
+/// [`interp::load_method`]'s answer for an instance that does not hold
+/// `sym` itself and whose class chain yields a function or native: the
+/// callee and the receiving instance. `None` for everything else.
+#[inline]
+fn class_method(vm: &Vm, obj: Value, sym: crate::intern::Symbol) -> Option<(Value, u32)> {
+    let Value::Instance(i) = obj else {
+        return None;
+    };
+    let inst = vm.heap.instance(i);
+    if inst.get_attr_sym(sym).is_some() {
+        return None;
+    }
+    match vm.heap.class_lookup_sym(inst.class, sym)? {
+        f @ (Value::Func(_) | Value::Native(_)) => Some((f, i)),
+        _ => None,
+    }
+}
+
+/// [`interp::binary_op`], with `int` `+` and `-` answered inline.
+#[inline]
+fn binary(vm: &Vm, op: BinOp, l: Value, r: Value) -> Result<Value, PyExc> {
+    match (op, l, r) {
+        (BinOp::Add, Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_add(b))),
+        (BinOp::Sub, Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_sub(b))),
+        _ => interp::binary_op(&vm.heap, op, l, r),
+    }
+}
+
+/// [`interp::compare`], with `int` orderings and equalities answered
+/// inline.
+#[inline]
+fn compare(vm: &Vm, op: CmpOp, l: Value, r: Value) -> Result<bool, PyExc> {
+    if let (Value::Int(a), Value::Int(b)) = (l, r) {
+        match op {
+            CmpOp::Eq => return Ok(a == b),
+            CmpOp::Ne => return Ok(a != b),
+            CmpOp::Lt => return Ok(a < b),
+            CmpOp::Le => return Ok(a <= b),
+            CmpOp::Gt => return Ok(a > b),
+            CmpOp::Ge => return Ok(a >= b),
+            _ => {}
+        }
+    }
+    interp::compare(&vm.heap, op, l, r)
+}
+
+/// [`Value::truthy`], with `bool` answered inline.
+#[inline]
+fn truthy(vm: &Vm, v: Value) -> bool {
+    match v {
+        Value::Bool(b) => b,
+        other => other.truthy(&vm.heap),
+    }
 }

@@ -95,14 +95,12 @@ pub fn install(vm: &Vm) {
         if step == 0 {
             return Err(PyExc::value_error("range() arg 3 must not be zero"));
         }
-        // Materialized range; corpus ranges are small, and huge ranges
-        // are bounded by the VM fuel anyway.
-        const MAX_RANGE: i64 = 4_000_000;
+        // Materialized range; corpus ranges are small.
         let mut out = Vec::new();
         let mut i = start;
         while (step > 0 && i < stop) || (step < 0 && i > stop) {
             out.push(Value::Int(i));
-            if out.len() as i64 > MAX_RANGE {
+            if out.len() > MAX_SEQUENCE_LEN {
                 return Err(PyExc::value_error("range too large for this VM"));
             }
             i += step;

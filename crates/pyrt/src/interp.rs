@@ -1170,22 +1170,7 @@ pub fn call_value(
 ) -> Result<Value, PyExc> {
     match callee {
         Value::Native(n) => {
-            // Copy the dispatch data out of the slab before handing the
-            // whole `Vm` (mutably) to the implementation.
-            enum NativeCall {
-                Fn(Rc<NativeImpl>),
-                Method(MethodKind, Value),
-            }
-            let call = match vm.heap.native(n) {
-                NativeObj::Fn { imp, .. } => NativeCall::Fn(imp.clone()),
-                NativeObj::Method { kind, recv } => NativeCall::Method(*kind, *recv),
-            };
-            let result = match call {
-                NativeCall::Fn(imp) => imp(vm, &args, &kwargs),
-                NativeCall::Method(kind, recv) => {
-                    methods::call_method(vm, kind, recv, &args, &kwargs)
-                }
-            };
+            let result = call_native(vm, n, &args, &kwargs);
             vm.recycle_args(args);
             vm.recycle_kwargs(kwargs);
             result
@@ -1229,6 +1214,34 @@ pub fn call_value(
     }
 }
 
+/// Calls a native (a `Value::Native` handle): natives take their
+/// arguments as slices, so the caller keeps whatever holds them.
+///
+/// # Errors
+///
+/// Whatever the native raises.
+pub(crate) fn call_native(
+    vm: &mut Vm,
+    native: u32,
+    args: &[Value],
+    kwargs: &[(KwName, Value)],
+) -> Result<Value, PyExc> {
+    // Copy the dispatch data out of the slab before handing the whole
+    // `Vm` (mutably) to the implementation.
+    enum NativeCall {
+        Fn(Rc<NativeImpl>),
+        Method(MethodKind, Value),
+    }
+    let call = match vm.heap.native(native) {
+        NativeObj::Fn { imp, .. } => NativeCall::Fn(imp.clone()),
+        NativeObj::Method { kind, recv } => NativeCall::Method(*kind, *recv),
+    };
+    match call {
+        NativeCall::Fn(imp) => imp(vm, args, kwargs),
+        NativeCall::Method(kind, recv) => methods::call_method(vm, kind, recv, args, kwargs),
+    }
+}
+
 /// Calls a user-defined function (a `Value::Func` handle) with bound
 /// arguments.
 pub fn call_function(
@@ -1237,37 +1250,99 @@ pub fn call_function(
     mut args: Vec<Value>,
     mut kwargs: Vec<(KwName, Value)>,
 ) -> Result<Value, PyExc> {
+    check_depth(vm)?;
+    // Build the frame under shared heap borrows (slab refs are
+    // address-stable, and `bind_params` only allocates, never runs user
+    // code).
+    let positional = if kwargs.is_empty() {
+        positional_frame(vm, func, &args)
+    } else {
+        None
+    };
+    let frame = match positional {
+        Some(frame) => frame,
+        None => {
+            let f = vm.heap.func(func);
+            let locals = if f.proto.dynamic {
+                FrameLocals::Dynamic(Scope::new_ref())
+            } else {
+                FrameLocals::Slots(pooled_slots(vm, f.proto.slots.len()))
+            };
+            let mut frame = frame_of(f, locals);
+            bind_params(&vm.heap, f, &mut args, &mut kwargs, &mut frame.locals)?;
+            frame
+        }
+    };
+    vm.recycle_args(args);
+    vm.recycle_kwargs(kwargs);
+    run_frame(vm, frame)
+}
+
+/// `RuntimeError` once the Python call depth reaches [`MAX_DEPTH`]: the
+/// first thing a call of a user-defined function does.
+///
+/// # Errors
+///
+/// `RuntimeError: maximum recursion depth exceeded`.
+#[inline]
+pub(crate) fn check_depth(vm: &Vm) -> Result<(), PyExc> {
     if vm.depth.get() >= MAX_DEPTH {
         return Err(PyExc::new(
             "RuntimeError",
             "maximum recursion depth exceeded",
         ));
     }
-    // Phase A: build the frame under shared heap borrows (slab refs are
-    // address-stable, and `bind_params` only allocates, never runs user
-    // code). Slot vectors are recycled through the VM so small calls
-    // don't allocate.
-    let mut frame = {
-        let f = vm.heap.func(func);
-        let locals = if f.proto.dynamic {
-            FrameLocals::Dynamic(Scope::new_ref())
-        } else {
-            let mut slots = vm.slot_pool.borrow_mut().pop().unwrap_or_default();
-            slots.resize(f.proto.slots.len(), None);
-            FrameLocals::Slots(slots)
-        };
-        let mut frame = Frame {
-            globals: f.globals.clone(),
-            locals,
-            proto: f.proto.clone(),
-            captured: f.captured.clone(),
-        };
-        bind_params(&vm.heap, f, &mut args, &mut kwargs, &mut frame.locals)?;
-        frame
-    };
-    vm.recycle_args(args);
-    vm.recycle_kwargs(kwargs);
-    // Phase B: all heap borrows dropped; run the body with `&mut Vm`.
+    Ok(())
+}
+
+/// The frame of a call that binds `args` one to one onto `func`'s
+/// parameters — a slot frame, exactly as many positional arguments as
+/// parameters, every parameter plain — or `None` for any other shape.
+/// The arguments are copied straight into the frame's slots, so the
+/// bytecode tier can bind from its operand stack.
+#[inline]
+pub(crate) fn positional_frame(vm: &Vm, func: u32, args: &[Value]) -> Option<Frame> {
+    let f = vm.heap.func(func);
+    let params = &f.proto.params;
+    if f.proto.dynamic
+        || params.len() != args.len()
+        || !params.iter().all(|p| matches!(p.kind, ParamKind::Normal))
+    {
+        return None;
+    }
+    let mut slots = pooled_slots(vm, f.proto.slots.len());
+    for (p, &v) in params.iter().zip(args) {
+        slots[p.slot as usize] = Some(v);
+    }
+    Some(frame_of(f, FrameLocals::Slots(slots)))
+}
+
+/// An all-unbound slot vector, recycled through the VM so small calls
+/// don't allocate.
+fn pooled_slots(vm: &Vm, len: usize) -> Vec<Option<Value>> {
+    let mut slots = vm.slot_pool.borrow_mut().pop().unwrap_or_default();
+    slots.resize(len, None);
+    slots
+}
+
+fn frame_of(f: &FuncObj, locals: FrameLocals) -> Frame {
+    Frame {
+        globals: f.globals.clone(),
+        locals,
+        proto: f.proto.clone(),
+        captured: f.captured.clone(),
+    }
+}
+
+/// Runs a bound function frame through the configured engine: the
+/// second half of [`call_function`], after [`check_depth`] and binding.
+///
+/// # Errors
+///
+/// Propagates the body's [`PyExc`], with the frame's name added to its
+/// traceback.
+pub(crate) fn run_frame(vm: &mut Vm, mut frame: Frame) -> Result<Value, PyExc> {
+    // All heap borrows dropped; run the body with `&mut Vm`.
     vm.depth.set(vm.depth.get() + 1);
     let result = if vm.engine() == crate::vm::Engine::Bytecode {
         // SAFETY: the compiled code lives in the proto's `OnceLock`,
@@ -1329,21 +1404,6 @@ fn bind_params(
         }
     }
     let params = &func.proto.params;
-    // Fast path: exact-arity positional call with plain parameters —
-    // the overwhelmingly common shape on the call-heavy hot path.
-    if kwargs.is_empty() && args.len() == params.len() {
-        if let FrameLocals::Slots(slots) = locals {
-            if params
-                .iter()
-                .all(|p| matches!(p.kind, ParamKind::Normal))
-            {
-                for (p, v) in params.iter().zip(args.drain(..)) {
-                    slots[p.slot as usize] = Some(v);
-                }
-                return Ok(());
-            }
-        }
-    }
     let mut arg_iter = args.drain(..);
     for (i, p) in params.iter().enumerate() {
         match p.kind {
@@ -1718,17 +1778,19 @@ pub fn binary_op(heap: &Heap, op: BinOp, l: Value, r: Value) -> Result<Value, Py
         (Add, Value::Float(a), Value::Int(b)) => Ok(Value::Float(a + b as f64)),
         (Add, Value::Str(a), Value::Str(b)) => {
             let (a, b) = (heap.str(a), heap.str(b));
-            let mut s = String::with_capacity(a.len() + b.len());
+            let mut s = String::with_capacity(bounded_len(a.len().checked_add(b.len()))?);
             s.push_str(a);
             s.push_str(b);
             Ok(heap.new_string(s))
         }
         (Add, Value::List(a), Value::List(b)) => {
+            bounded_len(heap.list(a).borrow().len().checked_add(heap.list(b).borrow().len()))?;
             let mut out = heap.list(a).borrow().clone();
             out.extend(heap.list(b).borrow().iter().copied());
             Ok(heap.new_list(out))
         }
         (Add, Value::Tuple(a), Value::Tuple(b)) => {
+            bounded_len(heap.tuple(a).len().checked_add(heap.tuple(b).len()))?;
             let mut out = heap.tuple(a).to_vec();
             out.extend(heap.tuple(b).iter().copied());
             Ok(heap.new_tuple(out))
@@ -1743,13 +1805,17 @@ pub fn binary_op(heap: &Heap, op: BinOp, l: Value, r: Value) -> Result<Value, Py
         (Mul, Value::Float(a), Value::Int(b)) => Ok(Value::Float(a * b as f64)),
         (Mul, Value::Str(s), Value::Int(n)) | (Mul, Value::Int(n), Value::Str(s)) => {
             // Negative repeat counts clamp to 0 (`as usize` would wrap).
-            Ok(heap.new_string(heap.str(s).repeat(n.max(0) as usize)))
+            let (s, n) = (heap.str(s), n.max(0) as usize);
+            bounded_len(s.len().checked_mul(n))?;
+            Ok(heap.new_string(s.repeat(n)))
         }
         (Mul, Value::List(xs), Value::Int(n)) | (Mul, Value::Int(n), Value::List(xs)) => {
             let out = {
                 let items = heap.list(xs).borrow();
+                let n = if items.is_empty() { 0 } else { n.max(0) as usize };
+                bounded_len(items.len().checked_mul(n))?;
                 let mut out = Vec::new();
-                for _ in 0..n.max(0) {
+                for _ in 0..n {
                     out.extend(items.iter().copied());
                 }
                 out
@@ -1840,6 +1906,7 @@ fn format_percent(heap: &Heap, fmt: u32, args: Value) -> Result<Value, PyExc> {
         match it.next() {
             Some('%') => out.push('%'),
             Some(spec) => {
+                bounded_len(Some(out.len()))?;
                 let v = *values
                     .get(idx)
                     .ok_or_else(|| PyExc::type_error("not enough arguments for format string"))?;
@@ -1883,6 +1950,7 @@ fn format_percent(heap: &Heap, fmt: u32, args: Value) -> Result<Value, PyExc> {
             "not all arguments converted during string formatting",
         ));
     }
+    bounded_len(Some(out.len()))?;
     Ok(heap.new_string(out))
 }
 

@@ -244,6 +244,7 @@ fn str_method(
             for (i, item) in items.into_iter().enumerate() {
                 match item {
                     Value::Str(p) => {
+                        bounded_len(out.len().checked_add(s.len() + heap.str(p).len()))?;
                         if i > 0 {
                             out.push_str(s);
                         }
@@ -268,6 +269,15 @@ fn str_method(
             }
             let from = str_of(heap, &args[0], "replace")?;
             let to = str_of(heap, &args[1], "replace")?;
+            if to.len() > from.len() {
+                let hits = if from.is_empty() {
+                    s.chars().count() + 1
+                } else {
+                    s.matches(from).count()
+                };
+                let grow = hits.checked_mul(to.len() - from.len());
+                bounded_len(grow.and_then(|grow| grow.checked_add(s.len())))?;
+            }
             Ok(heap.new_string(s.replace(from, to)))
         }
         StrLower => Ok(heap.new_string(s.to_lowercase())),
@@ -291,6 +301,7 @@ fn str_method(
                         .get(idx)
                         .ok_or_else(|| PyExc::new("IndexError", "format index out of range"))?;
                     out.push_str(&v.display(heap));
+                    bounded_len(Some(out.len()))?;
                     idx += 1;
                 } else {
                     out.push(c);
@@ -315,10 +326,10 @@ fn str_method(
             // Negative widths clamp to 0 (a plain `as usize` would wrap
             // to a huge width and loop effectively forever).
             let width = int_of(args.first().ok_or_else(|| miss("zfill"))?, "zfill")?.max(0) as usize;
-            let mut out = s.to_string();
-            while out.chars().count() < width {
-                out.insert(0, '0');
-            }
+            let pad = width.saturating_sub(s.chars().count());
+            bounded_len(s.len().checked_add(pad))?;
+            let mut out = "0".repeat(pad);
+            out.push_str(s);
             Ok(heap.new_string(out))
         }
         _ => unreachable!("str kind dispatched by caller"),
@@ -338,6 +349,7 @@ fn list_method(heap: &Heap, kind: MethodKind, lid: u32, args: &[Value]) -> Resul
         }
         ListExtend => {
             let items = iter_values(heap, *args.first().ok_or_else(|| miss("extend"))?)?;
+            bounded_len(l.borrow().len().checked_add(items.len()))?;
             l.borrow_mut().extend(items);
             Ok(Value::None)
         }

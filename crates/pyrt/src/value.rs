@@ -156,6 +156,26 @@ pub struct BoundObj {
     pub recv: Value,
 }
 
+/// The most elements a list, tuple or `range` — or bytes a string —
+/// one operation may build. Operations whose result length is a sum or
+/// product of their operands' lengths check it *before* allocating: a
+/// failed allocation aborts the process, where no `catch_unwind` sees
+/// it.
+pub const MAX_SEQUENCE_LEN: usize = 4_000_000;
+
+/// `len` (`None`: the arithmetic that produced it overflowed), if it is
+/// within [`MAX_SEQUENCE_LEN`].
+///
+/// # Errors
+///
+/// `ValueError` otherwise.
+pub fn bounded_len(len: Option<usize>) -> Result<usize, crate::exc::PyExc> {
+    match len {
+        Some(len) if len <= MAX_SEQUENCE_LEN => Ok(len),
+        _ => Err(crate::exc::PyExc::value_error("sequence too large for this VM")),
+    }
+}
+
 /// Strings at or below this byte length are interned per-heap: equal
 /// short strings share one handle, so the hot comparisons in dict and
 /// scope lookups are id compares. Long strings allocate fresh slots.

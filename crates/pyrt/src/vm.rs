@@ -151,6 +151,22 @@ fn default_engine() -> Engine {
     })
 }
 
+/// The kinds of bytecode entry into the tree walk, in
+/// [`ExecStats::trampolines`] order: [`crate::ir::Insn::ExecStmt`] and
+/// [`crate::ir::Insn::EvalExpr`].
+pub const TRAMPOLINE_KINDS: [&str; 2] = ["stmt", "expr"];
+
+/// What a VM's interpreter has done so far, read off a [`Vm`] when its
+/// container is torn down.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ExecStats {
+    /// Interpreter steps settled: clock advanced, fuel consumed.
+    pub steps: u64,
+    /// Bytecode entries into the tree walk, parallel to
+    /// [`TRAMPOLINE_KINDS`].
+    pub trampolines: [u64; TRAMPOLINE_KINDS.len()],
+}
+
 /// The interpreter state shared across modules of one target program.
 pub struct Vm {
     /// The per-VM object heap (typed slabs + short-string interner).
@@ -170,6 +186,10 @@ pub struct Vm {
     /// Batch size: `tick` settles when `pending_ticks` reaches this.
     /// Never larger than the step at which fuel or deadline would trip.
     tick_limit: Cell<u64>,
+    /// Steps settled so far (counted per settlement, not per tick).
+    steps_settled: Cell<u64>,
+    /// Trampoline entries so far, parallel to [`TRAMPOLINE_KINDS`].
+    pub(crate) trampolines: [Cell<u64>; TRAMPOLINE_KINDS.len()],
     /// The EDFI-style fault trigger shared with the sandbox.
     pub trigger: Rc<Cell<bool>>,
     /// Host services (network, filesystem, env).
@@ -241,6 +261,8 @@ impl Vm {
             deadline: Cell::new(None),
             pending_ticks: Cell::new(0),
             tick_limit: Cell::new(1),
+            steps_settled: Cell::new(0),
+            trampolines: Default::default(),
             trigger: Rc::new(Cell::new(false)),
             host,
             rng: RefCell::new(StdRng::seed_from_u64(seed)),
@@ -633,6 +655,7 @@ impl Vm {
     fn settle_ticks(&self) -> Result<(), PyExc> {
         let n = self.pending_ticks.replace(0);
         if n > 0 {
+            self.steps_settled.set(self.steps_settled.get() + n);
             self.clock.advance_steps(n, self.fuel.step_cost_secs());
             if !self.fuel.consume(n) {
                 self.tick_limit.set(1);
@@ -660,6 +683,7 @@ impl Vm {
     fn settle_observed(&self) {
         let n = self.pending_ticks.replace(0);
         if n > 0 {
+            self.steps_settled.set(self.steps_settled.get() + n);
             self.clock.advance_steps(n, self.fuel.step_cost_secs());
             // Cannot exhaust: `tick` settles (and raises) at the batch
             // limit, which never exceeds the exhausting step, so the
@@ -687,6 +711,15 @@ impl Vm {
             limit = limit.min(steps);
         }
         self.tick_limit.set(limit.max(1));
+    }
+
+    /// Steps settled and trampoline entries so far (plain reads of
+    /// per-VM counters).
+    pub fn exec_stats(&self) -> ExecStats {
+        ExecStats {
+            steps: self.steps_settled.get(),
+            trampolines: self.trampolines.each_ref().map(Cell::get),
+        }
     }
 
     /// Current virtual time, with pending tick accounting settled —

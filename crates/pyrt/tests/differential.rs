@@ -15,7 +15,8 @@ use pyrt::vm::{Engine, Vm};
 /// Everything a campaign can observe from one experiment run.
 #[derive(Debug, Clone, PartialEq)]
 struct Outcome {
-    error: Option<(String, String)>,
+    /// Class, message and traceback of an uncaught exception.
+    error: Option<(String, String, Vec<String>)>,
     stdout: String,
     stderr: String,
     /// Virtual-clock reading, compared bit-for-bit.
@@ -35,7 +36,7 @@ fn run_engine(src: &str, engine: Engine, fuel: Option<u64>) -> Outcome {
         .err()
         .map(|e| {
             let e = e.into_data();
-            (e.class_name, e.message)
+            (e.class_name, e.message, e.traceback)
         });
     Outcome {
         error,
@@ -364,6 +365,55 @@ fn engine_fixture_corpus_agrees() {
     for src in fixtures {
         assert_engines_agree(src, None);
         for fuel in [3u64, 17, 61, 200] {
+            assert_engines_agree(src, Some(fuel));
+        }
+    }
+}
+
+/// The bytecode tier's fast paths — positional calls bound from the
+/// operand stack, instance attributes and class-chain methods read in
+/// place, `int` arithmetic and comparisons, `bool` jumps — each driven
+/// across the line where it hands over to the general path, under
+/// every budget from one step to past completion: fuel runs out inside
+/// fast-pathed callees, mid-fallback and between the two.
+#[test]
+fn fast_path_fallbacks_agree_across_engines_and_fuel() {
+    let fixtures: &[&str] = &[
+        // Instance-held functions (no receiver), a bound method value,
+        // a class-level non-callable, a base-class method.
+        "def free(x):\n    return x + 1\n\
+         class Base:\n    limit = 3\n    def get(self, x):\n        return x + self.limit\n\
+         class Kid(Base):\n    def __init__(self):\n        self.f = free\n\
+         k = Kid()\nprint(k.f(1), k.get(2), k.limit)\nm = k.get\nprint(m(5))\n\
+         k.get = free\nprint(k.get(7))\ntry:\n    k.limit()\nexcept TypeError as e:\n    print(e)\n",
+        // Arithmetic and comparisons on the int line and off it.
+        "print(True + 1, 2 == 2.0, 9223372036854775807 + 1, 1.5 - 1)\n\
+         def acc(n):\n    t = 0\n    i = 0\n    while i < n:\n        t = t + i\n        i = i + 1\n    return t\n\
+         print(acc(6), acc(0) + True, 1 < 2 < 3 != 4)\ntry:\n    print(1 < True)\nexcept TypeError:\n    print('no order')\n",
+        // Call shapes that bind on the fast path and ones that do not.
+        "def two(a, b):\n    return a - b\ndef dflt(a, b=4):\n    return a * b\n\
+         def rest(*r):\n    return len(r)\nprint(two(5, 2), dflt(2), dflt(2, 3), two(b=1, a=3), rest(1, 2))\n\
+         for bad in ['two(1)', 'two(1, 2, 3)', 'dflt()', 'two(1, a=2)']:\n    try:\n        \
+         if bad == 'two(1)':\n            two(1)\n        elif bad == 'two(1, 2, 3)':\n            two(1, 2, 3)\n        \
+         elif bad == 'dflt()':\n            dflt()\n        else:\n            two(1, a=2)\n    \
+         except TypeError as e:\n        print(e)\n",
+        // The broker spin in small: method calls that return ints and
+        // `None` until the budget runs out inside one of them.
+        "class Q:\n    def __init__(self):\n        self.items = [1]\n    \
+         def size(self):\n        return len(self.items) + 0\n    \
+         def take(self):\n        if len(self.items) < 2:\n            return None\n        return self.items.pop()\n\
+         class C:\n    def __init__(self, q):\n        self.q = q\n    \
+         def poll(self):\n        m = self.q.take()\n        if m is None:\n            return 0\n        return 1\n\
+         q = Q()\nc = C(q)\nn = 0\nwhile q.size() > 0:\n    n = n + c.poll()\n",
+        // Recursion through positional calls past the depth limit.
+        "def down(n):\n    return down(n + 1)\nclass R:\n    def down(self, n):\n        return self.down(n - 1)\n\
+         try:\n    down(0)\nexcept RuntimeError as e:\n    print('deep', e)\nR().down(0)\n",
+    ];
+    for src in fixtures {
+        // The spin never finishes: its `steps` is the whole budget.
+        let full = run_engine(src, Engine::TreeWalk, Some(20_000));
+        let steps = 20_000 - full.fuel_remaining;
+        for fuel in (1..steps.min(2_000) + 3).chain([steps / 2, steps - 1, steps, steps + 1]) {
             assert_engines_agree(src, Some(fuel));
         }
     }

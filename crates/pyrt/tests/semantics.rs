@@ -1361,3 +1361,219 @@ fn run_time_double_star_keys_bind_without_entering_the_interner() {
     assert!(pyrt::intern::try_intern("rt_41_zqx").is_none());
     assert!(pyrt::intern::try_intern("extra").is_some(), "source names are symbols");
 }
+
+// ---------- bytecode fast paths, each driven to its fallback ----------
+//
+// The bytecode tier answers exact-arity positional calls, an instance's
+// own attributes, class-chain methods, `int` `+`/`-`/comparisons and
+// `bool` jumps inline; every other shape falls back to the general
+// path. Each case below sits on one side of such a line, and both
+// engines must agree on it.
+
+#[test]
+fn instance_held_function_is_called_without_a_receiver() {
+    let src = format!(
+        "{COUNTER_CLASS}{}",
+        concat!(
+            "def free(by):\n",
+            "    return 'free ' + str(by)\n",
+            "c = Counter(1)\n",
+            "c.bump = free\n",
+            "print(c.bump(5), c.n)\n",
+            "class Holder:\n",
+            "    def __init__(self, f):\n",
+            "        self.f = f\n",
+            "h = Holder(free)\n",
+            "print(h.f(7))\n",
+            "m = Counter(3).bump\n",
+            "print(m(4))\n",
+            "f = h.f\n",
+            "print(f(8))\n",
+        )
+    );
+    assert_eq!(
+        on_both_engines(&src).unwrap(),
+        "free 5 1\nfree 7\n7\nfree 8\n"
+    );
+    let err = on_both_engines(&format!("{src}c.bump(1, 2)\n")).unwrap_err();
+    assert_eq!(err.0, "TypeError");
+    assert_eq!(err.1, "free() takes 1 positional arguments but more were given");
+}
+
+#[test]
+fn class_attributes_and_base_methods_through_an_instance() {
+    let prologue = concat!(
+        "class Base:\n",
+        "    limit = 3\n",
+        "    def hello(self, x):\n",
+        "        return 'hello ' + str(x + self.limit)\n",
+        "class Derived(Base):\n",
+        "    pass\n",
+        "d = Derived()\n",
+    );
+    assert_eq!(
+        on_both_engines(&format!("{prologue}print(d.limit, d.hello(1))\nd.limit = 10\nprint(d.hello(2))\n"))
+            .unwrap(),
+        "3 hello 4\nhello 12\n"
+    );
+    assert_eq!(
+        on_both_engines(&format!("{prologue}d.limit()\n")).unwrap_err(),
+        ("TypeError".into(), "'int' object is not callable".into())
+    );
+    assert_eq!(
+        on_both_engines(&format!("{prologue}d.nothing\n")).unwrap_err(),
+        ("AttributeError".into(), "'Derived' object has no attribute 'nothing'".into())
+    );
+}
+
+#[test]
+fn int_fast_paths_leave_bool_and_float_operands_to_the_general_path() {
+    let src = concat!(
+        "print(True + 1, 1 - True, True + True, 1 == True, 2 == 2.0, 2 != 2.0)\n",
+        "print(9223372036854775807 + 1, -9223372036854775807 - 2, 3 - 5, 2.5 + 1)\n",
+        "def step(a, b):\n",
+        "    c = a + b\n",
+        "    c = c - 1\n",
+        "    return c\n",
+        "print(step(9223372036854775807, 2), step(True, 1), step(1.5, 1))\n",
+        "x = 0\n",
+        "while x < 3:\n",
+        "    x = x + 1\n",
+        "print(x, 1 < 2 < 3, 3 > 2 > 2, 1 <= 1 == True, 2 >= 2 != 3)\n",
+        "flag = True\n",
+        "if flag:\n",
+        "    print('bool jump')\n",
+        "if not (x == 3):\n",
+        "    print('unreached')\n",
+        "while [] or 0:\n",
+        "    print('unreached')\n",
+        "print('a' < 'b', [1] == [1], None == 0)\n",
+    );
+    assert_eq!(
+        on_both_engines(src).unwrap(),
+        "2 0 2 True True False\n\
+         -9223372036854775808 9223372036854775807 -2 3.5\n\
+         -9223372036854775808 1 1.5\n\
+         3 True False True True\n\
+         bool jump\n\
+         True True False\n"
+    );
+    assert_eq!(
+        on_both_engines("print(1 + 'a')\n").unwrap_err(),
+        (
+            "TypeError".into(),
+            "unsupported operand type(s) for +: 'int' and 'str'".into()
+        )
+    );
+    // This VM orders no `int` against a `bool`; neither engine does.
+    for src in [
+        "print(1 < 'a')\n",
+        "print(1 < True)\n",
+        "print(True > 0)\n",
+        "x = 1\nprint(0 < x <= True)\n",
+    ] {
+        assert_eq!(on_both_engines(src).unwrap_err().0, "TypeError", "on:\n{src}");
+    }
+}
+
+#[test]
+fn calls_outside_the_positional_shape_raise_the_same_type_errors() {
+    let prologue = concat!(
+        "def two(a, b):\n",
+        "    return a + b\n",
+        "def dflt(a, b=5):\n",
+        "    return a + b\n",
+        "def star(a, *rest):\n",
+        "    return [a, rest]\n",
+        "class K:\n",
+        "    def two(self, a, b):\n",
+        "        return a - b\n",
+        "k = K()\n",
+    );
+    assert_eq!(
+        on_both_engines(&format!(
+            "{prologue}print(two(1, 2), dflt(1), dflt(1, 2), two(1, b=3), star(1), star(1, 2, 3), k.two(5, 1), two(*[4, 5]))\n"
+        ))
+        .unwrap(),
+        "3 6 3 4 [1, ()] [1, (2, 3)] 4 9\n"
+    );
+    let err = |call: &str| on_both_engines(&format!("{prologue}{call}\n")).unwrap_err();
+    let missing = |name: &str, arg: &str| {
+        (
+            "TypeError".to_string(),
+            format!("{name}() missing required argument: '{arg}'"),
+        )
+    };
+    let extra = |name: &str, n: usize| {
+        (
+            "TypeError".to_string(),
+            format!("{name}() takes {n} positional arguments but more were given"),
+        )
+    };
+    assert_eq!(err("two(1)"), missing("two", "b"));
+    assert_eq!(err("two(1, 2, 3)"), extra("two", 2));
+    assert_eq!(err("dflt()"), missing("dflt", "a"));
+    assert_eq!(err("dflt(1, 2, 3)"), extra("dflt", 2));
+    assert_eq!(err("k.two(1)"), missing("two", "b"));
+    assert_eq!(err("k.two(1, 2, 3)"), extra("two", 3));
+    assert_eq!(err("star()"), missing("star", "a"));
+    assert_eq!(
+        err("two(1, a=2)"),
+        (
+            "TypeError".to_string(),
+            "two() got multiple values for argument 'a'".to_string()
+        )
+    );
+}
+
+#[test]
+fn positional_recursion_past_the_depth_limit_is_the_same_error() {
+    for src in [
+        "def down(n):\n    return down(n + 1)\ndown(0)\n",
+        "class R:\n    def down(self, n):\n        return self.down(n + 1)\nR().down(0)\n",
+        "def a(n):\n    return b(n)\ndef b(n):\n    return a(n + 1)\nprint(a(0))\n",
+    ] {
+        let (class, message) = on_both_engines(src).unwrap_err();
+        assert_eq!(class, "RuntimeError");
+        assert_eq!(message, "maximum recursion depth exceeded");
+    }
+}
+
+#[test]
+fn sequences_past_the_vm_bound_raise_value_error_in_both_engines() {
+    // Each of these once ended in a failed multi-gigabyte allocation,
+    // which aborts the process instead of raising.
+    for src in [
+        "x = 'ab' * 1000000000000\n",
+        "x = [0] * 3000000000\n",
+        "s = 'ab'\nwhile True:\n    s = s + s\n",
+        "l = [1, 2]\nwhile True:\n    l.extend(l)\n",
+        "s = 'ab'\nwhile True:\n    s += s\n",
+        "l = [1, 2]\nwhile True:\n    l = l + l\n",
+        "t = (1, 2)\nwhile True:\n    t = t + t\n",
+        "s = 'ab'\nwhile True:\n    s = ''.join([s, s])\n",
+        "s = 'ab'\nwhile True:\n    s = s.replace('a', 'aa')\n",
+        "s = 'ab'\nwhile True:\n    s = '{}{}'.format(s, s)\n",
+        "s = 'ab'\nwhile True:\n    s = '%s%s' % (s, s)\n",
+        "x = 'ab'.zfill(1000000000000)\n",
+    ] {
+        assert_eq!(
+            on_both_engines(src).unwrap_err(),
+            ("ValueError".into(), "sequence too large for this VM".into()),
+            "on:\n{src}"
+        );
+    }
+    // Below the bound, and empty repeats of any count, still build.
+    assert_eq!(
+        on_both_engines(
+            "print(len('ab' * 2000000), len([0] * 4000000), [] * 1000000000000, '' * 1000000000000 == '')\n"
+        )
+        .unwrap(),
+        "4000000 4000000 [] True\n"
+    );
+    // `range` keeps its own message.
+    assert_eq!(
+        on_both_engines("range(5000000)\n").unwrap_err(),
+        ("ValueError".into(), "range too large for this VM".into())
+    );
+}

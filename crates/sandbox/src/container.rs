@@ -73,11 +73,12 @@ pub fn prepare_cache_metrics() -> &'static PrepareCacheMetrics {
     })
 }
 
-/// Process-wide totals of what the containers' interpreter heaps held
-/// when they were torn down: objects allocated per slab kind, and how
-/// often a short string found its handle in the per-VM intern table.
-/// The per-VM counts are plain `Cell`s on the interpreter's hot path;
-/// they are folded in here once per container.
+/// Process-wide totals of what the containers' interpreters did by the
+/// time they were torn down: objects allocated per slab kind, how often
+/// a short string found its handle in the per-VM intern table, steps
+/// settled, and entries from bytecode into the tree walk. The per-VM
+/// counts are plain `Cell`s on the interpreter's hot path; they are
+/// folded in here once per container.
 pub struct HeapMetrics {
     /// Objects allocated per slab kind, parallel to
     /// [`pyrt::value::SLAB_KINDS`].
@@ -86,6 +87,11 @@ pub struct HeapMetrics {
     pub intern_hits: obs::Counter,
     /// Short strings new to a VM's intern table.
     pub intern_misses: obs::Counter,
+    /// Interpreter steps settled.
+    pub steps: obs::Counter,
+    /// Trampoline entries per kind, parallel to
+    /// [`pyrt::vm::TRAMPOLINE_KINDS`].
+    pub trampolines: Vec<obs::Counter>,
 }
 
 impl HeapMetrics {
@@ -109,14 +115,30 @@ impl HeapMetrics {
             "Short strings that were new to a container VM's intern table.",
             &self.intern_misses,
         );
+        registry.register_counter(
+            "pyrt_steps_total",
+            "Interpreter steps settled by torn-down containers.",
+            &self.steps,
+        );
+        for counter in &self.trampolines {
+            registry.register_counter(
+                "pyrt_trampoline_entries_total",
+                "Bytecode entries into the tree walk (ExecStmt, EvalExpr) by torn-down containers, per kind.",
+                counter,
+            );
+        }
     }
 
-    fn fold(&self, stats: &pyrt::value::HeapStats) {
-        for (counter, n) in self.objects.iter().zip(stats.objects) {
+    fn fold(&self, heap: &pyrt::value::HeapStats, exec: &pyrt::vm::ExecStats) {
+        for (counter, n) in self.objects.iter().zip(heap.objects) {
             counter.add(n);
         }
-        self.intern_hits.add(stats.intern_hits);
-        self.intern_misses.add(stats.intern_misses);
+        self.intern_hits.add(heap.intern_hits);
+        self.intern_misses.add(heap.intern_misses);
+        self.steps.add(exec.steps);
+        for (counter, n) in self.trampolines.iter().zip(exec.trampolines) {
+            counter.add(n);
+        }
     }
 }
 
@@ -130,6 +152,11 @@ pub fn heap_metrics() -> &'static HeapMetrics {
             .collect(),
         intern_hits: obs::Counter::detached(),
         intern_misses: obs::Counter::detached(),
+        steps: obs::Counter::detached(),
+        trampolines: pyrt::vm::TRAMPOLINE_KINDS
+            .iter()
+            .map(|kind| obs::Counter::detached_with(&[("kind", kind)]))
+            .collect(),
     })
 }
 
@@ -401,7 +428,7 @@ impl Container {
         self.vm.clear_hogs();
         let _ = self.vm.host.execute(&["etcd-cleanup".to_string()]);
         self.state = ContainerState::TornDown;
-        heap_metrics().fold(&self.vm.heap.stats());
+        heap_metrics().fold(&self.vm.heap.stats(), &self.vm.exec_stats());
     }
 }
 

@@ -696,3 +696,36 @@ fn a_deeply_nested_source_fails_its_request_not_the_server() {
     assert_eq!(client.get("/healthz").unwrap().status, 200);
     api.shutdown();
 }
+
+#[test]
+fn a_workload_that_asks_for_terabytes_fails_its_rounds_not_the_server() {
+    // `'ab' * 10**12` once asked the allocator for 2 TB; a failed
+    // allocation aborts the process, and the persisted job would abort
+    // the restarted server again. Now it is a `ValueError` in the round.
+    let api = ApiServer::serve("127.0.0.1:0", service(), ApiConfig::default()).unwrap();
+    let mut client = httpd::Client::new(api.addr().to_string()).timeout(Duration::from_secs(10));
+    let mut spec = spec_for("mallory", 2);
+    spec.workload = WORKLOAD.replace(
+        "    total = 0\n",
+        "    total = 0\n    x = 'ab' * 1000000000000\n",
+    );
+    assert_ne!(spec.workload, WORKLOAD);
+    let id = submit(&mut client, &spec);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let state = loop {
+        let resp = client.get(&format!("/api/campaigns/{id}")).unwrap();
+        let v = jsonlite::parse(&resp.text()).unwrap();
+        let state = v.req("state").unwrap().as_str().unwrap().to_string();
+        if state == "completed" || state == "failed" {
+            break state;
+        }
+        assert!(Instant::now() < deadline, "job never finished: {v:?}");
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert_eq!(state, "completed");
+    let report = client.get(&format!("/api/campaigns/{id}/report")).unwrap();
+    assert_eq!(report.status, 200);
+    assert!(report.text().contains("ValueError"), "{}", report.text());
+    assert_eq!(client.get("/healthz").unwrap().status, 200);
+    api.shutdown();
+}

@@ -12,7 +12,7 @@
 
 use campaign::{
     report_to_value, ApiConfig, ApiServer, CampaignService, CampaignSpec, EngineConfig,
-    HostRegistry,
+    FilterSpec, HostRegistry,
 };
 use cluster::{wire, FleetConfig, FleetServer};
 use jsonlite::Value;
@@ -327,5 +327,84 @@ fn local_campaign_records_engine_trace_spans() {
         trace_doc.req("span_count").unwrap().as_u64().unwrap() as usize == spans.len(),
         "span_count disagrees with the spans array"
     );
+    api.shutdown();
+}
+
+/// The value of one sample line (`series` is the name plus labels).
+fn sample(metrics: &str, series: &str) -> u64 {
+    metrics
+        .lines()
+        .find_map(|line| line.strip_prefix(series)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("no sample of {series}\n{metrics}"))
+        .parse()
+        .expect("counter value")
+}
+
+#[test]
+fn interpreter_steps_and_trampoline_entries_move_with_a_campaign() {
+    // §V-B on python-etcd: its client wraps requests in `try`, which the
+    // bytecode tier runs through the tree walk (an `ExecStmt` entry).
+    let c = profipy::case_study::campaign_b();
+    let config = &c.workflow.config;
+    let mut spec = CampaignSpec::new(
+        "steps",
+        &c.name,
+        "etcd",
+        c.workflow.sources().to_vec(),
+        targets::WORKLOAD_BASIC.to_string(),
+        c.workflow.model.clone(),
+    );
+    spec.setup = config.setup.clone();
+    spec.seed = config.seed;
+    spec.mode = config.mode;
+    spec.round_timeout = config.round_timeout;
+    spec.fuel_per_round = config.fuel_per_round;
+    spec.filter = FilterSpec::from_filter(&c.filter);
+    spec.prune_by_coverage = c.prune_by_coverage;
+    let registry =
+        HostRegistry::with_noop().with("etcd", profipy::case_study::etcd_host_factory());
+    let service = CampaignService::new(EngineConfig::default(), registry).unwrap();
+    let api = ApiServer::serve("127.0.0.1:0", service, ApiConfig::default()).unwrap();
+    let mut client = httpd::Client::new(api.addr().to_string());
+
+    const SERIES: [&str; 3] = [
+        "pyrt_steps_total",
+        "pyrt_trampoline_entries_total{kind=\"stmt\"}",
+        "pyrt_trampoline_entries_total{kind=\"expr\"}",
+    ];
+    let before = client.get("/metrics").unwrap().text();
+    let families = obs::validate_exposition(&before)
+        .unwrap_or_else(|e| panic!("invalid exposition: {e}\n---\n{before}"));
+    for family in ["pyrt_steps_total", "pyrt_trampoline_entries_total"] {
+        assert!(families.iter().any(|f| f == family), "{family} missing: {families:?}");
+    }
+    let counts_before = SERIES.map(|series| sample(&before, series));
+
+    let resp = client.post_json("/api/campaigns", &spec.to_json()).unwrap();
+    assert_eq!(resp.status, 201, "{}", resp.text());
+    let id = jsonlite::parse(&resp.text())
+        .unwrap()
+        .req("id")
+        .unwrap()
+        .as_str()
+        .unwrap()
+        .to_string();
+    let deadline = Instant::now() + Duration::from_secs(300);
+    while client.get(&format!("/api/campaigns/{id}/report")).unwrap().status != 200 {
+        assert!(Instant::now() < deadline, "campaign never completed");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    let after = client.get("/metrics").unwrap().text();
+    obs::validate_exposition(&after)
+        .unwrap_or_else(|e| panic!("invalid exposition: {e}\n---\n{after}"));
+    let counts_after = SERIES.map(|series| sample(&after, series));
+    // Counts are process-wide, so other tests can only add to them.
+    assert!(counts_after[0] > counts_before[0], "steps stood still: {after}");
+    assert!(
+        counts_after[1] > counts_before[1],
+        "no `try` statement entered the tree walk: {after}"
+    );
+    assert!(counts_after[2] >= counts_before[2], "a counter fell: {after}");
     api.shutdown();
 }
