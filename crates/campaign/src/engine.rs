@@ -771,7 +771,8 @@ impl CampaignEngine {
                     Err(e) => {
                         // Unmutatable point: record the deploy failure
                         // directly (no container needed) and move on.
-                        checkpoint.record_owned(Self::mutation_failure(point, &e.message))?;
+                        let failure = ExperimentResult::not_run(point, Some(e.message));
+                        checkpoint.record_owned(failure)?;
                         continue;
                     }
                 },
@@ -912,28 +913,6 @@ impl CampaignEngine {
         match (&self.checkpoint_dir, self.queue.spec_hash(id)) {
             (Some(dir), Some(hash)) => CheckpointLog::peek(&dir.join(format!("{id}.jsonl")), hash),
             _ => self.mem_logs.get(id).cloned().unwrap_or_default(),
-        }
-    }
-
-    fn mutation_failure(point: &InjectionPoint, message: &str) -> ExperimentResult {
-        use sandbox::{RoundOutcome, RoundStatus};
-        let not_run = RoundOutcome {
-            status: RoundStatus::NotRun,
-            duration: 0.0,
-        };
-        ExperimentResult {
-            point_id: point.id,
-            spec_name: point.spec_name.clone(),
-            module: point.module.clone(),
-            scope: point.scope.clone(),
-            round1: not_run.clone(),
-            round2: not_run,
-            logs: Vec::new(),
-            stdout: String::new(),
-            stderr: String::new(),
-            duration: 0.0,
-            deploy_error: Some(message.to_string()),
-            events: Vec::new(),
         }
     }
 

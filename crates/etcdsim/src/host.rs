@@ -100,11 +100,6 @@ impl EtcdHost {
         self.node.borrow().serving()
     }
 
-    /// Current server state (diagnostics).
-    pub fn node_state(&self) -> NodeState {
-        self.node.borrow().state
-    }
-
     /// Recorded API events (for tracing/visualization).
     pub fn events(&self) -> Vec<ApiEvent> {
         self.events.borrow().clone()

@@ -5,6 +5,7 @@
 use etcdsim::EtcdHost;
 use pyrt::Vm;
 use std::rc::Rc;
+use std::sync::Arc;
 
 fn run_with_server(src: &str) -> (Vm, Result<(), pyrt::PyExc>) {
     let host = Rc::new(EtcdHost::new(3));
@@ -135,7 +136,7 @@ fn full_client_fault_free_leaves_consistent_store() {
     host.start_server();
     let mut vm = Vm::with_host(host.clone(), 5);
     let client = pysrc::parse_module(targets::CLIENT_SOURCE, "etcd").unwrap();
-    vm.register_source("etcd", Rc::new(client));
+    vm.register_prepared_source("etcd", pyrt::prepare::prepare(Arc::new(client)));
     let driver = pysrc::parse_module(
         concat!(
             "import etcd\n",
@@ -165,7 +166,7 @@ fn client_exceptions_carry_paper_messages() {
     host.start_server();
     let mut vm = Vm::with_host(host, 5);
     let client = pysrc::parse_module(targets::CLIENT_SOURCE, "etcd").unwrap();
-    vm.register_source("etcd", Rc::new(client));
+    vm.register_prepared_source("etcd", pyrt::prepare::prepare(Arc::new(client)));
     let driver = pysrc::parse_module(
         concat!(
             "import etcd\n",

@@ -1,6 +1,5 @@
 //! DSL parsing: `change { ... } into { ... }` → [`BugSpec`] meta-model.
 
-use crate::glob::glob_match;
 use pysrc::ast::Stmt;
 use std::collections::HashMap;
 use std::fmt;
@@ -494,15 +493,6 @@ fn collect_stmt(stmt: &Stmt, out: &mut Vec<String>) {
             }
         }
         _ => {}
-    }
-}
-
-/// Convenience: does a directive's `name`/`val` constraint accept a
-/// candidate string?
-pub fn constraint_accepts(glob: &Option<String>, candidate: &str) -> bool {
-    match glob {
-        Some(g) => glob_match(g, candidate),
-        None => true,
     }
 }
 

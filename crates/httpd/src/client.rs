@@ -165,24 +165,6 @@ pub(crate) fn wants_close(response: &ClientResponse) -> bool {
         .is_some_and(|v| v.eq_ignore_ascii_case("close"))
 }
 
-/// One-shot `GET` on a fresh connection.
-///
-/// # Errors
-///
-/// Connection or protocol failure.
-pub fn get(addr: &str, path: &str) -> io::Result<ClientResponse> {
-    Client::new(addr).get(path)
-}
-
-/// One-shot JSON `POST` on a fresh connection.
-///
-/// # Errors
-///
-/// Connection or protocol failure.
-pub fn post_json(addr: &str, path: &str, body: &str) -> io::Result<ClientResponse> {
-    Client::new(addr).post_json(path, body)
-}
-
 /// Whether an error means the kept-alive connection was already dead
 /// (safe to retry) as opposed to the server failing mid-request (not
 /// safe — it may have acted on the request).

@@ -101,15 +101,6 @@ impl Value {
         }
     }
 
-    /// Numeric payload as i64.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            Value::UInt(u) if *u <= i64::MAX as u64 => Some(*u as i64),
-            _ => None,
-        }
-    }
-
     /// Numeric payload as f64 (any number).
     pub fn as_f64(&self) -> Option<f64> {
         match self {

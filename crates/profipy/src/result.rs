@@ -1,7 +1,8 @@
 //! Per-experiment results.
 
 use pyrt::LogRecord;
-use sandbox::RoundOutcome;
+use injector::InjectionPoint;
+use sandbox::{RoundOutcome, RoundStatus};
 
 /// The outcome of one fault-injection experiment (one mutated version,
 //  one fresh container, two workload rounds).
@@ -35,6 +36,29 @@ pub struct ExperimentResult {
 }
 
 impl ExperimentResult {
+    /// The result of an experiment on `point` before (or instead of)
+    /// running it: both rounds not run, nothing captured.
+    pub fn not_run(point: &InjectionPoint, deploy_error: Option<String>) -> ExperimentResult {
+        let not_run = RoundOutcome {
+            status: RoundStatus::NotRun,
+            duration: 0.0,
+        };
+        ExperimentResult {
+            point_id: point.id,
+            spec_name: point.spec_name.clone(),
+            module: point.module.clone(),
+            scope: point.scope.clone(),
+            round1: not_run.clone(),
+            round2: not_run,
+            logs: Vec::new(),
+            stdout: String::new(),
+            stderr: String::new(),
+            duration: 0.0,
+            deploy_error,
+            events: Vec::new(),
+        }
+    }
+
     /// Did round 1 (fault enabled) expose a service failure?
     pub fn failed_round1(&self) -> bool {
         self.deploy_error.is_some() || !self.round1.status.is_ok()

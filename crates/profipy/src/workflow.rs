@@ -7,7 +7,7 @@ use faultdsl::{BugSpec, FaultModel};
 use injector::{InjectionPoint, ModuleText, MutationMode, Mutator, Scanner};
 use pyrt::{HostApi, PreparedModule};
 use pysrc::Module;
-use sandbox::{Container, ContainerImage, ParallelExecutor, RoundOutcome, RoundStatus};
+use sandbox::{Container, ContainerImage, ParallelExecutor};
 use std::collections::BTreeSet;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -445,11 +445,7 @@ impl Workflow {
     pub fn run_experiment(&self, point: &InjectionPoint) -> ExperimentResult {
         match self.render_mutant(point) {
             Ok(mutant) => self.run_mutant(point, &mutant),
-            Err(e) => {
-                let mut result = Self::empty_result(point);
-                result.deploy_error = Some(e.message);
-                result
-            }
+            Err(e) => ExperimentResult::not_run(point, Some(e.message)),
         }
     }
 
@@ -486,7 +482,7 @@ impl Workflow {
             .seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(point.id);
-        let mut result = Self::empty_result(point);
+        let mut result = ExperimentResult::not_run(point, None);
         let mut image = ContainerImage::new(format!("exp-{}", point.id))
             .workload(&self.workload)
             .round_timeout(self.config.round_timeout)
@@ -511,27 +507,6 @@ impl Workflow {
         result.duration = output.duration;
         result.events = output.events;
         result
-    }
-
-    fn empty_result(point: &InjectionPoint) -> ExperimentResult {
-        let not_run = RoundOutcome {
-            status: RoundStatus::NotRun,
-            duration: 0.0,
-        };
-        ExperimentResult {
-            point_id: point.id,
-            spec_name: point.spec_name.clone(),
-            module: point.module.clone(),
-            scope: point.scope.clone(),
-            round1: not_run.clone(),
-            round2: not_run,
-            logs: Vec::new(),
-            stdout: String::new(),
-            stderr: String::new(),
-            duration: 0.0,
-            deploy_error: None,
-            events: Vec::new(),
-        }
     }
 
     /// Convenience: scan → (optional coverage pruning) → execute.

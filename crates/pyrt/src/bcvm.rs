@@ -1,6 +1,6 @@
 //! The bytecode dispatch loop: a flat `pc`-driven interpreter over
 //! [`CodeObject`]s, sharing the tree walk's values, frames, builtins,
-//! name-resolution fallbacks, exception machinery, and host calls.
+//! exception machinery, and host calls.
 //!
 //! The loop has no exception tables: `try`/`with` compile to
 //! [`Insn::ExecStmt`] trampolines into the tree walk, so a raised
@@ -21,6 +21,7 @@
 //! shape.
 
 use crate::exc::{Flow, PyExc};
+use crate::intern::Symbol;
 use crate::interp::{self, Frame, FrameLocals};
 use crate::ir::{CodeObject, Insn, NO_LOOP};
 use crate::value::{values_eq, DictObj, FuncObj, KwName, Value};
@@ -80,43 +81,24 @@ fn run_on(
                 let v = *stack.last().expect("stack discipline");
                 stack.push(v);
             }
-            Insn::LoadSlot { slot, sym } => {
-                let v = if let FrameLocals::Slots(slots) = &frame.locals {
-                    match slots[slot as usize] {
-                        Some(v) => v,
-                        None => return Err(PyExc::unbound_local(sym.as_str())),
-                    }
-                } else {
-                    interp::read_sym_fallback(vm, frame, sym)?
-                };
-                stack.push(v);
-            }
+            Insn::LoadSlot { slot, sym } => stack.push(load_slot(frame, slot, sym)?),
             Insn::StoreSlot { slot, sym } => {
                 let v = stack.pop().expect("stack discipline");
-                if let FrameLocals::Slots(slots) = &mut frame.locals {
-                    slots[slot as usize] = Some(v);
-                } else {
-                    interp::write_sym(frame, sym, v);
-                }
+                store_slot(frame, slot, sym, v)?;
             }
             Insn::LoadDyn(sym) => {
-                let v = if let FrameLocals::Dynamic(locals) = &frame.locals {
-                    match locals.borrow().get_sym(sym) {
-                        Some(v) => v,
-                        None => return Err(PyExc::unbound_local(sym.as_str())),
-                    }
-                } else {
-                    interp::read_sym_fallback(vm, frame, sym)?
+                let FrameLocals::Dynamic(locals) = &frame.locals else {
+                    return Err(PyExc::not_prepared(sym.as_str()));
                 };
-                stack.push(v);
+                let v = locals.borrow().get_sym(sym);
+                stack.push(v.ok_or_else(|| PyExc::unbound_local(sym.as_str()))?);
             }
             Insn::StoreDyn(sym) => {
                 let v = stack.pop().expect("stack discipline");
-                if let FrameLocals::Dynamic(locals) = &mut frame.locals {
-                    locals.borrow_mut().set_sym(sym, v);
-                } else {
-                    interp::write_sym(frame, sym, v);
-                }
+                let FrameLocals::Dynamic(locals) = &frame.locals else {
+                    return Err(PyExc::not_prepared(sym.as_str()));
+                };
+                locals.borrow_mut().set_sym(sym, v);
             }
             Insn::LoadCell(sym) => {
                 let mut found = None;
@@ -136,9 +118,6 @@ fn run_on(
             Insn::StoreGlobal(sym) => {
                 let v = stack.pop().expect("stack discipline");
                 frame.globals.borrow_mut().set_sym(sym, v);
-            }
-            Insn::LoadFallback(sym) => {
-                stack.push(interp::read_sym_fallback(vm, frame, sym)?)
             }
             Insn::StoreSym(sym) => {
                 let v = stack.pop().expect("stack discipline");
@@ -247,15 +226,7 @@ fn run_on(
             // (or three for the augmented-assignment forms).
             Insn::TickLoadSlot { n, slot, sym } => {
                 vm.tick_n(n)?;
-                let v = if let FrameLocals::Slots(slots) = &frame.locals {
-                    match slots[slot as usize] {
-                        Some(v) => v,
-                        None => return Err(PyExc::unbound_local(sym.as_str())),
-                    }
-                } else {
-                    interp::read_sym_fallback(vm, frame, sym)?
-                };
-                stack.push(v);
+                stack.push(load_slot(frame, slot, sym)?);
             }
             Insn::TickLoadGlobal { n, sym } => {
                 vm.tick_n(n)?;
@@ -278,11 +249,7 @@ fn run_on(
                 let r = stack.pop().expect("stack discipline");
                 let l = stack.pop().expect("stack discipline");
                 let v = binary(vm, op, l, r)?;
-                if let FrameLocals::Slots(slots) = &mut frame.locals {
-                    slots[slot as usize] = Some(v);
-                } else {
-                    interp::write_sym(frame, sym, v);
-                }
+                store_slot(frame, slot, sym, v)?;
             }
             Insn::TickBinaryStoreGlobal { n, op, sym } => {
                 vm.tick_n(n)?;
@@ -410,10 +377,10 @@ fn run_on(
                     .iter()
                     .map(|has| if *has { it.next() } else { None })
                     .collect();
-                // The registry first, as `interp::make_function` does:
-                // this code may be shared with a module that overrides
-                // the `def`.
-                let proto = vm.proto(decl.def_id).unwrap_or_else(|| decl.proto.clone());
+                // The registry, as `interp::make_function` asks it: this
+                // code may be shared with a module that overrides the
+                // `def`.
+                let proto = vm.proto(decl.def_id)?;
                 stack.push(vm.heap.new_func(FuncObj {
                     proto,
                     defaults,
@@ -473,6 +440,31 @@ fn run_on(
     Ok(Value::None)
 }
 
+/// Reads a slot-allocated local.
+///
+/// # Errors
+///
+/// `UnboundLocalError` when the slot is empty; the internal error when
+/// the frame has no slots (code run against a prototype it was not
+/// compiled for).
+#[inline]
+fn load_slot(frame: &Frame, slot: u32, sym: Symbol) -> Result<Value, PyExc> {
+    let FrameLocals::Slots(slots) = &frame.locals else {
+        return Err(PyExc::not_prepared(sym.as_str()));
+    };
+    slots[slot as usize].ok_or_else(|| PyExc::unbound_local(sym.as_str()))
+}
+
+/// Writes a slot-allocated local (errors as [`load_slot`]).
+#[inline]
+fn store_slot(frame: &mut Frame, slot: u32, sym: Symbol, v: Value) -> Result<(), PyExc> {
+    let FrameLocals::Slots(slots) = &mut frame.locals else {
+        return Err(PyExc::not_prepared(sym.as_str()));
+    };
+    slots[slot as usize] = Some(v);
+    Ok(())
+}
+
 /// Calls `stack[callee]` with `stack[first..]` as its positional
 /// arguments and pops both, along with an empty receiver slot between
 /// them. A user-defined function whose parameters take the arguments
@@ -525,7 +517,7 @@ fn call_from_stack(
 /// `sym` itself and whose class chain yields a function or native: the
 /// callee and the receiving instance. `None` for everything else.
 #[inline]
-fn class_method(vm: &Vm, obj: Value, sym: crate::intern::Symbol) -> Option<(Value, u32)> {
+fn class_method(vm: &Vm, obj: Value, sym: Symbol) -> Option<(Value, u32)> {
     let Value::Instance(i) = obj else {
         return None;
     };

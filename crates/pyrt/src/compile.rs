@@ -14,10 +14,14 @@
 //!   runs of literals batch their steps.
 //! * Statements with deep cold semantics (`try`, `with`, `class`,
 //!   imports, `del`, unsupported assignment shapes) and expressions
-//!   with scope quirks (list comprehensions, unresolved attributes)
+//!   with scope quirks (list comprehensions, starred expressions)
 //!   compile to tree-walk trampolines over AST clones held by the code
 //!   object — those nodes tick themselves, so no pending step is
 //!   counted for them.
+//! * Every name and attribute was resolved by [`crate::prepare`]; the
+//!   compiler only reads that table. A node it finds unresolved goes
+//!   to the same trampoline, where the tree walk raises the internal
+//!   error — so there is one place that does.
 //!
 //! Compilation is cached on [`FuncProto::compiled`] (a `OnceLock`), so
 //! a prepared module shared across a campaign compiles each scope at
@@ -25,44 +29,32 @@
 
 use crate::intern::intern;
 use crate::ir::{CodeObject, Const, FnDecl, Insn, NO_LOOP};
-use crate::prepare::{self, FuncProto, NameRes};
-use crate::vm::Vm;
+use crate::prepare::{FuncProto, NameRes};
 use pysrc::ast::*;
 use std::sync::Arc;
 
 /// The compiled body of a function scope, compiling (and caching) on
 /// first use. Returns a reference into the proto's cache — the hot call
 /// path pays no refcount traffic.
-pub fn func_code<'p>(vm: &Vm, proto: &'p Arc<FuncProto>) -> &'p CodeObject {
+pub fn func_code(proto: &Arc<FuncProto>) -> &CodeObject {
     proto
         .compiled
-        .get_or_init(|| Arc::new(compile(vm, proto, &proto.body)))
+        .get_or_init(|| Arc::new(compile(proto, &proto.body)))
         .as_ref()
-}
-
-/// Like [`func_code`], but hands out an owned `Arc` so the caller can
-/// keep the code alive without holding a borrow of the prototype (the
-/// call hot path mutates the frame while executing the code).
-pub fn func_code_arc(vm: &Vm, proto: &Arc<FuncProto>) -> Arc<CodeObject> {
-    proto
-        .compiled
-        .get_or_init(|| Arc::new(compile(vm, proto, &proto.body)))
-        .clone()
 }
 
 /// The compiled body of a module scope (module protos carry an empty
 /// `body`; the statements live in the AST), cached on the module proto.
-pub fn module_code<'p>(vm: &Vm, proto: &'p Arc<FuncProto>, body: &[Stmt]) -> &'p CodeObject {
+pub fn module_code<'p>(proto: &'p Arc<FuncProto>, body: &[Stmt]) -> &'p CodeObject {
     proto
         .compiled
-        .get_or_init(|| Arc::new(compile(vm, proto, body)))
+        .get_or_init(|| Arc::new(compile(proto, body)))
         .as_ref()
 }
 
 /// Compiles one scope body against its prototype's resolution table.
-pub fn compile(vm: &Vm, proto: &Arc<FuncProto>, body: &[Stmt]) -> CodeObject {
+pub fn compile(proto: &Arc<FuncProto>, body: &[Stmt]) -> CodeObject {
     let mut c = Compiler {
-        vm,
         proto,
         code: CodeObject::default(),
         labels: Vec::new(),
@@ -83,7 +75,6 @@ struct LoopCtx {
 }
 
 struct Compiler<'a> {
-    vm: &'a Vm,
     proto: &'a Arc<FuncProto>,
     code: CodeObject,
     /// Label id → bound instruction index.
@@ -416,9 +407,9 @@ impl Compiler<'_> {
                 self.compile_loop_orelse(orelse, end);
                 self.bind(end);
             }
-            StmtKind::FuncDef { name, params, body } => {
+            StmtKind::FuncDef { name, params, .. } => {
                 self.tick();
-                let decl = self.make_fn_decl(stmt.id, name, params, body);
+                let decl = self.fn_decl(stmt.id, params);
                 self.compile_defaults(params);
                 self.emit(Insn::MakeFunction(decl));
                 self.flush();
@@ -447,18 +438,9 @@ impl Compiler<'_> {
         self.loops.pop();
     }
 
-    fn make_fn_decl(&mut self, id: NodeId, name: &str, params: &[Param], body: &[Stmt]) -> u32 {
-        let proto = match self.vm.proto(id) {
-            Some(p) => p,
-            None => {
-                let (p, nested) = prepare::prepare_function(name, params, body);
-                self.vm.install_proto(id, p.clone(), nested);
-                p
-            }
-        };
+    fn fn_decl(&mut self, id: NodeId, params: &[Param]) -> u32 {
         self.code.fn_decls.push(FnDecl {
             def_id: id,
-            proto,
             has_default: params.iter().map(|p| p.default.is_some()).collect(),
         });
         idx32(self.code.fn_decls.len() - 1, "fn decl")
@@ -478,11 +460,17 @@ impl Compiler<'_> {
 
     /// Whether a target shape lowers natively; anything else falls back
     /// to the tree walk statement (which also produces the runtime
-    /// `SyntaxError` for non-targets).
+    /// `SyntaxError` for non-targets, and the internal error for a name
+    /// or attribute that was not prepared).
     fn store_supported(&self, target: &Expr) -> bool {
-        match &target.kind {
-            ExprKind::Name(_) | ExprKind::Attribute { .. } | ExprKind::Subscript { .. } => true,
-            ExprKind::Tuple(items) | ExprKind::List(items) => {
+        match (&target.kind, self.proto.table.res(target.id)) {
+            (ExprKind::Name(_), res) => !matches!(
+                res,
+                NameRes::Unprepared | NameRes::Attr(_) | NameRes::CallKw(_)
+            ),
+            (ExprKind::Attribute { .. }, res) => matches!(res, NameRes::Attr(_)),
+            (ExprKind::Subscript { .. }, _) => true,
+            (ExprKind::Tuple(items) | ExprKind::List(items), _) => {
                 items.iter().all(|t| self.store_supported(t))
             }
             _ => false,
@@ -493,44 +481,70 @@ impl Compiler<'_> {
     /// walk's `assign_target`: no step for the target node itself;
     /// nested object/index evaluations tick as expressions).
     fn store(&mut self, target: &Expr) {
-        match &target.kind {
-            ExprKind::Name(n) => {
-                self.flush();
-                match self.proto.table.res(target.id) {
-                    NameRes::Local { slot, sym } => self.emit(Insn::StoreSlot { slot, sym }),
-                    NameRes::DynLocal(sym) => self.emit(Insn::StoreDyn(sym)),
-                    NameRes::Global(sym) | NameRes::GlobalDecl(sym) => {
-                        self.emit(Insn::StoreGlobal(sym))
-                    }
-                    NameRes::Cell(sym) => self.emit(Insn::StoreSym(sym)),
-                    NameRes::Unprepared | NameRes::Attr(_) | NameRes::CallKw(_) => {
-                        self.emit(Insn::StoreSym(intern(n)))
-                    }
-                }
+        let insn = match (&target.kind, self.proto.table.res(target.id)) {
+            (ExprKind::Name(_), NameRes::Local { slot, sym }) => Insn::StoreSlot { slot, sym },
+            (ExprKind::Name(_), NameRes::DynLocal(sym)) => Insn::StoreDyn(sym),
+            (ExprKind::Name(_), NameRes::Global(sym) | NameRes::GlobalDecl(sym)) => {
+                Insn::StoreGlobal(sym)
             }
-            ExprKind::Attribute { value: obj, attr } => {
-                let sym = match self.proto.table.res(target.id) {
-                    NameRes::Attr(s) => s,
-                    _ => intern(attr),
-                };
+            (ExprKind::Name(_), NameRes::Cell(sym)) => Insn::StoreSym(sym),
+            (ExprKind::Attribute { value: obj, .. }, NameRes::Attr(sym)) => {
                 self.expr(obj);
-                self.flush();
-                self.emit(Insn::StoreAttr(sym));
+                Insn::StoreAttr(sym)
             }
-            ExprKind::Subscript { value: obj, index } => {
+            (ExprKind::Subscript { value: obj, index }, _) => {
                 self.expr(obj);
                 self.expr(index);
-                self.flush();
-                self.emit(Insn::StoreItem);
+                Insn::StoreItem
             }
-            ExprKind::Tuple(items) | ExprKind::List(items) => {
+            (ExprKind::Tuple(items) | ExprKind::List(items), _) => {
                 self.flush();
                 self.emit(Insn::UnpackSeq(idx32(items.len(), "unpack target")));
                 for t in items {
                     self.store(t);
                 }
+                return;
             }
             _ => unreachable!("store_supported() gated"),
+        };
+        self.flush();
+        self.emit(insn);
+    }
+
+    /// Compiles a name or attribute read as prepare resolved it. A node
+    /// it did not resolve goes to the tree walk, which raises the
+    /// internal error (and ticks for itself).
+    fn load(&mut self, expr: &Expr) {
+        match (&expr.kind, self.proto.table.res(expr.id)) {
+            // Slot and global reads fuse the flush into the load
+            // (`pending` ≥ 1: the name node just ticked).
+            (ExprKind::Name(_), NameRes::Local { slot, sym }) => {
+                self.tick();
+                let n = self.take_pending();
+                self.emit(Insn::TickLoadSlot { n, slot, sym });
+            }
+            (ExprKind::Name(_), NameRes::Global(sym) | NameRes::GlobalDecl(sym)) => {
+                self.tick();
+                let n = self.take_pending();
+                self.emit(Insn::TickLoadGlobal { n, sym });
+            }
+            (ExprKind::Name(_), NameRes::DynLocal(sym)) => {
+                self.tick();
+                self.flush();
+                self.emit(Insn::LoadDyn(sym));
+            }
+            (ExprKind::Name(_), NameRes::Cell(sym)) => {
+                self.tick();
+                self.flush();
+                self.emit(Insn::LoadCell(sym));
+            }
+            (ExprKind::Attribute { value, .. }, NameRes::Attr(sym)) => {
+                self.tick();
+                self.expr(value);
+                self.flush();
+                self.emit(Insn::LoadAttr(sym));
+            }
+            _ => self.fallback_expr(expr),
         }
     }
 
@@ -563,44 +577,7 @@ impl Compiler<'_> {
                 let i = self.const_idx(Const::None);
                 self.emit(Insn::Const(i));
             }
-            ExprKind::Name(n) => {
-                self.tick();
-                match self.proto.table.res(expr.id) {
-                    // Slot and global reads fuse the flush into the load
-                    // (`pending` ≥ 1: the name node just ticked).
-                    NameRes::Local { slot, sym } => {
-                        let n = self.take_pending();
-                        self.emit(Insn::TickLoadSlot { n, slot, sym });
-                    }
-                    NameRes::Global(sym) | NameRes::GlobalDecl(sym) => {
-                        let n = self.take_pending();
-                        self.emit(Insn::TickLoadGlobal { n, sym });
-                    }
-                    NameRes::DynLocal(sym) => {
-                        self.flush();
-                        self.emit(Insn::LoadDyn(sym));
-                    }
-                    NameRes::Cell(sym) => {
-                        self.flush();
-                        self.emit(Insn::LoadCell(sym));
-                    }
-                    NameRes::Unprepared | NameRes::Attr(_) | NameRes::CallKw(_) => {
-                        self.flush();
-                        self.emit(Insn::LoadFallback(intern(n)));
-                    }
-                }
-            }
-            ExprKind::Attribute { value, .. } => match self.proto.table.res(expr.id) {
-                NameRes::Attr(sym) => {
-                    self.tick();
-                    self.expr(value);
-                    self.flush();
-                    self.emit(Insn::LoadAttr(sym));
-                }
-                // Unresolved attribute nodes use the tree walk's
-                // non-inserting intern probe; don't intern here.
-                _ => self.fallback_expr(expr),
-            },
+            ExprKind::Name(_) | ExprKind::Attribute { .. } => self.load(expr),
             ExprKind::Subscript { value, index } => {
                 self.tick();
                 self.expr(value);
@@ -739,7 +716,7 @@ impl Compiler<'_> {
             }
             ExprKind::Lambda { params, .. } => {
                 self.tick();
-                let decl = self.lambda_decl(expr);
+                let decl = self.fn_decl(expr.id, params);
                 self.compile_defaults(params);
                 self.emit(Insn::MakeFunction(decl));
             }
@@ -786,31 +763,10 @@ impl Compiler<'_> {
                 }
                 self.emit(Insn::BuildDict(idx32(pairs.len(), "dict pair")));
             }
-            // The comprehension-target scope quirk (and its
-            // spec-version switch) lives in the tree walk; starred
-            // expressions outside call/assignment reproduce its
-            // runtime SyntaxError.
+            // The comprehension-target scope quirk lives in the tree
+            // walk; starred expressions outside call/assignment
+            // reproduce its runtime SyntaxError.
             ExprKind::ListComp { .. } | ExprKind::Starred(_) => self.fallback_expr(expr),
         }
-    }
-
-    fn lambda_decl(&mut self, expr: &Expr) -> u32 {
-        let ExprKind::Lambda { params, body } = &expr.kind else {
-            unreachable!("caller matched Lambda");
-        };
-        let proto = match self.vm.proto(expr.id) {
-            Some(p) => p,
-            None => {
-                let (p, nested) = prepare::prepare_lambda(params, body);
-                self.vm.install_proto(expr.id, p.clone(), nested);
-                p
-            }
-        };
-        self.code.fn_decls.push(FnDecl {
-            def_id: expr.id,
-            proto,
-            has_default: params.iter().map(|p| p.default.is_some()).collect(),
-        });
-        idx32(self.code.fn_decls.len() - 1, "fn decl")
     }
 }

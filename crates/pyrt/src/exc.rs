@@ -89,6 +89,17 @@ impl PyExc {
         )
     }
 
+    /// `RuntimeError` for a name, attribute or scope that reached either
+    /// engine without a resolution from [`crate::prepare`]: a broken
+    /// invariant fails its experiment instead of being resolved by
+    /// string.
+    pub(crate) fn not_prepared(name: &str) -> PyExc {
+        PyExc::new(
+            "RuntimeError",
+            format!("internal error: '{name}' was not prepared"),
+        )
+    }
+
     /// `AttributeError` — e.g. the paper's §V-B
     /// `'NoneType' object has no attribute 'startswith'`.
     pub fn attribute_error(type_name: &str, attr: &str) -> PyExc {

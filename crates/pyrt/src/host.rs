@@ -5,7 +5,6 @@
 //! python-etcd client talks to the simulated etcd server exactly the
 //! way the real client talks to the real server over HTTP.
 
-use std::collections::BTreeMap;
 
 /// Result of a simulated HTTP request.
 #[derive(Clone, Debug, PartialEq)]
@@ -101,19 +100,12 @@ pub trait HostApi {
 /// A host with no network, an empty filesystem and no environment.
 /// HTTP requests fail with [`TransportError::ConnectionRefused`].
 #[derive(Debug, Default)]
-pub struct NoopHost {
-    env: BTreeMap<String, String>,
-}
+pub struct NoopHost;
 
 impl NoopHost {
     /// Creates an empty host.
     pub fn new() -> NoopHost {
-        NoopHost::default()
-    }
-
-    /// Creates a host with preset environment variables.
-    pub fn with_env(env: BTreeMap<String, String>) -> NoopHost {
-        NoopHost { env }
+        NoopHost
     }
 }
 
@@ -129,8 +121,8 @@ impl HostApi for NoopHost {
         (Err(TransportError::ConnectionRefused), 0.0)
     }
 
-    fn getenv(&self, name: &str) -> Option<String> {
-        self.env.get(name).cloned()
+    fn getenv(&self, _name: &str) -> Option<String> {
+        None
     }
 
     fn read_file(&self, path: &str) -> Result<String, String> {

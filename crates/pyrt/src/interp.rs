@@ -5,7 +5,7 @@
 use crate::exc::{Flow, PyExc};
 use crate::intern::{intern, well_known, Symbol};
 use crate::methods::{self, MethodKind};
-use crate::prepare::{self, FuncProto, NameRes};
+use crate::prepare::{FuncProto, NameRes};
 use crate::value::*;
 use crate::vm::Vm;
 use pysrc::ast::*;
@@ -47,12 +47,6 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// A module-level frame without a prepare pass (ad-hoc execution;
-    /// every name resolves through the dynamic fallback).
-    pub fn module(globals: ScopeRef) -> Frame {
-        Frame::prepared_module(globals, FuncProto::empty_module())
-    }
-
     /// A module-level frame backed by a prepared module prototype.
     pub fn prepared_module(globals: ScopeRef, proto: Arc<FuncProto>) -> Frame {
         Frame {
@@ -77,170 +71,6 @@ impl Frame {
             _ => self.captured.clone(),
         }
     }
-}
-
-/// Collects the names a function body assigns (its locals), without
-/// descending into nested `def`/`class` bodies. Dedup is a hash set
-/// (the old per-insert linear `contains` made this quadratic on wide
-/// function bodies).
-pub fn collect_assigned_names(body: &[Stmt]) -> Vec<String> {
-    struct Acc {
-        names: Vec<String>,
-        seen: std::collections::HashSet<String>,
-    }
-    impl Acc {
-        fn add(&mut self, n: &str) {
-            if self.seen.insert(n.to_string()) {
-                self.names.push(n.to_string());
-            }
-        }
-    }
-    fn target_names(e: &Expr, acc: &mut Acc) {
-        match &e.kind {
-            ExprKind::Name(n) => acc.add(n),
-            ExprKind::Tuple(items) | ExprKind::List(items) => {
-                for i in items {
-                    target_names(i, acc);
-                }
-            }
-            ExprKind::Starred(inner) => target_names(inner, acc),
-            // Attribute/subscript targets assign into objects, not names.
-            _ => {}
-        }
-    }
-    fn walk(body: &[Stmt], acc: &mut Acc) {
-        for s in body {
-            match &s.kind {
-                StmtKind::Assign { targets, .. } => {
-                    for t in targets {
-                        target_names(t, acc);
-                    }
-                }
-                StmtKind::AugAssign { target, .. } => target_names(target, acc),
-                StmtKind::For {
-                    target,
-                    body,
-                    orelse,
-                    ..
-                } => {
-                    target_names(target, acc);
-                    walk(body, acc);
-                    walk(orelse, acc);
-                }
-                StmtKind::While { body, orelse, .. } => {
-                    walk(body, acc);
-                    walk(orelse, acc);
-                }
-                StmtKind::If { branches, orelse } => {
-                    for (_, b) in branches {
-                        walk(b, acc);
-                    }
-                    walk(orelse, acc);
-                }
-                StmtKind::Try {
-                    body,
-                    handlers,
-                    orelse,
-                    finalbody,
-                } => {
-                    walk(body, acc);
-                    for h in handlers {
-                        if let Some(n) = &h.name {
-                            acc.add(n);
-                        }
-                        walk(&h.body, acc);
-                    }
-                    walk(orelse, acc);
-                    walk(finalbody, acc);
-                }
-                StmtKind::With { items, body } => {
-                    for (_, t) in items {
-                        if let Some(t) = t {
-                            target_names(t, acc);
-                        }
-                    }
-                    walk(body, acc);
-                }
-                StmtKind::FuncDef { name, .. } | StmtKind::ClassDef { name, .. } => {
-                    acc.add(name);
-                }
-                StmtKind::Import(aliases) => {
-                    for a in aliases {
-                        let bound = a
-                            .alias
-                            .clone()
-                            .unwrap_or_else(|| a.name.split('.').next().unwrap_or("").to_string());
-                        acc.add(&bound);
-                    }
-                }
-                StmtKind::FromImport { names: ns, .. } => {
-                    for a in ns {
-                        acc.add(a.alias.as_deref().unwrap_or(&a.name));
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    let mut acc = Acc {
-        names: Vec::new(),
-        seen: std::collections::HashSet::new(),
-    };
-    walk(body, &mut acc);
-    acc.names
-}
-
-/// Collects `global` declarations in a function body (not descending
-/// into nested functions).
-pub fn collect_global_decls(body: &[Stmt]) -> Vec<String> {
-    struct Acc {
-        names: Vec<String>,
-        seen: std::collections::HashSet<String>,
-    }
-    fn walk(body: &[Stmt], acc: &mut Acc) {
-        for s in body {
-            match &s.kind {
-                StmtKind::Global(names) => {
-                    for n in names {
-                        if acc.seen.insert(n.clone()) {
-                            acc.names.push(n.clone());
-                        }
-                    }
-                }
-                StmtKind::If { branches, orelse } => {
-                    for (_, b) in branches {
-                        walk(b, acc);
-                    }
-                    walk(orelse, acc);
-                }
-                StmtKind::For { body, orelse, .. } | StmtKind::While { body, orelse, .. } => {
-                    walk(body, acc);
-                    walk(orelse, acc);
-                }
-                StmtKind::Try {
-                    body,
-                    handlers,
-                    orelse,
-                    finalbody,
-                } => {
-                    walk(body, acc);
-                    for h in handlers {
-                        walk(&h.body, acc);
-                    }
-                    walk(orelse, acc);
-                    walk(finalbody, acc);
-                }
-                StmtKind::With { body, .. } => walk(body, acc),
-                _ => {}
-            }
-        }
-    }
-    let mut acc = Acc {
-        names: Vec::new(),
-        seen: std::collections::HashSet::new(),
-    };
-    walk(body, &mut acc);
-    acc.names
 }
 
 /// Executes a statement block.
@@ -388,8 +218,8 @@ pub(crate) fn exec_stmt(vm: &mut Vm, frame: &mut Frame, stmt: &Stmt) -> Result<F
             }
             Ok(Flow::Normal)
         }
-        StmtKind::FuncDef { name, params, body } => {
-            let func = make_function(vm, frame, stmt.id, name, params, body)?;
+        StmtKind::FuncDef { name, params, .. } => {
+            let func = make_function(vm, frame, stmt.id, params)?;
             write_name_str(frame, name, func);
             Ok(Flow::Normal)
         }
@@ -406,14 +236,7 @@ pub(crate) fn exec_stmt(vm: &mut Vm, frame: &mut Frame, stmt: &Stmt) -> Result<F
                 },
                 None => None,
             };
-            let class_proto = match vm.proto(stmt.id) {
-                Some(p) => p,
-                None => {
-                    let (p, nested) = prepare::prepare_class(name, body);
-                    vm.install_proto(stmt.id, p.clone(), nested);
-                    p
-                }
-            };
+            let class_proto = vm.proto(stmt.id)?;
             // Execute the class body in its own scope.
             let class_scope = Scope::new_ref();
             {
@@ -644,31 +467,16 @@ pub fn instantiate_exception(vm: &mut Vm, class: u32, args: Vec<Value>) -> Resul
     Ok(inst)
 }
 
+/// The function a `def` or `lambda` evaluates to: its prepared
+/// prototype, found through the registry, and its defaults, evaluated
+/// here in the defining frame.
 fn make_function(
     vm: &mut Vm,
     frame: &mut Frame,
     def_id: NodeId,
-    name: &str,
-    params: &[Param],
-    body: &[Stmt],
-) -> Result<Value, PyExc> {
-    let proto = match vm.proto(def_id) {
-        Some(p) => p,
-        None => {
-            let (p, nested) = prepare::prepare_function(name, params, body);
-            vm.install_proto(def_id, p.clone(), nested);
-            p
-        }
-    };
-    finish_function(vm, frame, proto, params)
-}
-
-fn finish_function(
-    vm: &mut Vm,
-    frame: &mut Frame,
-    proto: Arc<FuncProto>,
     params: &[Param],
 ) -> Result<Value, PyExc> {
+    let proto = vm.proto(def_id)?;
     let mut defaults = Vec::with_capacity(params.len());
     for p in params {
         defaults.push(match &p.default {
@@ -717,14 +525,14 @@ fn read_name(vm: &Vm, frame: &Frame, id: NodeId, name: &str) -> Result<Value, Py
                 // UnboundLocalError.
                 None => Err(PyExc::unbound_local(sym.as_str())),
             },
-            _ => read_name_fallback(vm, frame, name),
+            _ => Err(PyExc::not_prepared(name)),
         },
         NameRes::DynLocal(sym) => match &frame.locals {
             FrameLocals::Dynamic(locals) => match locals.borrow().get_sym(sym) {
                 Some(v) => Ok(v),
                 None => Err(PyExc::unbound_local(sym.as_str())),
             },
-            _ => read_name_fallback(vm, frame, name),
+            _ => Err(PyExc::not_prepared(name)),
         },
         NameRes::Cell(sym) => {
             for scope in frame.captured.iter().rev() {
@@ -735,7 +543,9 @@ fn read_name(vm: &Vm, frame: &Frame, id: NodeId, name: &str) -> Result<Value, Py
             read_global_sym(vm, frame, sym)
         }
         NameRes::Global(sym) | NameRes::GlobalDecl(sym) => read_global_sym(vm, frame, sym),
-        NameRes::Unprepared | NameRes::Attr(_) | NameRes::CallKw(_) => read_name_fallback(vm, frame, name),
+        NameRes::Unprepared | NameRes::Attr(_) | NameRes::CallKw(_) => {
+            Err(PyExc::not_prepared(name))
+        }
     }
 }
 
@@ -749,61 +559,17 @@ pub(crate) fn read_global_sym(vm: &Vm, frame: &Frame, sym: Symbol) -> Result<Val
     Err(PyExc::name_error(sym.as_str()))
 }
 
-/// Dynamic (string-driven) name resolution for nodes outside the
-/// prepared table — semantically identical to the pre-slot interpreter.
-fn read_name_fallback(vm: &Vm, frame: &Frame, name: &str) -> Result<Value, PyExc> {
-    read_sym_fallback(vm, frame, intern(name))
-}
-
-/// Symbol-keyed form of [`read_name_fallback`], shared with the
-/// bytecode VM (whose operands are already interned).
-pub(crate) fn read_sym_fallback(vm: &Vm, frame: &Frame, sym: Symbol) -> Result<Value, PyExc> {
-    if frame.proto.global_decls.contains(&sym) {
-        return read_global_sym(vm, frame, sym);
-    }
-    match &frame.locals {
-        FrameLocals::Module => {}
-        FrameLocals::Slots(slots) => {
-            if let Some(i) = frame.proto.slot_of(sym) {
-                return match slots[i as usize] {
-                    Some(v) => Ok(v),
-                    None => Err(PyExc::unbound_local(sym.as_str())),
-                };
-            }
-            for scope in frame.captured.iter().rev() {
-                if let Some(v) = scope.borrow().get_sym(sym) {
-                    return Ok(v);
-                }
-            }
-        }
-        FrameLocals::Dynamic(locals) => {
-            if frame.proto.local_syms.contains(&sym) {
-                return match locals.borrow().get_sym(sym) {
-                    Some(v) => Ok(v),
-                    None => Err(PyExc::unbound_local(sym.as_str())),
-                };
-            }
-            for scope in frame.captured.iter().rev() {
-                if let Some(v) = scope.borrow().get_sym(sym) {
-                    return Ok(v);
-                }
-            }
-        }
-    }
-    read_global_sym(vm, frame, sym)
-}
-
 fn assign_target(vm: &mut Vm, frame: &mut Frame, target: &Expr, value: Value) -> Result<(), PyExc> {
     match &target.kind {
         ExprKind::Name(n) => {
             match frame.proto.table.res(target.id) {
-                NameRes::Local { slot, sym } => match &mut frame.locals {
+                NameRes::Local { slot, .. } => match &mut frame.locals {
                     FrameLocals::Slots(slots) => slots[slot as usize] = Some(value),
-                    _ => write_sym(frame, sym, value),
+                    _ => return Err(PyExc::not_prepared(n)),
                 },
                 NameRes::DynLocal(sym) => match &mut frame.locals {
                     FrameLocals::Dynamic(locals) => locals.borrow_mut().set_sym(sym, value),
-                    _ => write_sym(frame, sym, value),
+                    _ => return Err(PyExc::not_prepared(n)),
                 },
                 NameRes::Global(sym) | NameRes::GlobalDecl(sym) => {
                     frame.globals.borrow_mut().set_sym(sym, value)
@@ -812,17 +578,18 @@ fn assign_target(vm: &mut Vm, frame: &mut Frame, target: &Expr, value: Value) ->
                 // into the dynamic scope, like the old interpreter's
                 // unconditional locals write.
                 NameRes::Cell(sym) => write_sym(frame, sym, value),
-                NameRes::Unprepared | NameRes::Attr(_) | NameRes::CallKw(_) => write_name_str(frame, n, value),
+                NameRes::Unprepared | NameRes::Attr(_) | NameRes::CallKw(_) => {
+                    return Err(PyExc::not_prepared(n))
+                }
             }
             Ok(())
         }
         ExprKind::Attribute { value: obj, attr } => {
             let o = eval(vm, frame, obj)?;
-            let sym = match frame.proto.table.res(target.id) {
-                NameRes::Attr(s) => s,
-                _ => intern(attr),
-            };
-            set_attr_sym(&vm.heap, o, sym, value)
+            match frame.proto.table.res(target.id) {
+                NameRes::Attr(sym) => set_attr_sym(&vm.heap, o, sym, value),
+                _ => Err(PyExc::not_prepared(attr)),
+            }
         }
         ExprKind::Subscript { value: obj, index } => {
             let o = eval(vm, frame, obj)?;
@@ -912,7 +679,7 @@ pub fn eval(vm: &mut Vm, frame: &mut Frame, expr: &Expr) -> Result<Value, PyExc>
             let obj = eval(vm, frame, value)?;
             match frame.proto.table.res(expr.id) {
                 NameRes::Attr(sym) => get_attr_sym(vm, obj, sym),
-                _ => get_attr(vm, obj, attr),
+                _ => Err(PyExc::not_prepared(attr)),
             }
         }
         ExprKind::Subscript { value, index } => {
@@ -940,12 +707,12 @@ pub fn eval(vm: &mut Vm, frame: &mut Frame, expr: &Expr) -> Result<Value, PyExc>
                     Arg::Kw(n, e) => {
                         let v = eval(vm, frame, e)?;
                         // The name was interned when the module was
-                        // prepared; only an uncovered (synthesized)
-                        // call pays the interner's lock here.
-                        let sym = match frame.proto.table.kw_name(expr.id, nth_kw) {
-                            Some(sym) => sym,
-                            None => intern(n),
-                        };
+                        // prepared.
+                        let sym = frame
+                            .proto
+                            .table
+                            .kw_name(expr.id, nth_kw)
+                            .ok_or_else(|| PyExc::not_prepared(n))?;
                         debug_assert_eq!(sym.as_str(), n);
                         nth_kw += 1;
                         kw.push((Cow::Borrowed(sym.as_str()), v));
@@ -1004,17 +771,7 @@ pub fn eval(vm: &mut Vm, frame: &mut Frame, expr: &Expr) -> Result<Value, PyExc>
             }
             Ok(Value::Bool(true))
         }
-        ExprKind::Lambda { params, body } => {
-            let proto = match vm.proto(expr.id) {
-                Some(p) => p,
-                None => {
-                    let (p, nested) = prepare::prepare_lambda(params, body);
-                    vm.install_proto(expr.id, p.clone(), nested);
-                    p
-                }
-            };
-            finish_function(vm, frame, proto, params)
-        }
+        ExprKind::Lambda { params, .. } => make_function(vm, frame, expr.id, params),
         ExprKind::IfExp { test, body, orelse } => {
             if eval(vm, frame, test)?.truthy(&vm.heap) {
                 eval(vm, frame, body)
@@ -1350,7 +1107,7 @@ pub(crate) fn run_frame(vm: &mut Vm, mut frame: Frame) -> Result<Value, PyExc> {
         // prototype (and therefore the code `Arc`) alive for the whole
         // call. Detaching the borrow from `frame` lets `run` take
         // `&mut frame` without an Arc round-trip on every call.
-        let code: *const crate::ir::CodeObject = crate::compile::func_code(vm, &frame.proto);
+        let code: *const crate::ir::CodeObject = crate::compile::func_code(&frame.proto);
         crate::bcvm::run(vm, &mut frame, unsafe { &*code })
     } else {
         let proto = frame.proto.clone();
@@ -1370,20 +1127,15 @@ pub(crate) fn run_frame(vm: &mut Vm, mut frame: Frame) -> Result<Value, PyExc> {
 }
 
 /// Executes a module-level scope body through the configured engine.
-/// The bytecode compile is cached on the module's [`FuncProto`], except
-/// for the shared `empty_module` prototype (used by eval-style entry
-/// points whose body is not 1:1 with the prototype) which always tree
-/// walks.
+/// The bytecode compile is cached on the module's [`FuncProto`].
 ///
 /// # Errors
 ///
 /// Propagates any raised [`PyExc`].
 pub(crate) fn exec_entry(vm: &mut Vm, frame: &mut Frame, body: &[Stmt]) -> Result<Flow, PyExc> {
-    if vm.engine() == crate::vm::Engine::Bytecode
-        && !Arc::ptr_eq(&frame.proto, &FuncProto::empty_module())
-    {
+    if vm.engine() == crate::vm::Engine::Bytecode {
         let proto = frame.proto.clone();
-        let code = crate::compile::module_code(vm, &proto, body);
+        let code = crate::compile::module_code(&proto, body);
         return crate::bcvm::run(vm, frame, code).map(Flow::Return);
     }
     exec_block(vm, frame, body)

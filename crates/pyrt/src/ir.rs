@@ -2,8 +2,9 @@
 //! executes.
 //!
 //! A [`CodeObject`] is compiled once per scope (see [`crate::compile`])
-//! and cached on the scope's [`FuncProto`], so every experiment of a
-//! campaign that shares a prepared module also shares its bytecode.
+//! and cached on the scope's [`crate::prepare::FuncProto`], so every
+//! experiment of a campaign that shares a prepared module also shares
+//! its bytecode.
 //! The object is immutable and `Send + Sync`: operands are slot
 //! indices, interned [`Symbol`]s, constant-pool indices, and absolute
 //! jump targets — never `Rc` values — so one compile serves every VM
@@ -23,7 +24,6 @@
 //! implementation site, zero drift risk.
 
 use crate::intern::Symbol;
-use crate::prepare::FuncProto;
 use crate::value::Value;
 use pysrc::ast::{BinOp, CmpOp, Expr, NodeId, Stmt, UnaryOp};
 use std::sync::Arc;
@@ -60,19 +60,16 @@ impl Const {
     }
 }
 
-/// A nested `def`/`lambda` referenced by [`Insn::MakeFunction`]: the
-/// prepared prototype plus which parameters have a compiled default on
-/// the stack (in declaration order).
+/// A nested `def`/`lambda` referenced by [`Insn::MakeFunction`]: its
+/// defining node plus which parameters have a compiled default on the
+/// stack (in declaration order).
 #[derive(Debug)]
 pub struct FnDecl {
     /// The defining node (`FuncDef` statement or `Lambda` expression):
-    /// the executing VM's registry is asked for its prototype first,
-    /// because this code may be shared with a module that overrides the
-    /// `def` (see [`crate::prepare::override_def`]).
+    /// the executing VM's registry holds its prototype, because this
+    /// code may be shared with a module that overrides the `def` (see
+    /// [`crate::prepare::override_def`]).
     pub def_id: NodeId,
-    /// Prototype of the nested scope as the compiling VM knew it: what
-    /// a VM whose registry has none under `def_id` builds.
-    pub proto: Arc<FuncProto>,
     /// `true` per parameter that has a default expression compiled
     /// before the `MakeFunction`.
     pub has_default: Vec<bool>,
@@ -100,14 +97,14 @@ pub enum Insn {
     LoadSlot {
         /// Slot index into the frame's dense local vector.
         slot: u32,
-        /// Name, for `UnboundLocalError` and the non-slot fallback.
+        /// Name, for `UnboundLocalError` and the internal error.
         sym: Symbol,
     },
     /// Write a slot-allocated local.
     StoreSlot {
         /// Slot index into the frame's dense local vector.
         slot: u32,
-        /// Name, for the non-slot fallback.
+        /// Name, for the internal error.
         sym: Symbol,
     },
     /// Read a dynamic-scope local.
@@ -121,8 +118,6 @@ pub enum Insn {
     LoadGlobal(Symbol),
     /// Write a module-global.
     StoreGlobal(Symbol),
-    /// Dynamic read via the tree walk's fallback resolution order.
-    LoadFallback(Symbol),
     /// Generic symbol write honoring `global` declarations and the
     /// frame kind (the tree walk's `write_sym`).
     StoreSym(Symbol),
@@ -174,7 +169,7 @@ pub enum Insn {
         n: u32,
         /// Slot index into the frame's dense local vector.
         slot: u32,
-        /// Name, for `UnboundLocalError` and the non-slot fallback.
+        /// Name, for `UnboundLocalError` and the internal error.
         sym: Symbol,
     },
     /// `Tick(n)` + [`Insn::LoadGlobal`] (`n` ≥ 1: the name node ticks).
@@ -208,7 +203,7 @@ pub enum Insn {
         op: BinOp,
         /// Slot index into the frame's dense local vector.
         slot: u32,
-        /// Name, for the non-slot fallback.
+        /// Name, for the internal error.
         sym: Symbol,
     },
     /// `Tick(n)` + [`Insn::Binary`] + [`Insn::StoreGlobal`]: the
@@ -309,7 +304,8 @@ pub enum Insn {
         cont: u32,
     },
     /// Tree-walk trampoline for one expression (list comprehensions,
-    /// unresolved attributes); pushes the result.
+    /// starred expressions, and a node that was not prepared, for the
+    /// tree walk to raise on); pushes the result.
     EvalExpr(u32),
 }
 

@@ -4,6 +4,13 @@
 //! bit-for-bit interchangeable with it (select per VM with
 //! [`Vm::set_engine`] or process-wide with `PROFIPY_ENGINE`).
 //!
+//! Everything either engine runs was prepared: [`prepare`] resolves
+//! every name, attribute and scope of a module once, [`Vm::run_module`]
+//! and [`Vm::register_prepared_source`] take only prepared modules (the
+//! former prepares its argument), and both engines read what that pass
+//! recorded. A node it did not resolve raises `RuntimeError` — there is
+//! no second, string-driven resolution.
+//!
 //! This crate stands in for the CPython runtime in the original ProFIPy
 //! paper. It reproduces the language semantics the paper's case study
 //! depends on:

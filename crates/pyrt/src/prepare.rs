@@ -32,13 +32,15 @@ use std::sync::Arc;
 /// How a `Name` (or `Attribute`) node resolves, decided at prepare time.
 #[derive(Clone, Copy, Debug)]
 pub enum NameRes {
-    /// Not covered by the table (synthesized node): resolve dynamically.
+    /// Not in the table: the filler for nodes that are not names. A
+    /// `Name` or `Attribute` node that reads this was never prepared,
+    /// and either engine raises [`crate::PyExc`]'s internal error.
     Unprepared,
     /// A slot-allocated local of a non-capturing function.
     Local {
         /// Index into the frame's slot vector.
         slot: u32,
-        /// The name, for error messages and fallbacks.
+        /// The name, for error messages.
         sym: Symbol,
     },
     /// A local by assignment analysis, living in a dynamic scope
@@ -57,8 +59,8 @@ pub enum NameRes {
     CallKw(u32),
 }
 
-/// Dense `NodeId → NameRes` side table for one module (or one
-/// on-the-fly prepared function). Lookup is a bounds check + index.
+/// Dense `NodeId → NameRes` side table for one module (or the one
+/// `def` of an [`override_def`]). Lookup is a bounds check + index.
 #[derive(Debug, Default)]
 pub struct NameTable {
     base: u32,
@@ -95,7 +97,7 @@ impl NameTable {
     }
 
     /// The `i`-th keyword name of the call node `id`, interned when the
-    /// module was prepared; `None` for a call the table does not cover.
+    /// module was prepared; `None` for a call that was not prepared.
     #[inline]
     pub fn kw_name(&self, id: NodeId, i: usize) -> Option<Symbol> {
         match self.res(id) {
@@ -132,9 +134,6 @@ pub struct FuncProto {
     pub body: Arc<Vec<Stmt>>,
     /// Slot → name mapping for slot frames (empty when `dynamic`).
     pub slots: Vec<Symbol>,
-    /// All assignment-analysis locals including params (used by dynamic
-    /// frames and by the fallback resolution path).
-    pub local_syms: Vec<Symbol>,
     /// Names declared `global` in the body.
     pub global_decls: Vec<Symbol>,
     /// Per-module resolution table shared by every proto of the module.
@@ -154,17 +153,6 @@ impl FuncProto {
     /// Slot index of a symbol, if it is a slot-allocated local.
     pub fn slot_of(&self, sym: Symbol) -> Option<u32> {
         self.slots.iter().position(|s| *s == sym).map(|i| i as u32)
-    }
-
-    /// An empty dynamic proto (used for ad-hoc module frames created
-    /// without a prepare pass; everything falls back to dynamic
-    /// resolution).
-    pub fn empty_module() -> Arc<FuncProto> {
-        use std::sync::OnceLock;
-        static EMPTY: OnceLock<Arc<FuncProto>> = OnceLock::new();
-        EMPTY
-            .get_or_init(|| module_level_proto(Arc::new(NameTable::default())))
-            .clone()
     }
 }
 
@@ -226,22 +214,8 @@ pub fn prepare_ast(module: &Module) -> (Arc<FuncProto>, HashMap<u32, Arc<FuncPro
     crate::intern::intern_all(idents);
     let mut cx = PrepareCx::default();
     cx.resolve_block(&module.body, &ScopeInfo::module());
-    let table = Arc::new(NameTable::from_cx(&mut cx));
-    let module_proto = module_level_proto(table.clone());
-    let protos = cx
-        .protos
-        .into_iter()
-        .map(|(id, p)| {
-            (
-                id,
-                Arc::new(FuncProto {
-                    table: table.clone(),
-                    ..p
-                }),
-            )
-        })
-        .collect();
-    (module_proto, protos)
+    let (table, protos) = cx.finish();
+    (module_level_proto(table), protos)
 }
 
 /// A module top level's prototype over `table` (nothing compiled yet).
@@ -251,7 +225,6 @@ fn module_level_proto(table: Arc<NameTable>) -> Arc<FuncProto> {
         params: Vec::new(),
         body: Arc::new(Vec::new()),
         slots: Vec::new(),
-        local_syms: Vec::new(),
         global_decls: Vec::new(),
         table,
         dynamic: true,
@@ -284,10 +257,11 @@ pub fn override_def(
     if base.protos.get(&def_id.0)?.name != *name {
         return None;
     }
-    let (proto, nested) = prepare_function(name, params, body);
+    let mut cx = PrepareCx::default();
+    let proto = cx.resolve_function(name, params, body);
+    cx.protos.insert(def_id.0, proto);
     let mut protos = base.protos.clone();
-    protos.extend(nested);
-    protos.insert(def_id.0, proto);
+    protos.extend(cx.finish().1);
     Some(Arc::new(PreparedModule {
         module: base.module.clone(),
         module_proto: base.module_proto.clone(),
@@ -298,8 +272,8 @@ pub fn override_def(
 
 /// `base` with `stmt` in front of its top level (the `import
 /// profipy_rt` a mutant brings): a fresh module-level prototype over
-/// the base's table — names in `stmt` resolve dynamically, and an
-/// import has none to resolve — and the base's prototypes, shared.
+/// the base's table and the base's prototypes, shared. `stmt` is not
+/// prepared, so it must be one that binds by string alone — an import.
 /// Stands for no source text of its own, so it carries no stamp; it is
 /// what [`override_def`] is applied to.
 pub fn with_leading_stmt(base: &PreparedModule, stmt: Stmt) -> Arc<PreparedModule> {
@@ -315,65 +289,6 @@ pub fn with_leading_stmt(base: &PreparedModule, stmt: Stmt) -> Arc<PreparedModul
         protos: base.protos.clone(),
         source_hash: None,
     })
-}
-
-/// Prepares a single function on the fly (safety net for code executed
-/// without a module-level prepare pass, e.g. ad-hoc frames in tests).
-/// Returns the function's proto plus protos for anything nested in it.
-pub fn prepare_function(
-    name: &str,
-    params: &[Param],
-    body: &[Stmt],
-) -> (Arc<FuncProto>, HashMap<u32, Arc<FuncProto>>) {
-    let mut cx = PrepareCx::default();
-    let raw = cx.resolve_function(name, params, body);
-    finish_on_the_fly(cx, raw)
-}
-
-/// Prepares a single lambda on the fly (same safety net as
-/// [`prepare_function`]).
-pub fn prepare_lambda(
-    params: &[Param],
-    body: &Expr,
-) -> (Arc<FuncProto>, HashMap<u32, Arc<FuncProto>>) {
-    let mut cx = PrepareCx::default();
-    let raw = cx.resolve_lambda(params, body);
-    finish_on_the_fly(cx, raw)
-}
-
-/// Prepares a single class body on the fly.
-pub fn prepare_class(
-    name: &str,
-    body: &[Stmt],
-) -> (Arc<FuncProto>, HashMap<u32, Arc<FuncProto>>) {
-    let mut cx = PrepareCx::default();
-    let raw = cx.resolve_class(name, body);
-    finish_on_the_fly(cx, raw)
-}
-
-fn finish_on_the_fly(
-    mut cx: PrepareCx,
-    raw: FuncProto,
-) -> (Arc<FuncProto>, HashMap<u32, Arc<FuncProto>>) {
-    let table = Arc::new(NameTable::from_cx(&mut cx));
-    let proto = Arc::new(FuncProto {
-        table: table.clone(),
-        ..raw
-    });
-    let nested = cx
-        .protos
-        .into_iter()
-        .map(|(id, p)| {
-            (
-                id,
-                Arc::new(FuncProto {
-                    table: table.clone(),
-                    ..p
-                }),
-            )
-        })
-        .collect();
-    (proto, nested)
 }
 
 /// What kind of scope the resolver is currently inside.
@@ -413,6 +328,24 @@ struct PrepareCx {
 }
 
 impl PrepareCx {
+    /// The resolution table of everything resolved so far, and every
+    /// scope prepared so far as a prototype over it.
+    fn finish(mut self) -> (Arc<NameTable>, HashMap<u32, Arc<FuncProto>>) {
+        let table = Arc::new(NameTable::from_cx(&mut self));
+        let protos = self
+            .protos
+            .into_iter()
+            .map(|(id, p)| {
+                let proto = FuncProto {
+                    table: table.clone(),
+                    ..p
+                };
+                (id, Arc::new(proto))
+            })
+            .collect();
+        (table, protos)
+    }
+
     fn record(&mut self, id: NodeId, res: NameRes) {
         if id != NodeId::DUMMY {
             self.resolutions.push((id.0, res));
@@ -665,8 +598,8 @@ impl PrepareCx {
     /// Prepares one function scope and returns its proto (table is
     /// patched in by the caller once the whole module is resolved).
     fn resolve_function(&mut self, name: &str, params: &[Param], body: &[Stmt]) -> FuncProto {
-        let global_decls = syms(&crate::interp::collect_global_decls(body));
-        let mut local_names = crate::interp::collect_assigned_names(body);
+        let global_decls = syms(&collect_global_decls(body));
+        let mut local_names = collect_assigned_names(body);
         for p in params {
             if !local_names.iter().any(|n| n == &p.name) {
                 local_names.push(p.name.clone());
@@ -696,7 +629,7 @@ impl PrepareCx {
         };
         let scope = ScopeInfo {
             kind: ScopeKind::Function,
-            locals: if dynamic { local_syms.clone() } else { slots.clone() },
+            locals: if dynamic { local_syms } else { slots.clone() },
             global_decls: global_decls.clone(),
             slotted: !dynamic,
         };
@@ -717,7 +650,6 @@ impl PrepareCx {
             params: proto_params,
             body: Arc::new(body.to_vec()),
             slots,
-            local_syms,
             global_decls,
             table: Arc::new(NameTable::default()),
             dynamic,
@@ -735,11 +667,10 @@ impl PrepareCx {
 
     /// Prepares a class body: always a dynamic scope (the class dict).
     fn resolve_class(&mut self, name: &str, body: &[Stmt]) -> FuncProto {
-        let global_decls = syms(&crate::interp::collect_global_decls(body));
-        let local_syms = syms(&crate::interp::collect_assigned_names(body));
+        let global_decls = syms(&collect_global_decls(body));
         let scope = ScopeInfo {
             kind: ScopeKind::Class,
-            locals: local_syms.clone(),
+            locals: syms(&collect_assigned_names(body)),
             global_decls: global_decls.clone(),
             slotted: false,
         };
@@ -749,7 +680,6 @@ impl PrepareCx {
             params: Vec::new(),
             body: Arc::new(Vec::new()),
             slots: Vec::new(),
-            local_syms,
             global_decls,
             table: Arc::new(NameTable::default()),
             dynamic: true,
@@ -760,6 +690,170 @@ impl PrepareCx {
 
 fn syms(names: &[String]) -> Vec<Symbol> {
     crate::intern::intern_all(names.iter().map(String::as_str))
+}
+
+/// Collects the names a function body assigns (its locals), without
+/// descending into nested `def`/`class` bodies. Dedup is a hash set
+/// (the old per-insert linear `contains` made this quadratic on wide
+/// function bodies).
+fn collect_assigned_names(body: &[Stmt]) -> Vec<String> {
+    struct Acc {
+        names: Vec<String>,
+        seen: std::collections::HashSet<String>,
+    }
+    impl Acc {
+        fn add(&mut self, n: &str) {
+            if self.seen.insert(n.to_string()) {
+                self.names.push(n.to_string());
+            }
+        }
+    }
+    fn target_names(e: &Expr, acc: &mut Acc) {
+        match &e.kind {
+            ExprKind::Name(n) => acc.add(n),
+            ExprKind::Tuple(items) | ExprKind::List(items) => {
+                for i in items {
+                    target_names(i, acc);
+                }
+            }
+            ExprKind::Starred(inner) => target_names(inner, acc),
+            // Attribute/subscript targets assign into objects, not names.
+            _ => {}
+        }
+    }
+    fn walk(body: &[Stmt], acc: &mut Acc) {
+        for s in body {
+            match &s.kind {
+                StmtKind::Assign { targets, .. } => {
+                    for t in targets {
+                        target_names(t, acc);
+                    }
+                }
+                StmtKind::AugAssign { target, .. } => target_names(target, acc),
+                StmtKind::For {
+                    target,
+                    body,
+                    orelse,
+                    ..
+                } => {
+                    target_names(target, acc);
+                    walk(body, acc);
+                    walk(orelse, acc);
+                }
+                StmtKind::While { body, orelse, .. } => {
+                    walk(body, acc);
+                    walk(orelse, acc);
+                }
+                StmtKind::If { branches, orelse } => {
+                    for (_, b) in branches {
+                        walk(b, acc);
+                    }
+                    walk(orelse, acc);
+                }
+                StmtKind::Try {
+                    body,
+                    handlers,
+                    orelse,
+                    finalbody,
+                } => {
+                    walk(body, acc);
+                    for h in handlers {
+                        if let Some(n) = &h.name {
+                            acc.add(n);
+                        }
+                        walk(&h.body, acc);
+                    }
+                    walk(orelse, acc);
+                    walk(finalbody, acc);
+                }
+                StmtKind::With { items, body } => {
+                    for (_, t) in items {
+                        if let Some(t) = t {
+                            target_names(t, acc);
+                        }
+                    }
+                    walk(body, acc);
+                }
+                StmtKind::FuncDef { name, .. } | StmtKind::ClassDef { name, .. } => {
+                    acc.add(name);
+                }
+                StmtKind::Import(aliases) => {
+                    for a in aliases {
+                        let bound = a
+                            .alias
+                            .clone()
+                            .unwrap_or_else(|| a.name.split('.').next().unwrap_or("").to_string());
+                        acc.add(&bound);
+                    }
+                }
+                StmtKind::FromImport { names: ns, .. } => {
+                    for a in ns {
+                        acc.add(a.alias.as_deref().unwrap_or(&a.name));
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    let mut acc = Acc {
+        names: Vec::new(),
+        seen: std::collections::HashSet::new(),
+    };
+    walk(body, &mut acc);
+    acc.names
+}
+
+/// Collects `global` declarations in a function body (not descending
+/// into nested functions).
+fn collect_global_decls(body: &[Stmt]) -> Vec<String> {
+    struct Acc {
+        names: Vec<String>,
+        seen: std::collections::HashSet<String>,
+    }
+    fn walk(body: &[Stmt], acc: &mut Acc) {
+        for s in body {
+            match &s.kind {
+                StmtKind::Global(names) => {
+                    for n in names {
+                        if acc.seen.insert(n.clone()) {
+                            acc.names.push(n.clone());
+                        }
+                    }
+                }
+                StmtKind::If { branches, orelse } => {
+                    for (_, b) in branches {
+                        walk(b, acc);
+                    }
+                    walk(orelse, acc);
+                }
+                StmtKind::For { body, orelse, .. } | StmtKind::While { body, orelse, .. } => {
+                    walk(body, acc);
+                    walk(orelse, acc);
+                }
+                StmtKind::Try {
+                    body,
+                    handlers,
+                    orelse,
+                    finalbody,
+                } => {
+                    walk(body, acc);
+                    for h in handlers {
+                        walk(&h.body, acc);
+                    }
+                    walk(orelse, acc);
+                    walk(finalbody, acc);
+                }
+                StmtKind::With { body, .. } => walk(body, acc),
+                _ => {}
+            }
+        }
+    }
+    let mut acc = Acc {
+        names: Vec::new(),
+        seen: std::collections::HashSet::new(),
+    };
+    walk(body, &mut acc);
+    acc.names
 }
 
 /// Does this scope body force a dynamic (capturable) locals scope?

@@ -508,13 +508,6 @@ impl Heap {
 
     // ---- class helpers (need the heap to walk the base chain)
 
-    /// Looks up a class attribute through the inheritance chain. Uses
-    /// the non-inserting intern probe: a never-interned name cannot be
-    /// a key of any symbol table.
-    pub fn class_lookup(&self, class: u32, name: &str) -> Option<Value> {
-        self.class_lookup_sym(class, try_intern(name)?)
-    }
-
     /// Symbol-keyed class attribute lookup through the inheritance
     /// chain.
     pub fn class_lookup_sym(&self, class: u32, sym: Symbol) -> Option<Value> {

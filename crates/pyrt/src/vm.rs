@@ -207,10 +207,8 @@ pub struct Vm {
     /// Instantiated native/user module namespaces by import name (heap
     /// module ids).
     pub(crate) modules: RefCell<HashMap<String, u32>>,
-    /// Parsed user modules available for `import`.
-    user_sources: RefCell<HashMap<String, Rc<pysrc::Module>>>,
-    /// Pre-prepared user modules available for `import` (take precedence
-    /// over `user_sources`; shared across experiments via `Arc`).
+    /// Prepared user modules available for `import` (shared across
+    /// experiments via `Arc`).
     user_prepared: RefCell<HashMap<String, Arc<PreparedModule>>>,
     /// Prepared scope prototypes keyed by defining node id.
     protos: RefCell<HashMap<u32, Arc<FuncProto>>>,
@@ -273,7 +271,6 @@ impl Vm {
             builtins: Scope::new_ref(),
             exc_classes: RefCell::new(HashMap::new()),
             modules: RefCell::new(HashMap::new()),
-            user_sources: RefCell::new(HashMap::new()),
             user_prepared: RefCell::new(HashMap::new()),
             protos: RefCell::new(HashMap::new()),
             current_component: RefCell::new("<main>".to_string()),
@@ -330,19 +327,9 @@ impl Vm {
         self.exc_classes.borrow().get(name).copied()
     }
 
-    /// Registers a parsed source module so the target can `import` it.
-    /// The module is prepared (names resolved, slots allocated) at
-    /// import time.
-    pub fn register_source(&self, import_name: &str, module: Rc<pysrc::Module>) {
-        self.user_sources
-            .borrow_mut()
-            .insert(import_name.to_string(), module);
-    }
-
-    /// Registers a **prepared** module so the target can `import` it
-    /// without re-parsing or re-resolving — the fast path used by the
-    /// sandbox for the unchanged workload and fault-free target modules
-    /// shared across every experiment of a campaign.
+    /// Registers a prepared module so the target can `import` it — the
+    /// sandbox registers the unchanged workload and fault-free target
+    /// modules, shared across every experiment of a campaign.
     pub fn register_prepared_source(&self, import_name: &str, prepared: Arc<PreparedModule>) {
         self.install_prepared(&prepared);
         self.user_prepared
@@ -358,26 +345,19 @@ impl Vm {
         }
     }
 
-    /// The prepared prototype for a defining node, if known.
-    pub(crate) fn proto(&self, id: NodeId) -> Option<Arc<FuncProto>> {
-        self.protos.borrow().get(&id.0).cloned()
-    }
-
-    /// Registers an on-the-fly prepared prototype (plus anything nested
-    /// in it) so repeated executions of the same `def` reuse it.
-    pub(crate) fn install_proto(
-        &self,
-        id: NodeId,
-        proto: Arc<FuncProto>,
-        nested: HashMap<u32, Arc<FuncProto>>,
-    ) {
-        let mut protos = self.protos.borrow_mut();
-        protos.insert(id.0, proto);
-        protos.extend(nested);
+    /// The prepared prototype of a defining node (`def`, `lambda` or
+    /// `class`): both engines find a scope here, never anywhere else.
+    ///
+    /// # Errors
+    ///
+    /// The internal error when no prepared module installed one.
+    pub(crate) fn proto(&self, id: NodeId) -> Result<Arc<FuncProto>, PyExc> {
+        let proto = self.protos.borrow().get(&id.0).cloned();
+        proto.ok_or_else(|| PyExc::not_prepared(&format!("<scope {}>", id.0)))
     }
 
     /// Imports a module by name: native modules first, then registered
-    /// user sources (executed once and cached).
+    /// prepared user modules (executed once and cached).
     ///
     /// # Errors
     ///
@@ -392,11 +372,7 @@ impl Vm {
             return Ok(native);
         }
         let prepared = self.user_prepared.borrow().get(name).cloned();
-        let source = match &prepared {
-            Some(_) => None,
-            None => self.user_sources.borrow().get(name).cloned(),
-        };
-        if prepared.is_some() || source.is_some() {
+        if let Some(pm) = prepared {
             if self.importing.borrow().iter().any(|n| n == name) {
                 return Err(PyExc::new(
                     "ImportError",
@@ -404,17 +380,7 @@ impl Vm {
                 ));
             }
             self.importing.borrow_mut().push(name.to_string());
-            let result = match &prepared {
-                Some(pm) => {
-                    self.execute_module_namespace(name, &pm.module, pm.module_proto.clone())
-                }
-                None => {
-                    let source = source.expect("checked above");
-                    let (module_proto, protos) = prepare::prepare_ast(&source);
-                    self.protos.borrow_mut().extend(protos);
-                    self.execute_module_namespace(name, &source, module_proto)
-                }
-            };
+            let result = self.execute_module_namespace(name, &pm.module, pm.module_proto.clone());
             self.importing.borrow_mut().pop();
             let namespace = result?;
             self.modules
@@ -558,11 +524,6 @@ impl Vm {
     /// Appends to captured stdout.
     pub fn write_stdout(&self, text: &str) {
         self.stdout.borrow_mut().push_str(text);
-    }
-
-    /// Appends to captured stderr.
-    pub fn write_stderr(&self, text: &str) {
-        self.stderr.borrow_mut().push_str(text);
     }
 
     /// Captured log records.
@@ -839,7 +800,7 @@ mod tests {
         let main =
             pysrc::parse_module("import mylib\nprint(mylib.inc())\n", "main.py").unwrap();
         let mut vm = Vm::new();
-        vm.register_source("mylib", Rc::new(lib));
+        vm.register_prepared_source("mylib", prepare::prepare(Arc::new(lib)));
         vm.run_module(&main).unwrap();
         assert_eq!(vm.stdout(), "42\n");
     }

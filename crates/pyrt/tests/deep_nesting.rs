@@ -24,8 +24,8 @@ fn through_every_pass(source: String) -> String {
             let again = pysrc::parse_module(&text, "deep.py").expect("unparsed text parses");
             assert_eq!(pysrc::unparse::unparse_module(&again), text);
             let prepared = pyrt::prepare::prepare(Arc::new(module));
+            pyrt::compile::compile(&prepared.module_proto, &prepared.module.body);
             let mut vm = Vm::new();
-            pyrt::compile::compile(&vm, &prepared.module_proto, &prepared.module.body);
             vm.set_engine(Engine::Bytecode);
             vm.fuel.refill(100_000);
             vm.run_prepared(&prepared).expect("runs");

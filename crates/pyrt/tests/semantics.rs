@@ -8,7 +8,6 @@
 //! depends on.
 
 use pyrt::vm::Vm;
-use std::rc::Rc;
 use std::sync::Arc;
 
 fn run(src: &str) -> String {
@@ -1018,11 +1017,11 @@ fn prepared_and_ad_hoc_execution_agree() {
     );
     let lib_src = "NAME = 'lib'\ndef double(x):\n    return x * 2\n";
 
-    // Ad-hoc path: parse + register, prepare happens at import.
+    // Ad-hoc path: `run_module` prepares the main module as it runs it.
     let main = pysrc::parse_module(src, "main.py").unwrap();
     let lib = pysrc::parse_module(lib_src, "mylib.py").unwrap();
     let mut vm1 = Vm::new();
-    vm1.register_source("mylib", Rc::new(lib));
+    vm1.register_prepared_source("mylib", pyrt::prepare::prepare(Arc::new(lib)));
     vm1.run_module(&main).unwrap();
 
     // Prepared path: modules prepared once, shared via Arc — the
@@ -1058,6 +1057,91 @@ fn prepared_module_is_reusable_across_vms() {
 // `CallMethod` (no bound-method object); the tree walk still builds the
 // bound method and is the oracle. Every program here runs under both,
 // and the two runs must agree on output, error, clock and fuel.
+
+// ---------- code that was not prepared ----------
+
+/// Runs `body` as a module top level over `proto` and `protos` under
+/// each engine; asserts both raise the same `RuntimeError` and returns
+/// its message.
+fn not_prepared_on_both_engines(
+    body: Vec<pysrc::ast::Stmt>,
+    proto: Arc<pyrt::FuncProto>,
+    protos: &std::collections::HashMap<u32, Arc<pyrt::FuncProto>>,
+) -> String {
+    use pyrt::vm::Engine;
+    let prepared = pyrt::PreparedModule {
+        module: Arc::new(pysrc::Module {
+            name: "unprepared.py".into(),
+            body,
+        }),
+        module_proto: proto,
+        protos: protos.clone(),
+        source_hash: None,
+    };
+    let run = |engine: Engine| {
+        let mut vm = Vm::new();
+        vm.set_engine(engine);
+        vm.fuel.refill(100_000);
+        let e = vm.run_prepared(&prepared).expect_err("raises").into_data();
+        (e.class_name, e.message)
+    };
+    let (bytecode, treewalk) = (run(Engine::Bytecode), run(Engine::TreeWalk));
+    assert_eq!(bytecode, treewalk, "engines diverge");
+    assert_eq!(bytecode.0, "RuntimeError");
+    bytecode.1
+}
+
+#[test]
+fn code_run_against_a_prototype_it_was_not_prepared_with_raises() {
+    let parse = |src: &str| pysrc::parse_module(src, "m.py").unwrap();
+    let prep = |src: &str| pyrt::prepare::prepare(Arc::new(parse(src)));
+    let message = |name: &str| format!("internal error: '{name}' was not prepared");
+    // Statements run over another module's prototypes: no node of
+    // theirs is in its table or in the registry. (Each run gets a
+    // fresh module, as the bytecode compiled for one is cached on it.)
+    for (src, name) in [
+        ("print(1)\n", "print"),
+        ("y = 1\n", "y"),
+        ("z = 'a'.upper\n", "upper"),
+        ("'a'.x = 1\n", "x"),
+    ] {
+        let other = prep("x = 1\n");
+        let proto = other.module_proto.clone();
+        let got = not_prepared_on_both_engines(parse(src).body, proto, &other.protos);
+        assert_eq!(got, message(name), "{src:?}");
+    }
+    for src in [
+        "def f():\n    pass\n",
+        "class C:\n    pass\n",
+        "(lambda: 1)\n",
+    ] {
+        let other = prep("x = 1\n");
+        let body = parse(src).body;
+        let scope = match &body[0].kind {
+            pysrc::ast::StmtKind::Expr(lambda) => lambda.id,
+            _ => body[0].id,
+        };
+        let got = not_prepared_on_both_engines(body, other.module_proto.clone(), &other.protos);
+        assert_eq!(got, message(&format!("<scope {}>", scope.0)), "{src:?}");
+    }
+    // A function body run as a module top level: its names were
+    // resolved for a slot or dynamic frame, not this one.
+    for (src, name) in [
+        ("def f(a):\n    b = a\n", "a"),
+        ("def f():\n    b = 1\n", "b"),
+        (
+            "def f():\n    print(b)\n    b = 1\n    def g():\n        pass\n",
+            "b",
+        ),
+        ("def f():\n    b = 1\n    def g():\n        pass\n", "b"),
+    ] {
+        let module = prep(src);
+        let f = module.protos.values().find(|p| p.name == "f").unwrap();
+        let body = f.body.to_vec();
+        let got = not_prepared_on_both_engines(body, f.clone(), &module.protos);
+        assert_eq!(got, message(name), "{src:?}");
+    }
+}
 
 /// Runs `src` with each engine forced; asserts the complete outcomes
 /// are equal and returns it: stdout, or the error's class and message.

@@ -466,13 +466,6 @@ impl Arg {
             Arg::Pos(e) | Arg::Kw(_, e) | Arg::Star(e) | Arg::DoubleStar(e) => e,
         }
     }
-
-    /// Mutable access to the argument's value expression.
-    pub fn value_mut(&mut self) -> &mut Expr {
-        match self {
-            Arg::Pos(e) | Arg::Kw(_, e) | Arg::Star(e) | Arg::DoubleStar(e) => e,
-        }
-    }
 }
 
 /// Unary operators.
@@ -589,15 +582,8 @@ impl CmpOp {
     }
 }
 
-/// Structural equality that ignores [`NodeId`]s and [`Span`]s.
-///
-/// Used by round-trip tests and by the matcher when comparing literal
-/// pattern fragments against program fragments.
-pub fn stmt_eq(a: &Stmt, b: &Stmt) -> bool {
-    stmts_eq(std::slice::from_ref(a), std::slice::from_ref(b))
-}
-
-/// Structural equality over statement sequences (ignores ids/spans).
+/// Structural equality over statement sequences that ignores
+/// [`NodeId`]s and [`Span`]s (the parser's round-trip tests use it).
 pub fn stmts_eq(a: &[Stmt], b: &[Stmt]) -> bool {
     use crate::unparse;
     if a.len() != b.len() {
@@ -608,9 +594,4 @@ pub fn stmts_eq(a: &[Stmt], b: &[Stmt]) -> bool {
     a.iter()
         .zip(b.iter())
         .all(|(x, y)| unparse::unparse_stmt(x) == unparse::unparse_stmt(y))
-}
-
-/// Structural equality over expressions (ignores ids/spans).
-pub fn expr_eq(a: &Expr, b: &Expr) -> bool {
-    crate::unparse::unparse_expr(a) == crate::unparse::unparse_expr(b)
 }

@@ -28,13 +28,6 @@ pub fn unparse_stmt_at(stmt: &Stmt, level: usize) -> String {
     out
 }
 
-/// Renders an expression.
-pub fn unparse_expr(expr: &Expr) -> String {
-    let mut out = String::new();
-    write_expr(&mut out, expr, 0);
-    out
-}
-
 fn indent(out: &mut String, level: usize) {
     for _ in 0..level {
         out.push_str("    ");

@@ -7,8 +7,8 @@
 //!   block* (a `Vec<Stmt>`) in a module, which is the unit the matcher
 //!   operates on (patterns match consecutive statements within one
 //!   block).
-//! * [`walk_exprs`] / [`walk_exprs_mut`] — visit every expression in a
-//!   statement tree (used for expression-level injection points).
+//! * [`walk_exprs`] — visit every expression in a statement tree (used
+//!   for expression-level injection points).
 
 use crate::ast::*;
 
@@ -346,214 +346,6 @@ pub fn walk_expr<'a>(expr: &'a Expr, f: &mut dyn FnMut(&'a Expr)) {
     }
 }
 
-/// Post-order mutable walk over every expression in a statement,
-/// including nested statements. `f` may rewrite the expression in place.
-pub fn walk_exprs_mut(stmt: &mut Stmt, f: &mut dyn FnMut(&mut Expr)) {
-    match &mut stmt.kind {
-        StmtKind::Expr(e) => walk_expr_mut(e, f),
-        StmtKind::Assign { targets, value } => {
-            for t in targets {
-                walk_expr_mut(t, f);
-            }
-            walk_expr_mut(value, f);
-        }
-        StmtKind::AugAssign { target, value, .. } => {
-            walk_expr_mut(target, f);
-            walk_expr_mut(value, f);
-        }
-        StmtKind::Return(Some(e)) => walk_expr_mut(e, f),
-        StmtKind::Return(None)
-        | StmtKind::Pass
-        | StmtKind::Break
-        | StmtKind::Continue
-        | StmtKind::Global(_)
-        | StmtKind::Import(_)
-        | StmtKind::FromImport { .. } => {}
-        StmtKind::Del(targets) => {
-            for t in targets {
-                walk_expr_mut(t, f);
-            }
-        }
-        StmtKind::Assert { test, msg } => {
-            walk_expr_mut(test, f);
-            if let Some(m) = msg {
-                walk_expr_mut(m, f);
-            }
-        }
-        StmtKind::If { branches, orelse } => {
-            for (test, body) in branches {
-                walk_expr_mut(test, f);
-                for s in body {
-                    walk_exprs_mut(s, f);
-                }
-            }
-            for s in orelse {
-                walk_exprs_mut(s, f);
-            }
-        }
-        StmtKind::While { test, body, orelse } => {
-            walk_expr_mut(test, f);
-            for s in body.iter_mut().chain(orelse) {
-                walk_exprs_mut(s, f);
-            }
-        }
-        StmtKind::For {
-            target,
-            iter,
-            body,
-            orelse,
-        } => {
-            walk_expr_mut(target, f);
-            walk_expr_mut(iter, f);
-            for s in body.iter_mut().chain(orelse) {
-                walk_exprs_mut(s, f);
-            }
-        }
-        StmtKind::FuncDef { params, body, .. } => {
-            for p in params {
-                if let Some(d) = &mut p.default {
-                    walk_expr_mut(d, f);
-                }
-            }
-            for s in body {
-                walk_exprs_mut(s, f);
-            }
-        }
-        StmtKind::ClassDef { bases, body, .. } => {
-            for b in bases {
-                walk_expr_mut(b, f);
-            }
-            for s in body {
-                walk_exprs_mut(s, f);
-            }
-        }
-        StmtKind::Try {
-            body,
-            handlers,
-            orelse,
-            finalbody,
-        } => {
-            for s in body {
-                walk_exprs_mut(s, f);
-            }
-            for h in handlers {
-                if let Some(t) = &mut h.exc_type {
-                    walk_expr_mut(t, f);
-                }
-                for s in &mut h.body {
-                    walk_exprs_mut(s, f);
-                }
-            }
-            for s in orelse.iter_mut().chain(finalbody) {
-                walk_exprs_mut(s, f);
-            }
-        }
-        StmtKind::Raise { exc, cause } => {
-            if let Some(e) = exc {
-                walk_expr_mut(e, f);
-            }
-            if let Some(c) = cause {
-                walk_expr_mut(c, f);
-            }
-        }
-        StmtKind::With { items, body } => {
-            for (ctx, target) in items {
-                walk_expr_mut(ctx, f);
-                if let Some(t) = target {
-                    walk_expr_mut(t, f);
-                }
-            }
-            for s in body {
-                walk_exprs_mut(s, f);
-            }
-        }
-    }
-}
-
-/// Post-order mutable walk over one expression tree.
-pub fn walk_expr_mut(expr: &mut Expr, f: &mut dyn FnMut(&mut Expr)) {
-    match &mut expr.kind {
-        ExprKind::Attribute { value, .. } => walk_expr_mut(value, f),
-        ExprKind::Subscript { value, index } => {
-            walk_expr_mut(value, f);
-            walk_expr_mut(index, f);
-        }
-        ExprKind::Slice { lower, upper, step } => {
-            for e in [lower, upper, step].into_iter().flatten() {
-                walk_expr_mut(e, f);
-            }
-        }
-        ExprKind::Call { func, args } => {
-            walk_expr_mut(func, f);
-            for a in args {
-                walk_expr_mut(a.value_mut(), f);
-            }
-        }
-        ExprKind::Unary { operand, .. } => walk_expr_mut(operand, f),
-        ExprKind::Binary { left, right, .. } => {
-            walk_expr_mut(left, f);
-            walk_expr_mut(right, f);
-        }
-        ExprKind::BoolOp { values, .. } => {
-            for v in values {
-                walk_expr_mut(v, f);
-            }
-        }
-        ExprKind::Compare {
-            left, comparators, ..
-        } => {
-            walk_expr_mut(left, f);
-            for c in comparators {
-                walk_expr_mut(c, f);
-            }
-        }
-        ExprKind::Lambda { params, body } => {
-            for p in params {
-                if let Some(d) = &mut p.default {
-                    walk_expr_mut(d, f);
-                }
-            }
-            walk_expr_mut(body, f);
-        }
-        ExprKind::IfExp { test, body, orelse } => {
-            walk_expr_mut(test, f);
-            walk_expr_mut(body, f);
-            walk_expr_mut(orelse, f);
-        }
-        ExprKind::Tuple(items) | ExprKind::List(items) | ExprKind::Set(items) => {
-            for i in items {
-                walk_expr_mut(i, f);
-            }
-        }
-        ExprKind::Dict(pairs) => {
-            for (k, v) in pairs {
-                walk_expr_mut(k, f);
-                walk_expr_mut(v, f);
-            }
-        }
-        ExprKind::ListComp {
-            elt,
-            target,
-            iter,
-            ifs,
-        } => {
-            walk_expr_mut(elt, f);
-            walk_expr_mut(target, f);
-            walk_expr_mut(iter, f);
-            for c in ifs {
-                walk_expr_mut(c, f);
-            }
-        }
-        ExprKind::Starred(inner) => walk_expr_mut(inner, f),
-        ExprKind::Num(_)
-        | ExprKind::Str(_)
-        | ExprKind::Bool(_)
-        | ExprKind::NoneLit
-        | ExprKind::Name(_) => {}
-    }
-    f(expr);
-}
-
 /// Calls `f` on every identifier a name resolver will touch: `Name`
 /// references, `Attribute` names, binding names (`def`/`class`,
 /// parameters, import aliases, `except .. as`), and `global`
@@ -713,18 +505,6 @@ mod tests {
         ] {
             assert!(seen.contains(expected), "missing identifier {expected}");
         }
-    }
-
-    #[test]
-    fn walk_exprs_mut_rewrites() {
-        let mut m = parse_module("x = 1 + 2\n", "t.py").unwrap();
-        walk_exprs_mut(&mut m.body[0], &mut |e| {
-            if let crate::ast::ExprKind::Num(crate::ast::Number::Int(v)) = &mut e.kind {
-                *v *= 10;
-            }
-        });
-        let s = crate::unparse::unparse_module(&m);
-        assert_eq!(s, "x = 10 + 20\n");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Parallel experiment execution (paper §IV-B: "run at most N − 1
 //! parallel containers at the same time, where N is the number of CPU
 //! cores ... the tool further reduces the number of parallel containers
-//! if it hits a threshold for memory and I/O utilization").
+//! if it hits a threshold for memory and I/O utilization"). The memory
+//! threshold is modelled; an I/O one is not, as nothing here sets one.
 //!
 //! Two entry points:
 //!
@@ -63,13 +64,6 @@ pub struct ParallelExecutor {
     pub mem_mb_total: u64,
     /// Memory footprint of one container (MB).
     pub mem_mb_per_container: u64,
-    /// I/O bandwidth cap expressed as a max number of concurrently
-    /// I/O-active containers. `usize::MAX` means unlimited — prefer the
-    /// [`ParallelExecutor::io_limit`] / [`ParallelExecutor::set_io_limit`]
-    /// accessors, which make the sentinel explicit and keep the value
-    /// sane when configs are serialized for the persistent campaign
-    /// queue.
-    pub io_parallel_limit: usize,
 }
 
 impl Default for ParallelExecutor {
@@ -80,7 +74,6 @@ impl Default for ParallelExecutor {
                 .unwrap_or(4),
             mem_mb_total: 16 * 1024,
             mem_mb_per_container: 512,
-            io_parallel_limit: usize::MAX,
         }
     }
 }
@@ -89,16 +82,12 @@ impl fmt::Display for ParallelExecutor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "executor(cores={}, workers<={}, mem={}MB/{}MB, io=",
+            "executor(cores={}, workers<={}, mem={}MB/{}MB)",
             self.cpu_cores,
             self.cpu_cores.saturating_sub(1).max(1),
             self.mem_mb_total,
             self.mem_mb_per_container,
-        )?;
-        match self.io_limit() {
-            Some(n) => write!(f, "{n})"),
-            None => write!(f, "unlimited)"),
-        }
+        )
     }
 }
 
@@ -111,39 +100,15 @@ impl ParallelExecutor {
         }
     }
 
-    /// The I/O cap, if one is set (`None` = unlimited). Clamps a raw
-    /// zero — which would deadlock the pool — up to 1.
-    pub fn io_limit(&self) -> Option<usize> {
-        if self.io_parallel_limit == usize::MAX {
-            None
-        } else {
-            Some(self.io_parallel_limit.max(1))
-        }
-    }
-
-    /// Sets the I/O cap. `None` means unlimited; `Some(0)` is clamped
-    /// to 1. This is the inverse of [`ParallelExecutor::io_limit`] and
-    /// the intended deserialization path, keeping the `usize::MAX`
-    /// sentinel out of stored configs.
-    pub fn set_io_limit(&mut self, limit: Option<usize>) {
-        self.io_parallel_limit = match limit {
-            None => usize::MAX,
-            Some(n) => n.max(1),
-        };
-    }
-
-    /// Effective worker count: `min(N−1, memory cap, I/O cap, jobs)`,
-    /// at least 1.
+    /// Effective worker count: `min(N−1, memory cap, jobs)`, at least
+    /// 1.
     pub fn effective_workers(&self, jobs: usize) -> usize {
         let cpu_cap = self.cpu_cores.saturating_sub(1).max(1);
         let mem_cap = match self.mem_mb_total.checked_div(self.mem_mb_per_container) {
             Some(n) => (n as usize).max(1),
             None => usize::MAX,
         };
-        cpu_cap
-            .min(mem_cap)
-            .min(self.io_limit().unwrap_or(usize::MAX))
-            .min(jobs.max(1))
+        cpu_cap.min(mem_cap).min(jobs.max(1))
     }
 
     /// Runs `jobs` independent experiments in parallel, preserving
@@ -244,13 +209,6 @@ mod tests {
     }
 
     #[test]
-    fn io_limit_reduces_workers() {
-        let mut ex = ParallelExecutor::new(32);
-        ex.io_parallel_limit = 3;
-        assert_eq!(ex.effective_workers(100), 3);
-    }
-
-    #[test]
     fn job_count_caps_workers() {
         let ex = ParallelExecutor::new(16);
         assert_eq!(ex.effective_workers(2), 2);
@@ -258,31 +216,13 @@ mod tests {
     }
 
     #[test]
-    fn io_limit_accessors_clamp_the_sentinel() {
-        let mut ex = ParallelExecutor::new(8);
-        assert_eq!(ex.io_limit(), None);
-        ex.set_io_limit(Some(0));
-        assert_eq!(ex.io_limit(), Some(1));
-        assert_eq!(ex.effective_workers(100), 1);
-        ex.set_io_limit(Some(3));
-        assert_eq!(ex.io_limit(), Some(3));
-        ex.set_io_limit(None);
-        assert_eq!(ex.io_limit(), None);
-        assert_eq!(ex.effective_workers(100), 7);
-        // A raw zero written directly into the field must not deadlock.
-        ex.io_parallel_limit = 0;
-        assert_eq!(ex.io_limit(), Some(1));
-        assert_eq!(ex.effective_workers(100), 1);
-    }
-
-    #[test]
     fn display_summarizes_caps() {
         let mut ex = ParallelExecutor::new(8);
-        let text = ex.to_string();
-        assert!(text.contains("cores=8"), "{text}");
-        assert!(text.contains("io=unlimited"), "{text}");
-        ex.set_io_limit(Some(4));
-        assert!(ex.to_string().contains("io=4"));
+        ex.mem_mb_total = 2048;
+        assert_eq!(
+            ex.to_string(),
+            "executor(cores=8, workers<=7, mem=2048MB/512MB)"
+        );
     }
 
     #[test]

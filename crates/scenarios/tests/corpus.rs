@@ -83,7 +83,10 @@ fn corpus_mutants_parse_prepare_and_import_under_both_engines() {
                     for source in &mutants {
                         let parsed =
                             pysrc::parse_module(&source.text, &source.import_name).unwrap();
-                        vm.register_source(&source.import_name, Rc::new(parsed));
+                        vm.register_prepared_source(
+                            &source.import_name,
+                            pyrt::prepare::prepare(Arc::new(parsed)),
+                        );
                     }
                     vm.import_module(&mutant.import_name).unwrap_or_else(|e| {
                         panic!(
