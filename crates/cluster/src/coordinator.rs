@@ -25,9 +25,13 @@
 //!   same report-building path a single-node drive uses, which is what
 //!   makes the distributed report byte-identical to the local one.
 //!
-//! All time-dependent operations take an explicit `now` in their `_at`
-//! variants; the public wrappers use `Instant::now()`. Tests drive the
-//! `_at` forms with synthetic instants — no sleeps, no flakes.
+//! Lease time comes from one clock, fixed when the coordinator is
+//! built: [`Coordinator::new`] reads `Instant::now`, and
+//! [`Coordinator::with_clock`] reads a closure the test advances — no
+//! sleeps, no flakes. Latency histograms and trace spans time real wall
+//! time either way.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::walog::LeaseLog;
 use crate::wire::WireSpan;
@@ -39,6 +43,7 @@ use obs::Level;
 use profipy::ExperimentResult;
 use pysrc::Module;
 use sandbox::SourceFile;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -46,23 +51,15 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use trace::TraceStore;
 
-/// Coordinator options.
+/// Coordinator options. The heartbeat cadence and the expiry sweep
+/// are derived from `lease_ttl`.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
     /// How long a lease stays valid without a heartbeat; a worker that
     /// misses it gets its leased jobs requeued.
     pub lease_ttl: Duration,
-    /// Heartbeat cadence advertised to workers (keep well under
-    /// `lease_ttl`).
-    pub heartbeat_interval: Duration,
     /// Most jobs handed out per lease request.
     pub lease_batch_max: usize,
-    /// Cadence of the server's lease-expiry sweep.
-    pub tick_interval: Duration,
-    /// How long a registered worker may stay silent before it is
-    /// pruned from the registry (and its per-worker gauge labels stop
-    /// being emitted). Keep well above `lease_ttl`.
-    pub worker_retention: Duration,
     /// Where the worker registry log (`fleet-workers.jsonl`) and the
     /// lease WAL (`fleet-leases.jsonl`) live (`None` = in-memory only).
     /// Registrations and leases recorded here survive a coordinator
@@ -75,14 +72,30 @@ impl Default for FleetConfig {
     fn default() -> FleetConfig {
         FleetConfig {
             lease_ttl: Duration::from_secs(10),
-            heartbeat_interval: Duration::from_secs(2),
             lease_batch_max: 16,
-            tick_interval: Duration::from_millis(250),
-            worker_retention: Duration::from_secs(600),
             data_dir: None,
         }
     }
 }
+
+impl FleetConfig {
+    /// The heartbeat cadence advertised to workers: a quarter of the
+    /// lease TTL, at least 10 ms.
+    pub fn heartbeat_interval(&self) -> Duration {
+        (self.lease_ttl / 4).max(Duration::from_millis(10))
+    }
+
+    /// The cadence of the server's lease-expiry sweep: a fortieth of
+    /// the lease TTL (250 ms at the default 10 s), at least 1 ms.
+    pub fn tick_interval(&self) -> Duration {
+        (self.lease_ttl / 40).max(Duration::from_millis(1))
+    }
+}
+
+/// How long a registered worker holding no lease may stay silent before
+/// it is pruned from the registry (and its per-worker gauge labels stop
+/// being emitted).
+const WORKER_RETENTION: Duration = Duration::from_secs(600);
 
 /// Coordinator-level errors, mapped to HTTP statuses by the server.
 #[derive(Debug)]
@@ -297,6 +310,12 @@ struct FleetState {
     /// result appends here under the fleet lock, so the on-disk state
     /// never races the in-memory one.
     wal: LeaseLog,
+    /// Leases replayed from the WAL, waiting for [`Coordinator::recover`]
+    /// to re-arm them (taken exactly once).
+    recovered: Option<ReplayedLeases>,
+    /// Set during shutdown: leases stop checking campaigns out, so a
+    /// request racing the drain cannot strand a job in `Running`.
+    draining: bool,
 }
 
 /// The coordinator. Thread-safe behind its own mutex; lock order is
@@ -314,15 +333,12 @@ pub struct Coordinator {
     /// This coordinator's monotonic epoch: the WAL's recorded epoch
     /// plus one, so every restart or standby takeover is a new epoch.
     epoch: u64,
-    /// Leases replayed from the WAL, waiting for [`Coordinator::recover`]
-    /// to re-arm them (taken exactly once).
-    recovered: Mutex<Option<ReplayedLeases>>,
+    /// The lease clock: worker contacts, lease deadlines, expiry,
+    /// pruning and the heartbeat-age gauges read it.
+    clock: Box<dyn Fn() -> Instant + Send + Sync>,
     /// When this coordinator instance booted — the liveness baseline
     /// for workers restored from the registry that never phoned in.
     boot: Instant,
-    /// Set during shutdown: leases stop checking campaigns out, so a
-    /// request racing the drain cannot strand a job in `Running`.
-    draining: std::sync::atomic::AtomicBool,
     metrics: FleetMetrics,
     /// The service's per-campaign trace store: lease/requeue/upload
     /// spans land here next to the engine's prepare spans.
@@ -404,6 +420,16 @@ fn load_registry(
     Ok(log)
 }
 
+/// Records a contact from `worker` at `now`.
+fn touch(state: &mut FleetState, worker: &str, now: Instant) -> Result<(), FleetError> {
+    let info = state
+        .workers
+        .get_mut(worker)
+        .ok_or_else(|| FleetError::UnknownWorker(worker.to_string()))?;
+    info.last_contact = Some(now);
+    Ok(())
+}
+
 impl Coordinator {
     /// Creates a coordinator over a shared service, reloading the
     /// worker registry and the lease WAL from `config.data_dir` if set.
@@ -415,6 +441,21 @@ impl Coordinator {
     ///
     /// I/O errors reading or creating the registry log or lease WAL.
     pub fn new(service: SharedService, config: FleetConfig) -> io::Result<Coordinator> {
+        Coordinator::with_clock(service, config, Instant::now)
+    }
+
+    /// [`Coordinator::new`] with lease time read from `clock` instead of
+    /// `Instant::now` — how a test steps deadlines, expiry and pruning
+    /// without sleeping.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors reading or creating the registry log or lease WAL.
+    pub fn with_clock(
+        service: SharedService,
+        config: FleetConfig,
+        clock: impl Fn() -> Instant + Send + Sync + 'static,
+    ) -> io::Result<Coordinator> {
         let mut workers = BTreeMap::new();
         let mut next_worker_seq = 0u64;
         let registry = match &config.data_dir {
@@ -436,14 +477,12 @@ impl Coordinator {
             None => LeaseLog::in_memory(),
         };
         let epoch = wal.state().epoch + 1;
-        let recovered = if wal.state().leases.is_empty() {
-            None
-        } else {
-            Some(wal.state().leases.clone())
-        };
+        let leases = &wal.state().leases;
+        let recovered = (!leases.is_empty()).then(|| leases.clone());
         wal.record_epoch(epoch)?;
         let metrics = FleetMetrics::new(service.metrics_registry());
         let trace = service.trace_store();
+        let boot = clock();
         let coordinator = Coordinator {
             service,
             config,
@@ -453,16 +492,17 @@ impl Coordinator {
                 active: BTreeMap::new(),
                 leases: BTreeMap::new(),
                 wal,
+                recovered,
+                draining: false,
             }),
             registry,
             epoch,
-            recovered: Mutex::new(recovered),
-            boot: Instant::now(),
-            draining: std::sync::atomic::AtomicBool::new(false),
+            clock: Box::new(clock),
+            boot,
             metrics,
             trace,
         };
-        coordinator.publish(&mut coordinator.lock(), Instant::now());
+        coordinator.publish(&mut coordinator.lock(), boot);
         Ok(coordinator)
     }
 
@@ -482,6 +522,11 @@ impl Coordinator {
         self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 
+    /// The lease clock's current reading.
+    fn now(&self) -> Instant {
+        (self.clock)()
+    }
+
     /// Appends one line to the registry log, if there is one.
     fn append_to_registry(&self, line: &Value) -> io::Result<()> {
         match &self.registry {
@@ -499,9 +544,9 @@ impl Coordinator {
     /// Registry-log I/O failures.
     pub fn register(&self, parallelism: usize) -> io::Result<String> {
         let mut state = self.lock();
+        let now = self.now();
         state.next_worker_seq += 1;
         let id = format!("worker-{:06}", state.next_worker_seq);
-        let now = Instant::now();
         state.workers.insert(
             id.clone(),
             WorkerInfo {
@@ -523,21 +568,9 @@ impl Coordinator {
     ///
     /// [`FleetError::UnknownWorker`] for an unregistered id.
     pub fn heartbeat(&self, worker: &str) -> Result<bool, FleetError> {
-        self.heartbeat_at(worker, Instant::now())
-    }
-
-    /// [`Coordinator::heartbeat`] at an explicit instant.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::UnknownWorker`] for an unregistered id.
-    pub fn heartbeat_at(&self, worker: &str, now: Instant) -> Result<bool, FleetError> {
         let mut state = self.lock();
-        let info = state
-            .workers
-            .get_mut(worker)
-            .ok_or_else(|| FleetError::UnknownWorker(worker.to_string()))?;
-        info.last_contact = Some(now);
+        let now = self.now();
+        touch(&mut state, worker, now)?;
         self.publish(&mut state, now);
         let state = &mut *state;
         match state.leases.get_mut(worker) {
@@ -556,159 +589,135 @@ impl Coordinator {
     /// worker already holds specs for — only unknown specs are
     /// returned.
     ///
+    /// Each job goes in flight under the lease in the critical section
+    /// that pops it, so an upload or a drain that runs while this lease
+    /// waits on a campaign checkout sees it; the grant is what the
+    /// lease still holds once the fill ends.
+    ///
     /// # Errors
     ///
     /// [`FleetError::UnknownWorker`] for an unregistered id; engine
-    /// failures checking campaigns out.
+    /// failures checking campaigns out (the jobs popped before the
+    /// failure stay under the lease, so the worker's next lease or the
+    /// expiry requeues them).
     pub fn lease(
         &self,
         worker: &str,
         max_jobs: usize,
         known: &BTreeSet<String>,
     ) -> Result<LeaseGrant, FleetError> {
-        self.lease_at(worker, max_jobs, known, Instant::now())
-    }
-
-    /// [`Coordinator::lease`] at an explicit instant.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::UnknownWorker`] for an unregistered id; engine
-    /// failures checking campaigns out.
-    pub fn lease_at(
-        &self,
-        worker: &str,
-        max_jobs: usize,
-        known: &BTreeSet<String>,
-        now: Instant,
-    ) -> Result<LeaseGrant, FleetError> {
-        // Wall-clock (not the caller's synthetic `now`): the histogram
-        // measures real handling latency even under `_at` tests.
+        // Wall-clock (not the lease clock): the histogram measures real
+        // handling latency.
         let wall = Instant::now();
-        {
-            let mut state = self.lock();
-            let info = state
-                .workers
-                .get_mut(worker)
-                .ok_or_else(|| FleetError::UnknownWorker(worker.to_string()))?;
-            info.last_contact = Some(now);
-            // A new lease supersedes the worker's previous one: our
-            // (sequential pull-loop) workers only re-lease after their
-            // last batch is fully uploaded, so any job still listed was
-            // *dropped* — upload retries exhausted, or the job skipped
-            // because the campaign could not be rebuilt locally.
-            // Requeue those now; waiting for expiry would never fire,
-            // since the live worker's contacts keep extending the
-            // deadline.
-            if let Some(prev) = state.leases.remove(worker) {
+        let want = max_jobs.clamp(1, self.config.lease_batch_max);
+        let mut state = self.lock();
+        let now = self.now();
+        touch(&mut state, worker, now)?;
+        // A new lease supersedes the worker's previous one: our
+        // (sequential pull-loop) workers only re-lease after their last
+        // batch is fully uploaded, so any job still listed was
+        // *dropped* — upload retries exhausted, or the job skipped
+        // because the campaign could not be rebuilt locally. Requeue
+        // those now; waiting for expiry would never fire, since the
+        // live worker's contacts keep extending the deadline.
+        let superseded = match state.leases.remove(worker) {
+            Some(prev) => {
                 let requeued = self.requeue_lease_jobs(&mut state, &prev, worker);
                 state
                     .wal
                     .record_supersede(worker)
                     .map_err(FleetError::Io)?;
-                drop(state);
-                self.note_requeue(worker, "lease_superseded", &requeued);
+                requeued
             }
-        }
-        let want = max_jobs.clamp(1, self.config.lease_batch_max);
+            None => BTreeMap::new(),
+        };
+        let deadline = now + self.config.lease_ttl;
         let mut jobs: Vec<LeasedJob> = Vec::new();
+        let mut new_campaigns: Vec<(String, CampaignSpec)> = Vec::new();
         let fill = loop {
+            // A drain took every campaign and lease: check nothing out.
+            if state.draining {
+                break Ok(());
+            }
             // Fill from campaigns already checked out, oldest job id
-            // first (BTreeMap order — queue ids are sequential). Jobs
-            // are popped off `pending` here and only become in-flight
-            // when the lease is finalized below.
-            {
-                let mut state = self.lock();
-                for (id, c) in state.active.iter_mut() {
-                    while jobs.len() < want {
-                        let Some((point, sources)) = c.pending.pop_front() else {
-                            break;
-                        };
-                        jobs.push(LeasedJob {
-                            campaign: id.clone(),
-                            point,
-                            sources,
-                            modules: c.checkout.modules.clone(),
-                        });
-                    }
-                    if jobs.len() >= want {
+            // first (BTreeMap order — queue ids are sequential).
+            let st = &mut *state;
+            let lease = st.leases.entry(worker.to_string()).or_insert(Lease {
+                jobs: Vec::new(),
+                deadline,
+            });
+            for (id, c) in st.active.iter_mut() {
+                while jobs.len() < want {
+                    let Some((point, sources)) = c.pending.pop_front() else {
                         break;
+                    };
+                    let flight = InFlight {
+                        worker: worker.to_string(),
+                        point: point.clone(),
+                        sources: sources.clone(),
+                    };
+                    c.in_flight.insert(point.id, flight);
+                    lease.jobs.push((id.clone(), point.id));
+                    // Ship specs the worker lacks.
+                    if !known.contains(id) && !new_campaigns.iter().any(|(n, _)| n == id) {
+                        new_campaigns.push((id.clone(), c.checkout.spec.clone()));
                     }
+                    jobs.push(LeasedJob {
+                        campaign: id.clone(),
+                        point,
+                        sources,
+                        modules: c.checkout.modules.clone(),
+                    });
+                }
+                if jobs.len() >= want {
+                    break;
                 }
             }
             if jobs.len() >= want {
                 break Ok(());
             }
             // Not enough pending work: check the next queued campaign
-            // out of the engine (fairness order) — unless a shutdown
-            // drain is in progress, in which case new checkouts would
-            // be stranded.
-            if self.draining.load(std::sync::atomic::Ordering::SeqCst) {
-                break Ok(());
-            }
-            match self.activate_next_campaign() {
+            // out of the engine (fairness order), without the fleet
+            // lock.
+            self.publish(&mut state, now);
+            drop(state);
+            let activated = self.activate_next_campaign();
+            state = self.lock();
+            match activated {
                 Ok(true) => {}
                 Ok(false) => break Ok(()), // queue drained
                 Err(e) => break Err(e),
             }
         };
-        let mut state = self.lock();
-        if let Err(e) = fill {
-            // Return the gathered-but-never-leased jobs to their pools
-            // so an engine failure cannot strand them.
-            for job in jobs {
-                if let Some(c) = state.active.get_mut(&job.campaign) {
-                    c.pending.push_front((job.point, job.sources));
-                }
-            }
-            self.publish(&mut state, now);
-            return Err(e);
-        }
-        // Finalize: mark the jobs in-flight and record the lease (the
-        // worker's clock restarts on any grant, including an empty one
-        // — the contact proves it is alive).
+        // Finalize: restart the worker's clock on any grant, including
+        // an empty one (the contact proves it is alive), and grant what
+        // the lease still holds — an upload may have retired jobs, or
+        // an expiry requeued them, while the lock was released.
         let st = &mut *state;
-        for job in &jobs {
-            if let Some(c) = st.active.get_mut(&job.campaign) {
-                c.in_flight.insert(
-                    job.point.id,
-                    InFlight {
-                        worker: worker.to_string(),
-                        point: job.point.clone(),
-                        sources: job.sources.clone(),
-                    },
-                );
+        let held = match st.leases.get_mut(worker) {
+            Some(lease) if !st.draining => {
+                lease.deadline = deadline;
+                st.wal
+                    .record_grant(worker, &lease.jobs)
+                    .map_err(FleetError::Io)?;
+                lease.jobs.clone()
             }
-        }
-        let deadline = now + self.config.lease_ttl;
-        let lease = st.leases.entry(worker.to_string()).or_insert(Lease {
-            jobs: Vec::new(),
-            deadline,
+            _ => Vec::new(),
+        };
+        jobs.retain(|job| {
+            held.iter()
+                .any(|(c, p)| *c == job.campaign && *p == job.point.id)
         });
-        lease.deadline = deadline;
-        for job in &jobs {
-            lease.jobs.push((job.campaign.clone(), job.point.id));
-        }
-        let granted = lease.jobs.clone();
-        st.wal
-            .record_grant(worker, &granted)
-            .map_err(FleetError::Io)?;
-        self.metrics.leases_granted.inc();
-        self.metrics.jobs_leased_total.add(jobs.len() as u64);
-        let trace_id = format!("t-{:06}", self.metrics.leases_granted.value());
-        // Ship specs the worker lacks.
-        let mut new_campaigns: Vec<(String, CampaignSpec)> = Vec::new();
-        for job in &jobs {
-            if known.contains(&job.campaign)
-                || new_campaigns.iter().any(|(id, _)| id == &job.campaign)
-            {
-                continue;
-            }
-            let spec = st.active[&job.campaign].checkout.spec.clone();
-            new_campaigns.push((job.campaign.clone(), spec));
-        }
+        new_campaigns.retain(|(id, _)| jobs.iter().any(|job| job.campaign == *id));
+        let granted = fill.map(|()| {
+            self.metrics.leases_granted.inc();
+            self.metrics.jobs_leased_total.add(jobs.len() as u64);
+            format!("t-{:06}", self.metrics.leases_granted.value())
+        });
         self.publish(&mut state, now);
         drop(state);
+        self.note_requeue(worker, "lease_superseded", &superseded);
+        let trace_id = granted?;
         // One lease span per campaign that got jobs (empty leases are
         // routine polling, not timeline events).
         let mut per_campaign: BTreeMap<&str, usize> = BTreeMap::new();
@@ -738,7 +747,8 @@ impl Coordinator {
     /// Checks the next queued campaign out of the engine and activates
     /// it for distribution. Campaigns with nothing left to distribute
     /// (empty plan, or every point pre-recorded) are checked straight
-    /// back in and skipped. Returns `false` when the queue is drained.
+    /// back in and skipped, and so is every campaign once a drain has
+    /// begun. Returns `false` when the queue is drained (or draining).
     /// Preparation can be expensive (parse, scan, mutant rendering), so
     /// it runs WITHOUT the fleet lock: heartbeats, uploads, and expiry
     /// ticks proceed meanwhile.
@@ -770,7 +780,17 @@ impl Coordinator {
                 .map(|(point, mutant)| (point, mutant.sources))
                 .collect();
             let done = checkout.checkpoint.completed_ids();
-            self.lock().active.insert(
+            let mut state = self.lock();
+            // A drain that began during the checkout has already
+            // returned every active campaign: return this one too.
+            if state.draining {
+                self.service
+                    .lock()
+                    .checkin(checkout)
+                    .map_err(FleetError::Engine)?;
+                return Ok(false);
+            }
+            state.active.insert(
                 id,
                 ActiveCampaign {
                     checkout,
@@ -788,7 +808,7 @@ impl Coordinator {
     /// WAL: the named campaigns are checked back out of the queue, each
     /// replayed job moves in flight under its original worker (absent
     /// workers are re-registered from the replicated registry state),
-    /// and every re-armed lease gets one fresh TTL from `now`. A worker
+    /// and every re-armed lease gets one fresh TTL from now. A worker
     /// that survived the takeover uploads within that window and its
     /// results are absorbed; a dead worker's lease expires exactly
     /// once, requeueing exactly its unresulted jobs.
@@ -801,18 +821,8 @@ impl Coordinator {
     ///
     /// Engine failures re-checking campaigns out; WAL I/O.
     pub fn recover(&self) -> Result<RecoverySummary, FleetError> {
-        self.recover_at(Instant::now())
-    }
-
-    /// [`Coordinator::recover`] at an explicit instant.
-    ///
-    /// # Errors
-    ///
-    /// Engine failures re-checking campaigns out; WAL I/O.
-    pub fn recover_at(&self, now: Instant) -> Result<RecoverySummary, FleetError> {
         let wall = Instant::now();
-        let Some(replayed) = self.recovered.lock().unwrap_or_else(|p| p.into_inner()).take()
-        else {
+        let Some(replayed) = self.lock().recovered.take() else {
             return Ok(RecoverySummary::default());
         };
         let wanted: BTreeSet<String> = replayed
@@ -830,6 +840,7 @@ impl Coordinator {
         }
         let mut summary = RecoverySummary::default();
         let mut state = self.lock();
+        let now = self.now();
         let st = &mut *state;
         for (worker, jobs) in replayed {
             // The worker registry is replicated alongside the WAL, so
@@ -848,10 +859,10 @@ impl Coordinator {
                 if c.done.contains(&point_id) {
                     continue; // resulted before the crash
                 }
-                let Some(pos) = c.pending.iter().position(|(p, _)| p.id == point_id) else {
+                let pos = c.pending.iter().position(|(p, _)| p.id == point_id);
+                let Some((point, sources)) = pos.and_then(|pos| c.pending.remove(pos)) else {
                     continue; // not in the replan (spec changed) or already in flight
                 };
-                let (point, sources) = c.pending.remove(pos).expect("position found above");
                 c.in_flight.insert(
                     point_id,
                     InFlight {
@@ -913,14 +924,13 @@ impl Coordinator {
             let Some(c) = state.active.get_mut(campaign_id) else {
                 continue; // campaign completed meanwhile
             };
-            let owned = c
-                .in_flight
-                .get(point_id)
-                .is_some_and(|f| f.worker == worker);
-            if !owned {
+            let Entry::Occupied(flight) = c.in_flight.entry(*point_id) else {
+                continue;
+            };
+            if flight.get().worker != worker {
                 continue;
             }
-            let flight = c.in_flight.remove(point_id).expect("checked above");
+            let flight = flight.remove();
             c.pending.push_back((flight.point, flight.sources));
             *c.requeues.entry(*point_id).or_insert(0) += 1;
             self.metrics.jobs_requeued.inc();
@@ -966,28 +976,13 @@ impl Coordinator {
         worker: &str,
         results: Vec<(String, ExperimentResult)>,
     ) -> Result<ResultsSummary, FleetError> {
-        self.report_results_at(worker, results, Instant::now())
+        self.report_results_stamped(worker, None, results)
     }
 
-    /// [`Coordinator::report_results`] at an explicit instant.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::UnknownWorker`] for an unregistered id; checkpoint
-    /// I/O or engine failures.
-    pub fn report_results_at(
-        &self,
-        worker: &str,
-        results: Vec<(String, ExperimentResult)>,
-        now: Instant,
-    ) -> Result<ResultsSummary, FleetError> {
-        self.report_results_stamped_at(worker, None, results, now)
-    }
-
-    /// [`Coordinator::report_results_at`] with the lease epoch the
-    /// worker echoed (when it sent one). Uploads stamped with an older
-    /// epoch — a batch leased by the coordinator this one replaced —
-    /// are **absorbed**, never rejected: idempotence already makes the
+    /// [`Coordinator::report_results`] with the lease epoch the worker
+    /// echoed (when it sent one). Uploads stamped with an older epoch —
+    /// a batch leased by the coordinator this one replaced — are
+    /// **absorbed**, never rejected: idempotence already makes the
     /// outcome correct, the stamp just lets the takeover be observed
     /// (`fleet_results_old_epoch_total`).
     ///
@@ -995,20 +990,16 @@ impl Coordinator {
     ///
     /// [`FleetError::UnknownWorker`] for an unregistered id; checkpoint
     /// I/O or engine failures.
-    pub fn report_results_stamped_at(
+    pub fn report_results_stamped(
         &self,
         worker: &str,
         epoch: Option<u64>,
         results: Vec<(String, ExperimentResult)>,
-        now: Instant,
     ) -> Result<ResultsSummary, FleetError> {
         let wall = Instant::now();
         let mut state = self.lock();
-        let info = state
-            .workers
-            .get_mut(worker)
-            .ok_or_else(|| FleetError::UnknownWorker(worker.to_string()))?;
-        info.last_contact = Some(now);
+        let now = self.now();
+        touch(&mut state, worker, now)?;
         if let Some(e) = epoch {
             if e < self.epoch {
                 self.metrics.results_old_epoch.add(results.len() as u64);
@@ -1069,14 +1060,13 @@ impl Coordinator {
         }
         // Complete campaigns whose plan is now fully recorded.
         for id in touched {
-            let done = {
-                let c = &state.active[&id];
-                c.done.len() >= c.checkout.total
+            let Entry::Occupied(c) = state.active.entry(id) else {
+                continue;
             };
-            if !done {
+            if c.get().done.len() < c.get().checkout.total {
                 continue;
             }
-            let c = state.active.remove(&id).expect("touched campaign is active");
+            let (id, c) = c.remove_entry();
             let completed = self
                 .service
                 .lock()
@@ -1122,25 +1112,19 @@ impl Coordinator {
 
     /// Expires leases past their deadline, requeueing each unresulted
     /// job **exactly once** (the lease is removed as it expires, so the
-    /// next tick cannot requeue the same jobs again). Returns the
-    /// number of jobs requeued.
+    /// next tick cannot requeue the same jobs again), and prunes workers
+    /// silent past the retention window. Returns the number of jobs
+    /// requeued.
     pub fn tick(&self) -> usize {
-        self.tick_at(Instant::now())
-    }
-
-    /// [`Coordinator::tick`] at an explicit instant.
-    pub fn tick_at(&self, now: Instant) -> usize {
         let mut state = self.lock();
-        let expired: Vec<String> = state
-            .leases
-            .iter()
-            .filter(|(_, lease)| lease.deadline < now)
-            .map(|(worker, _)| worker.clone())
-            .collect();
+        let now = self.now();
+        let (expired, live): (BTreeMap<_, _>, BTreeMap<_, _>) = std::mem::take(&mut state.leases)
+            .into_iter()
+            .partition(|(_, lease)| lease.deadline < now);
+        state.leases = live;
         let mut requeued = 0usize;
         let mut noted: Vec<(String, BTreeMap<String, usize>)> = Vec::new();
-        for worker in expired {
-            let lease = state.leases.remove(&worker).expect("expired lease exists");
+        for (worker, lease) in expired {
             self.metrics.leases_expired.inc();
             // Best-effort: the in-memory requeue is the truth, a WAL
             // append failure must not abort the sweep.
@@ -1160,7 +1144,7 @@ impl Coordinator {
             .filter(|(id, info)| {
                 !state.leases.contains_key(*id)
                     && now.saturating_duration_since(info.last_contact.unwrap_or(self.boot))
-                        > self.config.worker_retention
+                        > WORKER_RETENTION
             })
             .map(|(id, _)| id.clone())
             .collect();
@@ -1189,39 +1173,37 @@ impl Coordinator {
 
     /// Returns every checked-out campaign to the engine (completing the
     /// finished ones, requeueing the rest) and drops all leases. Called
-    /// on graceful shutdown so no job is stranded `Running`.
+    /// on graceful shutdown so no job is stranded `Running`. A campaign
+    /// the engine refuses does not stop the others from going back, nor
+    /// the WAL from being left clean.
     ///
     /// # Errors
     ///
-    /// Engine failures returning campaigns.
+    /// The first engine failure returning a campaign.
     pub fn drain(&self) -> Result<(), FleetError> {
-        self.draining.store(true, std::sync::atomic::Ordering::SeqCst);
         let mut state = self.lock();
-        let ids: Vec<String> = state.active.keys().cloned().collect();
-        let leases = state.leases.len();
+        state.draining = true;
         obs::log!(
             Level::Info,
             "coordinator_drain",
-            "campaigns" => ids.len() as u64,
-            "leases" => leases as u64,
+            "campaigns" => state.active.len() as u64,
+            "leases" => state.leases.len() as u64,
         );
-        for id in ids {
-            let c = state.active.remove(&id).expect("listed id is active");
-            self.service
-                .lock()
-                .checkin(c.checkout)
-                .map_err(FleetError::Engine)?;
+        let mut first_error = None;
+        for c in std::mem::take(&mut state.active).into_values() {
+            if let Err(e) = self.service.lock().checkin(c.checkout) {
+                first_error.get_or_insert(FleetError::Engine(e));
+            }
         }
         // Graceful shutdown leaves a clean WAL: nothing to re-arm.
-        let holders: Vec<String> = state.leases.keys().cloned().collect();
-        for worker in holders {
+        for worker in std::mem::take(&mut state.leases).into_keys() {
             if let Err(e) = state.wal.record_expire(&worker) {
                 obs::log!(Level::Error, "wal_append_failed", "err" => format!("{e}").as_str());
             }
         }
-        state.leases.clear();
-        self.publish(&mut state, Instant::now());
-        Ok(())
+        let now = self.now();
+        self.publish(&mut state, now);
+        first_error.map_or(Ok(()), Err)
     }
 
     /// Per-point requeue counters of an active campaign (test/metrics
@@ -1241,7 +1223,7 @@ impl Coordinator {
 
     /// Sets the fleet's point-in-time gauges from `state` as of `now`.
     /// Every method that changes the fleet calls it under the fleet
-    /// lock, and so does the [`Coordinator::tick_at`] sweep, so a scrape
+    /// lock, and so does the [`Coordinator::tick`] sweep, so a scrape
     /// reads them without that lock: heartbeat age and liveness are as
     /// of the last contact or sweep.
     fn publish(&self, state: &mut FleetState, now: Instant) {

@@ -95,7 +95,7 @@ impl FleetServer {
         let tick_stop = Arc::new(AtomicBool::new(false));
         let tick_coord = coordinator.clone();
         let stop_flag = tick_stop.clone();
-        let interval = fleet_config.tick_interval;
+        let interval = fleet_config.tick_interval();
         let tick = std::thread::Builder::new()
             .name("fleet-tick".into())
             .spawn(move || {
@@ -272,7 +272,7 @@ fn register_worker(coordinator: &Coordinator, req: &Request) -> Response {
                     ),
                     (
                         "heartbeat_ms",
-                        Value::UInt(config.heartbeat_interval.as_millis() as u64),
+                        Value::UInt(config.heartbeat_interval().as_millis() as u64),
                     ),
                     ("lease_batch_max", config.lease_batch_max.into()),
                 ])
@@ -342,8 +342,7 @@ fn upload_results(coordinator: &Coordinator, req: &Request) -> Response {
     // The epoch the worker's lease was granted under (absent from
     // pre-epoch workers). Old-epoch uploads are absorbed, not rejected.
     let epoch = body.opt("epoch").and_then(Value::as_u64);
-    match coordinator.report_results_stamped_at(&worker, epoch, results, std::time::Instant::now())
-    {
+    match coordinator.report_results_stamped(&worker, epoch, results) {
         Ok(summary) => Response::json(
             200,
             Value::obj(vec![

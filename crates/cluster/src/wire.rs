@@ -7,6 +7,8 @@
 //! checkpoint codec (`campaign::persist`) so a remotely executed result
 //! is recorded exactly as a local one would be.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use campaign::{result_from_value, result_to_value, text_pairs_from_value, CampaignSpec};
 use injector::persist::SpanIndex;
 use injector::InjectionPoint;

@@ -167,7 +167,7 @@ impl WorkerAgent {
         let mut registered = None;
         'passes: for round in 0..3u32 {
             for addr in &config.coordinators {
-                match register_at(&pool, addr, config.parallelism) {
+                match register_with(&pool, addr, config.parallelism) {
                     Ok(ok) => {
                         registered = Some((addr.clone(), ok));
                         break 'passes;
@@ -249,7 +249,7 @@ impl WorkerAgent {
 
 /// One registration attempt. Returns the assigned id and the advertised
 /// heartbeat cadence.
-fn register_at(
+fn register_with(
     pool: &ClientPool,
     addr: &str,
     parallelism: usize,
@@ -340,7 +340,7 @@ impl Failover<'_> {
     /// carries the new id. Returns whether re-registration succeeded.
     fn reregister(&mut self, stats: &mut WorkerStats) -> bool {
         let (addr, old) = self.current();
-        match register_at(self.pool, &addr, self.config.parallelism) {
+        match register_with(self.pool, &addr, self.config.parallelism) {
             Ok((id, _)) => {
                 stats.reconnects += 1;
                 self.reconnects.inc();

@@ -76,8 +76,6 @@ fn distributed_campaign_with_killed_worker_is_byte_identical_to_single_node() {
     // real agents heartbeat faster than that.
     let fleet_config = FleetConfig {
         lease_ttl: Duration::from_millis(600),
-        heartbeat_interval: Duration::from_millis(150),
-        tick_interval: Duration::from_millis(50),
         lease_batch_max: 16,
         ..FleetConfig::default()
     };
@@ -224,8 +222,6 @@ fn two_agents_split_many_campaigns() {
         ApiConfig::default(),
         FleetConfig {
             lease_ttl: Duration::from_secs(5),
-            heartbeat_interval: Duration::from_millis(200),
-            tick_interval: Duration::from_millis(100),
             ..FleetConfig::default()
         },
     )

@@ -7,7 +7,7 @@
 //! CI as the ha-smoke step.
 //!
 //! The restart-recovery and pruning tests drive the same machinery
-//! deterministically through the `_at(now)` forms — no sleeps.
+//! deterministically, on a lease clock they step — no sleeps.
 
 use campaign::{
     report_to_value, ApiConfig, CampaignService, CampaignSpec, EngineConfig, HostRegistry,
@@ -22,6 +22,9 @@ use profipy::ExperimentResult;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
+
+mod common;
+use common::stepped;
 
 const TARGET: &str = "def transfer(amount):
     checked = validate(amount)
@@ -115,11 +118,8 @@ fn standby_takes_over_mid_lease_and_the_report_is_byte_identical() {
     let lease_ttl = Duration::from_secs(4);
     let fleet_config = FleetConfig {
         lease_ttl,
-        heartbeat_interval: Duration::from_millis(500),
-        tick_interval: Duration::from_millis(50),
         lease_batch_max: 64,
         data_dir: Some(primary_dir.clone()),
-        ..FleetConfig::default()
     };
     let primary = FleetServer::serve(
         "127.0.0.1:0",
@@ -388,7 +388,6 @@ fn restart_recovery_requeues_exactly_the_unresulted_jobs() {
         lease_ttl: Duration::from_millis(500),
         lease_batch_max: 64,
         data_dir: Some(dir.clone()),
-        ..FleetConfig::default()
     };
 
     let (worker, id, leased, done_results): (String, String, Vec<u64>, usize);
@@ -398,9 +397,8 @@ fn restart_recovery_requeues_exactly_the_unresulted_jobs() {
         assert_eq!(coordinator.epoch(), 1);
         id = shared.lock().submit(spec.clone()).unwrap();
         worker = coordinator.register(2).unwrap();
-        let t0 = Instant::now();
         let grant = coordinator
-            .lease_at(&worker, 64, &BTreeSet::new(), t0)
+            .lease(&worker, 64, &BTreeSet::new())
             .unwrap();
         assert!(grant.jobs.len() >= 3, "campaign large enough to matter");
         assert_eq!(grant.epoch, 1);
@@ -413,7 +411,7 @@ fn restart_recovery_requeues_exactly_the_unresulted_jobs() {
             .collect();
         done_results = results.len();
         let summary = coordinator
-            .report_results_at(&worker, results, t0)
+            .report_results(&worker, results)
             .unwrap();
         assert_eq!(summary.accepted as usize, done_results);
     }
@@ -421,31 +419,29 @@ fn restart_recovery_requeues_exactly_the_unresulted_jobs() {
     // The successor: next epoch, WAL replayed, lease re-armed with one
     // fresh TTL from the instant of recovery.
     let shared = SharedService::new(disk_service(&dir));
-    let coordinator = Coordinator::new(shared.clone(), config).unwrap();
+    let (coordinator, clock) = stepped(&shared, config);
     assert_eq!(coordinator.epoch(), 2);
-    let t1 = Instant::now();
-    let summary = coordinator.recover_at(t1).unwrap();
+    let t1 = clock.now();
+    let summary = coordinator.recover().unwrap();
     assert_eq!(summary.leases, 1);
     assert_eq!(summary.jobs, leased.len() - done_results);
 
     // Within the grace TTL nothing expires; past it, exactly the
     // unresulted jobs requeue — once.
-    assert_eq!(coordinator.tick_at(t1 + Duration::from_millis(400)), 0);
+    clock.set(t1 + Duration::from_millis(400));
+    assert_eq!(coordinator.tick(), 0);
+    clock.set(t1 + Duration::from_millis(600));
     assert_eq!(
-        coordinator.tick_at(t1 + Duration::from_millis(600)),
+        coordinator.tick(),
         leased.len() - done_results
     );
-    assert_eq!(coordinator.tick_at(t1 + Duration::from_millis(700)), 0);
+    clock.set(t1 + Duration::from_millis(700));
+    assert_eq!(coordinator.tick(), 0);
 
     // The worker id survived (registry log); a re-lease hands back
     // exactly the unresulted set.
     let grant = coordinator
-        .lease_at(
-            &worker,
-            64,
-            &[id.clone()].into_iter().collect(),
-            t1 + Duration::from_millis(700),
-        )
+        .lease(&worker, 64, &[id.clone()].into_iter().collect())
         .unwrap();
     assert_eq!(grant.epoch, 2);
     let mut regranted: Vec<u64> = grant.jobs.iter().map(|j| j.point.id).collect();
@@ -461,16 +457,18 @@ fn restart_recovery_requeues_exactly_the_unresulted_jobs() {
         .map(|job| (job.campaign.clone(), execute(job, &spec)))
         .collect();
     let dup = results.clone();
+    clock.set(t1 + Duration::from_millis(800));
     let summary = coordinator
-        .report_results_stamped_at(&worker, Some(1), results, t1 + Duration::from_millis(800))
+        .report_results_stamped(&worker, Some(1), results)
         .unwrap();
     assert_eq!(summary.accepted, 1);
+    clock.set(t1 + Duration::from_millis(900));
     let summary = coordinator
-        .report_results_stamped_at(&worker, Some(1), dup, t1 + Duration::from_millis(900))
+        .report_results_stamped(&worker, Some(1), dup)
         .unwrap();
     assert_eq!(summary.accepted, 0);
     assert_eq!(summary.duplicates, 1);
-    assert_eq!(coordinator.tick_at(t1 + Duration::from_millis(900)), 0);
+    assert_eq!(coordinator.tick(), 0);
     let metrics = shared.metrics_registry().render();
     assert_eq!(gauge(&metrics, "profipy_fleet_results_old_epoch_total"), 2);
     assert_eq!(gauge(&metrics, "profipy_fleet_epoch"), 2);
@@ -485,8 +483,9 @@ fn restart_recovery_requeues_exactly_the_unresulted_jobs() {
         .iter()
         .map(|job| (job.campaign.clone(), execute(job, &spec)))
         .collect();
+    clock.set(t1 + Duration::from_secs(1));
     let summary = coordinator
-        .report_results_at(&worker, rest, t1 + Duration::from_secs(1))
+        .report_results(&worker, rest)
         .unwrap();
     assert_eq!(summary.completed, vec![id.clone()]);
     let report = shared.lock().engine().report(&id).unwrap();
@@ -503,27 +502,30 @@ fn stale_workers_are_pruned_from_registry_and_gauges() {
     let dir = temp_dir("prune");
     let config = FleetConfig {
         lease_ttl: Duration::from_millis(500),
-        worker_retention: Duration::from_secs(5),
         data_dir: Some(dir.clone()),
         ..FleetConfig::default()
     };
+    // The coordinator's fixed retention window.
+    let retention = Duration::from_secs(600);
     let shared = SharedService::new(disk_service(&dir));
-    let coordinator = Coordinator::new(shared.clone(), config.clone()).unwrap();
+    let (coordinator, clock) = stepped(&shared, config.clone());
     let keeper = coordinator.register(1).unwrap();
     let ghost = coordinator.register(3).unwrap();
-    let t0 = Instant::now();
-    coordinator.heartbeat_at(&keeper, t0).unwrap();
-    coordinator.heartbeat_at(&ghost, t0).unwrap();
+    let t0 = clock.now();
+    coordinator.heartbeat(&keeper).unwrap();
+    coordinator.heartbeat(&ghost).unwrap();
 
     // Inside the retention window both workers are tracked.
     let ghost_label = format!("worker=\"{ghost}\"");
-    coordinator.tick_at(t0 + Duration::from_secs(4));
+    clock.set(t0 + retention - Duration::from_secs(1));
+    coordinator.tick();
     let metrics = shared.metrics_registry().render();
     assert!(metrics.contains(&ghost_label), "{metrics}");
-    assert!(coordinator.heartbeat_at(&keeper, t0 + Duration::from_secs(4)).is_ok());
+    assert!(coordinator.heartbeat(&keeper).is_ok());
 
     // Past it, the silent worker is pruned; the live one stays.
-    coordinator.tick_at(t0 + Duration::from_secs(6));
+    clock.set(t0 + retention + Duration::from_secs(1));
+    coordinator.tick();
     let metrics = shared.metrics_registry().render();
     assert_eq!(gauge(&metrics, "profipy_fleet_workers_registered"), 1);
     assert_eq!(gauge(&metrics, "profipy_fleet_workers_pruned_total"), 1);

@@ -1,21 +1,30 @@
-//! The lease lifecycle, pinned deterministically: every time-dependent
-//! coordinator operation is driven through its `_at(now)` form with
-//! synthetic instants — no sleeps, no timing flakes.
+//! The lease lifecycle, pinned deterministically: the coordinator reads
+//! lease time from a clock the test steps (`Coordinator::with_clock`) —
+//! no sleeps, no timing flakes.
 //!
 //! * expiry requeues a silent worker's jobs exactly once;
 //! * duplicate result uploads are idempotent (first write wins), even
 //!   across an expiry/re-lease race;
 //! * a heartbeat extends the lease;
 //! * worker registration survives a coordinator restart via the
-//!   registry log.
+//!   registry log;
+//! * a campaign that completes while a lease waits on the next
+//!   campaign's checkout costs that lease only the jobs it lost, and a
+//!   drain in that wait gets back the campaign the lease checks out.
 
 use campaign::{
-    report_to_value, CampaignService, CampaignSpec, EngineConfig, HostRegistry, SharedService,
+    report_to_value, CampaignService, CampaignSpec, EngineConfig, HostRegistry, JobState,
+    SharedService,
 };
 use cluster::{Coordinator, FleetConfig, FleetError, LeasedJob};
 use profipy::ExperimentResult;
 use std::collections::BTreeSet;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+
+mod common;
+use common::{stepped, Clock};
 
 const TARGET: &str = "def transfer(amount):
     checked = validate(amount)
@@ -72,28 +81,32 @@ fn execute(job: &LeasedJob, spec: &CampaignSpec) -> ExperimentResult {
 #[test]
 fn expiry_requeues_exactly_once() {
     let shared = SharedService::new(service());
-    let coordinator = Coordinator::new(shared.clone(), fleet_config(500)).unwrap();
+    let (coordinator, clock) = stepped(&shared, fleet_config(500));
     let id = shared.lock().submit(spec_for("alice", "expiry")).unwrap();
     let w1 = coordinator.register(1).unwrap();
-    let t0 = Instant::now();
+    let t0 = clock.now();
     let grant = coordinator
-        .lease_at(&w1, 64, &BTreeSet::new(), t0)
+        .lease(&w1, 64, &BTreeSet::new())
         .unwrap();
     let leased = grant.jobs.len();
     assert!(leased > 0, "campaign has experiments to lease");
     assert_eq!(grant.new_campaigns.len(), 1, "spec shipped on first lease");
 
     // Before the deadline nothing expires.
-    assert_eq!(coordinator.tick_at(t0 + Duration::from_millis(400)), 0);
+    clock.set(t0 + Duration::from_millis(400));
+    assert_eq!(coordinator.tick(), 0);
     // Past it, every leased job is requeued…
+    clock.set(t0 + Duration::from_millis(600));
     assert_eq!(
-        coordinator.tick_at(t0 + Duration::from_millis(600)),
+        coordinator.tick(),
         leased,
         "all leased jobs requeued on expiry"
     );
     // …exactly once: the lease is gone, further ticks find nothing.
-    assert_eq!(coordinator.tick_at(t0 + Duration::from_millis(700)), 0);
-    assert_eq!(coordinator.tick_at(t0 + Duration::from_secs(60)), 0);
+    clock.set(t0 + Duration::from_millis(700));
+    assert_eq!(coordinator.tick(), 0);
+    clock.set(t0 + Duration::from_secs(60));
+    assert_eq!(coordinator.tick(), 0);
     assert_eq!(coordinator.jobs_requeued_total(), leased as u64);
     let requeues = coordinator.requeue_counts(&id);
     assert_eq!(requeues.len(), leased);
@@ -101,8 +114,9 @@ fn expiry_requeues_exactly_once() {
 
     // A second worker picks the same jobs up again.
     let w2 = coordinator.register(1).unwrap();
+    clock.set(t0 + Duration::from_secs(61));
     let again = coordinator
-        .lease_at(&w2, 64, &BTreeSet::new(), t0 + Duration::from_secs(61))
+        .lease(&w2, 64, &BTreeSet::new())
         .unwrap();
     assert_eq!(again.jobs.len(), leased, "requeued jobs re-leased intact");
     let mut first: Vec<u64> = grant.jobs.iter().map(|j| j.point.id).collect();
@@ -115,34 +129,38 @@ fn expiry_requeues_exactly_once() {
 #[test]
 fn heartbeat_extends_the_lease() {
     let shared = SharedService::new(service());
-    let coordinator = Coordinator::new(shared.clone(), fleet_config(500)).unwrap();
+    let (coordinator, clock) = stepped(&shared, fleet_config(500));
     shared.lock().submit(spec_for("bob", "heartbeat")).unwrap();
     let w = coordinator.register(1).unwrap();
-    let t0 = Instant::now();
-    let grant = coordinator.lease_at(&w, 64, &BTreeSet::new(), t0).unwrap();
+    let t0 = clock.now();
+    let grant = coordinator.lease(&w, 64, &BTreeSet::new()).unwrap();
     assert!(!grant.jobs.is_empty());
 
     // Heartbeat at t0+400 pushes the deadline to t0+900.
+    clock.set(t0 + Duration::from_millis(400));
     assert!(coordinator
-        .heartbeat_at(&w, t0 + Duration::from_millis(400))
+        .heartbeat(&w)
         .unwrap());
+    clock.set(t0 + Duration::from_millis(700));
     assert_eq!(
-        coordinator.tick_at(t0 + Duration::from_millis(700)),
+        coordinator.tick(),
         0,
         "lease extended past the original deadline"
     );
     // Silence afterwards: the extended deadline expires.
+    clock.set(t0 + Duration::from_millis(1000));
     assert_eq!(
-        coordinator.tick_at(t0 + Duration::from_millis(1000)),
+        coordinator.tick(),
         grant.jobs.len()
     );
     // A heartbeat with no lease reports not-extended; an unknown worker
     // is an error.
+    clock.set(t0 + Duration::from_millis(1100));
     assert!(!coordinator
-        .heartbeat_at(&w, t0 + Duration::from_millis(1100))
+        .heartbeat(&w)
         .unwrap());
     assert!(matches!(
-        coordinator.heartbeat_at("worker-999999", t0),
+        coordinator.heartbeat("worker-999999"),
         Err(FleetError::UnknownWorker(_))
     ));
 }
@@ -150,7 +168,7 @@ fn heartbeat_extends_the_lease() {
 #[test]
 fn duplicate_results_are_idempotent_and_first_write_wins() {
     let shared = SharedService::new(service());
-    let coordinator = Coordinator::new(shared.clone(), fleet_config(500)).unwrap();
+    let (coordinator, clock) = stepped(&shared, fleet_config(500));
     let spec = spec_for("carol", "dup");
     let id = shared.lock().submit(spec.clone()).unwrap();
 
@@ -166,8 +184,8 @@ fn duplicate_results_are_idempotent_and_first_write_wins() {
 
     let w1 = coordinator.register(1).unwrap();
     let w2 = coordinator.register(1).unwrap();
-    let t0 = Instant::now();
-    let grant = coordinator.lease_at(&w1, 64, &BTreeSet::new(), t0).unwrap();
+    let t0 = clock.now();
+    let grant = coordinator.lease(&w1, 64, &BTreeSet::new()).unwrap();
     let results: Vec<(String, ExperimentResult)> = grant
         .jobs
         .iter()
@@ -177,31 +195,36 @@ fn duplicate_results_are_idempotent_and_first_write_wins() {
     assert!(total >= 2, "need at least two experiments for this test");
 
     // First upload of the first result: accepted.
+    clock.set(t0 + Duration::from_millis(50));
     let first = coordinator
-        .report_results_at(&w1, results[..1].to_vec(), t0 + Duration::from_millis(50))
+        .report_results(&w1, results[..1].to_vec())
         .unwrap();
     assert_eq!((first.accepted, first.duplicates), (1, 0));
     // The identical upload again: pure duplicate, first write wins.
+    clock.set(t0 + Duration::from_millis(60));
     let dup = coordinator
-        .report_results_at(&w1, results[..1].to_vec(), t0 + Duration::from_millis(60))
+        .report_results(&w1, results[..1].to_vec())
         .unwrap();
     assert_eq!((dup.accepted, dup.duplicates), (0, 1));
 
     // w1 goes silent; its remaining jobs expire and are re-leased to
     // w2 (the results upload does NOT extend the lease deadline).
+    clock.set(t0 + Duration::from_millis(600));
     assert_eq!(
-        coordinator.tick_at(t0 + Duration::from_millis(600)),
+        coordinator.tick(),
         total - 1
     );
+    clock.set(t0 + Duration::from_millis(700));
     let again = coordinator
-        .lease_at(&w2, 64, &BTreeSet::new(), t0 + Duration::from_millis(700))
+        .lease(&w2, 64, &BTreeSet::new())
         .unwrap();
     assert_eq!(again.jobs.len(), total - 1);
 
     // The slow w1 upload still lands first: accepted (first write wins
     // the race against the re-execution).
+    clock.set(t0 + Duration::from_millis(800));
     let late = coordinator
-        .report_results_at(&w1, results[1..].to_vec(), t0 + Duration::from_millis(800))
+        .report_results(&w1, results[1..].to_vec())
         .unwrap();
     assert_eq!(late.accepted as usize, total - 1);
     assert_eq!(late.completed, vec![id.clone()], "campaign completed");
@@ -212,8 +235,9 @@ fn duplicate_results_are_idempotent_and_first_write_wins() {
         .iter()
         .map(|job| (job.campaign.clone(), execute(job, &spec)))
         .collect();
+    clock.set(t0 + Duration::from_millis(900));
     let dup2 = coordinator
-        .report_results_at(&w2, redundant, t0 + Duration::from_millis(900))
+        .report_results(&w2, redundant)
         .unwrap();
     assert_eq!(dup2.accepted, 0);
     assert_eq!(dup2.duplicates as usize, total - 1);
@@ -251,7 +275,7 @@ fn registration_survives_coordinator_restart() {
         shared.lock().submit(spec_for("dave", "restart")).unwrap();
         // The pre-restart worker ids still lease without re-registering.
         let grant = coordinator
-            .lease_at(&w1, 4, &BTreeSet::new(), Instant::now())
+            .lease(&w1, 4, &BTreeSet::new())
             .unwrap();
         assert!(!grant.jobs.is_empty(), "restored worker leases fine");
         assert!(coordinator.heartbeat(&w2).is_ok());
@@ -261,7 +285,7 @@ fn registration_survives_coordinator_restart() {
         assert_ne!(w3, w2);
         // An id never registered is still refused.
         assert!(matches!(
-            coordinator.lease_at("worker-424242", 1, &BTreeSet::new(), Instant::now()),
+            coordinator.lease("worker-424242", 1, &BTreeSet::new()),
             Err(FleetError::UnknownWorker(_))
         ));
     }
@@ -312,27 +336,30 @@ fn new_lease_supersedes_a_live_workers_dropped_jobs() {
     // the campaign: expiry never fires for a live worker, so the next
     // lease request requeues the dropped jobs itself.
     let shared = SharedService::new(service());
-    let coordinator = Coordinator::new(shared.clone(), fleet_config(500)).unwrap();
+    let (coordinator, clock) = stepped(&shared, fleet_config(500));
     let spec = spec_for("erin", "supersede");
     let id = shared.lock().submit(spec.clone()).unwrap();
     let w = coordinator.register(1).unwrap();
-    let t0 = Instant::now();
-    let first = coordinator.lease_at(&w, 64, &BTreeSet::new(), t0).unwrap();
+    let t0 = clock.now();
+    let first = coordinator.lease(&w, 64, &BTreeSet::new()).unwrap();
     let total = first.jobs.len();
     assert!(total >= 2);
 
     // The worker stays in contact (heartbeats extend the lease), so a
     // tick never expires it…
+    clock.set(t0 + Duration::from_millis(400));
     coordinator
-        .heartbeat_at(&w, t0 + Duration::from_millis(400))
+        .heartbeat(&w)
         .unwrap();
-    assert_eq!(coordinator.tick_at(t0 + Duration::from_millis(700)), 0);
+    clock.set(t0 + Duration::from_millis(700));
+    assert_eq!(coordinator.tick(), 0);
 
     // …but its next lease request supersedes the dropped batch: the
     // jobs are requeued and handed straight back.
     let known: BTreeSet<String> = [id.clone()].into_iter().collect();
+    clock.set(t0 + Duration::from_millis(800));
     let second = coordinator
-        .lease_at(&w, 64, &known, t0 + Duration::from_millis(800))
+        .lease(&w, 64, &known)
         .unwrap();
     assert_eq!(second.jobs.len(), total, "dropped jobs re-granted");
     assert!(second.new_campaigns.is_empty(), "spec already known");
@@ -345,12 +372,136 @@ fn new_lease_supersedes_a_live_workers_dropped_jobs() {
         .iter()
         .map(|job| (job.campaign.clone(), execute(job, &spec)))
         .collect();
+    clock.set(t0 + Duration::from_millis(900));
     let summary = coordinator
-        .report_results_at(&w, results, t0 + Duration::from_millis(900))
+        .report_results(&w, results)
         .unwrap();
     assert_eq!(summary.accepted as usize, total);
     assert_eq!(summary.completed, vec![id.clone()]);
     assert!(shared.lock().engine().report(&id).is_some());
     // No further requeues: the superseding lease was resolved cleanly.
     assert_eq!(coordinator.jobs_requeued_total(), total as u64);
+}
+
+/// A coordinator on a stepped clock that also counts the coordinator's
+/// readings: every operation reads the clock once it holds the fleet
+/// lock, so a count that moved says the operation got that far.
+fn counted(shared: &SharedService) -> (Coordinator, Clock, Arc<AtomicUsize>) {
+    let clock = Clock::new();
+    let reads = Arc::new(AtomicUsize::new(0));
+    let coordinator = {
+        let (clock, reads) = (clock.clone(), reads.clone());
+        Coordinator::with_clock(shared.clone(), fleet_config(500), move || {
+            reads.fetch_add(1, Ordering::SeqCst);
+            clock.now()
+        })
+        .unwrap()
+    };
+    (coordinator, clock, reads)
+}
+
+/// Spins until `reads` moves past `before`.
+fn await_read(reads: &AtomicUsize, before: usize) {
+    while reads.load(Ordering::SeqCst) == before {
+        std::thread::yield_now();
+    }
+}
+
+/// The value of an unlabelled fleet series on `/metrics`.
+fn series(shared: &SharedService, name: &str) -> u64 {
+    let metrics = shared.metrics_registry().render();
+    metrics
+        .lines()
+        .find_map(|line| line.strip_prefix(&format!("{name} ")))
+        .unwrap_or_else(|| panic!("{name} missing from:\n{metrics}"))
+        .trim()
+        .parse()
+        .unwrap()
+}
+
+#[test]
+fn a_campaign_completed_while_a_lease_fills_costs_the_lease_only_its_jobs() {
+    // A lease pops a campaign's requeued jobs, then releases the fleet
+    // lock to check the next campaign out. Meanwhile the worker whose
+    // lease expired uploads those jobs' results late: the campaign
+    // completes and leaves the fleet. The lease must neither panic nor
+    // grant the completed campaign's jobs.
+    let shared = SharedService::new(service());
+    let (coordinator, clock, reads) = counted(&shared);
+    let spec = spec_for("frank", "race");
+    let first = shared.lock().submit(spec.clone()).unwrap();
+    let w1 = coordinator.register(1).unwrap();
+    let w2 = coordinator.register(1).unwrap();
+    let t0 = clock.now();
+    let grant = coordinator.lease(&w1, 64, &BTreeSet::new()).unwrap();
+    let results: Vec<(String, ExperimentResult)> = grant
+        .jobs
+        .iter()
+        .map(|job| (job.campaign.clone(), execute(job, &spec)))
+        .collect();
+    let leased = results.len();
+    clock.set(t0 + Duration::from_millis(600));
+    assert_eq!(coordinator.tick(), leased, "w1's lease expired");
+    let second = shared.lock().submit(spec_for("frank", "next")).unwrap();
+
+    // Holding the service lock parks w2's lease in the checkout of
+    // `second`, after it popped every requeued job of `first`.
+    let held = shared.lock();
+    std::thread::scope(|s| {
+        let coordinator = &coordinator;
+        let lease = s.spawn(|| coordinator.lease(&w2, 64, &BTreeSet::new()));
+        // The lease publishes its jobs in flight before it lets go of
+        // the fleet lock to check `second` out.
+        while series(&shared, "profipy_fleet_jobs_leased") < leased as u64 {
+            std::thread::yield_now();
+        }
+        // w1's late upload holds the fleet lock from its clock reading
+        // until it has checked `first` in, so once it has read the
+        // clock, `first` leaves the fleet before the lease gets the
+        // lock back.
+        let before = reads.load(Ordering::SeqCst);
+        let upload = s.spawn(move || coordinator.report_results(&w1, results));
+        await_read(&reads, before);
+        drop(held);
+        let summary = upload.join().unwrap().unwrap();
+        assert_eq!(summary.completed, vec![first.clone()]);
+        let grant = lease.join().unwrap().unwrap();
+        assert!(!grant.jobs.is_empty(), "`second` was checked out and leased");
+        assert!(
+            grant.jobs.iter().all(|job| job.campaign == second),
+            "a completed campaign's jobs were granted"
+        );
+        let specs: Vec<&str> = grant.new_campaigns.iter().map(|(id, _)| id.as_str()).collect();
+        assert_eq!(specs, vec![second.as_str()]);
+    });
+}
+
+#[test]
+fn a_drain_during_a_lease_checkout_returns_the_campaign_it_checked_out() {
+    // A lease that finds no pending work releases the fleet lock to
+    // check the next campaign out; a shutdown drain runs meanwhile. The
+    // campaign the lease then checks out must go straight back to the
+    // queue, not sit in a drained fleet as `Running`.
+    let shared = SharedService::new(service());
+    let (coordinator, _clock, reads) = counted(&shared);
+    let id = shared.lock().submit(spec_for("grace", "drain")).unwrap();
+    let w = coordinator.register(1).unwrap();
+
+    // Holding the service lock parks the lease in the checkout.
+    let held = shared.lock();
+    std::thread::scope(|s| {
+        let coordinator = &coordinator;
+        let before = reads.load(Ordering::SeqCst);
+        let lease = s.spawn(|| coordinator.lease(&w, 64, &BTreeSet::new()));
+        // The lease reads the clock under the fleet lock; the drain
+        // below gets that lock only once the lease has let go of it to
+        // check the campaign out.
+        await_read(&reads, before);
+        coordinator.drain().unwrap();
+        drop(held);
+        let grant = lease.join().unwrap().unwrap();
+        assert!(grant.jobs.is_empty(), "a drained fleet granted jobs");
+    });
+    let status = shared.lock().engine().status_board().get(&id).unwrap();
+    assert_eq!(status.state, JobState::Queued);
 }

@@ -46,8 +46,6 @@ fn matrix_is_byte_identical_between_single_node_and_fleet_and_exports_metrics() 
         ApiConfig::default(),
         FleetConfig {
             lease_ttl: Duration::from_secs(5),
-            heartbeat_interval: Duration::from_millis(200),
-            tick_interval: Duration::from_millis(50),
             ..FleetConfig::default()
         },
     )

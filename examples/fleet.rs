@@ -33,7 +33,6 @@ fn main() {
         ApiConfig::default(),
         FleetConfig {
             lease_ttl: Duration::from_secs(2),
-            heartbeat_interval: Duration::from_millis(400),
             ..FleetConfig::default()
         },
     )

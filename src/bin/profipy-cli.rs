@@ -459,11 +459,7 @@ fn serve(args: &[String]) -> ExitCode {
                 }
             }
             "--lease-ms" => match numeric("--lease-ms", rest.next()) {
-                Ok(n) => {
-                    fleet_config.lease_ttl = std::time::Duration::from_millis(n as u64);
-                    fleet_config.heartbeat_interval =
-                        std::time::Duration::from_millis((n as u64 / 4).max(10));
-                }
+                Ok(n) => fleet_config.lease_ttl = std::time::Duration::from_millis(n as u64),
                 Err(code) => return code,
             },
             flag if flag.starts_with("--") => {
@@ -568,7 +564,7 @@ fn serve(args: &[String]) -> ExitCode {
             "fleet mode: no local execution; leases expire after {}ms without a heartbeat \
              (workers beat every {}ms)",
             fleet_config.lease_ttl.as_millis(),
-            fleet_config.heartbeat_interval.as_millis()
+            fleet_config.heartbeat_interval().as_millis()
         );
         println!("join with: profipy-cli worker --coordinator {bound}");
     }

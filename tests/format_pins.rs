@@ -274,7 +274,7 @@ fn coordinator(dir: &Path) -> (Coordinator, SharedService) {
 }
 
 fn registered(coordinator: &Coordinator, shared: &SharedService) -> u64 {
-    coordinator.tick_at(std::time::Instant::now());
+    coordinator.tick();
     let metrics = shared.metrics_registry().render();
     metrics
         .lines()
