@@ -3,7 +3,7 @@
 //! exception machinery, and host calls.
 //!
 //! The loop has no exception tables: `try`/`with` compile to
-//! [`Insn::ExecStmt`] trampolines into the tree walk, so a raised
+//! [`Op::ExecStmt`] trampolines into the tree walk, so a raised
 //! [`PyExc`] simply propagates out of `run` (adding the frame name is
 //! the caller's job, exactly as with the tree walk). `break`/`continue`
 //! escaping a trampolined statement re-enter the bytecode at the
@@ -23,7 +23,7 @@
 use crate::exc::{Flow, PyExc};
 use crate::intern::Symbol;
 use crate::interp::{self, Frame, FrameLocals};
-use crate::ir::{CodeObject, Insn, NO_LOOP};
+use crate::ir::{CodeObject, Insn, Op, NO_LOOP};
 use crate::value::{values_eq, DictObj, FuncObj, KwName, Value};
 use crate::vm::Vm;
 use pysrc::ast::{BinOp, CmpOp};
@@ -69,38 +69,42 @@ fn run_on(
     let insns = &code.insns;
     let mut pc = 0usize;
     while pc < insns.len() {
-        let insn = insns[pc];
+        let Insn { steps, op } = insns[pc];
         pc += 1;
-        match insn {
-            Insn::Tick(n) => vm.tick_n(n)?,
-            Insn::Const(i) => stack.push(code.consts[i as usize].value(&vm.heap)),
-            Insn::Pop => {
+        // The one place steps settle: before the op they precede.
+        if steps != 0 {
+            vm.tick_n(steps)?;
+        }
+        match op {
+            Op::Tick => {}
+            Op::Const(i) => stack.push(code.consts[i as usize].value(&vm.heap)),
+            Op::Pop => {
                 stack.pop();
             }
-            Insn::Dup => {
+            Op::Dup => {
                 let v = *stack.last().expect("stack discipline");
                 stack.push(v);
             }
-            Insn::LoadSlot { slot, sym } => stack.push(load_slot(frame, slot, sym)?),
-            Insn::StoreSlot { slot, sym } => {
+            Op::LoadSlot { slot, sym } => stack.push(load_slot(frame, slot, sym)?),
+            Op::StoreSlot { slot, sym } => {
                 let v = stack.pop().expect("stack discipline");
                 store_slot(frame, slot, sym, v)?;
             }
-            Insn::LoadDyn(sym) => {
+            Op::LoadDyn(sym) => {
                 let FrameLocals::Dynamic(locals) = &frame.locals else {
                     return Err(PyExc::not_prepared(sym.as_str()));
                 };
                 let v = locals.borrow().get_sym(sym);
                 stack.push(v.ok_or_else(|| PyExc::unbound_local(sym.as_str()))?);
             }
-            Insn::StoreDyn(sym) => {
+            Op::StoreDyn(sym) => {
                 let v = stack.pop().expect("stack discipline");
                 let FrameLocals::Dynamic(locals) = &frame.locals else {
                     return Err(PyExc::not_prepared(sym.as_str()));
                 };
                 locals.borrow_mut().set_sym(sym, v);
             }
-            Insn::LoadCell(sym) => {
+            Op::LoadCell(sym) => {
                 let mut found = None;
                 for scope in frame.captured.iter().rev() {
                     if let Some(v) = scope.borrow().get_sym(sym) {
@@ -114,16 +118,16 @@ fn run_on(
                 };
                 stack.push(v);
             }
-            Insn::LoadGlobal(sym) => stack.push(interp::read_global_sym(vm, frame, sym)?),
-            Insn::StoreGlobal(sym) => {
+            Op::LoadGlobal(sym) => stack.push(interp::read_global_sym(vm, frame, sym)?),
+            Op::StoreGlobal(sym) => {
                 let v = stack.pop().expect("stack discipline");
                 frame.globals.borrow_mut().set_sym(sym, v);
             }
-            Insn::StoreSym(sym) => {
+            Op::StoreSym(sym) => {
                 let v = stack.pop().expect("stack discipline");
                 interp::write_sym(frame, sym, v);
             }
-            Insn::LoadAttr(sym) => {
+            Op::LoadAttr(sym) => {
                 let obj = stack.pop().expect("stack discipline");
                 // An instance's own attribute is `get_attr_sym`'s answer.
                 let own = match obj {
@@ -135,31 +139,31 @@ fn run_on(
                     None => interp::get_attr_sym(vm, obj, sym)?,
                 });
             }
-            Insn::StoreAttr(sym) => {
+            Op::StoreAttr(sym) => {
                 let obj = stack.pop().expect("stack discipline");
                 let value = stack.pop().expect("stack discipline");
                 interp::set_attr_sym(&vm.heap, obj, sym, value)?;
             }
-            Insn::LoadItem => {
+            Op::LoadItem => {
                 let idx = stack.pop().expect("stack discipline");
                 let obj = stack.pop().expect("stack discipline");
                 stack.push(interp::get_item(&vm.heap, obj, idx)?);
             }
-            Insn::StoreItem => {
+            Op::StoreItem => {
                 let idx = stack.pop().expect("stack discipline");
                 let obj = stack.pop().expect("stack discipline");
                 let value = stack.pop().expect("stack discipline");
                 interp::set_item(&vm.heap, obj, idx, value)?;
             }
-            Insn::BuildTuple(n) => {
+            Op::BuildTuple(n) => {
                 let items = stack.split_off(stack.len() - n as usize);
                 stack.push(vm.heap.new_tuple(items));
             }
-            Insn::BuildList(n) => {
+            Op::BuildList(n) => {
                 let items = stack.split_off(stack.len() - n as usize);
                 stack.push(vm.heap.new_list(items));
             }
-            Insn::BuildSet(n) => {
+            Op::BuildSet(n) => {
                 let items = stack.split_off(stack.len() - n as usize);
                 let mut out: Vec<Value> = Vec::new();
                 for v in items {
@@ -169,7 +173,7 @@ fn run_on(
                 }
                 stack.push(vm.heap.new_set(out));
             }
-            Insn::BuildDict(n) => {
+            Op::BuildDict(n) => {
                 let items = stack.split_off(stack.len() - 2 * n as usize);
                 let mut d = DictObj::new();
                 let mut it = items.into_iter();
@@ -178,14 +182,14 @@ fn run_on(
                 }
                 stack.push(vm.heap.new_dict(d));
             }
-            Insn::BuildSlice => {
+            Op::BuildSlice => {
                 let step = stack.pop().expect("stack discipline");
                 let upper = stack.pop().expect("stack discipline");
                 let lower = stack.pop().expect("stack discipline");
                 let tag = vm.heap.new_str("__slice__");
                 stack.push(vm.heap.new_tuple(vec![tag, lower, upper, step]));
             }
-            Insn::UnpackSeq(n) => {
+            Op::UnpackSeq(n) => {
                 let v = stack.pop().expect("stack discipline");
                 let values = interp::iter_values(&vm.heap, v)?;
                 if values.len() != n as usize {
@@ -197,21 +201,21 @@ fn run_on(
                 }
                 stack.extend(values.into_iter().rev());
             }
-            Insn::Unary(op) => {
+            Op::Unary(op) => {
                 let v = stack.pop().expect("stack discipline");
                 stack.push(interp::unary_op(&vm.heap, op, v)?);
             }
-            Insn::Binary(op) => {
+            Op::Binary(op) => {
                 let r = stack.pop().expect("stack discipline");
                 let l = stack.pop().expect("stack discipline");
                 stack.push(binary(vm, op, l, r)?);
             }
-            Insn::Cmp(op) => {
+            Op::Cmp(op) => {
                 let r = stack.pop().expect("stack discipline");
                 let l = stack.pop().expect("stack discipline");
                 stack.push(Value::Bool(compare(vm, op, l, r)?));
             }
-            Insn::CmpJump { op, target } => {
+            Op::CmpJump { op, target } => {
                 let r = stack.pop().expect("stack discipline");
                 let l = stack.pop().expect("stack discipline");
                 if compare(vm, op, l, r)? {
@@ -221,73 +225,36 @@ fn run_on(
                     pc = target as usize;
                 }
             }
-            // Fused superinstructions: settle the batched steps, then
-            // run the plain op's body — one dispatch instead of two
-            // (or three for the augmented-assignment forms).
-            Insn::TickLoadSlot { n, slot, sym } => {
-                vm.tick_n(n)?;
-                stack.push(load_slot(frame, slot, sym)?);
-            }
-            Insn::TickLoadGlobal { n, sym } => {
-                vm.tick_n(n)?;
-                stack.push(interp::read_global_sym(vm, frame, sym)?);
-            }
-            Insn::TickBinary { n, op } => {
-                vm.tick_n(n)?;
-                let r = stack.pop().expect("stack discipline");
-                let l = stack.pop().expect("stack discipline");
-                stack.push(binary(vm, op, l, r)?);
-            }
-            Insn::TickCmp { n, op } => {
-                vm.tick_n(n)?;
-                let r = stack.pop().expect("stack discipline");
-                let l = stack.pop().expect("stack discipline");
-                stack.push(Value::Bool(compare(vm, op, l, r)?));
-            }
-            Insn::TickBinaryStoreSlot { n, op, slot, sym } => {
-                vm.tick_n(n)?;
-                let r = stack.pop().expect("stack discipline");
-                let l = stack.pop().expect("stack discipline");
-                let v = binary(vm, op, l, r)?;
-                store_slot(frame, slot, sym, v)?;
-            }
-            Insn::TickBinaryStoreGlobal { n, op, sym } => {
-                vm.tick_n(n)?;
-                let r = stack.pop().expect("stack discipline");
-                let l = stack.pop().expect("stack discipline");
-                let v = binary(vm, op, l, r)?;
-                frame.globals.borrow_mut().set_sym(sym, v);
-            }
-            Insn::Jump(t) => pc = t as usize,
-            Insn::JumpIfFalse(t) => {
+            Op::Jump(t) => pc = t as usize,
+            Op::JumpIfFalse(t) => {
                 if !truthy(vm, stack.pop().expect("stack discipline")) {
                     pc = t as usize;
                 }
             }
-            Insn::JumpIfTrue(t) => {
+            Op::JumpIfTrue(t) => {
                 if truthy(vm, stack.pop().expect("stack discipline")) {
                     pc = t as usize;
                 }
             }
-            Insn::JumpIfFalseOrPop(t) => {
+            Op::JumpIfFalseOrPop(t) => {
                 if stack.last().expect("stack discipline").truthy(&vm.heap) {
                     stack.pop();
                 } else {
                     pc = t as usize;
                 }
             }
-            Insn::JumpIfTrueOrPop(t) => {
+            Op::JumpIfTrueOrPop(t) => {
                 if stack.last().expect("stack discipline").truthy(&vm.heap) {
                     pc = t as usize;
                 } else {
                     stack.pop();
                 }
             }
-            Insn::GetIter => {
+            Op::GetIter => {
                 let v = stack.pop().expect("stack discipline");
                 iters.push((interp::iter_values(&vm.heap, v)?, 0));
             }
-            Insn::ForNext(t) => {
+            Op::ForNext(t) => {
                 let (items, idx) = iters.last_mut().expect("iter discipline");
                 if *idx < items.len() {
                     let v = items[*idx];
@@ -298,10 +265,10 @@ fn run_on(
                     pc = t as usize;
                 }
             }
-            Insn::PopIter => {
+            Op::PopIter => {
                 iters.pop();
             }
-            Insn::LoadMethod(sym) => {
+            Op::LoadMethod(sym) => {
                 let obj = stack.pop().expect("stack discipline");
                 let (callee, recv) = match class_method(vm, obj, sym) {
                     Some((callee, i)) => (callee, Some(i)),
@@ -312,8 +279,7 @@ fn run_on(
                 // `None` marks "call the value as it is".
                 stack.push(recv.map_or(Value::None, Value::Instance));
             }
-            Insn::CallMethod { n, argc } => {
-                vm.tick_n(n)?;
+            Op::CallMethod(argc) => {
                 // The receiver slot sits directly under the arguments:
                 // a method call passes it with them, in call order.
                 let slot = stack.len() - argc as usize - 1;
@@ -321,16 +287,16 @@ fn run_on(
                 let r = call_from_stack(vm, stack, slot - 1, slot + usize::from(!bound))?;
                 stack.push(r);
             }
-            Insn::CallBegin => {
+            Op::CallBegin => {
                 let callee = stack.pop().expect("stack discipline");
                 let (pos, kw) = (vm.take_args(), vm.take_kwargs());
                 vm.calls.push(CallBuilder { callee, pos, kw });
             }
-            Insn::ArgPos => {
+            Op::ArgPos => {
                 let v = stack.pop().expect("stack discipline");
                 vm.calls.last_mut().expect("call discipline").pos.push(v);
             }
-            Insn::ArgKw(sym) => {
+            Op::ArgKw(sym) => {
                 let v = stack.pop().expect("stack discipline");
                 vm.calls
                     .last_mut()
@@ -338,7 +304,7 @@ fn run_on(
                     .kw
                     .push((Cow::Borrowed(sym.as_str()), v));
             }
-            Insn::ArgStar => {
+            Op::ArgStar => {
                 let v = stack.pop().expect("stack discipline");
                 let splat = interp::iter_values(&vm.heap, v)?;
                 vm.calls
@@ -347,27 +313,21 @@ fn run_on(
                     .pos
                     .extend(splat);
             }
-            Insn::ArgDoubleStar => {
+            Op::ArgDoubleStar => {
                 let v = stack.pop().expect("stack discipline");
                 let builder = vm.calls.last_mut().expect("call discipline");
                 interp::splat_mapping(&vm.heap, v, &mut builder.kw)?;
             }
-            Insn::CallEnd => {
+            Op::CallEnd => {
                 let b = vm.calls.pop().expect("call discipline");
                 stack.push(interp::call_value(vm, b.callee, b.pos, b.kw)?);
             }
-            Insn::Call(argc) => {
+            Op::Call(argc) => {
                 let first = stack.len() - argc as usize;
                 let r = call_from_stack(vm, stack, first - 1, first)?;
                 stack.push(r);
             }
-            Insn::TickCall { n, argc } => {
-                vm.tick_n(n)?;
-                let first = stack.len() - argc as usize;
-                let r = call_from_stack(vm, stack, first - 1, first)?;
-                stack.push(r);
-            }
-            Insn::MakeFunction(i) => {
+            Op::MakeFunction(i) => {
                 let decl = &code.fn_decls[i as usize];
                 let n = decl.has_default.iter().filter(|h| **h).count();
                 let values = stack.split_off(stack.len() - n);
@@ -388,7 +348,7 @@ fn run_on(
                     captured: frame.closure_scopes(),
                 }));
             }
-            Insn::Raise { has_exc } => {
+            Op::Raise { has_exc } => {
                 let e = if has_exc {
                     let v = stack.pop().expect("stack discipline");
                     interp::exception_from_value(vm, frame, v)?
@@ -401,7 +361,7 @@ fn run_on(
                 };
                 return Err(e.with_frame(&frame.proto.name));
             }
-            Insn::AssertFail { has_msg } => {
+            Op::AssertFail { has_msg } => {
                 let message = if has_msg {
                     stack.pop().expect("stack discipline").to_display(&vm.heap)
                 } else {
@@ -409,9 +369,9 @@ fn run_on(
                 };
                 return Err(PyExc::new("AssertionError", message));
             }
-            Insn::Return => return Ok(stack.pop().expect("stack discipline")),
-            Insn::ReturnNone => return Ok(Value::None),
-            Insn::ExecStmt { stmt, brk, cont } => {
+            Op::Return => return Ok(stack.pop().expect("stack discipline")),
+            Op::ReturnNone => return Ok(Value::None),
+            Op::ExecStmt { stmt, brk, cont } => {
                 // `TRAMPOLINE_KINDS` order: `stmt`, then `expr`.
                 vm.trampolines[0].set(vm.trampolines[0].get() + 1);
                 match interp::exec_stmt(vm, frame, &code.stmts[stmt as usize])? {
@@ -431,7 +391,7 @@ fn run_on(
                     }
                 }
             }
-            Insn::EvalExpr(i) => {
+            Op::EvalExpr(i) => {
                 vm.trampolines[1].set(vm.trampolines[1].get() + 1);
                 stack.push(interp::eval(vm, frame, &code.exprs[i as usize])?)
             }

@@ -7,11 +7,13 @@
 //! is bit-for-bit the tree walk's:
 //!
 //! * Every node the tree walk would `vm.tick()` on entry adds one to a
-//!   pending-step counter; the counter is flushed as one
-//!   [`Insn::Tick`] before the next instruction that can fault or have
-//!   an observable effect (and at every label/jump). Pure
-//!   stack-construction instructions never force a flush, so straight
-//!   runs of literals batch their steps.
+//!   pending-step counter, and [`Compiler::emit`] attaches the count to
+//!   the next instruction that can fault or have an observable effect
+//!   ([`Insn::steps`]; the dispatch loop settles them before the op
+//!   runs). Pure stack construction carries none, so straight runs of
+//!   literals batch their steps. A standalone [`Op::Tick`] is emitted
+//!   only where steps must land before a jump target or at the end of
+//!   the body.
 //! * Statements with deep cold semantics (`try`, `with`, `class`,
 //!   imports, `del`, unsupported assignment shapes) and expressions
 //!   with scope quirks (list comprehensions, starred expressions)
@@ -28,7 +30,7 @@
 //! most once, process-wide.
 
 use crate::intern::intern;
-use crate::ir::{CodeObject, Const, FnDecl, Insn, NO_LOOP};
+use crate::ir::{CodeObject, Const, FnDecl, Insn, Op, NO_LOOP};
 use crate::prepare::{FuncProto, NameRes};
 use pysrc::ast::*;
 use std::sync::Arc;
@@ -58,6 +60,7 @@ pub fn compile(proto: &Arc<FuncProto>, body: &[Stmt]) -> CodeObject {
         proto,
         code: CodeObject::default(),
         labels: Vec::new(),
+        jumped_to: Vec::new(),
         pending: 0,
         loops: Vec::new(),
     };
@@ -79,7 +82,10 @@ struct Compiler<'a> {
     code: CodeObject,
     /// Label id → bound instruction index.
     labels: Vec<u32>,
-    /// Interpreter steps counted since the last flush.
+    /// Label id → whether a jump to it has been emitted.
+    jumped_to: Vec<bool>,
+    /// Interpreter steps counted and not yet attached to an
+    /// instruction.
     pending: u32,
     loops: Vec<LoopCtx>,
 }
@@ -92,11 +98,58 @@ fn idx32(n: usize, what: &str) -> u32 {
     u32::try_from(n).unwrap_or_else(|_| panic!("{what} index {n} overflows the u32 operand width"))
 }
 
+/// Calls `f` on every jump operand of `op` (label ids until patched;
+/// [`NO_LOOP`] is not one).
+fn for_each_target(op: &mut Op, mut f: impl FnMut(&mut u32)) {
+    match op {
+        Op::Jump(t)
+        | Op::JumpIfFalse(t)
+        | Op::JumpIfTrue(t)
+        | Op::JumpIfFalseOrPop(t)
+        | Op::JumpIfTrueOrPop(t)
+        | Op::ForNext(t)
+        | Op::CmpJump { target: t, .. } => f(t),
+        Op::ExecStmt { brk, cont, .. } => {
+            for t in [brk, cont] {
+                if *t != NO_LOOP {
+                    f(t);
+                }
+            }
+        }
+        _ => {}
+    }
+}
+
 impl Compiler<'_> {
     // ----- emission plumbing -----
 
-    fn emit(&mut self, i: Insn) {
-        self.code.insns.push(i);
+    /// Emits `op`, carrying every pending step unless it is pure stack
+    /// construction (which cannot fault or act, so its steps can wait
+    /// for the next op that does).
+    fn emit(&mut self, mut op: Op) {
+        let pure = matches!(
+            op,
+            Op::Const(_)
+                | Op::Dup
+                | Op::Pop
+                | Op::BuildTuple(_)
+                | Op::BuildList(_)
+                | Op::BuildSet(_)
+                | Op::BuildDict(_)
+                | Op::BuildSlice
+                | Op::CallBegin
+                | Op::ArgPos
+                | Op::ArgKw(_)
+                | Op::PopIter
+        );
+        let steps = if pure {
+            0
+        } else {
+            std::mem::take(&mut self.pending)
+        };
+        let jumped_to = &mut self.jumped_to;
+        for_each_target(&mut op, |t| jumped_to[*t as usize] = true);
+        self.code.insns.push(Insn { steps, op });
     }
 
     /// Counts one interpreter step (a `vm.tick()` the tree walk makes
@@ -105,64 +158,42 @@ impl Compiler<'_> {
         self.pending += 1;
     }
 
-    /// Emits the pending steps before an instruction that can fault or
-    /// observably act.
+    /// Emits the pending steps as a standalone [`Op::Tick`].
     fn flush(&mut self) {
         if self.pending > 0 {
-            let n = self.pending;
-            self.pending = 0;
-            self.emit(Insn::Tick(n));
-        }
-    }
-
-    /// Takes the whole pending-step count for fusion into the next
-    /// instruction. The fused forms settle the steps before acting —
-    /// the exact order `flush()` + emit would have produced.
-    fn take_pending(&mut self) -> u32 {
-        std::mem::take(&mut self.pending)
-    }
-
-    /// Emits a binary operator, fusing pending steps when there are any.
-    fn emit_binary(&mut self, op: BinOp) {
-        match self.take_pending() {
-            0 => self.emit(Insn::Binary(op)),
-            n => self.emit(Insn::TickBinary { n, op }),
+            self.emit(Op::Tick);
         }
     }
 
     fn new_label(&mut self) -> u32 {
         self.labels.push(u32::MAX);
+        self.jumped_to.push(false);
         idx32(self.labels.len() - 1, "label")
     }
 
+    /// Binds `label` to the next instruction. A path that jumps here
+    /// arrives with no pending steps, so the fall-through path's steps
+    /// land first — unless nothing jumps here, and they can ride on.
     fn bind(&mut self, label: u32) {
-        self.flush();
+        if self.jumped_to[label as usize] {
+            self.flush();
+        }
         self.labels[label as usize] = idx32(self.code.insns.len(), "instruction");
+    }
+
+    /// A label bound here for the back edge of a loop, which the loop
+    /// emits after it.
+    fn loop_start(&mut self) -> u32 {
+        let label = self.new_label();
+        self.jumped_to[label as usize] = true;
+        self.bind(label);
+        label
     }
 
     /// Rewrites label ids into absolute instruction indices.
     fn patch(&mut self) {
-        let labels = &self.labels;
-        let fix = |t: &mut u32| {
-            if *t != NO_LOOP {
-                *t = labels[*t as usize];
-            }
-        };
         for insn in &mut self.code.insns {
-            match insn {
-                Insn::Jump(t)
-                | Insn::JumpIfFalse(t)
-                | Insn::JumpIfTrue(t)
-                | Insn::JumpIfFalseOrPop(t)
-                | Insn::JumpIfTrueOrPop(t)
-                | Insn::ForNext(t)
-                | Insn::CmpJump { target: t, .. } => fix(t),
-                Insn::ExecStmt { brk, cont, .. } => {
-                    fix(brk);
-                    fix(cont);
-                }
-                _ => {}
-            }
+            for_each_target(&mut insn.op, |t| *t = self.labels[*t as usize]);
         }
     }
 
@@ -175,13 +206,12 @@ impl Compiler<'_> {
 
     /// Compiles a statement to the tree-walk trampoline. The statement
     /// ticks itself, so no pending step is counted here — but pending
-    /// steps from *earlier* nodes must land first.
+    /// steps from *earlier* nodes land first, on the trampoline.
     fn fallback_stmt(&mut self, stmt: &Stmt) {
-        self.flush();
         self.code.stmts.push(stmt.clone());
         let idx = idx32(self.code.stmts.len() - 1, "statement pool");
         let ctx = self.loops.last().copied();
-        self.emit(Insn::ExecStmt {
+        self.emit(Op::ExecStmt {
             stmt: idx,
             brk: ctx.map_or(NO_LOOP, |c| c.brk),
             cont: ctx.map_or(NO_LOOP, |c| c.cont),
@@ -191,10 +221,9 @@ impl Compiler<'_> {
     /// Compiles an expression to the tree-walk trampoline (it ticks
     /// itself).
     fn fallback_expr(&mut self, expr: &Expr) {
-        self.flush();
         self.code.exprs.push(expr.clone());
         let idx = idx32(self.code.exprs.len() - 1, "expression pool");
-        self.emit(Insn::EvalExpr(idx));
+        self.emit(Op::EvalExpr(idx));
     }
 
     // ----- statements -----
@@ -210,7 +239,7 @@ impl Compiler<'_> {
             StmtKind::Expr(e) => {
                 self.tick();
                 self.expr(e);
-                self.emit(Insn::Pop);
+                self.emit(Op::Pop);
             }
             StmtKind::Assign { targets, value } => {
                 if !targets.iter().all(|t| self.store_supported(t)) {
@@ -220,7 +249,7 @@ impl Compiler<'_> {
                 self.expr(value);
                 for (i, t) in targets.iter().enumerate() {
                     if i < targets.len() - 1 {
-                        self.emit(Insn::Dup);
+                        self.emit(Op::Dup);
                     }
                     self.store(t);
                 }
@@ -237,39 +266,10 @@ impl Compiler<'_> {
                 {
                     return self.fallback_stmt(stmt);
                 }
-                // Slot-local / module-global `x op= e` fuses the step
-                // settle, the operator, and the write into one
-                // instruction — the hottest statement shape in loops.
-                if matches!(target.kind, ExprKind::Name(_)) {
-                    match self.proto.table.res(target.id) {
-                        NameRes::Local { slot, sym } => {
-                            self.tick();
-                            self.expr(target);
-                            self.expr(value);
-                            let n = self.take_pending();
-                            self.emit(Insn::TickBinaryStoreSlot {
-                                n,
-                                op: *op,
-                                slot,
-                                sym,
-                            });
-                            return;
-                        }
-                        NameRes::Global(sym) | NameRes::GlobalDecl(sym) => {
-                            self.tick();
-                            self.expr(target);
-                            self.expr(value);
-                            let n = self.take_pending();
-                            self.emit(Insn::TickBinaryStoreGlobal { n, op: *op, sym });
-                            return;
-                        }
-                        _ => {}
-                    }
-                }
                 self.tick();
                 self.expr(target);
                 self.expr(value);
-                self.emit_binary(*op);
+                self.emit(Op::Binary(*op));
                 self.store(target);
             }
             StmtKind::Return(v) => {
@@ -277,61 +277,48 @@ impl Compiler<'_> {
                 match v {
                     Some(e) => {
                         self.expr(e);
-                        self.flush();
-                        self.emit(Insn::Return);
+                        self.emit(Op::Return);
                     }
-                    None => {
-                        self.flush();
-                        self.emit(Insn::ReturnNone);
-                    }
+                    None => self.emit(Op::ReturnNone),
                 }
             }
             StmtKind::Pass => self.tick(),
             StmtKind::Break => {
                 self.tick();
-                self.flush();
                 match self.loops.last() {
-                    Some(ctx) => self.emit(Insn::Jump(ctx.brk)),
+                    Some(ctx) => self.emit(Op::Jump(ctx.brk)),
                     // Outside any loop the flow escapes the frame and
                     // the caller treats it as a plain `None` return.
-                    None => self.emit(Insn::ReturnNone),
+                    None => self.emit(Op::ReturnNone),
                 }
             }
             StmtKind::Continue => {
                 self.tick();
-                self.flush();
                 match self.loops.last() {
-                    Some(ctx) => self.emit(Insn::Jump(ctx.cont)),
-                    None => self.emit(Insn::ReturnNone),
+                    Some(ctx) => self.emit(Op::Jump(ctx.cont)),
+                    None => self.emit(Op::ReturnNone),
                 }
             }
             StmtKind::Assert { test, msg } => {
                 self.tick();
                 self.expr(test);
-                self.flush();
                 let ok = self.new_label();
-                self.emit(Insn::JumpIfTrue(ok));
+                self.emit(Op::JumpIfTrue(ok));
                 let has_msg = msg.is_some();
                 if let Some(m) = msg {
                     self.expr(m);
-                    self.flush();
                 }
-                self.emit(Insn::AssertFail { has_msg });
+                self.emit(Op::AssertFail { has_msg });
                 self.bind(ok);
             }
             StmtKind::Raise { exc, cause: _ } => {
                 self.tick();
-                match exc {
-                    Some(e) => {
-                        self.expr(e);
-                        self.flush();
-                        self.emit(Insn::Raise { has_exc: true });
-                    }
-                    None => {
-                        self.flush();
-                        self.emit(Insn::Raise { has_exc: false });
-                    }
+                if let Some(e) = exc {
+                    self.expr(e);
                 }
+                self.emit(Op::Raise {
+                    has_exc: exc.is_some(),
+                });
             }
             StmtKind::Global(_) => self.tick(), // handled by analysis
             StmtKind::If { branches, orelse } => {
@@ -339,12 +326,10 @@ impl Compiler<'_> {
                 let end = self.new_label();
                 for (test, body) in branches {
                     self.expr(test);
-                    self.flush();
                     let next = self.new_label();
-                    self.emit(Insn::JumpIfFalse(next));
+                    self.emit(Op::JumpIfFalse(next));
                     self.block(body);
-                    self.flush();
-                    self.emit(Insn::Jump(end));
+                    self.emit(Op::Jump(end));
                     self.bind(next);
                 }
                 self.block(orelse);
@@ -352,21 +337,18 @@ impl Compiler<'_> {
             }
             StmtKind::While { test, body, orelse } => {
                 self.tick();
-                let start = self.new_label();
+                let start = self.loop_start();
                 let orelse_l = self.new_label();
                 let end = self.new_label();
-                self.bind(start);
                 self.expr(test);
-                self.flush();
-                self.emit(Insn::JumpIfFalse(orelse_l));
+                self.emit(Op::JumpIfFalse(orelse_l));
                 self.loops.push(LoopCtx {
                     brk: end,
                     cont: start,
                 });
                 self.block(body);
                 self.loops.pop();
-                self.flush();
-                self.emit(Insn::Jump(start));
+                self.emit(Op::Jump(start));
                 self.bind(orelse_l);
                 self.compile_loop_orelse(orelse, end);
                 self.bind(end);
@@ -382,14 +364,12 @@ impl Compiler<'_> {
                 }
                 self.tick();
                 self.expr(iter);
-                self.flush();
-                self.emit(Insn::GetIter);
-                let start = self.new_label();
+                self.emit(Op::GetIter);
+                let start = self.loop_start();
                 let trampoline = self.new_label();
                 let orelse_l = self.new_label();
                 let end = self.new_label();
-                self.bind(start);
-                self.emit(Insn::ForNext(orelse_l));
+                self.emit(Op::ForNext(orelse_l));
                 self.store(target);
                 self.loops.push(LoopCtx {
                     brk: trampoline,
@@ -397,12 +377,11 @@ impl Compiler<'_> {
                 });
                 self.block(body);
                 self.loops.pop();
-                self.flush();
-                self.emit(Insn::Jump(start));
+                self.emit(Op::Jump(start));
                 // `break` lands here so the iterator is discarded.
                 self.bind(trampoline);
-                self.emit(Insn::PopIter);
-                self.emit(Insn::Jump(end));
+                self.emit(Op::PopIter);
+                self.emit(Op::Jump(end));
                 self.bind(orelse_l);
                 self.compile_loop_orelse(orelse, end);
                 self.bind(end);
@@ -411,9 +390,8 @@ impl Compiler<'_> {
                 self.tick();
                 let decl = self.fn_decl(stmt.id, params);
                 self.compile_defaults(params);
-                self.emit(Insn::MakeFunction(decl));
-                self.flush();
-                self.emit(Insn::StoreSym(intern(name)));
+                self.emit(Op::MakeFunction(decl));
+                self.emit(Op::StoreSym(intern(name)));
             }
             // Deep, cold, or scope-quirky statements run through the
             // tree walk — one implementation site for both engines.
@@ -482,24 +460,23 @@ impl Compiler<'_> {
     /// nested object/index evaluations tick as expressions).
     fn store(&mut self, target: &Expr) {
         let insn = match (&target.kind, self.proto.table.res(target.id)) {
-            (ExprKind::Name(_), NameRes::Local { slot, sym }) => Insn::StoreSlot { slot, sym },
-            (ExprKind::Name(_), NameRes::DynLocal(sym)) => Insn::StoreDyn(sym),
+            (ExprKind::Name(_), NameRes::Local { slot, sym }) => Op::StoreSlot { slot, sym },
+            (ExprKind::Name(_), NameRes::DynLocal(sym)) => Op::StoreDyn(sym),
             (ExprKind::Name(_), NameRes::Global(sym) | NameRes::GlobalDecl(sym)) => {
-                Insn::StoreGlobal(sym)
+                Op::StoreGlobal(sym)
             }
-            (ExprKind::Name(_), NameRes::Cell(sym)) => Insn::StoreSym(sym),
+            (ExprKind::Name(_), NameRes::Cell(sym)) => Op::StoreSym(sym),
             (ExprKind::Attribute { value: obj, .. }, NameRes::Attr(sym)) => {
                 self.expr(obj);
-                Insn::StoreAttr(sym)
+                Op::StoreAttr(sym)
             }
             (ExprKind::Subscript { value: obj, index }, _) => {
                 self.expr(obj);
                 self.expr(index);
-                Insn::StoreItem
+                Op::StoreItem
             }
             (ExprKind::Tuple(items) | ExprKind::List(items), _) => {
-                self.flush();
-                self.emit(Insn::UnpackSeq(idx32(items.len(), "unpack target")));
+                self.emit(Op::UnpackSeq(idx32(items.len(), "unpack target")));
                 for t in items {
                     self.store(t);
                 }
@@ -507,7 +484,6 @@ impl Compiler<'_> {
             }
             _ => unreachable!("store_supported() gated"),
         };
-        self.flush();
         self.emit(insn);
     }
 
@@ -516,33 +492,26 @@ impl Compiler<'_> {
     /// internal error (and ticks for itself).
     fn load(&mut self, expr: &Expr) {
         match (&expr.kind, self.proto.table.res(expr.id)) {
-            // Slot and global reads fuse the flush into the load
-            // (`pending` ≥ 1: the name node just ticked).
             (ExprKind::Name(_), NameRes::Local { slot, sym }) => {
                 self.tick();
-                let n = self.take_pending();
-                self.emit(Insn::TickLoadSlot { n, slot, sym });
+                self.emit(Op::LoadSlot { slot, sym });
             }
             (ExprKind::Name(_), NameRes::Global(sym) | NameRes::GlobalDecl(sym)) => {
                 self.tick();
-                let n = self.take_pending();
-                self.emit(Insn::TickLoadGlobal { n, sym });
+                self.emit(Op::LoadGlobal(sym));
             }
             (ExprKind::Name(_), NameRes::DynLocal(sym)) => {
                 self.tick();
-                self.flush();
-                self.emit(Insn::LoadDyn(sym));
+                self.emit(Op::LoadDyn(sym));
             }
             (ExprKind::Name(_), NameRes::Cell(sym)) => {
                 self.tick();
-                self.flush();
-                self.emit(Insn::LoadCell(sym));
+                self.emit(Op::LoadCell(sym));
             }
             (ExprKind::Attribute { value, .. }, NameRes::Attr(sym)) => {
                 self.tick();
                 self.expr(value);
-                self.flush();
-                self.emit(Insn::LoadAttr(sym));
+                self.emit(Op::LoadAttr(sym));
             }
             _ => self.fallback_expr(expr),
         }
@@ -555,35 +524,34 @@ impl Compiler<'_> {
             ExprKind::Num(Number::Int(v)) => {
                 self.tick();
                 let i = self.const_idx(Const::Int(*v));
-                self.emit(Insn::Const(i));
+                self.emit(Op::Const(i));
             }
             ExprKind::Num(Number::Float(v)) => {
                 self.tick();
                 let i = self.const_idx(Const::Float(*v));
-                self.emit(Insn::Const(i));
+                self.emit(Op::Const(i));
             }
             ExprKind::Str(s) => {
                 self.tick();
                 let i = self.const_idx(Const::Str(Arc::from(s.as_str())));
-                self.emit(Insn::Const(i));
+                self.emit(Op::Const(i));
             }
             ExprKind::Bool(b) => {
                 self.tick();
                 let i = self.const_idx(Const::Bool(*b));
-                self.emit(Insn::Const(i));
+                self.emit(Op::Const(i));
             }
             ExprKind::NoneLit => {
                 self.tick();
                 let i = self.const_idx(Const::None);
-                self.emit(Insn::Const(i));
+                self.emit(Op::Const(i));
             }
             ExprKind::Name(_) | ExprKind::Attribute { .. } => self.load(expr),
             ExprKind::Subscript { value, index } => {
                 self.tick();
                 self.expr(value);
                 self.expr(index);
-                self.flush();
-                self.emit(Insn::LoadItem);
+                self.emit(Op::LoadItem);
             }
             ExprKind::Slice { lower, upper, step } => {
                 self.tick();
@@ -592,11 +560,11 @@ impl Compiler<'_> {
                         Some(e) => self.expr(e),
                         None => {
                             let i = self.const_idx(Const::None);
-                            self.emit(Insn::Const(i));
+                            self.emit(Op::Const(i));
                         }
                     }
                 }
-                self.emit(Insn::BuildSlice);
+                self.emit(Op::BuildSlice);
             }
             ExprKind::Call { func, args } => {
                 self.tick();
@@ -604,7 +572,7 @@ impl Compiler<'_> {
                 // shape — skip the argument builder entirely.
                 if args.iter().all(|a| matches!(a, Arg::Pos(_))) {
                     // `obj.m(a, b)`: the attribute node's own lowering
-                    // (same steps, same flush point, same lookup and
+                    // (same steps, settled at the same point, same lookup and
                     // `AttributeError` ahead of the arguments) with
                     // `LoadMethod` for `LoadAttr`, so a method found on
                     // the class is called without a bound object.
@@ -612,8 +580,7 @@ impl Compiler<'_> {
                         (ExprKind::Attribute { value, .. }, NameRes::Attr(sym)) => {
                             self.tick();
                             self.expr(value);
-                            self.flush();
-                            self.emit(Insn::LoadMethod(sym));
+                            self.emit(Op::LoadMethod(sym));
                             true
                         }
                         _ => {
@@ -627,51 +594,47 @@ impl Compiler<'_> {
                         }
                     }
                     let argc = idx32(args.len(), "call argument");
-                    match (method, self.take_pending()) {
-                        (true, n) => self.emit(Insn::CallMethod { n, argc }),
-                        (false, 0) => self.emit(Insn::Call(argc)),
-                        (false, n) => self.emit(Insn::TickCall { n, argc }),
-                    }
+                    self.emit(if method {
+                        Op::CallMethod(argc)
+                    } else {
+                        Op::Call(argc)
+                    });
                     return;
                 }
                 self.expr(func);
-                self.emit(Insn::CallBegin);
+                self.emit(Op::CallBegin);
                 for a in args {
                     match a {
                         Arg::Pos(e) => {
                             self.expr(e);
-                            self.emit(Insn::ArgPos);
+                            self.emit(Op::ArgPos);
                         }
                         Arg::Kw(n, e) => {
                             self.expr(e);
-                            self.emit(Insn::ArgKw(intern(n)));
+                            self.emit(Op::ArgKw(intern(n)));
                         }
                         Arg::Star(e) => {
                             self.expr(e);
-                            self.flush();
-                            self.emit(Insn::ArgStar);
+                            self.emit(Op::ArgStar);
                         }
                         Arg::DoubleStar(e) => {
                             self.expr(e);
-                            self.flush();
-                            self.emit(Insn::ArgDoubleStar);
+                            self.emit(Op::ArgDoubleStar);
                         }
                     }
                 }
-                self.flush();
-                self.emit(Insn::CallEnd);
+                self.emit(Op::CallEnd);
             }
             ExprKind::Unary { op, operand } => {
                 self.tick();
                 self.expr(operand);
-                self.flush();
-                self.emit(Insn::Unary(*op));
+                self.emit(Op::Unary(*op));
             }
             ExprKind::Binary { left, op, right } => {
                 self.tick();
                 self.expr(left);
                 self.expr(right);
-                self.emit_binary(*op);
+                self.emit(Op::Binary(*op));
             }
             ExprKind::BoolOp { op, values } => {
                 self.tick();
@@ -679,10 +642,9 @@ impl Compiler<'_> {
                 for (i, v) in values.iter().enumerate() {
                     self.expr(v);
                     if i < values.len() - 1 {
-                        self.flush();
                         match op {
-                            BoolOpKind::And => self.emit(Insn::JumpIfFalseOrPop(end)),
-                            BoolOpKind::Or => self.emit(Insn::JumpIfTrueOrPop(end)),
+                            BoolOpKind::And => self.emit(Op::JumpIfFalseOrPop(end)),
+                            BoolOpKind::Or => self.emit(Op::JumpIfTrueOrPop(end)),
                         }
                     }
                 }
@@ -700,16 +662,12 @@ impl Compiler<'_> {
                 for (i, (op, comp)) in ops.iter().zip(comparators).enumerate() {
                     self.expr(comp);
                     if i < last {
-                        self.flush();
-                        self.emit(Insn::CmpJump {
+                        self.emit(Op::CmpJump {
                             op: *op,
                             target: end,
                         });
                     } else {
-                        match self.take_pending() {
-                            0 => self.emit(Insn::Cmp(*op)),
-                            n => self.emit(Insn::TickCmp { n, op: *op }),
-                        }
+                        self.emit(Op::Cmp(*op));
                     }
                 }
                 self.bind(end);
@@ -718,18 +676,16 @@ impl Compiler<'_> {
                 self.tick();
                 let decl = self.fn_decl(expr.id, params);
                 self.compile_defaults(params);
-                self.emit(Insn::MakeFunction(decl));
+                self.emit(Op::MakeFunction(decl));
             }
             ExprKind::IfExp { test, body, orelse } => {
                 self.tick();
                 self.expr(test);
-                self.flush();
                 let alt = self.new_label();
                 let end = self.new_label();
-                self.emit(Insn::JumpIfFalse(alt));
+                self.emit(Op::JumpIfFalse(alt));
                 self.expr(body);
-                self.flush();
-                self.emit(Insn::Jump(end));
+                self.emit(Op::Jump(end));
                 self.bind(alt);
                 self.expr(orelse);
                 self.bind(end);
@@ -739,21 +695,21 @@ impl Compiler<'_> {
                 for i in items {
                     self.expr(i);
                 }
-                self.emit(Insn::BuildTuple(idx32(items.len(), "tuple item")));
+                self.emit(Op::BuildTuple(idx32(items.len(), "tuple item")));
             }
             ExprKind::List(items) => {
                 self.tick();
                 for i in items {
                     self.expr(i);
                 }
-                self.emit(Insn::BuildList(idx32(items.len(), "list item")));
+                self.emit(Op::BuildList(idx32(items.len(), "list item")));
             }
             ExprKind::Set(items) => {
                 self.tick();
                 for i in items {
                     self.expr(i);
                 }
-                self.emit(Insn::BuildSet(idx32(items.len(), "set item")));
+                self.emit(Op::BuildSet(idx32(items.len(), "set item")));
             }
             ExprKind::Dict(pairs) => {
                 self.tick();
@@ -761,12 +717,66 @@ impl Compiler<'_> {
                     self.expr(k);
                     self.expr(v);
                 }
-                self.emit(Insn::BuildDict(idx32(pairs.len(), "dict pair")));
+                self.emit(Op::BuildDict(idx32(pairs.len(), "dict pair")));
             }
             // The comprehension-target scope quirk lives in the tree
             // walk; starred expressions outside call/assignment
             // reproduce its runtime SyntaxError.
             ExprKind::ListComp { .. } | ExprKind::Starred(_) => self.fallback_expr(expr),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every scope of `src`, compiled.
+    fn compile_all(src: &str) -> Vec<CodeObject> {
+        let module = pysrc::parse_module(src, "t.py").expect("parses");
+        let prepared = crate::prepare::prepare(Arc::new(module));
+        let mut codes = vec![compile(&prepared.module_proto, &prepared.module.body)];
+        codes.extend(prepared.protos.values().map(|p| compile(p, &p.body)));
+        codes
+    }
+
+    #[test]
+    fn a_standalone_tick_only_lands_steps_before_a_jump_target_or_the_end() {
+        let programs = [
+            "x = 1\nif x:\n    pass\nelif x > 2:\n    x = 3\nelse:\n    pass\nprint(x)\n",
+            "i = 0\nwhile i < 3:\n    i += 1\nelse:\n    pass\nprint(i)\n",
+            "i = 0\nwhile True:\n    if i:\n        break\n    i = i + 1\nelse:\n    pass\nprint(i)\n",
+            "for k in [1, 2]:\n    if k == 2:\n        continue\n    pass\nelse:\n    pass\n\
+             for k in [3]:\n    break\nprint(k)\n",
+            "def f(a, b=[1, 2], *r, **kw):\n    for x in a:\n        try:\n            break\n        \
+             finally:\n            pass\n    return (lambda y=1: y)() if a and b or r else kw\n",
+            "x = 5\nassert 1 < x < 9, 'no'\ny = x if x else -x\nz = x.real\npass\n",
+            "def g():\n    pass\n",
+        ];
+        for src in programs {
+            for code in compile_all(src) {
+                let mut targets = Vec::new();
+                for insn in &code.insns {
+                    let mut op = insn.op;
+                    for_each_target(&mut op, |t| targets.push(*t as usize));
+                }
+                let last = code.insns.len().saturating_sub(1);
+                for (at, insn) in code.insns.iter().enumerate() {
+                    if matches!(insn.op, Op::Tick) {
+                        assert!(insn.steps > 0, "an empty tick at {at} in:\n{src}");
+                        assert!(
+                            at == last || targets.contains(&(at + 1)),
+                            "a tick at {at} that could ride on the next op in:\n{src}\n{:?}",
+                            code.insns
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_instruction_stays_within_32_bytes() {
+        assert!(std::mem::size_of::<Insn>() <= 32);
     }
 }

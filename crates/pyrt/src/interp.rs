@@ -476,7 +476,8 @@ fn make_function(
     def_id: NodeId,
     params: &[Param],
 ) -> Result<Value, PyExc> {
-    let proto = vm.proto(def_id)?;
+    // Defaults first, then the prototype: CPython's order, and the
+    // bytecode's.
     let mut defaults = Vec::with_capacity(params.len());
     for p in params {
         defaults.push(match &p.default {
@@ -484,6 +485,7 @@ fn make_function(
             None => None,
         });
     }
+    let proto = vm.proto(def_id)?;
     Ok(vm.heap.new_func(FuncObj {
         proto,
         defaults,

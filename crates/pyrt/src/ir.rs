@@ -10,16 +10,20 @@
 //! jump targets — never `Rc` values — so one compile serves every VM
 //! (and every fleet worker) that runs the module.
 //!
-//! Interpreter-step accounting is batched per straight-line run: the
-//! compiler counts the `vm.tick()` calls the tree walk would have made
-//! and emits one [`Insn::Tick`] *before* the next faultable or
-//! effectful instruction, which keeps the fuel-exhaustion step, the
-//! virtual clock, and every error/side-effect interleaving bit-for-bit
-//! identical to the tree-walk oracle.
+//! Interpreter-step accounting rides on the instructions: every
+//! [`Insn`] carries the steps the tree walk would have taken since the
+//! previous one settled, and the dispatch loop settles them before the
+//! [`Op`] runs. The compiler attaches its pending count to every op
+//! that can fault or observably act, so the fuel-exhaustion step, the
+//! virtual clock, and every error/side-effect interleaving stay
+//! bit-for-bit identical to the tree-walk oracle; pure stack
+//! construction carries none, so straight runs of literals batch.
+//! [`Op::Tick`] does nothing but settle: it is left only where steps
+//! must land before a jump target or at the end of a body.
 //!
 //! Statements and expressions whose semantics are deep and cold
 //! (`try`/`with`/`class`/imports/`del`, list comprehensions) compile to
-//! [`Insn::ExecStmt`]/[`Insn::EvalExpr`] trampolines into the tree
+//! [`Op::ExecStmt`]/[`Op::EvalExpr`] trampolines into the tree
 //! walk over AST nodes cloned into the code object — one shared
 //! implementation site, zero drift risk.
 
@@ -60,7 +64,7 @@ impl Const {
     }
 }
 
-/// A nested `def`/`lambda` referenced by [`Insn::MakeFunction`]: its
+/// A nested `def`/`lambda` referenced by [`Op::MakeFunction`]: its
 /// defining node plus which parameters have a compiled default on the
 /// stack (in declaration order).
 #[derive(Debug)]
@@ -75,18 +79,28 @@ pub struct FnDecl {
     pub has_default: Vec<bool>,
 }
 
-/// Jump-target sentinel in [`Insn::ExecStmt`] meaning "no enclosing
+/// Jump-target sentinel in [`Op::ExecStmt`] meaning "no enclosing
 /// loop": a `break`/`continue` flow escaping here returns `None` from
 /// the frame, exactly like the tree walk's `Ok(_) => Value::None`.
 pub const NO_LOOP: u32 = u32::MAX;
 
-/// One bytecode instruction. Jump operands are absolute instruction
+/// One bytecode instruction: the interpreter steps to settle, then
+/// the operation.
+#[derive(Clone, Copy, Debug)]
+pub struct Insn {
+    /// Steps settled through [`crate::vm::Vm::tick`] before `op` runs
+    /// (batched per straight-line run; see module docs).
+    pub steps: u32,
+    /// What the instruction does once its steps are settled.
+    pub op: Op,
+}
+
+/// An instruction's operation. Jump operands are absolute instruction
 /// indices (patched from labels at the end of compilation).
 #[derive(Clone, Copy, Debug)]
-pub enum Insn {
-    /// Settle `n` interpreter steps through [`crate::vm::Vm::tick`]
-    /// (batched per straight-line run; see module docs).
-    Tick(u32),
+pub enum Op {
+    /// Nothing: the instruction only settles its steps.
+    Tick,
     /// Push constant-pool entry.
     Const(u32),
     /// Discard the top of stack.
@@ -157,65 +171,6 @@ pub enum Insn {
         /// End of the whole chain.
         target: u32,
     },
-    // ----- fused superinstructions -----
-    //
-    // Each fuses a `Tick(n)` with the op that immediately follows it
-    // (tick first, then act — the order `flush()` + emit would have
-    // produced), collapsing the hottest two-instruction pairs into one
-    // dispatch. They carry no jump targets, so `patch()` ignores them.
-    /// `Tick(n)` + [`Insn::LoadSlot`] (`n` ≥ 1: the name node ticks).
-    TickLoadSlot {
-        /// Pending interpreter steps to settle first.
-        n: u32,
-        /// Slot index into the frame's dense local vector.
-        slot: u32,
-        /// Name, for `UnboundLocalError` and the internal error.
-        sym: Symbol,
-    },
-    /// `Tick(n)` + [`Insn::LoadGlobal`] (`n` ≥ 1: the name node ticks).
-    TickLoadGlobal {
-        /// Pending interpreter steps to settle first.
-        n: u32,
-        /// Module-global name.
-        sym: Symbol,
-    },
-    /// `Tick(n)` + [`Insn::Binary`].
-    TickBinary {
-        /// Pending interpreter steps to settle first.
-        n: u32,
-        /// Binary operator.
-        op: BinOp,
-    },
-    /// `Tick(n)` + [`Insn::Cmp`].
-    TickCmp {
-        /// Pending interpreter steps to settle first.
-        n: u32,
-        /// Comparison operator.
-        op: CmpOp,
-    },
-    /// `Tick(n)` + [`Insn::Binary`] + [`Insn::StoreSlot`]: the
-    /// augmented-assignment fast path for a slot-local target
-    /// (`x += e`). `n` may be 0 when the operands flushed.
-    TickBinaryStoreSlot {
-        /// Pending interpreter steps to settle first.
-        n: u32,
-        /// Binary operator.
-        op: BinOp,
-        /// Slot index into the frame's dense local vector.
-        slot: u32,
-        /// Name, for the internal error.
-        sym: Symbol,
-    },
-    /// `Tick(n)` + [`Insn::Binary`] + [`Insn::StoreGlobal`]: the
-    /// augmented-assignment fast path for a module-global target.
-    TickBinaryStoreGlobal {
-        /// Pending interpreter steps to settle first.
-        n: u32,
-        /// Binary operator.
-        op: BinOp,
-        /// Module-global name.
-        sym: Symbol,
-    },
     /// Unconditional jump.
     Jump(u32),
     /// Pop; jump when falsy.
@@ -250,31 +205,20 @@ pub enum Insn {
     /// order) then the callee beneath them; push the result. Replaces
     /// the `CallBegin`/`ArgPos`×n/`CallEnd` sequence when every
     /// argument is a plain positional and the callee is not an
-    /// attribute (those are [`Insn::LoadMethod`]/[`Insn::CallMethod`]).
+    /// attribute (those are [`Op::LoadMethod`]/[`Op::CallMethod`]).
     Call(u32),
-    /// `Tick(n)` + [`Insn::Call`].
-    TickCall {
-        /// Pending interpreter steps to settle first.
-        n: u32,
-        /// Positional argument count.
-        argc: u32,
-    },
-    /// Method-call half of [`Insn::LoadAttr`]: pop an object, look the
+    /// Method-call half of [`Op::LoadAttr`]: pop an object, look the
     /// attribute up (instance attribute first, then the class chain —
     /// `AttributeError` here, before any argument is evaluated) and
     /// push two slots: the value to call, then its receiver when the
     /// value is a class function found through an instance, else
     /// `None`. No bound-method object is allocated.
     LoadMethod(Symbol),
-    /// `Tick(n)` + the call that closes an [`Insn::LoadMethod`]: pop
-    /// `argc` arguments, the receiver slot and the callee; call with
-    /// the receiver (if any) as first argument; push the result.
-    CallMethod {
-        /// Pending interpreter steps to settle first (may be 0).
-        n: u32,
-        /// Positional argument count (receiver not included).
-        argc: u32,
-    },
+    /// The call that closes an [`Op::LoadMethod`]: pop `argc`
+    /// arguments (receiver not included), the receiver slot and the
+    /// callee; call with the receiver (if any) as first argument; push
+    /// the result.
+    CallMethod(u32),
     /// Build a closure from `fn_decls[i]`, popping compiled defaults.
     MakeFunction(u32),
     /// `raise` (`has_exc`: pops the raised value) / bare re-raise.
@@ -320,6 +264,6 @@ pub struct CodeObject {
     pub stmts: Vec<Stmt>,
     /// Expressions evaluated through the tree-walk trampoline.
     pub exprs: Vec<Expr>,
-    /// Nested function declarations for [`Insn::MakeFunction`].
+    /// Nested function declarations for [`Op::MakeFunction`].
     pub fn_decls: Vec<FnDecl>,
 }

@@ -91,6 +91,31 @@ pub enum VmOutcome {
 /// like per-step advances; only the trip-step *prediction* divides).
 const TICK_BATCH: u64 = 64;
 
+/// Bound on each captured stream, stdout and stderr. The write that
+/// reaches it keeps what fits and is followed by [`TRUNCATED`]; every
+/// later write copies nothing.
+pub const CAPTURE_CAP: usize = 1 << 20;
+
+/// The line that ends a stream cut at [`CAPTURE_CAP`].
+pub const TRUNCATED: &str = "\n[output truncated at 1 MiB]\n";
+
+/// Appends `text` to a captured stream, up to [`CAPTURE_CAP`].
+fn capture(stream: &RefCell<String>, text: &str) {
+    let mut stream = stream.borrow_mut();
+    if stream.len() + text.len() <= CAPTURE_CAP {
+        stream.push_str(text);
+    } else if stream.len() <= CAPTURE_CAP {
+        // Cut at a char boundary; the marker takes the stream past the
+        // cap, which is how a later write knows it is closed.
+        let mut room = CAPTURE_CAP - stream.len();
+        while !text.is_char_boundary(room) {
+            room -= 1;
+        }
+        stream.push_str(&text[..room]);
+        stream.push_str(TRUNCATED);
+    }
+}
+
 /// Bound on each recycled-vector pool: twice the recursion limit covers
 /// a positional and a builder vector per frame in flight.
 const ARG_POOL_CAP: usize = 128;
@@ -152,8 +177,8 @@ fn default_engine() -> Engine {
 }
 
 /// The kinds of bytecode entry into the tree walk, in
-/// [`ExecStats::trampolines`] order: [`crate::ir::Insn::ExecStmt`] and
-/// [`crate::ir::Insn::EvalExpr`].
+/// [`ExecStats::trampolines`] order: [`crate::ir::Op::ExecStmt`] and
+/// [`crate::ir::Op::EvalExpr`].
 pub const TRAMPOLINE_KINDS: [&str; 2] = ["stmt", "expr"];
 
 /// What a VM's interpreter has done so far, read off a [`Vm`] when its
@@ -462,7 +487,7 @@ impl Vm {
         match result {
             Ok(_) => Ok(()),
             Err(e) => {
-                self.stderr.borrow_mut().push_str(&format!(
+                let traceback = format!(
                     "Traceback (most recent call last):\n{}{}\n",
                     e.traceback
                         .iter()
@@ -470,7 +495,8 @@ impl Vm {
                         .map(|f| format!("  File \"<target>\", in {f}\n"))
                         .collect::<String>(),
                     e.one_line()
-                ));
+                );
+                capture(&self.stderr, &traceback);
                 Err(e)
             }
         }
@@ -521,9 +547,9 @@ impl Vm {
         self.logs.take()
     }
 
-    /// Appends to captured stdout.
+    /// Appends to captured stdout, up to [`CAPTURE_CAP`].
     pub fn write_stdout(&self, text: &str) {
-        self.stdout.borrow_mut().push_str(text);
+        capture(&self.stdout, text);
     }
 
     /// Captured log records.

@@ -362,9 +362,14 @@ fn engine_fixture_corpus_agrees() {
         "def push(v, acc=[]):\n    acc.append(v)\n    return acc\n\
          print(push(1), push(2), push(1))\n",
     ];
+    // Every budget from one step to past completion: fuel runs out on
+    // every step of each fixture, chained-comparison links, argument
+    // builders and `finally` flows included.
     for src in fixtures {
         assert_engines_agree(src, None);
-        for fuel in [3u64, 17, 61, 200] {
+        let full = run_engine(src, Engine::TreeWalk, Some(100_000));
+        let steps = 100_000 - full.fuel_remaining;
+        for fuel in 1..steps + 3 {
             assert_engines_agree(src, Some(fuel));
         }
     }
@@ -417,4 +422,25 @@ fn fast_path_fallbacks_agree_across_engines_and_fuel() {
             assert_engines_agree(src, Some(fuel));
         }
     }
+}
+
+/// A program that prints without end is stopped by its fuel with its
+/// captured stdout cut at the 1 MiB cap and marked, under both engines
+/// alike.
+#[test]
+fn runaway_output_is_capped_under_both_engines() {
+    const CAP: usize = 1 << 20;
+    const MARKER: &str = "\n[output truncated at 1 MiB]\n";
+    let src = "s = 'x' * 400000\nwhile True:\n    print(s)\n";
+    let bytecode = run_engine(src, Engine::Bytecode, Some(100));
+    assert_eq!(bytecode, run_engine(src, Engine::TreeWalk, Some(100)));
+    let (class, ..) = bytecode.error.expect("the fuel stops the loop");
+    assert_eq!(class, "ProfipyFuelExhausted");
+    let out = &bytecode.stdout;
+    assert!(
+        out.len() <= CAP + MARKER.len(),
+        "stdout grew to {} bytes",
+        out.len()
+    );
+    assert!(out.ends_with(MARKER));
 }

@@ -1061,8 +1061,8 @@ fn prepared_module_is_reusable_across_vms() {
 // ---------- code that was not prepared ----------
 
 /// Runs `body` as a module top level over `proto` and `protos` under
-/// each engine; asserts both raise the same `RuntimeError` and returns
-/// its message.
+/// each engine; asserts both raise the same `RuntimeError` with the
+/// same stdout, clock bits and fuel, and returns its message.
 fn not_prepared_on_both_engines(
     body: Vec<pysrc::ast::Stmt>,
     proto: Arc<pyrt::FuncProto>,
@@ -1083,7 +1083,8 @@ fn not_prepared_on_both_engines(
         vm.set_engine(engine);
         vm.fuel.refill(100_000);
         let e = vm.run_prepared(&prepared).expect_err("raises").into_data();
-        (e.class_name, e.message)
+        let outcome = (vm.stdout(), vm.now().to_bits(), vm.fuel.remaining());
+        (e.class_name, e.message, outcome)
     };
     let (bytecode, treewalk) = (run(Engine::Bytecode), run(Engine::TreeWalk));
     assert_eq!(bytecode, treewalk, "engines diverge");
@@ -1114,6 +1115,8 @@ fn code_run_against_a_prototype_it_was_not_prepared_with_raises() {
         "def f():\n    pass\n",
         "class C:\n    pass\n",
         "(lambda: 1)\n",
+        "def f(a=1 + 2):\n    pass\n",
+        "(lambda a=[1]: a)\n",
     ] {
         let other = prep("x = 1\n");
         let body = parse(src).body;
@@ -1123,6 +1126,20 @@ fn code_run_against_a_prototype_it_was_not_prepared_with_raises() {
         };
         let got = not_prepared_on_both_engines(body, other.module_proto.clone(), &other.protos);
         assert_eq!(got, message(&format!("<scope {}>", scope.0)), "{src:?}");
+    }
+    // A default is evaluated before the prototype is looked up, so its
+    // own unprepared name is what raises.
+    for src in [
+        "def f(a=print('d')):\n    pass\n",
+        "(lambda a=print('d'): a)\n",
+    ] {
+        let other = prep("x = 1\n");
+        let got = not_prepared_on_both_engines(
+            parse(src).body,
+            other.module_proto.clone(),
+            &other.protos,
+        );
+        assert_eq!(got, message("print"), "{src:?}");
     }
     // A function body run as a module top level: its names were
     // resolved for a slot or dynamic frame, not this one.
