@@ -9,6 +9,10 @@
 //! escaping a trampolined statement re-enter the bytecode at the
 //! enclosing loop's patched targets.
 //!
+//! Interpreter steps settle at one site: the top of dispatch settles
+//! an instruction's [`Insn::steps`] before its [`Op`] runs, so no op
+//! body charges steps of its own (see [`crate::ir`]).
+//!
 //! Fast paths: a few instructions answer the hottest operand shapes
 //! inline — exact-arity positional calls of slot-frame functions bind
 //! straight from the operand stack and natives read their arguments as

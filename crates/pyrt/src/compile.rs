@@ -7,7 +7,7 @@
 //! is bit-for-bit the tree walk's:
 //!
 //! * Every node the tree walk would `vm.tick()` on entry adds one to a
-//!   pending-step counter, and [`Compiler::emit`] attaches the count to
+//!   pending-step counter, and `Compiler::emit` attaches the count to
 //!   the next instruction that can fault or have an observable effect
 //!   ([`Insn::steps`]; the dispatch loop settles them before the op
 //!   runs). Pure stack construction carries none, so straight runs of

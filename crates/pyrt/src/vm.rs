@@ -94,10 +94,10 @@ const TICK_BATCH: u64 = 64;
 /// Bound on each captured stream, stdout and stderr. The write that
 /// reaches it keeps what fits and is followed by [`TRUNCATED`]; every
 /// later write copies nothing.
-pub const CAPTURE_CAP: usize = 1 << 20;
+const CAPTURE_CAP: usize = 1 << 20;
 
 /// The line that ends a stream cut at [`CAPTURE_CAP`].
-pub const TRUNCATED: &str = "\n[output truncated at 1 MiB]\n";
+const TRUNCATED: &str = "\n[output truncated at 1 MiB]\n";
 
 /// Appends `text` to a captured stream, up to [`CAPTURE_CAP`].
 fn capture(stream: &RefCell<String>, text: &str) {
