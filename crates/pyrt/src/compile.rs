@@ -12,7 +12,7 @@
 //!   ([`Insn::steps`]; the dispatch loop settles them before the op
 //!   runs). Pure stack construction carries none, so straight runs of
 //!   literals batch their steps. A standalone [`Op::Tick`] is emitted
-//!   only where steps must land before a jump target or at the end of
+//!   only where steps must land before a bound label or at the end of
 //!   the body.
 //! * Statements with deep cold semantics (`try`, `with`, `class`,
 //!   imports, `del`, unsupported assignment shapes) and expressions
@@ -56,18 +56,23 @@ pub fn module_code<'p>(proto: &'p Arc<FuncProto>, body: &[Stmt]) -> &'p CodeObje
 
 /// Compiles one scope body against its prototype's resolution table.
 pub fn compile(proto: &Arc<FuncProto>, body: &[Stmt]) -> CodeObject {
+    lower(proto, body).code
+}
+
+/// Lowers and patches one scope body; the compiler keeps its label
+/// table.
+fn lower<'a>(proto: &'a Arc<FuncProto>, body: &[Stmt]) -> Compiler<'a> {
     let mut c = Compiler {
         proto,
         code: CodeObject::default(),
         labels: Vec::new(),
-        jumped_to: Vec::new(),
         pending: 0,
         loops: Vec::new(),
     };
     c.block(body);
     c.flush();
     c.patch();
-    c.code
+    c
 }
 
 /// An enclosing loop's jump targets (label ids until patched).
@@ -82,8 +87,6 @@ struct Compiler<'a> {
     code: CodeObject,
     /// Label id → bound instruction index.
     labels: Vec<u32>,
-    /// Label id → whether a jump to it has been emitted.
-    jumped_to: Vec<bool>,
     /// Interpreter steps counted and not yet attached to an
     /// instruction.
     pending: u32,
@@ -126,7 +129,7 @@ impl Compiler<'_> {
     /// Emits `op`, carrying every pending step unless it is pure stack
     /// construction (which cannot fault or act, so its steps can wait
     /// for the next op that does).
-    fn emit(&mut self, mut op: Op) {
+    fn emit(&mut self, op: Op) {
         let pure = matches!(
             op,
             Op::Const(_)
@@ -147,8 +150,6 @@ impl Compiler<'_> {
         } else {
             std::mem::take(&mut self.pending)
         };
-        let jumped_to = &mut self.jumped_to;
-        for_each_target(&mut op, |t| jumped_to[*t as usize] = true);
         self.code.insns.push(Insn { steps, op });
     }
 
@@ -167,27 +168,15 @@ impl Compiler<'_> {
 
     fn new_label(&mut self) -> u32 {
         self.labels.push(u32::MAX);
-        self.jumped_to.push(false);
         idx32(self.labels.len() - 1, "label")
     }
 
     /// Binds `label` to the next instruction. A path that jumps here
     /// arrives with no pending steps, so the fall-through path's steps
-    /// land first — unless nothing jumps here, and they can ride on.
+    /// land first.
     fn bind(&mut self, label: u32) {
-        if self.jumped_to[label as usize] {
-            self.flush();
-        }
+        self.flush();
         self.labels[label as usize] = idx32(self.code.insns.len(), "instruction");
-    }
-
-    /// A label bound here for the back edge of a loop, which the loop
-    /// emits after it.
-    fn loop_start(&mut self) -> u32 {
-        let label = self.new_label();
-        self.jumped_to[label as usize] = true;
-        self.bind(label);
-        label
     }
 
     /// Rewrites label ids into absolute instruction indices.
@@ -337,9 +326,10 @@ impl Compiler<'_> {
             }
             StmtKind::While { test, body, orelse } => {
                 self.tick();
-                let start = self.loop_start();
+                let start = self.new_label();
                 let orelse_l = self.new_label();
                 let end = self.new_label();
+                self.bind(start);
                 self.expr(test);
                 self.emit(Op::JumpIfFalse(orelse_l));
                 self.loops.push(LoopCtx {
@@ -365,10 +355,11 @@ impl Compiler<'_> {
                 self.tick();
                 self.expr(iter);
                 self.emit(Op::GetIter);
-                let start = self.loop_start();
+                let start = self.new_label();
                 let trampoline = self.new_label();
                 let orelse_l = self.new_label();
                 let end = self.new_label();
+                self.bind(start);
                 self.emit(Op::ForNext(orelse_l));
                 self.store(target);
                 self.loops.push(LoopCtx {
@@ -731,17 +722,18 @@ impl Compiler<'_> {
 mod tests {
     use super::*;
 
-    /// Every scope of `src`, compiled.
-    fn compile_all(src: &str) -> Vec<CodeObject> {
+    /// Every scope of `src`, compiled, with the index each label was
+    /// bound to.
+    fn compile_all(src: &str) -> Vec<(CodeObject, Vec<u32>)> {
         let module = pysrc::parse_module(src, "t.py").expect("parses");
         let prepared = crate::prepare::prepare(Arc::new(module));
-        let mut codes = vec![compile(&prepared.module_proto, &prepared.module.body)];
-        codes.extend(prepared.protos.values().map(|p| compile(p, &p.body)));
-        codes
+        let mut scopes = vec![lower(&prepared.module_proto, &prepared.module.body)];
+        scopes.extend(prepared.protos.values().map(|p| lower(p, &p.body)));
+        scopes.into_iter().map(|c| (c.code, c.labels)).collect()
     }
 
     #[test]
-    fn a_standalone_tick_only_lands_steps_before_a_jump_target_or_the_end() {
+    fn a_standalone_tick_only_lands_steps_before_a_label_or_the_end() {
         let programs = [
             "x = 1\nif x:\n    pass\nelif x > 2:\n    x = 3\nelse:\n    pass\nprint(x)\n",
             "i = 0\nwhile i < 3:\n    i += 1\nelse:\n    pass\nprint(i)\n",
@@ -754,18 +746,13 @@ mod tests {
             "def g():\n    pass\n",
         ];
         for src in programs {
-            for code in compile_all(src) {
-                let mut targets = Vec::new();
-                for insn in &code.insns {
-                    let mut op = insn.op;
-                    for_each_target(&mut op, |t| targets.push(*t as usize));
-                }
+            for (code, labels) in compile_all(src) {
                 let last = code.insns.len().saturating_sub(1);
                 for (at, insn) in code.insns.iter().enumerate() {
                     if matches!(insn.op, Op::Tick) {
                         assert!(insn.steps > 0, "an empty tick at {at} in:\n{src}");
                         assert!(
-                            at == last || targets.contains(&(at + 1)),
+                            at == last || labels.contains(&idx32(at + 1, "instruction")),
                             "a tick at {at} that could ride on the next op in:\n{src}\n{:?}",
                             code.insns
                         );

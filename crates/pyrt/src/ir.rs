@@ -19,7 +19,7 @@
 //! bit-for-bit identical to the tree-walk oracle; pure stack
 //! construction carries none, so straight runs of literals batch.
 //! [`Op::Tick`] does nothing but settle: it is left only where steps
-//! must land before a jump target or at the end of a body.
+//! must land before a label or at the end of a body.
 //!
 //! Statements and expressions whose semantics are deep and cold
 //! (`try`/`with`/`class`/imports/`del`, list comprehensions) compile to
