@@ -4,6 +4,8 @@
 //! every performance claim about the service itself is measured with
 //! the `profibench` ledger instead.
 
+#![forbid(unsafe_code)]
+
 use faultdsl::{FaultModel, SpecSource};
 use std::hint::black_box;
 use std::time::{Duration, Instant};

@@ -283,6 +283,7 @@ impl ApiServer {
             Some(
                 std::thread::Builder::new()
                     .name("campaign-drive".into())
+                    .stack_size(pyrt::interp::STACK_BYTES)
                     .spawn(move || drive_loop(&drive_state, &drive_stop))
                     .expect("spawn drive thread"),
             )

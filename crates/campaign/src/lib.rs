@@ -52,6 +52,8 @@
 //! assert!(report.executed > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod api;
 pub mod cache;
 pub mod checkpoint;

@@ -50,6 +50,8 @@
 //! and completion funnels through the engine's single-node `checkin`
 //! path.
 
+#![forbid(unsafe_code)]
+
 pub mod coordinator;
 pub mod server;
 pub mod standby;

@@ -235,6 +235,7 @@ impl WorkerAgent {
         let main_stop = stop.clone();
         let main = std::thread::Builder::new()
             .name(id.clone())
+            .stack_size(pyrt::interp::STACK_BYTES)
             .spawn(move || run_loop(&config, &registry, &pool, &session, &main_stop))
             .expect("spawn worker thread");
 

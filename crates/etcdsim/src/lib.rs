@@ -40,6 +40,8 @@
 //! assert!(body.contains("VALUE hello"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod errors;
 pub mod host;
 pub mod network;

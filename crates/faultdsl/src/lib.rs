@@ -45,6 +45,8 @@
 //! assert_eq!(spec.pattern.len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod glob;
 pub mod library;
 pub mod model_io;

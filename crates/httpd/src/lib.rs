@@ -38,6 +38,8 @@
 //! # let _ = addr;
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod client;
 mod conn;
 mod event_loop;

@@ -30,6 +30,8 @@
 //! assert_eq!(points.len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod matcher;
 pub mod mutator;
 pub mod persist;

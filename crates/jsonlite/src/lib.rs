@@ -31,6 +31,8 @@
 //! valid prefix, rewrite = `replace`). No other crate opens a state file
 //! for writing.
 
+#![forbid(unsafe_code)]
+
 pub mod durable;
 
 use std::collections::BTreeMap;

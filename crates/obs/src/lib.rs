@@ -17,6 +17,8 @@
 //! provides the primitives every layer (httpd, campaign engine,
 //! cluster) instruments itself with.
 
+#![forbid(unsafe_code)]
+
 pub mod log;
 pub mod metrics;
 

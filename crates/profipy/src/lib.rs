@@ -34,6 +34,8 @@
 //! assert!(!points.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod case_study;
 pub mod plan;

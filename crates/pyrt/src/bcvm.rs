@@ -453,9 +453,9 @@ fn call_from_stack(
         Value::Func(f) => {
             // The general path's first check too, whatever the shape.
             interp::check_depth(vm)?;
-            if let Some(frame) = interp::positional_frame(vm, f, &stack[first..]) {
+            if let Some(call) = interp::positional_call(vm, f, &stack[first..]) {
                 stack.truncate(callee);
-                return interp::run_frame(vm, frame);
+                return interp::run_frame(vm, call);
             }
         }
         Value::Native(n) => {

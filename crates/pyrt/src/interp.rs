@@ -17,10 +17,17 @@ use std::sync::Arc;
 /// Maximum Python call depth before `RuntimeError: maximum recursion
 /// depth exceeded`. Slot-resolved frames shrank the per-Python-frame
 /// footprint (no per-call `Vec<String>` clones, no scope allocation for
-/// leaf functions), so the budget is double the original 32 while still
-/// fitting a debug-build test thread's 2 MB stack; runaway mutants
-/// still fail fast.
+/// leaf functions), so the budget is double the original 32; runaway
+/// mutants still fail fast. Sized together with [`STACK_BYTES`].
 const MAX_DEPTH: u32 = 64;
+
+/// The stack the threads that run the interpreter are spawned with:
+/// executor workers, the campaign service's drive thread and a fleet
+/// worker's loop thread. [`MAX_DEPTH`] frames, each evaluating an
+/// expression nested as deep as the parser admits, overflow std's
+/// 2 MiB default under either engine; `tests/stack_depth.rs` pins that
+/// they end in `RuntimeError` on this stack.
+pub const STACK_BYTES: usize = 32 * 1024 * 1024;
 
 /// Storage for a frame's local bindings.
 pub enum FrameLocals {
@@ -33,22 +40,24 @@ pub enum FrameLocals {
 }
 
 /// An activation record.
-pub struct Frame {
+pub struct Frame<'p> {
     /// Module globals.
     pub globals: ScopeRef,
     /// Local bindings.
     pub locals: FrameLocals,
     /// The prepared prototype for this scope (resolution table, slot
-    /// layout, `global` declarations, traceback name).
-    pub proto: Arc<FuncProto>,
+    /// layout, `global` declarations, traceback name), borrowed from
+    /// whoever holds it while the frame runs: [`run_frame`] for a call,
+    /// the caller for a module or class body.
+    pub proto: &'p Arc<FuncProto>,
     /// Captured enclosing scopes, innermost last (shared with the
     /// function object the frame was built from).
     pub captured: Rc<[ScopeRef]>,
 }
 
-impl Frame {
+impl Frame<'_> {
     /// A module-level frame backed by a prepared module prototype.
-    pub fn prepared_module(globals: ScopeRef, proto: Arc<FuncProto>) -> Frame {
+    pub fn prepared_module(globals: ScopeRef, proto: &Arc<FuncProto>) -> Frame<'_> {
         Frame {
             globals,
             locals: FrameLocals::Module,
@@ -243,7 +252,7 @@ pub(crate) fn exec_stmt(vm: &mut Vm, frame: &mut Frame, stmt: &Stmt) -> Result<F
                 let mut class_frame = Frame {
                     globals: frame.globals.clone(),
                     locals: FrameLocals::Dynamic(class_scope.clone()),
-                    proto: class_proto,
+                    proto: &class_proto,
                     captured: frame.captured.clone(),
                 };
                 exec_block(vm, &mut class_frame, body)?;
@@ -1014,12 +1023,12 @@ pub fn call_function(
     // address-stable, and `bind_params` only allocates, never runs user
     // code).
     let positional = if kwargs.is_empty() {
-        positional_frame(vm, func, &args)
+        positional_call(vm, func, &args)
     } else {
         None
     };
-    let frame = match positional {
-        Some(frame) => frame,
+    let call = match positional {
+        Some(call) => call,
         None => {
             let f = vm.heap.func(func);
             let locals = if f.proto.dynamic {
@@ -1027,14 +1036,14 @@ pub fn call_function(
             } else {
                 FrameLocals::Slots(pooled_slots(vm, f.proto.slots.len()))
             };
-            let mut frame = frame_of(f, locals);
-            bind_params(&vm.heap, f, &mut args, &mut kwargs, &mut frame.locals)?;
-            frame
+            let mut call = activation_of(f, locals);
+            bind_params(&vm.heap, f, &mut args, &mut kwargs, &mut call.locals)?;
+            call
         }
     };
     vm.recycle_args(args);
     vm.recycle_kwargs(kwargs);
-    run_frame(vm, frame)
+    run_frame(vm, call)
 }
 
 /// `RuntimeError` once the Python call depth reaches [`MAX_DEPTH`]: the
@@ -1054,13 +1063,13 @@ pub(crate) fn check_depth(vm: &Vm) -> Result<(), PyExc> {
     Ok(())
 }
 
-/// The frame of a call that binds `args` one to one onto `func`'s
+/// The activation of a call that binds `args` one to one onto `func`'s
 /// parameters — a slot frame, exactly as many positional arguments as
 /// parameters, every parameter plain — or `None` for any other shape.
 /// The arguments are copied straight into the frame's slots, so the
 /// bytecode tier can bind from its operand stack.
 #[inline]
-pub(crate) fn positional_frame(vm: &Vm, func: u32, args: &[Value]) -> Option<Frame> {
+pub(crate) fn positional_call(vm: &Vm, func: u32, args: &[Value]) -> Option<Activation> {
     let f = vm.heap.func(func);
     let params = &f.proto.params;
     if f.proto.dynamic
@@ -1073,7 +1082,7 @@ pub(crate) fn positional_frame(vm: &Vm, func: u32, args: &[Value]) -> Option<Fra
     for (p, &v) in params.iter().zip(args) {
         slots[p.slot as usize] = Some(v);
     }
-    Some(frame_of(f, FrameLocals::Slots(slots)))
+    Some(activation_of(f, FrameLocals::Slots(slots)))
 }
 
 /// An all-unbound slot vector, recycled through the VM so small calls
@@ -1084,35 +1093,46 @@ fn pooled_slots(vm: &Vm, len: usize) -> Vec<Option<Value>> {
     slots
 }
 
-fn frame_of(f: &FuncObj, locals: FrameLocals) -> Frame {
-    Frame {
-        globals: f.globals.clone(),
-        locals,
+/// A bound call of a user-defined function, before it runs: what its
+/// [`Frame`] will hold, with the prototype owned.
+pub(crate) struct Activation {
+    /// The call's one clone of the function's prototype, which
+    /// [`run_frame`] lends to the frame and to the compiled code.
+    proto: Arc<FuncProto>,
+    globals: ScopeRef,
+    captured: Rc<[ScopeRef]>,
+    locals: FrameLocals,
+}
+
+fn activation_of(f: &FuncObj, locals: FrameLocals) -> Activation {
+    Activation {
         proto: f.proto.clone(),
+        globals: f.globals.clone(),
         captured: f.captured.clone(),
+        locals,
     }
 }
 
-/// Runs a bound function frame through the configured engine: the
-/// second half of [`call_function`], after [`check_depth`] and binding.
+/// Runs a bound call through the configured engine: the second half of
+/// [`call_function`], after [`check_depth`] and binding.
 ///
 /// # Errors
 ///
 /// Propagates the body's [`PyExc`], with the frame's name added to its
 /// traceback.
-pub(crate) fn run_frame(vm: &mut Vm, mut frame: Frame) -> Result<Value, PyExc> {
+pub(crate) fn run_frame(vm: &mut Vm, call: Activation) -> Result<Value, PyExc> {
+    let proto = call.proto;
+    let mut frame = Frame {
+        globals: call.globals,
+        locals: call.locals,
+        proto: &proto,
+        captured: call.captured,
+    };
     // All heap borrows dropped; run the body with `&mut Vm`.
     vm.depth.set(vm.depth.get() + 1);
     let result = if vm.engine() == crate::vm::Engine::Bytecode {
-        // SAFETY: the compiled code lives in the proto's `OnceLock`,
-        // which is never replaced once set, and `frame.proto` keeps the
-        // prototype (and therefore the code `Arc`) alive for the whole
-        // call. Detaching the borrow from `frame` lets `run` take
-        // `&mut frame` without an Arc round-trip on every call.
-        let code: *const crate::ir::CodeObject = crate::compile::func_code(&frame.proto);
-        crate::bcvm::run(vm, &mut frame, unsafe { &*code })
+        crate::bcvm::run(vm, &mut frame, crate::compile::func_code(&proto))
     } else {
-        let proto = frame.proto.clone();
         match exec_block(vm, &mut frame, &proto.body) {
             Ok(Flow::Return(v)) => Ok(v),
             Ok(_) => Ok(Value::None),
@@ -1120,12 +1140,11 @@ pub(crate) fn run_frame(vm: &mut Vm, mut frame: Frame) -> Result<Value, PyExc> {
         }
     };
     vm.depth.set(vm.depth.get() - 1);
-    if let FrameLocals::Slots(mut slots) = std::mem::replace(&mut frame.locals, FrameLocals::Module)
-    {
+    if let FrameLocals::Slots(mut slots) = frame.locals {
         slots.clear();
         vm.slot_pool.borrow_mut().push(slots);
     }
-    result.map_err(|e| e.with_frame(&frame.proto.name))
+    result.map_err(|e| e.with_frame(&proto.name))
 }
 
 /// Executes a module-level scope body through the configured engine.
@@ -1136,8 +1155,7 @@ pub(crate) fn run_frame(vm: &mut Vm, mut frame: Frame) -> Result<Value, PyExc> {
 /// Propagates any raised [`PyExc`].
 pub(crate) fn exec_entry(vm: &mut Vm, frame: &mut Frame, body: &[Stmt]) -> Result<Flow, PyExc> {
     if vm.engine() == crate::vm::Engine::Bytecode {
-        let proto = frame.proto.clone();
-        let code = crate::compile::module_code(&proto, body);
+        let code = crate::compile::module_code(frame.proto, body);
         return crate::bcvm::run(vm, frame, code).map(Flow::Return);
     }
     exec_block(vm, frame, body)

@@ -46,6 +46,8 @@
 //! assert_eq!(vm.stdout(), "5\n");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bcvm;
 pub mod builtins;
 pub mod clock;

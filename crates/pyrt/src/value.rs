@@ -12,7 +12,7 @@
 use crate::intern::{intern, try_intern, Symbol};
 use crate::prepare::FuncProto;
 use std::borrow::Cow;
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -57,29 +57,36 @@ pub enum Value {
     Module(u32),
 }
 
-/// Entries per slab chunk. Chunked storage keeps allocated objects at
-/// fixed addresses (so `get` can hand out references that stay valid
-/// for the heap's lifetime) while amortizing allocator calls.
-const SLAB_CHUNK: usize = 256;
-
 /// An append-only typed arena: `alloc` hands out dense sequential
 /// `u32` ids, `get` resolves an id to a reference that stays valid
 /// until the slab is dropped. Interior-mutable (`alloc` takes `&self`)
 /// so any `&Vm`/`&Heap` context can create objects.
+///
+/// Chunk *k*, created on first use, holds `256 << k` write-once cells,
+/// so the 25 chunks cover every `u32` id and a slab is never more than
+/// twice what it holds. A created chunk never moves and a set cell is
+/// never replaced, which is what lets `get` lend `&T` for as long as
+/// `&self` lives.
 struct Slab<T> {
-    /// Raw chunk pointers (not `Box`/`Vec` elements, so outstanding
-    /// `get` references are never invalidated by spine reallocation or
-    /// aliased by a uniquely-borrowed owner).
-    chunks: RefCell<Vec<*mut T>>,
+    chunks: [OnceCell<Box<[OnceCell<T>]>>; 25],
     len: Cell<u32>,
 }
 
 impl<T> Slab<T> {
     fn new() -> Slab<T> {
         Slab {
-            chunks: RefCell::new(Vec::new()),
+            chunks: std::array::from_fn(|_| OnceCell::new()),
             len: Cell::new(0),
         }
+    }
+
+    /// The chunk and offset of `id`: ids `256·(2^k − 1) ..
+    /// 256·(2^(k+1) − 1)` live in chunk `k`.
+    #[inline]
+    fn locate(id: u32) -> (usize, usize) {
+        let n = u64::from(id) + 256;
+        let log = 63 - n.leading_zeros();
+        (log as usize - 8, (n - (1 << log)) as usize)
     }
 
     /// Appends a value, returning its id. Ids are sequential and never
@@ -88,55 +95,21 @@ impl<T> Slab<T> {
     /// reprs engine-independent).
     fn alloc(&self, value: T) -> u32 {
         let id = self.len.get();
-        let idx = id as usize;
-        let (chunk_idx, offset) = (idx / SLAB_CHUNK, idx % SLAB_CHUNK);
-        let mut chunks = self.chunks.borrow_mut();
-        if chunk_idx == chunks.len() {
-            let mut chunk = Vec::<T>::with_capacity(SLAB_CHUNK);
-            let ptr = chunk.as_mut_ptr();
-            std::mem::forget(chunk);
-            chunks.push(ptr);
-        }
-        // SAFETY: `offset` is within the chunk's SLAB_CHUNK capacity
-        // and this slot has never been initialized — ids are handed out
-        // sequentially and never reused, so no live reference points at
-        // it and no previous value is overwritten.
-        unsafe { chunks[chunk_idx].add(offset).write(value) };
+        let (chunk, offset) = Slab::<T>::locate(id);
+        let fresh = || (0..256 << chunk).map(|_| OnceCell::new()).collect();
+        let cells = self.chunks[chunk].get_or_init(fresh);
+        assert!(cells[offset].set(value).is_ok(), "slab slot {id} set twice");
         self.len
             .set(id.checked_add(1).expect("slab full: u32 ids exhausted"));
         id
     }
 
-    /// Resolves an id. The returned reference stays valid for the
-    /// slab's whole lifetime (chunks never move and slots are never
-    /// dropped until the slab is), but is conservatively tied to
-    /// `&self`.
+    /// Resolves an id to its object.
     fn get(&self, id: u32) -> &T {
-        assert!(id < self.len.get(), "stale heap handle {id}");
-        let idx = id as usize;
-        let ptr = self.chunks.borrow()[idx / SLAB_CHUNK];
-        // SAFETY: the slot was initialized by `alloc` (id < len); the
-        // chunk allocation never moves and is only freed in `drop`, so
-        // the reference is valid for the slab's lifetime. The RefCell
-        // guard on the spine is released before returning, so `alloc`
-        // can run while references from `get` are outstanding — it only
-        // writes to never-referenced slots.
-        unsafe { &*ptr.add(idx % SLAB_CHUNK) }
-    }
-}
-
-impl<T> Drop for Slab<T> {
-    fn drop(&mut self) {
-        let chunks = self.chunks.get_mut();
-        let mut remaining = self.len.get() as usize;
-        for &ptr in chunks.iter() {
-            let live = remaining.min(SLAB_CHUNK);
-            // SAFETY: reconstructs the chunk Vec forgotten in `alloc`
-            // with its `live` initialized elements; dropping it drops
-            // the elements and frees the chunk allocation exactly once.
-            drop(unsafe { Vec::from_raw_parts(ptr, live, SLAB_CHUNK) });
-            remaining -= live;
-        }
+        let (chunk, offset) = Slab::<T>::locate(id);
+        let cells = self.chunks[chunk].get();
+        let value = cells.and_then(|cells| cells[offset].get());
+        value.unwrap_or_else(|| panic!("stale heap handle {id}"))
     }
 }
 
@@ -1239,12 +1212,28 @@ mod tests {
             _ => unreachable!(),
         };
         let early: *const _ = h.list(first);
-        // Push enough lists to span multiple chunks.
-        for i in 0..(SLAB_CHUNK as i64 * 3) {
+        // Push enough lists to fill chunks 0..=2 and open chunk 3.
+        for i in 0..1_800 {
             h.new_list(vec![Value::Int(i)]);
         }
         assert_eq!(early, h.list(first) as *const _, "slot address is stable");
         assert!(matches!(h.list(first).borrow()[0], Value::Int(42)));
+    }
+
+    #[test]
+    fn slab_chunks_double_and_cover_every_u32_id() {
+        let at = Slab::<()>::locate;
+        let firsts = [at(0), at(255), at(256), at(767), at(768)];
+        assert_eq!(firsts, [(0, 0), (0, 255), (1, 0), (1, 511), (2, 0)]);
+        assert_eq!(at(u32::MAX), (24, 255));
+    }
+
+    #[test]
+    #[should_panic(expected = "stale heap handle 3")]
+    fn unallocated_handle_panics() {
+        let h = Heap::new();
+        h.new_list(Vec::new());
+        h.list(3);
     }
 
     #[test]

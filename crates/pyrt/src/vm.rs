@@ -91,13 +91,26 @@ pub enum VmOutcome {
 /// like per-step advances; only the trip-step *prediction* divides).
 const TICK_BATCH: u64 = 64;
 
-/// Bound on each captured stream, stdout and stderr. The write that
-/// reaches it keeps what fits and is followed by [`TRUNCATED`]; every
-/// later write copies nothing.
+/// Bound on each captured stream, stdout and stderr, and on the bytes
+/// of the log messages. The write that reaches it keeps what fits and
+/// is followed by [`TRUNCATED`] (a [`LOG_TRUNCATED`] record for the
+/// log); every later write copies nothing.
 const CAPTURE_CAP: usize = 1 << 20;
 
 /// The line that ends a stream cut at [`CAPTURE_CAP`].
 const TRUNCATED: &str = "\n[output truncated at 1 MiB]\n";
+
+/// The message of the record that ends a log cut at [`CAPTURE_CAP`].
+const LOG_TRUNCATED: &str = "[log truncated at 1 MiB]";
+
+/// The length of the longest prefix of `text`, at most `room` bytes,
+/// that ends on a char boundary.
+fn fitting(text: &str, mut room: usize) -> usize {
+    while !text.is_char_boundary(room) {
+        room -= 1;
+    }
+    room
+}
 
 /// Appends `text` to a captured stream, up to [`CAPTURE_CAP`].
 fn capture(stream: &RefCell<String>, text: &str) {
@@ -107,10 +120,7 @@ fn capture(stream: &RefCell<String>, text: &str) {
     } else if stream.len() <= CAPTURE_CAP {
         // Cut at a char boundary; the marker takes the stream past the
         // cap, which is how a later write knows it is closed.
-        let mut room = CAPTURE_CAP - stream.len();
-        while !text.is_char_boundary(room) {
-            room -= 1;
-        }
+        let room = fitting(text, CAPTURE_CAP - stream.len());
         stream.push_str(&text[..room]);
         stream.push_str(TRUNCATED);
     }
@@ -224,6 +234,9 @@ pub struct Vm {
     stdout: RefCell<String>,
     stderr: RefCell<String>,
     logs: RefCell<Vec<LogRecord>>,
+    /// Message bytes logged since the log was last taken; past
+    /// [`CAPTURE_CAP`] the log is closed.
+    log_bytes: Cell<usize>,
     coverage: RefCell<BTreeSet<u64>>,
     /// Builtin namespace.
     pub(crate) builtins: ScopeRef,
@@ -292,6 +305,7 @@ impl Vm {
             stdout: RefCell::new(String::new()),
             stderr: RefCell::new(String::new()),
             logs: RefCell::new(Vec::new()),
+            log_bytes: Cell::new(0),
             coverage: RefCell::new(BTreeSet::new()),
             builtins: Scope::new_ref(),
             exc_classes: RefCell::new(HashMap::new()),
@@ -405,7 +419,7 @@ impl Vm {
                 ));
             }
             self.importing.borrow_mut().push(name.to_string());
-            let result = self.execute_module_namespace(name, &pm.module, pm.module_proto.clone());
+            let result = self.execute_module_namespace(name, &pm.module, &pm.module_proto);
             self.importing.borrow_mut().pop();
             let namespace = result?;
             self.modules
@@ -423,7 +437,7 @@ impl Vm {
         &mut self,
         name: &str,
         source: &pysrc::Module,
-        proto: Arc<FuncProto>,
+        proto: &Arc<FuncProto>,
     ) -> Result<u32, PyExc> {
         let globals = Scope::new_ref();
         let prev = std::mem::replace(&mut *self.current_component.borrow_mut(), name.to_string());
@@ -453,7 +467,7 @@ impl Vm {
     pub fn run_module(&mut self, module: &pysrc::Module) -> Result<(), PyExc> {
         let (module_proto, protos) = prepare::prepare_ast(module);
         self.protos.borrow_mut().extend(protos);
-        self.run_module_body(module, module_proto)
+        self.run_module_body(module, &module_proto)
     }
 
     /// Runs an already-prepared module as the `__main__` program,
@@ -464,13 +478,13 @@ impl Vm {
     /// Returns the uncaught [`PyExc`] (see [`Vm::run_module`]).
     pub fn run_prepared(&mut self, prepared: &PreparedModule) -> Result<(), PyExc> {
         self.install_prepared(prepared);
-        self.run_module_body(&prepared.module, prepared.module_proto.clone())
+        self.run_module_body(&prepared.module, &prepared.module_proto)
     }
 
     fn run_module_body(
         &mut self,
         module: &pysrc::Module,
-        proto: Arc<FuncProto>,
+        proto: &Arc<FuncProto>,
     ) -> Result<(), PyExc> {
         let globals = Scope::new_ref();
         let prev = std::mem::replace(
@@ -544,6 +558,7 @@ impl Vm {
 
     /// Moves the captured log records out.
     pub fn take_logs(&self) -> Vec<LogRecord> {
+        self.log_bytes.set(0);
         self.logs.take()
     }
 
@@ -557,14 +572,30 @@ impl Vm {
         self.logs.borrow().clone()
     }
 
-    /// Emits a log record attributed to the current component.
+    /// Emits a log record attributed to the current component, its
+    /// message charged against [`CAPTURE_CAP`].
     pub fn log(&self, severity: Severity, message: impl Into<String>) {
-        self.logs.borrow_mut().push(LogRecord {
+        let logged = self.log_bytes.get();
+        if logged > CAPTURE_CAP {
+            return;
+        }
+        let mut message = message.into();
+        self.log_bytes.set(logged + message.len());
+        let cut = logged + message.len() > CAPTURE_CAP;
+        if cut {
+            message.truncate(fitting(&message, CAPTURE_CAP - logged));
+        }
+        let record = |severity, message| LogRecord {
             time: self.now(),
             severity,
             component: self.current_component.borrow().clone(),
-            message: message.into(),
-        });
+            message,
+        };
+        let mut logs = self.logs.borrow_mut();
+        logs.push(record(severity, message));
+        if cut {
+            logs.push(record(Severity::Warning, LOG_TRUNCATED.to_string()));
+        }
     }
 
     /// Marks a fault-injection point as covered (coverage

@@ -1,6 +1,6 @@
 //! The deepest source the parser admits (`pysrc::parser::MAX_NESTING`)
 //! passes through everything that walks its tree on a 2 MB thread, the
-//! stack the HTTP workers and the campaign drive thread have: prepare,
+//! stack the HTTP workers have: prepare,
 //! compile, a bytecode run, and unparse back to text that parses to the
 //! same text again.
 

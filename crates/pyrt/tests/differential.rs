@@ -444,3 +444,28 @@ fn runaway_output_is_capped_under_both_engines() {
     );
     assert!(out.ends_with(MARKER));
 }
+
+/// A program that logs without end is stopped by its fuel with its log
+/// messages cut at the same 1 MiB cap and closed by one marker record,
+/// under both engines alike.
+#[test]
+fn runaway_logging_is_capped_under_both_engines() {
+    const CAP: usize = 1 << 20;
+    const MARKER: &str = "[log truncated at 1 MiB]";
+    let src = "import logging\ns = 'x' * 400000\nwhile True:\n    logging.info(s)\n";
+    let messages = |engine| {
+        let module = pysrc::parse_module(src, "diff.py").expect("parses");
+        let mut vm = Vm::new();
+        vm.set_engine(engine);
+        vm.fuel.refill(100);
+        let error = vm.run_module(&module).expect_err("the fuel stops the loop");
+        assert_eq!(error.class_name, "ProfipyFuelExhausted");
+        let logs = vm.take_logs();
+        logs.into_iter().map(|r| r.message).collect::<Vec<_>>()
+    };
+    let logged = messages(Engine::Bytecode);
+    assert_eq!(logged, messages(Engine::TreeWalk));
+    let bytes: usize = logged.iter().map(String::len).sum();
+    assert!(bytes <= CAP + MARKER.len(), "log grew to {bytes} bytes");
+    assert_eq!(logged.last().map(String::as_str), Some(MARKER));
+}

@@ -19,6 +19,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod error;
 pub mod lexer;

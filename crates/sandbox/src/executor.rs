@@ -18,9 +18,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 
-/// Worker stack size: the tree-walking interpreter is recursion-heavy.
-const WORKER_STACK_BYTES: usize = 32 * 1024 * 1024;
-
 /// A dynamic source of jobs drained by the worker pool. Implementations
 /// must hand out each job exactly once; `None` permanently ends the
 /// stream for the asking worker.
@@ -112,8 +109,7 @@ impl ParallelExecutor {
     }
 
     /// Runs `jobs` independent experiments in parallel, preserving
-    /// result order. Each worker thread gets a 32 MB stack (the
-    /// tree-walking interpreter is recursion-heavy).
+    /// result order, the way [`ParallelExecutor::run_stream`] runs them.
     ///
     /// # Panics
     ///
@@ -147,6 +143,10 @@ impl ParallelExecutor {
     /// `jobs_hint` bounds pool size for small batches; pass
     /// `usize::MAX` when the stream length is unknown.
     ///
+    /// Workers are spawned with [`pyrt::interp::STACK_BYTES`] of stack.
+    /// With one worker no thread is spawned: every job runs on the
+    /// calling thread, whose stack is the caller's to size.
+    ///
     /// # Panics
     ///
     /// Panics if a worker panics.
@@ -170,7 +170,7 @@ impl ParallelExecutor {
             for _ in 0..workers {
                 let tx = tx.clone();
                 std::thread::Builder::new()
-                    .stack_size(WORKER_STACK_BYTES)
+                    .stack_size(pyrt::interp::STACK_BYTES)
                     .spawn_scoped(scope, move || {
                         while let Some(job) = stream.next_job() {
                             if tx.send(run(job)).is_err() {

@@ -18,6 +18,8 @@
 //! * [`executor::ParallelExecutor`] — up to N−1 parallel experiments on
 //!   an N-core host, with memory/IO back-off thresholds (§IV-B, ref.\[52\]).
 
+#![forbid(unsafe_code)]
+
 pub mod container;
 pub mod executor;
 pub mod image;

@@ -27,6 +27,8 @@
 //! fleet execution — the same invariant the cluster crate holds for
 //! individual campaigns, extended to the whole matrix.
 
+#![forbid(unsafe_code)]
+
 pub mod api;
 pub mod broker;
 pub mod catalog;

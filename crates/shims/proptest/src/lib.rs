@@ -11,6 +11,8 @@
 //! failing case reports its inputs via `Debug` where available and its
 //! case number always.
 
+#![forbid(unsafe_code)]
+
 pub mod strategy;
 pub mod test_runner;
 

@@ -10,6 +10,8 @@
 //! `rand`; nothing in the workspace depends on upstream streams, only on
 //! per-seed determinism.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// Core RNG interface: a source of uniform 64-bit words.

@@ -18,6 +18,8 @@
 //! * [`synth`] — deterministic generator of large mini-Python corpora
 //!   standing in for the OpenStack scan target of §V-D (400 kLoC).
 
+#![forbid(unsafe_code)]
+
 pub mod python_etcd;
 pub mod synth;
 pub mod workloads;

@@ -19,6 +19,8 @@
 //! assert!(art.contains("PUT /v2/keys/a"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod json;
 pub mod store;
 

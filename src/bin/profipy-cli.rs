@@ -28,6 +28,8 @@
 //! / `PROFIPY_LOG=<path>`) enables it; `PROFIPY_LOG_LEVEL` picks the
 //! threshold (debug|info|warn|error|off).
 
+#![forbid(unsafe_code)]
+
 use campaign::{ApiConfig, ApiServer, CampaignService, EngineConfig, HostRegistry, SharedService};
 use cluster::{FleetConfig, FleetServer, StandbyConfig, StandbyServer, WorkerAgent, WorkerConfig};
 use profipy::case_study::{

@@ -3,5 +3,8 @@
 //! The public API lives in the [`profipy`] crate; the multi-user
 //! orchestration layer (persistent queue, checkpoints, cross-campaign
 //! cache) lives in the [`campaign`] crate.
+
+#![forbid(unsafe_code)]
+
 pub use campaign;
 pub use profipy;
