@@ -62,7 +62,11 @@ fn run_to_end(client: &mut httpd::Client, spec: &CampaignSpec) -> jsonlite::Valu
         .post_json("/api/campaigns", &spec.to_json())
         .expect("submit");
     assert_eq!(resp.status, 201, "{}", resp.text());
-    let id = jsonlite::parse(&resp.text()).unwrap().req_str("id").unwrap().to_string();
+    let id = jsonlite::parse(&resp.text())
+        .unwrap()
+        .req_str("id")
+        .unwrap()
+        .to_string();
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
         let status = client.get(&format!("/api/campaigns/{id}")).expect("poll");
@@ -91,12 +95,19 @@ fn deepest_recursion_ends_in_runtime_error_on_a_one_worker_server() {
     let pruned = run_to_end(&mut client, &spec("pruned", true));
     assert_eq!(pruned.req_str("state").unwrap(), "failed", "{pruned:?}");
     let error = pruned.req_str("error").unwrap();
-    assert!(error.contains("maximum recursion depth exceeded"), "{error}");
+    assert!(
+        error.contains("maximum recursion depth exceeded"),
+        "{error}"
+    );
 
     // Without pruning each experiment records it as the workload's
     // failure, and the campaign completes.
     let unpruned = run_to_end(&mut client, &spec("unpruned", false));
-    assert_eq!(unpruned.req_str("state").unwrap(), "completed", "{unpruned:?}");
+    assert_eq!(
+        unpruned.req_str("state").unwrap(),
+        "completed",
+        "{unpruned:?}"
+    );
 
     assert_eq!(client.get("/healthz").expect("healthz").status, 200);
     api.shutdown();

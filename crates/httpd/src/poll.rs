@@ -5,11 +5,11 @@
 //! `std` links libc but wraps no readiness call, so this module
 //! declares `poll` itself — the crate's only foreign function and the
 //! workspace's only `unsafe` block (the crate root denies `unsafe_code`,
-//! and [`wait`] alone allows it). Everything else about readiness stays in safe code:
-//! the loop treats a return as "something may be ready" and attempts
-//! nonblocking I/O on every registered connection, so which descriptor
-//! fired is never read back (only whether the wake end did, for the
-//! wake-up cause counter).
+//! and [`wait`] alone allows it). Everything else about readiness stays
+//! in safe code: the loop treats a return as "something may be ready"
+//! and attempts nonblocking I/O on every registered connection, so which
+//! descriptor fired is never read back (only whether the wake end did,
+//! for the wake-up cause counter).
 
 use std::io::{self, Write};
 use std::os::fd::RawFd;
@@ -66,7 +66,7 @@ extern "C" {
 ///
 /// The OS error, `Interrupted` included — callers treat that one as a
 /// spurious wake-up.
-#[allow(unsafe_code)] // The workspace's one `unsafe` block; the crate root denies the rest.
+#[allow(unsafe_code)]
 pub(crate) fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
     // Round up, and one more: a wait that ends a fraction of a
     // millisecond before its deadline would be followed by zero-length

@@ -23,7 +23,7 @@ const MAX_DEPTH: u32 = 64;
 
 /// The stack the threads that run the interpreter are spawned with:
 /// executor workers, the campaign service's drive thread and a fleet
-/// worker's loop thread. [`MAX_DEPTH`] frames, each evaluating an
+/// worker's loop thread. `MAX_DEPTH` frames, each evaluating an
 /// expression nested as deep as the parser admits, overflow std's
 /// 2 MiB default under either engine; `tests/stack_depth.rs` pins that
 /// they end in `RuntimeError` on this stack.
@@ -47,7 +47,7 @@ pub struct Frame<'p> {
     pub locals: FrameLocals,
     /// The prepared prototype for this scope (resolution table, slot
     /// layout, `global` declarations, traceback name), borrowed from
-    /// whoever holds it while the frame runs: [`run_frame`] for a call,
+    /// whoever holds it while the frame runs: `run_frame` for a call,
     /// the caller for a module or class body.
     pub proto: &'p Arc<FuncProto>,
     /// Captured enclosing scopes, innermost last (shared with the

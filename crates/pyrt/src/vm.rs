@@ -573,7 +573,9 @@ impl Vm {
     }
 
     /// Emits a log record attributed to the current component, its
-    /// message charged against [`CAPTURE_CAP`].
+    /// message charged against the 1 MiB capture cap: the record that
+    /// reaches it keeps what fits and is followed by one marker record,
+    /// and later records are dropped until the log is taken.
     pub fn log(&self, severity: Severity, message: impl Into<String>) {
         let logged = self.log_bytes.get();
         if logged > CAPTURE_CAP {

@@ -41,7 +41,8 @@ fn run_on_interpreter_stack(module: pysrc::Module, engine: Engine) -> pyrt::PyEx
             let mut vm = Vm::new();
             vm.set_engine(engine);
             vm.fuel.refill(1_000_000);
-            vm.run_module(&module).expect_err("recursion without a base case")
+            vm.run_module(&module)
+                .expect_err("recursion without a base case")
         })
         .unwrap()
         .join()

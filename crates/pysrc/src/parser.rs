@@ -1502,7 +1502,7 @@ mod tests {
     }
 
     /// Runs `f` on a thread with the 2 MB stack that the HTTP workers
-    /// and the campaign drive thread have.
+    /// have.
     fn on_2mb_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
         std::thread::Builder::new()
             .stack_size(2 << 20)
