@@ -17,7 +17,7 @@
 //! re-scans".
 //!
 //! The memory tier is **bounded**: an LRU over cache keys under
-//! [`CACHE_BUDGET_BYTES`]. A store that takes the total past the budget
+//! `CACHE_BUDGET_BYTES`. A store that takes the total past the budget
 //! evicts whole entries, least recently used first, never the one
 //! being stored into — so a campaign larger than the budget stays
 //! whole while it is the one running. An evicted revision that returns

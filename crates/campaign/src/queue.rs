@@ -36,7 +36,7 @@ pub enum JobState {
 }
 
 impl JobState {
-    /// Every state, in [`JobState::index`] order.
+    /// Every state, in `JobState::index` order.
     pub const ALL: [JobState; 5] = [
         JobState::Queued,
         JobState::Running,
@@ -164,7 +164,7 @@ pub struct FinishedJob {
 /// it stays forever as a [`FinishedJob`]. Nothing on the scheduling
 /// path may scan either map: `queued` indexes the jobs waiting for a
 /// slot and `counts` tallies every state, both maintained by the one
-/// place a state changes ([`JobQueue::set_state`]). The tally is a gauge
+/// place a state changes (`JobQueue::set_state`). The tally is a gauge
 /// per state, so a metrics scrape reads it without the queue.
 pub struct JobQueue {
     dir: Option<PathBuf>,

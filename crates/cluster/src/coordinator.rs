@@ -759,8 +759,21 @@ impl Coordinator {
     fn activate_next_campaign(&self) -> Result<bool, FleetError> {
         loop {
             let checked = {
-                let mut service = self.service.lock();
-                match service.checkout_next() {
+                let mut guard = self.service.lock();
+                let service = &mut *guard;
+                // Checking out prepares the campaign, its fault-free
+                // coverage run included: user code, run on a stack of
+                // the interpreter's size rather than on the caller's
+                // (a lease handler's `httpd` worker thread).
+                let checkout = std::thread::scope(|s| {
+                    std::thread::Builder::new()
+                        .name("fleet-checkout".into())
+                        .stack_size(pyrt::interp::STACK_BYTES)
+                        .spawn_scoped(s, || service.checkout_next())
+                        .map(|t| t.join())
+                        .map_err(FleetError::Io)
+                })?;
+                match checkout.unwrap_or_else(|panic| std::panic::resume_unwind(panic)) {
                     Ok(Some(checkout)) if checkout.pending.is_empty() => {
                         service.checkin(checkout).map_err(FleetError::Engine)?;
                         continue;

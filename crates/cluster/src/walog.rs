@@ -22,7 +22,7 @@
 //! orphaning the work (see `Coordinator::recover`). Like the checkpoint
 //! log, a torn tail from a crash mid-append is detected and dropped;
 //! every complete event before it still counts. The log compacts to a
-//! single snapshot line on open and every [`SNAPSHOT_EVERY`] events, so
+//! single snapshot line on open and every `SNAPSHOT_EVERY` events, so
 //! heartbeat-extension noise cannot grow it without bound.
 //!
 //! Deadlines are deliberately **not** persisted: wall-clock instants do

@@ -10,6 +10,7 @@ use crate::errors::EtcdError;
 use crate::network::Network;
 use crate::node::{EtcdNode, NodeState, ETCD_PORT};
 use pyrt::host::{HostApi, HttpResponse, TransportError};
+use pyrt::vm::CAPTURE_CAP;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::{Cell, RefCell};
@@ -30,6 +31,10 @@ const HOG_THREAD_CAP: u32 = 30;
 const STALE_READ_PROB_PER_THREAD: f64 = 0.06;
 /// Cap on the stale-read probability.
 const STALE_READ_PROB_MAX: f64 = 0.35;
+
+/// The event that follows the one whose method and path reach
+/// [`CAPTURE_CAP`].
+const EVENTS_TRUNCATED: &str = "[events truncated at 1 MiB]";
 
 /// One recorded API invocation (consumed by the trace/visualization
 /// pipeline, paper §IV-D).
@@ -59,6 +64,9 @@ pub struct EtcdHost {
     /// Last-overwritten value per key, feeding stale reads.
     stale: RefCell<BTreeMap<String, String>>,
     events: RefCell<Vec<ApiEvent>>,
+    /// Method and path bytes recorded in `events`; past [`CAPTURE_CAP`]
+    /// no event is recorded.
+    event_bytes: Cell<usize>,
     exec_log: RefCell<Vec<String>>,
 }
 
@@ -77,6 +85,7 @@ impl EtcdHost {
             hog_threads: Cell::new(0),
             stale: RefCell::new(BTreeMap::new()),
             events: RefCell::new(Vec::new()),
+            event_bytes: Cell::new(0),
             exec_log: RefCell::new(Vec::new()),
         }
     }
@@ -115,14 +124,29 @@ impl EtcdHost {
         self.node.borrow().store.len()
     }
 
+    /// Records one request, its method and path charged against
+    /// [`CAPTURE_CAP`]: the event that reaches the cap is kept and
+    /// followed by one marker event, whose method is
+    /// [`EVENTS_TRUNCATED`] (empty path, status 0), and later requests
+    /// are not recorded.
     fn record(&self, time: f64, method: &str, path: &str, status: u16, latency: f64) {
-        self.events.borrow_mut().push(ApiEvent {
+        let recorded = self.event_bytes.get();
+        if recorded > CAPTURE_CAP {
+            return;
+        }
+        self.event_bytes.set(recorded + method.len() + path.len());
+        let event = |method: &str, path: &str, status, latency| ApiEvent {
             time,
             method: method.to_string(),
             path: path.to_string(),
             status,
             latency,
-        });
+        };
+        let mut events = self.events.borrow_mut();
+        events.push(event(method, path, status, latency));
+        if self.event_bytes.get() > CAPTURE_CAP {
+            events.push(event(EVENTS_TRUNCATED, "", 0, 0.0));
+        }
     }
 
     fn latency(&self) -> f64 {

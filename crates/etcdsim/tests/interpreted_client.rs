@@ -211,3 +211,24 @@ fn trace_events_are_exposed_through_host_api() {
     assert!(events[1].failed, "404 is a failed span");
     assert!(events[1].name.contains("GET /v2/keys/missing"));
 }
+
+#[test]
+fn recorded_events_stop_at_the_capture_cap() {
+    let (vm, result) = run_with_server(concat!(
+        "import urllib\n",
+        "s = 'x' * 400000\n",
+        "for i in range(10):\n",
+        "    resp = urllib.request('GET', 'http://127.0.0.1:2379/v2/keys/' + s, None)\n",
+        "print(resp['status'])\n",
+    ));
+    result.unwrap();
+    assert_eq!(vm.stdout(), "404\n", "every request is still served");
+    let events = vm.host.trace_events();
+    // Three 400 KB paths reach the 1 MiB cap; the third is kept, one
+    // marker follows, and the other seven requests are not recorded.
+    assert_eq!(events.len(), 4, "events recorded");
+    assert!(events[..3].iter().all(|e| e.name.len() > 400_000));
+    assert_eq!(events[3].name.trim(), "[events truncated at 1 MiB]");
+    let bytes: usize = events.iter().map(|e| e.name.len()).sum();
+    assert!(bytes < 2 << 20, "{bytes} bytes of events");
+}

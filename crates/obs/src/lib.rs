@@ -8,7 +8,7 @@
 //!   label escaping). Registries are instantiable so every server gets
 //!   an isolated one; [`global()`] serves processes without a server
 //!   (e.g. the worker agent).
-//! * [`log`] — a leveled, structured JSONL event log behind the
+//! * [`log`](mod@log) — a leveled, structured JSONL event log behind the
 //!   [`log!`] macro, writing to stderr or a file
 //!   (`PROFIPY_LOG`/`PROFIPY_LOG_LEVEL`, or `--log-file`).
 //!

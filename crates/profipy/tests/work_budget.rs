@@ -6,9 +6,10 @@
 //! A's coverage run included) run through `Workflow::run_campaign`, and
 //! the deltas of `sandbox::heap_metrics()` around the run are pinned
 //! exactly: interpreter steps settled, bytecode entries into the tree
-//! walk per kind, and heap objects allocated per slab kind. So are the largest captured stdout, stderr and
-//! log of any one experiment. The interpreter and the simulated host
-//! are deterministic, so every figure repeats exactly; a change that
+//! walk per kind, and heap objects allocated per slab kind. So are the
+//! largest captured stdout, stderr, log and host events of any one
+//! experiment. The interpreter and the simulated host are
+//! deterministic, so every figure repeats exactly; a change that
 //! moves where or how often a step is charged moves a number printed
 //! below, and the budget is edited on purpose, never by drift.
 
@@ -30,6 +31,8 @@ struct Work {
     max_stderr: usize,
     /// Bytes of the log messages of one experiment.
     max_log: usize,
+    /// Bytes of the host event names of one experiment.
+    max_events: usize,
 }
 
 fn counters() -> (u64, [u64; 2], [u64; KINDS]) {
@@ -58,6 +61,7 @@ fn work_of(campaign: &Campaign) -> Work {
         max_stdout: max(&|r| r.stdout.len()).unwrap_or(0),
         max_stderr: max(&|r| r.stderr.len()).unwrap_or(0),
         max_log: max(&|r| r.logs.iter().map(|l| l.message.len()).sum()).unwrap_or(0),
+        max_events: max(&|r| r.events.iter().map(|e| e.name.len()).sum()).unwrap_or(0),
     }
 }
 
@@ -72,7 +76,7 @@ const BUDGET: [(&str, Work); 3] = [
             54_801,
             [461, 0],
             [3_123, 140, 192, 766, 0, 399, 0, 403, 24, 1_967, 115],
-            [0, 0, 1_540],
+            [0, 0, 1_540, 2_531],
         ),
     ),
     (
@@ -84,7 +88,7 @@ const BUDGET: [(&str, Work); 3] = [
             [
                 19_079, 1_023, 1_388, 5_769, 0, 1_643, 0, 1_643, 80, 12_085, 477,
             ],
-            [0, 0, 1_541],
+            [0, 0, 1_541, 2_532],
         ),
     ),
     (
@@ -94,19 +98,19 @@ const BUDGET: [(&str, Work); 3] = [
             280_875,
             [2_194, 0],
             [13_817, 744, 972, 4_044, 0, 1_395, 0, 1_395, 62, 8_845, 405],
-            [0, 0, 1_540],
+            [0, 0, 1_540, 2_531],
         ),
     ),
 ];
 
 /// Experiments, steps, `ExecStmt` / `EvalExpr` entries, objects per
-/// slab kind, and the largest stdout / stderr / log.
+/// slab kind, and the largest stdout / stderr / log / event bytes.
 const fn work(
     experiments: usize,
     steps: u64,
     trampolines: [u64; 2],
     objects: [u64; KINDS],
-    max: [usize; 3],
+    max: [usize; 4],
 ) -> Work {
     Work {
         experiments,
@@ -116,6 +120,7 @@ const fn work(
         max_stdout: max[0],
         max_stderr: max[1],
         max_log: max[2],
+        max_events: max[3],
     }
 }
 

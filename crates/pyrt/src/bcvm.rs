@@ -16,7 +16,7 @@
 //! Fast paths: a few instructions answer the hottest operand shapes
 //! inline — exact-arity positional calls of slot-frame functions bind
 //! straight from the operand stack and natives read their arguments as
-//! a slice of it ([`call_from_stack`]), an instance's
+//! a slice of it (`call_from_stack`), an instance's
 //! own attribute and an instance's class-chain method are read in
 //! place, `int` `+`/`-` and comparisons and `bool` jumps skip the
 //! generic operators. Each is chosen by what the instruction finds on

@@ -25,7 +25,7 @@
 //!   to the same trampoline, where the tree walk raises the internal
 //!   error — so there is one place that does.
 //!
-//! Compilation is cached on [`FuncProto::compiled`] (a `OnceLock`), so
+//! Compilation is cached on `FuncProto::compiled` (a `OnceLock`), so
 //! a prepared module shared across a campaign compiles each scope at
 //! most once, process-wide.
 

@@ -1,10 +1,23 @@
 //! Process-global string interner for identifiers.
 //!
-//! Every identifier the interpreter touches (variable names, attribute
-//! names, parameter names) becomes a [`Symbol`] exactly once, at
-//! parse/prepare time. From then on name comparison is a pointer
-//! compare and resolution back to text is a plain field read — no lock
-//! anywhere on the execution path.
+//! Every identifier the prepare pass resolves (variable, attribute,
+//! parameter and keyword names) becomes a [`Symbol`] there, one
+//! interner lookup per occurrence. Comparing such names at run time is a pointer compare and
+//! resolution back to text is a plain field read, with no lock.
+//!
+//! Not every name is resolved ahead, though. The binding forms the tree
+//! walk still executes by string take the interner's read lock at run
+//! time — under the bytecode engine too, through its trampolines:
+//!
+//! * `import` and `class` bind their name through [`intern`] (so does
+//!   `def` in the tree walk);
+//! * `except … as e` binds `e` the same way;
+//! * `del` of a name in a slot frame finds its slot by [`intern`];
+//! * `from … import` reads each name off the module with a
+//!   [`try_intern`] probe, then binds it through [`intern`].
+//!
+//! A name met first there takes the write lock once. Lowering these
+//! forms to bytecode is the place to resolve their names at prepare.
 //!
 //! Interned strings are leaked (`Box::leak`), which is the standard
 //! trade for `&'static str` resolution: the set of distinct
@@ -70,27 +83,6 @@ pub fn try_intern(s: &str) -> Option<Symbol> {
     interner().read().expect("interner poisoned").get(s).copied()
 }
 
-/// Bulk-interns a batch of strings under one write-lock acquisition —
-/// the prepare pass feeds every identifier of a module through this in
-/// one shot, so per-identifier `intern` calls during resolution all
-/// hit the shared read lock.
-pub fn intern_all<'a>(names: impl IntoIterator<Item = &'a str>) -> Vec<Symbol> {
-    let lock = interner();
-    let mut map = lock.write().expect("interner poisoned");
-    names
-        .into_iter()
-        .map(|s| {
-            if let Some(&sym) = map.get(s) {
-                return sym;
-            }
-            let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
-            let sym = Symbol(leaked);
-            map.insert(leaked, sym);
-            sym
-        })
-        .collect()
-}
-
 impl Symbol {
     /// The interned string — a plain field read, no lock.
     pub fn as_str(self) -> &'static str {
@@ -146,14 +138,6 @@ mod tests {
         assert_ne!(a, c);
         assert_eq!(a.as_str(), "alpha");
         assert_eq!(c.as_str(), "beta");
-    }
-
-    #[test]
-    fn bulk_intern_matches_single() {
-        let syms = intern_all(["x", "y", "x"]);
-        assert_eq!(syms[0], syms[2]);
-        assert_eq!(syms[0], intern("x"));
-        assert_eq!(syms[1], intern("y"));
     }
 
     #[test]

@@ -22,14 +22,31 @@ use std::sync::Arc;
 const MAX_DEPTH: u32 = 64;
 
 /// The stack the threads that run the interpreter are spawned with:
-/// executor workers, the campaign service's drive thread and a fleet
-/// worker's loop thread. `MAX_DEPTH` frames, each evaluating an
-/// expression nested as deep as the parser admits, overflow std's
-/// 2 MiB default under either engine; `tests/stack_depth.rs` pins that
-/// they end in `RuntimeError` on this stack.
+/// executor workers, the campaign service's drive thread, a fleet
+/// worker's loop thread and the thread a fleet coordinator checks a
+/// campaign out on (its coverage run). `MAX_DEPTH` frames, each
+/// evaluating an expression nested as deep as the parser admits,
+/// overflow std's 2 MiB default under either engine;
+/// `tests/stack_depth.rs` pins that they end in `RuntimeError` on this
+/// stack.
 pub const STACK_BYTES: usize = 32 * 1024 * 1024;
 
-/// Storage for a frame's local bindings.
+/// Storage for a frame's local bindings. The kind is decided once, when
+/// the scope is prepared ([`FuncProto::dynamic`], from the one walk
+/// over the scope's own statements in [`crate::prepare`]), and each
+/// kind has its reason to exist:
+///
+/// * `Module` — at module level the locals are the globals: there is
+///   nothing of the frame's own to store.
+/// * `Slots` — a function that nothing captures keeps its locals in a
+///   dense vector at the slots prepare assigned, so a read or write is
+///   an index.
+/// * `Dynamic` — a class body, whose locals become the class dict, or a
+///   function with a nested `def`, `lambda` or list comprehension: a
+///   closure captures the scope by reference, and a comprehension's
+///   target writes into it without becoming a readable local, so the
+///   locals live in a shared symbol-keyed scope. (So does the degenerate
+///   function with a parameter declared `global`, which has no slot.)
 pub enum FrameLocals {
     /// Module level: locals are the globals.
     Module,
@@ -149,14 +166,10 @@ pub(crate) fn exec_stmt(vm: &mut Vm, frame: &mut Frame, stmt: &Stmt) -> Result<F
         StmtKind::Import(aliases) => {
             for a in aliases {
                 let module = vm.import_module(&a.name)?;
-                let bound = a
-                    .alias
-                    .clone()
-                    .unwrap_or_else(|| a.name.split('.').next().unwrap_or(&a.name).to_string());
                 // For dotted imports without alias, Python binds the top
                 // package; our flat registry binds the imported module
                 // under the top segment.
-                write_name_str(frame, &bound, Value::Module(module));
+                write_name_str(frame, a.bound_name(), Value::Module(module));
             }
             Ok(Flow::Normal)
         }

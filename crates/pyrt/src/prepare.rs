@@ -1,7 +1,10 @@
 //! The one-shot prepare/resolve pass.
 //!
-//! Before a module executes, this pass walks its AST exactly once and
-//! resolves every identifier:
+//! Before a module executes, this pass resolves every identifier. It
+//! walks each scope's own statements twice: once for its
+//! `ScopeFacts` (what the scope binds, what it declares `global`,
+//! whether it needs dynamic locals), then once to resolve its names
+//! against them — and so on into each nested scope:
 //!
 //! * each `def`/`lambda`/`class` body becomes a [`FuncProto`] — name,
 //!   parameter slots, `global` declarations, and an [`Arc`]-shared body
@@ -178,7 +181,7 @@ pub fn source_hash64(text: &str) -> u64 {
     crate::value::fnv1a(text.as_bytes())
 }
 
-/// Prepares a module for execution (one AST walk), producing the
+/// Prepares a module for execution, producing the
 /// shareable, cacheable artifact (without a source-text stamp; see
 /// [`prepare_hashed`]).
 pub fn prepare(module: Arc<Module>) -> Arc<PreparedModule> {
@@ -206,12 +209,6 @@ pub fn prepare_hashed(module: Arc<Module>, source_text: &str) -> Arc<PreparedMod
 /// Prepares a module AST in place (no ownership transfer): returns the
 /// module-level prototype and the prototypes of every nested scope.
 pub fn prepare_ast(module: &Module) -> (Arc<FuncProto>, HashMap<u32, Arc<FuncProto>>) {
-    // Bulk-intern every identifier of the module under one interner
-    // write lock; the per-identifier `intern` calls during resolution
-    // then all hit the read-lock fast path.
-    let mut idents: Vec<&str> = Vec::new();
-    pysrc::visit::walk_identifiers(&module.body, &mut |n| idents.push(n));
-    crate::intern::intern_all(idents);
     let mut cx = PrepareCx::default();
     cx.resolve_block(&module.body, &ScopeInfo::module());
     let (table, protos) = cx.finish();
@@ -598,51 +595,49 @@ impl PrepareCx {
     /// Prepares one function scope and returns its proto (table is
     /// patched in by the caller once the whole module is resolved).
     fn resolve_function(&mut self, name: &str, params: &[Param], body: &[Stmt]) -> FuncProto {
-        let global_decls = syms(&collect_global_decls(body));
-        let mut local_names = collect_assigned_names(body);
-        for p in params {
-            if !local_names.iter().any(|n| n == &p.name) {
-                local_names.push(p.name.clone());
+        let ScopeFacts {
+            bound: mut locals,
+            globals,
+            dynamic,
+        } = ScopeFacts::of(body);
+        let param_syms: Vec<Symbol> = params.iter().map(|p| intern(&p.name)).collect();
+        for &sym in &param_syms {
+            if !locals.contains(&sym) {
+                locals.push(sym);
             }
         }
-        let local_syms = syms(&local_names);
         // A parameter that is also declared `global` is degenerate
         // (CPython rejects it at compile time; the old interpreter
         // bound the argument into a locals scope that reads never
         // consulted). It has no slot, so a slot frame would misbind it
         // — keep such functions on the dynamic scope, which reproduces
         // the old behavior exactly.
-        let param_is_global = params
-            .iter()
-            .any(|p| global_decls.contains(&intern(&p.name)));
-        let dynamic = param_is_global || block_needs_dynamic_scope(body);
+        let dynamic = dynamic || param_syms.iter().any(|s| globals.contains(s));
         // Slot allocation excludes `global`-declared names (they always
         // resolve to the module scope).
         let slots: Vec<Symbol> = if dynamic {
             Vec::new()
         } else {
-            local_syms
+            locals
                 .iter()
                 .copied()
-                .filter(|s| !global_decls.contains(s))
+                .filter(|s| !globals.contains(s))
                 .collect()
         };
         let scope = ScopeInfo {
             kind: ScopeKind::Function,
-            locals: if dynamic { local_syms } else { slots.clone() },
-            global_decls: global_decls.clone(),
+            locals: if dynamic { locals } else { slots.clone() },
+            global_decls: globals.clone(),
             slotted: !dynamic,
         };
         self.resolve_block(body, &scope);
         let proto_params = params
             .iter()
-            .map(|p| {
-                let sym = intern(&p.name);
-                ProtoParam {
-                    sym,
-                    slot: slots.iter().position(|s| *s == sym).unwrap_or(0) as u32,
-                    kind: p.kind,
-                }
+            .zip(param_syms)
+            .map(|(p, sym)| ProtoParam {
+                sym,
+                slot: slots.iter().position(|s| *s == sym).unwrap_or(0) as u32,
+                kind: p.kind,
             })
             .collect();
         FuncProto {
@@ -650,7 +645,7 @@ impl PrepareCx {
             params: proto_params,
             body: Arc::new(body.to_vec()),
             slots,
-            global_decls,
+            global_decls: globals,
             table: Arc::new(NameTable::default()),
             dynamic,
             compiled: std::sync::OnceLock::new(),
@@ -667,11 +662,11 @@ impl PrepareCx {
 
     /// Prepares a class body: always a dynamic scope (the class dict).
     fn resolve_class(&mut self, name: &str, body: &[Stmt]) -> FuncProto {
-        let global_decls = syms(&collect_global_decls(body));
+        let facts = ScopeFacts::of(body);
         let scope = ScopeInfo {
             kind: ScopeKind::Class,
-            locals: syms(&collect_assigned_names(body)),
-            global_decls: global_decls.clone(),
+            locals: facts.bound,
+            global_decls: facts.globals.clone(),
             slotted: false,
         };
         self.resolve_block(body, &scope);
@@ -680,7 +675,7 @@ impl PrepareCx {
             params: Vec::new(),
             body: Arc::new(Vec::new()),
             slots: Vec::new(),
-            global_decls,
+            global_decls: facts.globals,
             table: Arc::new(NameTable::default()),
             dynamic: true,
             compiled: std::sync::OnceLock::new(),
@@ -688,207 +683,91 @@ impl PrepareCx {
     }
 }
 
-fn syms(names: &[String]) -> Vec<Symbol> {
-    crate::intern::intern_all(names.iter().map(String::as_str))
+/// What one scope's own statements say about its names, found in one
+/// walk. The walk enters `if`/`while`/`for`/`try`/`with` blocks and
+/// handler bodies, but not a nested `def` or `class` body: that is a
+/// scope of its own.
+struct ScopeFacts {
+    /// The names the scope binds, in first-binding order: assignment,
+    /// augmented-assignment, `for` and `with` targets, `def` and `class`
+    /// names, imports, and `except … as` names (bound before their
+    /// handler's body). Not bound: comprehension targets, `del` targets,
+    /// and attribute or subscript targets.
+    bound: Vec<Symbol>,
+    /// The names declared `global`, in first-declaration order.
+    globals: Vec<Symbol>,
+    /// A nested `def` (whatever its defaults), or a `lambda` or list
+    /// comprehension in any expression evaluated here — a class's bases
+    /// included, its body not. A `def` or `lambda` may capture the
+    /// scope by reference; a comprehension's target writes into it
+    /// without becoming a readable local. Either way the scope needs
+    /// dynamic locals (see [`crate::interp::FrameLocals`]).
+    dynamic: bool,
 }
 
-/// Collects the names a function body assigns (its locals), without
-/// descending into nested `def`/`class` bodies. Dedup is a hash set
-/// (the old per-insert linear `contains` made this quadratic on wide
-/// function bodies).
-fn collect_assigned_names(body: &[Stmt]) -> Vec<String> {
-    struct Acc {
-        names: Vec<String>,
-        seen: std::collections::HashSet<String>,
+impl ScopeFacts {
+    fn of(body: &[Stmt]) -> ScopeFacts {
+        let mut facts = ScopeFacts {
+            bound: Vec::new(),
+            globals: Vec::new(),
+            dynamic: false,
+        };
+        facts.block(body);
+        let mut seen = std::collections::HashSet::new();
+        facts.bound.retain(|s| seen.insert(*s));
+        seen.clear();
+        facts.globals.retain(|s| seen.insert(*s));
+        facts
     }
-    impl Acc {
-        fn add(&mut self, n: &str) {
-            if self.seen.insert(n.to_string()) {
-                self.names.push(n.to_string());
-            }
-        }
-    }
-    fn target_names(e: &Expr, acc: &mut Acc) {
-        match &e.kind {
-            ExprKind::Name(n) => acc.add(n),
-            ExprKind::Tuple(items) | ExprKind::List(items) => {
-                for i in items {
-                    target_names(i, acc);
-                }
-            }
-            ExprKind::Starred(inner) => target_names(inner, acc),
-            // Attribute/subscript targets assign into objects, not names.
-            _ => {}
-        }
-    }
-    fn walk(body: &[Stmt], acc: &mut Acc) {
-        for s in body {
-            match &s.kind {
-                StmtKind::Assign { targets, .. } => {
-                    for t in targets {
-                        target_names(t, acc);
-                    }
-                }
-                StmtKind::AugAssign { target, .. } => target_names(target, acc),
-                StmtKind::For {
-                    target,
-                    body,
-                    orelse,
-                    ..
-                } => {
-                    target_names(target, acc);
-                    walk(body, acc);
-                    walk(orelse, acc);
-                }
-                StmtKind::While { body, orelse, .. } => {
-                    walk(body, acc);
-                    walk(orelse, acc);
-                }
-                StmtKind::If { branches, orelse } => {
-                    for (_, b) in branches {
-                        walk(b, acc);
-                    }
-                    walk(orelse, acc);
-                }
-                StmtKind::Try {
-                    body,
-                    handlers,
-                    orelse,
-                    finalbody,
-                } => {
-                    walk(body, acc);
-                    for h in handlers {
-                        if let Some(n) = &h.name {
-                            acc.add(n);
-                        }
-                        walk(&h.body, acc);
-                    }
-                    walk(orelse, acc);
-                    walk(finalbody, acc);
-                }
-                StmtKind::With { items, body } => {
-                    for (_, t) in items {
-                        if let Some(t) = t {
-                            target_names(t, acc);
-                        }
-                    }
-                    walk(body, acc);
-                }
-                StmtKind::FuncDef { name, .. } | StmtKind::ClassDef { name, .. } => {
-                    acc.add(name);
-                }
-                StmtKind::Import(aliases) => {
-                    for a in aliases {
-                        let bound = a
-                            .alias
-                            .clone()
-                            .unwrap_or_else(|| a.name.split('.').next().unwrap_or("").to_string());
-                        acc.add(&bound);
-                    }
-                }
-                StmtKind::FromImport { names: ns, .. } => {
-                    for a in ns {
-                        acc.add(a.alias.as_deref().unwrap_or(&a.name));
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    let mut acc = Acc {
-        names: Vec::new(),
-        seen: std::collections::HashSet::new(),
-    };
-    walk(body, &mut acc);
-    acc.names
-}
 
-/// Collects `global` declarations in a function body (not descending
-/// into nested functions).
-fn collect_global_decls(body: &[Stmt]) -> Vec<String> {
-    struct Acc {
-        names: Vec<String>,
-        seen: std::collections::HashSet<String>,
-    }
-    fn walk(body: &[Stmt], acc: &mut Acc) {
-        for s in body {
-            match &s.kind {
-                StmtKind::Global(names) => {
-                    for n in names {
-                        if acc.seen.insert(n.clone()) {
-                            acc.names.push(n.clone());
-                        }
-                    }
-                }
-                StmtKind::If { branches, orelse } => {
-                    for (_, b) in branches {
-                        walk(b, acc);
-                    }
-                    walk(orelse, acc);
-                }
-                StmtKind::For { body, orelse, .. } | StmtKind::While { body, orelse, .. } => {
-                    walk(body, acc);
-                    walk(orelse, acc);
-                }
-                StmtKind::Try {
-                    body,
-                    handlers,
-                    orelse,
-                    finalbody,
-                } => {
-                    walk(body, acc);
-                    for h in handlers {
-                        walk(&h.body, acc);
-                    }
-                    walk(orelse, acc);
-                    walk(finalbody, acc);
-                }
-                StmtKind::With { body, .. } => walk(body, acc),
-                _ => {}
-            }
+    fn block(&mut self, body: &[Stmt]) {
+        for stmt in body {
+            self.stmt(stmt);
         }
     }
-    let mut acc = Acc {
-        names: Vec::new(),
-        seen: std::collections::HashSet::new(),
-    };
-    walk(body, &mut acc);
-    acc.names
-}
 
-/// Does this scope body force a dynamic (capturable) locals scope?
-///
-/// True when the body contains a nested `def` or `lambda` (either may
-/// capture this scope by reference) or a list comprehension (its target
-/// write must stay invisible to assignment analysis — pre-refactor
-/// behavior). The check does not descend into nested `def` or `class`
-/// bodies: those are separate scopes that capture the *class/def
-/// execution* environment, not this frame's slot storage.
-fn block_needs_dynamic_scope(body: &[Stmt]) -> bool {
-    fn expr_has_lambda_or_comp(e: &Expr) -> bool {
-        let mut found = false;
-        pysrc::visit::walk_expr(e, &mut |ex| {
-            if matches!(ex.kind, ExprKind::Lambda { .. } | ExprKind::ListComp { .. }) {
-                found = true;
+    fn stmt(&mut self, stmt: &Stmt) {
+        match &stmt.kind {
+            StmtKind::Expr(e) | StmtKind::Return(Some(e)) => self.scan(e),
+            StmtKind::Assign { targets, value } => {
+                for t in targets {
+                    self.bind_target(t);
+                    self.scan(t);
+                }
+                self.scan(value);
             }
-        });
-        found
-    }
-    fn walk(body: &[Stmt]) -> bool {
-        body.iter().any(|s| match &s.kind {
-            // A nested def itself forces dynamic scope.
-            StmtKind::FuncDef { .. } => true,
-            // Class bodies don't capture this frame, but their base
-            // expressions evaluate here.
-            StmtKind::ClassDef { bases, .. } => bases.iter().any(expr_has_lambda_or_comp),
+            StmtKind::AugAssign { target, value, .. } => {
+                self.bind_target(target);
+                self.scan(target);
+                self.scan(value);
+            }
+            StmtKind::Del(targets) => targets.iter().for_each(|t| self.scan(t)),
+            StmtKind::Assert { test, msg } => {
+                self.scan(test);
+                msg.iter().for_each(|m| self.scan(m));
+            }
+            StmtKind::Raise { exc, cause } => exc.iter().chain(cause).for_each(|e| self.scan(e)),
+            StmtKind::Return(None) | StmtKind::Pass | StmtKind::Break | StmtKind::Continue => {}
+            StmtKind::Global(names) => self.globals.extend(names.iter().map(|n| intern(n))),
+            StmtKind::Import(aliases) => {
+                let bound = aliases.iter().map(|a| intern(a.bound_name()));
+                self.bound.extend(bound);
+            }
+            StmtKind::FromImport { names, .. } => {
+                let bound = names.iter().map(|a| intern(a.alias.as_deref().unwrap_or(&a.name)));
+                self.bound.extend(bound);
+            }
             StmtKind::If { branches, orelse } => {
-                branches
-                    .iter()
-                    .any(|(t, b)| expr_has_lambda_or_comp(t) || walk(b))
-                    || walk(orelse)
+                for (test, body) in branches {
+                    self.scan(test);
+                    self.block(body);
+                }
+                self.block(orelse);
             }
             StmtKind::While { test, body, orelse } => {
-                expr_has_lambda_or_comp(test) || walk(body) || walk(orelse)
+                self.scan(test);
+                self.block(body);
+                self.block(orelse);
             }
             StmtKind::For {
                 target,
@@ -896,10 +775,19 @@ fn block_needs_dynamic_scope(body: &[Stmt]) -> bool {
                 body,
                 orelse,
             } => {
-                expr_has_lambda_or_comp(target)
-                    || expr_has_lambda_or_comp(iter)
-                    || walk(body)
-                    || walk(orelse)
+                self.bind_target(target);
+                self.scan(target);
+                self.scan(iter);
+                self.block(body);
+                self.block(orelse);
+            }
+            StmtKind::FuncDef { name, .. } => {
+                self.bound.push(intern(name));
+                self.dynamic = true;
+            }
+            StmtKind::ClassDef { name, bases, .. } => {
+                self.bound.push(intern(name));
+                bases.iter().for_each(|b| self.scan(b));
             }
             StmtKind::Try {
                 body,
@@ -907,39 +795,50 @@ fn block_needs_dynamic_scope(body: &[Stmt]) -> bool {
                 orelse,
                 finalbody,
             } => {
-                walk(body)
-                    || handlers.iter().any(|h| {
-                        h.exc_type.as_ref().is_some_and(expr_has_lambda_or_comp)
-                            || walk(&h.body)
-                    })
-                    || walk(orelse)
-                    || walk(finalbody)
+                self.block(body);
+                for h in handlers {
+                    h.exc_type.iter().for_each(|t| self.scan(t));
+                    self.bound.extend(h.name.iter().map(|n| intern(n)));
+                    self.block(&h.body);
+                }
+                self.block(orelse);
+                self.block(finalbody);
             }
             StmtKind::With { items, body } => {
-                items.iter().any(|(c, t)| {
-                    expr_has_lambda_or_comp(c) || t.as_ref().is_some_and(expr_has_lambda_or_comp)
-                }) || walk(body)
+                for (ctx, target) in items {
+                    self.scan(ctx);
+                    if let Some(t) = target {
+                        self.bind_target(t);
+                        self.scan(t);
+                    }
+                }
+                self.block(body);
             }
-            StmtKind::Expr(e) => expr_has_lambda_or_comp(e),
-            StmtKind::Assign { targets, value } => {
-                targets.iter().any(expr_has_lambda_or_comp) || expr_has_lambda_or_comp(value)
-            }
-            StmtKind::AugAssign { target, value, .. } => {
-                expr_has_lambda_or_comp(target) || expr_has_lambda_or_comp(value)
-            }
-            StmtKind::Return(Some(e)) => expr_has_lambda_or_comp(e),
-            StmtKind::Assert { test, msg } => {
-                expr_has_lambda_or_comp(test) || msg.as_ref().is_some_and(expr_has_lambda_or_comp)
-            }
-            StmtKind::Del(targets) => targets.iter().any(expr_has_lambda_or_comp),
-            StmtKind::Raise { exc, cause } => {
-                exc.as_ref().is_some_and(expr_has_lambda_or_comp)
-                    || cause.as_ref().is_some_and(expr_has_lambda_or_comp)
-            }
-            _ => false,
-        })
+        }
     }
-    walk(body)
+
+    /// The names an assignment to `target` binds.
+    fn bind_target(&mut self, target: &Expr) {
+        match &target.kind {
+            ExprKind::Name(n) => self.bound.push(intern(n)),
+            ExprKind::Tuple(items) | ExprKind::List(items) => {
+                items.iter().for_each(|i| self.bind_target(i));
+            }
+            ExprKind::Starred(inner) => self.bind_target(inner),
+            _ => {}
+        }
+    }
+
+    /// Notes a `lambda` or list comprehension anywhere in `expr`.
+    fn scan(&mut self, expr: &Expr) {
+        if !self.dynamic {
+            pysrc::visit::walk_expr(expr, &mut |e| {
+                if matches!(e.kind, ExprKind::Lambda { .. } | ExprKind::ListComp { .. }) {
+                    self.dynamic = true;
+                }
+            });
+        }
+    }
 }
 
 #[cfg(test)]

@@ -525,7 +525,7 @@ const DICT_INDEX_THRESHOLD: usize = 8;
 ///
 /// Entries live in one insertion-ordered vec (iteration, `repr`, and
 /// report output stay deterministic). Once the dict grows past
-/// [`DICT_INDEX_THRESHOLD`], a `hash → entry indices` side index makes
+/// `DICT_INDEX_THRESHOLD`, a `hash → entry indices` side index makes
 /// string/number-keyed access O(1); unhashable keys (lists, dicts)
 /// permanently degrade that dict to the linear path, preserving the old
 /// anything-goes key semantics.

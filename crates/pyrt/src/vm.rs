@@ -93,9 +93,10 @@ const TICK_BATCH: u64 = 64;
 
 /// Bound on each captured stream, stdout and stderr, and on the bytes
 /// of the log messages. The write that reaches it keeps what fits and
-/// is followed by [`TRUNCATED`] (a [`LOG_TRUNCATED`] record for the
-/// log); every later write copies nothing.
-const CAPTURE_CAP: usize = 1 << 20;
+/// is followed by `TRUNCATED` (a `LOG_TRUNCATED` record for the
+/// log); every later write copies nothing. A host charges the events
+/// it records against the same bound.
+pub const CAPTURE_CAP: usize = 1 << 20;
 
 /// The line that ends a stream cut at [`CAPTURE_CAP`].
 const TRUNCATED: &str = "\n[output truncated at 1 MiB]\n";
@@ -614,11 +615,11 @@ impl Vm {
     /// Consumes one step of fuel, advancing the virtual clock.
     ///
     /// Accounting is batched: most calls only bump a pending-step
-    /// counter; every [`TICK_BATCH`] steps (or sooner, when fuel or the
+    /// counter; every `TICK_BATCH` steps (or sooner, when fuel or the
     /// deadline is about to trip) the batch is settled in one go. Fuel
     /// exhaustion raises on exactly the same step it would under
     /// per-step accounting; deadline detection within one step of it
-    /// (see [`TICK_BATCH`]).
+    /// (see `TICK_BATCH`).
     ///
     /// # Errors
     ///

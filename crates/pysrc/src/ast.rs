@@ -272,6 +272,17 @@ pub struct ImportAlias {
     pub alias: Option<String>,
 }
 
+impl ImportAlias {
+    /// The name `import <self>` binds: the alias, else the first
+    /// segment of the dotted name (the top package).
+    pub fn bound_name(&self) -> &str {
+        match &self.alias {
+            Some(alias) => alias,
+            None => self.name.split('.').next().unwrap_or(&self.name),
+        }
+    }
+}
+
 /// An expression with identity and span.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Expr {

@@ -346,104 +346,6 @@ pub fn walk_expr<'a>(expr: &'a Expr, f: &mut dyn FnMut(&'a Expr)) {
     }
 }
 
-/// Calls `f` on every identifier a name resolver will touch: `Name`
-/// references, `Attribute` names, binding names (`def`/`class`,
-/// parameters, import aliases, `except .. as`), and `global`
-/// declarations — across all nesting levels.
-///
-/// This is the resolver's pre-pass hook: `pyrt`'s prepare pass feeds
-/// the collected identifiers through its bulk interner in one shot
-/// (one lock acquisition per module instead of one per identifier).
-pub fn walk_identifiers<'a>(body: &'a [Stmt], f: &mut dyn FnMut(&'a str)) {
-    // Statement-level binding names at any nesting depth (expressions
-    // are handled by one walk_exprs pass per top-level statement, which
-    // already descends into every nested block).
-    fn binding_names<'a>(stmt: &'a Stmt, f: &mut dyn FnMut(&'a str)) {
-        match &stmt.kind {
-            StmtKind::FuncDef { name, params, body } => {
-                f(name);
-                for p in params {
-                    f(&p.name);
-                }
-                for s in body {
-                    binding_names(s, f);
-                }
-            }
-            StmtKind::ClassDef { name, body, .. } => {
-                f(name);
-                for s in body {
-                    binding_names(s, f);
-                }
-            }
-            StmtKind::Global(names) => {
-                for n in names {
-                    f(n);
-                }
-            }
-            StmtKind::Import(aliases) | StmtKind::FromImport { names: aliases, .. } => {
-                for a in aliases {
-                    f(&a.name);
-                    if let Some(alias) = &a.alias {
-                        f(alias);
-                    }
-                }
-            }
-            StmtKind::If { branches, orelse } => {
-                for (_, b) in branches {
-                    for s in b {
-                        binding_names(s, f);
-                    }
-                }
-                for s in orelse {
-                    binding_names(s, f);
-                }
-            }
-            StmtKind::While { body, orelse, .. } | StmtKind::For { body, orelse, .. } => {
-                for s in body.iter().chain(orelse) {
-                    binding_names(s, f);
-                }
-            }
-            StmtKind::Try {
-                body,
-                handlers,
-                orelse,
-                finalbody,
-            } => {
-                for s in body.iter().chain(orelse).chain(finalbody) {
-                    binding_names(s, f);
-                }
-                for h in handlers {
-                    if let Some(n) = &h.name {
-                        f(n);
-                    }
-                    for s in &h.body {
-                        binding_names(s, f);
-                    }
-                }
-            }
-            StmtKind::With { body, .. } => {
-                for s in body {
-                    binding_names(s, f);
-                }
-            }
-            _ => {}
-        }
-    }
-    for stmt in body {
-        walk_exprs(stmt, &mut |e| match &e.kind {
-            ExprKind::Name(n) => f(n),
-            ExprKind::Attribute { attr, .. } => f(attr),
-            ExprKind::Lambda { params, .. } => {
-                for p in params {
-                    f(&p.name);
-                }
-            }
-            _ => {}
-        });
-        binding_names(stmt, f);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -473,38 +375,6 @@ mod tests {
             }
         });
         assert_eq!(calls, 3);
-    }
-
-    #[test]
-    fn walk_identifiers_covers_all_scopes() {
-        let m = parse_module(
-            concat!(
-                "import os as system\n",
-                "GLOBAL = 1\n",
-                "def outer(par):\n",
-                "    global GLOBAL\n",
-                "    try:\n",
-                "        obj.attr = par\n",
-                "    except ValueError as err:\n",
-                "        pass\n",
-                "    def inner():\n",
-                "        return lambda lam_par: lam_par\n",
-                "class C:\n",
-                "    field = 2\n",
-            ),
-            "t.py",
-        )
-        .unwrap();
-        let mut seen = std::collections::HashSet::new();
-        walk_identifiers(&m.body, &mut |n| {
-            seen.insert(n.to_string());
-        });
-        for expected in [
-            "os", "system", "GLOBAL", "outer", "par", "obj", "attr", "ValueError", "err",
-            "inner", "lam_par", "C", "field",
-        ] {
-            assert!(seen.contains(expected), "missing identifier {expected}");
-        }
     }
 
     #[test]

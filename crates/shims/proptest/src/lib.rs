@@ -1,7 +1,7 @@
 //! Offline drop-in subset of the `proptest` crate.
 //!
 //! The build environment has no crates.io access; this workspace-local shim
-//! implements the slice of proptest the test suites use: the [`Strategy`]
+//! implements the slice of proptest the test suites use: the [`Strategy`](strategy::Strategy)
 //! trait with `prop_map` / `prop_filter` / `prop_recursive`, range and
 //! regex-pattern strategies, `collection::vec`, `option::of`, `Just`,
 //! `any`, the [`proptest!`] test macro, and the `prop_assert*` family.
