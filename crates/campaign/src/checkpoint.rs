@@ -3,7 +3,8 @@
 //! The runner records every completed [`ExperimentResult`] as one JSON
 //! line, flushed immediately — if the process dies mid-campaign, the
 //! next run reads the log back and executes only the missing
-//! experiments. A header line carries the owning spec's content hash so
+//! experiments. In memory and on disk the log holds each result's
+//! record ([`ExperimentResult::into_record`]). A header line carries the owning spec's content hash so
 //! a *changed* resubmission (different seed, filter, model, …)
 //! invalidates the stale checkpoint instead of silently mixing results.
 //!
@@ -54,12 +55,13 @@ impl CheckpointLog {
     }
 
     /// An in-memory log pre-seeded with earlier results (how an
-    /// in-memory engine carries checkpoints across `drive` calls).
+    /// in-memory engine carries checkpoints across `drive` calls); it
+    /// holds their records.
     pub fn in_memory_with(spec_hash: u64, results: Vec<ExperimentResult>) -> CheckpointLog {
         CheckpointLog {
             log: None,
             spec_hash,
-            results,
+            results: results.into_iter().map(ExperimentResult::into_record).collect(),
         }
     }
 
@@ -124,21 +126,20 @@ impl CheckpointLog {
         self.results.iter().map(|r| r.point_id).collect()
     }
 
-    /// Appends one result and flushes it to disk before returning. The
-    /// log keeps the value it is handed: a caller that owns its result
-    /// pays for no copy of it.
+    /// Appends the record of one result and flushes it to disk before
+    /// returning. A caller that owns its result pays for no copy of it.
     ///
     /// # Errors
     ///
-    /// I/O errors (the in-memory copy is updated regardless, keeping
-    /// the running campaign coherent).
+    /// I/O errors; the log then holds nothing new, so a retry records
+    /// the result once.
     pub fn record_owned(&mut self, result: ExperimentResult) -> io::Result<()> {
-        let appended = match &mut self.log {
-            Some(log) => log.append(&result_to_value(&result)),
-            None => Ok(()),
-        };
-        self.results.push(result);
-        appended
+        let record = result.into_record();
+        if let Some(log) = &mut self.log {
+            log.append(&result_to_value(&record))?;
+        }
+        self.results.push(record);
+        Ok(())
     }
 
     /// [`CheckpointLog::record_owned`] for a caller that keeps its
@@ -160,6 +161,7 @@ impl CheckpointLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pyrt::{LogRecord, Severity};
     use sandbox::{RoundOutcome, RoundStatus};
     use std::fs::OpenOptions;
     use std::io::Write;
@@ -262,6 +264,61 @@ mod tests {
             let log = CheckpointLog::open(&path, 7).unwrap();
             assert_eq!(log.completed_ids(), [1u64, 2, 3].into_iter().collect());
         }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_failed_append_holds_nothing_and_its_retry_records_once() {
+        let path = temp_path("failed-append");
+        let aside = path.with_extension("aside");
+        let _ = std::fs::remove_file(&path);
+        let mut log = CheckpointLog::open(&path, 11).unwrap();
+        // The path turns into a directory: the first append cannot open it.
+        std::fs::rename(&path, &aside).unwrap();
+        std::fs::create_dir(&path).unwrap();
+        assert!(log.record(&result(1)).is_err());
+        assert!(log.results().is_empty(), "a failed append holds nothing");
+        std::fs::remove_dir(&path).unwrap();
+        std::fs::rename(&aside, &path).unwrap();
+        log.record(&result(1)).unwrap();
+        assert_eq!(log.results().len(), 1, "the retry records it once");
+        drop(log);
+        assert_eq!(CheckpointLog::peek(&path, 11).len(), 1);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn the_log_holds_records_in_memory_and_on_disk() {
+        let mut raw = result(2);
+        raw.stdout = "out\n".into();
+        raw.events.push(pyrt::host::TraceEvent {
+            time: 0.5,
+            name: "get".into(),
+            failed: false,
+            duration: 0.25,
+        });
+        for (severity, message) in [(Severity::Info, "hello"), (Severity::Warning, "slow")] {
+            raw.logs.push(LogRecord {
+                time: 1.0,
+                severity,
+                component: "m".into(),
+                message: message.into(),
+            });
+        }
+        let is_record = |r: &ExperimentResult| {
+            r.stdout.is_empty()
+                && r.events.is_empty()
+                && r.logs.iter().map(|l| l.message.as_str()).eq(["slow"])
+        };
+        let path = temp_path("records");
+        let _ = std::fs::remove_file(&path);
+        let mut log = CheckpointLog::open(&path, 5).unwrap();
+        log.record(&raw).unwrap();
+        assert!(is_record(&log.results()[0]));
+        assert!(is_record(&CheckpointLog::open(&path, 5).unwrap().results()[0]));
+        let mut memory = CheckpointLog::in_memory_with(5, vec![raw.clone()]);
+        memory.record_owned(raw).unwrap();
+        assert!(memory.into_results().iter().all(is_record));
         let _ = std::fs::remove_file(&path);
     }
 

@@ -1,11 +1,12 @@
-//! JSON round-tripping for [`ExperimentResult`] — the payload of
-//! checkpoint records. Full fidelity: rounds, logs, stdout/stderr, and
-//! trace events all survive, so a resumed campaign reports exactly what
-//! an uninterrupted one would.
+//! JSON round-tripping for an [`ExperimentResult`]'s record
+//! ([`ExperimentResult::into_record`]) — the payload of checkpoint lines
+//! and fleet uploads. It holds everything a report reads, so a resumed
+//! or distributed campaign reports exactly what an uninterrupted one
+//! would; an older record's stdout, host events and lower logs are read
+//! past and dropped.
 
 use jsonlite::Value;
 use profipy::ExperimentResult;
-use pyrt::host::TraceEvent;
 use pyrt::{LogRecord, Severity};
 use sandbox::{RoundOutcome, RoundStatus};
 
@@ -50,25 +51,22 @@ fn round_from_value(v: &Value) -> Result<RoundOutcome, String> {
     })
 }
 
-fn severity_name(s: Severity) -> &'static str {
-    match s {
-        Severity::Debug => "debug",
-        Severity::Info => "info",
-        Severity::Warning => "warning",
-        Severity::Error => "error",
-        Severity::Critical => "critical",
-    }
+/// Each severity's name in a record.
+const SEVERITIES: [(Severity, &str); 5] = [
+    (Severity::Debug, "debug"),
+    (Severity::Info, "info"),
+    (Severity::Warning, "warning"),
+    (Severity::Error, "error"),
+    (Severity::Critical, "critical"),
+];
+
+fn severity_name(severity: Severity) -> &'static str {
+    SEVERITIES.iter().find(|(s, _)| *s == severity).map_or("", |(_, name)| name)
 }
 
 fn severity_from_name(name: &str) -> Result<Severity, String> {
-    Ok(match name {
-        "debug" => Severity::Debug,
-        "info" => Severity::Info,
-        "warning" => Severity::Warning,
-        "error" => Severity::Error,
-        "critical" => Severity::Critical,
-        other => return Err(format!("unknown severity '{other}'")),
-    })
+    let known = SEVERITIES.iter().find(|(_, n)| *n == name);
+    known.map(|(s, _)| *s).ok_or_else(|| format!("unknown severity '{name}'"))
 }
 
 fn log_to_value(log: &LogRecord) -> Value {
@@ -89,25 +87,7 @@ fn log_from_value(v: &Value) -> Result<LogRecord, String> {
     })
 }
 
-fn event_to_value(event: &TraceEvent) -> Value {
-    Value::obj(vec![
-        ("time", Value::Float(event.time)),
-        ("name", Value::str(&event.name)),
-        ("failed", Value::Bool(event.failed)),
-        ("duration", Value::Float(event.duration)),
-    ])
-}
-
-fn event_from_value(v: &Value) -> Result<TraceEvent, String> {
-    Ok(TraceEvent {
-        time: v.req_f64("time")?,
-        name: v.req_str("name")?.into(),
-        failed: v.req_bool("failed")?,
-        duration: v.req_f64("duration")?,
-    })
-}
-
-/// The result as a JSON value.
+/// The record of `r`, raw or recorded, as a JSON value.
 pub fn result_to_value(r: &ExperimentResult) -> Value {
     Value::obj(vec![
         ("point_id", Value::UInt(r.point_id)),
@@ -116,22 +96,21 @@ pub fn result_to_value(r: &ExperimentResult) -> Value {
         ("scope", Value::str(&r.scope)),
         ("round1", round_to_value(&r.round1)),
         ("round2", round_to_value(&r.round2)),
-        ("logs", Value::arr(r.logs.iter().map(log_to_value))),
-        ("stdout", Value::str(&r.stdout)),
+        ("logs", Value::arr(r.verdict_logs().map(log_to_value))),
         ("stderr", Value::str(&r.stderr)),
         ("duration", Value::Float(r.duration)),
         ("deploy_error", Value::or_null(r.deploy_error.as_ref())),
-        ("events", Value::arr(r.events.iter().map(event_to_value))),
     ])
 }
 
-/// Reads a result back from a JSON value.
+/// Reads a record back from a JSON value: the record of what was
+/// encoded, even from an older record that carried stdout and events.
 ///
 /// # Errors
 ///
 /// Describes the malformed field.
 pub fn result_from_value(v: &Value) -> Result<ExperimentResult, String> {
-    Ok(ExperimentResult {
+    let raw = ExperimentResult {
         point_id: v.req_u64("point_id")?,
         spec_name: v.req_str("spec")?.into(),
         module: v.req_str("module")?.into(),
@@ -139,7 +118,7 @@ pub fn result_from_value(v: &Value) -> Result<ExperimentResult, String> {
         round1: round_from_value(v.req("round1")?)?,
         round2: round_from_value(v.req("round2")?)?,
         logs: v.req_list("logs", log_from_value)?,
-        stdout: v.req_str("stdout")?.into(),
+        stdout: String::new(),
         stderr: v.req_str("stderr")?.into(),
         duration: v.req_f64("duration")?,
         // Always written, `null` when the deploy succeeded.
@@ -147,14 +126,15 @@ pub fn result_from_value(v: &Value) -> Result<ExperimentResult, String> {
             Value::Null => None,
             _ => Some(v.req_str("deploy_error")?.into()),
         },
-        events: v.req_list("events", event_from_value)?,
-    })
+        events: Vec::new(),
+    };
+    Ok(raw.into_record())
 }
 
-/// Compares two results for **observable equality** — everything a
-/// report or analysis reads. (ExperimentResult itself has no `PartialEq`
-/// because of its float payloads; exact equality is the right notion
-/// here since both sides come from the same deterministic simulator.)
+/// Compares two results field for field, the evidence a record drops
+/// included, so that raw results are held to it too. (ExperimentResult
+/// has no `PartialEq` because of its float payloads; exact equality is
+/// right here since both sides come from one deterministic simulator.)
 pub fn results_equivalent(a: &ExperimentResult, b: &ExperimentResult) -> bool {
     a.point_id == b.point_id
         && a.spec_name == b.spec_name
@@ -168,11 +148,7 @@ pub fn results_equivalent(a: &ExperimentResult, b: &ExperimentResult) -> bool {
         && a.stderr == b.stderr
         && a.duration == b.duration
         && a.deploy_error == b.deploy_error
-        && a.logs.len() == b.logs.len()
-        && a.logs
-            .iter()
-            .zip(&b.logs)
-            .all(|(x, y)| x.render() == y.render())
+        && a.logs.iter().map(LogRecord::render).eq(b.logs.iter().map(LogRecord::render))
         && a.events.len() == b.events.len()
         && a.events.iter().zip(&b.events).all(|(x, y)| {
             x.name == y.name && x.failed == y.failed && x.time == y.time
@@ -182,6 +158,7 @@ pub fn results_equivalent(a: &ExperimentResult, b: &ExperimentResult) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pyrt::host::TraceEvent;
 
     fn sample_result() -> ExperimentResult {
         ExperimentResult {
@@ -200,12 +177,20 @@ mod tests {
                 status: RoundStatus::Ok,
                 duration: 3.5,
             },
-            logs: vec![LogRecord {
-                time: 1.5,
-                severity: Severity::Error,
-                component: "etcd".into(),
-                message: "write failed\nwith newline".into(),
-            }],
+            logs: vec![
+                LogRecord {
+                    time: 1.0,
+                    severity: Severity::Info,
+                    component: "etcd".into(),
+                    message: "connecting".into(),
+                },
+                LogRecord {
+                    time: 1.5,
+                    severity: Severity::Error,
+                    component: "etcd".into(),
+                    message: "write failed\nwith newline".into(),
+                },
+            ],
             stdout: "hello\n".into(),
             stderr: "Traceback: …\n".into(),
             duration: 7.75,
@@ -224,7 +209,30 @@ mod tests {
         let r = sample_result();
         let json = result_to_value(&r).compact();
         let back = result_from_value(&jsonlite::parse(&json).unwrap()).unwrap();
-        assert!(results_equivalent(&r, &back));
+        let record = r.into_record();
+        assert!(results_equivalent(&record, &back));
+        assert_eq!(format!("{record:?}"), format!("{back:?}"));
+        assert_eq!(record.logs.len(), 1, "the info log is not recorded");
+        assert!(record.stdout.is_empty() && record.events.is_empty());
+        for absent in ["\"events\"", "\"stdout\"", "connecting"] {
+            assert!(!json.contains(absent), "{absent} written: {json}");
+        }
+    }
+
+    #[test]
+    fn an_older_records_evidence_is_read_past() {
+        let mut old = result_to_value(&sample_result());
+        let Value::Obj(fields) = &mut old else {
+            unreachable!("a result encodes as an object")
+        };
+        fields.push(("stdout".into(), Value::str("hello\n")));
+        fields.push(("events".into(), Value::arr([Value::str("anything")])));
+        let Some((_, Value::Arr(logs))) = fields.iter_mut().find(|(k, _)| k == "logs") else {
+            unreachable!("a result encodes its logs")
+        };
+        logs.insert(0, log_to_value(&sample_result().logs[0]));
+        let back = result_from_value(&old).unwrap();
+        assert!(results_equivalent(&sample_result().into_record(), &back));
     }
 
     #[test]
@@ -250,7 +258,7 @@ mod tests {
         let back =
             result_from_value(&jsonlite::parse(&result_to_value(&r).compact()).unwrap()).unwrap();
         assert_eq!(back.deploy_error.as_deref(), Some("mutation failed"));
-        assert!(results_equivalent(&r, &back));
+        assert!(results_equivalent(&r.into_record(), &back));
     }
 
     #[test]
@@ -262,5 +270,8 @@ mod tests {
         let mut c = sample_result();
         c.stdout.push('x');
         assert!(!results_equivalent(&a, &c));
+        let mut d = sample_result();
+        d.events[0].failed = false;
+        assert!(!results_equivalent(&a, &d), "raw results compare their events");
     }
 }

@@ -4,7 +4,8 @@
 //!
 //! * expiry requeues a silent worker's jobs exactly once;
 //! * duplicate result uploads are idempotent (first write wins), even
-//!   across an expiry/re-lease race;
+//!   across an expiry/re-lease race, and an upload whose checkpoint
+//!   append failed is recorded once when the worker retries it;
 //! * a heartbeat extends the lease;
 //! * worker registration survives a coordinator restart via the
 //!   registry log;
@@ -246,6 +247,68 @@ fn duplicate_results_are_idempotent_and_first_write_wins() {
     // report is byte-identical to the single-node run.
     let report = shared.lock().engine().report(&id).unwrap();
     assert_eq!(report_to_value(&report).pretty(), reference);
+}
+
+#[test]
+fn an_upload_whose_checkpoint_append_failed_is_recorded_once_on_retry() {
+    let dir = std::env::temp_dir().join(format!(
+        "cluster-failed-append-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let persistent = CampaignService::new(
+        EngineConfig {
+            data_dir: Some(dir.clone()),
+            ..EngineConfig::default()
+        },
+        HostRegistry::with_noop(),
+    )
+    .unwrap();
+    let shared = SharedService::new(persistent);
+    let (coordinator, _clock) = stepped(&shared, fleet_config(500));
+    let spec = spec_for("erin", "append");
+    let id = shared.lock().submit(spec.clone()).unwrap();
+    let reference = {
+        let mut reference_service = service();
+        let ref_id = reference_service.submit(spec.clone()).unwrap();
+        reference_service.drive(None).unwrap();
+        report_to_value(&reference_service.engine().report(&ref_id).unwrap()).pretty()
+    };
+
+    let worker = coordinator.register(1).unwrap();
+    let grant = coordinator.lease(&worker, 64, &BTreeSet::new()).unwrap();
+    let results: Vec<(String, ExperimentResult)> = grant
+        .jobs
+        .iter()
+        .map(|job| (job.campaign.clone(), execute(job, &spec)))
+        .collect();
+
+    // The checkpoint the lease checked out becomes a directory: the
+    // upload's first append fails, and the worker will retry.
+    let checkpoint = dir.join("checkpoints").join(format!("{id}.jsonl"));
+    let aside = dir.join("checkpoint.aside");
+    std::fs::rename(&checkpoint, &aside).unwrap();
+    std::fs::create_dir(&checkpoint).unwrap();
+    assert!(matches!(
+        coordinator.report_results(&worker, results.clone()),
+        Err(FleetError::Io(_))
+    ));
+    std::fs::remove_dir(&checkpoint).unwrap();
+    std::fs::rename(&aside, &checkpoint).unwrap();
+
+    let retry = coordinator.report_results(&worker, results.clone()).unwrap();
+    assert_eq!((retry.accepted as usize, retry.duplicates), (results.len(), 0));
+    assert_eq!(retry.completed, vec![id.clone()], "campaign completed");
+    let report = shared.lock().engine().report(&id).unwrap();
+    assert_eq!(
+        report_to_value(&report).pretty(),
+        reference,
+        "each result counted once"
+    );
+    drop(coordinator);
+    drop(shared);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -1,7 +1,8 @@
 //! Properties of the one JSON-lines loader every log in the workspace
 //! reads through (`jsonlite::durable::Log`), checked on the committed
 //! format fixtures (`tests/fixtures/format_pins/`, written by the code
-//! as it was before the logs shared a loader):
+//! as it was before the logs shared a loader, and the checkpoint whose
+//! records carry only what a verdict reads):
 //!
 //! * every truncation of every fixture, at any byte (inside a
 //!   multi-byte character too), loads to a prefix of the full load, and
@@ -15,10 +16,14 @@ use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-const FIXTURES: [(&str, &str); 6] = [
+const FIXTURES: [(&str, &str); 7] = [
     (
         "checkpoint",
         include_str!("../../../tests/fixtures/format_pins/checkpoint.jsonl"),
+    ),
+    (
+        "checkpoint-v2",
+        include_str!("../../../tests/fixtures/format_pins/checkpoint.v2.jsonl"),
     ),
     (
         "registry",

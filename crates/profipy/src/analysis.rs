@@ -178,8 +178,8 @@ pub fn failure_logging(results: &[ExperimentResult]) -> f64 {
 }
 
 /// §IV-D failure propagation: among experiments with a round-1
-/// failure, the fraction whose error-level logs span more than one
-/// component. `component_of` maps a log component to its subsystem
+/// failure, the fraction whose verdict logs (warning and above,
+/// [`ExperimentResult::verdict_logs`]) span more than one component. `component_of` maps a log component to its subsystem
 /// (paper: "The user configures a list of sub-systems").
 pub fn failure_propagation(
     results: &[ExperimentResult],
@@ -193,12 +193,8 @@ pub fn failure_propagation(
     let propagated = failed
         .iter()
         .filter(|r| {
-            let components: std::collections::BTreeSet<String> = r
-                .logs
-                .iter()
-                .filter(|l| l.severity >= Severity::Warning)
-                .map(|l| component_of(&l.component))
-                .collect();
+            let components: std::collections::BTreeSet<String> =
+                r.verdict_logs().map(|l| component_of(&l.component)).collect();
             components.len() > 1
         })
         .count();

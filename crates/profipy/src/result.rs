@@ -1,6 +1,6 @@
-//! Per-experiment results.
+//! Per-experiment results, and what a recorded one keeps.
 
-use pyrt::LogRecord;
+use pyrt::{LogRecord, Severity};
 use injector::InjectionPoint;
 use sandbox::{RoundOutcome, RoundStatus};
 
@@ -20,9 +20,10 @@ pub struct ExperimentResult {
     pub round1: RoundOutcome,
     /// Round 2 (fault disabled, no restart).
     pub round2: RoundOutcome,
-    /// Log records captured from the target + workload.
+    /// Log records captured from the target + workload. A recorded
+    /// result keeps those at [`VERDICT_SEVERITY`] and above.
     pub logs: Vec<LogRecord>,
-    /// Captured stdout.
+    /// Captured stdout. Empty in a recorded result.
     pub stdout: String,
     /// Captured stderr (tracebacks).
     pub stderr: String,
@@ -31,9 +32,14 @@ pub struct ExperimentResult {
     /// Deploy-phase error, if the mutant could not even start.
     pub deploy_error: Option<String>,
     /// Traced host API invocations (paper §IV-D), convertible into a
-    /// [`trace::Timeline`] via [`ExperimentResult::timeline`].
+    /// [`trace::Timeline`] via [`ExperimentResult::timeline`]. Empty in a
+    /// recorded result.
     pub events: Vec<pyrt::host::TraceEvent>,
 }
+
+/// The lowest log severity a verdict reads (failure text, §IV-D
+/// propagation), and so the lowest a recorded result keeps.
+pub const VERDICT_SEVERITY: Severity = Severity::Warning;
 
 impl ExperimentResult {
     /// The result of an experiment on `point` before (or instead of)
@@ -57,6 +63,21 @@ impl ExperimentResult {
             deploy_error,
             events: Vec::new(),
         }
+    }
+
+    /// The result as checkpoints and fleet uploads record it: stdout,
+    /// host events and logs below [`VERDICT_SEVERITY`] go, and nothing
+    /// a report reads changes.
+    pub fn into_record(mut self) -> ExperimentResult {
+        self.logs.retain(|log| log.severity >= VERDICT_SEVERITY);
+        self.stdout = String::new();
+        self.events = Vec::new();
+        self
+    }
+
+    /// The log records a verdict reads.
+    pub fn verdict_logs(&self) -> impl Iterator<Item = &LogRecord> {
+        self.logs.iter().filter(|log| log.severity >= VERDICT_SEVERITY)
     }
 
     /// Did round 1 (fault enabled) expose a service failure?
@@ -87,7 +108,7 @@ impl ExperimentResult {
     }
 
     /// All searchable failure text: exception classes/messages from
-    /// both rounds, stderr, and error-level logs.
+    /// both rounds, stderr, and the [verdict logs](Self::verdict_logs).
     pub fn failure_text(&self) -> String {
         let mut out = String::new();
         for outcome in [&self.round1, &self.round2] {
@@ -106,11 +127,9 @@ impl ExperimentResult {
             out.push('\n');
         }
         out.push_str(&self.stderr);
-        for log in &self.logs {
-            if log.severity >= pyrt::Severity::Warning {
-                out.push_str(&log.render());
-                out.push('\n');
-            }
+        for log in self.verdict_logs() {
+            out.push_str(&log.render());
+            out.push('\n');
         }
         out
     }

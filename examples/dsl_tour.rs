@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --example dsl_tour`
 
-use injector::{MutationMode, Mutator, Scanner};
+use injector::{ModuleText, MutationMode, Mutator, Scanner};
 
 const FIG1A_MFC: &str = r#"
 change {
@@ -67,9 +67,9 @@ fn demo(title: &str, dsl: &str, snippet: &str) {
         (MutationMode::Triggered, "trigger-switchable mutation (EDFI-style, §IV-B)"),
     ] {
         let mutated = Mutator::new(mode)
-            .apply(&module, &spec, &points[0])
+            .render(&module, &ModuleText::of(&module), &spec, &points[0])
             .expect("point located");
-        println!("--- {label} ---\n{}", pysrc::unparse::unparse_module(&mutated));
+        println!("--- {label} ---\n{}", mutated.text);
     }
 }
 

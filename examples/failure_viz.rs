@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example failure_viz`
 
 use etcdsim::EtcdHost;
-use injector::{MutationMode, Mutator, Scanner};
+use injector::{ModuleText, MutationMode, Mutator, Scanner};
 use sandbox::{Container, ContainerImage};
 use std::rc::Rc;
 use trace::{render_timeline, Span, Timeline};
@@ -59,9 +59,9 @@ fn main() {
     let points = Scanner::new(vec![spec.clone()]).scan(std::slice::from_ref(&module));
     assert!(!points.is_empty(), "expected DELETE urllib sites");
     let mutated = Mutator::new(MutationMode::Triggered)
-        .apply(&module, &spec, &points[0])
+        .render(&module, &ModuleText::of(&module), &spec, &points[0])
         .expect("mutation applies");
-    let (faulty, r1, r2) = run_once(Some(pysrc::unparse::unparse_module(&mutated)));
+    let (faulty, r1, r2) = run_once(Some(mutated.text));
     println!("=== fault-injected experiment (r1={r1}, r2={r2}) ===");
     println!("{}", render_timeline(&faulty, 72));
     println!(

@@ -9,6 +9,14 @@
 //! changed line format strands a data dir — so do not regenerate these
 //! files to make a failure go away.
 //!
+//! The checkpoint record and the results upload changed on purpose: a
+//! recorded result carries what its verdict reads, without stdout, host
+//! events or logs below warning. `checkpoint.jsonl` and `results.json`
+//! stay as decode pins — an existing data dir and an older worker's
+//! upload must still load — and `checkpoint.v2.jsonl` and
+//! `results.v2.json`, written by the code that made the change, are the
+//! bytes the code must write again.
+//!
 //! Node ids (`start_stmt`, `core_ids`) are process-local counters; the
 //! two fixtures that carry them are compared with those two fields
 //! copied over from the fixture.
@@ -27,6 +35,7 @@ const SPEC: &str = include_str!("fixtures/format_pins/spec.json");
 const JOB_RUNNING: &str = include_str!("fixtures/format_pins/job-000001.json");
 const JOB_FAILED: &str = include_str!("fixtures/format_pins/job-000002.json");
 const CHECKPOINT: &str = include_str!("fixtures/format_pins/checkpoint.jsonl");
+const CHECKPOINT_V2: &str = include_str!("fixtures/format_pins/checkpoint.v2.jsonl");
 const SCAN: &str = include_str!("fixtures/format_pins/scan.json");
 const MODEL: &str = include_str!("fixtures/format_pins/model.json");
 const REGISTRY: &str = include_str!("fixtures/format_pins/fleet-workers.jsonl");
@@ -36,6 +45,7 @@ const WAL: &str = include_str!("fixtures/format_pins/fleet-leases.jsonl");
 const WAL_COMPACTED: &str = include_str!("fixtures/format_pins/fleet-leases.compacted.jsonl");
 const LEASE: &str = include_str!("fixtures/format_pins/lease.json");
 const RESULTS: &str = include_str!("fixtures/format_pins/results.json");
+const RESULTS_V2: &str = include_str!("fixtures/format_pins/results.v2.json");
 
 const CONTENT_HASH: u64 = 6979709803095634094;
 const CACHE_KEY: u64 = 18031757770952325122;
@@ -167,12 +177,21 @@ fn queue_job_files() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// What a checkpoint at `path` holds, field for field.
+fn records(path: &Path) -> Vec<String> {
+    let log = CheckpointLog::open(path, CONTENT_HASH).unwrap();
+    log.results().iter().map(|r| format!("{r:?}")).collect()
+}
+
 #[test]
 fn checkpoint_file() {
     let dir = temp_dir("checkpoint");
     let path = dir.join("job-000001.jsonl");
+
+    // An older log decodes, its stdout and host events dropped, to the
+    // records the new fixture holds.
     std::fs::write(&path, CHECKPOINT).unwrap();
-    let recorded = {
+    let old = {
         let log = CheckpointLog::open(&path, CONTENT_HASH).unwrap();
         let results = log.results();
         assert_eq!(results.len(), 3);
@@ -189,35 +208,48 @@ fn checkpoint_file() {
             Some("mutation failed: no such statement")
         );
         assert_eq!(results[0].logs[0].message, "write failed\nwith newline");
-        assert!(results[0].events[0].failed);
-        results.to_vec()
+        assert!(results.iter().all(|r| r.events.is_empty() && r.stdout.is_empty()));
+        drop(log);
+        records(&path)
     };
     assert_eq!(read(&path), CHECKPOINT, "an intact log is not rewritten");
     assert_eq!(CheckpointLog::peek(&path, CONTENT_HASH).len(), 3);
     assert!(CheckpointLog::peek(&path, CONTENT_HASH + 1).is_empty());
+    // Its repair writes the new records.
+    std::fs::write(&path, format!("{CHECKPOINT}{{\"point_id\":4,\"spec\":\"DE")).unwrap();
+    assert_eq!(records(&path), old);
+    assert_eq!(read(&path), CHECKPOINT_V2, "an older log repairs to the records");
+
+    std::fs::write(&path, CHECKPOINT_V2).unwrap();
+    let recorded = {
+        let log = CheckpointLog::open(&path, CONTENT_HASH).unwrap();
+        log.results().to_vec()
+    };
+    assert_eq!(records(&path), old);
+    assert_eq!(read(&path), CHECKPOINT_V2, "an intact log is not rewritten");
 
     // A torn tail forces the repair, which re-encodes every record.
-    std::fs::write(&path, format!("{CHECKPOINT}{{\"point_id\":4,\"spec\":\"DE")).unwrap();
+    std::fs::write(&path, format!("{CHECKPOINT_V2}{{\"point_id\":4,\"spec\":\"DE")).unwrap();
     assert_eq!(CheckpointLog::peek(&path, CONTENT_HASH).len(), 3);
     {
         let mut log = CheckpointLog::open(&path, CONTENT_HASH).unwrap();
         assert_eq!(log.results().len(), 3);
         assert_eq!(
             read(&path),
-            CHECKPOINT,
+            CHECKPOINT_V2,
             "repair = the valid prefix, byte for byte"
         );
         log.record(&recorded[1]).unwrap();
     }
-    let second_record = CHECKPOINT.lines().nth(2).unwrap();
-    assert_eq!(read(&path), format!("{CHECKPOINT}{second_record}\n"));
+    let second_record = CHECKPOINT_V2.lines().nth(2).unwrap();
+    assert_eq!(read(&path), format!("{CHECKPOINT_V2}{second_record}\n"));
 
     // Torn inside a multi-byte character of program output ("…"): the
     // log still opens, on the records before it, and repairs to them.
-    let cut = CHECKPOINT.rfind('…').unwrap() + 1;
-    std::fs::write(&path, &CHECKPOINT.as_bytes()[..cut]).unwrap();
+    let cut = CHECKPOINT_V2.rfind('…').unwrap() + 1;
+    std::fs::write(&path, &CHECKPOINT_V2.as_bytes()[..cut]).unwrap();
     assert_eq!(CheckpointLog::open(&path, CONTENT_HASH).unwrap().results().len(), 2);
-    let kept: String = CHECKPOINT.lines().take(3).map(|l| format!("{l}\n")).collect();
+    let kept: String = CHECKPOINT_V2.lines().take(3).map(|l| format!("{l}\n")).collect();
     assert_eq!(read(&path), kept);
 
     // Another spec hash discards the log, durably.
@@ -424,8 +456,13 @@ fn lease_grant_wire() {
 
 #[test]
 fn results_upload_wire() {
-    let fixture = jsonlite::parse(RESULTS).unwrap();
+    // An older worker's upload decodes, its stdout and host events
+    // dropped, to the records of the new one.
+    let old = wire::results_from_value(&jsonlite::parse(RESULTS).unwrap()).unwrap();
+    assert!(old.iter().all(|(_, r)| r.events.is_empty() && r.stdout.is_empty()));
+    let fixture = jsonlite::parse(RESULTS_V2).unwrap();
     let results = wire::results_from_value(&fixture).unwrap();
+    assert_eq!(format!("{old:?}"), format!("{results:?}"));
     assert_eq!(results.len(), 3);
     assert!(results.iter().all(|(campaign, _)| campaign == "job-000001"));
     assert_eq!(
@@ -446,7 +483,7 @@ fn results_upload_wire() {
         fields.push(("epoch".to_string(), fixture.req("epoch").unwrap().clone()));
         fields.push(("spans".to_string(), wire::spans_to_value(&spans)));
     }
-    assert_eq!(body.compact(), RESULTS);
+    assert_eq!(body.compact(), RESULTS_V2);
 
     // Spans are telemetry: malformed ones are skipped, never an error.
     assert!(wire::spans_from_value(&Value::str("not an array")).is_empty());
@@ -505,7 +542,7 @@ fn wrong_typed_fields_are_named() {
     let decode_model = |v: &Value| faultdsl::FaultModel::from_value(v).map(drop);
     assert_names_field("model", &model_value, &["description"], &decode_model);
 
-    let record = jsonlite::parse(CHECKPOINT.lines().nth(2).unwrap()).unwrap();
+    let record = jsonlite::parse(CHECKPOINT_V2.lines().nth(2).unwrap()).unwrap();
     let decode_result = |v: &Value| campaign::result_from_value(v).map(drop);
     for path in [
         &["point_id"][..],
@@ -516,7 +553,6 @@ fn wrong_typed_fields_are_named() {
         &["logs", "0", "severity"],
         &["stderr"],
         &["deploy_error"],
-        &["events", "0", "failed"],
     ] {
         assert_names_field("result", &record, path, &decode_result);
     }
@@ -546,12 +582,12 @@ fn wrong_typed_fields_are_named() {
         assert_names_field("lease", &lease_value, path, &decode_lease);
     }
 
-    let upload = jsonlite::parse(RESULTS).unwrap();
+    let upload = jsonlite::parse(RESULTS_V2).unwrap();
     let decode_upload = |v: &Value| wire::results_from_value(v).map(drop);
     for path in [
         &["results"][..],
         &["results", "0", "campaign"],
-        &["results", "2", "result", "stdout"],
+        &["results", "2", "result", "stderr"],
     ] {
         assert_names_field("upload", &upload, path, &decode_upload);
     }
