@@ -4,9 +4,10 @@
 //! line, flushed immediately — if the process dies mid-campaign, the
 //! next run reads the log back and executes only the missing
 //! experiments. In memory and on disk the log holds each result's
-//! record ([`ExperimentResult::into_record`]). A header line carries the owning spec's content hash so
-//! a *changed* resubmission (different seed, filter, model, …)
-//! invalidates the stale checkpoint instead of silently mixing results.
+//! record ([`ExperimentResult::into_record`]). A header line carries
+//! the owning spec's content hash so a *changed* resubmission
+//! (different seed, filter, model, …) invalidates the stale checkpoint
+//! instead of silently mixing results.
 //!
 //! A torn final line (crash mid-write) is detected and dropped; every
 //! complete record before it still counts.
@@ -54,14 +55,13 @@ impl CheckpointLog {
         CheckpointLog::in_memory_with(spec_hash, Vec::new())
     }
 
-    /// An in-memory log pre-seeded with earlier results (how an
-    /// in-memory engine carries checkpoints across `drive` calls); it
-    /// holds their records.
+    /// An in-memory log pre-seeded with earlier records (how an
+    /// in-memory engine carries checkpoints across `drive` calls).
     pub fn in_memory_with(spec_hash: u64, results: Vec<ExperimentResult>) -> CheckpointLog {
         CheckpointLog {
             log: None,
             spec_hash,
-            results: results.into_iter().map(ExperimentResult::into_record).collect(),
+            results,
         }
     }
 
@@ -316,7 +316,7 @@ mod tests {
         log.record(&raw).unwrap();
         assert!(is_record(&log.results()[0]));
         assert!(is_record(&CheckpointLog::open(&path, 5).unwrap().results()[0]));
-        let mut memory = CheckpointLog::in_memory_with(5, vec![raw.clone()]);
+        let mut memory = CheckpointLog::in_memory(5);
         memory.record_owned(raw).unwrap();
         assert!(memory.into_results().iter().all(is_record));
         let _ = std::fs::remove_file(&path);

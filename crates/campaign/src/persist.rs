@@ -1,9 +1,8 @@
 //! JSON round-tripping for an [`ExperimentResult`]'s record
-//! ([`ExperimentResult::into_record`]) — the payload of checkpoint lines
-//! and fleet uploads. It holds everything a report reads, so a resumed
-//! or distributed campaign reports exactly what an uninterrupted one
-//! would; an older record's stdout, host events and lower logs are read
-//! past and dropped.
+//! ([`ExperimentResult::into_record`]), the payload of checkpoint lines
+//! and fleet uploads: everything a report reads, so a resumed or
+//! distributed campaign reports exactly what an uninterrupted one would.
+//! An older record's stdout, host events and lower logs are dropped.
 
 use jsonlite::Value;
 use profipy::ExperimentResult;
@@ -148,7 +147,11 @@ pub fn results_equivalent(a: &ExperimentResult, b: &ExperimentResult) -> bool {
         && a.stderr == b.stderr
         && a.duration == b.duration
         && a.deploy_error == b.deploy_error
-        && a.logs.iter().map(LogRecord::render).eq(b.logs.iter().map(LogRecord::render))
+        && a.logs.len() == b.logs.len()
+        && a.logs
+            .iter()
+            .zip(&b.logs)
+            .all(|(x, y)| x.render() == y.render())
         && a.events.len() == b.events.len()
         && a.events.iter().zip(&b.events).all(|(x, y)| {
             x.name == y.name && x.failed == y.failed && x.time == y.time

@@ -179,8 +179,9 @@ pub fn failure_logging(results: &[ExperimentResult]) -> f64 {
 
 /// §IV-D failure propagation: among experiments with a round-1
 /// failure, the fraction whose verdict logs (warning and above,
-/// [`ExperimentResult::verdict_logs`]) span more than one component. `component_of` maps a log component to its subsystem
-/// (paper: "The user configures a list of sub-systems").
+/// [`ExperimentResult::verdict_logs`]) span more than one component.
+/// `component_of` maps a log component to its subsystem (paper: "The
+/// user configures a list of sub-systems").
 pub fn failure_propagation(
     results: &[ExperimentResult],
     component_of: impl Fn(&str) -> String,
