@@ -16,7 +16,7 @@ use crate::persist::{result_from_value, result_to_value};
 use jsonlite::durable::Log;
 use jsonlite::Value;
 use profipy::ExperimentResult;
-use std::collections::BTreeSet;
+use std::collections::HashSet;
 use std::io;
 use std::path::Path;
 
@@ -26,6 +26,11 @@ pub struct CheckpointLog {
     log: Option<Log>,
     spec_hash: u64,
     results: Vec<ExperimentResult>,
+    /// The point ids of `results`.
+    ids: HashSet<u64>,
+    /// A failed append may have left the file without its header or
+    /// with part of a line: the next append rewrites it first.
+    damaged: bool,
 }
 
 fn header(spec_hash: u64) -> Value {
@@ -50,19 +55,19 @@ fn load(
 }
 
 impl CheckpointLog {
-    /// An ephemeral, in-memory log for `spec_hash`.
-    pub fn in_memory(spec_hash: u64) -> CheckpointLog {
-        CheckpointLog::in_memory_with(spec_hash, Vec::new())
+    fn with(log: Option<Log>, spec_hash: u64, results: Vec<ExperimentResult>) -> CheckpointLog {
+        CheckpointLog {
+            log,
+            spec_hash,
+            ids: results.iter().map(|r| r.point_id).collect(),
+            results,
+            damaged: false,
+        }
     }
 
-    /// An in-memory log pre-seeded with earlier records (how an
-    /// in-memory engine carries checkpoints across `drive` calls).
-    pub fn in_memory_with(spec_hash: u64, results: Vec<ExperimentResult>) -> CheckpointLog {
-        CheckpointLog {
-            log: None,
-            spec_hash,
-            results,
-        }
+    /// An ephemeral, in-memory log for `spec_hash`.
+    pub fn in_memory(spec_hash: u64) -> CheckpointLog {
+        CheckpointLog::with(None, spec_hash, Vec::new())
     }
 
     /// Reads the results recorded at `path` for `spec_hash` **without
@@ -90,25 +95,22 @@ impl CheckpointLog {
         }
         let mut results = Vec::new();
         let (header_ok, torn) = load(path, spec_hash, &mut results)?;
-        let mut log = Log::at(path);
+        let log = CheckpointLog::with(Some(Log::at(path)), spec_hash, results);
         if !header_ok || torn {
             // Fresh, invalidated, or torn log: rewrite the valid prefix
             // (empty on invalidation) so the file is clean again — a
             // crash during repair must not lose the durable prefix.
-            log.rewrite(
-                std::iter::once(header(spec_hash)).chain(results.iter().map(result_to_value)),
-            )?;
+            log.rewrite(None)?;
         }
-        Ok(CheckpointLog {
-            log: Some(log),
-            spec_hash,
-            results,
-        })
+        Ok(log)
     }
 
-    /// The spec hash this log belongs to.
-    pub fn spec_hash(&self) -> u64 {
-        self.spec_hash
+    /// Replaces the file with the header and the held records, then
+    /// `next`: clean again, whatever a crash or a failed append left.
+    fn rewrite(&self, next: Option<&ExperimentResult>) -> io::Result<()> {
+        let Some(log) = &self.log else { return Ok(()) };
+        let records = self.results.iter().chain(next).map(result_to_value);
+        log.rewrite(std::iter::once(header(self.spec_hash)).chain(records))
     }
 
     /// Results recorded so far (completion order).
@@ -121,9 +123,10 @@ impl CheckpointLog {
         self.results
     }
 
-    /// Point ids already executed — the runner's skip set.
-    pub fn completed_ids(&self) -> BTreeSet<u64> {
-        self.results.iter().map(|r| r.point_id).collect()
+    /// Whether a result for `point_id` is recorded — the runner's skip
+    /// test.
+    pub fn contains(&self, point_id: u64) -> bool {
+        self.ids.contains(&point_id)
     }
 
     /// Appends the record of one result and flushes it to disk before
@@ -132,12 +135,20 @@ impl CheckpointLog {
     /// # Errors
     ///
     /// I/O errors; the log then holds nothing new, so a retry records
-    /// the result once.
+    /// the result once — after rewriting the file from what the log
+    /// holds, as [`CheckpointLog::open`] repairs it.
     pub fn record_owned(&mut self, result: ExperimentResult) -> io::Result<()> {
         let record = result.into_record();
-        if let Some(log) = &mut self.log {
-            log.append(&result_to_value(&record))?;
+        if let Some(log) = &self.log {
+            let written = if self.damaged {
+                self.rewrite(Some(&record))
+            } else {
+                log.append(&result_to_value(&record))
+            };
+            self.damaged = written.is_err();
+            written?;
         }
+        self.ids.insert(record.point_id);
         self.results.push(record);
         Ok(())
     }
@@ -150,11 +161,6 @@ impl CheckpointLog {
     /// As `record_owned`.
     pub fn record(&mut self, result: &ExperimentResult) -> io::Result<()> {
         self.record_owned(result.clone())
-    }
-
-    /// The log's path, if persistent.
-    pub fn path(&self) -> Option<&Path> {
-        self.log.as_ref().map(Log::path)
     }
 }
 
@@ -190,6 +196,11 @@ mod tests {
         }
     }
 
+    /// The point ids a log holds, in completion order.
+    fn ids(log: &CheckpointLog) -> Vec<u64> {
+        log.results().iter().map(|r| r.point_id).collect()
+    }
+
     fn temp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!(
             "campaign-ckpt-{tag}-{}-{:?}.jsonl",
@@ -209,12 +220,12 @@ mod tests {
         }
         {
             let mut log = CheckpointLog::open(&path, 42).unwrap();
-            assert_eq!(log.completed_ids(), [1u64, 5].into_iter().collect());
+            assert_eq!(ids(&log), [1u64, 5]);
             log.record(&result(9)).unwrap();
         }
         {
             let log = CheckpointLog::open(&path, 42).unwrap();
-            assert_eq!(log.completed_ids(), [1u64, 5, 9].into_iter().collect());
+            assert_eq!(ids(&log), [1u64, 5, 9]);
         }
         let _ = std::fs::remove_file(&path);
     }
@@ -256,13 +267,13 @@ mod tests {
         }
         {
             let mut log = CheckpointLog::open(&path, 7).unwrap();
-            assert_eq!(log.completed_ids(), [1u64, 2].into_iter().collect());
+            assert_eq!(ids(&log), [1u64, 2]);
             // And the log still accepts appends afterwards.
             log.record(&result(3)).unwrap();
         }
         {
             let log = CheckpointLog::open(&path, 7).unwrap();
-            assert_eq!(log.completed_ids(), [1u64, 2, 3].into_iter().collect());
+            assert_eq!(ids(&log), [1u64, 2, 3]);
         }
         let _ = std::fs::remove_file(&path);
     }
@@ -284,6 +295,25 @@ mod tests {
         assert_eq!(log.results().len(), 1, "the retry records it once");
         drop(log);
         assert_eq!(CheckpointLog::peek(&path, 11).len(), 1);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn an_append_after_a_failed_one_repairs_the_file_first() {
+        let path = temp_path("repair-after-failure");
+        let _ = std::fs::remove_file(&path);
+        let mut log = CheckpointLog::open(&path, 7).unwrap();
+        // The file goes and a directory takes its path: the append fails.
+        std::fs::remove_file(&path).unwrap();
+        std::fs::create_dir(&path).unwrap();
+        assert!(log.record(&result(1)).is_err());
+        std::fs::remove_dir(&path).unwrap();
+        log.record(&result(1)).unwrap();
+        log.record(&result(2)).unwrap();
+        assert_eq!(ids(&log), [1, 2]);
+        drop(log);
+        let reopened = CheckpointLog::open(&path, 7).unwrap();
+        assert_eq!(ids(&reopened), [1, 2], "the header was written back");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -327,7 +357,6 @@ mod tests {
         let mut log = CheckpointLog::in_memory(3);
         log.record(&result(4)).unwrap();
         assert_eq!(log.results().len(), 1);
-        assert_eq!(log.spec_hash(), 3);
-        assert!(log.path().is_none());
+        assert!(log.contains(4) && !log.contains(5));
     }
 }

@@ -32,15 +32,17 @@
 //! produces the identical result set.
 //!
 //! A campaign is **prepared once per job**, not once per drive slice:
-//! what a spec determines (workflow, plan, cache key) is built the
-//! first time the job is taken and stays with it until it completes,
-//! fails or is cancelled. A later slice only takes the checkpoint and
-//! lists what is still pending, so nothing a slice does beyond that
-//! may grow with the size of the campaign.
+//! what a spec determines (workflow, plan, cache key) is built, and its
+//! checkpoint opened, the first time the job is taken; one record keeps
+//! both until the job completes, fails or is cancelled. A later slice
+//! takes the checkpoint and lists what is still pending, so nothing a
+//! slice does beyond that may grow with the size of the campaign.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::cache::{CacheMetrics, CacheStats, MutantCache};
 use crate::checkpoint::CheckpointLog;
-use crate::queue::{JobQueue, JobState};
+use crate::queue::{JobQueue, JobState, QueuedJob};
 use crate::scheduler::{self, RunTelemetry, ScheduledCampaign};
 use crate::spec::CampaignSpec;
 use injector::InjectionPoint;
@@ -69,8 +71,8 @@ pub struct EngineMetrics {
     pub experiment_seconds: obs::Histogram,
     /// The cross-campaign cache's instruments (shared with the cache).
     pub cache: CacheMetrics,
-    /// Raw results an in-memory engine holds for unfinished jobs
-    /// between their slices.
+    /// Result records the engine holds for unfinished jobs between
+    /// their slices.
     pub results_resident: obs::Gauge,
     /// Jobs per state, in [`JobState::ALL`] order (shared with the
     /// queue, which keeps the tally).
@@ -128,7 +130,7 @@ impl EngineMetrics {
         );
         registry.register_gauge(
             "campaign_results_resident",
-            "Raw experiment results held between slices for unfinished in-memory jobs.",
+            "Result records held in memory between slices for unfinished jobs (both storage modes).",
             &self.results_resident,
         );
         let c = &self.cache;
@@ -311,14 +313,25 @@ pub struct CheckedOutCampaign {
     pub checkpoint: CheckpointLog,
 }
 
-/// What a job's spec determines, built by the first slice that takes
+/// The queue's record of a job that is queued or running.
+fn queued<'q>(queue: &'q JobQueue, id: &str) -> Result<&'q QueuedJob, EngineError> {
+    queue.get(id).ok_or_else(|| EngineError {
+        message: format!("job {id} is neither queued nor running"),
+    })
+}
+
+/// An unfinished job this engine has taken: what its spec determines
+/// and its checkpoint, built and opened by the first slice that takes
 /// the job and kept for its later ones.
-struct PreparedJob {
+struct HeldJob {
     workflow: Arc<Workflow>,
     /// The planned experiments, coverage pruning applied.
     plan: InjectionPlan,
     /// The spec's mutant-cache key.
     key: u64,
+    /// The job's checkpoint between its slices; a slice or a fleet
+    /// checkout takes it, and `settle` puts it back on requeue.
+    checkpoint: Option<CheckpointLog>,
 }
 
 /// What one `drive` call did.
@@ -348,22 +361,17 @@ pub struct CampaignEngine {
     registry: HostRegistry,
     executor: ParallelExecutor,
     checkpoint_dir: Option<PathBuf>,
-    /// In-memory checkpoint store (`data_dir == None`): unfinished
-    /// job id → results so far. A taken job's vector moves into its
-    /// [`CheckpointLog`] and back, so it is never copied; a job that
-    /// completes, fails or is cancelled leaves no entry.
-    mem_logs: BTreeMap<String, Vec<ExperimentResult>>,
     /// Published job statuses — also the engine's own record of each
     /// job's planned and completed experiment counts, and its one store
     /// of reports.
     status: Arc<StatusBoard>,
     /// Jobs completed since the last [`CampaignEngine::take_completed`].
     completions: Vec<String>,
-    /// Taken-but-unfinished jobs' prepared state, by job id. An entry
-    /// lives from the job's first slice to its completion, failure or
-    /// cancellation; a reopened engine starts without any and prepares
-    /// a resumed job once more.
-    prepared: HashMap<String, PreparedJob>,
+    /// Taken-but-unfinished jobs, by job id. An entry lives from the
+    /// job's first slice to its completion, failure or cancellation; a
+    /// reopened engine starts without any, and prepares a resumed job
+    /// and opens its checkpoint once more.
+    jobs: HashMap<String, HeldJob>,
     classifier: FailureClassifier,
     metrics: EngineMetrics,
     /// Span sink for fleet-wide tracing (attached by the service
@@ -429,10 +437,9 @@ impl CampaignEngine {
             registry,
             executor: config.executor,
             checkpoint_dir,
-            mem_logs: BTreeMap::new(),
             status,
             completions,
-            prepared: HashMap::new(),
+            jobs: HashMap::new(),
             classifier,
             metrics,
             trace: None,
@@ -512,10 +519,16 @@ impl CampaignEngine {
         });
     }
 
+    /// Drops an unfinished job's record, and the results it holds.
+    fn drop_job(&mut self, id: &str) {
+        if let Some(checkpoint) = self.jobs.remove(id).and_then(|job| job.checkpoint) {
+            self.metrics.results_resident.sub(checkpoint.results().len() as u64);
+        }
+    }
+
     /// Marks a taken job failed and publishes why.
     fn fail(&mut self, id: &str, error: &str) -> Result<(), EngineError> {
-        self.prepared.remove(id);
-        self.take_mem_log(id);
+        self.drop_job(id);
         self.queue.fail(id, error)?;
         self.publish(id, JobState::Failed, Some(error));
         Ok(())
@@ -541,8 +554,7 @@ impl CampaignEngine {
         let cancelled = self.queue.cancel(id)?;
         if cancelled {
             // Cancellable means queued — which a job is between slices.
-            self.prepared.remove(id);
-            self.take_mem_log(id);
+            self.drop_job(id);
             self.waiting_since.remove(id);
             self.publish(id, JobState::Cancelled, None);
         }
@@ -654,7 +666,7 @@ impl CampaignEngine {
             self.note_taken(&id);
             match self.prepare(&id) {
                 Ok((campaign, total)) => {
-                    let spec = self.queue.get(&id).expect("taken job exists").spec.clone();
+                    let spec = queued(&self.queue, &id)?.spec.clone();
                     return Ok(Some(CheckedOutCampaign {
                         id,
                         spec,
@@ -688,9 +700,10 @@ impl CampaignEngine {
 
     /// Takes a taken job's checkpoint back. With every planned
     /// experiment recorded (and `recorded_ok`) the job completes: the
-    /// report is built, a completion event queued. Otherwise — budget
-    /// exhausted mid-campaign, or recording failed — the job returns to
-    /// the queue and the checkpoint keeps what was durably recorded.
+    /// report is built, a completion event queued, and the job's record
+    /// dropped. Otherwise — budget exhausted mid-campaign, or recording
+    /// failed — the job returns to the queue and its record keeps the
+    /// checkpoint, which holds what was durably recorded.
     /// Either way the new state and count — and the report — are
     /// published in one write. Returns whether the campaign completed.
     fn settle(
@@ -700,26 +713,23 @@ impl CampaignEngine {
         checkpoint: CheckpointLog,
         recorded_ok: bool,
     ) -> Result<bool, EngineError> {
-        let mut results = checkpoint.into_results();
-        let done = results.len();
+        let done = checkpoint.results().len();
         let completed = done >= total && recorded_ok;
         let mut report = None;
         if completed {
-            let name = &self.queue.get(id).expect("taken job exists").spec.name;
+            let name = &queued(&self.queue, id)?.spec.name;
+            let mut results = checkpoint.into_results();
             report = Some(Self::build_report(name, total, &mut results, &self.classifier));
             self.queue.complete(id)?;
             self.completions.push(id.to_string());
-            self.prepared.remove(id);
+            self.jobs.remove(id);
         } else {
+            if let Some(job) = self.jobs.get_mut(id) {
+                self.metrics.results_resident.add(done as u64);
+                job.checkpoint = Some(checkpoint);
+            }
             self.queue.requeue(id)?;
             self.waiting_since.insert(id.to_string(), Instant::now());
-            if self.checkpoint_dir.is_none() {
-                // Carry in-memory checkpoints across drives and
-                // checkouts. Only here: a completed job's report is
-                // what remains of it.
-                self.metrics.results_resident.add(done as u64);
-                self.mem_logs.insert(id.to_string(), results);
-            }
         }
         self.status.update(id, |status| {
             status.state = if completed {
@@ -735,7 +745,7 @@ impl CampaignEngine {
     }
 
     /// Builds what a taken job needs to be scheduled this slice: the
-    /// job's prepared state (built now if this is its first slice), its
+    /// job's record (built now if this is its first slice), its
     /// checkpoint, and the experiments still pending with their
     /// rendered mutants.
     ///
@@ -745,20 +755,23 @@ impl CampaignEngine {
         if let Some(store) = &self.trace {
             store.begin(id);
         }
-        if !self.prepared.contains_key(id) {
+        if !self.jobs.contains_key(id) {
             let job = self.prepare_job(id)?;
-            self.prepared.insert(id.to_string(), job);
+            self.jobs.insert(id.to_string(), job);
         }
-
-        // Checkpoint: resume point for this exact spec.
-        let mut checkpoint = self.take_checkpoint(id)?;
-        let done = checkpoint.completed_ids();
+        let Some((mut checkpoint, job)) = self
+            .jobs
+            .get_mut(id)
+            .and_then(|job| Some((job.checkpoint.take()?, job)))
+        else {
+            return Err(EngineError { message: format!("job {id} holds no checkpoint") });
+        };
+        self.metrics.results_resident.sub(checkpoint.results().len() as u64);
 
         // Render (or reuse) the mutants for the pending experiments.
-        let job = &self.prepared[id];
         let mut pending: Vec<(InjectionPoint, Mutant)> = Vec::new();
         for point in &job.plan.entries {
-            if done.contains(&point.id) {
+            if checkpoint.contains(point.id) {
                 continue;
             }
             let mutant = match self.cache.mutant(job.key, point.id) {
@@ -809,11 +822,13 @@ impl CampaignEngine {
         ))
     }
 
-    /// Derives a job's prepared state from its spec, reusing the
-    /// cross-campaign cache for parses, the prepared program, the scan
-    /// and coverage. Runs once per job for as long as the engine lives.
-    fn prepare_job(&mut self, id: &str) -> Result<PreparedJob, EngineError> {
-        let spec = &self.queue.get(id).expect("taken job exists").spec;
+    /// Derives a job's record from its spec, reusing the cross-campaign
+    /// cache for parses, the prepared program, the scan and coverage,
+    /// and opens its checkpoint: the resume point for this exact spec.
+    /// Runs once per job for as long as the engine lives.
+    fn prepare_job(&mut self, id: &str) -> Result<HeldJob, EngineError> {
+        let job = queued(&self.queue, id)?;
+        let spec = &job.spec;
         let host = self.registry.get(&spec.host).ok_or_else(|| EngineError {
             message: format!("unknown host environment '{}'", spec.host),
         })?;
@@ -880,40 +895,17 @@ impl CampaignEngine {
             };
             plan = plan.prune_by_coverage(&covered);
         }
-        Ok(PreparedJob {
+        let checkpoint = match &self.checkpoint_dir {
+            Some(dir) => CheckpointLog::open(&dir.join(format!("{id}.jsonl")), job.spec_hash)?,
+            None => CheckpointLog::in_memory(job.spec_hash),
+        };
+        self.metrics.results_resident.add(checkpoint.results().len() as u64);
+        Ok(HeldJob {
             workflow: Arc::new(workflow),
             plan,
             key,
+            checkpoint: Some(checkpoint),
         })
-    }
-
-    /// An appendable checkpoint for a campaign about to run.
-    fn take_checkpoint(&mut self, id: &str) -> Result<CheckpointLog, EngineError> {
-        let hash = self.queue.get(id).expect("taken job exists").spec_hash;
-        match &self.checkpoint_dir {
-            Some(dir) => Ok(CheckpointLog::open(
-                &dir.join(format!("{id}.jsonl")),
-                hash,
-            )?),
-            None => Ok(CheckpointLog::in_memory_with(hash, self.take_mem_log(id))),
-        }
-    }
-
-    /// Removes and returns what `mem_logs` holds for `id`.
-    fn take_mem_log(&mut self, id: &str) -> Vec<ExperimentResult> {
-        let results = self.mem_logs.remove(id).unwrap_or_default();
-        self.metrics.results_resident.sub(results.len() as u64);
-        results
-    }
-
-    /// A copy of a campaign's recorded results (empty for an unknown
-    /// id, and for an in-memory job while it is taken — its results are
-    /// then with its checkpoint — or once it is finished).
-    fn peek_results(&self, id: &str) -> Vec<ExperimentResult> {
-        match (&self.checkpoint_dir, self.queue.spec_hash(id)) {
-            (Some(dir), Some(hash)) => CheckpointLog::peek(&dir.join(format!("{id}.jsonl")), hash),
-            _ => self.mem_logs.get(id).cloned().unwrap_or_default(),
-        }
     }
 
     fn build_report(
@@ -933,11 +925,18 @@ impl CampaignEngine {
     /// The results recorded so far for a job (plan order), e.g. for a
     /// partial-progress view. A persistent engine reads them from the
     /// job's checkpoint file, whatever the job's state. An in-memory
-    /// engine holds raw results only for an unfinished job between its
-    /// slices: for a finished job it answers nothing — the report is
-    /// what remains.
+    /// engine answers with what an unfinished job's record holds
+    /// between its slices: nothing while a slice has the job, and
+    /// nothing once it is finished — the report is what remains.
     pub fn results(&self, id: &str) -> Vec<ExperimentResult> {
-        let mut results = self.peek_results(id);
+        let mut results = match (&self.checkpoint_dir, self.queue.spec_hash(id)) {
+            (Some(dir), Some(hash)) => CheckpointLog::peek(&dir.join(format!("{id}.jsonl")), hash),
+            (Some(_), None) => Vec::new(),
+            (None, _) => match self.jobs.get(id).and_then(|job| job.checkpoint.as_ref()) {
+                Some(checkpoint) => checkpoint.results().to_vec(),
+                None => Vec::new(),
+            },
+        };
         results.sort_by_key(|r| r.point_id);
         results
     }
@@ -945,21 +944,27 @@ impl CampaignEngine {
 
 #[cfg(test)]
 impl CampaignEngine {
-    /// Jobs whose prepared state is resident.
+    /// Jobs whose record is resident.
     fn resident_jobs(&self) -> usize {
-        self.prepared.len()
+        self.jobs.len()
     }
 
-    /// Jobs whose raw results are resident, and how many results the
-    /// gauge says that is.
+    /// Records holding a checkpoint between slices, and how many
+    /// results they hold — which the gauge must say too.
     fn resident_logs(&self) -> (usize, u64) {
-        let held: usize = self.mem_logs.values().map(Vec::len).sum();
-        assert_eq!(self.metrics.results_resident.value(), held as u64);
-        (self.mem_logs.len(), held as u64)
+        let held: Vec<usize> = self
+            .jobs
+            .values()
+            .filter_map(|job| Some(job.checkpoint.as_ref()?.results().len()))
+            .collect();
+        let total = held.iter().sum::<usize>() as u64;
+        assert_eq!(self.metrics.results_resident.value(), total);
+        (held.len(), total)
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::report_to_value;
@@ -999,6 +1004,13 @@ mod tests {
             ..EngineConfig::default()
         };
         CampaignService::new(config, registry()).unwrap()
+    }
+
+    /// A fresh directory for a persistent engine.
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("campaign-engine-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
     }
 
     /// Drives `id` to completion in slices of `budget`; returns the
@@ -1092,8 +1104,7 @@ mod tests {
 
         // Killed after two slices and resumed by a second engine on the
         // same data dir: each engine prepares the job once.
-        let dir = std::env::temp_dir().join(format!("campaign-engine-once-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp_dir("once");
         let id = {
             let mut service = persistent(&dir);
             let id = service.submit(spec("whole")).unwrap();
@@ -1135,9 +1146,65 @@ mod tests {
     }
 
     #[test]
-    fn failed_and_cancelled_jobs_leave_nothing_resident() {
+    fn a_data_dir_job_holds_its_checkpoint_between_slices_and_reports_the_same_bytes() {
         let mut service = in_memory();
+        let id = service.submit(spec("whole")).unwrap();
+        let (reference, _) = run_sliced(&mut service, &id, None);
 
+        for budget in [1, 3, 8] {
+            let dir = temp_dir(&format!("held-{budget}"));
+            let mut service = persistent(&dir);
+            let id = service.submit(spec("whole")).unwrap();
+            assert_eq!(service.drive(Some(budget)).unwrap().experiments, budget);
+            let engine = service.engine();
+            let path = dir.join("checkpoints").join(format!("{id}.jsonl"));
+            let on_disk = CheckpointLog::peek(&path, engine.queue.spec_hash(&id).unwrap());
+            assert_eq!(
+                engine.resident_logs(),
+                (1, budget as u64),
+                "a requeued job carries its checkpoint to its next slice"
+            );
+            let held = engine.jobs[&id].checkpoint.as_ref().unwrap().results();
+            assert_eq!(format!("{held:?}"), format!("{on_disk:?}"), "budget {budget}");
+
+            let (report, _) = run_sliced(&mut service, &id, Some(budget));
+            assert_eq!(report, reference, "budget {budget}");
+            let engine = service.engine();
+            assert_eq!(lookups(engine), [1, 1, 1], "budget {budget}: prepared once");
+            assert_eq!(engine.resident_jobs(), 0);
+            assert_eq!(engine.resident_logs(), (0, 0));
+            assert_eq!(engine.results(&id).len(), 9, "the file answers once finished");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+
+        // Reopened between two slices: the new engine opens the
+        // checkpoint once more and holds it from then on.
+        let dir = temp_dir("held-reopen");
+        let id = {
+            let mut service = persistent(&dir);
+            let id = service.submit(spec("whole")).unwrap();
+            assert_eq!(service.drive(Some(4)).unwrap().experiments, 4);
+            id
+        };
+        let mut service = persistent(&dir);
+        assert_eq!(service.engine().resident_logs(), (0, 0));
+        assert_eq!(service.drive(Some(3)).unwrap().experiments, 3);
+        assert_eq!(service.engine().resident_logs(), (1, 7));
+        let (report, _) = run_sliced(&mut service, &id, Some(3));
+        assert_eq!(report, reference, "reopened");
+        assert_eq!(service.engine().resident_logs(), (0, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_and_cancelled_jobs_leave_nothing_resident() {
+        leave_nothing_resident(in_memory());
+        let dir = temp_dir("resident");
+        leave_nothing_resident(persistent(&dir));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn leave_nothing_resident(mut service: CampaignService) {
         // Fails while being prepared: the target does not parse.
         let mut broken = spec("broken");
         broken.sources[0].1 = "def f(:\n".into();

@@ -197,10 +197,6 @@ struct ActiveCampaign {
     pending: VecDeque<(InjectionPoint, Arc<Vec<SourceFile>>)>,
     in_flight: BTreeMap<u64, InFlight>,
     requeues: BTreeMap<u64, u64>,
-    /// Point ids recorded in the checkpoint — kept incrementally so the
-    /// per-result idempotence check is a set probe, not a rebuild of
-    /// the full completed set under the fleet lock.
-    done: BTreeSet<u64>,
 }
 
 struct Lease {
@@ -394,7 +390,7 @@ fn load_registry(
         lines += 1;
         true
     });
-    let mut log = Log::at(path);
+    let log = Log::at(path);
     match loaded {
         Ok(torn) => {
             if torn || lines != workers.len() {
@@ -792,7 +788,6 @@ impl Coordinator {
                 .into_iter()
                 .map(|(point, mutant)| (point, mutant.sources))
                 .collect();
-            let done = checkout.checkpoint.completed_ids();
             let mut state = self.lock();
             // A drain that began during the checkout has already
             // returned every active campaign: return this one too.
@@ -810,7 +805,6 @@ impl Coordinator {
                     pending,
                     in_flight: BTreeMap::new(),
                     requeues: BTreeMap::new(),
-                    done,
                 },
             );
             return Ok(true);
@@ -869,7 +863,7 @@ impl Coordinator {
                 let Some(c) = st.active.get_mut(&campaign_id) else {
                     continue; // campaign already completed
                 };
-                if c.done.contains(&point_id) {
+                if c.checkout.checkpoint.contains(point_id) {
                     continue; // resulted before the crash
                 }
                 let pos = c.pending.iter().position(|(p, _)| p.id == point_id);
@@ -1039,14 +1033,11 @@ impl Coordinator {
                 continue;
             };
             let point_id = result.point_id;
-            if c.done.contains(&point_id) {
+            let checkpoint = &mut c.checkout.checkpoint;
+            if checkpoint.contains(point_id) {
                 summary.duplicates += 1;
             } else {
-                c.checkout
-                    .checkpoint
-                    .record_owned(result)
-                    .map_err(FleetError::Io)?;
-                c.done.insert(point_id);
+                checkpoint.record_owned(result).map_err(FleetError::Io)?;
                 summary.accepted += 1;
             }
             // Retire the job wherever it currently lives: in flight
@@ -1076,7 +1067,8 @@ impl Coordinator {
             let Entry::Occupied(c) = state.active.entry(id) else {
                 continue;
             };
-            if c.get().done.len() < c.get().checkout.total {
+            let checkout = &c.get().checkout;
+            if checkout.checkpoint.results().len() < checkout.total {
                 continue;
             }
             let (id, c) = c.remove_entry();

@@ -268,7 +268,7 @@ impl LeaseLog {
         if self.events_since_snapshot >= SNAPSHOT_EVERY {
             return self.compact();
         }
-        let Some(log) = &mut self.log else {
+        let Some(log) = &self.log else {
             return Ok(()); // in-memory: the mirror is the log
         };
         fields.insert(0, ("ev", Value::str(ev)));
@@ -280,7 +280,7 @@ impl LeaseLog {
     /// Rewrites the log as a single snapshot of the mirror state — a
     /// crash during compaction must not lose the durable state.
     fn compact(&mut self) -> io::Result<()> {
-        let Some(log) = &mut self.log else {
+        let Some(log) = &self.log else {
             return Ok(());
         };
         let leases = self.state.leases.iter().map(|(worker, jobs)| {

@@ -9,7 +9,8 @@
 //!   never a truncated mix; a leftover `*.tmp` is garbage the next
 //!   rewrite overwrites.
 //! * **Append** ([`Log::append`]): one compact JSON value, one newline,
-//!   and `sync_data` before the call returns.
+//!   and `sync_data` before the call returns, through a handle opened
+//!   for it and closed with it — no open file outlives an append.
 //! * **Load** ([`Log::load`]): the lines up to the first one that does
 //!   not parse, or that the caller turns down, are the log; whatever
 //!   follows is the torn tail of a crash mid-append and is reported, so
@@ -47,12 +48,10 @@ pub fn replace(path: &Path, bytes: &[u8]) -> io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
-/// An append-only JSON-lines log: one compact [`Value`] per line.
+/// An append-only JSON-lines log: one compact [`Value`] per line. It
+/// holds no file open: each write opens the file at its path.
 pub struct Log {
     path: PathBuf,
-    /// The append handle, opened by the first append and dropped by a
-    /// rewrite (the rename leaves it pointing at the old file).
-    file: Option<File>,
 }
 
 impl Log {
@@ -102,30 +101,20 @@ impl Log {
     pub fn at(path: &Path) -> Log {
         Log {
             path: path.to_path_buf(),
-            file: None,
         }
     }
 
-    /// Where the log lives.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Appends one line and syncs it to disk before returning.
+    /// Appends one line to the file at the log's path — whatever file
+    /// is there now — and syncs it to disk before returning.
     ///
     /// # Errors
     ///
     /// I/O errors opening, writing or syncing the file.
-    pub fn append(&mut self, line: &Value) -> io::Result<()> {
-        let file = match &mut self.file {
-            Some(file) => file,
-            None => self.file.insert(
-                OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&self.path)?,
-            ),
-        };
+    pub fn append(&self, line: &Value) -> io::Result<()> {
+        let mut file = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&self.path)?;
         let mut text = line.compact();
         text.push('\n');
         file.write_all(text.as_bytes())?;
@@ -133,19 +122,17 @@ impl Log {
     }
 
     /// Replaces the whole log with `lines` ([`replace`]: the old content
-    /// stays until the new one is durable); later appends go to the new
-    /// file.
+    /// stays until the new one is durable).
     ///
     /// # Errors
     ///
     /// I/O errors.
-    pub fn rewrite(&mut self, lines: impl IntoIterator<Item = Value>) -> io::Result<()> {
+    pub fn rewrite(&self, lines: impl IntoIterator<Item = Value>) -> io::Result<()> {
         let mut text = String::new();
         for line in lines {
             text.push_str(&line.compact());
             text.push('\n');
         }
-        self.file = None;
         replace(&self.path, text.as_bytes())
     }
 }
@@ -180,7 +167,7 @@ mod tests {
             (Vec::new(), false),
             "a missing file is an empty log"
         );
-        let mut log = Log::at(&path);
+        let log = Log::at(&path);
         log.append(&Value::obj(vec![("n", 1u64.into())])).unwrap();
         log.append(&Value::obj(vec![("n", 2u64.into())])).unwrap();
         assert_eq!(
@@ -201,6 +188,21 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(!torn);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn an_append_reaches_the_file_now_at_the_path() {
+        let path = temp_path("moved");
+        let aside = path.with_extension("aside");
+        let _ = std::fs::remove_file(&path);
+        let log = Log::at(&path);
+        log.append(&Value::obj(vec![("n", 1u64.into())])).unwrap();
+        std::fs::rename(&path, &aside).unwrap();
+        log.append(&Value::obj(vec![("n", 2u64.into())])).unwrap();
+        assert_eq!(std::fs::read_to_string(&aside).unwrap(), "{\"n\":1}\n");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"n\":2}\n");
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&aside);
     }
 
     #[test]
