@@ -24,6 +24,8 @@
 //! misses and is rebuilt (its scan from the disk tier, when there is
 //! one); jobs already prepared hold their own `Arc`s and lose nothing.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use injector::InjectionPoint;
 use profipy::workflow::{Mutant, PreparedProgram};
 use pysrc::Module;
@@ -404,6 +406,7 @@ impl MutantCache {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use injector::Scanner;

@@ -12,6 +12,8 @@
 //! A torn final line (crash mid-write) is detected and dropped; every
 //! complete record before it still counts.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::persist::{result_from_value, result_to_value};
 use jsonlite::durable::Log;
 use jsonlite::Value;
@@ -165,6 +167,7 @@ impl CheckpointLog {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use pyrt::{LogRecord, Severity};

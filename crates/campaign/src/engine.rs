@@ -3,13 +3,13 @@
 //!
 //! ```text
 //!  submit(spec) ─▶ JobQueue (persistent, fair)            poll(id)
-//!                      │ drive()                             ▲
-//!                      ▼                                     │
+//!                      │ drive(): jobs in queue order        ▲
+//!                      ▼          until the budget is full   │
 //!               prepare: MutantCache (parse/scan/mutants)    │
 //!                      │                                     │
 //!                      ▼                               StatusBoard
-//!               scheduler::interleave ─▶ ParallelExecutor    ▲
-//!                      │         (one pool, all campaigns)   │
+//!               run_slice ─▶ ParallelExecutor                ▲
+//!                      │   (one pool, all campaigns)         │
 //!                      ▼                                     │
 //!               CheckpointLog (per campaign, incremental) ───┘
 //! ```
@@ -34,16 +34,17 @@
 //! A campaign is **prepared once per job**, not once per drive slice:
 //! what a spec determines (workflow, plan, cache key) is built, and its
 //! checkpoint opened, the first time the job is taken; one record keeps
-//! both until the job completes, fails or is cancelled. A later slice
-//! takes the checkpoint and lists what is still pending, so nothing a
-//! slice does beyond that may grow with the size of the campaign.
+//! both until the job completes, fails or is cancelled. The record also
+//! keeps the job's place in its plan: a slice walks on from there and
+//! renders only the mutants it runs, and settling moves the place past
+//! what was recorded, so nothing a slice does grows with the size of
+//! the campaign.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::cache::{CacheMetrics, CacheStats, MutantCache};
 use crate::checkpoint::CheckpointLog;
 use crate::queue::{JobQueue, JobState, QueuedJob};
-use crate::scheduler::{self, RunTelemetry, ScheduledCampaign};
 use crate::spec::CampaignSpec;
 use injector::InjectionPoint;
 use profipy::analysis::FailureClassifier;
@@ -52,7 +53,8 @@ use profipy::workflow::HostFactory;
 use profipy::{ExperimentResult, InjectionPlan, Mutant, Workflow};
 use pysrc::Module;
 use sandbox::ParallelExecutor;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -71,8 +73,7 @@ pub struct EngineMetrics {
     pub experiment_seconds: obs::Histogram,
     /// The cross-campaign cache's instruments (shared with the cache).
     pub cache: CacheMetrics,
-    /// Result records the engine holds for unfinished jobs between
-    /// their slices.
+    /// Result records held in the records of unfinished jobs.
     pub results_resident: obs::Gauge,
     /// Jobs per state, in [`JobState::ALL`] order (shared with the
     /// queue, which keeps the tally).
@@ -100,7 +101,7 @@ impl EngineMetrics {
         );
         registry.register_histogram(
             "campaign_prepare_seconds",
-            "Mutant-cache campaign preparation time (parse/scan/plan/render), in seconds.",
+            "Per-slice campaign preparation time (a job's first slice parses, scans and plans; every slice renders only the mutants it runs), in seconds.",
             &self.prepare_seconds,
         );
         registry.register_histogram(
@@ -130,7 +131,7 @@ impl EngineMetrics {
         );
         registry.register_gauge(
             "campaign_results_resident",
-            "Result records held in memory between slices for unfinished jobs (both storage modes).",
+            "Result records held in memory for unfinished jobs (both storage modes).",
             &self.results_resident,
         );
         let c = &self.cache;
@@ -329,9 +330,42 @@ struct HeldJob {
     plan: InjectionPlan,
     /// The spec's mutant-cache key.
     key: u64,
-    /// The job's checkpoint between its slices; a slice or a fleet
-    /// checkout takes it, and `settle` puts it back on requeue.
+    /// Where the next slice starts walking `plan.entries`: every entry
+    /// before it is recorded.
+    next: usize,
+    /// The job's checkpoint; only a fleet checkout takes it out, and
+    /// `checkin` puts it back.
     checkpoint: Option<CheckpointLog>,
+}
+
+impl HeldJob {
+    /// Moves `next` past the recorded prefix of the plan and returns
+    /// how many results the checkpoint holds (`None` while checked out).
+    fn advance(&mut self) -> Option<usize> {
+        let checkpoint = self.checkpoint.as_ref()?;
+        while (self.plan.entries.get(self.next)).is_some_and(|p| checkpoint.contains(p.id)) {
+            self.next += 1;
+        }
+        Some(checkpoint.results().len())
+    }
+}
+
+/// The error for a taken job without its record or checkpoint.
+fn unheld(id: &str) -> EngineError {
+    EngineError { message: format!("job {id} holds no checkpoint") }
+}
+
+/// Experiments to run, each with its rendered mutant.
+type Pending = Vec<(InjectionPoint, Mutant)>;
+
+/// One experiment of a drive slice: everything a worker needs, with no
+/// shared mutable state.
+struct Experiment {
+    /// The owning job's index in the slice's list of taken jobs.
+    job: usize,
+    point: InjectionPoint,
+    mutant: Mutant,
+    workflow: Arc<Workflow>,
 }
 
 /// What one `drive` call did.
@@ -526,12 +560,15 @@ impl CampaignEngine {
         }
     }
 
-    /// Marks a taken job failed and publishes why.
+    /// Marks a taken job failed and publishes what the queue then holds,
+    /// also when writing the job file failed.
     fn fail(&mut self, id: &str, error: &str) -> Result<(), EngineError> {
         self.drop_job(id);
-        self.queue.fail(id, error)?;
-        self.publish(id, JobState::Failed, Some(error));
-        Ok(())
+        let persisted = self.queue.fail(id, error);
+        if let Some(done) = self.queue.finished(id) {
+            self.publish(id, done.state, done.error.as_deref());
+        }
+        Ok(persisted?)
     }
 
     /// The status of a job, or `None` for an unknown id.
@@ -589,68 +626,122 @@ impl CampaignEngine {
 
     /// Runs queued campaigns. `budget` caps the number of experiments
     /// executed this call (`None` = run everything): the lever for
-    /// incremental pumping and for the kill-and-resume tests. Campaigns
-    /// left unfinished by the budget return to the queue.
+    /// incremental pumping and for the kill-and-resume tests. Jobs are
+    /// taken in the queue's fairness order until the budget is full,
+    /// each running as much of what is left of it as it has pending;
+    /// campaigns left unfinished return to the queue.
     ///
     /// # Errors
     ///
-    /// Checkpoint I/O failures; per-campaign setup failures mark only
+    /// Queue and checkpoint I/O failures, the first one; every job taken
+    /// is settled all the same. Per-campaign setup failures mark only
     /// that job failed.
     pub fn drive(&mut self, budget: Option<usize>) -> Result<DriveSummary, EngineError> {
-        let mut summary = DriveSummary::default();
-        let mut prepared: Vec<ScheduledCampaign> = Vec::new();
-        let mut prepared_ids: Vec<String> = Vec::new();
-        let mut totals: Vec<usize> = Vec::new();
-        let mut pending_total = 0usize;
-        // Take campaigns until the queue is drained — or, under a
-        // budget, until we already hold enough pending experiments to
-        // fill it (preparing more would be wasted work this drive).
-        while budget.is_none_or(|b| pending_total < b) {
-            let Some(id) = self.queue.take_next()? else {
-                break;
+        let mut taken: Vec<String> = Vec::new();
+        let mut experiments = VecDeque::new();
+        let mut first_error = None;
+        while budget.is_none_or(|b| experiments.len() < b) {
+            let id = match self.queue.take_next() {
+                Ok(Some(id)) => id,
+                Ok(None) => break,
+                Err(e) => {
+                    first_error = Some(e.into());
+                    break;
+                }
             };
             self.note_taken(&id);
-            match self.prepare(&id) {
-                Ok((campaign, total)) => {
-                    pending_total += campaign.pending.len();
-                    prepared.push(campaign);
-                    prepared_ids.push(id);
-                    totals.push(total);
+            match self.prepare(&id, budget.map(|b| b - experiments.len())) {
+                Ok((workflow, pending)) => {
+                    experiments.extend(pending.into_iter().map(|(point, mutant)| Experiment {
+                        job: taken.len(),
+                        point,
+                        mutant,
+                        workflow: workflow.clone(),
+                    }));
+                    taken.push(id);
                 }
-                Err(e) => self.fail(&id, &e.message)?,
+                Err(e) => {
+                    if let Err(e) = self.fail(&id, &e.message) {
+                        first_error.get_or_insert(e);
+                    }
+                }
             }
         }
-        summary.campaigns = prepared.len();
-        let jobs = scheduler::interleave(&mut prepared, budget);
-        let telemetry = RunTelemetry {
-            experiment_seconds: &self.metrics.experiment_seconds,
-            trace: self.trace.as_deref().map(|store| (store, &prepared_ids[..])),
+        let mut summary = DriveSummary { campaigns: taken.len(), ..DriveSummary::default() };
+        let run = self.run_slice(&taken, experiments);
+        let recorded_ok = run.is_ok();
+        match run {
+            Ok(executed) => summary.experiments = executed,
+            Err(e) => {
+                first_error.get_or_insert(e.into());
+            }
+        }
+        // Every taken job must leave the Running state, or it is
+        // stranded until the engine is reopened.
+        for id in &taken {
+            match self.settle(id, recorded_ok) {
+                Ok(completed) => summary.completed += usize::from(completed),
+                Err(e) => {
+                    first_error.get_or_insert(e);
+                }
+            }
+        }
+        first_error.map_or(Ok(summary), Err)
+    }
+
+    /// Runs a slice's experiments through the executor — one pool for
+    /// every job taken — and records each result into its job's
+    /// checkpoint on this thread as it completes, so a crash loses at
+    /// most the experiments in flight. Returns how many ran.
+    ///
+    /// # Errors
+    ///
+    /// The first checkpoint I/O error; nothing is recorded after it.
+    fn run_slice(
+        &mut self,
+        taken: &[String],
+        experiments: VecDeque<Experiment>,
+    ) -> io::Result<usize> {
+        let (seconds, trace) = (&self.metrics.experiment_seconds, self.trace.as_deref());
+        let (jobs, resident) = (&mut self.jobs, &self.metrics.results_resident);
+        let total = experiments.len();
+        let stream = Mutex::new(experiments);
+        let (mut executed, mut io_error) = (0, None);
+        let run = |e: Experiment| {
+            let started = Instant::now();
+            let result = e.workflow.run_mutant(&e.point, &e.mutant);
+            let elapsed = started.elapsed();
+            seconds.observe_duration(elapsed);
+            if let Some(store) = trace {
+                let (id, phase) = (&taken[e.job], format!("execute #{}", e.point.id));
+                store.record_phase(id, "engine", &phase, started, elapsed, result.failed_round1());
+            }
+            (e.job, result)
         };
-        let run_outcome =
-            scheduler::run_interleaved(&self.executor, jobs, &mut prepared, Some(&telemetry));
-        if let Ok(executed) = &run_outcome {
-            summary.experiments = *executed;
-        }
-        // Bookkeeping runs even if recording failed mid-drive: every
-        // taken job must leave the Running state, or it is stranded
-        // until the engine is reopened.
-        for ((id, total), campaign) in prepared_ids.iter().zip(totals).zip(prepared) {
-            if self.settle(id, total, campaign.checkpoint, run_outcome.is_ok())? {
-                summary.completed += 1;
+        let record = |(job, result): (usize, ExperimentResult)| {
+            executed += 1;
+            if io_error.is_some() {
+                return;
             }
-        }
-        run_outcome?;
-        Ok(summary)
+            let held = jobs.get_mut(&taken[job]).and_then(|held| held.checkpoint.as_mut());
+            match held.map(|checkpoint| checkpoint.record_owned(result)) {
+                Some(Ok(())) => resident.add(1),
+                Some(Err(e)) => io_error = Some(e),
+                None => io_error = Some(io::Error::other(unheld(&taken[job]).message)),
+            }
+        };
+        self.executor.run_stream(total, &stream, run, record);
+        io_error.map_or(Ok(executed), Err)
     }
 
     /// Checks the next queued campaign out of the queue for **external
     /// execution** — the distributed-fleet analogue of `drive`. The
     /// campaign is prepared exactly like a local drive would (cache
     /// reuse, coverage pruning, mutation failures recorded into the
-    /// checkpoint), but instead of running the pending experiments this
-    /// hands them — points plus rendered container sources — to the
-    /// caller. The job stays `Running` until [`CampaignEngine::checkin`]
-    /// returns it.
+    /// checkpoint), but instead of running the pending experiments —
+    /// all of them — this hands them, points plus rendered container
+    /// sources, and the checkpoint to the caller. The job stays
+    /// `Running` until [`CampaignEngine::checkin`] returns it.
     ///
     /// A campaign whose preparation fails is marked failed and the next
     /// queued one is tried; `None` means the queue is drained.
@@ -664,16 +755,19 @@ impl CampaignEngine {
                 return Ok(None);
             };
             self.note_taken(&id);
-            match self.prepare(&id) {
-                Ok((campaign, total)) => {
+            match self.prepare(&id, None) {
+                Ok((workflow, pending)) => {
                     let spec = queued(&self.queue, &id)?.spec.clone();
+                    let job = self.jobs.get_mut(&id).ok_or_else(|| unheld(&id))?;
+                    let checkpoint = job.checkpoint.take().ok_or_else(|| unheld(&id))?;
+                    self.metrics.results_resident.sub(checkpoint.results().len() as u64);
                     return Ok(Some(CheckedOutCampaign {
+                        total: job.plan.len(),
                         id,
                         spec,
-                        total,
-                        modules: Arc::new(campaign.workflow.modules().to_vec()),
-                        pending: campaign.pending,
-                        checkpoint: campaign.checkpoint,
+                        modules: Arc::new(workflow.modules().to_vec()),
+                        pending,
+                        checkpoint,
                     }));
                 }
                 Err(e) => self.fail(&id, &e.message)?,
@@ -686,8 +780,8 @@ impl CampaignEngine {
     /// planned experiments are in, the job completes and its report is
     /// built through the **same code path as `drive`** (the distributed
     /// report is byte-identical to a single-node run by construction).
-    /// Otherwise the job goes back to the queue and a later checkout
-    /// resumes from the checkpoint.
+    /// Otherwise the job goes back to the queue and a later slice or
+    /// checkout resumes from the checkpoint.
     ///
     /// Returns whether the campaign completed.
     ///
@@ -695,42 +789,43 @@ impl CampaignEngine {
     ///
     /// Queue I/O failures.
     pub fn checkin(&mut self, campaign: CheckedOutCampaign) -> Result<bool, EngineError> {
-        self.settle(&campaign.id, campaign.total, campaign.checkpoint, true)
+        let job = self.jobs.get_mut(&campaign.id).ok_or_else(|| unheld(&campaign.id))?;
+        self.metrics.results_resident.add(campaign.checkpoint.results().len() as u64);
+        job.checkpoint = Some(campaign.checkpoint);
+        self.settle(&campaign.id, true)
     }
 
-    /// Takes a taken job's checkpoint back. With every planned
-    /// experiment recorded (and `recorded_ok`) the job completes: the
-    /// report is built, a completion event queued, and the job's record
-    /// dropped. Otherwise — budget exhausted mid-campaign, or recording
-    /// failed — the job returns to the queue and its record keeps the
-    /// checkpoint, which holds what was durably recorded.
-    /// Either way the new state and count — and the report — are
-    /// published in one write. Returns whether the campaign completed.
-    fn settle(
-        &mut self,
-        id: &str,
-        total: usize,
-        checkpoint: CheckpointLog,
-        recorded_ok: bool,
-    ) -> Result<bool, EngineError> {
-        let done = checkpoint.results().len();
+    /// Ends a taken job's slice. With every planned experiment recorded
+    /// (and `recorded_ok`) the job completes: the report is built, a
+    /// completion event queued, and the job's record dropped. Otherwise
+    /// — budget exhausted mid-campaign, or recording failed — the job
+    /// returns to the queue, its record keeping the checkpoint and its
+    /// place in the plan moved past what is recorded.
+    ///
+    /// The new state and count — and the report — are published in one
+    /// write, also when writing the job file fails: the queue holds the
+    /// new state in memory by then, and a completed job's report comes
+    /// from its durable checkpoint, so a restart that resumes it finds
+    /// every result and builds the same report. That error is returned
+    /// after. Returns whether the campaign completed.
+    fn settle(&mut self, id: &str, recorded_ok: bool) -> Result<bool, EngineError> {
+        let job = self.jobs.get_mut(id).ok_or_else(|| unheld(id))?;
+        let total = job.plan.len();
+        let done = job.advance().ok_or_else(|| unheld(id))?;
         let completed = done >= total && recorded_ok;
         let mut report = None;
-        if completed {
+        let persisted = if completed {
             let name = &queued(&self.queue, id)?.spec.name;
-            let mut results = checkpoint.into_results();
+            let checkpoint = self.jobs.remove(id).and_then(|job| job.checkpoint);
+            self.metrics.results_resident.sub(done as u64);
+            let mut results = checkpoint.map(CheckpointLog::into_results).unwrap_or_default();
             report = Some(Self::build_report(name, total, &mut results, &self.classifier));
-            self.queue.complete(id)?;
             self.completions.push(id.to_string());
-            self.jobs.remove(id);
+            self.queue.complete(id)
         } else {
-            if let Some(job) = self.jobs.get_mut(id) {
-                self.metrics.results_resident.add(done as u64);
-                job.checkpoint = Some(checkpoint);
-            }
-            self.queue.requeue(id)?;
             self.waiting_since.insert(id.to_string(), Instant::now());
-        }
+            self.queue.requeue(id)
+        };
         self.status.update(id, |status| {
             status.state = if completed {
                 JobState::Completed
@@ -741,16 +836,22 @@ impl CampaignEngine {
             status.completed_experiments = done;
             status.report = report;
         });
+        persisted?;
         Ok(completed)
     }
 
-    /// Builds what a taken job needs to be scheduled this slice: the
-    /// job's record (built now if this is its first slice), its
-    /// checkpoint, and the experiments still pending with their
-    /// rendered mutants.
+    /// Builds what a taken job runs this slice: the job's record (built
+    /// now if this is its first slice) and its next `cap` pending
+    /// experiments (`None` = all) with their rendered mutants, walked
+    /// from the job's place in the plan. Unmutatable points on the way
+    /// are recorded as not run.
     ///
-    /// Returns the campaign and its planned experiment count.
-    fn prepare(&mut self, id: &str) -> Result<(ScheduledCampaign, usize), EngineError> {
+    /// Returns the job's workflow and the experiments.
+    fn prepare(
+        &mut self,
+        id: &str,
+        cap: Option<usize>,
+    ) -> Result<(Arc<Workflow>, Pending), EngineError> {
         let prepare_started = Instant::now();
         if let Some(store) = &self.trace {
             store.begin(id);
@@ -759,26 +860,23 @@ impl CampaignEngine {
             let job = self.prepare_job(id)?;
             self.jobs.insert(id.to_string(), job);
         }
-        let Some((mut checkpoint, job)) = self
-            .jobs
-            .get_mut(id)
-            .and_then(|job| Some((job.checkpoint.take()?, job)))
-        else {
-            return Err(EngineError { message: format!("job {id} holds no checkpoint") });
-        };
-        self.metrics.results_resident.sub(checkpoint.results().len() as u64);
+        let job = self.jobs.get_mut(id).ok_or_else(|| unheld(id))?;
+        let HeldJob { workflow, plan, key, next, checkpoint } = job;
+        let checkpoint = checkpoint.as_mut().ok_or_else(|| unheld(id))?;
 
-        // Render (or reuse) the mutants for the pending experiments.
-        let mut pending: Vec<(InjectionPoint, Mutant)> = Vec::new();
-        for point in &job.plan.entries {
+        let mut pending: Pending = Vec::new();
+        for point in plan.entries.iter().skip(*next) {
+            if cap.is_some_and(|cap| pending.len() >= cap) {
+                break;
+            }
             if checkpoint.contains(point.id) {
                 continue;
             }
-            let mutant = match self.cache.mutant(job.key, point.id) {
+            let mutant = match self.cache.mutant(*key, point.id) {
                 Some(mutant) => mutant,
-                None => match job.workflow.render_mutant(point) {
+                None => match workflow.render_mutant(point) {
                     Ok(rendered) => {
-                        self.cache.store_mutant(job.key, point.id, rendered.clone());
+                        self.cache.store_mutant(*key, point.id, rendered.clone());
                         rendered
                     }
                     Err(e) => {
@@ -786,6 +884,7 @@ impl CampaignEngine {
                         // directly (no container needed) and move on.
                         let failure = ExperimentResult::not_run(point, Some(e.message));
                         checkpoint.record_owned(failure)?;
+                        self.metrics.results_resident.add(1);
                         continue;
                     }
                 },
@@ -806,20 +905,12 @@ impl CampaignEngine {
                 false,
             );
         }
-        let total = job.plan.len();
-        let recorded = checkpoint.results().len();
+        let (total, recorded) = (plan.len(), checkpoint.results().len());
         self.status.update(id, |status| {
             status.total_experiments = Some(total);
             status.completed_experiments = recorded;
         });
-        Ok((
-            ScheduledCampaign {
-                workflow: job.workflow.clone(),
-                pending,
-                checkpoint,
-            },
-            total,
-        ))
+        Ok((workflow.clone(), pending))
     }
 
     /// Derives a job's record from its spec, reusing the cross-campaign
@@ -863,7 +954,6 @@ impl CampaignEngine {
             self.cache
                 .store_prepared_program(key, Arc::new(workflow.prepared_program().clone()));
         }
-        let workflow = workflow;
 
         // Scan (or reuse the scan).
         let points: Arc<Vec<InjectionPoint>> = match self.cache.points(key, workflow.modules()) {
@@ -904,6 +994,7 @@ impl CampaignEngine {
             workflow: Arc::new(workflow),
             plan,
             key,
+            next: 0,
             checkpoint: Some(checkpoint),
         })
     }
@@ -1323,11 +1414,148 @@ mod tests {
         assert_eq!(report_to_value(&report).pretty(), reference);
         assert!(engine.cache.metrics().evictions.value() >= 16);
         let stats = engine.cache_stats();
-        assert!(
-            stats.mutant_misses > 18,
-            "pending mutants were rendered again after an eviction: {stats:?}"
+        assert_eq!(
+            (stats.mutant_misses, stats.mutant_hits),
+            (18, 0),
+            "each experiment's mutant is looked up once, and was evicted since"
         );
         assert_eq!(lookups(engine), [2, 2, 2], "each job still prepared once");
         assert_eq!(engine.resident_logs(), (0, 0));
+    }
+
+    /// Mutant-cache lookups made so far.
+    fn mutant_lookups(engine: &CampaignEngine) -> u64 {
+        let s = engine.cache_stats();
+        s.mutant_hits + s.mutant_misses
+    }
+
+    #[test]
+    fn a_slice_looks_up_only_the_mutants_it_runs() {
+        for budget in [None, Some(1), Some(3), Some(8)] {
+            let mut service = in_memory();
+            let id = service.submit(spec("whole")).unwrap();
+            run_sliced(&mut service, &id, budget);
+            assert_eq!(mutant_lookups(service.engine()), 9, "budget {budget:?}");
+        }
+    }
+
+    #[test]
+    fn the_first_job_taken_may_fill_the_budget_and_the_next_gets_what_is_left() {
+        let sized = |name: &str, user: &str, sample: usize| {
+            let mut spec = spec(name);
+            spec.user = user.into();
+            spec.filter.sample = sample;
+            spec
+        };
+        let reference = |spec: CampaignSpec| {
+            let mut service = in_memory();
+            let id = service.submit(spec).unwrap();
+            run_sliced(&mut service, &id, None).0
+        };
+        let mut service = in_memory();
+        let five = service.submit(sized("five", "alice", 5)).unwrap();
+        let nine = service.submit(sized("nine", "bob", 9)).unwrap();
+        let summary = service.drive(Some(8)).unwrap();
+        assert_eq!(summary, DriveSummary { campaigns: 2, experiments: 8, completed: 1 });
+        assert_eq!(service.poll(&five).unwrap().state, JobState::Completed);
+        let status = service.poll(&nine).unwrap();
+        assert_eq!((status.state, status.completed_experiments), (JobState::Queued, 3));
+        let (report, slices) = run_sliced(&mut service, &nine, Some(8));
+        assert_eq!(slices, 1, "six left");
+        assert_eq!(report, reference(sized("nine", "bob", 9)));
+        let five = service.engine().report(&five).unwrap();
+        assert_eq!(report_to_value(&five).pretty(), reference(sized("five", "alice", 5)));
+        assert_eq!(mutant_lookups(service.engine()), 14);
+    }
+
+    /// Checks `id`'s campaign out, records only its last four planned
+    /// points, and checks it back in.
+    fn record_the_last_four_by_checkout(service: &mut CampaignService, id: &str) {
+        let engine = service.engine();
+        let mut checkout = engine.checkout_next().unwrap().expect("queued");
+        assert_eq!((checkout.id.as_str(), checkout.pending.len()), (id, 9));
+        let workflow = engine.jobs[id].workflow.clone();
+        for (point, mutant) in &checkout.pending[5..] {
+            checkout.checkpoint.record_owned(workflow.run_mutant(point, mutant)).unwrap();
+        }
+        assert!(!engine.checkin(checkout).unwrap());
+        assert_eq!(engine.jobs[id].next, 0, "the gap is at the front");
+    }
+
+    #[test]
+    fn a_job_checked_in_with_a_gap_walks_only_the_gap_and_reports_the_same_bytes() {
+        let mut service = in_memory();
+        let id = service.submit(spec("whole")).unwrap();
+        let (reference, _) = run_sliced(&mut service, &id, None);
+
+        let mut service = in_memory();
+        let id = service.submit(spec("whole")).unwrap();
+        record_the_last_four_by_checkout(&mut service, &id);
+        assert_eq!(service.drive(Some(2)).unwrap().experiments, 2);
+        assert_eq!(service.engine().jobs[&id].next, 2);
+        let (report, slices) = run_sliced(&mut service, &id, Some(2));
+        assert_eq!(slices, 2, "three left, two a slice");
+        assert_eq!(report, reference);
+        assert_eq!(mutant_lookups(service.engine()), 9 + 5, "the checkout's and the gap's");
+
+        // A data-dir engine reopened after the checkin walks the gap the
+        // same way, from the start of the plan once.
+        let dir = temp_dir("gap");
+        let id = {
+            let mut service = persistent(&dir);
+            let id = service.submit(spec("whole")).unwrap();
+            record_the_last_four_by_checkout(&mut service, &id);
+            id
+        };
+        let mut service = persistent(&dir);
+        let (report, slices) = run_sliced(&mut service, &id, Some(2));
+        assert_eq!(slices, 3, "five left, two a slice");
+        assert_eq!(report, reference, "reopened");
+        assert_eq!(mutant_lookups(service.engine()), 5);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_job_file_that_cannot_be_written_strands_none_of_the_slices_jobs() {
+        let dir = temp_dir("settle");
+        let job_file = dir.join("queue").join("job-000001.json");
+        let fired = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let etcd = profipy::case_study::etcd_host_factory();
+        let (path, first) = (job_file.clone(), fired.clone());
+        let breaking: HostFactory = Arc::new(move |seed| {
+            if !first.swap(true, std::sync::atomic::Ordering::SeqCst) {
+                std::fs::remove_file(&path).unwrap();
+                std::fs::create_dir(&path).unwrap();
+            }
+            etcd(seed)
+        });
+        let registry = HostRegistry::new().with("etcd", breaking);
+        let mut engine = CampaignEngine::open(&dir, registry).unwrap();
+        let mut two = |user: &str| {
+            let mut spec = spec(user);
+            spec.user = user.into();
+            spec.filter.sample = 2;
+            engine.submit(spec).unwrap()
+        };
+        let (alice, bob) = (two("alice"), two("bob"));
+
+        let err = engine.drive(Some(3)).unwrap_err();
+        assert!(err.message.contains("Is a directory"), "{}", err.message);
+        assert!(fired.load(std::sync::atomic::Ordering::SeqCst) && job_file.is_dir());
+        let status = engine.poll(&alice).unwrap();
+        assert_eq!(engine.queue.finished(&alice).map(|f| f.state), Some(JobState::Completed));
+        assert_eq!(status.state, JobState::Completed);
+        assert_eq!(status.report.map(|r| r.executed), Some(2));
+        assert_eq!(engine.poll(&bob).unwrap().state, JobState::Queued);
+        assert_eq!(engine.queue.get(&bob).map(|j| j.state), Some(JobState::Queued));
+
+        let summary = engine.drive(None).unwrap();
+        assert_eq!((summary.campaigns, summary.experiments, summary.completed), (1, 1, 1));
+        assert_eq!(engine.poll(&bob).unwrap().state, JobState::Completed);
+        let delivered = engine.take_completed();
+        let users: Vec<&str> = delivered.iter().map(|(user, _)| user.as_str()).collect();
+        assert_eq!(users, ["alice", "bob"]);
+        assert_eq!(engine.resident_logs(), (0, 0));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

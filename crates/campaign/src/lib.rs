@@ -17,13 +17,13 @@
 //!   (source hash, fault-model hash): parsed modules, scan results
 //!   (memory + disk), coverage sets, and rendered mutants; a repeat
 //!   campaign on an unchanged target performs zero re-scans.
-//! * [`scheduler`] — interleaves the pending experiments of *all*
-//!   queued campaigns into one job stream feeding
-//!   `sandbox::ParallelExecutor::run_stream`, keeping every worker busy
-//!   across campaign boundaries.
 //! * [`engine::CampaignEngine`] — submit / poll / drive / resume over
-//!   the above; [`service::CampaignService`] adds the per-user session
-//!   surface (saved models, report history).
+//!   the above. A drive slice takes jobs in the queue's fairness order
+//!   until its experiment budget is full and feeds the experiments of
+//!   all of them to one `sandbox::ParallelExecutor::run_stream`,
+//!   keeping every worker busy across campaign boundaries;
+//!   [`service::CampaignService`] adds the per-user session surface
+//!   (saved models, report history).
 //! * [`api`] — the REST surface over the service (`POST
 //!   /api/campaigns`, status/report/model/metrics endpoints), served
 //!   by the std-only `httpd` crate with a background drive thread.
@@ -60,7 +60,6 @@ pub mod checkpoint;
 pub mod engine;
 pub mod persist;
 pub mod queue;
-pub mod scheduler;
 pub mod service;
 pub mod spec;
 

@@ -4,6 +4,8 @@
 //! distributed campaign reports exactly what an uninterrupted one would.
 //! An older record's stdout, host events and lower logs are dropped.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use jsonlite::Value;
 use profipy::ExperimentResult;
 use pyrt::{LogRecord, Severity};
@@ -159,6 +161,7 @@ pub fn results_equivalent(a: &ExperimentResult, b: &ExperimentResult) -> bool {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use pyrt::host::TraceEvent;

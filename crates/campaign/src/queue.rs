@@ -13,6 +13,8 @@
 //! (§IV); fairness keeps one user's thousand-experiment campaign from
 //! starving everyone else.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::spec::CampaignSpec;
 use jsonlite::Value;
 use std::cmp::Reverse;
@@ -389,8 +391,10 @@ impl JobQueue {
         job.error = error;
         let persisted = self.persist(id);
         if state.is_final() {
-            let (id, done) = self.jobs.remove(id).expect("looked up above").finish();
-            self.finished.insert(id, done);
+            if let Some(job) = self.jobs.remove(id) {
+                let (id, done) = job.finish();
+                self.finished.insert(id, done);
+            }
         }
         persisted
     }
@@ -485,6 +489,7 @@ fn next_in_order<'a>(
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

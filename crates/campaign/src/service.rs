@@ -11,6 +11,8 @@
 //! the reports rather than copying them: a session holds the same
 //! `Arc<CampaignReport>` the engine's status board does.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::engine::{
     CampaignEngine, CheckedOutCampaign, DriveSummary, EngineConfig, EngineError, HostRegistry,
     JobStatus,

@@ -8,6 +8,8 @@
 //! referenced *by name* (resolved through the engine's host registry),
 //! since host factories are code, not data.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use faultdsl::FaultModel;
 use injector::MutationMode;
 use jsonlite::Value;
@@ -331,6 +333,7 @@ impl CampaignSpec {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

@@ -18,6 +18,8 @@
 //!   again. Lines are read as bytes: a last line cut inside a
 //!   multi-byte character is torn too.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::Value;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, Write};
@@ -138,6 +140,7 @@ impl Log {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 
