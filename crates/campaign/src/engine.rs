@@ -1556,6 +1556,23 @@ mod tests {
         let users: Vec<&str> = delivered.iter().map(|(user, _)| user.as_str()).collect();
         assert_eq!(users, ["alice", "bob"]);
         assert_eq!(engine.resident_logs(), (0, 0));
+
+        // A job whose file cannot be written as it is taken stays queued.
+        let mut three = spec("carol");
+        three.user = "carol".into();
+        three.filter.sample = 2;
+        let carol = engine.submit(three).unwrap();
+        let carol_file = dir.join("queue").join(format!("{carol}.json"));
+        std::fs::remove_file(&carol_file).unwrap();
+        std::fs::create_dir(&carol_file).unwrap();
+        let err = engine.drive(None).unwrap_err();
+        assert!(err.message.contains("Is a directory"), "{}", err.message);
+        assert_eq!(engine.queue.get(&carol).map(|j| j.state), Some(JobState::Queued));
+        assert_eq!(engine.poll(&carol).unwrap().state, JobState::Queued);
+        std::fs::remove_dir(&carol_file).unwrap();
+        let summary = engine.drive(None).unwrap();
+        assert_eq!((summary.campaigns, summary.experiments, summary.completed), (1, 2, 1));
+        assert_eq!(engine.poll(&carol).unwrap().state, JobState::Completed);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

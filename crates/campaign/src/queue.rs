@@ -298,15 +298,25 @@ impl JobQueue {
     ///
     /// # Errors
     ///
-    /// I/O errors persisting the state change.
+    /// I/O errors persisting the state change. The job is then left
+    /// queued and its user's turn unspent, so a later call takes it again.
     pub fn take_next(&mut self) -> io::Result<Option<String>> {
         let Some(id) = self.peek_next() else {
             return Ok(None);
         };
         let user = self.jobs[&id].spec.user.clone();
-        self.last_slot.insert(user, self.tick);
+        let turn = self.last_slot.insert(user.clone(), self.tick);
         self.tick += 1;
-        self.set_state(&id, JobState::Running, None)?;
+        if let Err(e) = self.set_state(&id, JobState::Running, None) {
+            // Undo the move in memory; the file keeps what the failed
+            // write left, so the second write's error adds nothing.
+            let _ = self.set_state(&id, JobState::Queued, None);
+            match turn {
+                Some(turn) => self.last_slot.insert(user, turn),
+                None => self.last_slot.remove(&user),
+            };
+            return Err(e);
+        }
         Ok(Some(id))
     }
 
